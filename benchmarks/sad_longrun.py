@@ -5,19 +5,20 @@ GTX480 SM under RegMutex, seed 2018, 8 total CTAs — enough cycles
 (~310k) that steady-state issue-path cost dominates and per-run noise
 sits under a percent.  Reports wall time and cycles/sec, best of
 ``--repeat`` runs, and (unless ``--no-artifact``) writes a schema-1
-perf artifact per engine — ``BENCH_sad_<engine>.json`` — so the
-scan/event/columnar trajectory is committed alongside BENCH_seed.json
-(which stays the orchestrator baseline).
+perf artifact per code path — ``BENCH_sad_<path>.json`` — so the
+issue-path trajectory is committed alongside BENCH_seed.json (which
+stays the orchestrator baseline).  The path is ``scan``, or for the
+columnar engine whichever loop actually ran: ``native`` when
+``repro._native`` is built, ``columnar`` (pure Python) otherwise.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/sad_longrun.py \
-        [--engine scan|event|columnar] [--repeat 3] [--all-engines] \
+        [--engine scan|columnar] [--repeat 3] [--all-engines] \
         [--artifact-dir DIR] [--no-artifact]
 
-PR 3 measured the scan stepper at 8.883s on its machine; absolute
-seconds are machine-dependent, so compare engines on the *same*
-machine (PROFILING.md records one such 3-way set).
+Absolute seconds are machine-dependent, so compare paths on the *same*
+machine (PROFILING.md records one such set).
 """
 
 from __future__ import annotations
@@ -28,27 +29,22 @@ import os
 import time
 from dataclasses import replace
 
-from repro.arch.config import GTX480
+import repro.sim.sm as sm_mod
+from repro.arch.config import GTX480, ISSUE_ENGINES
 from repro.observe.perf import PERF_ARTIFACT_VERSION, artifact_filename
 from repro.regmutex.issue_logic import RegMutexTechnique
 from repro.sim.gpu import Gpu
-from repro.sim.sm import ISSUE_ENGINE_REGISTRY
 from repro.workloads.suite import build_app_kernel, get_app
 
 TOTAL_CTAS = 8
 SEED = 2018
-# Discovered from the sm.py engine registry: a new engine gets
-# benchmarked (and picked up by --all-engines) without editing this
-# script.  Ordered slowest-first so --all-engines prints a trajectory.
-_PREFERRED_ORDER = ("scan", "event", "columnar", "native")
-ENGINES = tuple(
-    sorted(
-        ISSUE_ENGINE_REGISTRY,
-        key=lambda e: (
-            _PREFERRED_ORDER.index(e) if e in _PREFERRED_ORDER else 99
-        ),
-    )
-)
+
+
+def path_label(engine: str) -> str:
+    """The code path a run of ``engine`` takes (artifact/trend label)."""
+    if engine == "columnar" and sm_mod._native is not None:
+        return "native"
+    return engine
 
 
 def run_once(engine: str) -> tuple[int, float]:
@@ -71,6 +67,7 @@ def bench_engine(engine: str, repeat: int) -> dict:
     baselines too.  Totals use the best run — the microbenchmark tracks
     the engine's ceiling, not scheduler jitter on a busy machine.
     """
+    path = path_label(engine)
     jobs = []
     best: float | None = None
     cycles = 0
@@ -79,7 +76,7 @@ def bench_engine(engine: str, repeat: int) -> dict:
         print(f"run {i + 1}: {cycles} cycles in {elapsed:.3f}s "
               f"({cycles / elapsed:,.0f} cycles/sec)")
         jobs.append({
-            "label": f"SAD/longrun/{engine}/run{i + 1}",
+            "label": f"SAD/longrun/{path}/run{i + 1}",
             "mode": "inline",
             "seconds": round(elapsed, 6),
             "cycles": cycles,
@@ -91,11 +88,11 @@ def bench_engine(engine: str, repeat: int) -> dict:
         if best is None or elapsed < best:
             best = elapsed
     assert best is not None
-    print(f"best [{engine}]: {cycles} cycles in {best:.3f}s "
+    print(f"best [{path}]: {cycles} cycles in {best:.3f}s "
           f"({cycles / best:,.0f} cycles/sec)")
     return {
         "schema": PERF_ARTIFACT_VERSION,
-        "label": f"sad_{engine}",
+        "label": f"sad_{path}",
         "workers": 1,
         "wall_seconds": round(sum(j["seconds"] for j in jobs), 6),
         "cache": {"hits": 0, "misses": len(jobs), "hit_rate": 0.0},
@@ -123,16 +120,17 @@ def write_artifact(artifact: dict, directory: str) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--engine", choices=ENGINES, default="event")
+    parser.add_argument("--engine", choices=ISSUE_ENGINES,
+                        default="columnar")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
         "--all-engines", action="store_true",
-        help="benchmark all three engines back-to-back (same process, "
-             "same machine state) instead of just --engine",
+        help="benchmark every engine back-to-back (same process, same "
+             "machine state) instead of just --engine",
     )
     parser.add_argument(
         "--artifact-dir", default=".", metavar="DIR",
-        help="directory for BENCH_sad_<engine>.json (default: repo root)",
+        help="directory for BENCH_sad_<path>.json (default: repo root)",
     )
     parser.add_argument(
         "--no-artifact", action="store_true",
@@ -142,7 +140,7 @@ def main() -> None:
     if args.repeat <= 0:
         parser.error("--repeat must be positive")
 
-    engines = ENGINES if args.all_engines else (args.engine,)
+    engines = ISSUE_ENGINES if args.all_engines else (args.engine,)
     for engine in engines:
         artifact = bench_engine(engine, args.repeat)
         if not args.no_artifact:

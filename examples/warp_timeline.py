@@ -1,7 +1,7 @@
 """Scenario: visualize SRP section hold intervals per warp.
 
 Runs one SM of the SAD workload (Table I's most section-starved app)
-under RegMutex with the cycle-trace recorder attached, then draws an
+under RegMutex with an event-logging observer attached, then draws an
 ASCII timeline of which warps held extended sets when — making the
 time-multiplexing (and the contention the paper discusses for SAD)
 directly visible.
@@ -16,10 +16,11 @@ from __future__ import annotations
 import sys
 
 from repro import GTX480, RegMutexTechnique, build_app_kernel, get_app
+from repro.observe import SmObserver
+from repro.regmutex.issue_logic import RegMutexSmState
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from repro.sim.trace import TracingTechniqueState
 
 
 def main(app_name: str, sections_override: int | None) -> None:
@@ -35,18 +36,16 @@ def main(app_name: str, sections_override: int | None) -> None:
     )
 
     stats = SmStats()
-    from repro.regmutex.issue_logic import RegMutexSmState
-    inner = RegMutexSmState(compiled, GTX480, stats, num_sections=sections)
-    traced = TracingTechniqueState(inner)
+    state = RegMutexSmState(compiled, GTX480, stats, num_sections=sections)
     sm = StreamingMultiprocessor(
-        sm_id=0, config=GTX480, kernel=compiled, technique_state=traced,
+        sm_id=0, config=GTX480, kernel=compiled, technique_state=state,
         ctas_resident_limit=occ.ctas_per_sm, total_ctas=occ.ctas_per_sm,
         rng=DeterministicRng(7), stats=stats,
     )
+    trace = SmObserver().attach(sm).log
     sm.run()
-    trace = traced.trace
 
-    warp_ids = sorted({e.warp_id for e in trace.events})
+    warp_ids = trace.warp_ids()
     total = stats.cycles
     width = 88
     print(f"{app_name}: {occ.resident_warps} warps, {sections} SRP sections, "

@@ -1,11 +1,12 @@
 """Legacy setup shim: the offline environment lacks the ``wheel``
 package, so editable installs go through ``setup.py develop``.
 
-Also builds the optional ``repro._native`` extension (the C backend
-for ``issue_engine="native"``).  The extension is strictly optional:
-on a machine without a C compiler the build warns and continues, and
-``repro.sim.sm`` falls back to the pure-Python columnar stepper with
-identical behaviour.  Build in place for the PYTHONPATH=src layout:
+Also builds the optional ``repro._native`` extension, the C loop the
+columnar issue path runs whenever it is importable.  The extension is
+strictly optional: on a machine without a C compiler the build warns
+and continues, and ``repro.sim.sm`` runs the pure-Python columnar
+stepper with identical behaviour.  Build in place for the
+PYTHONPATH=src layout:
 
     python setup.py build_ext --inplace
 """

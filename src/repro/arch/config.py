@@ -12,25 +12,22 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-#: Canonical registry of issue-engine names.  ``repro.sim.sm`` builds its
-#: engine dispatch from this tuple and benchmark/CLI tooling discovers
-#: engines here, so adding an engine means adding one entry (plus the
-#: sm.py implementation) — not editing every script's hardcoded list.
-#: "native" selects the optional C extension (``repro._native``) and
-#: falls back to the pure-Python columnar stepper when it isn't built.
-ISSUE_ENGINES = ("event", "scan", "columnar", "native")
+#: Canonical issue-engine names: "scan" is the auditable all-warp
+#: reference stepper, "columnar" the fast path.  Benchmark and CLI
+#: tooling discover engines here rather than hardcoding their own list.
+ISSUE_ENGINES = ("scan", "columnar")
 
 
 def _default_issue_engine() -> str:
     """Default issue engine, overridable via ``REPRO_ISSUE_ENGINE``.
 
-    The env hook exists so CI can run the whole tier-1 suite under an
-    alternate engine (``REPRO_ISSUE_ENGINE=columnar python -m pytest``)
+    The env hook exists so the whole tier-1 suite can run under the
+    reference stepper (``REPRO_ISSUE_ENGINE=scan python -m pytest``)
     without touching every test's config literal.  The knob is
-    timing-neutral by contract (all engines are bit-identical) and is
+    timing-neutral by contract (both engines are bit-identical) and is
     excluded from experiment cache keys either way.
     """
-    return os.environ.get("REPRO_ISSUE_ENGINE", "event")
+    return os.environ.get("REPRO_ISSUE_ENGINE", "columnar")
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,16 @@ class GpuConfig:
     # wait-queue hygiene — into one per-issue/per-cycle checker emitting
     # typed SanitizerViolation reports with warp/pc/cycle provenance.
     sanitizer: bool = False
-    # Issue-path implementation: "event" (the default) drives each
-    # scheduler from wake-ordered ready queues + sleeper heaps; "scan"
-    # selects the naive all-warp reference stepper; "columnar" runs the
-    # array-backed store (repro.sim.columnar) — per-slot state columns
-    # with thin Warp views — and is the fast path for long runs.  All
-    # three are bit-identical (cycles, SmStats, oracle digests) — this
-    # knob exists for the differential identity tests, for auditing,
-    # and for speed, and is excluded from experiment cache keys for
-    # that reason.  Defaults to "event" unless REPRO_ISSUE_ENGINE says
-    # otherwise (CI uses the env hook to re-run the suite per engine).
+    # Issue-path implementation.  "columnar" (the default) drives each
+    # scheduler from wake-ordered ready lists and sleeper heaps over
+    # the array-backed store (repro.sim.columnar), and runs its loop in
+    # the optional C extension repro._native whenever that is built —
+    # pure Python otherwise, with one RuntimeWarning per process.
+    # "scan" selects the naive all-warp reference stepper.  Both are
+    # bit-identical (cycles, SmStats, oracle digests): the knob exists
+    # for the differential identity tests and for auditing, and is
+    # excluded from experiment cache keys for that reason.  Defaults to
+    # "columnar" unless REPRO_ISSUE_ENGINE says otherwise.
     issue_engine: str = field(default_factory=_default_issue_engine)
     # Cadence of the sanitizer's per-cycle *structural* checks (SRP
     # consistency, wait-queue hygiene, slot accounting): 1 = every cycle

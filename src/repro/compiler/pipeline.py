@@ -12,6 +12,7 @@ paper's "does not insert any acquire or release instructions" behaviour.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
@@ -45,13 +46,32 @@ class CompilationReport:
 
 # Reports are keyed by the *output* kernel object so callers can look up
 # what the pipeline did without threading a second return value through
-# the technique interface.
-_reports: "dict[int, CompilationReport]" = {}
+# the technique interface.  Kernel defines __eq__ (so it is unhashable
+# and a WeakKeyDictionary cannot hold it); entries are keyed by identity
+# instead, hold only a weak reference to their kernel, and are dropped
+# by its callback when the kernel is collected.  A report therefore
+# lives exactly as long as its kernel, and a recycled id() can never
+# resolve to a stale one.
+_reports: "dict[int, tuple[weakref.ref, CompilationReport]]" = {}
+
+
+def _remember(kernel: Kernel, report: CompilationReport) -> None:
+    key = id(kernel)
+
+    def drop(ref: weakref.ref) -> None:
+        entry = _reports.get(key)
+        if entry is not None and entry[0] is ref:
+            del _reports[key]
+
+    _reports[key] = (weakref.ref(kernel, drop), report)
 
 
 def compilation_report(kernel: Kernel) -> CompilationReport | None:
     """The report for a kernel produced by :func:`regmutex_compile`."""
-    return _reports.get(id(kernel))
+    entry = _reports.get(id(kernel))
+    if entry is None or entry[0]() is not kernel:
+        return None
+    return entry[1]
 
 
 def regmutex_compile(
@@ -76,7 +96,7 @@ def regmutex_compile(
     rounded = selection.rounded_regs
 
     def finish(result: Kernel, report: CompilationReport) -> Kernel:
-        _reports[id(result)] = report
+        _remember(result, report)
         return result
 
     if not selection.uses_regmutex:

@@ -29,6 +29,10 @@ from typing import Optional
 FAILURE_TIMEOUT = "timeout"
 FAILURE_WORKER_CRASH = "worker-crash"
 FAILURE_RUNTIME = "runtime-error"
+# Any other exception a job raises — e.g. the compiler's CompactionError
+# for a kernel/|Es| pair it cannot compact — is that job's failure, not
+# its batch's.
+FAILURE_JOB_ERROR = "job-error"
 
 
 @dataclass(frozen=True)

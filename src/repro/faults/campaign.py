@@ -364,9 +364,9 @@ def _kill_mid_run_scenario(
     """SIGKILL a worker at a deterministic cycle; resume must finish the
     job bit-identically to an undisturbed baseline run.
 
-    ``engine`` pins the issue engine (e.g. ``"native"``: the C core's
-    mid-run checkpoints must be just as resumable as pure Python's);
-    None keeps the config default.
+    ``engine`` pins the issue engine (e.g. ``"scan"``: the reference
+    stepper's mid-run checkpoints must be just as resumable as the
+    columnar path's); None keeps the config default.
     """
     config = HARNESS_CONFIG
     tag = ""
@@ -669,7 +669,7 @@ def run_campaign(
                 )
                 outcomes.append(
                     _kill_mid_run_scenario(
-                        seed, workers, workdir, engine="native"
+                        seed, workers, workdir, engine="scan"
                     )
                 )
                 outcomes.append(

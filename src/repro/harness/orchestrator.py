@@ -58,6 +58,7 @@ import os
 import shutil
 import tempfile
 import time
+import traceback
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -67,6 +68,7 @@ from concurrent.futures import (
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import (
+    FAILURE_JOB_ERROR,
     FAILURE_RUNTIME,
     FAILURE_TIMEOUT,
     FAILURE_WORKER_CRASH,
@@ -103,6 +105,21 @@ def ordered_unique_jobs(jobs: Iterable[JobSpec]) -> tuple[JobSpec, ...]:
     return tuple(seen)
 
 
+def job_error(exc: Exception) -> tuple[str, str]:
+    """``(kind, message)`` for an exception a job raised that is neither
+    a simulation error nor a worker death: the exception class, its
+    text, and where it was raised, so the failure reads on its own."""
+    message = f"{type(exc).__name__}: {exc}"
+    frames = traceback.extract_tb(exc.__traceback__)
+    if frames:
+        origin = frames[-1]
+        message += (
+            f" (raised at {os.path.basename(origin.filename)}:"
+            f"{origin.lineno} in {origin.name})"
+        )
+    return FAILURE_JOB_ERROR, message
+
+
 def _simulate(
     job: JobSpec,
     seed: int,
@@ -116,7 +133,8 @@ def _simulate(
     and record normalization are exactly the serial path's; returns
     ``(record | None, (kind, message) | None, seconds, resumed_cycle)``.
     Failures are returned (not raised) so the parent can distinguish a
-    deterministic simulation error from the worker process itself dying.
+    deterministic job error from the worker process itself dying, and so
+    one failing job never takes its batch's flush and telemetry with it.
 
     With ``checkpoint_dir`` set, the simulation writes periodic
     checkpoints there and — after a crashed or timed-out predecessor —
@@ -145,6 +163,8 @@ def _simulate(
         record, failure = None, (exc.kind, str(exc))
     except RuntimeError as exc:
         record, failure = None, (FAILURE_RUNTIME, str(exc))
+    except Exception as exc:
+        record, failure = None, job_error(exc)
     resumed = max(resume_report.get("resumed", {}).values(), default=None)
     return record, failure, time.perf_counter() - start, resumed
 

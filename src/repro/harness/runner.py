@@ -16,7 +16,7 @@ Two problems a naive ``simulate_kernel`` comparison has:
    optionally, in a JSON file keyed by a content hash of everything that
    affects the result (kernel text, config, technique parameters, seed).
 
-Crash-safety of the disk cache (see ARCHITECTURE.md, "crash-safety &
+Crash-safety of the disk cache (see docs/ARCHITECTURE.md, "crash-safety &
 resume"): every computed record is first appended to a write-ahead
 journal (``<path>.journal``) as one fsync'd JSON line under an advisory
 file lock, so a simulation result survives a crash that lands before the
@@ -155,7 +155,7 @@ def _fsync_dir(path: str) -> None:
 # records — and so adding them did not invalidate every pre-existing
 # key (v6 stays v6).
 _TIMING_NEUTRAL_CONFIG_FIELDS = frozenset({
-    "issue_engine",   # scan / event / columnar: same schedule by contract
+    "issue_engine",   # scan / columnar (native or not): same schedule by contract
     "sanitizer",      # observer-only runtime checks (raise, never steer)
     "sanitizer_stride",
 })

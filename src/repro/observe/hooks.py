@@ -3,8 +3,7 @@
 Two cooperating pieces:
 
 * :class:`ObservingTechniqueState` wraps the installed technique state
-  (decorator pattern, the same shape the old ``TracingTechniqueState``
-  used) and publishes issue / acquire / release / warp-finish events.
+  (decorator pattern) and publishes issue / acquire / release / warp-finish events.
   Because the SM already virtual-dispatches through its technique state,
   wrapping costs nothing when observability is off — no wrapper exists.
 
@@ -148,9 +147,9 @@ class SmObserver:
         """Install this observer on an SM (idempotent per SM).
 
         Replacing ``sm.technique`` with the observing wrapper is safe
-        under both issue engines: the event-driven stepper reads
-        ``self.technique`` afresh each cycle (it holds no reference to
-        the inner state), and the wrapper forwards ``wakeup_pending``
+        under both issue engines: the columnar path binds
+        ``self.technique`` at the start of each run (attach before
+        ``run()``), and the wrapper forwards ``wakeup_pending``
         verbatim, so acquire re-arms still reach the wake queues.
         """
         if sm._observer is not None:

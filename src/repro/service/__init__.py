@@ -1,7 +1,7 @@
 """Simulation-as-a-service: persistent daemon, protocol, and client.
 
 One warm process in front of the journaled run store (see
-ARCHITECTURE.md, "service daemon"): :class:`SimulationService` accepts
+docs/ARCHITECTURE.md, "service daemon"): :class:`SimulationService` accepts
 job/experiment submissions over newline-delimited JSON, dedups them
 three ways (batch, run store, in-flight singleflight), executes on a
 persistent worker pool with checkpoint/resume, and streams per-job

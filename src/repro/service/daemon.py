@@ -57,7 +57,11 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.harness.experiments import figure_spec
-from repro.harness.orchestrator import _simulate, ordered_unique_jobs
+from repro.harness.orchestrator import (
+    _simulate,
+    job_error,
+    ordered_unique_jobs,
+)
 from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import JobFailure, JobSpec, materialize_job
 from repro.harness.telemetry import (
@@ -430,6 +434,16 @@ class SimulationService:
                 # job's pool recycle — the work never started; redo it
                 # on the fresh pool without consuming a retry.
                 continue
+            except Exception as exc:
+                # Anything else the future raises (the worker entry
+                # returns job errors as failures, so this is e.g. an
+                # unpicklable result) still ends the job: a terminal
+                # JOB_FAILED frame, never a follower waiting forever.
+                self._finish(
+                    state, failure=job_error(exc),
+                    seconds=0.0, attempts=attempt, simulated=True,
+                )
+                return
             break
         self.stats["simulations"] += 1
         state.resumed_from_cycle = resumed

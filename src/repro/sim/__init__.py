@@ -19,7 +19,6 @@ from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.gpu import Gpu, LaunchResult, simulate_kernel
 from repro.sim.banks import BankedRegisterFile
 from repro.sim.multikernel import launch_concurrent, kernels_similar
-from repro.sim.trace import Trace, TraceEvent, TracingTechniqueState
 
 __all__ = [
     "SmStats",
@@ -41,7 +40,4 @@ __all__ = [
     "BankedRegisterFile",
     "launch_concurrent",
     "kernels_similar",
-    "Trace",
-    "TraceEvent",
-    "TracingTechniqueState",
 ]

@@ -4,21 +4,23 @@ A checkpoint is a pure-JSON snapshot of *everything* that determines the
 rest of an SM's schedule: per-warp architectural and queue state, the
 scoreboard's pending writes, the memory model's in-flight multiset and
 its hit/miss RNG stream position, scheduler rotation state
-(GTO greedy pointer / LRR cursor / issued counts), the event or
-columnar engine's ready lists and sleeper heaps, the installed
+(GTO greedy pointer / LRR cursor / issued counts), the columnar
+path's ready lists and sleeper heaps, the installed
 technique's own bookkeeping (SRP bitmask + LUT, pair locks, OWF
 subscriptions, RFV pool), every ``SmStats`` counter, and the SM-level
 RNG stream.  Restoring it into a freshly constructed SM (same
 constructor arguments) and calling ``run()`` produces the *bit-identical*
 tail — same final cycle, same stats, same oracle digests — as the
-uninterrupted run, on all three issue engines.  That property is what
+uninterrupted run, on both issue engines — and a columnar checkpoint
+resumes identically with or without the ``repro._native`` accelerator,
+which runs over the same state.  That property is what
 lets the harness resume a crashed worker from its last checkpoint
 instead of recomputing, with the cached result indistinguishable from a
 clean run.
 
 Layering: every stateful component serializes itself
 (``Scoreboard.snapshot``, ``MemoryModel.snapshot``,
-``IssueEngine.snapshot``, ``ColumnarCore.checkpoint_state``, scheduler
+``ColumnarCore.checkpoint_state``, scheduler
 ``snapshot``, technique ``state_snapshot``); this module composes them,
 stamps the envelope (schema version, issue engine, kernel/config
 fingerprints), and owns the torn-write-safe file format.  Warp objects
@@ -54,7 +56,9 @@ from repro.sim.warp import Warp, WarpStatus
 # Bump on any change to the payload layout.  Restore refuses mismatched
 # schemas outright: silently reinterpreting old fields would trade a
 # loud typed error for a wrong-but-plausible simulation result.
-CHECKPOINT_SCHEMA_VERSION = 1
+# Version 2 moved the queue-state code out of the per-warp records into
+# the columnar engine state.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 # -- context fingerprints -----------------------------------------------------
@@ -94,7 +98,6 @@ def _capture_warp(warp: Warp) -> dict:
         "stalled_on": warp.stalled_on,
         "wake_cycle": warp.wake_cycle,
         "dynamic_instructions": warp.dynamic_instructions,
-        "qstate": warp.qstate,
         "rng_state": warp.rng._state,
         "trips": {str(pc): n for pc, n in warp._trips_remaining.items()},
         "holds_extended_set": warp.holds_extended_set,
@@ -106,18 +109,15 @@ def _capture_warp(warp: Warp) -> dict:
 
 def capture_sm(sm) -> dict:
     """Snapshot a quiescent SM (between cycles) into a JSON-safe dict."""
-    engine = sm.config.issue_engine
     if sm._columnar is not None:
         scoreboard_state = None
         engine_state = sm._columnar.checkpoint_state()
     else:
         scoreboard_state = sm.scoreboard.snapshot()
-        engine_state = (
-            sm._engine.snapshot() if sm._engine is not None else None
-        )
+        engine_state = None
     payload = {
         "schema": CHECKPOINT_SCHEMA_VERSION,
-        "issue_engine": engine,
+        "issue_engine": sm.config.issue_engine,
         "kernel_fingerprint": kernel_fingerprint(sm.kernel),
         "config_fingerprint": config_fingerprint(sm.config),
         "cycle": sm.cycle,
@@ -203,7 +203,6 @@ def restore_into(sm, payload: dict) -> None:
     # Imported here: sm.py imports this module's sibling classes.
     from repro.sim.columnar import ColumnarCore, ColumnarScoreboard
     from repro.sim.scoreboard import Scoreboard
-    from repro.sim.wakequeue import IssueEngine
 
     validate_payload(sm, payload)
     config = sm.config
@@ -229,17 +228,12 @@ def restore_into(sm, payload: dict) -> None:
         (sched, warps, [])
         for sched, warps in zip(sm.schedulers, sm._warps_by_scheduler)
     ]
-    if config.issue_engine in ("columnar", "native"):
+    if config.issue_engine == "columnar":
         sm._columnar = ColumnarCore(sm.schedulers, config)
         sm.scoreboard = ColumnarScoreboard(sm._columnar)
-        sm._engine = None
     else:
         sm._columnar = None
         sm.scoreboard = Scoreboard()
-        sm._engine = (
-            IssueEngine(sm.schedulers)
-            if config.issue_engine == "event" else None
-        )
 
     warps_by_id: dict[int, Warp] = {}
     for cta_p in payload["ctas"]:
@@ -264,7 +258,6 @@ def restore_into(sm, payload: dict) -> None:
             warp.stalled_on = wp["stalled_on"]
             warp.wake_cycle = wp["wake_cycle"]
             warp.dynamic_instructions = wp["dynamic_instructions"]
-            warp.qstate = wp["qstate"]
             warp.holds_extended_set = wp["holds_extended_set"]
             warp.srp_section = wp["srp_section"]
             warp.acquire_block_since = wp["acquire_block_since"]
@@ -285,8 +278,6 @@ def restore_into(sm, payload: dict) -> None:
         sm._columnar.checkpoint_restore(payload["engine_state"], sm.cycle)
     else:
         sm.scoreboard.restore(payload["scoreboard"])
-        if sm._engine is not None:
-            sm._engine.restore(payload["engine_state"], warps_by_id)
     sm.memory.restore(payload["memory"])
     for sched, sched_payload in zip(sm.schedulers, payload["schedulers"]):
         sched.restore(sched_payload, warps_by_id)

@@ -1,13 +1,15 @@
-"""Columnar SM core: array-backed hot state behind thin object views.
+"""Columnar SM core: the fast issue path's state and its wake queues.
 
-The scan and event steppers keep the simulation's hot state scattered
+The scan reference stepper keeps the simulation's hot state scattered
 across Python objects — a ``Warp`` per resident warp, dict-of-dicts in
 the ``Scoreboard``, enum-valued attributes read through descriptor
 lookups, and an ``Instruction`` dataclass whose ``op_class``/``latency``
-properties re-hash an enum on every fetch.  Profiling the event engine
-on the SAD long run shows the ceiling is exactly that object model:
-~63 Python calls and several hundred attribute/enum operations per
-simulated cycle, none of them algorithmically necessary.
+properties re-hash an enum on every fetch — and visits every resident
+warp every cycle, although on a typical cycle most of them sit inside a
+known stall window (``wake_cycle > cycle``).  Profiling an object-model
+stepper on the SAD long run showed ~63 Python calls and several hundred
+attribute/enum operations per simulated cycle, none of them
+algorithmically necessary.
 
 This module restructures the per-SM hot state into a **columnar store**:
 
@@ -18,8 +20,8 @@ This module restructures the per-SM hot state into a **columnar store**:
 * :class:`ColumnarCore` — per-slot parallel arrays for everything the
   issue loop touches: pc, wake cycle, status code, stall-reason code,
   queue-state code, dynamic instruction count, scoreboard rows and
-  per-slot pending maxima, plus per-scheduler ready lists and sleeper
-  heaps of bare ``(warp_id, slot)`` tuples.
+  per-slot pending maxima, plus one :class:`ColumnarUnit` per scheduler
+  holding its wake queues of bare ``(warp_id, slot)`` tuples.
 * :class:`ColumnarWarpView` — a ``Warp`` subclass whose hot attributes
   are properties proxying into the columns, so the public API is
   unchanged: techniques, the CTA barrier protocol, observers, the
@@ -38,8 +40,7 @@ columns would be ~2.5x *slower* here.  NumPy earns its keep on the bulk
 reads: :meth:`ColumnarCore.snapshot` exports the columns as arrays, and
 the masked invariant sweeps (:meth:`ColumnarCore.check_hygiene`, the
 probes' histogram path) vectorize over them.  NumPy is optional at
-import — the pure-Python fallbacks keep scan/event-only installs
-working.
+import — the pure-Python fallbacks keep minimal installs working.
 
 Scoreboard rows never expire (unlike the dict engine's periodic
 ``expire``): a stale entry has ``ready <= cycle`` and every consumer
@@ -48,10 +49,49 @@ That also makes ``has_pending_memory`` O(1): row values only grow, so
 the per-slot ``sb_max`` *is* the maximum pending completion, and
 "any write further than ``horizon`` out" reduces to one comparison.
 
+Wake queues
+-----------
+
+Each scheduler's :class:`ColumnarUnit` keeps
+
+* a **ready list** — warps eligible for qualification *now*, kept
+  sorted by warp id so qualification walks them in exactly the order
+  the scan stepper would (launch order; technique ``can_issue`` hooks
+  have side effects, so order is part of the semantics),
+* a **sleeper min-heap** keyed ``(wake_cycle, warp_id)`` — warps inside
+  a self-timed stall window (scoreboard hazard, saturated memory
+  window, eager acquire backoff); due sleepers are popped into the
+  ready list at the start of the owning scheduler's pass,
+* explicit **blocked counts** for warps with no self-timer (parked at a
+  barrier or on a failed acquire), re-armed by the events that can
+  unblock them: barrier release (:meth:`ColumnarCore.on_barrier_release`)
+  and the technique's ``wakeup_pending`` drain
+  (:meth:`ColumnarCore.on_acquire_wake`).
+
+Per cycle the cost is proportional to warps that can actually act, not
+to residents.  The ``qstate`` column records which structure owns each
+warp, so the unblock hooks are idempotent and cheap to guard.
+
+The scan classifies a *sleeping* warp per cycle as a memory stall if
+``stalled_on == "memory"`` or ``wake_cycle - cycle > HORIZON``, else a
+scoreboard stall.  The first disjunct is frozen at sleep time, but the
+second is time-varying: a non-memory sleeper counts as a memory stall
+until the final ``HORIZON`` cycles of its window.  The unit reproduces
+that from aggregates: ``mem_sleepers`` and ``nonmem_sleepers`` count the
+two classes, and ``far`` is a min-heap of ``wake_cycle - HORIZON``
+thresholds, one per non-memory sleeper whose window was longer than
+``HORIZON`` at sleep time; pruning expired entries at read time keeps
+``len(far)`` equal to the non-memory sleepers still classified as
+memory stalls.  A sleeping warp can never leave its window early (its
+status only changes by issuing or being qualified, and a CTA only
+retires when every warp has finished), so sleeper heap entries are
+exact — no lazy deletion.
+
 Bit-identity contract: identical cycle counts, identical per-stall
-``SmStats``, identical oracle digests against both retained steppers —
-enforced by the 3-way property tests in ``tests/sim/test_wakequeue.py``
-and the differential oracle.
+``SmStats``, identical oracle digests against the retained scan stepper,
+with and without the ``repro._native`` accelerator (which runs this
+module's loop over these same columns) — enforced by the engine-identity
+property tests and the differential oracle.
 """
 
 from __future__ import annotations
@@ -62,14 +102,6 @@ from repro.isa.instructions import Instruction, OpClass, Opcode
 from repro.isa.kernel import Kernel
 from repro.sim.rand import DeterministicRng
 from repro.sim.scheduler import GtoScheduler, LrrScheduler
-from repro.sim.wakequeue import (
-    MEMORY_STALL_HORIZON,
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_OUT,
-    QS_READY,
-    QS_SLEEPING,
-)
 from repro.sim.warp import Warp, WarpStatus
 
 try:  # Bulk/masked ops only — the hot loop never touches numpy.
@@ -77,7 +109,22 @@ try:  # Bulk/masked ops only — the hot loop never touches numpy.
 except ImportError:  # pragma: no cover - exercised on minimal installs
     _np = None
 
+# Stall-attribution horizon (cycles): a pending completion further out
+# than this is attributed to memory, nearer to the scoreboard.  Shared
+# with the scan stepper's classification and with
+# ``Scoreboard.has_pending_memory`` — attribution only, never
+# correctness.
+MEMORY_STALL_HORIZON = 20
+
 # -- column encodings ---------------------------------------------------------
+
+# Queue-state codes (the ``qstate`` column): which wake-queue structure
+# currently owns the warp.
+QS_OUT = 0        # not resident / finished
+QS_READY = 1      # in its scheduler's ready list
+QS_SLEEPING = 2   # in the sleeper heap
+QS_BARRIER = 3    # parked at a barrier (blocked count)
+QS_ACQUIRE = 4    # parked on a failed acquire (blocked count)
 
 # Warp status codes (column representation of WarpStatus).
 ST_READY = 0
@@ -182,7 +229,6 @@ _RAW_STATUS = Warp.__dict__["status"]
 _RAW_STALLED_ON = Warp.__dict__["stalled_on"]
 _RAW_WAKE = Warp.__dict__["wake_cycle"]
 _RAW_DYN = Warp.__dict__["dynamic_instructions"]
-_RAW_QSTATE = Warp.__dict__["qstate"]
 _RAW_HOLDS = Warp.__dict__["holds_extended_set"]
 
 
@@ -285,19 +331,6 @@ class ColumnarWarpView(Warp):
             _RAW_DYN.__set__(self, value)
 
     @property
-    def qstate(self) -> int:
-        if self._bound:
-            return self._cols.qstate[self.slot]
-        return _RAW_QSTATE.__get__(self)
-
-    @qstate.setter
-    def qstate(self, value: int) -> None:
-        if self._bound:
-            self._cols.qstate[self.slot] = value
-        else:
-            _RAW_QSTATE.__set__(self, value)
-
-    @property
     def holds_extended_set(self) -> bool:
         if self._bound:
             return self._cols.holds[self.slot]
@@ -313,10 +346,8 @@ class ColumnarWarpView(Warp):
 
 class ColumnarUnit:
     """Per-scheduler ready/sleeper/blocked state over ``(warp_id, slot)``
-    tuples — the columnar twin of
-    :class:`repro.sim.wakequeue.SchedulerWakeQueue`, with the same
-    attribution bookkeeping (class counts + far-threshold heap) but no
-    warp objects on the hot path.
+    tuples, with the stall-attribution bookkeeping (class counts +
+    far-threshold heap) described in the module docstring.
 
     ``kind`` encodes the scheduler pick fast path: 0 = GTO with the
     default priority (greedy id match, else lowest id), 1 = LRR (first
@@ -533,7 +564,6 @@ class ColumnarCore:
             _RAW_STALLED_ON.__set__(view, STALL_STR[self.stall[slot]])
             _RAW_WAKE.__set__(view, self.wake[slot])
             _RAW_DYN.__set__(view, self.dyn[slot])
-            _RAW_QSTATE.__set__(view, self.qstate[slot])
             _RAW_HOLDS.__set__(view, self.holds[slot])
         self.wid2slot.pop(view.warp_id, None)
         self.wid[slot] = -1
@@ -547,7 +577,14 @@ class ColumnarCore:
 
     # -- event hooks (cold paths; the stepper inlines the hot ones) -------------
     def on_finish(self, warp_id: int, slot: int) -> None:
-        """Mirror of ``SchedulerWakeQueue.on_finish`` over tuples."""
+        """The warp finished: release whichever structure owns it.
+
+        On the issue path the warp is always ``QS_READY`` (EXIT can only
+        issue from the ready list), but the technique layer can finish a
+        *parked* warp — the acquire-wakeup handoff in
+        ``RegMutexSmState.on_warp_finish`` — so the blocked counts are
+        released here too.  A sleeping warp cannot finish.
+        """
         unit = self.units[warp_id % self.num_schedulers]
         qs = self.qstate[slot]
         if qs == QS_READY:
@@ -592,20 +629,24 @@ class ColumnarCore:
     def checkpoint_state(self) -> dict:
         """Engine-specific state beyond the per-warp columns (which the
         checkpoint layer reads through the view properties): scoreboard
-        rows/maxima keyed by warp id, and the per-unit queues."""
+        rows/maxima and queue-state codes keyed by warp id, and the
+        per-unit queues."""
         rows = {}
         maxima = {}
+        qstates = {}
         for wid, slot in self.wid2slot.items():
             rows[str(wid)] = list(self.sb_rows[slot])
             maxima[str(wid)] = self.sb_max[slot]
+            qstates[str(wid)] = self.qstate[slot]
         return {
             "sb_rows": rows,
             "sb_max": maxima,
+            "qstate": qstates,
             "units": [unit.queue_snapshot() for unit in self.units],
         }
 
     def checkpoint_restore(self, payload: dict, cycle: int) -> None:
-        """Restore rows/maxima/queues after the warps have been re-adopted
+        """Restore rows/maxima/qstates/queues after the warps have been re-adopted
         via :meth:`new_warp` (which sized fresh rows and populated
         ``wid2slot``).  The completion heap is derived state: rebuilt from
         row values still in the future — stale-but-future heap entries in
@@ -625,6 +666,7 @@ class ColumnarCore:
             slot = self.wid2slot[wid]
             self.sb_rows[slot][:] = row
             self.sb_max[slot] = payload["sb_max"][wid_s]
+            self.qstate[slot] = payload["qstate"][wid_s]
             for reg, ready in enumerate(row):
                 if ready > cycle:
                     heap.append((ready, wid, reg))
@@ -689,8 +731,9 @@ class ColumnarCore:
     def check_hygiene(self) -> None:
         """Structural + mask invariants, for tests and the sanitizer.
 
-        Per unit this mirrors ``SchedulerWakeQueue.check_hygiene``; on
-        top, the column-level invariants are checked as masked array
+        Per unit: sleeper heap size matches the class counts, the ready
+        list is id-sorted, and every queued warp's qstate/status agree
+        with the structure holding it.  On top, the column-level invariants are checked as masked array
         ops when numpy is available (pure-Python equivalent otherwise):
         every active slot's codes must be in range, a finished warp must
         be out of every queue structure, and the qstate histogram must
@@ -894,7 +937,3 @@ class ColumnarScoreboard:
             return False
         return core.sb_max[slot] - cycle > horizon
 
-
-# Re-exported so the stepper and tests share one constant with the
-# event engine's attribution logic.
-HORIZON = MEMORY_STALL_HORIZON

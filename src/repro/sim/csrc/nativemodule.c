@@ -1,4 +1,8 @@
-/* nativemodule.c — optional C backend for the columnar issue engine.
+/* nativemodule.c — optional C accelerator for the columnar issue path.
+ *
+ * repro.sim.sm runs every columnar run() through this module whenever
+ * it imports and passes the ABI check, and the pure-Python stepper
+ * otherwise; there is no separate engine name for it.
  *
  * This is a line-for-line transliteration of
  * StreamingMultiprocessor._run_columnar (src/repro/sim/sm.py) operating
@@ -33,7 +37,7 @@
 #include <string.h>
 #include <limits.h>
 
-/* Column encodings — mirrored from repro.sim.columnar / wakequeue.
+/* Column encodings — mirrored from repro.sim.columnar.
  * sm.py cross-checks every one of these against the Python constants
  * at import time and refuses to use the extension on drift. */
 #define ST_READY 0
@@ -1005,22 +1009,17 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         if (!S->status_ready || !S->status_waiting_acquire)
             return -1;
     }
-    /* Timing constants, fetched from sm.py / wakequeue so they can
-     * never drift from the pure stepper. */
+    /* Timing constants, fetched from sm.py (which imports the horizon
+     * from repro.sim.columnar) so they can never drift from the pure
+     * stepper. */
     {
         PyObject *sm_mod = PyImport_ImportModule("repro.sim.sm");
         if (sm_mod == NULL)
             return -1;
-        PyObject *wq_mod = PyImport_ImportModule("repro.sim.wakequeue");
-        if (wq_mod == NULL) {
-            Py_DECREF(sm_mod);
-            return -1;
-        }
         PyObject *a = PyObject_GetAttrString(sm_mod, "_EXPIRE_PERIOD");
         PyObject *b = PyObject_GetAttrString(sm_mod, "_EAGER_RETRY_BACKOFF");
-        PyObject *c = PyObject_GetAttrString(wq_mod, "MEMORY_STALL_HORIZON");
+        PyObject *c = PyObject_GetAttrString(sm_mod, "MEMORY_STALL_HORIZON");
         Py_DECREF(sm_mod);
-        Py_DECREF(wq_mod);
         if (!a || !b || !c) {
             Py_XDECREF(a); Py_XDECREF(b); Py_XDECREF(c);
             return -1;
@@ -1239,7 +1238,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             if (r < 0)
                 return -1;
         }
-        /* Blocked counts captured before qualification (event-stepper
+        /* Blocked counts captured before qualification (scan-stepper
          * semantics: a warp parking this pass counts from next cycle). */
         long barrier_count = get_long_attr(u->unit, S_barrier_count, &err);
         if (err)
@@ -2278,7 +2277,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native",
-    "C backend for the columnar issue engine (issue_engine=\"native\").",
+    "C accelerator for the columnar issue path (issue_engine=\"columnar\").",
     -1,
     native_methods,
     NULL, NULL, NULL, NULL,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heappop, heappush
 
-from repro.arch.config import ISSUE_ENGINES, GpuConfig
+from repro.arch.config import GpuConfig
 from repro.errors import (
     CycleLimitExceededError,
     DeadlockDiagnostic,
@@ -50,6 +50,11 @@ from repro.sim.columnar import (
     K_LOAD,
     K_SHARED_LOAD,
     K_STORE,
+    MEMORY_STALL_HORIZON,
+    QS_ACQUIRE,
+    QS_BARRIER,
+    QS_READY,
+    QS_SLEEPING,
     SL_MEMORY,
     SL_NONE,
     SL_SCOREBOARD,
@@ -68,15 +73,6 @@ from repro.sim.scheduler import WarpScheduler, make_scheduler
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState
-from repro.sim.wakequeue import (
-    MEMORY_STALL_HORIZON,
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_READY,
-    QS_SLEEPING,
-    IssueEngine,
-    _by_warp_id,
-)
 from repro.sim.warp import Warp, WarpStatus, resolve_conditional_branch
 
 # Scoreboard-expiry cadence: purging every cycle is wasted work; the
@@ -88,23 +84,35 @@ _EXPIRE_PERIOD = 64
 # between polls instead of spinning in the greedy slot.
 _EAGER_RETRY_BACKOFF = 16
 
-# Optional C backend for the columnar loop (issue_engine="native").
-# Missing extension is not an error: "native" then runs the pure-Python
-# columnar stepper (identical results, one RuntimeWarning per process).
+
+def _by_warp_id(warp: Warp) -> int:
+    """Module-level insort key (no per-call closure on the hot path)."""
+    return warp.warp_id
+
+
+# Optional C accelerator for the columnar issue path.  Whenever
+# ``repro._native`` imports and passes the ABI check below, every
+# columnar ``run()`` goes through it; otherwise the pure-Python stepper
+# runs (identical results, one RuntimeWarning per process).  Tests force
+# the pure path by setting this module attribute to None.
 try:
     from repro import _native
 except ImportError:  # pragma: no cover - depends on the build
     _native = None
 
+# Set once the fallback has been reported (at import for ABI drift, at
+# the first columnar SM otherwise), so a process warns exactly once.
+_NATIVE_FALLBACK_WARNED = False
+
 if _native is not None:
     # The extension hardcodes the column encodings; refuse it (and fall
     # back) if they ever drift from the Python constants.
     import repro.sim.columnar as _col_mod
-    import repro.sim.wakequeue as _wq_mod
 
     _NATIVE_CONST_NAMES = (
         "ST_READY", "ST_BARRIER", "ST_ACQUIRE", "ST_FINISHED",
         "SL_NONE", "SL_SCOREBOARD", "SL_MEMORY", "SL_TECHNIQUE",
+        "QS_OUT", "QS_READY", "QS_SLEEPING", "QS_BARRIER", "QS_ACQUIRE",
         "K_ALU", "K_LOAD", "K_SHARED_LOAD", "K_STORE", "K_EXIT",
         "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
     )
@@ -114,36 +122,34 @@ if _native is not None:
             getattr(_native, name) == getattr(_col_mod, name)
             for name in _NATIVE_CONST_NAMES
         )
-        and all(
-            getattr(_native, name) == getattr(_wq_mod, name)
-            for name in ("QS_OUT", "QS_READY", "QS_SLEEPING",
-                         "QS_BARRIER", "QS_ACQUIRE")
-        )
     ):  # pragma: no cover - guards a build/source mismatch
         import warnings as _warnings
 
         _warnings.warn(
             "repro._native was built against different column encodings; "
-            "ignoring it (issue_engine='native' will run pure Python)",
+            "ignoring it (the columnar issue path will run pure Python)",
             RuntimeWarning,
             stacklevel=2,
         )
         _native = None
+        _NATIVE_FALLBACK_WARNED = True
 
-#: Issue-engine dispatch: engine name -> StreamingMultiprocessor step
-#: method name.  Keys mirror repro.arch.config.ISSUE_ENGINES (asserted
-#: below); benchmarks and CLIs discover engines from this dict.
-ISSUE_ENGINE_REGISTRY = {
-    "event": "_step_event",
-    "scan": "_step_scan",
-    "columnar": "_step_columnar",
-    "native": "_step_columnar",
-}
-assert tuple(ISSUE_ENGINE_REGISTRY) == ISSUE_ENGINES, (
-    "sm.py engine registry drifted from repro.arch.config.ISSUE_ENGINES"
-)
 
-_NATIVE_FALLBACK_WARNED = False
+def _warn_native_fallback() -> None:
+    """Report, once per process, that the columnar path runs pure Python."""
+    global _NATIVE_FALLBACK_WARNED
+    if _NATIVE_FALLBACK_WARNED:
+        return
+    _NATIVE_FALLBACK_WARNED = True
+    import warnings
+
+    warnings.warn(
+        "repro._native extension is not built; the columnar issue path "
+        "is falling back to pure Python (identical results, lower "
+        "throughput). Build it with `python setup.py build_ext --inplace`.",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 class StreamingMultiprocessor:
@@ -190,35 +196,22 @@ class StreamingMultiprocessor:
             make_scheduler(config.scheduler_policy, i, priority=scheduler_priority)
             for i in range(config.num_schedulers)
         ]
-        # Columnar store (``config.issue_engine == "columnar"``): per-slot
-        # state arrays + thin Warp views — see repro.sim.columnar.  When
-        # active, the scoreboard is the columnar facade over the same
-        # store, so every external consumer (sanitizer hazard re-check,
-        # deadlock diagnostics, tests) reads the columns through the
-        # identical Scoreboard API.
+        # Columnar store (``config.issue_engine == "columnar"``, the
+        # default): per-slot state arrays + thin Warp views — see
+        # repro.sim.columnar.  When active, the scoreboard is the
+        # columnar facade over the same store, so every external
+        # consumer (sanitizer hazard re-check, deadlock diagnostics,
+        # tests) reads the columns through the identical Scoreboard API.
+        # None selects the retained scan stepper (the bit-identity
+        # reference).
         self._columnar: ColumnarCore | None = None
         self._use_native = False
-        if config.issue_engine in ("columnar", "native"):
+        if config.issue_engine == "columnar":
             self._columnar = ColumnarCore(self.schedulers, config)
             self.scoreboard = ColumnarScoreboard(self._columnar)
-            if config.issue_engine == "native":
-                if _native is not None:
-                    self._use_native = True
-                else:
-                    global _NATIVE_FALLBACK_WARNED
-                    if not _NATIVE_FALLBACK_WARNED:
-                        _NATIVE_FALLBACK_WARNED = True
-                        import warnings
-
-                        warnings.warn(
-                            "repro._native extension is not built; "
-                            "issue_engine='native' is falling back to the "
-                            "pure-Python columnar stepper (identical "
-                            "results, lower throughput). Build it with "
-                            "`python setup.py build_ext --inplace`.",
-                            RuntimeWarning,
-                            stacklevel=4,
-                        )
+            self._use_native = _native is not None
+            if not self._use_native:
+                _warn_native_fallback()
         else:
             self.scoreboard = Scoreboard()
         self.memory = MemoryModel(config, rng.fork(0x3E3))
@@ -243,14 +236,6 @@ class StreamingMultiprocessor:
             (sched, warps, [])
             for sched, warps in zip(self.schedulers, self._warps_by_scheduler)
         ]
-        # Event-driven issue engine (``config.issue_engine == "event"``):
-        # per-scheduler ready/sleeper/blocked structures replacing the
-        # all-warp scan — see repro.sim.wakequeue.  None selects the
-        # retained scan stepper (the bit-identity reference).  Must
-        # exist before ``_fill_ctas`` so the launch hook can feed it.
-        self._engine: IssueEngine | None = None
-        if config.issue_engine == "event":
-            self._engine = IssueEngine(self.schedulers)
         self._resident_warp_count = 0
         self._next_warp_id = 0
         self._next_cta_seq = 0
@@ -323,10 +308,7 @@ class StreamingMultiprocessor:
                 self._next_warp_id % self.config.num_schedulers
             ].append(warp)
             self._next_warp_id += 1
-        if self._engine is not None:
-            for warp in warps:
-                self._engine.add_warp(warp)
-        elif self._columnar is not None:
+        if self._columnar is not None:
             for warp in warps:
                 self._columnar.add_warp(warp)
         cta = Cta(self._next_cta_seq, warps)
@@ -441,8 +423,6 @@ class StreamingMultiprocessor:
         if inst.op_class is OpClass.BRANCH:
             if inst.is_exit:
                 warp.finish()
-                if self._engine is not None:
-                    self._engine.on_finish(warp)
                 self.technique.on_warp_finish(warp, cycle)
                 cta = self._ctas_by_id[warp.cta_id]
                 if cta.finished:
@@ -455,9 +435,7 @@ class StreamingMultiprocessor:
         if inst.op_class is OpClass.BARRIER:
             cta = self._ctas_by_id[warp.cta_id]
             warp.advance(warp.pc + 1)  # resume past the barrier when released
-            released = cta.arrive_at_barrier(warp)
-            if released and self._engine is not None:
-                self._engine.on_barrier_release(cta)
+            cta.arrive_at_barrier(warp)
             return
 
         if inst.op_class is OpClass.REGMUTEX:
@@ -482,145 +460,20 @@ class StreamingMultiprocessor:
     def step(self) -> int:
         """Advance one cycle; returns the number of instructions issued.
 
-        Dispatches to the event-driven stepper (the default), the
-        columnar array-backed stepper (``issue_engine="columnar"``), or
+        Dispatches to the columnar array-backed stepper (the default) or
         the naive all-warp-scan reference stepper
-        (``issue_engine="scan"``).  All three are bit-identical — same
-        cycle counts, same ``SmStats`` down to each stall counter, same
-        oracle digests — which the wake-queue property tests and the
+        (``issue_engine="scan"``).  Both are bit-identical — same cycle
+        counts, same ``SmStats`` down to each stall counter, same oracle
+        digests — which the engine-identity property tests and the
         ``repro check`` oracle enforce.
         """
         if self._columnar is not None:
             return self._step_columnar()
-        if self._engine is not None:
-            return self._step_event()
         return self._step_scan()
 
-    def _step_event(self) -> int:
-        """Event-driven issue path: cost per cycle is proportional to
-        warps that can actually act, not to residents.
-
-        Per scheduler: pop due sleepers into the sorted ready list,
-        qualify exactly the ready warps (same ascending-warp-id order as
-        the scan, so technique ``can_issue`` side effects replay
-        identically), issue from the candidate list, then re-home warps
-        the issue phase moved.  Stall attribution recomputes the scan's
-        per-warp flags from aggregate counts (see
-        ``SchedulerWakeQueue.sleeper_flags``), and only when the
-        scheduler actually idled — the common issuing cycle skips it.
-        """
-        self.cycle += 1
-        issued = 0
-        cycle = self.cycle
-        self.memory.retire(cycle)
-        if cycle % _EXPIRE_PERIOD == 0:
-            self.scoreboard.expire(cycle)
-
-        engine = self._engine
-        pending = self.technique.wakeup_pending()
-        if pending:
-            for warp in pending:
-                if warp.status is WarpStatus.WAITING_ACQUIRE:
-                    warp.status = WarpStatus.READY
-                    engine.on_acquire_wake(warp)
-
-        self.stats.resident_warp_cycles += self._resident_warp_count
-
-        issue_width = self.config.issue_width_per_scheduler
-        for unit in engine.units:
-            unit.wake_due(cycle)
-            # Blocked counts are captured before qualification: a warp
-            # that parks *during* this pass (OWF's can_issue, a failed
-            # ACQUIRE) contributes its park flag only from the next
-            # cycle, exactly like the scan (which classifies by the
-            # status it saw at scan time).
-            barrier_count = unit.barrier_count
-            acquire_count = unit.acquire_count
-            ready = unit.ready
-            candidates = unit.candidates
-            keep = unit.keep
-            candidates.clear()
-            keep.clear()
-            qual_mem = qual_sb = False
-            for warp in ready:
-                if self._issuable(warp, warp.current_instruction()):
-                    candidates.append(warp)
-                    keep.append(warp)
-                    continue
-                # The scan's else-branch flags, verbatim — including for
-                # warps about to be detached below (they still fail
-                # qualification *this* cycle in the scan).
-                if warp.stalled_on == "memory":
-                    qual_mem = True
-                elif self.scoreboard.has_pending_memory(
-                    warp.warp_id, cycle, horizon=20
-                ):
-                    qual_mem = True
-                else:
-                    qual_sb = True
-                if warp.status is not WarpStatus.READY:
-                    # OWF's can_issue parked the warp mid-qualification.
-                    unit.park_acquire(warp)
-                elif warp.wake_cycle > cycle:
-                    unit.push_sleeper(warp, cycle)
-                else:
-                    # No self-timer (technique gate, saturated memory
-                    # window with nothing in flight): requalify every
-                    # cycle, like the scan.
-                    keep.append(warp)
-            ready[:] = keep
-
-            issued_here = 0
-            if candidates:
-                sched = unit.sched
-                issued_list = unit.issued
-                for _ in range(issue_width):
-                    chosen = sched.pick(candidates)
-                    if chosen is None:
-                        break
-                    inst = chosen.current_instruction()
-                    before = chosen.dynamic_instructions
-                    self._execute(chosen, inst)
-                    if chosen.dynamic_instructions != before:
-                        self._last_progress_cycle = cycle
-                    sched.notify_issued(chosen)
-                    issued += 1
-                    issued_here += 1
-                    issued_list.append(chosen)
-                    candidates.remove(chosen)
-                    if (
-                        not chosen.finished
-                        and chosen.status is WarpStatus.READY
-                        and chosen.wake_cycle <= cycle
-                        and self._issuable(chosen, chosen.current_instruction())
-                    ):
-                        insort(candidates, chosen, key=_by_warp_id)
-                for warp in issued_list:
-                    unit.dispose_issued(warp, cycle)
-                issued_list.clear()
-            if issued_here == 0:
-                self.stats.idle_scheduler_cycles += 1
-                if acquire_count:
-                    self.stats.stall_acquire += 1
-                else:
-                    mem_sleep, sb_sleep = unit.sleeper_flags(cycle)
-                    if qual_mem or mem_sleep:
-                        self.stats.stall_memory += 1
-                    elif barrier_count:
-                        self.stats.stall_barrier += 1
-                    elif qual_sb or sb_sleep:
-                        self.stats.stall_scoreboard += 1
-        if self.config.debug_invariants:
-            self.technique.check_invariants(cycle)
-        if self._sanitizer is not None:
-            self._sanitizer.on_cycle(self)
-        if self._observer is not None:
-            self._observer.on_cycle(self)
-        return issued
-
     def _columnar_on_exit(self, warp: Warp, cycle: int) -> None:
-        """EXIT commit for the columnar stepper: mirrors the event path
-        (finish → engine release → technique hook → CTA retire/refill)
+        """EXIT commit for the columnar stepper: mirrors ``_execute``
+        (finish → queue release → technique hook → CTA retire/refill)
         writing the status/dyn columns directly."""
         core = self._columnar
         slot = warp.slot
@@ -646,11 +499,11 @@ class StreamingMultiprocessor:
         checkpoint_interval: int = 0,
         checkpoint_sink=None,
     ):
-        """Array-backed issue path: the event engine's exact algorithm
-        (wake-ordered ready lists, sleeper heaps, blocked counts, the
-        same idle-attribution flags) over the columnar store.
+        """Array-backed issue path: the scan stepper's schedule, driven
+        from wake-ordered ready lists, sleeper heaps and blocked counts
+        (see :mod:`repro.sim.columnar`) instead of an all-warp scan.
 
-        What changes is the *representation and the loop structure*, not
+        The representation and loop structure differ from the scan, not
         the schedule: warps are ``(warp_id, slot)`` tuples indexing flat
         per-slot columns, instructions are pre-decoded per-kernel arrays
         (:class:`~repro.sim.columnar.KernelColumns`), and the
@@ -671,8 +524,10 @@ class StreamingMultiprocessor:
         cycle — mid-cycle hooks (CTA retire observers, the sanitizer)
         read it.
 
-        Bit-identity with ``_step_event`` is enforced by the 3-way
-        property tests and the differential oracle.  With
+        Bit-identity with ``_step_scan`` is enforced by the
+        engine-identity property tests and the differential oracle.
+        :meth:`run` hands the same loop to ``repro._native`` when it is
+        built; this frame is the pure-Python path.  With
         ``single_step=True``, runs exactly one cycle, flushes, and
         returns the issued count (fast-forward/watchdog stay with the
         generic ``run`` loop in that mode — which never engages for
@@ -766,9 +621,11 @@ class StreamingMultiprocessor:
                             unit.nonmem_sleepers -= 1
                         qstate_col[slot] = QS_READY
                         insort(ready, (wid, slot))
-                # Blocked counts captured before qualification, like the
-                # event stepper (a warp parking during this pass
-                # contributes from the next cycle).
+                # Blocked counts captured before qualification: a warp
+                # parking during this pass (OWF's can_issue, a failed
+                # ACQUIRE) contributes its park flag only from the next
+                # cycle, exactly like the scan, which classifies by the
+                # status it saw at scan time.
                 barrier_count = unit.barrier_count
                 acquire_count = unit.acquire_count
                 qual_mem = qual_sb = False
@@ -1019,7 +876,7 @@ class StreamingMultiprocessor:
                             candidates.remove(chosen)
                         # -- inline requalification for remaining width.
                         # Guarded on `exited`: after a CTA retire the
-                        # slot may already host a fresh warp; the event
+                        # slot may already host a fresh warp; the scan
                         # stepper's `not chosen.finished` check is
                         # per-object, ours must not read the recycled
                         # slot. --
@@ -1347,7 +1204,7 @@ class StreamingMultiprocessor:
     def _step_scan(self) -> int:
         """Naive reference stepper: scan every resident warp, every cycle.
 
-        Retained as the bit-identity oracle for the event engine (and
+        Retained as the bit-identity oracle for the columnar path (and
         selectable via ``issue_engine="scan"``): simple enough to audit
         by eye, slow enough to never be the default.
         """
@@ -1510,12 +1367,12 @@ class StreamingMultiprocessor:
         warp's progress, which itself requires one of those two timers —
         so no-timer-and-not-done means deadlock, and we raise.
 
-        The three target sources are all O(log n) reads in event mode:
-        the scoreboard's completion heap, the memory model's cached next
-        retirement, and the per-scheduler sleeper-heap minima (every
-        READY warp with a future wake cycle is in a sleeper heap by
-        construction).  Scan mode iterates all warps instead, and both
-        provably agree on ``min(targets)``.
+        The three target sources are all O(log n) reads in columnar
+        mode: the scoreboard's completion heap, the memory model's
+        cached next retirement, and the per-scheduler sleeper-heap
+        minima (every READY warp with a future wake cycle is in a
+        sleeper heap by construction).  Scan mode iterates all warps
+        instead, and both provably agree on ``min(targets)``.
         """
         targets = []
         sb = self.scoreboard.earliest_ready(self.cycle)
@@ -1535,11 +1392,7 @@ class StreamingMultiprocessor:
         creditable = min(targets) if targets else None
         # Eager acquire-retry backoffs are self-imposed timers: a READY
         # warp with a future wake_cycle will poll again at that cycle.
-        if self._engine is not None:
-            wake = self._engine.earliest_wake()
-            if wake is not None:
-                targets.append(wake)
-        elif self._columnar is not None:
+        if self._columnar is not None:
             wake = self._columnar.earliest_wake()
             if wake is not None:
                 targets.append(wake)

@@ -59,12 +59,12 @@ class SmTechniqueState:
         RFV) must not allocate a fresh list per cycle for nothing.
 
         This drain is the *only* event that re-arms an acquire-parked
-        warp under the event-driven issue engine: a warp this method
-        returns is moved from its scheduler's blocked set back into the
-        ready list (``IssueEngine.on_acquire_wake``).  A technique that
+        warp on the columnar issue path: a warp this method returns is
+        moved from its scheduler's blocked count back into the ready
+        list (``ColumnarCore.on_acquire_wake``).  A technique that
         unparks a warp any other way — mutating ``warp.status`` without
-        reporting it here — would strand the warp under the event
-        engine while the scan stepper silently picked it up; the
+        reporting it here — would strand the warp on the columnar path
+        while the scan stepper silently picked it up; the
         engine-identity property tests exist to catch exactly that.
         """
         return ()

@@ -65,7 +65,7 @@ class Warp:
         "warp_id", "cta_id", "kernel", "pc", "status", "rng",
         "_trips_remaining", "holds_extended_set", "srp_section",
         "dynamic_instructions", "acquire_block_since",
-        "owns_pair_lock", "stalled_on", "wake_cycle", "slot", "qstate",
+        "owns_pair_lock", "stalled_on", "wake_cycle", "slot",
     )
 
     def __init__(
@@ -106,10 +106,6 @@ class Warp:
         # cycle (its blocking scoreboard entries cannot change while it
         # is stalled, because only the warp's own issues add entries).
         self.wake_cycle = 0
-        # Which event-engine structure owns the warp (QS_* constants in
-        # repro.sim.wakequeue) — makes unblock hooks idempotent.  Stays
-        # 0 (QS_OUT) under the scan stepper.
-        self.qstate = 0
 
     # -- instruction access --------------------------------------------------
     @property

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.arch.config import GTX480, GTX480_HALF_RF, GpuConfig, fermi_like
+from repro.arch.config import (
+    GTX480,
+    GTX480_HALF_RF,
+    ISSUE_ENGINES,
+    GpuConfig,
+    fermi_like,
+)
 
 
 class TestGtx480:
@@ -47,3 +53,21 @@ class TestValidation:
         assert cfg.num_sms == 4
         assert cfg.dram_latency == 100
         assert cfg.max_warps_per_sm == GTX480.max_warps_per_sm
+
+
+class TestIssueEngine:
+    def test_engines_are_the_reference_and_the_fast_path(self):
+        assert ISSUE_ENGINES == ("scan", "columnar")
+
+    def test_default_engine_is_columnar(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ISSUE_ENGINE", raising=False)
+        assert GpuConfig().issue_engine == "columnar"
+
+    def test_env_hook_selects_the_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ISSUE_ENGINE", "scan")
+        assert GpuConfig().issue_engine == "scan"
+
+    @pytest.mark.parametrize("retired", ["event", "native"])
+    def test_retired_engine_names_rejected(self, retired):
+        with pytest.raises(ValueError, match="unknown issue engine"):
+            fermi_like(issue_engine=retired)

@@ -1,9 +1,12 @@
 """Tests for the end-to-end RegMutex compilation pipeline."""
 
+import gc
+
 import pytest
 
 from repro.arch.config import GTX480, GTX480_HALF_RF
 from repro.compiler.compaction import verify_compact
+from repro.compiler import pipeline
 from repro.compiler.pipeline import compilation_report, regmutex_compile
 from repro.isa.instructions import Opcode
 from repro.workloads.suite import APPLICATIONS, build_app_kernel, get_app
@@ -29,6 +32,27 @@ class TestRegmutexCompile:
         assert report.instrumented
         assert report.acquire_count >= 1
         assert report.overhead_instructions >= 2
+
+    def test_report_lives_exactly_as_long_as_its_kernel(self):
+        """Reports are tied to their kernel object: dropping the kernel
+        drops the report, and a kernel the pipeline did not produce —
+        even one that reuses a dropped kernel's id() — has none."""
+        spec = get_app("BFS")
+        kernel = build_app_kernel(spec)
+        gc.collect()
+        before = len(pipeline._reports)
+        dropped_ids = set()
+        for _ in range(20):
+            compiled = regmutex_compile(kernel, GTX480,
+                                        forced_es=spec.expected_es)
+            assert compilation_report(compiled) is not None
+            dropped_ids.add(id(compiled))
+            del compiled
+            gc.collect()
+        assert len(pipeline._reports) <= before
+        assert not dropped_ids & set(pipeline._reports)
+        strangers = [kernel.with_metadata(name=f"k{i}") for i in range(200)]
+        assert all(compilation_report(k) is None for k in strangers)
 
     def test_relaxed_app_untouched_on_full_rf(self):
         """Apps without register-limited occupancy get zero-size extended

@@ -90,11 +90,11 @@ class TestKillMidRun:
             include_kill_mid_run=True,
         )
         assert len(outcomes) == 16
-        # Two orchestrator variants: the default engine and the native
-        # issue engine (whose checkpoints are stamped and must resume
-        # under the same engine).
+        # Two orchestrator variants: the default columnar path (native
+        # when built) and the scan reference stepper (whose checkpoints
+        # are stamped and must resume under the same engine).
         by_scenario = {o.scenario: o for o in outcomes}
-        for scenario in ("kill-mid-run/resume", "kill-mid-run-native/resume"):
+        for scenario in ("kill-mid-run/resume", "kill-mid-run-scan/resume"):
             kill = by_scenario[scenario]
             assert kill.detected, kill.detail
             assert kill.detector == "checkpoint-resume"

@@ -56,6 +56,41 @@ class TestFailurePropagation:
         assert orch.telemetry.failures_by_kind() == {"placement": 1}
 
 
+# SAD at a forced |Es| = 4 is one of Figure 10's sweep points the
+# compiler cannot compact: it raises CompactionError (a ValueError, not
+# a SimulationError) before any simulation starts.
+UNCOMPACTABLE = TechniqueSpec.of("regmutex", extended_set_size=4)
+
+
+class TestNonSimulationJobErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compaction_error_is_a_job_failure_and_batch_flushes(
+        self, tmp_path, workers
+    ):
+        """One uncompactable job in a batch comes back as a typed
+        JobFailure, and the good job's record still reaches the store
+        through the end-of-batch flush and telemetry."""
+        bad = _job(UNCOMPACTABLE, app="SAD")
+        good = _job(TechniqueSpec.of("baseline"))
+        cache = tmp_path / "cache.json"
+        runner = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                  cache_path=str(cache))
+        orch = Orchestrator(runner, workers=workers)
+        outcomes = orch.run_jobs([bad, good])
+
+        assert isinstance(outcomes[bad], JobFailure)
+        assert outcomes[bad].kind == "job-error"
+        assert outcomes[bad].message.startswith("CompactionError: ")
+        assert isinstance(outcomes[good], RunRecord)
+        assert orch.telemetry.failures_by_kind() == {"job-error": 1}
+        assert orch.telemetry.wall_seconds > 0  # the session was closed
+
+        fresh = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                 cache_path=str(cache))
+        assert Orchestrator(fresh).run_jobs([good])[good] == outcomes[good]
+        assert fresh.cache_hits == 1 and fresh.cache_misses == 0
+
+
 @pytest.mark.faults
 class TestWorkerCrashRetry:
     def test_transient_crash_is_retried_and_batch_completes(self, tmp_path):

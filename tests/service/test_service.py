@@ -9,6 +9,7 @@ stays free to answer them.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import socket
 import time
@@ -21,6 +22,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.harness.runner import RunRecord
+from repro.harness.spec import TechniqueSpec
 from repro.observe import JOB_DONE, JOB_QUEUED, JOB_RUNNING, job_trace_events
 from repro.service import (
     PROTOCOL_VERSION,
@@ -214,6 +216,64 @@ class TestConcurrentClients:
             assert by_label(first) == by_label(second)
 
         drive(svc_config(tmp_path), body, servers=True)
+
+
+class TestJobErrors:
+    def test_followed_compaction_error_fails_and_connection_survives(
+        self, tmp_path
+    ):
+        """A job whose worker raises a non-simulation error (SAD at a
+        forced |Es| = 4 raises CompactionError) must reach a terminal
+        ``failed`` event for a following client, leave ``running``, and
+        leave the connection able to answer ``status``."""
+        bad = make_job(
+            "SAD", TechniqueSpec.of("regmutex", extended_set_size=4)
+        )
+
+        async def body(service):
+            def follow_then_status():
+                with ServiceClient(socket_path=service.config.socket_path,
+                                   io_timeout=60.0) as client:
+                    return client.submit(jobs=[bad]), client.status()
+
+            result, status = await asyncio.wait_for(
+                asyncio.to_thread(follow_then_status), timeout=120.0
+            )
+            (final,) = result.final.values()
+            assert final["status"] == FAILED
+            assert final["failure"]["kind"] == "job-error"
+            assert "CompactionError" in final["failure"]["message"]
+            assert status["ok"] is True
+            assert [j["status"] for j in status["jobs"]] == [FAILED]
+            assert status["queue_depth"] == 0
+
+        drive(svc_config(tmp_path), body, servers=True)
+
+    def test_raising_pool_future_ends_the_job_failed(self, tmp_path):
+        """Whatever a pool future raises besides a worker death (say, a
+        result that cannot be pickled) ends the job with a terminal
+        failure instead of leaving it running."""
+        class RaisingPool:
+            def submit(self, *args, **kwargs):
+                future = concurrent.futures.Future()
+                future.set_exception(TypeError("cannot pickle result"))
+                return future
+
+        async def body(service):
+            real, service._pool = service._pool, RaisingPool()
+            try:
+                ((state, _),) = service.submit([make_job()])
+                await asyncio.wait_for(state.task, timeout=30.0)
+            finally:
+                service._pool = real
+            assert state.status == FAILED
+            assert state.failure.kind == "job-error"
+            assert state.failure.message.startswith(
+                "TypeError: cannot pickle result"
+            )
+            assert service._inflight == {}
+
+        drive(svc_config(tmp_path), body)
 
 
 class TestWireRejections:

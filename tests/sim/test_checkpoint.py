@@ -4,8 +4,11 @@ The checkpoint contract mirrors the issue-engine contract in
 ``test_wakequeue``: resuming a freshly constructed SM from any
 checkpoint emitted by ``run()`` must produce the *bit-identical* tail —
 same final cycle and same ``SmStats`` down to each stall counter — as
-the uninterrupted run, on all three issue engines, for any technique
-and scheduler policy.
+the uninterrupted run, on every issue path (scan, pure-Python columnar,
+and columnar with the native accelerator), for any technique and
+scheduler policy.  A columnar checkpoint is the same payload whether the
+native accelerator or the pure-Python loop wrote it, so it resumes
+identically on either.
 
 Checkpoints here always come from ``run(checkpoint_interval=...,
 checkpoint_sink=...)`` — the product path — never from stepping an SM
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
+import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CheckpointCorruptError,
@@ -45,12 +50,22 @@ from repro.sim.checkpoint import (
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from tests.sim.test_wakequeue import _acquire_kernel, _random_kernel
+from tests.sim.test_wakequeue import (
+    NATIVE_BUILT,
+    NATIVE_MISSING,
+    _acquire_kernel,
+    _random_kernel,
+)
 
-ENGINES = ("scan", "event", "columnar", "native")
+# Issue paths under test.  "columnar" is the pure-Python columnar loop
+# (the native accelerator switched off); "native" is the columnar path as
+# it runs by default — the native loop where ``repro._native`` is built,
+# the pure fallback elsewhere.  TestCrossPathResume pins the two columnar
+# loops against each other.
+ENGINES = ("scan", "columnar", "native")
 
 # One representative scheduler per technique keeps the matrix affordable;
-# the /tmp-era exhaustive sweep (4 engines x 2 schedulers x 5 techniques)
+# an exhaustive sweep (every engine x 2 schedulers x 5 techniques)
 # passed and the cross products not pinned here add no new code paths.
 TECHNIQUE_SCHED = (
     ("baseline", "gto"),
@@ -62,8 +77,16 @@ TECHNIQUE_SCHED = (
 
 
 def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6):
-    """A fresh SM exactly as ``Gpu.launch`` would build it."""
-    config = fermi_like(num_sms=1, issue_engine=engine, scheduler_policy=sched)
+    """A fresh SM exactly as ``Gpu.launch`` would build it, on the issue
+    path ``engine`` names (one of ``ENGINES``)."""
+    if engine == "columnar":
+        # The SM picks its columnar loop at construction.
+        with mock.patch.object(sm_mod, "_native", None):
+            return _make_sm(kernel, technique_kind, "native", sched,
+                            seed=seed, total=total)
+    issue_engine = "columnar" if engine == "native" else engine
+    config = fermi_like(num_sms=1, issue_engine=issue_engine,
+                        scheduler_policy=sched)
     factory, prio_hook = _TECHNIQUES[technique_kind]
     technique = factory()
     try:
@@ -152,6 +175,35 @@ class TestRoundTrip:
                         engine, sched)
 
 
+class TestCrossPathResume:
+    @pytest.mark.skipif(not NATIVE_BUILT, reason=NATIVE_MISSING)
+    @pytest.mark.parametrize("writer", ("native", "pure"))
+    @pytest.mark.parametrize("technique_kind,sched", (
+        ("baseline", "gto"), ("regmutex", "lrr"),
+    ))
+    def test_checkpoint_resumes_on_the_other_path(
+        self, writer, technique_kind, sched
+    ):
+        """A checkpoint written by one columnar loop (native or pure)
+        resumes bit-identically on the other: both stamp "columnar"
+        and read and write the same columns."""
+        kernel = _random_kernel(3)
+        write_path, read_path = (
+            ("columnar", "native") if writer == "pure"
+            else ("native", "columnar")
+        )
+        ref_out, checkpoints = _checkpointed_run(
+            kernel, technique_kind, write_path, sched
+        )
+        payload = json.loads(json.dumps(checkpoints[-1]))
+        assert payload["issue_engine"] == "columnar"
+        resumed = _make_sm(kernel, technique_kind, read_path, sched)
+        assert resumed._use_native == (read_path == "native")
+        resumed.restore_checkpoint(payload)
+        resumed.run()
+        assert _outcome(resumed) == ref_out
+
+
 @pytest.fixture(scope="module")
 def scan_checkpoint():
     """One real checkpoint payload (scan engine, baseline, GTO)."""
@@ -171,7 +223,7 @@ class TestFailureTaxonomy:
         assert ei.value.kind == "checkpoint-schema"
 
     def test_engine_mismatch_is_typed_error(self, scan_checkpoint):
-        sm = _make_sm(_random_kernel(3), "baseline", "event", "gto")
+        sm = _make_sm(_random_kernel(3), "baseline", "columnar", "gto")
         with pytest.raises(CheckpointEngineMismatchError) as ei:
             sm.restore_checkpoint(json.loads(json.dumps(scan_checkpoint)))
         assert ei.value.kind == "checkpoint-engine-mismatch"

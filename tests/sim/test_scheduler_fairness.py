@@ -6,11 +6,11 @@ import pytest
 
 from repro.arch.config import fermi_like
 from repro.isa.builder import KernelBuilder
+from repro.observe import ISSUE, SmObserver
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState
-from repro.sim.trace import TracingTechniqueState
 
 
 @pytest.fixture
@@ -39,14 +39,15 @@ def _issue_sequence(config, policy):
     cfg = dataclasses.replace(config, scheduler_policy=policy)
     kernel = alu_kernel()
     stats = SmStats()
-    traced = TracingTechniqueState(SmTechniqueState(kernel, cfg, stats))
     sm = StreamingMultiprocessor(
-        sm_id=0, config=cfg, kernel=kernel, technique_state=traced,
+        sm_id=0, config=cfg, kernel=kernel,
+        technique_state=SmTechniqueState(kernel, cfg, stats),
         ctas_resident_limit=1, total_ctas=1,
         rng=DeterministicRng(1), stats=stats,
     )
+    obs = SmObserver().attach(sm)
     sm.run()
-    return [e.warp_id for e in traced.trace.of_kind("issue")]
+    return [e.warp_id for e in obs.log.of_kind(ISSUE)]
 
 
 def _longest_run(seq):

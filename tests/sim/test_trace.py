@@ -1,14 +1,26 @@
-"""Tests for the cycle-trace recorder."""
+"""Tests for the cycle trace of an SM run, as ``SmObserver`` records it.
+
+The trace is the observer's ``EventLog``: every issue, SRP acquire /
+release / block and warp finish of one RegMutex SM run, in cycle
+order, with the per-warp hold intervals reconstructed from it.
+"""
 
 import pytest
 
 from repro.arch.config import fermi_like
 from repro.isa.builder import KernelBuilder
+from repro.observe import (
+    ACQUIRE_BLOCKED,
+    ACQUIRE_OK,
+    ISSUE,
+    RELEASE,
+    WARP_FINISH,
+    SmObserver,
+)
 from repro.regmutex.issue_logic import RegMutexSmState
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from repro.sim.trace import Trace, TraceEvent, TracingTechniqueState
 
 
 @pytest.fixture
@@ -37,38 +49,41 @@ def _regmutex_kernel():
 
 def _run_traced(config, kernel, sections=2, total_ctas=1):
     stats = SmStats()
-    inner = RegMutexSmState(kernel, config, stats, num_sections=sections)
-    traced = TracingTechniqueState(inner)
+    state = RegMutexSmState(kernel, config, stats, num_sections=sections)
     sm = StreamingMultiprocessor(
-        sm_id=0, config=config, kernel=kernel, technique_state=traced,
+        sm_id=0, config=config, kernel=kernel, technique_state=state,
         ctas_resident_limit=2, total_ctas=total_ctas,
         rng=DeterministicRng(1), stats=stats,
     )
+    obs = SmObserver()
+    obs.attach(sm)
     sm.run()
-    return traced.trace
+    return obs.log
 
 
 class TestTrace:
     def test_issue_events_recorded(self, config):
         trace = _run_traced(config, _regmutex_kernel())
-        issues = trace.of_kind("issue")
+        issues = trace.of_kind(ISSUE)
         # 2 warps x 16 instructions.
         assert len(issues) == 2 * 16
 
     def test_acquire_release_pairing(self, config):
         trace = _run_traced(config, _regmutex_kernel())
-        assert len(trace.of_kind("acquire_ok")) == 2
-        assert len(trace.of_kind("release")) == 2
-        assert not trace.of_kind("acquire_blocked")  # 2 sections, 2 warps
+        assert len(trace.of_kind(ACQUIRE_OK)) == 2
+        assert len(trace.of_kind(RELEASE)) == 2
+        assert not trace.of_kind(ACQUIRE_BLOCKED)  # 2 sections, 2 warps
 
     def test_contention_visible(self, config):
         trace = _run_traced(config, _regmutex_kernel(), sections=1)
-        assert trace.of_kind("acquire_blocked")
+        assert trace.of_kind(ACQUIRE_BLOCKED)
 
     def test_hold_intervals_well_formed(self, config):
         trace = _run_traced(config, _regmutex_kernel(), sections=1)
         for warp_id in (0, 1):
-            for start, end in trace.hold_intervals(warp_id):
+            intervals = trace.hold_intervals(warp_id)
+            assert intervals
+            for start, end in intervals:
                 assert start <= end
 
     def test_holds_serialized_under_one_section(self, config):
@@ -81,7 +96,7 @@ class TestTrace:
 
     def test_warp_finish_events(self, config):
         trace = _run_traced(config, _regmutex_kernel())
-        assert len(trace.of_kind("warp_finish")) == 2
+        assert len(trace.of_kind(WARP_FINISH)) == 2
 
     def test_events_cycle_ordered(self, config):
         trace = _run_traced(config, _regmutex_kernel())
@@ -90,7 +105,9 @@ class TestTrace:
 
     def test_for_warp_filters(self, config):
         trace = _run_traced(config, _regmutex_kernel())
-        assert all(e.warp_id == 0 for e in trace.for_warp(0))
+        events = trace.for_warp(0)
+        assert events
+        assert all(e.warp_id == 0 for e in events)
 
     def test_unreleased_hold_closes_at_finish(self, config):
         b = KernelBuilder(regs_per_thread=8, threads_per_cta=32)
@@ -98,9 +115,9 @@ class TestTrace:
         b.acquire()
         b.ldc(5)
         b.alu(0, 5)
-        b.exit()  # EXIT reclaims
+        b.exit()  # EXIT reclaims the section
         trace = _run_traced(config, b.build())
         intervals = trace.hold_intervals(0)
         assert len(intervals) == 1
-        finish = trace.of_kind("warp_finish")[0]
+        finish = trace.of_kind(WARP_FINISH)[0]
         assert intervals[0][1] == finish.cycle

@@ -1,40 +1,49 @@
-"""Issue-engine identity: scan oracle vs event vs columnar vs native.
+"""Issue-path identity: scan == columnar-pure == columnar-native.
 
-Every issue engine's contract is *bit-identity* with the retained naive
-reference stepper: same final cycle count and same ``SmStats`` down to
-each stall counter, for any kernel, technique, scheduler policy, and
-issue width.  The property test here throws randomized generator
-kernels at that 4-way contract; the staleness tests pin the transition
-paths where an event could plausibly be lost (a CTA retiring while
-other warps sleep, an acquire wakeup handed off past a finished warp);
-the column-view tests cover the columnar store's own hazards — slot
-recycling after CTA retirement and the qstate/status mask invariants.
+The columnar issue path's contract is *bit-identity* with the retained
+naive scan reference stepper: same final cycle count and same
+``SmStats`` down to each stall counter, for any kernel, technique,
+scheduler policy, and issue width — whether its loop runs in pure
+Python or in the ``repro._native`` accelerator.  The property test here
+throws randomized generator kernels at that contract; the staleness
+tests pin the transition paths where an event could plausibly be lost
+(a CTA retiring while other warps sleep, an acquire wakeup handed off
+past a finished warp); the wake-queue and column-view tests cover the
+columnar store's own hazards — re-entry order, idempotent unblock
+hooks, slot recycling after CTA retirement, and the qstate/status mask
+invariants.
+
+The native leg runs only where the extension is built; elsewhere it is
+reported as a skip naming the missing extension, never silently folded
+into the pure leg.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.isa.builder import KernelBuilder
 from repro.regmutex.issue_logic import RegMutexSmState
+from repro.sim.columnar import QS_ACQUIRE, QS_OUT, QS_READY
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState
-from repro.sim.wakequeue import (
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_OUT,
-    QS_READY,
-    QS_SLEEPING,
-    SchedulerWakeQueue,
-)
-from repro.sim.warp import Warp, WarpStatus
+from repro.sim.warp import WarpStatus
 from tests.conftest import straightline_kernel
+
+NATIVE_BUILT = sm_mod._native is not None
+NATIVE_MISSING = (
+    "repro._native is NOT BUILT: this native-path leg did not run "
+    "(build it with `python setup.py build_ext --inplace`)"
+)
 
 
 def _config(**overrides):
@@ -140,21 +149,16 @@ def _run_sm(kernel, config, state_factory, ctas_resident, total_ctas):
     return sm
 
 
+def _run_pure(kernel, config, state_factory, ctas_resident, total_ctas):
+    """A columnar run forced onto the pure-Python loop."""
+    with mock.patch.object(sm_mod, "_native", None):
+        sm = _run_sm(kernel, config, state_factory, ctas_resident, total_ctas)
+    assert not sm._use_native
+    return sm
+
+
 def _outcome(sm):
     return (sm.cycle, dataclasses.asdict(sm.stats))
-
-
-def _assert_engine_drained(sm):
-    """Post-run hygiene: every engine structure must be empty — a leaked
-    entry means a transition was lost somewhere."""
-    engine = sm._engine
-    assert engine is not None
-    engine.check_hygiene()
-    for unit in engine.units:
-        assert unit.ready == []
-        assert unit.sleepers == []
-        assert unit.barrier_count == 0
-        assert unit.acquire_count == 0
 
 
 def _assert_columnar_drained(sm):
@@ -174,32 +178,32 @@ def _assert_columnar_drained(sm):
     assert all(qs == QS_OUT for qs in core.qstate)
 
 
-def _all_engines(kernel, config, state_factory, ctas_resident, total_ctas):
-    """Outcomes for (event, scan, columnar, native), hygiene-checked.
-
-    ``native`` runs over the same ColumnarCore (falling back to the
-    pure stepper when the extension is not built), so the columnar
-    drain hygiene applies to it verbatim."""
-    event = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="event"),
-        state_factory, ctas_resident, total_ctas,
-    )
+def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas):
+    """Outcomes of every issue path, hygiene-checked: scan, the pure
+    columnar loop, and — where the extension is built — the native
+    loop.  Both columnar legs run over the same ColumnarCore, so the
+    drain hygiene applies to each verbatim."""
     scan = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="scan"),
         state_factory, ctas_resident, total_ctas,
     )
-    columnar = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="columnar"),
-        state_factory, ctas_resident, total_ctas,
-    )
-    native = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="native"),
-        state_factory, ctas_resident, total_ctas,
-    )
-    _assert_engine_drained(event)
-    _assert_columnar_drained(columnar)
-    _assert_columnar_drained(native)
-    return _outcome(event), _outcome(scan), _outcome(columnar), _outcome(native)
+    columnar = dataclasses.replace(config, issue_engine="columnar")
+    legs = [_run_pure(kernel, columnar, state_factory, ctas_resident,
+                      total_ctas)]
+    if NATIVE_BUILT:
+        native = _run_sm(kernel, columnar, state_factory, ctas_resident,
+                         total_ctas)
+        assert native._use_native
+        legs.append(native)
+    for sm in legs:
+        _assert_columnar_drained(sm)
+    return [_outcome(scan)] + [_outcome(sm) for sm in legs]
+
+
+def _assert_identical(outcomes):
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        assert other == first
 
 
 class TestEngineIdentityProperty:
@@ -208,19 +212,17 @@ class TestEngineIdentityProperty:
     def test_random_kernels_identical(self, seed, policy):
         kernel = _random_kernel(seed)
         config = _config(scheduler_policy=policy)
-        event, scan, columnar, native = _all_engines(
+        _assert_identical(_all_paths(
             kernel, config, SmTechniqueState, ctas_resident=2, total_ctas=5
-        )
-        assert event == scan == columnar == native
+        ))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_issue_width_identical(self, seed):
         kernel = _random_kernel(seed + 100)
         config = _config(issue_width_per_scheduler=2)
-        event, scan, columnar, native = _all_engines(
+        _assert_identical(_all_paths(
             kernel, config, SmTechniqueState, ctas_resident=2, total_ctas=4
-        )
-        assert event == scan == columnar == native
+        ))
 
     @pytest.mark.parametrize("retry_policy", ["wakeup", "eager"])
     def test_contended_acquire_identical(self, retry_policy):
@@ -233,11 +235,12 @@ class TestEngineIdentityProperty:
                 k, c, s, num_sections=1, retry_policy=retry_policy
             )
 
-        event, scan, columnar, native = _all_engines(
+        outcomes = _all_paths(
             kernel, _config(), make_state, ctas_resident=3, total_ctas=6
         )
-        assert event == scan == columnar == native
-        assert event[1]["acquire_attempts"] > event[1]["acquire_successes"]
+        _assert_identical(outcomes)
+        stats = outcomes[0][1]
+        assert stats["acquire_attempts"] > stats["acquire_successes"]
 
     def test_lrr_contended_acquire_identical(self):
         kernel = _acquire_kernel()
@@ -245,54 +248,63 @@ class TestEngineIdentityProperty:
         def make_state(k, c, s):
             return RegMutexSmState(k, c, s, num_sections=1)
 
-        event, scan, columnar, native = _all_engines(
+        _assert_identical(_all_paths(
             kernel, _config(scheduler_policy="lrr"), make_state,
             ctas_resident=3, total_ctas=5,
-        )
-        assert event == scan == columnar == native
+        ))
 
 
 class TestNativeFallback:
     def test_missing_extension_warns_once_and_matches_columnar(
         self, monkeypatch
     ):
-        """No C extension → issue_engine="native" must still run (pure
-        columnar stepper), warn exactly once per process, and produce
-        the identical outcome."""
+        """No C extension → the columnar path must still run (pure
+        Python), warn exactly once per process, and produce the
+        scan-identical outcome."""
         import warnings
-
-        import repro.sim.sm as sm_mod
 
         monkeypatch.setattr(sm_mod, "_native", None)
         monkeypatch.setattr(sm_mod, "_NATIVE_FALLBACK_WARNED", False)
 
         kernel = _random_kernel(5)
-        config = _config()
+        config = _config(issue_engine="columnar")
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            native = _run_sm(
-                kernel, dataclasses.replace(config, issue_engine="native"),
-                SmTechniqueState, ctas_resident=2, total_ctas=4,
-            )
-            again = _run_sm(
-                kernel, dataclasses.replace(config, issue_engine="native"),
-                SmTechniqueState, ctas_resident=2, total_ctas=4,
-            )
+            pure = _run_sm(kernel, config, SmTechniqueState,
+                           ctas_resident=2, total_ctas=4)
+            again = _run_sm(kernel, config, SmTechniqueState,
+                            ctas_resident=2, total_ctas=4)
         fallback = [
             w for w in caught
             if issubclass(w.category, RuntimeWarning)
             and "falling back" in str(w.message)
         ]
         assert len(fallback) == 1, "fallback must warn exactly once"
-        assert not native._use_native
-        assert _outcome(native) == _outcome(again)
+        assert not pure._use_native
+        assert _outcome(pure) == _outcome(again)
 
-        columnar = _run_sm(
-            kernel, dataclasses.replace(config, issue_engine="columnar"),
+        scan = _run_sm(
+            kernel, dataclasses.replace(config, issue_engine="scan"),
             SmTechniqueState, ctas_resident=2, total_ctas=4,
         )
-        assert _outcome(native) == _outcome(columnar)
+        assert _outcome(pure) == _outcome(scan)
+
+
+class TestNativeLeg:
+    @pytest.mark.skipif(not NATIVE_BUILT, reason=NATIVE_MISSING)
+    def test_columnar_runs_native_when_built(self):
+        """With the extension importable, a plain columnar run goes
+        through it — no option selects it — and matches the pure loop
+        bit for bit."""
+        kernel = _random_kernel(3)
+        config = _config(issue_engine="columnar")
+        native = _run_sm(kernel, config, SmTechniqueState,
+                         ctas_resident=2, total_ctas=5)
+        assert native._use_native
+        pure = _run_pure(kernel, config, SmTechniqueState,
+                         ctas_resident=2, total_ctas=5)
+        assert _outcome(native) == _outcome(pure)
 
 
 class TestStalenessPaths:
@@ -309,17 +321,16 @@ class TestStalenessPaths:
         b.exit()
         kernel = b.build()
         config = _config(l1_hit_rate=0.0, dram_latency=200)
-        event, scan, columnar, native = _all_engines(
+        _assert_identical(_all_paths(
             kernel, config, SmTechniqueState, ctas_resident=3, total_ctas=7
-        )
-        assert event == scan == columnar == native
+        ))
 
     def test_acquire_wakeup_handoff(self):
         """A warp that finishes while holding an unconsumed wakeup must
-        hand it to the next waiter, and the engine must re-arm that
-        waiter (not the finished warp)."""
+        hand it to the next waiter, and the columnar core must re-arm
+        that waiter (not the finished warp)."""
         kernel = _acquire_kernel()
-        config = _config(issue_engine="event")
+        config = _config(issue_engine="columnar")
         stats = SmStats()
         state = RegMutexSmState(kernel, config, stats, num_sections=1)
         sm = StreamingMultiprocessor(
@@ -329,104 +340,92 @@ class TestStalenessPaths:
         )
         warps = [cta.warps[0] for cta in sm.resident_ctas]
         holder, first, second = warps
-        engine = sm._engine
+        core = sm._columnar
+
+        def unit_for(warp):
+            return core.units[warp.warp_id % core.num_schedulers]
 
         # Manufacture the interleaving the property test cannot force:
         # holder owns the section; first and second park behind it.
         assert state.try_acquire(holder, cycle=1)
         for waiter in first, second:
             assert not state.try_acquire(waiter, cycle=1)
-            engine.unit_for(waiter).ready.remove(waiter)
-            engine.unit_for(waiter).park_acquire(waiter)
+            _park_acquire(core, waiter)
 
         # The release grants `first` a pending wakeup... which it never
         # consumes: it is killed before the next cycle's drain.
         state.release(holder, cycle=2)
         first.finish()
-        engine.on_finish(first)
+        core.on_finish(first.warp_id, first.slot)
         state.on_warp_finish(first, cycle=2)
 
         # The drain must wake `second` (the handoff target), and the
-        # engine must move it — and only it — back to ready.
+        # core must move it — and only it — back to ready.
         woken = list(state.wakeup_pending())
         assert woken == [second]
         for warp in woken:
             if warp.status is WarpStatus.WAITING_ACQUIRE:
                 warp.status = WarpStatus.READY
-                engine.on_acquire_wake(warp)
-        assert second.qstate == QS_READY
-        assert second in engine.unit_for(second).ready
-        assert first.qstate == QS_OUT
-        assert engine.unit_for(second).acquire_count + \
-            engine.unit_for(first).acquire_count == 0
-        engine.check_hygiene()
+                core.on_acquire_wake(warp.warp_id, warp.slot)
+        assert core.qstate[second.slot] == QS_READY
+        assert (second.warp_id, second.slot) in unit_for(second).ready
+        assert core.qstate[first.slot] == QS_OUT
+        assert unit_for(second).acquire_count + \
+            unit_for(first).acquire_count == 0
+        core.check_hygiene()
+
+
+def _park_acquire(core, warp):
+    """Move a ready warp into its unit's acquire-blocked count, the way
+    the stepper's issued-warp disposition does."""
+    unit = core.units[warp.warp_id % core.num_schedulers]
+    unit.ready.remove((warp.warp_id, warp.slot))
+    core.qstate[warp.slot] = QS_ACQUIRE
+    unit.acquire_count += 1
 
 
 class TestQueueUnit:
-    def _warp(self, warp_id):
-        return Warp(warp_id, 0, straightline_kernel(), DeterministicRng(warp_id))
+    def _core(self):
+        from repro.sim.columnar import ColumnarCore
+        from repro.sim.scheduler import GtoScheduler
+
+        return ColumnarCore([GtoScheduler(0)], _config())
+
+    def _warp(self, core, warp_id):
+        view = core.new_warp(
+            warp_id, 0, straightline_kernel(), DeterministicRng(warp_id),
+            slot=warp_id,
+        )
+        core.add_warp(view)
+        return view
 
     def test_wake_due_restores_id_order(self):
-        unit = SchedulerWakeQueue(sched=None)
-        w0, w2, w4 = self._warp(0), self._warp(2), self._warp(4)
-        unit.add_ready(w2)
-        for warp, wake in ((w0, 10), (w4, 5)):
-            warp.wake_cycle = wake
-            warp.stalled_on = "scoreboard"
-            unit.push_sleeper(warp, cycle=1)
-        unit.wake_due(4)
-        assert unit.ready == [w2]
-        unit.wake_due(10)
-        assert unit.ready == [w0, w2, w4]
-        assert all(w.qstate == QS_READY for w in unit.ready)
-        unit.check_hygiene()
+        """Warps re-entering the ready list mid-run land in warp-id
+        (launch) order, whatever order the wakeups arrive in."""
+        core = self._core()
+        w0, w2, w4 = (self._warp(core, wid) for wid in (0, 2, 4))
+        for warp in (w0, w4):
+            warp.status = WarpStatus.WAITING_ACQUIRE
+            _park_acquire(core, warp)
+        unit = core.units[0]
+        assert unit.ready == [(2, 2)]
+        for warp in (w4, w0):
+            warp.status = WarpStatus.READY
+            core.on_acquire_wake(warp.warp_id, warp.slot)
+        assert unit.ready == [(0, 0), (2, 2), (4, 4)]
+        assert all(core.qstate[slot] == QS_READY for _, slot in unit.ready)
+        core.check_hygiene()
 
     def test_unblock_hooks_are_idempotent(self):
-        unit = SchedulerWakeQueue(sched=None)
-        warp = self._warp(1)
-        unit.add_ready(warp)
+        core = self._core()
+        warp = self._warp(core, 1)
         # Already ready: neither hook may double-insert or underflow.
-        unit.unblock_acquire(warp)
-        unit.unblock_barrier(warp)
-        assert unit.ready == [warp]
+        core.on_acquire_wake(warp.warp_id, warp.slot)
+        core.on_barrier_release(SimpleNamespace(warps=[warp]))
+        unit = core.units[0]
+        assert unit.ready == [(1, 1)]
         assert unit.acquire_count == 0 and unit.barrier_count == 0
-
-    def test_sleeper_flags_track_the_horizon_crossing(self):
-        """A non-memory sleeper counts as a memory stall while its wake
-        is > HORIZON out, then flips to scoreboard — the scan's
-        time-varying classification, reproduced from aggregates."""
-        unit = SchedulerWakeQueue(sched=None)
-        warp = self._warp(0)
-        warp.stalled_on = "scoreboard"
-        warp.wake_cycle = 130
-        unit.add_ready(warp)
-        unit.ready.remove(warp)
-        unit.push_sleeper(warp, cycle=100)  # 30 cycles out: far
-        assert unit.sleeper_flags(100) == (True, False)
-        assert unit.sleeper_flags(109) == (True, False)   # wake-cycle = 21
-        assert unit.sleeper_flags(110) == (False, True)   # wake-cycle = 20
-        assert unit.sleeper_flags(129) == (False, True)
-
-    def test_dispose_issued_routes_by_status(self):
-        unit = SchedulerWakeQueue(sched=None)
-        ready_w, sleeper_w, barrier_w, acquire_w = (
-            self._warp(i) for i in range(4)
-        )
-        for w in (ready_w, sleeper_w, barrier_w, acquire_w):
-            unit.add_ready(w)
-        sleeper_w.wake_cycle = 50  # eager-retry backoff
-        barrier_w.status = WarpStatus.AT_BARRIER
-        acquire_w.status = WarpStatus.WAITING_ACQUIRE
-        for w in (ready_w, sleeper_w, barrier_w, acquire_w):
-            unit.dispose_issued(w, cycle=10)
-            unit.dispose_issued(w, cycle=10)  # idempotent second call
-        assert unit.ready == [ready_w]
-        assert sleeper_w.qstate == QS_SLEEPING
-        assert barrier_w.qstate == QS_BARRIER
-        assert acquire_w.qstate == QS_ACQUIRE
-        assert unit.barrier_count == 1 and unit.acquire_count == 1
-        assert unit.sleeping_warps() == 1
-        unit.check_hygiene()
+        core.check_hygiene()
 
 
 class TestColumnarViews:

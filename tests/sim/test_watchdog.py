@@ -177,7 +177,7 @@ class TestMultiWindowSleep:
         b.exit()
         return b.build()
 
-    @pytest.mark.parametrize("engine", ("scan", "event", "columnar"))
+    @pytest.mark.parametrize("engine", ("scan", "columnar"))
     def test_multi_window_memory_sleep_completes(self, engine):
         config = self._tight_window_config(engine)
         result = Gpu(config, BaselineTechnique()).launch(
@@ -186,7 +186,7 @@ class TestMultiWindowSleep:
         # The run genuinely outlived the window many times over.
         assert result.cycles > 4 * config.watchdog_window
 
-    @pytest.mark.parametrize("engine", ("scan", "event", "columnar"))
+    @pytest.mark.parametrize("engine", ("scan", "columnar"))
     def test_credit_does_not_change_the_schedule(self, engine):
         # Crediting skips touches only watchdog bookkeeping: the result
         # must be bit-identical to a run where the watchdog never comes
