@@ -4,7 +4,9 @@ Runs the SAD app (the suite's longest-running kernel) on a single
 GTX480 SM under RegMutex, seed 2018, 8 total CTAs — enough cycles
 (~310k) that steady-state issue-path cost dominates and per-run noise
 sits under a percent.  Reports wall time and cycles/sec, best of
-``--repeat`` runs, and (unless ``--no-artifact``) writes a schema-1
+``--repeat`` runs next to the median and median absolute deviation
+(MAD) of the per-run seconds, and (unless ``--no-artifact``) writes a
+schema-1
 perf artifact per code path — ``BENCH_sad_<path>.json`` — so the
 issue-path trajectory is committed alongside BENCH_seed.json (which
 stays the orchestrator baseline).  The path is ``scan``, or for the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 from dataclasses import replace
 
@@ -65,7 +68,9 @@ def bench_engine(engine: str, repeat: int) -> dict:
     ``load_perf_artifact`` / ``compare_perf_artifacts`` (and therefore
     ``repro bench --baseline --fail-threshold``) accept these files as
     baselines too.  Totals use the best run — the microbenchmark tracks
-    the engine's ceiling, not scheduler jitter on a busy machine.
+    the engine's ceiling, not scheduler jitter on a busy machine — and
+    ``spread`` records the median and MAD of the per-run seconds, so a
+    reader can tell a real difference between two artifacts from noise.
     """
     path = path_label(engine)
     jobs = []
@@ -88,8 +93,12 @@ def bench_engine(engine: str, repeat: int) -> dict:
         if best is None or elapsed < best:
             best = elapsed
     assert best is not None
+    seconds = [j["seconds"] for j in jobs]
+    median = statistics.median(seconds)
+    mad = statistics.median(abs(x - median) for x in seconds)
     print(f"best [{path}]: {cycles} cycles in {best:.3f}s "
-          f"({cycles / best:,.0f} cycles/sec)")
+          f"({cycles / best:,.0f} cycles/sec); median {median:.3f}s, "
+          f"MAD {mad:.3f}s over {len(seconds)} runs")
     return {
         "schema": PERF_ARTIFACT_VERSION,
         "label": f"sad_{path}",
@@ -102,6 +111,11 @@ def bench_engine(engine: str, repeat: int) -> dict:
             "sim_seconds": round(best, 6),
             "cycles": cycles,
             "cycles_per_sec": round(cycles / best, 1),
+        },
+        "spread": {
+            "runs": len(seconds),
+            "median_seconds": round(median, 6),
+            "mad_seconds": round(mad, 6),
         },
         "failure_kinds": {},
         "jobs": jobs,

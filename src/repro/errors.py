@@ -180,22 +180,12 @@ class CheckpointCorruptError(CheckpointError):
 
 
 class CheckpointSchemaError(CheckpointError):
-    """The checkpoint parses but cannot be resumed: wrong schema
-    version, or it describes a different (kernel, config, technique)
-    context than the one being restored into."""
+    """The checkpoint parses but its payload layout is not the supported
+    schema version (a stale file from an older release).  The issue
+    engine is not part of the context: the payload is engine-neutral,
+    so a checkpoint written on any issue path resumes on any other."""
 
     kind = "checkpoint-schema"
-
-
-class CheckpointEngineMismatchError(CheckpointSchemaError):
-    """The checkpoint was captured under a different ``issue_engine``.
-
-    The engines are bit-identical over whole runs, but their in-flight
-    queue representations differ; resuming across engines is refused
-    rather than approximated.
-    """
-
-    kind = "checkpoint-engine-mismatch"
 
 
 class ServiceError(RuntimeError):

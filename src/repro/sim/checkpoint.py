@@ -1,36 +1,40 @@
 """Versioned, schema-checked SM checkpoints for crash-safe simulation.
 
 A checkpoint is a pure-JSON snapshot of *everything* that determines the
-rest of an SM's schedule: per-warp architectural and queue state, the
-scoreboard's pending writes, the memory model's in-flight multiset and
-its hit/miss RNG stream position, scheduler rotation state
-(GTO greedy pointer / LRR cursor / issued counts), the columnar
-path's ready lists and sleeper heaps, the installed
-technique's own bookkeeping (SRP bitmask + LUT, pair locks, OWF
-subscriptions, RFV pool), every ``SmStats`` counter, and the SM-level
-RNG stream.  Restoring it into a freshly constructed SM (same
-constructor arguments) and calling ``run()`` produces the *bit-identical*
-tail — same final cycle, same stats, same oracle digests — as the
-uninterrupted run, on both issue engines — and a columnar checkpoint
-resumes identically with or without the ``repro._native`` accelerator,
-which runs over the same state.  That property is what
-lets the harness resume a crashed worker from its last checkpoint
-instead of recomputing, with the cached result indistinguishable from a
-clean run.
+rest of an SM's schedule: per-warp architectural state with each warp's
+live scoreboard writes, the memory model's in-flight multiset and its
+hit/miss RNG stream position, scheduler rotation state (GTO greedy
+pointer / LRR cursor / issued counts), the installed technique's own
+bookkeeping (SRP bitmask + LUT, pair locks, OWF subscriptions, RFV
+pool), every ``SmStats`` counter, and the SM-level RNG stream.
+Restoring it into a freshly constructed SM (same constructor arguments)
+and calling ``run()`` produces the *bit-identical* tail — same final
+cycle, same stats, same oracle digests — as the uninterrupted run.
+
+The payload is engine-neutral: it holds only canonical state, never an
+issue path's private representation.  The columnar path's ready lists,
+sleeper heaps, blocked counts and queue-state codes are a function of
+the warps' status/wake/stall fields at the cycle boundary, so restore
+rebuilds them instead of reading them.  A checkpoint written on the
+scan stepper, the pure-Python columnar loop, or the ``repro._native``
+accelerator therefore resumes bit-identically on any of them.  That
+property is what lets the harness resume a crashed worker from its last
+checkpoint instead of recomputing, with the cached result
+indistinguishable from a clean run.
 
 Layering: every stateful component serializes itself
-(``Scoreboard.snapshot``, ``MemoryModel.snapshot``,
-``ColumnarCore.checkpoint_state``, scheduler
-``snapshot``, technique ``state_snapshot``); this module composes them,
-stamps the envelope (schema version, issue engine, kernel/config
+(``MemoryModel.snapshot``, scheduler ``snapshot``, technique
+``state_snapshot``) or is read through its public API (the scoreboard's
+``pending_writes``, replayed on restore through ``record_write``); this
+module composes them, stamps the envelope (schema version, kernel/config
 fingerprints), and owns the torn-write-safe file format.  Warp objects
 are rebuilt from scratch on restore — never patched in place — so a
 restored SM holds no references into the dead run.
 
-Failure taxonomy (:mod:`repro.errors`): a wrong schema or engine raises
-the typed :class:`CheckpointSchemaError` /
-:class:`CheckpointEngineMismatchError` — never a silent partial resume —
-and an unreadable / truncated / checksum-failing file raises
+Failure taxonomy (:mod:`repro.errors`): a wrong schema raises the typed
+:class:`CheckpointSchemaError` — never a silent partial resume — a
+different kernel or config raises :class:`CheckpointError`, and an
+unreadable / truncated / checksum-failing file raises
 :class:`CheckpointCorruptError`.  None of these are
 :class:`SimulationError`\\ s: a bad checkpoint says nothing about the
 simulation's determinism, so the harness falls back to a fresh run.
@@ -45,7 +49,6 @@ import os
 
 from repro.errors import (
     CheckpointCorruptError,
-    CheckpointEngineMismatchError,
     CheckpointError,
     CheckpointSchemaError,
 )
@@ -56,9 +59,9 @@ from repro.sim.warp import Warp, WarpStatus
 # Bump on any change to the payload layout.  Restore refuses mismatched
 # schemas outright: silently reinterpreting old fields would trade a
 # loud typed error for a wrong-but-plausible simulation result.
-# Version 2 moved the queue-state code out of the per-warp records into
-# the columnar engine state.
-CHECKPOINT_SCHEMA_VERSION = 2
+# Version 3 dropped the per-engine state (issue engine, columnar queues,
+# scan scoreboard dicts) for per-warp pending writes.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 # -- context fingerprints -----------------------------------------------------
@@ -78,17 +81,25 @@ def kernel_fingerprint(kernel) -> str:
 
 
 def config_fingerprint(config) -> str:
-    """Hash of the full frozen config repr (``issue_engine`` included —
-    but the engine is also stored unhashed in the envelope so a mismatch
-    raises the *specific* typed error before this generic one)."""
-    return hashlib.sha256(repr(config).encode()).hexdigest()
+    """Hash of every config field but ``issue_engine`` (the issue paths
+    are bit-identical, and the payload is engine-neutral).  The
+    sanitizer fields stay in: sanitizer claims ride in the payload only
+    when the sanitizer is on."""
+    fields = [
+        (f.name, getattr(config, f.name))
+        for f in dataclasses.fields(config)
+        if f.name != "issue_engine"
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
 # -- capture ------------------------------------------------------------------
 
-def _capture_warp(warp: Warp) -> dict:
-    """One warp's full mutable state.  Works identically for plain warps
-    and bound columnar views: the view's properties read the columns."""
+def _capture_warp(sm, warp: Warp) -> dict:
+    """One warp's full mutable state, live scoreboard writes included.
+    Works identically for plain warps and bound columnar views: the
+    view's properties read the columns."""
+    pending = sm.scoreboard.pending_writes(warp.warp_id, sm.cycle)
     return {
         "warp_id": warp.warp_id,
         "cta_id": warp.cta_id,
@@ -104,20 +115,14 @@ def _capture_warp(warp: Warp) -> dict:
         "srp_section": warp.srp_section,
         "acquire_block_since": warp.acquire_block_since,
         "owns_pair_lock": warp.owns_pair_lock,
+        "pending": {str(reg): ready for reg, ready in pending.items()},
     }
 
 
 def capture_sm(sm) -> dict:
     """Snapshot a quiescent SM (between cycles) into a JSON-safe dict."""
-    if sm._columnar is not None:
-        scoreboard_state = None
-        engine_state = sm._columnar.checkpoint_state()
-    else:
-        scoreboard_state = sm.scoreboard.snapshot()
-        engine_state = None
     payload = {
         "schema": CHECKPOINT_SCHEMA_VERSION,
-        "issue_engine": sm.config.issue_engine,
         "kernel_fingerprint": kernel_fingerprint(sm.kernel),
         "config_fingerprint": config_fingerprint(sm.config),
         "cycle": sm.cycle,
@@ -136,14 +141,12 @@ def capture_sm(sm) -> dict:
             {
                 "cta_id": cta.cta_id,
                 "arrived": sorted(cta._arrived),
-                "warps": [_capture_warp(w) for w in cta.warps],
+                "warps": [_capture_warp(sm, w) for w in cta.warps],
             }
             for cta in sm.resident_ctas
         ],
         "memory": sm.memory.snapshot(),
-        "scoreboard": scoreboard_state,
         "schedulers": [s.snapshot() for s in sm.schedulers],
-        "engine_state": engine_state,
         "technique": sm.technique.state_snapshot(),
     }
     if sm.banked_rf is not None:
@@ -165,7 +168,7 @@ def capture_sm(sm) -> dict:
 
 def validate_payload(sm, payload: dict) -> None:
     """Refuse anything but an exact-context checkpoint, with the most
-    specific typed error available (schema > engine > context)."""
+    specific typed error available (schema > context)."""
     if not isinstance(payload, dict) or "schema" not in payload:
         raise CheckpointCorruptError(
             "checkpoint payload is not a schema-tagged mapping"
@@ -174,13 +177,6 @@ def validate_payload(sm, payload: dict) -> None:
         raise CheckpointSchemaError(
             f"checkpoint schema {payload['schema']!r} is not the "
             f"supported version {CHECKPOINT_SCHEMA_VERSION}"
-        )
-    engine = sm.config.issue_engine
-    if payload["issue_engine"] != engine:
-        raise CheckpointEngineMismatchError(
-            f"checkpoint was written by issue engine "
-            f"{payload['issue_engine']!r}; refusing to resume under "
-            f"{engine!r} (queue state is engine-specific)"
         )
     if payload["kernel_fingerprint"] != kernel_fingerprint(sm.kernel):
         raise CheckpointError(
@@ -200,12 +196,7 @@ def restore_into(sm, payload: dict) -> None:
     class/seeded RNG); its constructor-launched CTAs and queues are torn
     down wholesale and rebuilt from the payload.
     """
-    # Imported here: sm.py imports this module's sibling classes.
-    from repro.sim.columnar import ColumnarCore, ColumnarScoreboard
-    from repro.sim.scoreboard import Scoreboard
-
     validate_payload(sm, payload)
-    config = sm.config
     s = payload["sm"]
 
     sm.cycle = s["cycle"]
@@ -221,20 +212,7 @@ def restore_into(sm, payload: dict) -> None:
     # Fresh containers (never patch constructor-launched state).  The
     # scheduler *objects* are kept — their rotation state restores below
     # and techniques may hold priority hooks bound to them.
-    sm.resident_ctas = []
-    sm._ctas_by_id = {}
-    sm._warps_by_scheduler = [[] for _ in range(config.num_schedulers)]
-    sm._sched_units = [
-        (sched, warps, [])
-        for sched, warps in zip(sm.schedulers, sm._warps_by_scheduler)
-    ]
-    if config.issue_engine == "columnar":
-        sm._columnar = ColumnarCore(sm.schedulers, config)
-        sm.scoreboard = ColumnarScoreboard(sm._columnar)
-    else:
-        sm._columnar = None
-        sm.scoreboard = Scoreboard()
-
+    sm._reset_warp_state()
     warps_by_id: dict[int, Warp] = {}
     for cta_p in payload["ctas"]:
         cta_id = cta_p["cta_id"]
@@ -247,12 +225,7 @@ def restore_into(sm, payload: dict) -> None:
             rng = DeterministicRng(1)
             rng._state = wp["rng_state"]
             wid = wp["warp_id"]
-            if sm._columnar is not None:
-                warp = sm._columnar.new_warp(
-                    wid, cta_id, kernel, rng, wp["slot"]
-                )
-            else:
-                warp = Warp(wid, cta_id, kernel, rng, slot=wp["slot"])
+            warp = sm._new_warp(wid, cta_id, kernel, rng, wp["slot"])
             warp.pc = wp["pc"]
             warp.status = WarpStatus(wp["status"])
             warp.stalled_on = wp["stalled_on"]
@@ -266,18 +239,16 @@ def restore_into(sm, payload: dict) -> None:
             trips = warp._trips_remaining
             trips.clear()
             trips.update({int(pc): n for pc, n in wp["trips"].items()})
+            for reg, ready in wp["pending"].items():
+                sm.scoreboard.record_write(wid, int(reg), ready)
             warps.append(warp)
             warps_by_id[wid] = warp
-            sm._warps_by_scheduler[wid % config.num_schedulers].append(warp)
         cta = Cta(cta_id, warps)
         cta._arrived = set(cta_p["arrived"])
         sm.resident_ctas.append(cta)
         sm._ctas_by_id[cta_id] = cta
 
-    if sm._columnar is not None:
-        sm._columnar.checkpoint_restore(payload["engine_state"], sm.cycle)
-    else:
-        sm.scoreboard.restore(payload["scoreboard"])
+    sm._rebuild_queues()
     sm.memory.restore(payload["memory"])
     for sched, sched_payload in zip(sm.schedulers, payload["schedulers"]):
         sched.restore(sched_payload, warps_by_id)

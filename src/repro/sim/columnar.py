@@ -384,45 +384,6 @@ class ColumnarUnit:
     def sleeping_warps(self) -> int:
         return self.mem_sleepers + self.nonmem_sleepers
 
-    # -- checkpointing (repro.sim.checkpoint) -------------------------------------
-    def queue_snapshot(self) -> dict:
-        """Queue membership as plain JSON-safe values.  The sleeper heap
-        is serialized verbatim (sans nothing — entries are already bare
-        scalars); ``(wake, warp_id)`` keys are unique, so any valid heap
-        arrangement pops in the same order.  Scratch lists
-        (``candidates``/``keep``/``issued``) are empty at every cycle
-        boundary and are not captured."""
-        return {
-            "ready": [list(t) for t in self.ready],
-            "sleepers": [list(t) for t in self.sleepers],
-            "far": list(self.far),
-            "mem_sleepers": self.mem_sleepers,
-            "nonmem_sleepers": self.nonmem_sleepers,
-            "barrier_count": self.barrier_count,
-            "acquire_count": self.acquire_count,
-        }
-
-    def queue_restore(self, payload: dict) -> None:
-        from heapq import heapify
-
-        # Entries must be tuples, not lists: ``ready.remove((wid, slot))``
-        # compares by equality and list != tuple.
-        self.ready = [(wid, slot) for wid, slot in payload["ready"]]
-        self.candidates = []
-        self.keep = []
-        self.issued = []
-        self.sleepers = [
-            (wake, wid, slot, bool(mem))
-            for wake, wid, slot, mem in payload["sleepers"]
-        ]
-        heapify(self.sleepers)
-        self.far = list(payload["far"])
-        heapify(self.far)
-        self.mem_sleepers = payload["mem_sleepers"]
-        self.nonmem_sleepers = payload["nonmem_sleepers"]
-        self.barrier_count = payload["barrier_count"]
-        self.acquire_count = payload["acquire_count"]
-
 
 class ColumnarCore:
     """The per-SM columnar store plus its event bookkeeping.
@@ -625,55 +586,44 @@ class ColumnarCore:
                 best = heap[0][0]
         return best
 
-    # -- checkpointing (repro.sim.checkpoint) -------------------------------------
-    def checkpoint_state(self) -> dict:
-        """Engine-specific state beyond the per-warp columns (which the
-        checkpoint layer reads through the view properties): scoreboard
-        rows/maxima and queue-state codes keyed by warp id, and the
-        per-unit queues."""
-        rows = {}
-        maxima = {}
-        qstates = {}
-        for wid, slot in self.wid2slot.items():
-            rows[str(wid)] = list(self.sb_rows[slot])
-            maxima[str(wid)] = self.sb_max[slot]
-            qstates[str(wid)] = self.qstate[slot]
-        return {
-            "sb_rows": rows,
-            "sb_max": maxima,
-            "qstate": qstates,
-            "units": [unit.queue_snapshot() for unit in self.units],
-        }
+    # -- checkpoint restore (repro.sim.checkpoint) ------------------------------
+    def rebuild_queues(self, cycle: int) -> None:
+        """Derive every wake-queue structure from the per-slot columns.
 
-    def checkpoint_restore(self, payload: dict, cycle: int) -> None:
-        """Restore rows/maxima/qstates/queues after the warps have been re-adopted
-        via :meth:`new_warp` (which sized fresh rows and populated
-        ``wid2slot``).  The completion heap is derived state: rebuilt from
-        row values still in the future — stale-but-future heap entries in
-        the original are discarded at peek time anyway, so omitting them
-        is behavior-identical."""
-        from heapq import heapify
-
-        units = payload["units"]
-        if len(units) != len(self.units):
-            raise ValueError(
-                f"checkpoint has {len(units)} scheduler units, "
-                f"core has {len(self.units)}"
-            )
-        heap = []
-        for wid_s, row in payload["sb_rows"].items():
-            wid = int(wid_s)
+        A checkpoint carries only canonical warp state, so a restored
+        core starts with empty units; one pass over the resident warps
+        in id order rebuilds exactly what the stepper would hold at the
+        ``cycle`` boundary: a ``READY`` warp is in the ready list when
+        ``wake <= cycle`` and asleep otherwise (with its ``far``
+        threshold while the window still exceeds the horizon — expired
+        thresholds are pruned at read time, so omitting them is
+        behaviour-identical), and parked warps are blocked counts.
+        """
+        for wid in sorted(self.wid2slot):
             slot = self.wid2slot[wid]
-            self.sb_rows[slot][:] = row
-            self.sb_max[slot] = payload["sb_max"][wid_s]
-            self.qstate[slot] = payload["qstate"][wid_s]
-            for reg, ready in enumerate(row):
-                if ready > cycle:
-                    heap.append((ready, wid, reg))
-        heapify(heap)
-        self.sb_heap[:] = heap
-        for unit, unit_payload in zip(self.units, units):
-            unit.queue_restore(unit_payload)
+            unit = self.units[wid % self.num_schedulers]
+            st = self.status[slot]
+            if st == ST_READY:
+                wake = self.wake[slot]
+                if wake <= cycle:
+                    self.qstate[slot] = QS_READY
+                    unit.ready.append((wid, slot))
+                    continue
+                self.qstate[slot] = QS_SLEEPING
+                is_mem = self.stall[slot] == SL_MEMORY
+                if is_mem:
+                    unit.mem_sleepers += 1
+                else:
+                    unit.nonmem_sleepers += 1
+                    if wake - cycle > MEMORY_STALL_HORIZON:
+                        heappush(unit.far, wake - MEMORY_STALL_HORIZON)
+                heappush(unit.sleepers, (wake, wid, slot, is_mem))
+            elif st == ST_BARRIER:
+                self.qstate[slot] = QS_BARRIER
+                unit.barrier_count += 1
+            elif st == ST_ACQUIRE:
+                self.qstate[slot] = QS_ACQUIRE
+                unit.acquire_count += 1
 
     # -- bulk reads (numpy when available) --------------------------------------
     def snapshot(self) -> dict:
@@ -898,6 +848,11 @@ class ColumnarScoreboard:
             return 0
         row = core.sb_rows[slot]
         return sum(1 for ready in row if ready > cycle)
+
+    def pending_writes(self, warp_id: int, cycle: int) -> dict[int, int]:
+        core = self._core
+        row = core.sb_rows[core.wid2slot[warp_id]]
+        return {reg: ready for reg, ready in enumerate(row) if ready > cycle}
 
     def earliest_ready(self, cycle: int) -> int | None:
         """Heap peek with lazy discard, exactly like the dict engine: an

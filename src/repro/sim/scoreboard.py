@@ -95,6 +95,13 @@ class Scoreboard:
         pending = self._pending.get(warp_id, {})
         return sum(1 for ready in pending.values() if ready > cycle)
 
+    def pending_writes(self, warp_id: int, cycle: int) -> dict[int, int]:
+        """The warp's live writes (``ready > cycle``) as ``{reg: ready}``,
+        register-sorted — the engine-neutral scoreboard state a
+        checkpoint carries and replays through :meth:`record_write`."""
+        pending = self._pending[warp_id]
+        return {reg: pending[reg] for reg in sorted(pending) if pending[reg] > cycle}
+
     def earliest_ready(self, cycle: int) -> int | None:
         """The soonest future completion across all warps (None if no
         pending writes) — the fast-forward target when every scheduler
@@ -132,32 +139,3 @@ class Scoreboard:
         attribution breakdown only, never for correctness."""
         pending = self._pending.get(warp_id, {})
         return any(ready - cycle > horizon for ready in pending.values())
-
-    # -- checkpointing (repro.sim.checkpoint) -------------------------------------
-    def snapshot(self) -> dict:
-        """The pending-write dicts; the completion heap is derived state.
-
-        Stale heap entries never influence results (``earliest_ready``
-        validates each peek against the dict), so they are not captured:
-        restore rebuilds the heap from live entries only.
-        """
-        return {
-            "pending": {
-                str(wid): {str(r): c for r, c in regs.items()}
-                for wid, regs in self._pending.items()
-            },
-        }
-
-    def restore(self, payload: dict) -> None:
-        from heapq import heapify
-
-        self._pending = {
-            int(wid): {int(r): c for r, c in regs.items()}
-            for wid, regs in payload["pending"].items()
-        }
-        self._completions = [
-            (ready, wid, reg)
-            for wid, regs in self._pending.items()
-            for reg, ready in regs.items()
-        ]
-        heapify(self._completions)

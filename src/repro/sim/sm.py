@@ -196,24 +196,12 @@ class StreamingMultiprocessor:
             make_scheduler(config.scheduler_policy, i, priority=scheduler_priority)
             for i in range(config.num_schedulers)
         ]
-        # Columnar store (``config.issue_engine == "columnar"``, the
-        # default): per-slot state arrays + thin Warp views — see
-        # repro.sim.columnar.  When active, the scoreboard is the
-        # columnar facade over the same store, so every external
-        # consumer (sanitizer hazard re-check, deadlock diagnostics,
-        # tests) reads the columns through the identical Scoreboard API.
-        # None selects the retained scan stepper (the bit-identity
-        # reference).
-        self._columnar: ColumnarCore | None = None
+        self._reset_warp_state()
         self._use_native = False
-        if config.issue_engine == "columnar":
-            self._columnar = ColumnarCore(self.schedulers, config)
-            self.scoreboard = ColumnarScoreboard(self._columnar)
+        if self._columnar is not None:
             self._use_native = _native is not None
             if not self._use_native:
                 _warn_native_fallback()
-        else:
-            self.scoreboard = Scoreboard()
         self.memory = MemoryModel(config, rng.fork(0x3E3))
         if config.model_bank_conflicts:
             from repro.sim.banks import BankedRegisterFile
@@ -221,21 +209,6 @@ class StreamingMultiprocessor:
             self.banked_rf = BankedRegisterFile(config.register_file_banks)
         else:
             self.banked_rf = None
-        self.resident_ctas: list[Cta] = []
-        self._ctas_by_id: dict[int, Cta] = {}
-        self._warps_by_scheduler: list[list[Warp]] = [
-            [] for _ in range(config.num_schedulers)
-        ]
-        # Issue-loop scratch: (scheduler, its warps, candidate buffer)
-        # per scheduler slot.  The warp lists are the *same* objects as
-        # ``_warps_by_scheduler`` entries (mutated in place by CTA
-        # launch/retire); the candidate buffers persist across cycles so
-        # ``step`` allocates nothing — building a fresh list per
-        # scheduler per cycle was measurable on long runs.
-        self._sched_units: list[tuple[WarpScheduler, list[Warp], list[Warp]]] = [
-            (sched, warps, [])
-            for sched, warps in zip(self.schedulers, self._warps_by_scheduler)
-        ]
         self._resident_warp_count = 0
         self._next_warp_id = 0
         self._next_cta_seq = 0
@@ -264,6 +237,71 @@ class StreamingMultiprocessor:
             raise ValueError("kernels_for_ctas shorter than total_ctas")
         self._fill_ctas()
 
+    # -- warp containers ----------------------------------------------------------
+    def _reset_warp_state(self) -> None:
+        """Empty warp containers and fresh issue-path state (construction
+        and checkpoint restore).
+
+        Columnar store (``config.issue_engine == "columnar"``, the
+        default): per-slot state arrays + thin Warp views — see
+        repro.sim.columnar.  When active, the scoreboard is the columnar
+        facade over the same store, so every external consumer
+        (sanitizer hazard re-check, deadlock diagnostics, checkpoints,
+        tests) reads the columns through the identical Scoreboard API.
+        None selects the retained scan stepper (the bit-identity
+        reference).
+        """
+        config = self.config
+        self.resident_ctas: list[Cta] = []
+        self._ctas_by_id: dict[int, Cta] = {}
+        self._warps_by_scheduler: list[list[Warp]] = [
+            [] for _ in range(config.num_schedulers)
+        ]
+        # Issue-loop scratch: (scheduler, its warps, candidate buffer)
+        # per scheduler slot.  The warp lists are the *same* objects as
+        # ``_warps_by_scheduler`` entries (mutated in place by CTA
+        # launch/retire); the candidate buffers persist across cycles so
+        # ``step`` allocates nothing — building a fresh list per
+        # scheduler per cycle was measurable on long runs.
+        self._sched_units: list[tuple[WarpScheduler, list[Warp], list[Warp]]] = [
+            (sched, warps, [])
+            for sched, warps in zip(self.schedulers, self._warps_by_scheduler)
+        ]
+        self._columnar: ColumnarCore | None = None
+        if config.issue_engine == "columnar":
+            self._columnar = ColumnarCore(self.schedulers, config)
+            self.scoreboard = ColumnarScoreboard(self._columnar)
+        else:
+            self.scoreboard = Scoreboard()
+
+    def _new_warp(
+        self, warp_id: int, cta_id: int, kernel: Kernel,
+        rng: DeterministicRng, slot: int,
+    ) -> Warp:
+        """Construct a warp on this SM's issue path and register it with
+        the scoreboard and its scheduler (CTA launch and restore).
+
+        Columnar mode: the core owns the hot state and hands back a
+        bound view (slot columns initialized, scoreboard row allocated,
+        wid→slot adopted).  Queue membership is the caller's: launch
+        appends to the ready list, restore rebuilds the queues.
+        """
+        if self._columnar is not None:
+            warp = self._columnar.new_warp(warp_id, cta_id, kernel, rng, slot)
+        else:
+            warp = Warp(warp_id, cta_id, kernel, rng, slot=slot)
+        self.scoreboard.register_warp(warp_id)
+        self._warps_by_scheduler[warp_id % self.config.num_schedulers].append(
+            warp
+        )
+        return warp
+
+    def _rebuild_queues(self) -> None:
+        """After restore: derive the columnar wake queues from the
+        restored warp state (the scan stepper keeps no queues)."""
+        if self._columnar is not None:
+            self._columnar.rebuild_queues(self.cycle)
+
     # -- CTA dispatch -------------------------------------------------------------
     def _fill_ctas(self) -> None:
         while (
@@ -282,31 +320,14 @@ class StreamingMultiprocessor:
         ) // self.config.warp_size
         warps = []
         for _ in range(warps_per_cta):
-            if self._columnar is not None:
-                # Columnar mode: the core owns the hot state and hands
-                # back a bound view (slot columns initialized, scoreboard
-                # row allocated, wid→slot adopted) — same RNG stream as
-                # the object path (fork consumes no parent draws).
-                warp = self._columnar.new_warp(
-                    self._next_warp_id,
-                    self._next_cta_seq,
-                    cta_kernel,
-                    self.rng.fork(self._next_warp_id + 1),
-                    self._allocate_slot(self._next_warp_id),
-                )
-            else:
-                warp = Warp(
-                    warp_id=self._next_warp_id,
-                    cta_id=self._next_cta_seq,
-                    kernel=cta_kernel,
-                    rng=self.rng.fork(self._next_warp_id + 1),
-                    slot=self._allocate_slot(self._next_warp_id),
-                )
-            self.scoreboard.register_warp(warp.warp_id)
-            warps.append(warp)
-            self._warps_by_scheduler[
-                self._next_warp_id % self.config.num_schedulers
-            ].append(warp)
+            warp_id = self._next_warp_id
+            warps.append(self._new_warp(
+                warp_id,
+                self._next_cta_seq,
+                cta_kernel,
+                self.rng.fork(warp_id + 1),
+                self._allocate_slot(warp_id),
+            ))
             self._next_warp_id += 1
         if self._columnar is not None:
             for warp in warps:
@@ -1060,16 +1081,7 @@ class StreamingMultiprocessor:
                 sd["stall_acquire"] += d_acq
                 sd["resident_warp_cycles"] += d_res
                 self._last_progress_cycle = last_progress
-                diagnostic = self.diagnostic()
-                if observer is not None:
-                    observer.on_watchdog(self, diagnostic.summary())
-                raise SimulationDeadlockError(
-                    f"SM {self.sm_id} made no forward progress for "
-                    f"{cycle - last_progress} cycles "
-                    f"(watchdog window {window}) — deadlock/livelock; "
-                    f"{diagnostic.summary()}",
-                    diagnostic=diagnostic,
-                )
+                raise self._watchdog_error()
             if cycle > max_cycles:
                 sd["instructions_issued"] += d_issued
                 sd["idle_scheduler_cycles"] += d_idle
@@ -1079,12 +1091,7 @@ class StreamingMultiprocessor:
                 sd["stall_acquire"] += d_acq
                 sd["resident_warp_cycles"] += d_res
                 self._last_progress_cycle = last_progress
-                raise CycleLimitExceededError(
-                    f"SM {self.sm_id} exceeded {max_cycles} cycles — "
-                    "runaway kernel (or a livelock below the watchdog's "
-                    "sensitivity)",
-                    diagnostic=self.diagnostic(),
-                )
+                raise self._cycle_limit_error(max_cycles)
             if not resident_ctas and not self.ctas_pending:
                 break
             if next_ckpt is not None and cycle >= next_ckpt:
@@ -1181,24 +1188,9 @@ class StreamingMultiprocessor:
             self._fast_forward()
             raise AssertionError("unreachable")
         if status == 3:
-            window = self.config.watchdog_window
-            diagnostic = self.diagnostic()
-            if self._observer is not None:
-                self._observer.on_watchdog(self, diagnostic.summary())
-            raise SimulationDeadlockError(
-                f"SM {self.sm_id} made no forward progress for "
-                f"{self.cycle - self._last_progress_cycle} cycles "
-                f"(watchdog window {window}) — deadlock/livelock; "
-                f"{diagnostic.summary()}",
-                diagnostic=diagnostic,
-            )
+            raise self._watchdog_error()
         if status == 4:
-            raise CycleLimitExceededError(
-                f"SM {self.sm_id} exceeded {max_cycles} cycles — "
-                "runaway kernel (or a livelock below the watchdog's "
-                "sensitivity)",
-                diagnostic=self.diagnostic(),
-            )
+            raise self._cycle_limit_error(max_cycles)
         raise AssertionError(f"unknown native-run status {status!r}")
 
     def _step_scan(self) -> int:
@@ -1335,6 +1327,30 @@ class StreamingMultiprocessor:
             technique=self.technique.debug_snapshot(),
         )
 
+    def _watchdog_error(self) -> SimulationDeadlockError:
+        """The livelock watchdog's error, shared by every run loop: more
+        than ``config.watchdog_window`` cycles since the last forward
+        progress.  Notifies the observer before the caller raises."""
+        diagnostic = self.diagnostic()
+        if self._observer is not None:
+            self._observer.on_watchdog(self, diagnostic.summary())
+        return SimulationDeadlockError(
+            f"SM {self.sm_id} made no forward progress for "
+            f"{self.cycle - self._last_progress_cycle} cycles "
+            f"(watchdog window {self.config.watchdog_window}) — "
+            f"deadlock/livelock; {diagnostic.summary()}",
+            diagnostic=diagnostic,
+        )
+
+    def _cycle_limit_error(self, max_cycles: int) -> CycleLimitExceededError:
+        """The ``max_cycles`` backstop's error, shared by every run loop."""
+        return CycleLimitExceededError(
+            f"SM {self.sm_id} exceeded {max_cycles} cycles — "
+            "runaway kernel (or a livelock below the watchdog's "
+            "sensitivity)",
+            diagnostic=self.diagnostic(),
+        )
+
     # -- checkpoint/restore -------------------------------------------------------
     def save_checkpoint(self) -> dict:
         """JSON-safe snapshot of the SM's full mutable state, taken at a
@@ -1348,10 +1364,11 @@ class StreamingMultiprocessor:
         """Rebuild this SM's state from a checkpoint payload.
 
         The SM must have been constructed with the same arguments as the
-        checkpointed one (kernel, config, technique, seed); constructor-
-        launched CTAs and queues are torn down and rebuilt.  Raises the
-        typed :class:`repro.errors.CheckpointError` family on schema,
-        engine, or context mismatch — never resumes silently."""
+        checkpointed one (kernel, config, technique, seed) — on any issue
+        engine: the payload is engine-neutral.  Constructor-launched CTAs
+        and queues are torn down and rebuilt.  Raises the typed
+        :class:`repro.errors.CheckpointError` family on schema or context
+        mismatch — never resumes silently."""
         from repro.sim.checkpoint import restore_into
 
         restore_into(self, payload)
@@ -1471,23 +1488,9 @@ class StreamingMultiprocessor:
                 if self._observer is not None:
                     self._observer.on_checkpoint(self, self.cycle)
             if window and self.cycle - self._last_progress_cycle > window:
-                diagnostic = self.diagnostic()
-                if self._observer is not None:
-                    self._observer.on_watchdog(self, diagnostic.summary())
-                raise SimulationDeadlockError(
-                    f"SM {self.sm_id} made no forward progress for "
-                    f"{self.cycle - self._last_progress_cycle} cycles "
-                    f"(watchdog window {window}) — deadlock/livelock; "
-                    f"{diagnostic.summary()}",
-                    diagnostic=diagnostic,
-                )
+                raise self._watchdog_error()
             if self.cycle > max_cycles:
-                raise CycleLimitExceededError(
-                    f"SM {self.sm_id} exceeded {max_cycles} cycles — "
-                    "runaway kernel (or a livelock below the watchdog's "
-                    "sensitivity)",
-                    diagnostic=self.diagnostic(),
-                )
+                raise self._cycle_limit_error(max_cycles)
         self.stats.cycles = self.cycle
         if self._observer is not None:
             self._observer.on_run_end(self)

@@ -6,9 +6,9 @@ checkpoint emitted by ``run()`` must produce the *bit-identical* tail —
 same final cycle and same ``SmStats`` down to each stall counter — as
 the uninterrupted run, on every issue path (scan, pure-Python columnar,
 and columnar with the native accelerator), for any technique and
-scheduler policy.  A columnar checkpoint is the same payload whether the
-native accelerator or the pure-Python loop wrote it, so it resumes
-identically on either.
+scheduler policy.  The payload is engine-neutral — canonical warp state
+only, with the columnar queues rebuilt on restore — so a checkpoint
+written on any issue path resumes identically on any other.
 
 Checkpoints here always come from ``run(checkpoint_interval=...,
 checkpoint_sink=...)`` — the product path — never from stepping an SM
@@ -18,8 +18,8 @@ so a step-to-cut harness would flag attribution skew that no resumed
 run can ever observe.
 
 The taxonomy half pins the acceptance rule "classified, never silently
-resumed": wrong schema, wrong engine, wrong kernel/config, and damaged
-files each raise their own typed error, and none of them is a
+resumed": wrong schema, wrong kernel/config, and damaged files each
+raise their own typed error, and none of them is a
 ``SimulationError``.
 """
 
@@ -35,7 +35,6 @@ import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CheckpointCorruptError,
-    CheckpointEngineMismatchError,
     CheckpointError,
     CheckpointSchemaError,
     SimulationError,
@@ -61,8 +60,19 @@ from tests.sim.test_wakequeue import (
 # (the native accelerator switched off); "native" is the columnar path as
 # it runs by default — the native loop where ``repro._native`` is built,
 # the pure fallback elsewhere.  TestCrossPathResume pins the two columnar
-# loops against each other.
+# loops against each other, TestCrossEngineResume scan against both.
 ENGINES = ("scan", "columnar", "native")
+
+# (writer, reader) issue paths for cross-engine resume; the native legs
+# run only where the extension is built (elsewhere "native" is the pure
+# loop, which the first two pairs already cover).
+_NATIVE_ONLY = pytest.mark.skipif(not NATIVE_BUILT, reason=NATIVE_MISSING)
+CROSS_PATHS = (
+    ("scan", "columnar"),
+    ("columnar", "scan"),
+    pytest.param("scan", "native", marks=_NATIVE_ONLY),
+    pytest.param("native", "scan", marks=_NATIVE_ONLY),
+)
 
 # One representative scheduler per technique keeps the matrix affordable;
 # an exhaustive sweep (every engine x 2 schedulers x 5 techniques)
@@ -76,17 +86,18 @@ TECHNIQUE_SCHED = (
 )
 
 
-def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6):
+def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6,
+             **config_overrides):
     """A fresh SM exactly as ``Gpu.launch`` would build it, on the issue
     path ``engine`` names (one of ``ENGINES``)."""
     if engine == "columnar":
         # The SM picks its columnar loop at construction.
         with mock.patch.object(sm_mod, "_native", None):
             return _make_sm(kernel, technique_kind, "native", sched,
-                            seed=seed, total=total)
+                            seed=seed, total=total, **config_overrides)
     issue_engine = "columnar" if engine == "native" else engine
     config = fermi_like(num_sms=1, issue_engine=issue_engine,
-                        scheduler_policy=sched)
+                        scheduler_policy=sched, **config_overrides)
     factory, prio_hook = _TECHNIQUES[technique_kind]
     technique = factory()
     try:
@@ -109,19 +120,19 @@ def _outcome(sm):
     return (sm.cycle, dataclasses.asdict(sm.stats))
 
 
-def _checkpointed_run(kernel, technique_kind, engine, sched):
+def _checkpointed_run(kernel, technique_kind, engine, sched, **sm_overrides):
     """Reference outcome plus the checkpoints run() emitted along the way.
 
     Emission is best-effort periodic (a long fast-forward can skip
     windows), so a short run may yield a single checkpoint; the contract
     is at least one, and that emitting them is invisible to the result.
     """
-    probe = _make_sm(kernel, technique_kind, engine, sched)
+    probe = _make_sm(kernel, technique_kind, engine, sched, **sm_overrides)
     probe.run()
     interval = max(5, probe.cycle // 4)
 
     checkpoints = []
-    ref = _make_sm(kernel, technique_kind, engine, sched)
+    ref = _make_sm(kernel, technique_kind, engine, sched, **sm_overrides)
     ref.run(checkpoint_interval=interval, checkpoint_sink=checkpoints.append)
     assert _outcome(ref) == _outcome(probe), (
         "emitting checkpoints perturbed the run"
@@ -130,9 +141,13 @@ def _checkpointed_run(kernel, technique_kind, engine, sched):
     return _outcome(ref), checkpoints
 
 
-def _assert_resumes(kernel, technique_kind, engine, sched):
+def _assert_resumes(kernel, technique_kind, engine, sched, reader=None,
+                    **sm_overrides):
+    """Resume the first and last checkpoints ``engine`` wrote on the
+    ``reader`` path (default: the writer's own) and compare each tail
+    with the writer's uninterrupted run."""
     ref_out, checkpoints = _checkpointed_run(
-        kernel, technique_kind, engine, sched
+        kernel, technique_kind, engine, sched, **sm_overrides
     )
     picks = [checkpoints[0]]
     if len(checkpoints) > 1:
@@ -141,7 +156,8 @@ def _assert_resumes(kernel, technique_kind, engine, sched):
         # Round-trip through JSON text: proves the payload is pure data,
         # exactly what a checkpoint file on disk would hand back.
         payload = json.loads(json.dumps(payload))
-        resumed = _make_sm(kernel, technique_kind, engine, sched)
+        resumed = _make_sm(kernel, technique_kind, reader or engine, sched,
+                           **sm_overrides)
         resumed.restore_checkpoint(payload)
         assert resumed.cycle == payload["cycle"]
         resumed.run()
@@ -185,8 +201,8 @@ class TestCrossPathResume:
         self, writer, technique_kind, sched
     ):
         """A checkpoint written by one columnar loop (native or pure)
-        resumes bit-identically on the other: both stamp "columnar"
-        and read and write the same columns."""
+        resumes bit-identically on the other: the payload names no
+        issue path, and both loops read and write the same columns."""
         kernel = _random_kernel(3)
         write_path, read_path = (
             ("columnar", "native") if writer == "pure"
@@ -196,12 +212,119 @@ class TestCrossPathResume:
             kernel, technique_kind, write_path, sched
         )
         payload = json.loads(json.dumps(checkpoints[-1]))
-        assert payload["issue_engine"] == "columnar"
+        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION
+        assert not {"issue_engine", "engine_state", "scoreboard"} & set(payload)
         resumed = _make_sm(kernel, technique_kind, read_path, sched)
         assert resumed._use_native == (read_path == "native")
         resumed.restore_checkpoint(payload)
         resumed.run()
         assert _outcome(resumed) == ref_out
+
+
+class TestCrossEngineResume:
+    @pytest.mark.parametrize("writer,reader", CROSS_PATHS)
+    @pytest.mark.parametrize("technique_kind,sched", TECHNIQUE_SCHED)
+    def test_checkpoint_resumes_on_another_engine(
+        self, writer, reader, technique_kind, sched
+    ):
+        _assert_resumes(_random_kernel(3), technique_kind, writer, sched,
+                        reader=reader)
+
+    @pytest.mark.parametrize("writer,reader", CROSS_PATHS)
+    @pytest.mark.parametrize(
+        "technique_kind", ("regmutex", "regmutex-paired")
+    )
+    def test_srp_state_resumes_on_another_engine(
+        self, writer, reader, technique_kind
+    ):
+        _assert_resumes(_acquire_kernel(), technique_kind, writer, "gto",
+                        reader=reader)
+
+    @pytest.mark.parametrize("writer,reader", CROSS_PATHS)
+    def test_memory_window_sleepers_resume_on_another_engine(
+        self, writer, reader
+    ):
+        # A two-load window keeps warps asleep on memory at the
+        # checkpoints — the sleeper class the technique matrix never
+        # reaches.
+        _assert_resumes(_random_kernel(108), "regmutex", writer, "lrr",
+                        reader=reader, total=16, max_in_flight_loads=2)
+
+
+def _queue_state(sm):
+    """The columnar wake queues in comparable form: ready lists in order,
+    sleepers as a multiset, ``far`` without the expired thresholds the
+    stepper prunes at read time, class/blocked counts, and each resident
+    warp's queue-state code."""
+    core = sm._columnar
+    cycle = sm.cycle
+    units = [
+        (
+            list(unit.ready),
+            sorted(unit.sleepers),
+            sorted(t for t in unit.far if t > cycle),
+            unit.mem_sleepers, unit.nonmem_sleepers,
+            unit.barrier_count, unit.acquire_count,
+        )
+        for unit in core.units
+    ]
+    qstate = {wid: core.qstate[slot] for wid, slot in core.wid2slot.items()}
+    return units, qstate
+
+
+# (kernel, technique, scheduler, SM overrides) for the queue-rebuild
+# test: the technique matrix, the SRP-parking acquire kernel, and random
+# kernels whose checkpoints catch non-empty ready lists (110), sleepers
+# on a saturated load window (108) and barrier-blocked warps (111).
+REBUILD_CASES = (
+    *((3, t, s, {}) for t, s in TECHNIQUE_SCHED),
+    ("acquire", "regmutex", "gto", {}),
+    ("acquire", "regmutex-paired", "gto", {}),
+    (108, "regmutex", "lrr", {"total": 16, "max_in_flight_loads": 2}),
+    (110, "baseline", "gto", {}),
+    (111, "baseline", "gto", {"total": 16, "max_in_flight_loads": 4}),
+)
+
+
+class TestRebuiltQueues:
+    @pytest.mark.parametrize("engine", ("columnar", "native"))
+    @pytest.mark.parametrize(
+        "kernel_id,technique_kind,sched,overrides", REBUILD_CASES
+    )
+    def test_restore_rebuilds_the_writers_live_queues(
+        self, engine, kernel_id, technique_kind, sched, overrides
+    ):
+        """Restore derives the ready lists, sleeper heaps, ``far``
+        thresholds, blocked counts and queue-state codes from the
+        canonical warp state; at every checkpoint they equal what the
+        writer held live at the capture cycle."""
+        kernel = (
+            _acquire_kernel() if kernel_id == "acquire"
+            else _random_kernel(kernel_id)
+        )
+
+        def make():
+            return _make_sm(kernel, technique_kind, engine, sched,
+                            **overrides)
+
+        probe = make()
+        probe.run()
+        writer = make()
+        captured = []
+        writer.run(
+            checkpoint_interval=max(5, probe.cycle // 12),
+            checkpoint_sink=lambda payload: captured.append(
+                (json.loads(json.dumps(payload)), _queue_state(writer))
+            ),
+        )
+        assert captured, "run() emitted no checkpoints"
+        for payload, live in captured:
+            restored = make()
+            restored.restore_checkpoint(payload)
+            restored._columnar.check_hygiene()
+            assert _queue_state(restored) == live, (
+                f"rebuilt queues differ at cycle {payload['cycle']}"
+            )
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +345,6 @@ class TestFailureTaxonomy:
             sm.restore_checkpoint(payload)
         assert ei.value.kind == "checkpoint-schema"
 
-    def test_engine_mismatch_is_typed_error(self, scan_checkpoint):
-        sm = _make_sm(_random_kernel(3), "baseline", "columnar", "gto")
-        with pytest.raises(CheckpointEngineMismatchError) as ei:
-            sm.restore_checkpoint(json.loads(json.dumps(scan_checkpoint)))
-        assert ei.value.kind == "checkpoint-engine-mismatch"
-
     def test_kernel_mismatch_refused(self, scan_checkpoint):
         sm = _make_sm(_random_kernel(4), "baseline", "scan", "gto")
         with pytest.raises(CheckpointError, match="kernel fingerprint"):
@@ -243,8 +360,7 @@ class TestFailureTaxonomy:
         # the harness must fall back to a fresh run, not quarantine
         # the simulation result.
         for exc_type in (
-            CheckpointError, CheckpointSchemaError,
-            CheckpointEngineMismatchError, CheckpointCorruptError,
+            CheckpointError, CheckpointSchemaError, CheckpointCorruptError,
         ):
             assert not issubclass(exc_type, SimulationError)
 
