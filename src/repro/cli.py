@@ -457,6 +457,11 @@ def _apps_arg(args) -> tuple[str, ...] | None:
     return None
 
 
+def _failed(row) -> str | None:
+    """``failed (<kind>)`` for a sweep row whose job failed, else None."""
+    return f"failed ({row.failure})" if row.failure else None
+
+
 def _cmd_list(args=None) -> int:
     if args is not None and args.as_json:
         import json
@@ -1035,15 +1040,17 @@ def _cmd_experiment(name: str, args, runner: ExperimentRunner) -> int:
         rows = E.fig10_es_sensitivity(runner, **kwargs)
         print(format_table(
             ["app", "|Es|", "reduction", "heuristic pick"],
-            [[r.app, r.es, percent(r.cycle_reduction), r.is_heuristic_pick]
+            [[r.app, r.es,
+              _failed(r) or percent(r.cycle_reduction), r.is_heuristic_pick]
              for r in rows],
         ))
     elif name == "fig11":
         rows = E.fig11_occupancy_and_acquires(runner, **kwargs)
         print(format_table(
             ["app", "|Es|", "occupancy", "acquire success"],
-            [[r.app, r.es, f"{r.theoretical_occupancy:.0%}",
-              f"{r.acquire_success_rate:.0%}"] for r in rows],
+            [[r.app, r.es,
+              _failed(r) or f"{r.theoretical_occupancy:.0%}",
+              _failed(r) or f"{r.acquire_success_rate:.0%}"] for r in rows],
         ))
     elif name == "fig12a":
         rows = E.fig12_paired_warps(runner, half_rf=False, **extra)

@@ -76,9 +76,12 @@ def summarize_figures(rows_by_name: dict[str, list]) -> dict[str, dict[str, floa
     empty row lists and unknown figures are skipped, so a partial
     ``--figures`` bench still produces a well-formed summary.  Every
     figure also records ``apps``, the row/app count the means cover.
+    Rows of failed jobs (a sweep point whose ``failure`` is set) carry
+    no metrics and are left out of the means.
     """
     summary: dict[str, dict[str, float]] = {}
     for name, rows in sorted(rows_by_name.items()):
+        rows = [r for r in rows if getattr(r, "failure", None) is None]
         if not rows:
             continue
         metrics: dict[str, float] = {}

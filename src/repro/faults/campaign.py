@@ -430,9 +430,9 @@ def _daemon_kill_worker_scenario(
 ) -> FaultOutcome:
     """SIGKILL a pool worker *under the service daemon*; the daemon's
     retry path must resume from the surviving checkpoint and finish the
-    job bit-identically — the asyncio twin of the orchestrator's
-    kill-mid-run probe, exercising the pool-recycle + singleflight
-    machinery instead of `_run_pool_round`."""
+    job bit-identically — the daemon twin of the orchestrator's
+    kill-mid-run probe: the same ``JobExecutor`` policy, reached through
+    the daemon's warm pool and singleflight instead of a batch."""
     import asyncio
 
     from repro.service.daemon import ServiceConfig, SimulationService
@@ -480,7 +480,8 @@ def _daemon_kill_worker_scenario(
     recovered = isinstance(state.record, RunRecord)
     timing = state.timing
     retried = timing is not None and timing.attempts >= 2
-    resumed = state.resumed_from_cycle is not None
+    resumed_cycle = timing.resumed_from_cycle if timing else None
+    resumed = resumed_cycle is not None
     restarted = service.stats["pool_restarts"] >= 1
     identical = recovered and (
         dataclasses.replace(state.record, technique=ref.technique) == ref
@@ -490,11 +491,11 @@ def _daemon_kill_worker_scenario(
         "daemon-kill-worker/resume", "kill-mid-run", "service",
         detected=detected,
         detector="daemon-retry+resume" if detected else "",
-        cycles=state.resumed_from_cycle,
+        cycles=resumed_cycle,
         detail=(
             f"daemon absorbed SIGKILL at cycle {kill_cycle}: pool "
             f"recycled, retry resumed from cycle "
-            f"{state.resumed_from_cycle}, record bit-identical"
+            f"{resumed_cycle}, record bit-identical"
             if detected else
             f"recovered={recovered} retried={retried} resumed={resumed} "
             f"pool_restarted={restarted} identical={identical}"

@@ -383,12 +383,18 @@ def fig9b_comparison_half_rf(
 
 @dataclass(frozen=True)
 class Fig10Row:
-    """One (app, |Es|) point of the sensitivity sweep (Figure 10)."""
+    """One (app, |Es|) point of the sensitivity sweep (Figure 10).
+
+    ``failure`` is the failure kind of a point whose job (or its
+    baseline) failed — some forced |Es| cannot be compacted — and its
+    metric is then None.
+    """
 
     app: str
     es: int
-    cycle_reduction: float
+    cycle_reduction: float | None
     is_heuristic_pick: bool
+    failure: str | None = None
 
 
 def fig10_spec(
@@ -407,14 +413,18 @@ def fig10_spec(
     def build(results: JobResults) -> list[Fig10Row]:
         rows = []
         for name, expected_es, base_job, sweep_jobs in plan:
-            base = results[base_job]
             for es, rm_job in sweep_jobs:
+                failure = results.failure_kind(base_job, rm_job)
+                reduction = None if failure else (
+                    results[rm_job].reduction_vs(results[base_job])
+                )
                 rows.append(
                     Fig10Row(
                         app=name,
                         es=es,
-                        cycle_reduction=results[rm_job].reduction_vs(base),
+                        cycle_reduction=reduction,
                         is_heuristic_pick=(es == expected_es),
+                        failure=failure,
                     )
                 )
         return rows
@@ -441,12 +451,15 @@ def fig10_es_sensitivity(
 class Fig11Row:
     app: str
     es: int
-    theoretical_occupancy: float
-    acquire_success_rate: float
+    theoretical_occupancy: float | None
+    acquire_success_rate: float | None
     is_heuristic_pick: bool
     # False when the deadlock rules rejected this |Es| and the compiler
     # fell back to the uninstrumented kernel (no acquires executed).
     active: bool = True
+    # The failure kind of a point whose job failed (metrics None), as
+    # in Fig10Row.
+    failure: str | None = None
 
 
 def fig11_spec(
@@ -465,6 +478,12 @@ def fig11_spec(
         rows = []
         for name, expected_es, sweep_jobs in plan:
             for es, rm_job in sweep_jobs:
+                failure = results.failure_kind(rm_job)
+                if failure:
+                    rows.append(Fig11Row(name, es, None, None,
+                                         es == expected_es, active=False,
+                                         failure=failure))
+                    continue
                 rm = results[rm_job]
                 rows.append(
                     Fig11Row(

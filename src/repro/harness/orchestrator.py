@@ -1,4 +1,4 @@
-"""Experiment orchestration: dedup, parallel dispatch, cache merge.
+"""Experiment orchestration: dedup, one job executor, cache merge.
 
 The orchestrator sits between declarative :class:`ExperimentSpec`s and
 the :class:`ExperimentRunner`:
@@ -6,46 +6,49 @@ the :class:`ExperimentRunner`:
 1. **Deduplicate.**  The figure suite re-requests many jobs (every
    figure needs its apps' baselines); the union of all specs' jobs is
    collected once, in first-declared order.
-2. **Dispatch.**  Jobs missing from the runner's cache are simulated —
-   in-process when ``workers=1``, otherwise fanned out to a
-   ``ProcessPoolExecutor``.  Each (kernel, config, technique) run is
+2. **Execute.**  Jobs missing from the runner's store go to a
+   :class:`JobExecutor`: in-process when ``workers=1``, otherwise on
+   its process pool.  Each (kernel, config, technique) run is
    independent and CPU-bound, so the suite's wall clock scales with the
    worker count; results are bit-identical to serial execution because
    a worker rebuilds the exact same (kernel, technique, seed) triple
    and runs the same deterministic simulator.
 3. **Merge.**  Worker records are installed into the runner's memo
    under the same content-hash keys ``runner.run`` would use, then the
-   cache is persisted once (atomic write) for the whole session.
+   store is flushed once for the whole session.
 
-Failure handling distinguishes three regimes:
+:class:`JobExecutor` is the one execution policy behind both front
+ends: this batch orchestrator (one executor and pool per ``run_jobs``
+call) and the ``repro serve`` daemon (one executor, and so one warm
+pool, across all submissions).
 
-* **Deterministic simulator errors** (deadlock, cycle limit, invariant
-  violation, placement — any :class:`SimulationError`): re-running the
-  same deterministic job reproduces them bit-for-bit, so they are
-  *never* retried.  They surface as a typed :class:`JobFailure` whose
-  ``kind`` comes from the exception taxonomy.
-* **Worker crashes** (a pool process dies — OOM kill, preemption,
-  hard fault): transient and environmental.  The broken pool poisons
-  every unfinished future without attributing the crash, so all
-  unfinished jobs are resubmitted to a fresh pool, with exponential
-  backoff, up to ``max_retries`` extra attempts each.  With
-  checkpointing on (``checkpoint_interval > 0``), a resubmitted job
-  *resumes* from whatever checkpoints the dead worker flushed rather
-  than restarting at cycle 0 — bit-identical either way, so retries
-  and cold runs share one cache key.
-* **Operator interrupts** (SIGINT / Ctrl-C): in-flight futures are
-  cancelled, workers terminated, everything already computed is
-  flushed to the cache along with partial telemetry, and a typed
-  :class:`repro.errors.InterruptedRun` carrying the completed/total
-  counts replaces the raw traceback.
-* **Timeouts**: each job carries its own wall-clock deadline — a
-  per-job override (``run_jobs(..., timeouts=...)``, the path a service
-  client's per-submit timeout rides) or the session ``job_timeout``
-  default.  An overdue job fails with kind ``timeout`` while on-time
-  siblings keep running; if its worker is still wedged when everything
-  else finishes, the pool is abandoned (not joined — a hung worker
-  would block shutdown forever).  Not retried: a hang long enough to
-  trip the watchdog would cost another full timeout to re-confirm.
+* **Job errors.**  A :class:`SimulationError` (deadlock, cycle limit,
+  invariant violation, placement) reproduces bit-for-bit on a re-run,
+  so it is *never* retried; it and every other exception a job raises
+  are classified by :func:`~repro.harness.spec.classify_failure`, the
+  function the serial path uses too, into a typed :class:`JobFailure`.
+* **Worker deaths** (OOM kill, SIGKILL, hard fault) are transient.  A
+  broken pool poisons every job running on it without saying which one
+  killed it, so each poisoned job is charged one attempt and dispatched
+  again to a fresh pool after ``retry_backoff * 2**(attempt-1)``
+  seconds, up to ``max_retries`` extra attempts.  With checkpointing
+  on (``checkpoint_interval > 0``) the new attempt *resumes* from the
+  checkpoints its predecessor flushed; resume is bit-identical, so
+  retries and cold runs share one cache key.
+* **Timeouts.**  Each job has its own wall-clock budget: a per-job
+  override (``run_jobs(..., timeouts=...)``, the path a service
+  client's per-submit timeout rides) or the front end's default.  The
+  budget starts when the job is dispatched to a worker.  An overdue job
+  fails with kind ``timeout`` at once and is not retried: a hang long
+  enough to trip the budget would cost another full budget to
+  re-confirm.  Its worker cannot be preempted in place, so its pool is
+  *retired*: new dispatches go to a fresh pool, and the retired pool's
+  workers are terminated only once no other job still runs on it.
+  Siblings finish uncharged.
+* **Operator interrupts** (SIGINT / Ctrl-C): the workers are killed,
+  everything already computed is flushed along with partial telemetry,
+  and a typed :class:`repro.errors.InterruptedRun` carrying the
+  completed/total counts replaces the raw traceback.
 
 Per-job wall time, attempts, cache hits/misses, failure kinds, and
 worker utilization are recorded in a :class:`SessionTelemetry`
@@ -54,70 +57,34 @@ worker utilization are recorded in a :class:`SessionTelemetry`
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
 import time
-import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import (
-    FAILURE_JOB_ERROR,
-    FAILURE_RUNTIME,
-    FAILURE_TIMEOUT,
-    FAILURE_WORKER_CRASH,
-    InterruptedRun,
-    SimulationError,
-)
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.errors import FAILURE_TIMEOUT, FAILURE_WORKER_CRASH, InterruptedRun
+from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import (
     ExperimentSpec,
     JobFailure,
     JobResults,
     JobSpec,
+    classify_failure,
     materialize_job,
+    ordered_unique_jobs,
 )
 from repro.harness.telemetry import (
     MODE_CACHED,
     MODE_INLINE,
     MODE_POOL,
+    JobTiming,
     SessionTelemetry,
 )
-
-
-def ordered_unique_jobs(jobs: Iterable[JobSpec]) -> tuple[JobSpec, ...]:
-    """Deduplicate a job stream, keeping first-declared order.
-
-    The batch-level dedup both the orchestrator and the service daemon
-    apply before touching the run store: a figure suite (or a client
-    submission spanning several figures) re-requests many jobs, and the
-    union is computed once, in the order jobs first appeared.
-    """
-    seen: dict[JobSpec, None] = {}
-    for job in jobs:
-        seen.setdefault(job)
-    return tuple(seen)
-
-
-def job_error(exc: Exception) -> tuple[str, str]:
-    """``(kind, message)`` for an exception a job raised that is neither
-    a simulation error nor a worker death: the exception class, its
-    text, and where it was raised, so the failure reads on its own."""
-    message = f"{type(exc).__name__}: {exc}"
-    frames = traceback.extract_tb(exc.__traceback__)
-    if frames:
-        origin = frames[-1]
-        message += (
-            f" (raised at {os.path.basename(origin.filename)}:"
-            f"{origin.lineno} in {origin.name})"
-        )
-    return FAILURE_JOB_ERROR, message
 
 
 def _simulate(
@@ -133,8 +100,8 @@ def _simulate(
     and record normalization are exactly the serial path's; returns
     ``(record | None, (kind, message) | None, seconds, resumed_cycle)``.
     Failures are returned (not raised) so the parent can distinguish a
-    deterministic job error from the worker process itself dying, and so
-    one failing job never takes its batch's flush and telemetry with it.
+    job error from the worker process itself dying, and so one failing
+    job never takes its batch's flush and telemetry with it.
 
     With ``checkpoint_dir`` set, the simulation writes periodic
     checkpoints there and — after a crashed or timed-out predecessor —
@@ -147,11 +114,11 @@ def _simulate(
     runner = ExperimentRunner(
         target_ctas_per_sm=target_ctas_per_sm, seed=seed
     )
-    kernel, technique, priority = materialize_job(job)
     resume_report: dict = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     try:
+        kernel, technique, priority = materialize_job(job)
         record = runner.run(
             kernel, job.config, technique, scheduler_priority=priority,
             checkpoint_dir=checkpoint_dir,
@@ -159,14 +126,192 @@ def _simulate(
             resume_report=resume_report,
         )
         failure = None
-    except SimulationError as exc:
-        record, failure = None, (exc.kind, str(exc))
-    except RuntimeError as exc:
-        record, failure = None, (FAILURE_RUNTIME, str(exc))
     except Exception as exc:
-        record, failure = None, job_error(exc)
+        record, failure = None, classify_failure(exc)
     resumed = max(resume_report.get("resumed", {}).values(), default=None)
     return record, failure, time.perf_counter() - start, resumed
+
+
+def _terminate(pool: ProcessPoolExecutor) -> None:
+    """Kill and reap a pool's workers (a joining shutdown would wait on
+    a wedged one forever), then shut the pool down."""
+    processes = list((pool._processes or {}).values())
+    for process in processes:
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.join()
+
+
+class JobExecutor:
+    """Runs jobs under the one dispatch, retry and timeout policy.
+
+    :meth:`run_inline` simulates in the calling process; :meth:`run`
+    applies the policy of the module docstring on a spawn-context pool
+    (spawned workers inherit none of the parent's file descriptors,
+    such as the daemon's listening socket).  At most ``workers`` jobs
+    are dispatched at once, so none waits inside the pool.  Both install
+    a record into the runner's store, append the job's timing to
+    ``telemetry``, and return ``(record | JobFailure, JobTiming)``.
+
+    ``stats`` counts ``simulations`` (worker results received),
+    ``timeouts``, and ``pool_restarts`` (pools retired after a timeout
+    or a worker death).
+    """
+
+    def __init__(
+        self,
+        runner: ExperimentRunner,
+        telemetry: SessionTelemetry,
+        workers: int = 1,
+        max_retries: int = 2,
+        retry_backoff: float = 0.05,
+        checkpoint_dir: str | None = None,
+        checkpoint_interval: int = 0,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0")
+        self.runner = runner
+        self.telemetry = telemetry
+        self.workers = workers
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        self.checkpoint_dir = checkpoint_dir
+        self.checkpoint_interval = checkpoint_interval
+        self.stats = {"simulations": 0, "timeouts": 0, "pool_restarts": 0}
+        self._pool: ProcessPoolExecutor | None = None
+        # Jobs in flight on the current pool and on each retired pool
+        # that still has some.
+        self._load: dict[ProcessPoolExecutor, int] = {}
+        self._slots: asyncio.Semaphore | None = None
+
+    def _args(self, job: JobSpec, key: str) -> tuple:
+        checkpoint_dir = None
+        if self.checkpoint_dir is not None and self.checkpoint_interval > 0:
+            # Per-job subdirectory, keyed like the run store.
+            checkpoint_dir = os.path.join(self.checkpoint_dir, key[:16])
+        return (job, self.runner.seed, self.runner.target_ctas_per_sm,
+                checkpoint_dir, self.checkpoint_interval)
+
+    def run_inline(self, job: JobSpec, key: str) -> tuple[object, JobTiming]:
+        """Simulate one job in this process (nothing can preempt it)."""
+        return self._settle(job, key, _simulate(*self._args(job, key)),
+                            MODE_INLINE)
+
+    async def run(
+        self, job: JobSpec, key: str, timeout: float | None = None
+    ) -> tuple[object, JobTiming]:
+        """Simulate one job on the pool: retry worker deaths, time out."""
+        attempt = 1
+        while True:
+            try:
+                result = await self._dispatch(job, key, timeout)
+            except BrokenExecutor as exc:
+                if attempt <= self.max_retries:
+                    await asyncio.sleep(
+                        self.retry_backoff * 2 ** (attempt - 1)
+                    )
+                    attempt += 1
+                    continue
+                result = None, (FAILURE_WORKER_CRASH,
+                                f"worker process died ({exc}); gave up "
+                                f"after {attempt} attempts"), 0.0, None
+            except Exception as exc:
+                # The worker entry returns job errors, so this is the
+                # pool itself failing the call (an unpicklable result,
+                # say): still this job's typed failure.
+                result = None, classify_failure(exc), 0.0, None
+            return self._settle(job, key, result, MODE_POOL, attempt)
+
+    async def _dispatch(self, job: JobSpec, key: str, timeout: float | None):
+        """One attempt on a free worker, in :func:`_simulate`'s result
+        shape (a timeout is a failure); raises what the future raises."""
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.workers)
+        async with self._slots:
+            pool = self._pool or self._new_pool()
+            future = asyncio.wrap_future(self._submit(pool, job, key))
+            self._load[pool] += 1
+            try:
+                done, _ = await asyncio.wait((future,), timeout=timeout)
+                if not done:
+                    self.stats["timeouts"] += 1
+                    self._retire(pool)
+                    failure = (FAILURE_TIMEOUT,
+                               f"job still running after {timeout:.1f}s "
+                               "timeout; its pool was retired")
+                    return None, failure, timeout, None
+                if isinstance(future.exception(), BrokenExecutor):
+                    self._retire(pool)
+                result = future.result()
+                self.stats["simulations"] += 1
+                return result
+            finally:
+                if not future.done():
+                    future.cancel()   # timed out or interrupted: unread
+                self._release(pool)
+
+    def _submit(self, pool: ProcessPoolExecutor, job: JobSpec,
+                key: str) -> Future:
+        """Hand one job to a pool worker (the dispatch seam)."""
+        return pool.submit(_simulate, *self._args(job, key))
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        self._load[self._pool] = 0
+        return self._pool
+
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        """Send later dispatches to a fresh pool (once per pool)."""
+        if pool is self._pool:
+            self._pool = None
+            self.stats["pool_restarts"] += 1
+
+    def _release(self, pool: ProcessPoolExecutor) -> None:
+        """One job left ``pool``; a retired pool dies once it is idle."""
+        self._load[pool] -= 1
+        if pool is not self._pool and not self._load[pool]:
+            del self._load[pool]
+            _terminate(pool)
+
+    def close(self, kill: bool = False) -> None:
+        """Shut every pool down; ``kill`` terminates busy workers too."""
+        pools, self._pool, self._load = list(self._load), None, {}
+        self._slots = None
+        for pool in pools:
+            if kill:
+                _terminate(pool)
+            else:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _settle(
+        self, job: JobSpec, key: str, result: tuple, mode: str,
+        attempts: int = 1,
+    ) -> tuple[object, JobTiming]:
+        """Install or type one :func:`_simulate`-shaped result; time it."""
+        record, failure, seconds, resumed = result
+        if failure is None:
+            self.runner.install(key, record)
+            outcome = record
+        else:
+            kind, message = failure
+            outcome = JobFailure(message, kind=kind, attempts=attempts)
+        timing = self.telemetry.record(
+            job.label, seconds, mode,
+            failed=failure is not None,
+            failure_kind=failure[0] if failure else None,
+            attempts=attempts,
+            cycles=record.cycles if failure is None else None,
+            resumed_from_cycle=resumed,
+        )
+        return outcome, timing
 
 
 class Orchestrator:
@@ -183,38 +328,31 @@ class Orchestrator:
         checkpoint_dir: str | None = None,
         checkpoint_interval: int = 0,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive (or None)")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
         self.runner = runner
         self.workers = workers
         self.job_timeout = job_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+        self.telemetry = telemetry or SessionTelemetry(workers=workers)
+        self.executor = JobExecutor(
+            runner, self.telemetry, workers=workers,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
+        )
         # Checkpointing turns the retry path into a *resume* path: a job
         # re-dispatched after a worker crash or timeout reloads whatever
         # checkpoints its predecessor flushed instead of restarting at
         # cycle 0.  An explicit dir also survives across sessions (kill
         # the whole process, rerun, resume); the auto-created tempdir
         # only covers within-session retries and is removed at the end.
-        self.checkpoint_interval = checkpoint_interval
-        self._owns_checkpoint_dir = False
-        if checkpoint_dir is None and checkpoint_interval > 0:
-            checkpoint_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-            self._owns_checkpoint_dir = True
-        self.checkpoint_dir = checkpoint_dir
-        self.telemetry = telemetry or SessionTelemetry(workers=workers)
-
-    def _job_checkpoint_dir(self, key: str) -> str | None:
-        """Per-job checkpoint subdirectory (keyed like the run cache)."""
-        if self.checkpoint_dir is None or self.checkpoint_interval <= 0:
-            return None
-        return os.path.join(self.checkpoint_dir, key[:16])
+        self._owns_checkpoint_dir = (
+            checkpoint_dir is None and checkpoint_interval > 0
+        )
+        if self._owns_checkpoint_dir:
+            self.executor.checkpoint_dir = tempfile.mkdtemp(
+                prefix="repro-ckpt-"
+            )
 
     # -- public API -----------------------------------------------------------
     def run_specs(
@@ -245,6 +383,12 @@ class Orchestrator:
         pool dispatch (``workers > 1``); the inline path cannot preempt
         a simulation it is itself running.
         """
+        timeouts = dict(timeouts or {})
+        for job, budget in timeouts.items():
+            if budget <= 0:
+                raise ValueError(
+                    f"per-job timeout must be positive: {job.label}"
+                )
         ordered = ordered_unique_jobs(jobs)
 
         self.telemetry.start()
@@ -266,10 +410,11 @@ class Orchestrator:
         # workers > 1 always uses the pool, even for one job: process
         # isolation is what contains a crashing or hanging worker.
         try:
-            if self.workers == 1 or not pending:
-                self._run_inline(pending, outcomes)
-            else:
-                self._run_pool(pending, outcomes, timeouts or {})
+            if self.workers == 1:
+                for job, key in pending:
+                    outcomes[job], _ = self.executor.run_inline(job, key)
+            elif pending:
+                asyncio.run(self._run_pool(pending, timeouts, outcomes))
         except KeyboardInterrupt as exc:
             # Ctrl-C mid-batch: keep everything already computed.  The
             # journaled runner has each finished record on disk already;
@@ -288,197 +433,35 @@ class Orchestrator:
 
         self.runner.flush()
         self.telemetry.finish()
-        if self._owns_checkpoint_dir and self.checkpoint_dir is not None:
-            shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
+        if self._owns_checkpoint_dir:
+            shutil.rmtree(self.executor.checkpoint_dir, ignore_errors=True)
         return outcomes
 
-    # -- execution backends ---------------------------------------------------
-    def _run_inline(
+    async def _run_pool(
         self,
         pending: Sequence[tuple[JobSpec, str]],
+        timeouts: Mapping[JobSpec, float],
         outcomes: dict[JobSpec, object],
     ) -> None:
-        for job, key in pending:
-            record, failure, seconds, resumed = _simulate(
-                job, self.runner.seed, self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(key), self.checkpoint_interval,
-            )
-            self._finish_job(job, key, record, failure, seconds, MODE_INLINE,
-                             outcomes, resumed_from_cycle=resumed)
+        """Run every pending job on the executor's pool, then close it."""
+        async def settle(job: JobSpec, key: str) -> None:
+            budget = timeouts.get(job, self.job_timeout)
+            outcomes[job], _ = await self.executor.run(job, key, budget)
 
-    def _run_pool(
-        self,
-        pending: Sequence[tuple[JobSpec, str]],
-        outcomes: dict[JobSpec, object],
-        timeouts: Mapping[JobSpec, float],
-    ) -> None:
-        queue = [(job, key, 1) for job, key in pending]
-        round_no = 0
-        while queue:
-            if round_no > 0:
-                # Exponential backoff before re-dispatching crashed work.
-                time.sleep(self.retry_backoff * (2 ** (round_no - 1)))
-            queue = self._run_pool_round(queue, outcomes, timeouts)
-            round_no += 1
-
-    def _effective_timeout(
-        self, job: JobSpec, timeouts: Mapping[JobSpec, float]
-    ) -> float | None:
-        """Per-job override first, session default second, else none."""
-        timeout = timeouts.get(job, self.job_timeout)
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"per-job timeout must be positive: {job.label}")
-        return timeout
-
-    def _run_pool_round(
-        self,
-        batch: Sequence[tuple[JobSpec, str, int]],
-        outcomes: dict[JobSpec, object],
-        timeouts: Mapping[JobSpec, float],
-    ) -> list[tuple[JobSpec, str, int]]:
-        """One dispatch round on a fresh pool; returns jobs to retry.
-
-        A fresh pool per round is mandatory, not a convenience: a crash
-        breaks the executor permanently (every later submit raises),
-        and a timed-out round leaves workers possibly wedged — the old
-        pool is abandoned with ``shutdown(wait=False)`` rather than
-        joined.
-
-        Each job carries its *own* deadline (dispatch time + its
-        effective timeout); an overdue job fails with kind ``timeout``
-        while on-time siblings keep running.  The pool is only
-        abandoned (workers terminated) when an expired job's worker is
-        still wedged after everything else finished — an expired job's
-        late result is discarded either way.
-        """
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(batch)))
-        start = time.monotonic()
-        futures = {}
-        deadlines: dict[object, float] = {}
-        for job, key, attempt in batch:
-            future = pool.submit(
-                _simulate, job, self.runner.seed,
-                self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(key), self.checkpoint_interval,
-            )
-            futures[future] = (job, key, attempt)
-            timeout = self._effective_timeout(job, timeouts)
-            if timeout is not None:
-                deadlines[future] = start + timeout
-        remaining = set(futures)
-        expired: set = set()
-        retry: list[tuple[JobSpec, str, int]] = []
-        abandoned = False
+        loop = asyncio.get_running_loop()
         try:
-            while remaining:
-                next_deadline = min(
-                    (deadlines[f] for f in remaining if f in deadlines),
-                    default=None,
-                )
-                timeout = (
-                    None if next_deadline is None
-                    else max(0.0, next_deadline - time.monotonic())
-                )
-                done, remaining = wait(
-                    remaining, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # A deadline elapsed with its job still in flight:
-                    # declare exactly the overdue jobs timed out; their
-                    # siblings keep their own clocks.
-                    now = time.monotonic()
-                    overdue = {
-                        f for f in remaining
-                        if f in deadlines and deadlines[f] <= now
-                    }
-                    for future in overdue:
-                        job, key, attempt = futures[future]
-                        budget = deadlines[future] - start
-                        self._finish_job(
-                            job, key, None,
-                            (FAILURE_TIMEOUT,
-                             f"job still running after {budget:.1f}s "
-                             "timeout; worker abandoned"),
-                            budget, MODE_POOL, outcomes,
-                            attempts=attempt,
-                        )
-                    remaining -= overdue
-                    expired |= overdue
-                    continue
-                for future in done:
-                    job, key, attempt = futures[future]
-                    try:
-                        record, failure, seconds, resumed = future.result()
-                    except BrokenExecutor as exc:
-                        # The worker process died.  The pool cannot say
-                        # *which* job killed it — every unfinished
-                        # future is poisoned — so each poisoned job is
-                        # retried as potentially innocent.
-                        if attempt <= self.max_retries:
-                            retry.append((job, key, attempt + 1))
-                        else:
-                            self._finish_job(
-                                job, key, None,
-                                (FAILURE_WORKER_CRASH,
-                                 f"worker process died ({exc}); "
-                                 f"gave up after {attempt} attempts"),
-                                0.0, MODE_POOL, outcomes, attempts=attempt,
-                            )
-                        continue
-                    self._finish_job(job, key, record, failure, seconds,
-                                     MODE_POOL, outcomes, attempts=attempt,
-                                     resumed_from_cycle=resumed)
-            if any(not f.done() for f in expired):
-                # An expired job's worker is still wedged after all
-                # on-time work finished — abandon the pool rather than
-                # join it (a hung worker would block shutdown forever).
-                abandoned = True
-        except KeyboardInterrupt:
-            # Operator interrupt: cancel what never started, kill the
-            # workers (their checkpoints, if any, survive on disk), and
-            # let run_jobs() flush and summarize the partial session.
-            for future in remaining:
-                future.cancel()
-            for proc in getattr(pool, "_processes", {}).values():
-                proc.terminate()
-            abandoned = True
-            raise
+            # A loop-level handler also wakes the loop while it waits on
+            # workers, so Ctrl-C lands at once.
+            loop.add_signal_handler(signal.SIGINT,
+                                    asyncio.current_task().cancel)
+        except RuntimeError:
+            pass   # not the main thread: it never sees SIGINT
+        finished = False
+        try:
+            await asyncio.gather(*(settle(job, key) for job, key in pending))
+            finished = True
+        except asyncio.CancelledError:
+            raise KeyboardInterrupt from None
         finally:
-            if abandoned:
-                # Every abandoned job was already declared timed out
-                # (or interrupted), so the workers have no results
-                # anyone will read — kill them.  Without this, the
-                # executor's atexit hook would join the hung processes
-                # and block interpreter shutdown as long as they stay
-                # wedged.
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.terminate()
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return retry
-
-    def _finish_job(
-        self,
-        job: JobSpec,
-        key: str,
-        record: RunRecord | None,
-        failure: tuple[str, str] | None,
-        seconds: float,
-        mode: str,
-        outcomes: dict[JobSpec, object],
-        attempts: int = 1,
-        resumed_from_cycle: int | None = None,
-    ) -> None:
-        if failure is not None:
-            kind, message = failure
-            outcomes[job] = JobFailure(message, kind=kind, attempts=attempts)
-        else:
-            self.runner.install(key, record)
-            outcomes[job] = record
-        self.telemetry.record(
-            job.label, seconds, mode,
-            failed=failure is not None,
-            failure_kind=failure[0] if failure else None,
-            attempts=attempts,
-            cycles=record.cycles if failure is None and record else None,
-            resumed_from_cycle=resumed_from_cycle,
-        )
+            loop.remove_signal_handler(signal.SIGINT)
+            self.executor.close(kill=not finished)

@@ -408,8 +408,18 @@ class ExperimentRunner:
         return self._key(kernel, config, technique)
 
     def cached(self, key: str) -> Optional[RunRecord]:
-        """The memoized record for ``key``, if any (no hit accounting)."""
-        return self._memo.get(key)
+        """The stored record for ``key``, if any (no hit accounting).
+
+        The one store lookup every front end uses.  On a miss, a
+        file-backed store first replays its journal, adopting a record
+        a concurrent process sharing the cache path has computed and
+        journaled since this runner loaded it.
+        """
+        record = self._memo.get(key)
+        if record is None and self._cache_path:
+            self._replay_journal()
+            record = self._memo.get(key)
+        return record
 
     def install(self, key: str, record: RunRecord) -> None:
         """Merge an externally computed record (a worker's result)."""
@@ -504,13 +514,7 @@ class ExperimentRunner:
         """
         technique = technique or BaselineTechnique()
         key = self._key(kernel, config, technique)
-        cached = self._memo.get(key)
-        if cached is None and self._cache_path:
-            # A concurrent process sharing this cache may have computed
-            # and journaled this key since we loaded: adopt its result
-            # instead of recomputing.
-            self._replay_journal()
-            cached = self._memo.get(key)
+        cached = self.cached(key)
         if cached is not None:
             self.cache_hits += 1
             return cached

@@ -25,13 +25,15 @@ processes.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.arch.config import GpuConfig
 from repro.baselines.owf import OwfTechnique, owf_priority
 from repro.baselines.rfv import RfvTechnique
-from repro.errors import FAILURE_RUNTIME, SimulationError
+from repro.errors import FAILURE_JOB_ERROR, FAILURE_RUNTIME, SimulationError
 from repro.faults.injector import FaultyWorkerTechnique, KillMidRunTechnique
 from repro.regmutex.issue_logic import RegMutexTechnique
 from repro.regmutex.paired import PairedWarpsTechnique
@@ -126,6 +128,45 @@ class JobFailure:
     attempts: int = 1
 
 
+def classify_failure(exc: Exception) -> tuple[str, str]:
+    """``(kind, message)`` for an exception a job raised.
+
+    The one failure classification every execution path applies: a
+    :class:`SimulationError` keeps its taxonomy kind, a bare
+    ``RuntimeError`` is ``runtime-error``, and anything else (the
+    compiler's ``CompactionError`` for an uncompactable |Es|, say) is
+    ``job-error`` with the exception class and where it was raised, so
+    the failure reads on its own.
+    """
+    if isinstance(exc, SimulationError):
+        return exc.kind, str(exc)
+    if isinstance(exc, RuntimeError):
+        return FAILURE_RUNTIME, str(exc)
+    message = f"{type(exc).__name__}: {exc}"
+    frames = traceback.extract_tb(exc.__traceback__)
+    if frames:
+        origin = frames[-1]
+        message += (
+            f" (raised at {os.path.basename(origin.filename)}:"
+            f"{origin.lineno} in {origin.name})"
+        )
+    return FAILURE_JOB_ERROR, message
+
+
+def ordered_unique_jobs(jobs: Iterable[JobSpec]) -> tuple[JobSpec, ...]:
+    """Deduplicate a job stream, keeping first-declared order.
+
+    The batch-level dedup both the orchestrator and the service daemon
+    apply before touching the run store: a figure suite (or a client
+    submission spanning several figures) re-requests many jobs, and the
+    union is computed once, in the order jobs first appeared.
+    """
+    seen: dict[JobSpec, None] = {}
+    for job in jobs:
+        seen.setdefault(job)
+    return tuple(seen)
+
+
 def materialize_job(job: JobSpec):
     """Build the live (kernel, technique, scheduler_priority) triple."""
     kernel = build_app_kernel(get_app(job.app))
@@ -168,7 +209,15 @@ class JobResults:
         return job in self._outcomes
 
     def failed(self, job: JobSpec) -> bool:
-        return isinstance(self._outcomes[job], JobFailure)
+        return self.failure_kind(job) is not None
+
+    def failure_kind(self, *jobs: JobSpec) -> str | None:
+        """The kind of the first of ``jobs`` that failed, if any did."""
+        for job in jobs:
+            outcome = self._outcomes[job]
+            if isinstance(outcome, JobFailure):
+                return outcome.kind
+        return None
 
     def error(self, job: JobSpec) -> str | None:
         outcome = self._outcomes[job]
@@ -184,18 +233,16 @@ class ExperimentSpec:
     build_rows: Callable[[JobResults], list] = field(compare=False)
 
     def unique_jobs(self) -> tuple[JobSpec, ...]:
-        seen: dict[JobSpec, None] = {}
-        for job in self.jobs:
-            seen.setdefault(job)
-        return tuple(seen)
+        return ordered_unique_jobs(self.jobs)
 
 
 def run_experiment(spec: ExperimentSpec, runner) -> list:
     """Execute a spec serially (declared job order) and build its rows.
 
     Jobs run through ``runner.run`` so the runner's memo/disk cache is
-    shared with every other execution path; failures are captured per
-    job and surface when (and only when) the row builder touches them.
+    shared with every other execution path; failures are classified per
+    job exactly as the orchestrator classifies them and surface when
+    (and only when) the row builder touches them.
     """
     outcomes: dict[JobSpec, object] = {}
     for job in spec.jobs:
@@ -203,8 +250,7 @@ def run_experiment(spec: ExperimentSpec, runner) -> list:
             continue
         try:
             outcomes[job] = execute_job(job, runner)
-        except SimulationError as exc:
-            outcomes[job] = JobFailure(str(exc), kind=exc.kind)
-        except RuntimeError as exc:
-            outcomes[job] = JobFailure(str(exc), kind=FAILURE_RUNTIME)
+        except Exception as exc:
+            kind, message = classify_failure(exc)
+            outcomes[job] = JobFailure(message, kind=kind)
     return spec.build_rows(JobResults(outcomes))

@@ -136,11 +136,12 @@ class SessionTelemetry:
     def record(self, label: str, seconds: float, mode: str,
                failed: bool = False, failure_kind: str | None = None,
                attempts: int = 1, cycles: int | None = None,
-               resumed_from_cycle: int | None = None) -> None:
-        self.timings.append(
-            JobTiming(label, seconds, mode, failed, failure_kind, attempts,
-                      cycles, resumed_from_cycle)
-        )
+               resumed_from_cycle: int | None = None) -> JobTiming:
+        """Append one job's timing and return it."""
+        timing = JobTiming(label, seconds, mode, failed, failure_kind,
+                           attempts, cycles, resumed_from_cycle)
+        self.timings.append(timing)
+        return timing
 
     # -- aggregates -----------------------------------------------------------
     @property

@@ -4,8 +4,9 @@ Every ``repro`` invocation used to pay process startup, simulator
 import, and a private cache load.  :class:`SimulationService` keeps one
 asyncio front end (Unix-domain socket, optionally TCP) over one
 journaled :class:`~repro.harness.runner.ExperimentRunner` and one
-persistent ``ProcessPoolExecutor``, so the marginal cost of a
-submission is a cache-key lookup.
+:class:`~repro.harness.orchestrator.JobExecutor` whose warm pool lives
+across submissions, so the marginal cost of a submission is a
+cache-key lookup.
 
 Deduplication is layered, cheapest first:
 
@@ -20,15 +21,17 @@ Deduplication is layered, cheapest first:
    computing attaches to the running computation; both clients stream
    the same job id and receive the same record when it lands.
 
-Execution rides PR 7's crash-safety machinery: each job runs in a pool
-worker with periodic checkpoints keyed like the run cache, a worker
-crash retries (resuming from the surviving checkpoint), a per-job
-timeout — the client's override or the service default — fails the job
-with kind ``timeout`` and recycles the pool, and every completed record
-is write-ahead journaled before the periodic flush folds it into the
-cache file.  Killing the daemon itself (SIGKILL) therefore loses
-nothing: a restarted daemon adopts journaled records and resumes
-interrupted jobs from their checkpoints.
+Execution is the batch orchestrator's own :class:`JobExecutor`, so
+both front ends share one retry and timeout policy: each job runs in a
+pool worker with periodic checkpoints keyed like the run cache, a
+worker crash retries (resuming from the surviving checkpoint), a
+per-job timeout — the client's override or the service default — fails
+the job with kind ``timeout`` and retires its pool without touching
+sibling jobs, and every completed record is write-ahead journaled
+before the periodic flush folds it into the cache file.  Killing the
+daemon itself (SIGKILL) therefore loses nothing: a restarted daemon
+adopts journaled records and resumes interrupted jobs from their
+checkpoints.
 
 Job lifecycle (queued → running → resumed → done/failed) is published
 twice from one code path: as wire frames to subscribed clients, and as
@@ -41,35 +44,22 @@ to Perfetto via :func:`~repro.observe.export.job_trace_events`.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import (
-    FAILURE_TIMEOUT,
-    FAILURE_WORKER_CRASH,
     ServiceProtocolError,
     ServiceQueueFullError,
     ServiceSpecError,
     ServiceUnavailableError,
 )
 from repro.harness.experiments import figure_spec
-from repro.harness.orchestrator import (
-    _simulate,
-    job_error,
-    ordered_unique_jobs,
-)
+from repro.harness.orchestrator import JobExecutor, ordered_unique_jobs
 from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import JobFailure, JobSpec, materialize_job
-from repro.harness.telemetry import (
-    MODE_CACHED,
-    MODE_POOL,
-    JobTiming,
-    SessionTelemetry,
-)
+from repro.harness.telemetry import MODE_CACHED, JobTiming, SessionTelemetry
 from repro.observe.bus import EventBus, EventLog
 from repro.observe.events import (
     JOB_DONE,
@@ -136,14 +126,13 @@ class JobState:
     record: object = None
     failure: JobFailure | None = None
     timing: JobTiming | None = None
-    resumed_from_cycle: int | None = None
     dedup: str | None = None       # how the *first* submitter got it
     attach_count: int = 0          # later submitters (singleflight hits)
     task: asyncio.Task | None = field(default=None, compare=False)
 
 
 class SimulationService:
-    """The daemon: submission intake, layered dedup, pool execution."""
+    """The daemon: submission intake, layered dedup, executor dispatch."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -156,18 +145,18 @@ class SimulationService:
         self.bus = EventBus()
         self.log = EventLog()
         self.bus.subscribe(self.log.append)
-        self.stats = {
-            "submitted": 0,
-            "simulations": 0,
-            "dedup_batch": 0,
-            "dedup_store": 0,
-            "dedup_inflight": 0,
-            "timeouts": 0,
-            "pool_restarts": 0,
-        }
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_gen = 0
-        self._pool_lock = asyncio.Lock()
+        self.executor = JobExecutor(
+            self.runner, self.telemetry, workers=config.workers,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+            checkpoint_dir=config.checkpoint_dir,
+            checkpoint_interval=config.checkpoint_interval,
+        )
+        # One counter dict: the executor counts simulations, timeouts
+        # and pool_restarts; the intake counts the rest.
+        self.stats = self.executor.stats
+        self.stats.update(submitted=0, dedup_batch=0, dedup_store=0,
+                          dedup_inflight=0)
         self._inflight: dict[str, JobState] = {}
         self._jobs: dict[int, JobState] = {}
         self._next_job_id = 1
@@ -176,16 +165,15 @@ class SimulationService:
         self._servers: list[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
         self._draining = False
-        self._closing = False
         self._flush_task: asyncio.Task | None = None
         self._started_at = time.monotonic()
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
-        """Bring up the worker pool and the periodic cache flusher
-        (no sockets yet — tests and the fault campaign drive the
-        service in-process through :meth:`submit`)."""
-        self._pool = self._new_pool()
+        """Bring up the periodic cache flusher (no sockets yet — tests
+        and the fault campaign drive the service in-process through
+        :meth:`submit`).  The executor's pool starts with the first
+        dispatch and stays warm until :meth:`aclose`."""
         if self.config.flush_interval > 0:
             self._flush_task = asyncio.create_task(self._flush_loop())
 
@@ -234,7 +222,6 @@ class SimulationService:
             await asyncio.gather(*tasks, return_exceptions=True)
         # Let follow-mode connection handlers forward the final events.
         await asyncio.sleep(0)
-        self._closing = True
         if self._flush_task is not None:
             self._flush_task.cancel()
             try:
@@ -247,8 +234,7 @@ class SimulationService:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        self.executor.close()
         if self.config.socket_path:
             try:
                 os.unlink(self.config.socket_path)
@@ -267,15 +253,6 @@ class SimulationService:
     def _key_for(self, job: JobSpec) -> str:
         kernel, technique, _ = materialize_job(job)
         return self.runner.key_for(kernel, job.config, technique)
-
-    def _store_lookup(self, key: str):
-        record = self.runner.cached(key)
-        if record is None:
-            # Adopt results journaled by concurrent processes sharing
-            # the cache path (the same replay runner.run performs).
-            self.runner._replay_journal()
-            record = self.runner.cached(key)
-        return record
 
     def submit(
         self, jobs: list[JobSpec], timeout: float | None = None
@@ -313,7 +290,7 @@ class SimulationService:
             if key in self._inflight:
                 plan.append((job, key, "inflight", None))
                 continue
-            record = self._store_lookup(key)
+            record = self.runner.cached(key)
             if record is not None:
                 plan.append((job, key, "store", record))
             else:
@@ -340,11 +317,10 @@ class SimulationService:
                 state.dedup = "store"
                 self.stats["dedup_store"] += 1
                 self._emit(state, JOB_QUEUED, QUEUED)
-                state.timing = JobTiming(
+                state.timing = self.telemetry.record(
                     job.label, 0.0, MODE_CACHED, cycles=record.cycles
                 )
-                self.telemetry.timings.append(state.timing)
-                self._finish(state, record=record)
+                self._finish(state, record)
             else:
                 state = self._new_state(job, key, effective_timeout)
                 self._inflight[key] = state
@@ -367,162 +343,34 @@ class SimulationService:
         return state
 
     # -- execution ------------------------------------------------------------
-    def _job_checkpoint_dir(self, key: str) -> str | None:
-        if self.config.checkpoint_dir is None \
-                or self.config.checkpoint_interval <= 0:
-            return None
-        return os.path.join(self.config.checkpoint_dir, key[:16])
-
     async def _execute(self, state: JobState) -> None:
         try:
-            await self._run_job(state)
+            state.status = RUNNING
+            self._emit(state, JOB_RUNNING, RUNNING)
+            outcome, state.timing = await self.executor.run(
+                state.job, state.key, state.timeout
+            )
+            resumed = state.timing.resumed_from_cycle
+            if resumed is not None:
+                self._emit(state, JOB_RESUMED, RUNNING, pc=resumed,
+                           resumed_from_cycle=resumed)
+            self._finish(state, outcome)
         finally:
             self._inflight.pop(state.key, None)
 
-    async def _run_job(self, state: JobState) -> None:
-        state.status = RUNNING
-        self._emit(state, JOB_RUNNING, RUNNING)
-        attempt = 1
-        while True:
-            gen = self._pool_gen
-            future = self._pool.submit(
-                _simulate, state.job, self.runner.seed,
-                self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(state.key),
-                self.config.checkpoint_interval,
-            )
-            try:
-                record, failure, seconds, resumed = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout=state.timeout
-                )
-            except asyncio.TimeoutError:
-                # The worker is past its budget and cannot be preempted
-                # in place: declare the job timed out and recycle the
-                # pool so the wedged process dies.
-                self.stats["timeouts"] += 1
-                await self._restart_pool(gen)
-                self._finish(
-                    state,
-                    failure=(FAILURE_TIMEOUT,
-                             f"job still running after "
-                             f"{state.timeout:.1f}s timeout; "
-                             "worker recycled"),
-                    seconds=state.timeout or 0.0, attempts=attempt,
-                    simulated=True,
-                )
-                return
-            except BrokenExecutor as exc:
-                await self._restart_pool(gen)
-                if attempt <= self.config.max_retries:
-                    attempt += 1
-                    await asyncio.sleep(
-                        self.config.retry_backoff * attempt
-                    )
-                    continue
-                self._finish(
-                    state,
-                    failure=(FAILURE_WORKER_CRASH,
-                             f"worker process died ({exc}); gave up "
-                             f"after {attempt} attempts"),
-                    seconds=0.0, attempts=attempt, simulated=True,
-                )
-                return
-            except asyncio.CancelledError:
-                if self._closing:
-                    raise
-                # Our (pending) pool future was collateral of a sibling
-                # job's pool recycle — the work never started; redo it
-                # on the fresh pool without consuming a retry.
-                continue
-            except Exception as exc:
-                # Anything else the future raises (the worker entry
-                # returns job errors as failures, so this is e.g. an
-                # unpicklable result) still ends the job: a terminal
-                # JOB_FAILED frame, never a follower waiting forever.
-                self._finish(
-                    state, failure=job_error(exc),
-                    seconds=0.0, attempts=attempt, simulated=True,
-                )
-                return
-            break
-        self.stats["simulations"] += 1
-        state.resumed_from_cycle = resumed
-        if resumed is not None:
-            self._emit(state, JOB_RESUMED, RUNNING, pc=resumed,
-                       resumed_from_cycle=resumed)
-        self._finish(state, record=record, failure=failure,
-                     seconds=seconds, attempts=attempt, resumed=resumed,
-                     simulated=True)
-
-    async def _restart_pool(self, gen: int) -> None:
-        """Terminate and rebuild the pool at most once per generation."""
-        async with self._pool_lock:
-            if gen != self._pool_gen:
-                return
-            self._pool_gen += 1
-            self.stats["pool_restarts"] += 1
-            old = self._pool
-            for proc in getattr(old, "_processes", {}).values():
-                proc.terminate()
-            old.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._new_pool()
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        """A spawn-context pool: fork would hand every worker a copy of
-        the daemon's listening socket, so a worker orphaned by a daemon
-        SIGKILL would keep the dead listener's backlog accepting
-        connects and black-hole clients of the restarted daemon.
-        Spawned workers inherit no daemon fds."""
-        return ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-
     # -- completion + event fan-out -------------------------------------------
-    def _finish(
-        self,
-        state: JobState,
-        record=None,
-        failure: tuple[str, str] | None = None,
-        seconds: float = 0.0,
-        attempts: int = 1,
-        resumed: int | None = None,
-        simulated: bool = False,
-    ) -> None:
-        if failure is not None:
-            kind, message = failure
-            state.failure = JobFailure(message, kind=kind, attempts=attempts)
-            state.status = FAILED
+    def _finish(self, state: JobState, outcome) -> None:
+        """Publish a terminal outcome: a record or a :class:`JobFailure`."""
+        timing = state.timing.to_dict()
+        if isinstance(outcome, JobFailure):
+            state.failure, state.status = outcome, FAILED
+            self._emit(state, JOB_FAILED, FAILED, timing=timing,
+                       failure=asdict(outcome))
         else:
-            state.record = record
-            state.status = DONE
-            if simulated:
-                self.runner.install(state.key, record)
-        if simulated:
-            state.timing = JobTiming(
-                state.job.label, seconds, MODE_POOL,
-                failed=failure is not None,
-                failure_kind=failure[0] if failure else None,
-                attempts=attempts,
-                cycles=record.cycles if failure is None else None,
-                resumed_from_cycle=resumed,
-            )
-            self.telemetry.timings.append(state.timing)
-        frame_extra: dict = {
-            "timing": state.timing.to_dict() if state.timing else None,
-        }
-        if state.status == DONE:
-            frame_extra["record"] = record_to_wire(state.record)
-            frame_extra["dedup"] = state.dedup
-            frame_extra["resumed_from_cycle"] = state.resumed_from_cycle
-            self._emit(state, JOB_DONE, DONE, **frame_extra)
-        else:
-            frame_extra["failure"] = {
-                "kind": state.failure.kind,
-                "message": state.failure.message,
-                "attempts": state.failure.attempts,
-            }
-            self._emit(state, JOB_FAILED, FAILED, **frame_extra)
+            state.record, state.status = outcome, DONE
+            self._emit(state, JOB_DONE, DONE, timing=timing,
+                       record=record_to_wire(outcome), dedup=state.dedup,
+                       resumed_from_cycle=state.timing.resumed_from_cycle)
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)
@@ -613,11 +461,7 @@ class SimulationService:
                 state.timing.to_dict() if state.timing else None
             )
         elif state.status == FAILED:
-            entry["failure"] = {
-                "kind": state.failure.kind,
-                "message": state.failure.message,
-                "attempts": state.failure.attempts,
-            }
+            entry["failure"] = asdict(state.failure)
         return entry
 
     async def _handle_conn(self, reader, writer) -> None:

@@ -68,6 +68,21 @@ def test_figure_commands_render(command, needle, capsys, tmp_path):
     assert needle in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,row", [
+    ("fig10", Fig10Row("SAD", 4, None, False, failure="job-error")),
+    ("fig11", Fig11Row("SAD", 4, None, None, False, active=False,
+                       failure="job-error")),
+])
+def test_failed_sweep_point_renders_its_kind(
+    command, row, monkeypatch, capsys, tmp_path
+):
+    figure = {"fig10": "fig10_es_sensitivity",
+              "fig11": "fig11_occupancy_and_acquires"}[command]
+    monkeypatch.setattr(cli.E, figure, lambda runner, **kw: [row])
+    assert cli.main(["--cache", str(tmp_path / "c.json"), command]) == 0
+    assert "failed (job-error)" in capsys.readouterr().out
+
+
 def test_csv_flag_on_stubbed_rows(tmp_path, capsys):
     path = str(tmp_path / "rows.csv")
     assert cli.main(

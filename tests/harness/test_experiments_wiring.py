@@ -11,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.config import GTX480
+from repro.compiler.compaction import CompactionError
+from repro.dashboard.figures import summarize_figures
 from repro.harness import experiments as E
 from repro.harness.runner import RunRecord
 
@@ -48,6 +50,20 @@ class StubRunner:
             stall_acquire=5,
             stall_memory=50,
         )
+
+
+class UncompactableStubRunner(StubRunner):
+    """Raises the compiler's CompactionError for one forced |Es|, the
+    way SAD's |Es| = 4 and 6 points do on the real compiler."""
+
+    def __init__(self, failing_es: int):
+        super().__init__()
+        self.failing_es = failing_es
+
+    def run(self, kernel, config, technique=None, scheduler_priority=None):
+        if getattr(technique, "extended_set_size", None) == self.failing_es:
+            raise CompactionError(f"cannot compact |Es|={self.failing_es}")
+        return super().run(kernel, config, technique, scheduler_priority)
 
 
 @pytest.fixture
@@ -112,6 +128,45 @@ class TestFig10And11Wiring:
     def test_fig11_active_flag(self, stub):
         rows = E.fig11_occupancy_and_acquires(stub, apps=("BFS",))
         assert all(r.active for r in rows)  # stub always reports acquires
+
+    def test_fig10_failed_point_is_a_failed_row(self):
+        """The serial path classifies a non-simulation error (here the
+        compiler's CompactionError) as a typed job failure, and the
+        sweep keeps every other point."""
+        rows = E.fig10_es_sensitivity(UncompactableStubRunner(4),
+                                      apps=("SAD",))
+        assert [r.es for r in rows] == list(E.ES_SWEEP)
+        (failed,) = [r for r in rows if r.failure]
+        assert (failed.es, failed.failure) == (4, "job-error")
+        assert failed.cycle_reduction is None
+        assert all(r.cycle_reduction == pytest.approx(0.12)
+                   for r in rows if r is not failed)
+
+    def test_fig11_failed_point_is_a_failed_row(self):
+        rows = E.fig11_occupancy_and_acquires(UncompactableStubRunner(4),
+                                              apps=("SAD",))
+        (failed,) = [r for r in rows if r.failure]
+        assert (failed.es, failed.failure) == (4, "job-error")
+        assert failed.theoretical_occupancy is None
+        assert failed.acquire_success_rate is None
+        assert len(rows) == len(E.ES_SWEEP)
+
+    def test_summary_skips_a_failed_heuristic_pick(self):
+        """SAD's Table I pick is |Es| = 12; with that point failed the
+        fig10/fig11 summaries cover BFS's pick alone."""
+        runner = UncompactableStubRunner(12)
+        rows = {
+            "fig10": E.fig10_es_sensitivity(runner, apps=("BFS", "SAD")),
+            "fig11": E.fig11_occupancy_and_acquires(runner,
+                                                    apps=("BFS", "SAD")),
+        }
+        summary = summarize_figures(rows)
+        assert summary["fig10"]["mean_reduction_heuristic"] == (
+            pytest.approx(0.12)
+        )
+        assert summary["fig11"]["mean_acquire_success_heuristic"] == (
+            pytest.approx(0.9)
+        )
 
 
 class TestFig12And13Wiring:

@@ -1,11 +1,22 @@
 """Orchestrator failure regimes: retry, attribution, timeout, propagation."""
 
+import _thread
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.arch.config import fermi_like
+from repro.errors import InterruptedRun
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
-from repro.harness.spec import JobFailure, JobSpec, TechniqueSpec
+from repro.harness.spec import (
+    JobFailure,
+    JobSpec,
+    TechniqueSpec,
+    materialize_job,
+)
 
 CFG = fermi_like(
     name="failure-test", num_sms=1, max_warps_per_sm=16, max_ctas_per_sm=4,
@@ -154,6 +165,75 @@ class TestJobTimeout:
         orch = _orchestrator(workers=2)
         with pytest.raises(ValueError, match="timeout"):
             orch.run_jobs([job], timeouts={job: 0.0})
+
+
+@pytest.mark.faults
+class TestInterrupt:
+    def test_ctrl_c_mid_batch_flushes_and_kills_the_workers(self, tmp_path):
+        """Ctrl-C while one job of a workers=2 batch still runs: a typed
+        InterruptedRun without waiting the job out, the finished record
+        in the store, and no worker process left alive."""
+        quick = _job(TechniqueSpec.of("baseline"))
+        hung = _job(TechniqueSpec.of(
+            "faulty-worker", mode="worker-sleep", delay_seconds=60.0
+        ))
+        cache = str(tmp_path / "cache.json")
+        orch = Orchestrator(
+            ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                             cache_path=cache),
+            workers=2,
+        )
+        children_before = set(multiprocessing.active_children())
+
+        def interrupt_after_the_quick_job():
+            deadline = time.monotonic() + 120.0
+            while not orch.telemetry.timings and time.monotonic() < deadline:
+                time.sleep(0.05)
+            _thread.interrupt_main()
+
+        threading.Thread(target=interrupt_after_the_quick_job,
+                         daemon=True).start()
+        start = time.monotonic()
+        with pytest.raises(InterruptedRun) as info:
+            orch.run_jobs([quick, hung])
+        assert time.monotonic() - start < 45.0
+        assert info.value.flushed
+        assert (info.value.completed, info.value.total) == (1, 2)
+        assert set(multiprocessing.active_children()) <= children_before
+
+        fresh = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                 cache_path=cache)
+        kernel, technique, _ = materialize_job(quick)
+        key = fresh.key_for(kernel, quick.config, technique)
+        assert isinstance(fresh.cached(key), RunRecord)
+
+
+class TestStoreLookup:
+    def test_orchestrator_adopts_a_peer_journaled_record(self, tmp_path):
+        """A record another process journaled after this runner loaded
+        the store is a cache hit, not a recomputation."""
+        cache = str(tmp_path / "cache.json")
+        job = _job(TechniqueSpec.of("baseline"))
+        ours = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                cache_path=cache)
+        peer = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                cache_path=cache)
+        kernel, technique, _ = materialize_job(job)
+        # A marker record no simulation produces: recomputing would not
+        # return it.
+        marker = RunRecord(
+            kernel_name="peer", config_name=CFG.name, technique="baseline",
+            cycles=1, ctas_total=1, ctas_per_sm_resident=1,
+            cycles_per_cta=1.0, theoretical_occupancy=1.0,
+            acquire_attempts=0, acquire_successes=0, release_count=0,
+            instructions_issued=1, stall_acquire=0, stall_memory=0,
+        )
+        peer.install(peer.key_for(kernel, job.config, technique), marker)
+
+        orch = Orchestrator(ours, workers=1)
+        assert orch.run_jobs([job])[job] == marker
+        assert (ours.cache_hits, ours.cache_misses) == (1, 0)
+        assert orch.telemetry.cache_hits == 1
 
 
 class TestValidation:

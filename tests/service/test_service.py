@@ -164,6 +164,28 @@ class TestTimeoutPropagation:
         drive(svc_config(tmp_path, job_timeout=60.0), body)
 
 
+    def test_timeout_leaves_other_submissions_running_sibling_alone(
+        self, tmp_path
+    ):
+        """The daemon twin of the orchestrator's per-job timeout test: a
+        second submission's job running next to the one that times out
+        finishes on its first attempt, and the retired pool's workers
+        are terminated only after it."""
+        async def body(service):
+            (hung, _), = service.submit([sleeper_job(8.0)], timeout=0.5)
+            (sibling, _), = service.submit([sleeper_job(2.0)])
+            await asyncio.gather(hung.task, sibling.task)
+            assert hung.status == FAILED
+            assert hung.failure.kind == "timeout"
+            assert sibling.status == DONE
+            assert isinstance(sibling.record, RunRecord)
+            assert sibling.timing.attempts == 1
+            assert service.stats["timeouts"] == 1
+            assert service.stats["pool_restarts"] == 1
+
+        drive(svc_config(tmp_path, workers=2, max_retries=0), body)
+
+
 class TestObserveWiring:
     def test_job_lifecycle_lands_on_the_bus(self, tmp_path):
         async def body(service):
@@ -253,19 +275,15 @@ class TestJobErrors:
         """Whatever a pool future raises besides a worker death (say, a
         result that cannot be pickled) ends the job with a terminal
         failure instead of leaving it running."""
-        class RaisingPool:
-            def submit(self, *args, **kwargs):
-                future = concurrent.futures.Future()
-                future.set_exception(TypeError("cannot pickle result"))
-                return future
+        def raising_submit(pool, job, key):
+            future = concurrent.futures.Future()
+            future.set_exception(TypeError("cannot pickle result"))
+            return future
 
         async def body(service):
-            real, service._pool = service._pool, RaisingPool()
-            try:
-                ((state, _),) = service.submit([make_job()])
-                await asyncio.wait_for(state.task, timeout=30.0)
-            finally:
-                service._pool = real
+            service.executor._submit = raising_submit
+            ((state, _),) = service.submit([make_job()])
+            await asyncio.wait_for(state.task, timeout=30.0)
             assert state.status == FAILED
             assert state.failure.kind == "job-error"
             assert state.failure.message.startswith(
