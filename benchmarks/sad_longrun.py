@@ -6,12 +6,11 @@ GTX480 SM under RegMutex, seed 2018, 8 total CTAs — enough cycles
 sits under a percent.  Reports wall time and cycles/sec, best of
 ``--repeat`` runs next to the median and median absolute deviation
 (MAD) of the per-run seconds, and (unless ``--no-artifact``) writes a
-schema-1
-perf artifact per code path — ``BENCH_sad_<path>.json`` — so the
-issue-path trajectory is committed alongside BENCH_seed.json (which
-stays the orchestrator baseline).  The path is ``scan``, or for the
-columnar engine whichever loop actually ran: ``native`` when
-``repro._native`` is built, ``columnar`` (pure Python) otherwise.
+schema-1 perf artifact per code path — ``BENCH_sad_<path>.json`` — so
+the issue-path numbers are committed next to the code.  The path is
+``scan``, or for the columnar engine whichever loop actually ran:
+``native`` when ``repro._native`` is built, ``columnar`` (pure Python)
+otherwise.
 
 Usage::
 
@@ -64,11 +63,10 @@ def run_once(engine: str) -> tuple[int, float]:
 def bench_engine(engine: str, repeat: int) -> dict:
     """Run one engine ``repeat`` times; return a schema-1 perf artifact.
 
-    Shaped exactly like ``repro.observe.perf.perf_artifact`` output so
-    ``load_perf_artifact`` / ``compare_perf_artifacts`` (and therefore
-    ``repro bench --baseline --fail-threshold``) accept these files as
-    baselines too.  Totals use the best run — the microbenchmark tracks
-    the engine's ceiling, not scheduler jitter on a busy machine — and
+    Shaped exactly like ``repro.observe.perf.perf_artifact`` output, so
+    one reader handles both kinds of file.  Totals use the best run —
+    the microbenchmark tracks the engine's ceiling, not scheduler
+    jitter on a busy machine — and
     ``spread`` records the median and MAD of the per-run seconds, so a
     reader can tell a real difference between two artifacts from noise.
     """

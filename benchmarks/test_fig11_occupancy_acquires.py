@@ -20,17 +20,23 @@ def test_fig11_occupancy_and_acquires(benchmark, runner):
     for entries in by_app.values():
         entries.sort(key=lambda r: r.es)
 
+    def cell(e, value):
+        # A failed sweep point (an |Es| whose kernel the compiler cannot
+        # compact) has no metric; it is also left out of every check
+        # below.
+        return f"failed ({e.failure})" if e.failure else f"{value:.0%}"
+
     print("\nFigure 11a — theoretical occupancy per |Es|")
     es_values = sorted({r.es for r in rows})
     print(format_table(
         ["app"] + [f"|Es|={e}" for e in es_values],
-        [[app, *[f"{e.theoretical_occupancy:.0%}" for e in entries]]
+        [[app, *[cell(e, e.theoretical_occupancy) for e in entries]]
          for app, entries in by_app.items()],
     ))
     print("\nFigure 11b — successful acquires per |Es|")
     print(format_table(
         ["app"] + [f"|Es|={e}" for e in es_values],
-        [[app, *[f"{e.acquire_success_rate:.0%}" for e in entries]]
+        [[app, *[cell(e, e.acquire_success_rate) for e in entries]]
          for app, entries in by_app.items()],
     ))
 
@@ -58,6 +64,7 @@ def test_fig11_occupancy_and_acquires(benchmark, runner):
     # Somewhere in the suite the success-rate penalty is substantial —
     # that is what makes |Es| selection an actual trade-off.
     assert any(
-        min(e.acquire_success_rate for e in entries) < 0.75
+        min(e.acquire_success_rate for e in entries if e.failure is None)
+        < 0.75
         for entries in by_app.values()
     )

@@ -28,6 +28,11 @@ def pct(x: float) -> str:
     return f"{x * 100:+.1f}%"
 
 
+def failed(row) -> str:
+    """The cell of a failed sweep point (it has no metric), else ''."""
+    return f"failed ({row.failure})" if row.failure else ""
+
+
 def main(out_path: str) -> None:
     r = ExperimentRunner(cache_path=os.path.abspath(_CACHE))
 
@@ -186,12 +191,17 @@ def main(out_path: str) -> None:
     w("|---|" + "---|" * len(es_values))
     for app, xs in sorted(by_app.items()):
         xs.sort(key=lambda x: x.es)
-        cells = [pct(x.cycle_reduction) + ("*" if x.is_heuristic_pick else "")
-                 for x in xs]
+        cells = [(failed(x) or pct(x.cycle_reduction))
+                 + ("*" if x.is_heuristic_pick else "") for x in xs]
         w(f"| {app} | " + " | ".join(cells) + " |")
     w("")
     def _pick_ok(xs) -> bool:
-        pick = next(x for x in xs if x.is_heuristic_pick)
+        # Failed sweep points have no metric: leave them out of the
+        # best and the ranks.
+        xs = [x for x in xs if x.failure is None]
+        pick = next((x for x in xs if x.is_heuristic_pick), None)
+        if pick is None:
+            return False
         best = max(y.cycle_reduction for y in xs)
         rank = sorted(
             (y.cycle_reduction for y in xs), reverse=True
@@ -215,8 +225,8 @@ def main(out_path: str) -> None:
     w("|---|" + "---|" * len(es_values))
     for app, xs in sorted(by_app.items()):
         xs.sort(key=lambda x: x.es)
-        cells = [f"{x.theoretical_occupancy:.0%} / {x.acquire_success_rate:.0%}"
-                 for x in xs]
+        cells = [failed(x) or f"{x.theoretical_occupancy:.0%} / "
+                 f"{x.acquire_success_rate:.0%}" for x in xs]
         w(f"| {app} | " + " | ".join(cells) + " |")
     w("")
     w("(cells: theoretical occupancy / successful-acquire ratio)")

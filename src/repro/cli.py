@@ -10,8 +10,6 @@ Usage::
     python -m repro run BFS --technique regmutex [--half-rf] [--es 6]
     python -m repro profile SAD --out trace.json [--stride 64] [--csv t.csv]
     python -m repro bench [--figures fig7,fig9a] [--workers 8] [--label ci]
-    python -m repro bench --history benchmarks/history.jsonl --gate
-    python -m repro dashboard [--out dashboard.html] [--profile SAD]
     python -m repro faults [--seed 7] [--skip-harness]
     python -m repro check [--smoke] [--apps BFS,SAD] [--update-golden]
     python -m repro check --faults
@@ -27,16 +25,11 @@ loadable at https://ui.perfetto.dev (one track per warp, scheduler, and
 SRP section).  ``bench`` regenerates whole figure suites through the
 orchestrator — jobs are deduplicated across figures, dispatched to
 ``--workers`` processes, a telemetry report (per-job timings, cache
-hits/misses, worker utilization) is printed at the end, and the session
-is stamped into a regression-trackable ``BENCH_<label>.json`` perf
-artifact.  ``--history PATH`` additionally appends the session (plus
-git SHA / machine provenance) to a per-commit JSONL journal, and
-``--gate`` fails the run only when throughput falls outside that
-machine's own median ± k·MAD noise band (:mod:`repro.dashboard.gate`).
-``dashboard`` renders the journal plus committed ``BENCH_*.json``
-artifacts into a self-contained static HTML results page — per-engine
-throughput trends, figure-vs-paper diffs, cache and failure trends, and
-an optional live stall-attribution flame (``--profile APP``).
+hits/misses, worker utilization) is printed at the end, followed by a
+measured-vs-paper table of every figure headline the run covers, and
+the session is written to a ``BENCH_<label>.json`` perf artifact.
+Performance is gated by ``benchmarks/perf_ab.py``, a same-machine A/B
+of ``perfbench/`` against the base commit, not by ``bench``.
 ``--workers N`` on a figure command parallelizes just that figure.
 
 ``faults`` runs the deterministic fault-injection campaign
@@ -228,100 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-artifact", action="store_true",
         help="skip writing the BENCH_<label>.json perf artifact",
     )
-    bench.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="perf artifact to compare cycles/sec against; prints a "
-             "::warning:: line (never fails) beyond a 15%% regression",
-    )
-    bench.add_argument(
-        "--fail-threshold", type=float, default=None, metavar="PCT",
-        help="with --baseline: exit non-zero (::error:: annotation) "
-             "when cycles/sec regresses more than PCT%% below the "
-             "baseline — the CI hard gate; without it the comparison "
-             "stays advisory.  Inconclusive comparisons (e.g. a fully "
-             "cached run with no throughput number) warn and pass",
-    )
-    bench.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="append this session to a per-commit BENCH history journal "
-             "(e.g. benchmarks/history.jsonl); the substrate for "
-             "--gate and `repro dashboard`",
-    )
-    bench.add_argument(
-        "--commit", default=None, metavar="SHA",
-        help="git SHA recorded with --history "
-             "(default: $GITHUB_SHA, then 'local')",
-    )
-    bench.add_argument(
-        "--timestamp", type=float, default=None, metavar="EPOCH",
-        help="UNIX timestamp recorded with --history (default: now); "
-             "CI passes the commit time so reruns stay attributable",
-    )
-    bench.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine label for --history/--gate (default: hostname); "
-             "CI should pass a stable label — noise bands are "
-             "per-machine",
-    )
-    bench.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="engine label recorded with --history (groups the "
-             "dashboard's trend lines; default: none)",
-    )
-    bench.add_argument(
-        "--gate", action="store_true",
-        help="with --history: gate throughput against a noise band "
-             "(median ± k·MAD of recent same-machine entries) instead "
-             "of the fixed --fail-threshold, once enough history "
-             "exists; falls back to --fail-threshold until then",
-    )
-    bench.add_argument(
-        "--gate-window", type=int, default=None, metavar="N",
-        help="history entries the noise band is fitted over "
-             "(default: 20)",
-    )
-    bench.add_argument(
-        "--gate-k", type=float, default=None, metavar="K",
-        help="band half-width in MADs (default: 4.0)",
-    )
-    bench.add_argument(
-        "--gate-min-entries", type=int, default=None, metavar="N",
-        help="minimum same-machine history entries before the gate is "
-             "conclusive (default: 5)",
-    )
-
-    dash = sub.add_parser(
-        "dashboard",
-        help="render the static HTML results dashboard (throughput "
-             "trends, figure-vs-paper diffs, cache/failure trends)",
-    )
-    dash.add_argument(
-        "--history", default="benchmarks/history.jsonl", metavar="PATH",
-        help="BENCH history journal to plot (default: %(default)s; "
-             "missing file renders an artifact-only page)",
-    )
-    dash.add_argument(
-        "--artifacts", default="BENCH_*.json", metavar="GLOB",
-        help="perf artifacts to include (default: %(default)s)",
-    )
-    dash.add_argument(
-        "--out", default="dashboard.html", metavar="PATH",
-        help="output HTML file (default: %(default)s)",
-    )
-    dash.add_argument(
-        "--title", default=None, help="page title override",
-    )
-    dash.add_argument(
-        "--profile", default=None, metavar="APP",
-        help="also run one observed SM profile of APP (RegMutex, "
-             "GTX480) and embed its stall-attribution flame",
-    )
-    dash.add_argument(
-        "--profile-ctas", type=int, default=2, metavar="N",
-        help="CTAs for the --profile run (default: %(default)s)",
-    )
-    dash.add_argument("--seed", type=int, default=2018,
-                      help="--profile simulation seed (default: %(default)s)")
     for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate {name}")
         p.add_argument(
@@ -589,12 +488,19 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
     print()
     print(format_telemetry(orch.telemetry))
 
-    from repro.dashboard.figures import summarize_figures
-    from repro.observe.perf import perf_artifact, write_perf_artifact
+    from repro.harness.figures import figure_diffs, summarize_figures
+    from repro.observe.perf import write_perf_artifact
 
     figures_summary = summarize_figures(rows_by_name)
-    current = perf_artifact(args.label, orch.telemetry,
-                            figures=figures_summary)
+    diffs = figure_diffs(figures_summary)
+    if diffs:
+        print("\nmeasured vs. paper")
+        print(format_table(
+            ["figure", "metric", "measured", "paper", "diff", "apps"],
+            [[t.figure, t.metric, percent(measured), percent(t.paper),
+              percent(diff), int(figures_summary[t.figure]["apps"])]
+             for t, measured, diff in diffs],
+        ))
     if not args.no_artifact:
         path = write_perf_artifact(
             args.label, orch.telemetry, directory=args.artifact_dir,
@@ -602,146 +508,6 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
         )
         print(f"\n(perf artifact written to {path})")
 
-    exit_code = 0
-    gate_conclusive = False
-    if args.gate:
-        # Noise-band gate: the session's throughput against the median
-        # ± k·MAD of this machine's own recent history.  It *replaces*
-        # the fixed --fail-threshold once the machine has enough
-        # entries; until then it is inconclusive and the fixed
-        # threshold below still governs.
-        if not args.history:
-            raise ValueError("--gate requires --history")
-        from repro.dashboard.gate import evaluate_gate
-        from repro.dashboard.history import default_machine, load_history
-
-        machine = args.machine or default_machine()
-        gate_kwargs = {}
-        if args.gate_window is not None:
-            gate_kwargs["window"] = args.gate_window
-        if args.gate_k is not None:
-            gate_kwargs["k"] = args.gate_k
-        if args.gate_min_entries is not None:
-            gate_kwargs["min_entries"] = args.gate_min_entries
-        gate = evaluate_gate(
-            current["totals"]["cycles_per_sec"],
-            load_history(args.history),
-            label=args.label, machine=machine, **gate_kwargs,
-        )
-        if gate.regressed:
-            print(f"::error::{gate.message}")
-            exit_code = 1
-            gate_conclusive = True
-        elif gate.inconclusive:
-            print(f"::warning::{gate.message}")
-        else:
-            print(f"(noise-band gate ok: {gate.message})")
-            gate_conclusive = True
-
-    if args.baseline and not gate_conclusive:
-        from repro.observe.perf import (
-            compare_perf_artifacts,
-            load_perf_artifact,
-        )
-
-        baseline = load_perf_artifact(args.baseline)
-        hard = None
-        if args.fail_threshold is not None:
-            # Hard gate: regressions past the caller's band fail the
-            # run (GitHub Actions ::error:: annotation + exit 1).
-            # Inconclusive comparisons — a fully-cached session has no
-            # cycles_per_sec at all — warn and PASS: "no data" is not
-            # "slower", and a warm cache must never fail CI.
-            if args.fail_threshold < 0:
-                raise ValueError("--fail-threshold must be >= 0")
-            hard = compare_perf_artifacts(
-                current, baseline, warn_threshold=args.fail_threshold / 100.0
-            )
-            if hard.regressed:
-                for line in hard.messages:
-                    print(f"::error::{line}")
-                exit_code = 1
-            elif hard.inconclusive:
-                for line in hard.messages:
-                    print(f"::warning::{line}")
-        if args.fail_threshold is None or (hard is not None and hard.ok):
-            advisory = compare_perf_artifacts(current, baseline)
-            for line in advisory.messages:
-                # GitHub Actions annotation syntax; advisory (absolute
-                # throughput is machine-dependent) — pass
-                # --fail-threshold or --gate for a hard gate.
-                print(f"::warning::{line}")
-            if advisory.ok:
-                print(
-                    f"(throughput ok vs baseline {baseline['label']!r}: "
-                    f"{advisory.current:,.0f} vs "
-                    f"{advisory.baseline:,.0f} cycles/sec)"
-                )
-
-    if args.history:
-        # Recorded even when the gate failed: the history must show the
-        # dip, and median ± MAD keeps one bad commit from dragging the
-        # band.  CI passes --commit $GITHUB_SHA and a stable --machine.
-        import os as _os
-
-        from repro.dashboard.history import append_history
-
-        sha = args.commit or _os.environ.get("GITHUB_SHA") or "local"
-        append_history(
-            args.history, current, sha=sha, timestamp=args.timestamp,
-            machine=args.machine, engine=args.engine,
-        )
-        print(f"(bench session appended to {args.history} @ {sha[:10]})")
-    return exit_code
-
-
-def _cmd_dashboard(args) -> int:
-    """Render the static HTML results dashboard."""
-    import glob
-
-    from repro.dashboard import load_history, render_dashboard, write_dashboard
-    from repro.observe.perf import load_perf_artifact
-
-    history = load_history(args.history)
-    artifacts = []
-    for path in sorted(glob.glob(args.artifacts)):
-        try:
-            artifacts.append((Path(path).name, load_perf_artifact(path)))
-        except (OSError, ValueError) as exc:
-            print(f"::warning::skipping {path}: {exc}")
-    profile_data = None
-    if args.profile:
-        from repro.analysis.bottleneck import attribute_bottlenecks
-        from repro.observe import profile_kernel
-
-        spec = get_app(args.profile)
-        technique, priority = _technique_for("regmutex", spec.expected_es)
-        result = profile_kernel(
-            build_app_kernel(spec), GTX480, technique,
-            total_ctas=args.profile_ctas, scheduler_priority=priority,
-            seed=args.seed,
-        )
-        report = attribute_bottlenecks(
-            result.stats, num_schedulers=GTX480.num_schedulers
-        )
-        profile_data = {
-            "title": f"{spec.name} / regmutex on {GTX480.name}",
-            "issue_slots": report.issue_slots,
-            "issued": report.issued,
-            "stalls": dict(report.stalls),
-        }
-    import datetime
-
-    generated = datetime.datetime.now(datetime.timezone.utc).strftime(
-        "%Y-%m-%d %H:%M UTC"
-    )
-    page = render_dashboard(
-        history, artifacts, profile=profile_data, generated_at=generated,
-        **({"title": args.title} if args.title else {}),
-    )
-    write_dashboard(args.out, page)
-    print(f"(dashboard written to {args.out}: {len(history)} history "
-          f"entries, {len(artifacts)} artifacts)")
     return 0
 
 
@@ -1096,8 +862,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_check(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
     try:
         with ExperimentRunner(cache_path=args.cache) as runner:
             if args.command == "run":

@@ -2,16 +2,16 @@
 
 ``repro bench`` already builds every figure's rows; this module boils
 each figure down to the scalar(s) the paper reports (mean cycle
-reduction, mean slowdown on the half file, …) so the perf artifact —
-and therefore the per-commit history — carries reproduction quality
-alongside simulator speed.  ``PAPER_TARGETS`` pins the numbers the
-RegMutex paper states for Figures 7–13 (the same values the benchmark
-suite's docstrings assert neighbourhoods around), and the dashboard
-renders measured-minus-paper diffs from the two.
+reduction, mean slowdown on the half file, …) so the perf artifact
+carries reproduction quality alongside simulator speed.
+``PAPER_TARGETS`` pins the numbers the RegMutex paper states for
+Figures 7–13 (the same values the benchmark suite's docstrings assert
+neighbourhoods around), and ``repro bench`` prints measured-minus-paper
+diffs from the two.
 
 Metrics are fractions (0.13 == +13 %).  A figure run on an app subset
-still summarizes — the dashboard labels every diff with the app count
-so a 1-app CI smoke is never mistaken for the full 8-app average.
+still summarizes — the paper-diff table labels every diff with the app
+count so a 1-app CI smoke is never mistaken for the full 8-app average.
 """
 
 from __future__ import annotations

@@ -45,13 +45,7 @@ from repro.observe.export import (
 from repro.observe.hooks import ObservingTechniqueState, SmObserver
 from repro.observe.perf import (
     PERF_ARTIFACT_VERSION,
-    STATUS_INCONCLUSIVE,
-    STATUS_OK,
-    STATUS_REGRESSED,
-    PerfComparison,
     artifact_filename,
-    compare_perf_artifacts,
-    load_perf_artifact,
     perf_artifact,
     write_perf_artifact,
 )
@@ -77,7 +71,6 @@ __all__ = [
     "JOB_RUNNING",
     "ObservingTechniqueState",
     "PERF_ARTIFACT_VERSION",
-    "PerfComparison",
     "ProbeSample",
     "ProbeSeries",
     "ProfileResult",
@@ -86,18 +79,13 @@ __all__ = [
     "SECTION_RELEASE",
     "STALL",
     "STALL_CATEGORIES",
-    "STATUS_INCONCLUSIVE",
-    "STATUS_OK",
-    "STATUS_REGRESSED",
     "SimEvent",
     "SmObserver",
     "WARP_FINISH",
     "WATCHDOG",
     "artifact_filename",
     "chrome_trace_events",
-    "compare_perf_artifacts",
     "job_trace_events",
-    "load_perf_artifact",
     "perf_artifact",
     "profile_kernel",
     "profile_report",

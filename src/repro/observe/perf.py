@@ -1,12 +1,12 @@
-"""Perf artifacts: regression-trackable ``BENCH_<label>.json`` files.
+"""Perf artifacts: ``BENCH_<label>.json`` files.
 
 ``repro bench`` stamps every orchestrated job with its wall time,
 simulated cycles, and cycles/second through the harness telemetry, and
 this module serializes the session into a schema-versioned JSON
-artifact at the repo root.  CI uploads the file per run, giving the
-project a perf trajectory that survives across commits — the ROADMAP's
-"runs as fast as the hardware allows" goal needs a trail of numbers,
-not vibes.
+artifact at the repo root.  ``benchmarks/sad_longrun.py`` writes its
+issue-path microbenchmark in the same schema.  Changes are gated on
+``perfbench/`` instead (``benchmarks/perf_ab.py``); these files are the
+record of one session, not a baseline.
 
 Schema (``PERF_ARTIFACT_VERSION`` 1)::
 
@@ -30,8 +30,7 @@ excludes them, so folding their cycles into the numerator would inflate
 ``cycles_per_sec`` on any partially-cached session (and mask real
 regressions).  Cached cycles are reported separately as
 ``totals.cached_cycles``.  ``cached_cycles`` and ``figures`` are
-additive schema-1 fields — absent in older artifacts, tolerated by
-every consumer.
+additive schema-1 fields, absent in older artifacts.
 """
 
 from __future__ import annotations
@@ -39,19 +38,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 
 from repro.harness.telemetry import SessionTelemetry
 
 PERF_ARTIFACT_VERSION = 1
-
-# Comparison verdicts: a comparison either has a conclusive answer
-# ("ok" / "regressed") or no data to answer with ("inconclusive" — e.g.
-# a fully-cached session computed nothing, so it has no throughput).
-# Callers gate on ``regressed`` only; inconclusive must warn, not fail.
-STATUS_OK = "ok"
-STATUS_REGRESSED = "regressed"
-STATUS_INCONCLUSIVE = "inconclusive"
 
 _LABEL_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -70,8 +60,7 @@ def perf_artifact(
     """Build the artifact dict from one orchestration session.
 
     ``figures`` optionally embeds per-figure headline metrics (see
-    :mod:`repro.dashboard.figures`) so the dashboard can diff them
-    against the paper's targets commit over commit.
+    :mod:`repro.harness.figures`) next to the simulator's speed.
     """
     # Per-job entries are JobTiming.to_dict() verbatim: the perf
     # artifact and the service wire protocol share one serialization.
@@ -126,87 +115,3 @@ def write_perf_artifact(
         fh.write("\n")
     os.replace(tmp, path)
     return path
-
-
-def load_perf_artifact(path: str) -> dict:
-    """Load and minimally validate a perf artifact (schema gate)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != PERF_ARTIFACT_VERSION:
-        raise ValueError(
-            f"{path}: not a schema-{PERF_ARTIFACT_VERSION} perf artifact"
-        )
-    for key in ("label", "totals", "cache", "jobs"):
-        if key not in data:
-            raise ValueError(f"{path}: missing key {key!r}")
-    return data
-
-
-@dataclass(frozen=True)
-class PerfComparison:
-    """Outcome of one throughput comparison.
-
-    ``status`` is one of :data:`STATUS_OK`, :data:`STATUS_REGRESSED`,
-    :data:`STATUS_INCONCLUSIVE`.  The distinction matters to gates: a
-    fully-cached run has no throughput number — that is *no data*, not
-    a regression, and must never fail CI.
-    """
-
-    status: str
-    messages: tuple[str, ...] = ()
-    current: float | None = None
-    baseline: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-    @property
-    def regressed(self) -> bool:
-        return self.status == STATUS_REGRESSED
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.status == STATUS_INCONCLUSIVE
-
-
-def compare_perf_artifacts(
-    current: dict, baseline: dict, warn_threshold: float = 0.15
-) -> PerfComparison:
-    """Compare headline simulation throughput against a baseline artifact.
-
-    Returns a :class:`PerfComparison`: ``ok`` when the current run's
-    ``totals.cycles_per_sec`` is within ``warn_threshold`` of the
-    baseline's (or faster), ``regressed`` when it fell below the band,
-    and ``inconclusive`` when either side has no throughput number at
-    all (e.g. every job came from cache).  Callers decide severity:
-    ``repro bench --baseline`` prints warnings, ``--fail-threshold``
-    fails the run on ``regressed`` *only* — inconclusive comparisons
-    warn and pass, because "no data" is not "slower".
-    """
-    cur = current.get("totals", {}).get("cycles_per_sec")
-    base = baseline.get("totals", {}).get("cycles_per_sec")
-    if cur is None or base is None or cur <= 0 or base <= 0:
-        return PerfComparison(
-            status=STATUS_INCONCLUSIVE,
-            messages=(
-                "perf comparison inconclusive: cycles_per_sec missing "
-                f"(current={cur!r}, baseline={base!r}) — all jobs cached?",
-            ),
-            current=cur,
-            baseline=base,
-        )
-    ratio = cur / base
-    if ratio < 1.0 - warn_threshold:
-        return PerfComparison(
-            status=STATUS_REGRESSED,
-            messages=(
-                f"simulation throughput regressed {1.0 - ratio:.0%} vs "
-                f"baseline {baseline.get('label', '?')!r}: "
-                f"{cur:,.0f} cycles/sec vs {base:,.0f} "
-                f"(warn threshold {warn_threshold:.0%})",
-            ),
-            current=cur,
-            baseline=base,
-        )
-    return PerfComparison(status=STATUS_OK, current=cur, baseline=base)

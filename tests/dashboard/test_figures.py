@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.dashboard.figures import (
+from repro.harness.figures import (
     PAPER_TARGETS,
     figure_diffs,
     summarize_figures,

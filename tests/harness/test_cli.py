@@ -1,6 +1,8 @@
 """Tests for the command-line interface (cheap commands only; the
 figure commands are exercised by the benchmark suite)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -77,188 +79,16 @@ class TestCli:
         assert "cache misses" in out
         assert "slowest" in out
         assert "BENCH_cli-test.json" in out
-        from repro.observe.perf import load_perf_artifact
-
-        artifact = load_perf_artifact(str(tmp_path / "BENCH_cli-test.json"))
+        # The paper-diff table follows the telemetry report.
+        assert "measured vs. paper" in out
+        assert out.index("measured vs. paper") > out.index(
+            "orchestration telemetry")
+        [diff_line] = [ln for ln in out.splitlines()
+                       if "mean_cycle_reduction" in ln]
+        assert "fig7" in diff_line and "+13.0%" in diff_line
+        artifact = json.loads((tmp_path / "BENCH_cli-test.json").read_text())
         assert artifact["totals"]["jobs"] == 2
         assert artifact["totals"]["cycles"] > 0
-
-    def test_bench_fail_threshold_gate(self, capsys, tmp_path, monkeypatch):
-        """--fail-threshold turns the baseline comparison into a hard
-        gate: exit 1 + ::error:: on regression, exit 0 otherwise."""
-        import json
-
-        from repro.arch.config import fermi_like
-        from repro.harness import experiments as E
-
-        cfg = fermi_like(
-            name="cli-bench", num_sms=1, max_warps_per_sm=8,
-            max_ctas_per_sm=2, max_threads_per_sm=256,
-            registers_per_sm=8192, dram_latency=60, l1_hit_latency=8,
-        )
-        monkeypatch.setattr(
-            E, "FIGURE_SPECS",
-            {"fig7": lambda: E.fig7_spec(("Gaussian",), cfg)},
-        )
-        cache = str(tmp_path / "c.json")
-        assert main([
-            "--cache", cache, "bench",
-            "--label", "gate", "--artifact-dir", str(tmp_path),
-        ]) == 0
-        artifact = json.loads((tmp_path / "BENCH_gate.json").read_text())
-
-        # A baseline no machine can match: the gate must trip.
-        fast = dict(artifact, totals=dict(
-            artifact["totals"], cycles_per_sec=1e18))
-        (tmp_path / "BENCH_fast.json").write_text(json.dumps(fast))
-        capsys.readouterr()
-        # Fresh caches below so the jobs actually compute: a measured
-        # throughput far below the absurd baseline must trip the gate.
-        assert main([
-            "--cache", str(tmp_path / "c2.json"), "bench", "--no-artifact",
-            "--baseline", str(tmp_path / "BENCH_fast.json"),
-            "--fail-threshold", "50",
-        ]) == 1
-        assert "::error::" in capsys.readouterr().out
-
-        # A floor baseline: any run clears it, the gate stays quiet.
-        slow = dict(artifact, totals=dict(
-            artifact["totals"], cycles_per_sec=0.001))
-        (tmp_path / "BENCH_slow.json").write_text(json.dumps(slow))
-        assert main([
-            "--cache", str(tmp_path / "c3.json"), "bench", "--no-artifact",
-            "--baseline", str(tmp_path / "BENCH_slow.json"),
-            "--fail-threshold", "50",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "::error::" not in out
-        assert "throughput ok" in out
-
-        with pytest.raises(ValueError):
-            main([
-                "--cache", cache, "bench", "--no-artifact",
-                "--baseline", str(tmp_path / "BENCH_slow.json"),
-                "--fail-threshold", "-1",
-            ])
-
-    def _tiny_fig7(self, monkeypatch):
-        from repro.arch.config import fermi_like
-        from repro.harness import experiments as E
-
-        cfg = fermi_like(
-            name="cli-bench", num_sms=1, max_warps_per_sm=8,
-            max_ctas_per_sm=2, max_threads_per_sm=256,
-            registers_per_sm=8192, dram_latency=60, l1_hit_latency=8,
-        )
-        monkeypatch.setattr(
-            E, "FIGURE_SPECS",
-            {"fig7": lambda: E.fig7_spec(("Gaussian",), cfg)},
-        )
-
-    def test_bench_fully_cached_gate_passes(self, capsys, tmp_path,
-                                            monkeypatch):
-        """Regression: a warm-cache run has no throughput number; the
-        hard gate must warn and PASS, not fail CI as a regression."""
-        self._tiny_fig7(monkeypatch)
-        cache = str(tmp_path / "c.json")
-        assert main([
-            "--cache", cache, "bench",
-            "--label", "warm", "--artifact-dir", str(tmp_path),
-        ]) == 0
-        capsys.readouterr()
-        # Second run, same cache: every job is a cache hit.  Even
-        # against an unbeatable baseline the gate must exit 0.
-        import json
-        artifact = json.loads((tmp_path / "BENCH_warm.json").read_text())
-        fast = dict(artifact, totals=dict(
-            artifact["totals"], cycles_per_sec=1e18))
-        (tmp_path / "BENCH_fast.json").write_text(json.dumps(fast))
-        assert main([
-            "--cache", cache, "bench", "--no-artifact",
-            "--baseline", str(tmp_path / "BENCH_fast.json"),
-            "--fail-threshold", "50",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "::error::" not in out
-        assert "::warning::" in out and "inconclusive" in out
-
-    def test_bench_history_and_noise_band_gate(self, capsys, tmp_path,
-                                               monkeypatch):
-        """--history appends a provenance-stamped journal entry;
-        --gate fails the run only outside the machine's noise band."""
-        import json
-
-        from repro.dashboard.history import append_history, load_history
-
-        self._tiny_fig7(monkeypatch)
-        hist = str(tmp_path / "history.jsonl")
-        assert main([
-            "--cache", str(tmp_path / "c.json"), "bench", "--no-artifact",
-            "--history", hist, "--commit", "abc123", "--machine", "box",
-            "--engine", "scan", "--label", "ci",
-        ]) == 0
-        [entry] = load_history(hist)
-        assert entry.sha == "abc123"
-        assert entry.machine == "box"
-        assert entry.engine == "scan"
-        assert entry.cycles_per_sec is not None
-        assert "fig7" in entry.figures  # headline metrics ride along
-        capsys.readouterr()
-
-        # Fabricate a history of impossibly fast same-machine runs:
-        # the noise-band gate must trip (and still append the dip).
-        fake = dict(entry.artifact, totals=dict(
-            entry.artifact["totals"], cycles_per_sec=1e18))
-        fast_hist = str(tmp_path / "fast.jsonl")
-        for i in range(5):
-            append_history(fast_hist, fake, sha=f"s{i}", machine="box",
-                           timestamp=float(i))
-        assert main([
-            "--cache", str(tmp_path / "c2.json"), "bench", "--no-artifact",
-            "--history", fast_hist, "--machine", "box", "--label", "ci",
-            "--gate",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "::error::" in out and "noise band" in out
-        assert len(load_history(fast_hist)) == 6  # dip recorded anyway
-
-        # Too little history: the gate is inconclusive, warns, passes.
-        assert main([
-            "--cache", str(tmp_path / "c2.json"), "bench", "--no-artifact",
-            "--history", hist, "--machine", "box", "--label", "ci",
-            "--gate",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "::error::" not in out
-        assert "::warning::" in out and "inconclusive" in out
-
-        with pytest.raises(ValueError, match="--gate requires"):
-            main([
-                "--cache", str(tmp_path / "c.json"), "bench",
-                "--no-artifact", "--gate",
-            ])
-
-    def test_dashboard_command(self, capsys, tmp_path, monkeypatch):
-        """`repro dashboard` renders history + artifacts into one page."""
-        self._tiny_fig7(monkeypatch)
-        hist = str(tmp_path / "history.jsonl")
-        assert main([
-            "--cache", str(tmp_path / "c.json"), "bench",
-            "--label", "ci", "--artifact-dir", str(tmp_path),
-            "--history", hist, "--commit", "abc123", "--engine", "scan",
-        ]) == 0
-        capsys.readouterr()
-        out_html = str(tmp_path / "dash.html")
-        assert main([
-            "dashboard", "--history", hist,
-            "--artifacts", str(tmp_path / "BENCH_*.json"),
-            "--out", out_html,
-        ]) == 0
-        assert "dashboard written" in capsys.readouterr().out
-        page = open(out_html).read()
-        assert page.startswith("<!DOCTYPE html>")
-        assert "scan" in page  # the engine trend series
-        assert "BENCH_ci.json" in page
 
     def test_run_single_app(self, capsys, tmp_path):
         # Mini end-to-end through the CLI; uses the real GTX480 but the

@@ -12,8 +12,8 @@ import pytest
 
 from repro.arch.config import GTX480
 from repro.compiler.compaction import CompactionError
-from repro.dashboard.figures import summarize_figures
 from repro.harness import experiments as E
+from repro.harness.figures import summarize_figures
 from repro.harness.runner import RunRecord
 
 
