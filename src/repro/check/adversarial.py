@@ -15,156 +15,26 @@ each injected fault:
   (retry, failure taxonomy, job timeout, checksum quarantine) — the
   sanitizer has no process or file-format jurisdiction.
 
+The simulator scenarios are the campaign's own
+(:func:`repro.faults.campaign._sim_scenarios` with ``sanitizer=True``),
+run on its contract-clean probe kernel and classified by its one
+detector classifier.
+
 A fault that completes undetected, or dies as an untyped error, counts
 as escaped; the CI gate requires 10/10 caught-and-classified.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import shutil
 import tempfile
 
-from repro.errors import (
-    CycleLimitExceededError,
-    InvariantViolationError,
-    SanitizerError,
-    SimulationDeadlockError,
-    SimulationError,
-)
 from repro.faults.campaign import (
-    CAMPAIGN_CONFIG,
-    DETECTION_DEADLINE_CYCLES,
     FaultOutcome,
     _cache_scenarios,
-    _detection_cycle,
     _harness_scenarios,
+    _sim_scenarios,
 )
-from repro.faults.injector import FaultingRegMutexTechnique, FaultSpec
-from repro.isa.builder import KernelBuilder
-from repro.isa.kernel import Kernel
-from repro.sim.gpu import Gpu
-
-# The campaign config with the sanitizer armed.  ``debug_invariants``
-# stays off: the point is that the sanitizer subsumes it.
-SANITIZED_CONFIG = dataclasses.replace(CAMPAIGN_CONFIG, sanitizer=True)
-
-
-def _probe_kernel(hold_across_barrier: bool = False) -> Kernel:
-    """The campaign's acquire/work/release probe, contract-clean.
-
-    The campaign's own probe stores an extended register *after* the
-    release — harmless there, but under the sanitizer that would fire
-    ``extended-access`` on every run, fault or no fault.  This variant
-    moves the result into the base set before releasing, so a clean run
-    is sanitizer-silent and every violation below is the fault's doing.
-    """
-    b = KernelBuilder(name="check-probe", regs_per_thread=8, threads_per_cta=64)
-    for reg in range(4):
-        b.ldc(reg)
-    b.acquire()
-    b.alu(4, 0, 1)
-    b.alu(5, 2, 3)
-    b.alu(6, 4, 5)
-    b.alu(7, 6, 0)
-    b.mov(3, 7)  # result home in the base set before the release
-    b.release()
-    if hold_across_barrier:
-        b.barrier()
-    b.store(0, 3)
-    b.exit()
-    return b.build().with_metadata(base_set_size=4, extended_set_size=4)
-
-
-def _classify(exc: SimulationError) -> tuple[str, str]:
-    """(detector, provenance detail) for a structured simulator failure."""
-    if isinstance(exc, SanitizerError):
-        if exc.violations:
-            v = exc.violations[0]
-            subject = f" warp {v.warp_id} pc {v.pc}" if v.warp_id >= 0 else ""
-            return "sanitizer", f"{v.check} at cycle {v.cycle}{subject}: {v.message}"
-        return "sanitizer", str(exc)
-    if isinstance(exc, InvariantViolationError):
-        return "invariant-checker", str(exc).split(";")[0]
-    if isinstance(exc, SimulationDeadlockError):
-        detector = "watchdog" if "watchdog" in str(exc) else "deadlock-check"
-        return detector, str(exc).split(";")[0]
-    return type(exc).__name__, str(exc).split(";")[0]
-
-
-def _run_sanitized_scenario(
-    scenario: str,
-    fault: FaultSpec,
-    seed: int,
-    *,
-    kernel: Kernel,
-    retry_policy: str,
-    forced_sections: int | None = 1,
-) -> FaultOutcome:
-    technique = FaultingRegMutexTechnique(
-        fault, retry_policy=retry_policy, forced_sections=forced_sections
-    )
-    gpu = Gpu(SANITIZED_CONFIG, technique, seed=seed)
-    try:
-        gpu.launch(kernel, grid_ctas=8, max_cycles=DETECTION_DEADLINE_CYCLES)
-    except CycleLimitExceededError as exc:
-        return FaultOutcome(
-            scenario, fault.kind, fault.layer, detected=False, detector="",
-            cycles=_detection_cycle(exc),
-            detail="ran to the detection deadline undetected",
-        )
-    except SimulationError as exc:
-        detector, detail = _classify(exc)
-        return FaultOutcome(
-            scenario, fault.kind, fault.layer,
-            detected=exc.diagnostic is not None, detector=detector,
-            cycles=_detection_cycle(exc), detail=detail,
-        )
-    except RuntimeError as exc:
-        return FaultOutcome(
-            scenario, fault.kind, fault.layer, detected=False, detector="",
-            cycles=None, detail=f"escaped as bare {type(exc).__name__}: {exc}",
-        )
-    return FaultOutcome(
-        scenario, fault.kind, fault.layer, detected=False, detector="",
-        cycles=None, detail="simulation completed as if nothing happened",
-    )
-
-
-def _sanitized_sim_scenarios(seed: int) -> list[FaultOutcome]:
-    plain = _probe_kernel()
-    barrier = _probe_kernel(hold_across_barrier=True)
-    return [
-        # Lost release, both retry policies: the corruption leaves the
-        # section bit set with an empty LUT slot — the sanitizer's
-        # structural check fires the same cycle, where the un-sanitized
-        # campaign had to wait for the deadlock check / watchdog.
-        _run_sanitized_scenario(
-            "lost-release/wakeup",
-            FaultSpec("dropped-release", trigger=0, seed=seed),
-            seed, kernel=plain, retry_policy="wakeup",
-        ),
-        _run_sanitized_scenario(
-            "lost-release/eager",
-            FaultSpec("dropped-release", trigger=0, seed=seed),
-            seed, kernel=plain, retry_policy="eager",
-        ),
-        # Unbalanced acquire across a barrier: every structure remains
-        # self-consistent, so this one is *correctly* not the
-        # sanitizer's catch — the deadlock detectors classify it.
-        _run_sanitized_scenario(
-            "unbalanced-acquire/barrier",
-            FaultSpec("unbalanced-acquire", trigger=0, seed=seed),
-            seed, kernel=barrier, retry_policy="wakeup",
-        ),
-        # Flipped SRP bit: caught by the sanitizer at the first
-        # inconsistent cycle without debug_invariants.
-        _run_sanitized_scenario(
-            "srp-bit-flip/sanitizer",
-            FaultSpec("srp-bit-corruption", trigger=2, seed=seed),
-            seed, kernel=plain, retry_policy="wakeup", forced_sections=2,
-        ),
-    ]
 
 
 def run_adversarial_campaign(
@@ -173,7 +43,7 @@ def run_adversarial_campaign(
     workers: int = 2,
 ) -> list[FaultOutcome]:
     """All campaign scenarios, sanitizer armed where it has jurisdiction."""
-    outcomes = _sanitized_sim_scenarios(seed)
+    outcomes = _sim_scenarios(seed, sanitizer=True)
     workdir = tempfile.mkdtemp(prefix="regmutex-check-faults-")
     try:
         outcomes.extend(_cache_scenarios(seed, workdir))

@@ -39,12 +39,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.arch.config import GpuConfig, fermi_like
-from repro.baselines.owf import OwfTechnique, owf_priority
-from repro.baselines.rfv import RfvTechnique
 from repro.check.shadow import attach_shadow, mix64
 from repro.errors import SimulationError
-from repro.regmutex.issue_logic import RegMutexTechnique
-from repro.regmutex.paired import PairedWarpsTechnique
+from repro.harness.spec import TECHNIQUE_LANES, lane_technique
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
@@ -63,9 +60,7 @@ CHECK_CONFIG = fermi_like(
     sanitizer_stride=16,
 )
 
-ORACLE_TECHNIQUES: tuple[str, ...] = (
-    "baseline", "regmutex", "paired", "owf", "rfv",
-)
+ORACLE_TECHNIQUES: tuple[str, ...] = TECHNIQUE_LANES
 # Techniques that never rename registers: their final register maps
 # must match the baseline index-for-index.
 _EXACT_REGISTER_TECHNIQUES = frozenset({"owf", "rfv"})
@@ -80,27 +75,6 @@ GOLDEN_SCHEMA = 1
 DEFAULT_GOLDEN_DIR = Path("tests/check/golden")
 
 _MAX_CYCLES = 20_000_000
-
-
-def _technique_for(name: str):
-    """Technique instance + scheduler priority for one oracle lane.
-
-    Local twin of the CLI's factory (importing :mod:`repro.cli` from
-    here would be circular once the CLI imports the oracle).  |Es| is
-    left to the compiler heuristic so regmutex/paired/OWF all derive
-    their splits from the same selection pass.
-    """
-    if name == "baseline":
-        return BaselineTechnique(), None
-    if name == "regmutex":
-        return RegMutexTechnique(), None
-    if name == "paired":
-        return PairedWarpsTechnique(), None
-    if name == "owf":
-        return OwfTechnique(), owf_priority
-    if name == "rfv":
-        return RfvTechnique(), None
-    raise ValueError(f"unknown oracle technique {name!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +112,9 @@ def run_technique_trace(
         config = CHECK_CONFIG
     spec = get_app(app_name)
     kernel = build_app_kernel(spec)
-    technique, priority = _technique_for(technique_name)
+    # |Es| is left to the compiler heuristic, so regmutex/paired/OWF
+    # all derive their splits from the same selection pass.
+    technique, priority = lane_technique(technique_name)
 
     # Identical workload across lanes: two baseline waves of CTAs.  The
     # per-technique residency only changes *when* each CTA runs.

@@ -63,8 +63,6 @@ import sys
 from pathlib import Path
 
 from repro.arch.config import GTX480
-from repro.baselines.owf import OwfTechnique, owf_priority
-from repro.baselines.rfv import RfvTechnique
 from repro.errors import InterruptedRun
 from repro.harness import experiments as E
 from repro.harness.orchestrator import Orchestrator
@@ -75,8 +73,7 @@ from repro.harness.reporting import (
     percent,
 )
 from repro.harness.runner import ExperimentRunner
-from repro.regmutex.issue_logic import RegMutexTechnique
-from repro.regmutex.paired import PairedWarpsTechnique
+from repro.harness.spec import TECHNIQUE_LANES, lane_technique
 from repro.sim.technique import BaselineTechnique
 from repro.workloads.suite import APPLICATIONS, build_app_kernel, get_app
 
@@ -287,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("app", choices=sorted(APPLICATIONS))
     run.add_argument(
         "--technique",
-        choices=("baseline", "regmutex", "paired", "owf", "rfv"),
+        choices=TECHNIQUE_LANES,
         default="regmutex",
     )
     run.add_argument("--es", type=int, default=None,
@@ -303,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("app", choices=sorted(APPLICATIONS))
     profile.add_argument(
         "--technique",
-        choices=("baseline", "regmutex", "paired", "owf", "rfv"),
+        choices=TECHNIQUE_LANES,
         default="regmutex",
     )
     profile.add_argument("--es", type=int, default=None,
@@ -333,18 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include per-issue instant events in the trace (large)",
     )
     return parser
-
-
-def _technique_for(name: str, es: int | None):
-    """(technique, scheduler_priority) for a CLI technique name."""
-    factories = {
-        "baseline": lambda: (BaselineTechnique(), None),
-        "regmutex": lambda: (RegMutexTechnique(extended_set_size=es), None),
-        "paired": lambda: (PairedWarpsTechnique(extended_set_size=es), None),
-        "owf": lambda: (OwfTechnique(), owf_priority),
-        "rfv": lambda: (RfvTechnique(), None),
-    }
-    return factories[name]()
 
 
 def _apps_arg(args) -> tuple[str, ...] | None:
@@ -396,7 +381,7 @@ def _cmd_run(args, runner: ExperimentRunner) -> int:
     spec = get_app(args.app)
     config = GTX480.with_half_register_file() if args.half_rf else GTX480
     es = args.es if args.es is not None else spec.expected_es
-    technique, priority = _technique_for(args.technique, es)
+    technique, priority = lane_technique(args.technique, es)
     kernel = build_app_kernel(spec)
     record = runner.run(kernel, config, technique, scheduler_priority=priority)
     base = runner.run(kernel, config, BaselineTechnique())
@@ -429,7 +414,7 @@ def _cmd_profile(args) -> int:
     spec = get_app(args.app)
     config = GTX480.with_half_register_file() if args.half_rf else GTX480
     es = args.es if args.es is not None else spec.expected_es
-    technique, priority = _technique_for(args.technique, es)
+    technique, priority = lane_technique(args.technique, es)
     kernel = build_app_kernel(spec)
     result = profile_kernel(
         kernel, config, technique,

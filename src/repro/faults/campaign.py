@@ -36,6 +36,7 @@ from repro.errors import (
     CycleLimitExceededError,
     DeadlockDiagnostic,
     InvariantViolationError,
+    SanitizerError,
     SimulationDeadlockError,
     SimulationError,
 )
@@ -70,6 +71,11 @@ CAMPAIGN_CONFIG = fermi_like(
     dram_latency=60,
     l1_hit_latency=8,
 )
+
+# The campaign config with the sanitizer armed (``repro check
+# --faults``).  ``debug_invariants`` stays off: the point is that the
+# sanitizer subsumes it.
+SANITIZED_CONFIG = dataclasses.replace(CAMPAIGN_CONFIG, sanitizer=True)
 
 # Small device for the harness-level jobs (real workload apps).
 HARNESS_CONFIG = fermi_like(
@@ -108,7 +114,9 @@ def detection_rate(outcomes: list[FaultOutcome]) -> float:
 
 
 # -- simulator-layer scenarios -----------------------------------------------------
-def _probe_kernel(hold_across_barrier: bool = False) -> Kernel:
+def _probe_kernel(
+    hold_across_barrier: bool = False, contract_clean: bool = False
+) -> Kernel:
     """A pre-instrumented acquire/work/release kernel (|Bs|=|Es|=4).
 
     ``hold_across_barrier`` places a barrier after the release; the
@@ -116,8 +124,18 @@ def _probe_kernel(hold_across_barrier: bool = False) -> Kernel:
     holding its section at the barrier while its CTA-mate starves on
     acquire — the circular wait the compiler's deadlock-avoidance rules
     exist to prevent.
+
+    ``contract_clean`` is the sanitizer's variant: the plain probe
+    stores an extended register *after* the release — harmless without
+    the sanitizer, but under it that fires ``extended-access`` on every
+    run, fault or no fault — so this one moves the result into the base
+    set before releasing.  A clean run is then sanitizer-silent and
+    every violation is the fault's doing.
     """
-    b = KernelBuilder(name="fault-probe", regs_per_thread=8, threads_per_cta=64)
+    b = KernelBuilder(
+        name="check-probe" if contract_clean else "fault-probe",
+        regs_per_thread=8, threads_per_cta=64,
+    )
     for reg in range(4):
         b.ldc(reg)
     b.acquire()
@@ -125,10 +143,14 @@ def _probe_kernel(hold_across_barrier: bool = False) -> Kernel:
     b.alu(5, 2, 3)
     b.alu(6, 4, 5)
     b.alu(7, 6, 0)
+    result = 7
+    if contract_clean:
+        b.mov(3, 7)  # result home in the base set before the release
+        result = 3
     b.release()
     if hold_across_barrier:
         b.barrier()
-    b.store(0, 7)
+    b.store(0, result)
     b.exit()
     return b.build().with_metadata(base_set_size=4, extended_set_size=4)
 
@@ -138,6 +160,24 @@ def _detection_cycle(exc: SimulationError) -> int | None:
         return exc.diagnostic.cycle
     match = re.search(r"cycle (\d+)", str(exc))
     return int(match.group(1)) if match else None
+
+
+def _classify(exc: SimulationError) -> tuple[str, str]:
+    """(detector, provenance detail) for a structured simulator failure."""
+    if isinstance(exc, SanitizerError):
+        if exc.violations:
+            v = exc.violations[0]
+            subject = f" warp {v.warp_id} pc {v.pc}" if v.warp_id >= 0 else ""
+            return "sanitizer", (
+                f"{v.check} at cycle {v.cycle}{subject}: {v.message}"
+            )
+        return "sanitizer", str(exc)
+    if isinstance(exc, InvariantViolationError):
+        return "invariant-checker", str(exc).split(";")[0]
+    if isinstance(exc, SimulationDeadlockError):
+        detector = "watchdog" if "watchdog" in str(exc) else "deadlock-check"
+        return detector, str(exc).split(";")[0]
+    return type(exc).__name__, str(exc).split(";")[0]
 
 
 def _run_sim_scenario(
@@ -165,20 +205,11 @@ def _run_sim_scenario(
             detail="ran to the detection deadline undetected",
         )
     except SimulationError as exc:
-        if isinstance(exc, InvariantViolationError):
-            detector = "invariant-checker"
-        elif isinstance(exc, SimulationDeadlockError):
-            detector = (
-                "watchdog" if "watchdog" in str(exc) else "deadlock-check"
-            )
-        else:
-            detector = type(exc).__name__
-        has_diag = exc.diagnostic is not None
+        detector, detail = _classify(exc)
         return FaultOutcome(
             scenario, fault.kind, fault.layer,
-            detected=has_diag, detector=detector,
-            cycles=_detection_cycle(exc),
-            detail=str(exc).split(";")[0],
+            detected=exc.diagnostic is not None, detector=detector,
+            cycles=_detection_cycle(exc), detail=detail,
         )
     except RuntimeError as exc:
         return FaultOutcome(
@@ -191,39 +222,53 @@ def _run_sim_scenario(
     )
 
 
-def _sim_scenarios(seed: int) -> list[FaultOutcome]:
-    plain = _probe_kernel()
-    barrier = _probe_kernel(hold_across_barrier=True)
+def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
+    """The simulator-layer faults.  ``sanitizer=True`` re-runs them with
+    the sanitizer armed on the contract-clean probe (``repro check
+    --faults``), where the SRP corruptions become the sanitizer's catch
+    at the first inconsistent cycle."""
+    plain = _probe_kernel(contract_clean=sanitizer)
+    barrier = _probe_kernel(hold_across_barrier=True, contract_clean=sanitizer)
+    config = SANITIZED_CONFIG if sanitizer else CAMPAIGN_CONFIG
+    if sanitizer:
+        flip_scenario, flip_config = "srp-bit-flip/sanitizer", config
+    else:
+        flip_scenario = "srp-bit-flip/invariants"
+        flip_config = dataclasses.replace(config, debug_invariants=True)
     return [
         # Lost release, wakeup policy: every waiter parks with no timer
-        # pending — the no-timer deadlock check must fire.
+        # pending — the no-timer deadlock check must fire.  Under the
+        # sanitizer the section bit is left set with an empty LUT slot,
+        # and its structural check fires the same cycle.
         _run_sim_scenario(
             "lost-release/wakeup",
             FaultSpec("dropped-release", trigger=0, seed=seed),
-            seed, kernel=plain, retry_policy="wakeup",
+            seed, kernel=plain, retry_policy="wakeup", config=config,
         ),
         # Lost release, eager policy: waiters keep re-polling on backoff
         # timers, so there is never a timer-free cycle — only the
-        # progress watchdog can see this livelock.
+        # progress watchdog (or the sanitizer) can see this livelock.
         _run_sim_scenario(
             "lost-release/eager",
             FaultSpec("dropped-release", trigger=0, seed=seed),
-            seed, kernel=plain, retry_policy="eager",
+            seed, kernel=plain, retry_policy="eager", config=config,
         ),
         # Miscompiled kernel: acquire with no matching release, held
-        # across a barrier — circular wait between CTA-mates.
+        # across a barrier — circular wait between CTA-mates.  Every
+        # structure stays self-consistent, so this one is *correctly*
+        # not the sanitizer's catch: the deadlock detectors classify it.
         _run_sim_scenario(
             "unbalanced-acquire/barrier",
             FaultSpec("unbalanced-acquire", trigger=0, seed=seed),
-            seed, kernel=barrier, retry_policy="wakeup",
+            seed, kernel=barrier, retry_policy="wakeup", config=config,
         ),
-        # Flipped SRP bit with the invariant checker armed: caught at
-        # the first inconsistent cycle, long before any deadlock forms.
+        # Flipped SRP bit: caught at the first inconsistent cycle, long
+        # before any deadlock forms — by the invariant checker when
+        # armed, by the sanitizer without it.
         _run_sim_scenario(
-            "srp-bit-flip/invariants",
+            flip_scenario,
             FaultSpec("srp-bit-corruption", trigger=2, seed=seed),
-            seed, kernel=plain, retry_policy="wakeup",
-            config=dataclasses.replace(CAMPAIGN_CONFIG, debug_invariants=True),
+            seed, kernel=plain, retry_policy="wakeup", config=flip_config,
             forced_sections=2,
         ),
     ]

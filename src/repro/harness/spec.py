@@ -94,6 +94,27 @@ def technique_kinds() -> tuple[str, ...]:
     return tuple(sorted(_TECHNIQUES))
 
 
+# The technique lanes ``repro run``/``repro profile`` and the
+# differential oracle offer: registry kinds under short names, where
+# the paired-warps variant is ``paired``.
+TECHNIQUE_LANES: tuple[str, ...] = (
+    "baseline", "regmutex", "paired", "owf", "rfv",
+)
+_LANE_KINDS = {"paired": "regmutex-paired"}
+
+
+def lane_technique(name: str, es: int | None = None):
+    """``(technique, scheduler_priority)`` for a technique lane, built
+    through :class:`TechniqueSpec`.  ``es`` forces |Es| on the RegMutex
+    lanes; None leaves it to the compiler heuristic."""
+    if name not in TECHNIQUE_LANES:
+        raise ValueError(f"unknown technique lane {name!r}")
+    kind = _LANE_KINDS.get(name, name)
+    params = {"extended_set_size": es} if kind.startswith("regmutex") else {}
+    spec = TechniqueSpec.of(kind, **params)
+    return spec.build(), spec.scheduler_priority()
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One (app, config, technique) simulation.

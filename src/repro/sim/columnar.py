@@ -27,10 +27,11 @@ This module restructures the per-SM hot state into a **columnar store**:
   unchanged: techniques, the CTA barrier protocol, observers, the
   sanitizer, probes, and diagnostics all keep reading/writing
   ``warp.pc``/``warp.status``/... while the stepper works on the arrays.
-* :class:`ColumnarScoreboard` — an API-compatible facade over the rows
-  (same methods as :class:`repro.sim.scoreboard.Scoreboard`), so the
-  sanitizer's hazard re-check and the deadlock diagnostics are agnostic
-  to which engine owns the state.
+* :class:`ColumnarScoreboard` — the :class:`repro.sim.scoreboard.Scoreboard`
+  methods that code outside the issue loop calls (the sanitizer's hazard
+  re-check, deadlock diagnostics, checkpoints, ``_fast_forward``), over
+  the rows, so those callers are agnostic to which engine owns the
+  state.
 
 Representation note (measured, not assumed): the hot columns are plain
 Python lists, *not* NumPy arrays.  Scalar indexing — which is all the
@@ -45,9 +46,9 @@ import — the pure-Python fallbacks keep minimal installs working.
 Scoreboard rows never expire (unlike the dict engine's periodic
 ``expire``): a stale entry has ``ready <= cycle`` and every consumer
 compares with ``> cycle``-style predicates, so retention is invisible.
-That also makes ``has_pending_memory`` O(1): row values only grow, so
-the per-slot ``sb_max`` *is* the maximum pending completion, and
-"any write further than ``horizon`` out" reduces to one comparison.
+Row values only grow, so the per-slot ``sb_max`` *is* the maximum
+pending completion: the stepper's "any write further than the horizon
+out" stall attribution is one comparison.
 
 Wake queues
 -----------
@@ -160,6 +161,13 @@ K_BRA = 6
 K_BARRIER = 7
 K_ACQUIRE = 8
 K_RELEASE = 9
+
+# Run-loop stop codes: why a columnar run ended before the kernel did
+# (0 is a completed run).  Both loops stop with one of these and
+# ``StreamingMultiprocessor._stop_error`` turns it into the typed error.
+STOP_DEADLOCK = 2     # no issuable warp and no pending timer
+STOP_WATCHDOG = 3     # no forward progress for a watchdog window
+STOP_CYCLE_LIMIT = 4  # past the max_cycles backstop
 
 
 def _kind_code(inst: Instruction) -> int:
@@ -762,15 +770,15 @@ class ColumnarCore:
 
 
 class ColumnarScoreboard:
-    """API-compatible scoreboard facade over the columnar rows.
+    """The ``Scoreboard`` methods used outside the issue loop, over the
+    columnar rows (the loops read the rows directly).
 
     Rows are per-slot lists indexed by architected register, sized from
     the kernel's pre-decode; ``sb_max`` caches each slot's maximum
     pending completion so the clean-slot common case is one comparison.
     Entries are never deleted — values only grow, stale ones are
-    ``<= cycle`` and invisible to every ``> cycle`` predicate — which is
-    what makes ``has_pending_memory`` exact in O(1) (see module
-    docstring).
+    ``<= cycle`` and invisible to every ``> cycle`` predicate (see
+    module docstring).
     """
 
     __slots__ = ("_core",)
@@ -812,16 +820,6 @@ class ColumnarScoreboard:
             reg for reg in (*inst.srcs, *inst.dsts) if row[reg] > cycle
         ]
 
-    def ready_cycle(self, warp_id: int, inst: Instruction, cycle: int) -> int:
-        core = self._core
-        row = core.sb_rows[core.wid2slot[warp_id]]
-        latest = cycle
-        for reg in (*inst.srcs, *inst.dsts):
-            ready = row[reg]
-            if ready > latest:
-                latest = ready
-        return latest
-
     def record_write(self, warp_id: int, reg: int, ready_cycle: int) -> None:
         core = self._core
         slot = core.wid2slot[warp_id]
@@ -831,15 +829,6 @@ class ColumnarScoreboard:
             heappush(core.sb_heap, (ready_cycle, warp_id, reg))
             if ready_cycle > core.sb_max[slot]:
                 core.sb_max[slot] = ready_cycle
-
-    def expire(self, cycle: int) -> None:
-        """Rows never expire (see class docstring); only the completion
-        heap's settled prefix is pruned to bound its size."""
-        from heapq import heappop
-
-        heap = self._core.sb_heap
-        while heap and heap[0][0] <= cycle:
-            heappop(heap)
 
     def pending_count(self, warp_id: int, cycle: int) -> int:
         core = self._core
@@ -871,24 +860,3 @@ class ColumnarScoreboard:
                     return ready
             heappop(heap)
         return None
-
-    def _earliest_ready_scan(self, cycle: int) -> int | None:
-        """Reference implementation (full row scan) for identity tests."""
-        core = self._core
-        earliest: int | None = None
-        for slot in core.wid2slot.values():
-            for ready in core.sb_rows[slot]:
-                if ready > cycle and (earliest is None or ready < earliest):
-                    earliest = ready
-        return earliest
-
-    def has_pending_memory(self, warp_id: int, cycle: int, horizon: int) -> bool:
-        """O(1) and exact: row values only grow and are never deleted,
-        so ``sb_max`` is the true maximum pending completion — "any
-        write further than ``horizon`` out" is one comparison."""
-        core = self._core
-        slot = core.wid2slot.get(warp_id)
-        if slot is None:
-            return False
-        return core.sb_max[slot] - cycle > horizon
-

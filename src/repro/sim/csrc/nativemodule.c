@@ -15,22 +15,24 @@
  *
  * Python is re-entered only where the pure stepper calls a hook:
  * technique can_issue/on_issue/try_acquire/release/wakeup_pending,
- * sanitizer + observer strides, CTA barrier arrival, memory model
- * calls, checkpoint emission.  Everything else (qualification in
- * launch order, scoreboard pending-maxima, sleeper fast-forward,
- * stall attribution) runs as plain C over unboxed longs.
+ * sanitizer + observer strides, CTA barrier arrival, the memory
+ * model's earliest_completion, checkpoint emission.  Everything else
+ * (qualification in launch order, scoreboard pending-maxima, the stock
+ * MemoryModel's issue_load/retire, sleeper fast-forward, stall
+ * attribution) runs as plain C over unboxed longs.  sm.py only calls
+ * in with a stock MemoryModel; any other memory model runs the pure
+ * loop.
  *
  * Error contract: any hook may raise; we return NULL *without*
  * flushing the delta-stat locals, matching the pure stepper (whose
- * frame locals are lost when an exception unwinds).  The watchdog /
- * cycle-limit / no-target-deadlock paths flush first and return a
- * status code; sm.py raises the typed error with the exact message.
+ * frame locals are lost when an exception unwinds).  The deadlock /
+ * watchdog / cycle-limit stops flush first and return their stop code
+ * (the STOP_* constants of repro.sim.columnar); sm.py raises the typed
+ * error from the same code as the pure loop.
  *
  * Return protocol: run_columnar(...) -> (status, aux)
- *   0 = run complete            aux = stats (cycles already stamped)
- *   2 = deadlock, no timer      aux = None (caller calls _fast_forward)
- *   3 = watchdog tripped        aux = None (caller raises)
- *   4 = cycle limit exceeded    aux = None (caller raises)
+ *   0                          aux = stats (cycles already stamped)
+ *   STOP_DEADLOCK / STOP_WATCHDOG / STOP_CYCLE_LIMIT   aux = None
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -63,6 +65,9 @@
 #define K_BARRIER 7
 #define K_ACQUIRE 8
 #define K_RELEASE 9
+#define STOP_DEADLOCK 2
+#define STOP_WATCHDOG 3
+#define STOP_CYCLE_LIMIT 4
 
 #define TRIP_NONE LONG_MIN
 #define U64_MASK 0xFFFFFFFFFFFFFFFFULL
@@ -79,8 +84,8 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_kind, *S_lat, *S_tgt, *S_trip, *S_prob, *S_dsts, *S_srcs,
     *S_regs, *S_insts, *S_units, *S_sched, *S_ready, *S_candidates,
     *S_keep, *S_issued, *S_sleepers, *S_far, *S_pick, *S_notify_issued,
-    *S_hot, *S_wid2slot, *S_columnar, *S_memory, *S_retire,
-    *S_issue_load, *S_earliest_completion, *S_technique, *S_sanitizer_a,
+    *S_hot, *S_wid2slot, *S_columnar, *S_memory,
+    *S_earliest_completion, *S_technique, *S_sanitizer_a,
     *S_banked_rf, *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_save_checkpoint, *S_config,
     *S_issue_width_per_scheduler, *S_debug_invariants, *S_watchdog_window,
@@ -496,8 +501,7 @@ typedef struct {
     PyObject *core, *hot;
     PyObject *pc_col, *wake_col, *status_col, *stall_col, *qstate_col,
         *dyn_col, *views, *kcs, *rngs, *trips, *sb_rows, *sb_max, *sb_heap;
-    PyObject *memory, *mem_retire, *mem_issue_load, *mem_earliest;
-    PyObject *mem_rng, *mem_in_flight;           /* mem_native only */
+    PyObject *memory, *mem_earliest, *mem_rng, *mem_in_flight;
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
         *tech_try_acquire, *tech_release, *tech_check_inv;
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
@@ -513,7 +517,7 @@ typedef struct {
     long issue_width, window, mem_cap, num_sched;
     long l1_lat, dram_lat, shared_lat;
     double l1_rate;
-    int multi_issue, debug_inv, tail_hooks, tech_wakeups, mem_native;
+    int multi_issue, debug_inv, tail_hooks, tech_wakeups;
     long expire_period, eager_backoff, horizon;
     UnitC *units;
     int nunits;
@@ -534,8 +538,7 @@ static void
 runstate_free(RunState *S)
 {
     Py_XDECREF(S->core); Py_XDECREF(S->hot);
-    Py_XDECREF(S->memory); Py_XDECREF(S->mem_retire);
-    Py_XDECREF(S->mem_issue_load); Py_XDECREF(S->mem_earliest);
+    Py_XDECREF(S->memory); Py_XDECREF(S->mem_earliest);
     Py_XDECREF(S->mem_rng); Py_XDECREF(S->mem_in_flight);
     Py_XDECREF(S->tech); Py_XDECREF(S->tech_try_acquire);
     Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_check_inv);
@@ -815,8 +818,7 @@ getattr_or_none(PyObject *obj, PyObject *name)
 
 static int
 runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
-               PyObject *can_issue, PyObject *on_issue, int wakeups,
-               int mem_native)
+               PyObject *can_issue, PyObject *on_issue, int wakeups)
 {
     int err = 0;
     S->sm = sm;
@@ -824,7 +826,6 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     S->tech_can_issue = (can_issue == Py_None) ? NULL : can_issue;
     S->tech_on_issue = (on_issue == Py_None) ? NULL : on_issue;
     S->tech_wakeups = wakeups;
-    S->mem_native = mem_native;
 
     S->core = PyObject_GetAttr(sm, S_columnar);
     if (S->core == NULL || S->core == Py_None) {
@@ -865,32 +866,24 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     S->memory = PyObject_GetAttr(sm, S_memory);
     if (S->memory == NULL)
         return -1;
-    S->mem_retire = PyObject_GetAttr(S->memory, S_retire);
-    S->mem_issue_load = PyObject_GetAttr(S->memory, S_issue_load);
+    /* sm.py has verified type(memory) is MemoryModel with no
+     * instance-level issue_load/retire, so the C transliteration of
+     * those two is exact.  State (counters, the in-flight multiset, the
+     * rng stream) stays in the Python object and is updated eagerly, so
+     * hooks and checkpoints see what the pure path would have written. */
     S->mem_earliest = PyObject_GetAttr(S->memory, S_earliest_completion);
-    if (!S->mem_retire || !S->mem_issue_load || !S->mem_earliest)
+    S->mem_rng = PyObject_GetAttr(S->memory, S_rng_a);
+    S->mem_in_flight = PyObject_GetAttr(S->memory, S_in_flight_d);
+    if (!S->mem_earliest || !S->mem_rng || !S->mem_in_flight)
         return -1;
+    if (!PyDict_CheckExact(S->mem_in_flight)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "MemoryModel._in_flight must be a dict");
+        return -1;
+    }
     S->mem_cap = get_long_attr(S->memory, S_max_in_flight, &err);
     if (err)
         return -1;
-    if (S->mem_native) {
-        /* The wrapper has verified type(memory) is MemoryModel with no
-         * instance-level method overrides, so the C transliteration of
-         * issue_load/retire is exact.  State (counters, the in-flight
-         * multiset, the rng stream) stays in the Python object and is
-         * updated eagerly, so hooks and checkpoints see what the pure
-         * path would have written. */
-        S->mem_rng = PyObject_GetAttr(S->memory, S_rng_a);
-        S->mem_in_flight = PyObject_GetAttr(S->memory, S_in_flight_d);
-        if (!S->mem_rng || !S->mem_in_flight)
-            return -1;
-        if (!PyDict_CheckExact(S->mem_in_flight)) {
-            /* Unexpected shape: quietly take the Python path. */
-            Py_CLEAR(S->mem_rng);
-            Py_CLEAR(S->mem_in_flight);
-            S->mem_native = 0;
-        }
-    }
 
     S->tech = PyObject_GetAttr(sm, S_technique);
     if (S->tech == NULL)
@@ -969,23 +962,22 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     }
     if (!err)
         S->window = get_long_attr(config, S_watchdog_window, &err);
-    if (!err && S->mem_native) {
+    if (!err)
         S->l1_lat = get_long_attr(config, S_l1_hit_latency, &err);
-        if (!err)
-            S->dram_lat = get_long_attr(config, S_dram_latency, &err);
-        if (!err) {
-            PyObject *hr = PyObject_GetAttr(config, S_l1_hit_rate);
-            if (hr == NULL)
+    if (!err)
+        S->dram_lat = get_long_attr(config, S_dram_latency, &err);
+    if (!err) {
+        PyObject *hr = PyObject_GetAttr(config, S_l1_hit_rate);
+        if (hr == NULL)
+            err = 1;
+        else {
+            S->l1_rate = PyFloat_AsDouble(hr);
+            Py_DECREF(hr);
+            if (S->l1_rate == -1.0 && PyErr_Occurred())
                 err = 1;
-            else {
-                S->l1_rate = PyFloat_AsDouble(hr);
-                Py_DECREF(hr);
-                if (S->l1_rate == -1.0 && PyErr_Occurred())
-                    err = 1;
-            }
         }
-        S->shared_lat = S->l1_lat / 2 + 1;
     }
+    S->shared_lat = S->l1_lat / 2 + 1;
     Py_DECREF(config);
     if (err)
         return -1;
@@ -1540,33 +1532,14 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                             goto pick_fail;
                     }
                     int exited = 0;
-                    if (kind == K_ALU) {
-                        long done = cycle + kc->lat[pc] + bank_penalty;
-                        if (sb_write(S, kc, pc, slot, wid_o, done) < 0
-                            || advance_pc(S, slot, pc + 1) < 0)
-                            goto pick_fail;
-                        S->last_progress = cycle;
-                    }
-                    else if (kind <= K_SHARED_LOAD) { /* LOAD/SHARED_LOAD */
+                    if (kind <= K_SHARED_LOAD) { /* ALU/LOAD/SHARED_LOAD */
                         long done;
-                        if (S->mem_native) {
-                            if (mem_issue_load_c(S, cycle,
-                                                 kind == K_SHARED_LOAD,
-                                                 &done) < 0)
-                                goto pick_fail;
-                        }
-                        else {
-                            PyObject *r = PyObject_CallFunctionObjArgs(
-                                S->mem_issue_load, S->cyc_obj,
-                                kind == K_SHARED_LOAD ? Py_True : Py_False,
-                                NULL);
-                            if (r == NULL)
-                                goto pick_fail;
-                            done = PyLong_AsLong(r);
-                            Py_DECREF(r);
-                            if (done == -1 && PyErr_Occurred())
-                                goto pick_fail;
-                        }
+                        if (kind == K_ALU)
+                            done = cycle + kc->lat[pc];
+                        else if (mem_issue_load_c(S, cycle,
+                                                  kind == K_SHARED_LOAD,
+                                                  &done) < 0)
+                            goto pick_fail;
                         done += bank_penalty;
                         if (sb_write(S, kc, pc, slot, wid_o, done) < 0
                             || advance_pc(S, slot, pc + 1) < 0)
@@ -1929,17 +1902,15 @@ native_run(PyObject *self, PyObject *args)
 {
     PyObject *sm, *sink, *can_issue, *on_issue;
     long max_cycles, interval;
-    int wakeups, mem_native;
+    int wakeups;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OllOOOpp", &sm, &max_cycles, &interval,
-                          &sink, &can_issue, &on_issue, &wakeups,
-                          &mem_native))
+    if (!PyArg_ParseTuple(args, "OllOOOp", &sm, &max_cycles, &interval,
+                          &sink, &can_issue, &on_issue, &wakeups))
         return NULL;
     RunState St;
     memset(&St, 0, sizeof(St));
     RunState *S = &St;
-    if (runstate_setup(S, sm, sink, can_issue, on_issue, wakeups,
-                       mem_native) < 0) {
+    if (runstate_setup(S, sm, sink, can_issue, on_issue, wakeups) < 0) {
         runstate_free(S);
         return NULL;
     }
@@ -1964,19 +1935,8 @@ native_run(PyObject *self, PyObject *args)
                 Py_DECREF(nxt);
                 if (nv == -1 && PyErr_Occurred())
                     goto fail;
-                if (nv <= cycle) {
-                    if (S->mem_native) {
-                        if (mem_retire_c(S, cycle) < 0)
-                            goto fail;
-                    }
-                    else {
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->mem_retire, S->cyc_obj, NULL);
-                        if (r == NULL)
-                            goto fail;
-                        Py_DECREF(r);
-                    }
-                }
+                if (nv <= cycle && mem_retire_c(S, cycle) < 0)
+                    goto fail;
             }
             else
                 Py_DECREF(nxt);
@@ -2156,7 +2116,7 @@ native_run(PyObject *self, PyObject *args)
                 if (!has_target) {
                     if (flush_stats(S) < 0)
                         goto fail;
-                    status = 2; /* caller re-runs _fast_forward: raises */
+                    status = STOP_DEADLOCK;
                     break;
                 }
                 long skip = target - cycle - 1;
@@ -2188,13 +2148,13 @@ native_run(PyObject *self, PyObject *args)
         if (S->window && cycle - S->last_progress > S->window) {
             if (flush_stats(S) < 0)
                 goto fail;
-            status = 3; /* caller raises SimulationDeadlockError */
+            status = STOP_WATCHDOG;
             break;
         }
         if (cycle > max_cycles) {
             if (flush_stats(S) < 0)
                 goto fail;
-            status = 4; /* caller raises CycleLimitExceededError */
+            status = STOP_CYCLE_LIMIT;
             break;
         }
         {
@@ -2270,7 +2230,8 @@ static PyMethodDef native_methods[] = {
      "run_columnar(sm, max_cycles, checkpoint_interval, checkpoint_sink,"
      " can_issue, on_issue, wakeups) -> (status, aux)\n\n"
      "Batched columnar run loop over the SM's ColumnarCore.  Statuses:\n"
-     "0=done (aux=stats), 2=deadlock/no timer, 3=watchdog, 4=cycle limit."},
+     "0=done (aux=stats), else STOP_DEADLOCK/STOP_WATCHDOG/"
+     "STOP_CYCLE_LIMIT (aux=None)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2350,8 +2311,6 @@ intern_all(void)
     IN(S_wid2slot, "wid2slot");
     IN(S_columnar, "_columnar");
     IN(S_memory, "memory");
-    IN(S_retire, "retire");
-    IN(S_issue_load, "issue_load");
     IN(S_earliest_completion, "earliest_completion");
     IN(S_technique, "technique");
     IN(S_sanitizer_a, "_sanitizer");
@@ -2410,8 +2369,9 @@ PyInit__native(void)
     EXPORT(K_ALU) EXPORT(K_LOAD) EXPORT(K_SHARED_LOAD) EXPORT(K_STORE)
     EXPORT(K_EXIT) EXPORT(K_JMP) EXPORT(K_BRA) EXPORT(K_BARRIER)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
+    EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 1) < 0) {
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 2) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -36,6 +36,7 @@ from repro.errors import (
     CycleLimitExceededError,
     DeadlockDiagnostic,
     SimulationDeadlockError,
+    SimulationError,
     WarpSnapshot,
 )
 from repro.isa.instructions import Instruction, OpClass, Opcode
@@ -63,6 +64,9 @@ from repro.sim.columnar import (
     ST_BARRIER,
     ST_FINISHED,
     ST_READY,
+    STOP_CYCLE_LIMIT,
+    STOP_DEADLOCK,
+    STOP_WATCHDOG,
     ColumnarCore,
     ColumnarScoreboard,
 )
@@ -115,9 +119,10 @@ if _native is not None:
         "QS_OUT", "QS_READY", "QS_SLEEPING", "QS_BARRIER", "QS_ACQUIRE",
         "K_ALU", "K_LOAD", "K_SHARED_LOAD", "K_STORE", "K_EXIT",
         "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
+        "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
     )
     if not (
-        getattr(_native, "NATIVE_ABI", None) == 1
+        getattr(_native, "NATIVE_ABI", None) == 2
         and all(
             getattr(_native, name) == getattr(_col_mod, name)
             for name in _NATIVE_CONST_NAMES
@@ -247,7 +252,7 @@ class StreamingMultiprocessor:
         repro.sim.columnar.  When active, the scoreboard is the columnar
         facade over the same store, so every external consumer
         (sanitizer hazard re-check, deadlock diagnostics, checkpoints,
-        tests) reads the columns through the identical Scoreboard API.
+        tests) reads the columns through the Scoreboard methods it uses.
         None selects the retained scan stepper (the bit-identity
         reference).
         """
@@ -536,7 +541,10 @@ class StreamingMultiprocessor:
         aliases, width/caps) are hoisted once per *run* instead of once
         per cycle, and the stall counters accumulate in locals that are
         flushed to ``SmStats`` only when someone can observe them (tail
-        hooks, fast-forward hooks, error paths, return).
+        hooks, fast-forward hooks, checkpoints, the run's end; see
+        :meth:`_flush_counters`).  A deadlock, watchdog or cycle-limit
+        stop breaks out with a ``STOP_*`` code onto the same final flush
+        and is raised through :meth:`_stop_error`.
 
         Technique, sanitizer, and observer hooks still receive the bound
         views, so their side effects (and hence the issue order) replay
@@ -548,7 +556,8 @@ class StreamingMultiprocessor:
         Bit-identity with ``_step_scan`` is enforced by the
         engine-identity property tests and the differential oracle.
         :meth:`run` hands the same loop to ``repro._native`` when it is
-        built; this frame is the pure-Python path.  With
+        built and the memory model is the stock one; this frame is the
+        pure-Python path.  With
         ``single_step=True``, runs exactly one cycle, flushes, and
         returns the issued count (fast-forward/watchdog stay with the
         generic ``run`` loop in that mode — which never engages for
@@ -563,28 +572,11 @@ class StreamingMultiprocessor:
         num_sched = len(units)
         memory = self.memory
         mem_cap = memory._max_in_flight
-        scoreboard = self.scoreboard
         tech = self.technique
-        tech_cls = type(tech)
-        # Hook-override detection (once per run: observer attach swaps
-        # the technique object before run starts): a base-class no-op
-        # hook is skipped without a call; an overridden one sees the
-        # bound views as usual.
-        tech_can_issue = (
-            None if tech_cls.can_issue is SmTechniqueState.can_issue
-            else tech.can_issue
-        )
-        tech_on_issue = (
-            None if tech_cls.on_issue is SmTechniqueState.on_issue
-            else tech.on_issue
-        )
-        tech_wakeups = (
-            tech_cls.wakeup_pending is not SmTechniqueState.wakeup_pending
-        )
+        tech_can_issue, tech_on_issue, tech_wakeups = self._hook_bindings()
         sanitizer = self._sanitizer
         banked_rf = self.banked_rf
         observer = self._observer
-        stats = self.stats
         resident_ctas = self.resident_ctas
         issue_width = self.config.issue_width_per_scheduler
         debug_inv = self.config.debug_invariants
@@ -598,14 +590,9 @@ class StreamingMultiprocessor:
         last_progress = self._last_progress_cycle
         next_expire = cycle - (cycle % _EXPIRE_PERIOD) + _EXPIRE_PERIOD
         # Stall/issue counters accumulate in locals; flushed to stats at
-        # observation points only.  The flush goes through the stats
-        # instance dict (hoisted once per run): SmStats is a plain
-        # dataclass, so ``sd[k] += d`` lands on exactly the attribute a
-        # hook reads back, minus the attribute-protocol dispatch the
-        # per-cycle tail-hook flush would otherwise pay seven times a
-        # cycle.
-        sd = stats.__dict__
+        # observation points only (see _flush_counters).
         d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
+        stop = 0
         next_ckpt = None
         if checkpoint_interval and checkpoint_sink is not None:
             next_ckpt = cycle + checkpoint_interval
@@ -798,22 +785,13 @@ class StreamingMultiprocessor:
                                 slot, physical
                             ).extra_cycles
                         exited = False
-                        if kind == K_ALU:
-                            done = cycle + kc.lat[pc] + bank_penalty
-                            row = sb_rows[slot]
-                            for reg in kc.dsts[pc]:
-                                if done > row[reg]:
-                                    row[reg] = done
-                                    heappush(sb_heap, (done, wid, reg))
-                                    if done > sb_max[slot]:
-                                        sb_max[slot] = done
-                            pc_col[slot] = pc + 1
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        elif kind <= K_SHARED_LOAD:  # LOAD / SHARED_LOAD
-                            done = memory.issue_load(
-                                cycle, shared=kind == K_SHARED_LOAD
-                            ) + bank_penalty
+                        if kind <= K_SHARED_LOAD:  # ALU / LOAD / SHARED_LOAD
+                            if kind == K_ALU:
+                                done = cycle + kc.lat[pc] + bank_penalty
+                            else:
+                                done = memory.issue_load(
+                                    cycle, shared=kind == K_SHARED_LOAD
+                                ) + bank_penalty
                             row = sb_rows[slot]
                             for reg in kc.dsts[pc]:
                                 if done > row[reg]:
@@ -843,16 +821,12 @@ class StreamingMultiprocessor:
                             if observer is not None:
                                 # CTA retire/launch hooks may read the
                                 # shared counters: flush first.
-                                sd["instructions_issued"] += d_issued
-                                sd["idle_scheduler_cycles"] += d_idle
-                                sd["stall_memory"] += d_mem
-                                sd["stall_barrier"] += d_bar
-                                sd["stall_scoreboard"] += d_sb
-                                sd["stall_acquire"] += d_acq
-                                sd["resident_warp_cycles"] += d_res
+                                self._flush_counters(
+                                    d_issued, d_idle, d_mem, d_bar, d_sb,
+                                    d_acq, d_res, last_progress,
+                                )
                                 d_issued = d_idle = d_mem = d_bar = 0
                                 d_sb = d_acq = d_res = 0
-                                self._last_progress_cycle = last_progress
                             self._columnar_on_exit(view, cycle)
                             last_progress = cycle
                             exited = True
@@ -990,15 +964,11 @@ class StreamingMultiprocessor:
                             d_sb += 1
 
             if tail_hooks or single_step:
-                sd["instructions_issued"] += d_issued
-                sd["idle_scheduler_cycles"] += d_idle
-                sd["stall_memory"] += d_mem
-                sd["stall_barrier"] += d_bar
-                sd["stall_scoreboard"] += d_sb
-                sd["stall_acquire"] += d_acq
-                sd["resident_warp_cycles"] += d_res
+                self._flush_counters(
+                    d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res,
+                    last_progress,
+                )
                 d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-                self._last_progress_cycle = last_progress
                 if debug_inv:
                     tech.check_invariants(cycle)
                 if sanitizer is not None:
@@ -1037,18 +1007,8 @@ class StreamingMultiprocessor:
                     if heap and (target is None or heap[0][0] < target):
                         target = heap[0][0]
                 if target is None:
-                    sd["instructions_issued"] += d_issued
-                    sd["idle_scheduler_cycles"] += d_idle
-                    sd["stall_memory"] += d_mem
-                    sd["stall_barrier"] += d_bar
-                    sd["stall_scoreboard"] += d_sb
-                    sd["stall_acquire"] += d_acq
-                    sd["resident_warp_cycles"] += d_res
-                    d_issued = d_idle = d_mem = d_bar = 0
-                    d_sb = d_acq = d_res = 0
-                    self._last_progress_cycle = last_progress
-                    self._fast_forward()  # no targets: raises deadlock
-                    raise AssertionError("unreachable")
+                    stop = STOP_DEADLOCK
+                    break
                 skip = target - cycle - 1
                 if skip > 0:
                     cycle += skip
@@ -1061,37 +1021,19 @@ class StreamingMultiprocessor:
                     d_mem += skip * num_sched
                     d_res += skip * self._resident_warp_count
                     if observer is not None:
-                        sd["instructions_issued"] += d_issued
-                        sd["idle_scheduler_cycles"] += d_idle
-                        sd["stall_memory"] += d_mem
-                        sd["stall_barrier"] += d_bar
-                        sd["stall_scoreboard"] += d_sb
-                        sd["stall_acquire"] += d_acq
-                        sd["resident_warp_cycles"] += d_res
+                        self._flush_counters(
+                            d_issued, d_idle, d_mem, d_bar, d_sb, d_acq,
+                            d_res, last_progress,
+                        )
                         d_issued = d_idle = d_mem = d_bar = 0
                         d_sb = d_acq = d_res = 0
-                        self._last_progress_cycle = last_progress
                         observer.on_fast_forward(self, skip)
             if window and cycle - last_progress > window:
-                sd["instructions_issued"] += d_issued
-                sd["idle_scheduler_cycles"] += d_idle
-                sd["stall_memory"] += d_mem
-                sd["stall_barrier"] += d_bar
-                sd["stall_scoreboard"] += d_sb
-                sd["stall_acquire"] += d_acq
-                sd["resident_warp_cycles"] += d_res
-                self._last_progress_cycle = last_progress
-                raise self._watchdog_error()
+                stop = STOP_WATCHDOG
+                break
             if cycle > max_cycles:
-                sd["instructions_issued"] += d_issued
-                sd["idle_scheduler_cycles"] += d_idle
-                sd["stall_memory"] += d_mem
-                sd["stall_barrier"] += d_bar
-                sd["stall_scoreboard"] += d_sb
-                sd["stall_acquire"] += d_acq
-                sd["resident_warp_cycles"] += d_res
-                self._last_progress_cycle = last_progress
-                raise self._cycle_limit_error(max_cycles)
+                stop = STOP_CYCLE_LIMIT
+                break
             if not resident_ctas and not self.ctas_pending:
                 break
             if next_ckpt is not None and cycle >= next_ckpt:
@@ -1099,31 +1041,24 @@ class StreamingMultiprocessor:
                 # The snapshot reads SmStats and _last_progress_cycle:
                 # flush the delta locals first.  Timing-neutral — the
                 # totals are identical whenever they are flushed.
-                sd["instructions_issued"] += d_issued
-                sd["idle_scheduler_cycles"] += d_idle
-                sd["stall_memory"] += d_mem
-                sd["stall_barrier"] += d_bar
-                sd["stall_scoreboard"] += d_sb
-                sd["stall_acquire"] += d_acq
-                sd["resident_warp_cycles"] += d_res
+                self._flush_counters(
+                    d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res,
+                    last_progress,
+                )
                 d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-                self._last_progress_cycle = last_progress
                 checkpoint_sink(self.save_checkpoint())
                 if observer is not None:
                     observer.on_checkpoint(self, cycle)
 
-        sd["instructions_issued"] += d_issued
-        sd["idle_scheduler_cycles"] += d_idle
-        sd["stall_memory"] += d_mem
-        sd["stall_barrier"] += d_bar
-        sd["stall_scoreboard"] += d_sb
-        sd["stall_acquire"] += d_acq
-        sd["resident_warp_cycles"] += d_res
-        self._last_progress_cycle = last_progress
-        stats.cycles = cycle
+        self._flush_counters(
+            d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res, last_progress
+        )
+        if stop:
+            raise self._stop_error(stop, max_cycles)
+        self.stats.cycles = cycle
         if observer is not None:
             observer.on_run_end(self)
-        return stats
+        return self.stats
 
     def _run_native(
         self,
@@ -1136,62 +1071,56 @@ class StreamingMultiprocessor:
         The extension drives the exact ``_run_columnar`` algorithm over
         the *same* ColumnarCore state, re-entering Python only at hook
         observation points, so results, checkpoint payloads, and hook
-        side effects are bit-identical.  Hook-override detection (the
-        class-identity trick) happens here; the error paths return a
-        status code and the typed exceptions are raised from this frame
-        with the exact pure-Python messages.  ``step()`` drivers keep
-        using the pure stepper — only the batched ``run()`` is native.
+        side effects are bit-identical.  It takes the same hook bindings
+        and stops with the same codes as the pure loop, so the typed
+        errors come from the one ``_stop_error``.  ``step()`` drivers
+        keep using the pure stepper — only the batched ``run()`` is
+        native, and only over the stock memory model (see :meth:`run`).
+        """
+        status, stats = _native.run_columnar(
+            self, max_cycles, checkpoint_interval, checkpoint_sink,
+            *self._hook_bindings(),
+        )
+        if status:
+            raise self._stop_error(status, max_cycles)
+        return stats
+
+    def _hook_bindings(self):
+        """``(can_issue, on_issue, wakeups)`` for the columnar loops.
+
+        Read once per run (observer attach swaps the technique object
+        before a run starts): a hook still at its ``SmTechniqueState``
+        no-op binds to None — ``wakeups`` to False — and the loops skip
+        it without a call; an overridden one is the bound method, and
+        sees the bound views as usual.
         """
         tech = self.technique
-        tech_cls = type(tech)
-        can_issue = (
-            None if tech_cls.can_issue is SmTechniqueState.can_issue
-            else tech.can_issue
+        cls = type(tech)
+        return (
+            None if cls.can_issue is SmTechniqueState.can_issue
+            else tech.can_issue,
+            None if cls.on_issue is SmTechniqueState.on_issue
+            else tech.on_issue,
+            cls.wakeup_pending is not SmTechniqueState.wakeup_pending,
         )
-        on_issue = (
-            None if tech_cls.on_issue is SmTechniqueState.on_issue
-            else tech.on_issue
-        )
-        wakeups = (
-            tech_cls.wakeup_pending is not SmTechniqueState.wakeup_pending
-        )
-        # The memory model is simulator core, not a hook: when it is the
-        # stock MemoryModel (no subclass, no instance-level monkeypatch,
-        # stock rng), the extension runs its C transliteration; any
-        # customization drops just the memory calls back to Python.
-        mem = self.memory
-        mem_native = (
-            type(mem) is MemoryModel
-            and type(mem._rng) is DeterministicRng
-            and "issue_load" not in mem.__dict__
-            and "retire" not in mem.__dict__
-        )
-        sink = None
-        if checkpoint_interval and checkpoint_sink is not None:
-            sink = checkpoint_sink
-        status, aux = _native.run_columnar(
-            self,
-            max_cycles,
-            checkpoint_interval if sink is not None else 0,
-            sink,
-            can_issue,
-            on_issue,
-            wakeups,
-            mem_native,
-        )
-        if status == 0:
-            return aux
-        if status == 2:
-            # No issuable warp and no pending timer: _fast_forward
-            # re-derives the (empty) target set and raises the
-            # diagnostic-bearing SimulationDeadlockError.
-            self._fast_forward()
-            raise AssertionError("unreachable")
-        if status == 3:
-            raise self._watchdog_error()
-        if status == 4:
-            raise self._cycle_limit_error(max_cycles)
-        raise AssertionError(f"unknown native-run status {status!r}")
+
+    def _flush_counters(
+        self, issued, idle, mem, bar, sb, acq, res, last_progress
+    ) -> None:
+        """Add the pure columnar loop's counter deltas to ``SmStats`` and
+        publish its progress marker.  The loop keeps both in locals and
+        flushes only where someone can read them: tail and fast-forward
+        hooks, an EXIT under an observer, checkpoints, and the run's
+        end (completed or stopped)."""
+        stats = self.stats
+        stats.instructions_issued += issued
+        stats.idle_scheduler_cycles += idle
+        stats.stall_memory += mem
+        stats.stall_barrier += bar
+        stats.stall_scoreboard += sb
+        stats.stall_acquire += acq
+        stats.resident_warp_cycles += res
+        self._last_progress_cycle = last_progress
 
     def _step_scan(self) -> int:
         """Naive reference stepper: scan every resident warp, every cycle.
@@ -1327,29 +1256,42 @@ class StreamingMultiprocessor:
             technique=self.technique.debug_snapshot(),
         )
 
-    def _watchdog_error(self) -> SimulationDeadlockError:
-        """The livelock watchdog's error, shared by every run loop: more
-        than ``config.watchdog_window`` cycles since the last forward
-        progress.  Notifies the observer before the caller raises."""
-        diagnostic = self.diagnostic()
-        if self._observer is not None:
-            self._observer.on_watchdog(self, diagnostic.summary())
-        return SimulationDeadlockError(
-            f"SM {self.sm_id} made no forward progress for "
-            f"{self.cycle - self._last_progress_cycle} cycles "
-            f"(watchdog window {self.config.watchdog_window}) — "
-            f"deadlock/livelock; {diagnostic.summary()}",
-            diagnostic=diagnostic,
-        )
+    def _stop_error(self, code: int, max_cycles: int = 0) -> SimulationError:
+        """The typed error for a run-loop stop code, shared by every run
+        loop (and ``_fast_forward``'s deadlock check):
 
-    def _cycle_limit_error(self, max_cycles: int) -> CycleLimitExceededError:
-        """The ``max_cycles`` backstop's error, shared by every run loop."""
-        return CycleLimitExceededError(
-            f"SM {self.sm_id} exceeded {max_cycles} cycles — "
-            "runaway kernel (or a livelock below the watchdog's "
-            "sensitivity)",
-            diagnostic=self.diagnostic(),
-        )
+        * ``STOP_DEADLOCK`` — no issuable warp and no pending timer;
+        * ``STOP_WATCHDOG`` — more than ``config.watchdog_window`` cycles
+          since the last forward progress (notifies the observer before
+          the caller raises);
+        * ``STOP_CYCLE_LIMIT`` — past the ``max_cycles`` backstop.
+        """
+        diagnostic = self.diagnostic()
+        if code == STOP_DEADLOCK:
+            return SimulationDeadlockError(
+                f"SM {self.sm_id} deadlocked at cycle {self.cycle}: "
+                f"no issuable warp and no pending timer; "
+                f"{diagnostic.summary()}",
+                diagnostic=diagnostic,
+            )
+        if code == STOP_WATCHDOG:
+            if self._observer is not None:
+                self._observer.on_watchdog(self, diagnostic.summary())
+            return SimulationDeadlockError(
+                f"SM {self.sm_id} made no forward progress for "
+                f"{self.cycle - self._last_progress_cycle} cycles "
+                f"(watchdog window {self.config.watchdog_window}) — "
+                f"deadlock/livelock; {diagnostic.summary()}",
+                diagnostic=diagnostic,
+            )
+        if code == STOP_CYCLE_LIMIT:
+            return CycleLimitExceededError(
+                f"SM {self.sm_id} exceeded {max_cycles} cycles — "
+                "runaway kernel (or a livelock below the watchdog's "
+                "sensitivity)",
+                diagnostic=diagnostic,
+            )
+        raise AssertionError(f"unknown run-loop stop code {code!r}")
 
     # -- checkpoint/restore -------------------------------------------------------
     def save_checkpoint(self) -> dict:
@@ -1419,13 +1361,7 @@ class StreamingMultiprocessor:
                     if w.status is WarpStatus.READY and w.wake_cycle > self.cycle:
                         targets.append(w.wake_cycle)
         if not targets:
-            diagnostic = self.diagnostic()
-            raise SimulationDeadlockError(
-                f"SM {self.sm_id} deadlocked at cycle {self.cycle}: "
-                f"no issuable warp and no pending timer; "
-                f"{diagnostic.summary()}",
-                diagnostic=diagnostic,
-            )
+            raise self._stop_error(STOP_DEADLOCK)
         target = min(targets)
         skip = max(0, target - self.cycle - 1)
         if skip == 0:
@@ -1463,13 +1399,20 @@ class StreamingMultiprocessor:
         :class:`CycleLimitExceededError` at the ``max_cycles`` backstop.
         """
         if self._columnar is not None:
-            if self._use_native:
-                return self._run_native(
-                    max_cycles,
-                    checkpoint_interval=checkpoint_interval,
-                    checkpoint_sink=checkpoint_sink,
-                )
-            return self._run_columnar(
+            # The C loop carries its own copy of the stock MemoryModel;
+            # a customized one (a subclass, an instance-level
+            # issue_load/retire, another rng) runs the pure loop, which
+            # calls the model's methods and gives identical results.
+            mem = self.memory
+            native = (
+                self._use_native
+                and type(mem) is MemoryModel
+                and type(mem._rng) is DeterministicRng
+                and "issue_load" not in mem.__dict__
+                and "retire" not in mem.__dict__
+            )
+            run_loop = self._run_native if native else self._run_columnar
+            return run_loop(
                 max_cycles,
                 checkpoint_interval=checkpoint_interval,
                 checkpoint_sink=checkpoint_sink,
@@ -1488,9 +1431,9 @@ class StreamingMultiprocessor:
                 if self._observer is not None:
                     self._observer.on_checkpoint(self, self.cycle)
             if window and self.cycle - self._last_progress_cycle > window:
-                raise self._watchdog_error()
+                raise self._stop_error(STOP_WATCHDOG)
             if self.cycle > max_cycles:
-                raise self._cycle_limit_error(max_cycles)
+                raise self._stop_error(STOP_CYCLE_LIMIT, max_cycles)
         self.stats.cycles = self.cycle
         if self._observer is not None:
             self._observer.on_run_end(self)

@@ -10,12 +10,7 @@ not the sanitizer's catch).
 
 import pytest
 
-from repro.check.adversarial import (
-    _classify,
-    _probe_kernel,
-    _sanitized_sim_scenarios,
-    run_adversarial_campaign,
-)
+from repro.check.adversarial import run_adversarial_campaign
 from repro.compiler.verification import verify_regmutex_safety
 from repro.errors import (
     InvariantViolationError,
@@ -23,13 +18,14 @@ from repro.errors import (
     SimulationDeadlockError,
 )
 from repro.check.sanitizer import SanitizerViolation
+from repro.faults.campaign import _classify, _probe_kernel, _sim_scenarios
 
 
 class TestProbeKernel:
     def test_probe_is_contract_clean(self):
         """The adversarial probe must be sanitizer-silent when healthy:
         no extended register touched outside the acquire region."""
-        kernel = _probe_kernel()
+        kernel = _probe_kernel(contract_clean=True)
         result = verify_regmutex_safety(kernel, kernel.metadata.base_set_size)
         assert result.ok, result.violations
 
@@ -61,7 +57,7 @@ class TestClassification:
 class TestSanitizedScenarios:
     @pytest.fixture(scope="class")
     def outcomes(self):
-        return _sanitized_sim_scenarios(seed=2018)
+        return _sim_scenarios(seed=2018, sanitizer=True)
 
     def test_all_sim_faults_detected(self, outcomes):
         assert len(outcomes) == 4

@@ -32,6 +32,7 @@ from repro.arch.config import fermi_like
 from repro.isa.builder import KernelBuilder
 from repro.regmutex.issue_logic import RegMutexSmState
 from repro.sim.columnar import QS_ACQUIRE, QS_OUT, QS_READY
+from repro.sim.memory import MemoryModel
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
@@ -305,6 +306,95 @@ class TestNativeLeg:
         pure = _run_pure(kernel, config, SmTechniqueState,
                          ctas_resident=2, total_ctas=5)
         assert _outcome(native) == _outcome(pure)
+
+
+class _NativeStub:
+    """Stands in for ``repro._native``: records a batched run and stops
+    it, so a test sees whether ``run()`` chose the C loop."""
+
+    class Chosen(Exception):
+        pass
+
+    def __init__(self):
+        self.calls = 0
+
+    def run_columnar(self, *args):
+        self.calls += 1
+        raise self.Chosen
+
+
+class TestMemoryModelRouting:
+    """The C loop carries its own copy of the stock ``MemoryModel``: on
+    an SM where native is selected, any other memory model must run the
+    pure loop, with the stock run's results."""
+
+    KERNEL_SEED = 2
+
+    def _native_sm(self):
+        """A columnar SM with native selected (a stub extension where
+        the real one is not built) and a spy on the pure loop."""
+        sm = _make_sm(_random_kernel(self.KERNEL_SEED),
+                      _config(issue_engine="columnar"), SmTechniqueState,
+                      ctas_resident=2, total_ctas=4)
+        sm._use_native = True
+        pure_runs = []
+        run_columnar = sm._run_columnar
+
+        def spy(*args, **kwargs):
+            pure_runs.append(args)
+            return run_columnar(*args, **kwargs)
+
+        sm._run_columnar = spy
+        return sm, pure_runs
+
+    def _stock_outcome(self):
+        return _outcome(_run_pure(
+            _random_kernel(self.KERNEL_SEED), _config(issue_engine="columnar"),
+            SmTechniqueState, ctas_resident=2, total_ctas=4,
+        ))
+
+    def test_stock_memory_selects_native(self):
+        sm, pure_runs = self._native_sm()
+        stub = _NativeStub()
+        with mock.patch.object(sm_mod, "_native", stub):
+            with pytest.raises(_NativeStub.Chosen):
+                sm.run()
+        assert stub.calls == 1 and pure_runs == []
+
+    def test_subclassed_memory_runs_pure_loop(self):
+        class CountingMemory(MemoryModel):
+            loads = 0
+
+            def issue_load(self, cycle, shared=False):
+                CountingMemory.loads += 1
+                return super().issue_load(cycle, shared=shared)
+
+        sm, pure_runs = self._native_sm()
+        sm.memory = CountingMemory(sm.config, sm.memory._rng)
+        stub = _NativeStub()
+        with mock.patch.object(sm_mod, "_native", stub):
+            sm.run()
+        assert stub.calls == 0 and len(pure_runs) == 1
+        assert CountingMemory.loads > 0
+        assert _outcome(sm) == self._stock_outcome()
+
+    def test_instance_issue_load_wrapper_runs_pure_loop(self):
+        sm, pure_runs = self._native_sm()
+        memory = sm.memory
+        issue_load = memory.issue_load
+        loads = []
+
+        def wrapped(cycle, shared=False):
+            loads.append(cycle)
+            return issue_load(cycle, shared=shared)
+
+        memory.issue_load = wrapped
+        stub = _NativeStub()
+        with mock.patch.object(sm_mod, "_native", stub):
+            sm.run()
+        assert stub.calls == 0 and len(pure_runs) == 1
+        assert loads
+        assert _outcome(sm) == self._stock_outcome()
 
 
 class TestStalenessPaths:

@@ -1,9 +1,11 @@
 """Progress watchdog, cycle-limit backstop, and structured deadlock errors."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
+import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CycleLimitExceededError,
@@ -12,6 +14,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.isa.builder import KernelBuilder
+from repro.observe import SmObserver
 from repro.regmutex.issue_logic import RegMutexSmState
 from repro.sim.gpu import Gpu
 from repro.sim.rand import DeterministicRng
@@ -234,3 +237,64 @@ class TestCycleLimit:
         gpu = Gpu(tiny_config, BaselineTechnique())
         result = gpu.launch(looped_kernel(), grid_ctas=4, max_cycles=1_000_000)
         assert result.cycles < 1_000_000
+
+
+NATIVE_MISSING = (
+    "repro._native is NOT BUILT: this native-path leg did not run "
+    "(build it with `python setup.py build_ext --inplace`)"
+)
+
+# Each stop: (retry policy, watchdog window override, max_cycles, error).
+_STOP_CASES = {
+    "deadlock": ("wakeup", None, 50_000_000, SimulationDeadlockError),
+    "watchdog": ("eager", None, 50_000_000, SimulationDeadlockError),
+    "cycle-limit": ("eager", 0, 5_000, CycleLimitExceededError),
+}
+
+
+def _stop_outcome(config, case, engine, observed):
+    """Run one starved SM to its stop on ``engine`` and return everything
+    the stop leaves behind: the error, the counters, the progress marker
+    and the clock."""
+    retry_policy, window, max_cycles, error = _STOP_CASES[case]
+    if window is not None:
+        config = dataclasses.replace(config, watchdog_window=window)
+    config = dataclasses.replace(
+        config, issue_engine="scan" if engine == "scan" else "columnar"
+    )
+    if engine == "columnar":
+        with mock.patch.object(sm_mod, "_native", None):
+            sm = starved_sm(config, retry_policy)
+        assert not sm._use_native
+    else:
+        sm = starved_sm(config, retry_policy)
+        assert sm._use_native == (engine == "native")
+    observer = SmObserver(stride=16).attach(sm) if observed else None
+    with pytest.raises(error) as ei:
+        sm.run(max_cycles=max_cycles)
+    assert type(ei.value) is error
+    events = None
+    if observer is not None:
+        events = [(e.kind, e.cycle, e.value) for e in observer.log.events]
+    return (
+        type(ei.value), str(ei.value), dataclasses.asdict(sm.stats),
+        sm._last_progress_cycle, sm.cycle, events,
+    )
+
+
+class TestStopPathsAcrossEngines:
+    """Deadlock, watchdog and cycle-limit stops leave the same error,
+    counters, progress marker and clock on every engine: the scan
+    reference, the pure columnar loop, and the native loop — with and
+    without an observer re-entering Python on every cycle."""
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["bare", "observed"])
+    @pytest.mark.parametrize("case", sorted(_STOP_CASES))
+    @pytest.mark.parametrize("engine", ["scan", "columnar", "native"])
+    def test_stop_matches_scan(self, tiny_config, engine, case, observed):
+        if engine == "native" and sm_mod._native is None:
+            pytest.skip(NATIVE_MISSING)
+        reference = _stop_outcome(tiny_config, case, "scan", observed)
+        assert _stop_outcome(tiny_config, case, engine, observed) == reference
+
