@@ -57,25 +57,18 @@ class GpuConfig:
     # simplified pipeline folds them into fixed latencies.
     model_bank_conflicts: bool = False
     register_file_banks: int = 16
-    # Debug knob: assert, on every issued instruction, that extended-set
-    # register accesses are covered by a held SRP section (the dynamic
-    # twin of repro.compiler.verification's static proof).
-    runtime_safety_checks: bool = False
     # Deadlock watchdog: raise SimulationDeadlockError (with a state
     # snapshot) when no warp advances its pc for this many cycles.  Set
     # far above any legitimate stall (the longest is one DRAM round
     # trip) but far below the 50M-cycle hard limit, so a livelocked
     # schedule is diagnosed in seconds, not minutes.  0 disables.
     watchdog_window: int = 20_000
-    # Debug knob: run the installed technique's structural invariant
-    # checks (SRP bitmask/LUT/status consistency) every cycle, raising
-    # InvariantViolationError at the first inconsistent state.
-    debug_invariants: bool = False
-    # Dynamic sanitizer (repro.check.sanitizer): folds the scattered
-    # runtime checks — extended-access permission, physical-bounds,
-    # per-cycle SRP structural consistency, scoreboard hazard re-check,
-    # wait-queue hygiene — into one per-issue/per-cycle checker emitting
-    # typed SanitizerViolation reports with warp/pc/cycle provenance.
+    # Dynamic sanitizer (repro.check.sanitizer), the one switch for
+    # runtime checks: extended-access permission (the dynamic twin of
+    # repro.compiler.verification's static proof), physical bounds and
+    # aliasing, scoreboard hazard re-check per issued instruction; SRP
+    # structural consistency, wait-queue and slot hygiene per cycle.
+    # Violations raise SanitizerError with warp/pc/cycle provenance.
     sanitizer: bool = False
     # Issue-path implementation.  "columnar" (the default) drives each
     # scheduler from wake-ordered ready lists and sleeper heaps over

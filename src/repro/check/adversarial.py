@@ -6,7 +6,7 @@ each injected fault:
 
 * ``sanitizer`` — a typed :class:`SanitizerViolation` with
   warp/pc/cycle provenance (the SRP corruptions are caught here, at the
-  first inconsistent cycle, without needing ``debug_invariants``);
+  first inconsistent cycle);
 * ``watchdog`` / ``deadlock-check`` — schedule-level faults whose
   structures stay self-consistent (an unbalanced acquire held across a
   barrier *is* a legal-looking state; only the lack of progress betrays

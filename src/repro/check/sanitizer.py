@@ -1,15 +1,10 @@
 """Dynamic sanitizer: one per-issue / per-cycle runtime checker.
 
-Before this module the runtime safety net was scattered and opt-in
-piecemeal: the extended-access ``PermissionError`` behind
-``runtime_safety_checks`` (:class:`repro.regmutex.issue_logic.RegMutexSmState`),
-the mapper's bounds errors, the SRP structural check behind
-``debug_invariants``, and nothing at all watching the scoreboard,
-wait queues, or physical-register aliasing.  ``GpuConfig.sanitizer``
-arms all of them at once, reporting every failure as a typed
-:class:`SanitizerViolation` with warp/pc/cycle provenance, published on
-the observability bus (so violations land in Perfetto traces as instant
-events) and raised as :class:`repro.errors.SanitizerError`.
+``GpuConfig.sanitizer`` is the simulator's one switch for dynamic
+checks.  Every failure is reported as a typed :class:`SanitizerViolation`
+with warp/pc/cycle provenance, published on the observability bus (so
+violations land in Perfetto traces as instant events) and raised as
+:class:`repro.errors.SanitizerError`.
 
 Per issued instruction:
 
@@ -26,8 +21,8 @@ Per issued instruction:
 Per cycle:
 
 * **structural-invariant** — the technique's own ``check_invariants``
-  (SRP bitmask/LUT/status consistency for RegMutex) without needing
-  ``debug_invariants``;
+  (SRP bitmask/LUT/status consistency for RegMutex), the only per-cycle
+  caller of that hook;
 * **wait-queue** — a finished warp parked in a wait queue or holding a
   stale wakeup, or a duplicated queue entry;
 * **slot-accounting** — warp-slot leakage or aliasing in the SM's slot
@@ -46,6 +41,7 @@ from repro.isa.instructions import Instruction, OpClass
 from repro.observe.events import SANITIZER, SimEvent
 from repro.regmutex.issue_logic import RegMutexSmState
 from repro.regmutex.paired import PairedWarpsSmState
+from repro.sim.technique import innermost
 from repro.sim.warp import Warp
 
 # Techniques whose kernels carry the acquire/release contract the
@@ -92,10 +88,7 @@ class Sanitizer:
 
     # -- plumbing ------------------------------------------------------------------
     def _state(self):
-        state = self.sm.technique
-        while hasattr(state, "inner"):  # observe/shadow wrappers
-            state = state.inner
-        return state
+        return innermost(self.sm.technique)
 
     def _report(
         self, check: str, message: str, cycle: int, warp_id: int = -1, pc: int = -1

@@ -34,7 +34,7 @@ only excluded from the cross-technique comparison stream.
 from __future__ import annotations
 
 from repro.isa.instructions import Instruction, OpClass, Opcode
-from repro.sim.technique import SmTechniqueState
+from repro.sim.technique import DelegatingTechniqueState, SmTechniqueState
 from repro.sim.warp import Warp
 
 _MASK = (1 << 64) - 1
@@ -188,51 +188,18 @@ class ShadowState:
         return digest
 
 
-class ShadowTechniqueState(SmTechniqueState):
-    """Decorator around the installed technique that feeds the shadow.
-
-    Same shape as the observability wrapper
-    (:class:`repro.observe.hooks.ObservingTechniqueState`): full
-    delegation, with ``on_issue`` additionally executing the instruction
-    against the :class:`ShadowState`.  ``inner`` is public so unwrapping
-    loops (``while hasattr(state, "inner")``) reach the real state.
-    """
+class ShadowTechniqueState(DelegatingTechniqueState):
+    """Decorator around the installed technique that feeds the shadow:
+    ``on_issue`` additionally executes the instruction against the
+    :class:`ShadowState`; every other hook is forwarded."""
 
     def __init__(self, inner: SmTechniqueState, shadow: ShadowState) -> None:
-        super().__init__(inner.kernel, inner.config, inner.stats)
-        self.inner = inner
+        super().__init__(inner)
         self.shadow = shadow
-
-    def can_issue(self, warp, inst, cycle):
-        return self.inner.can_issue(warp, inst, cycle)
 
     def on_issue(self, warp, inst, cycle):
         self.inner.on_issue(warp, inst, cycle)
         self.shadow.observe(warp, inst)
-
-    def try_acquire(self, warp, cycle):
-        return self.inner.try_acquire(warp, cycle)
-
-    def release(self, warp, cycle):
-        self.inner.release(warp, cycle)
-
-    def on_warp_finish(self, warp, cycle):
-        self.inner.on_warp_finish(warp, cycle)
-
-    def wakeup_pending(self):
-        return self.inner.wakeup_pending()
-
-    def check_invariants(self, cycle):
-        self.inner.check_invariants(cycle)
-
-    def debug_snapshot(self):
-        return self.inner.debug_snapshot()
-
-    def srp_view(self):
-        return self.inner.srp_view()
-
-    def resolve_physical(self, warp, arch_reg):
-        return self.inner.resolve_physical(warp, arch_reg)
 
 
 def attach_shadow(sm) -> ShadowState:

@@ -6,9 +6,9 @@ escaped:
 
 * SRP/compiler faults run a small contended RegMutex workload on a
   1-SM device and must be caught by the simulator's failure detectors —
-  the no-timer deadlock check, the progress watchdog, or the per-cycle
-  invariant checker — with a structured diagnostic, well before the
-  hard cycle limit.
+  the no-timer deadlock check, the progress watchdog, or the sanitizer's
+  per-cycle structural check — with a structured diagnostic, well
+  before the hard cycle limit.
 * Harness faults run real jobs through the :class:`Orchestrator` and
   must be absorbed (transient crash → retried to success) or attributed
   (deterministic error → typed :class:`JobFailure`, hang → timeout).
@@ -35,7 +35,6 @@ from repro.arch.config import GpuConfig, fermi_like
 from repro.errors import (
     CycleLimitExceededError,
     DeadlockDiagnostic,
-    InvariantViolationError,
     SanitizerError,
     SimulationDeadlockError,
     SimulationError,
@@ -72,9 +71,9 @@ CAMPAIGN_CONFIG = fermi_like(
     l1_hit_latency=8,
 )
 
-# The campaign config with the sanitizer armed (``repro check
-# --faults``).  ``debug_invariants`` stays off: the point is that the
-# sanitizer subsumes it.
+# The campaign config with the sanitizer armed: ``repro check --faults``
+# runs every simulator scenario on it, the plain campaign its SRP
+# bit-flip scenario.
 SANITIZED_CONFIG = dataclasses.replace(CAMPAIGN_CONFIG, sanitizer=True)
 
 # Small device for the harness-level jobs (real workload apps).
@@ -172,8 +171,6 @@ def _classify(exc: SimulationError) -> tuple[str, str]:
                 f"{v.check} at cycle {v.cycle}{subject}: {v.message}"
             )
         return "sanitizer", str(exc)
-    if isinstance(exc, InvariantViolationError):
-        return "invariant-checker", str(exc).split(";")[0]
     if isinstance(exc, SimulationDeadlockError):
         detector = "watchdog" if "watchdog" in str(exc) else "deadlock-check"
         return detector, str(exc).split(";")[0]
@@ -226,15 +223,12 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
     """The simulator-layer faults.  ``sanitizer=True`` re-runs them with
     the sanitizer armed on the contract-clean probe (``repro check
     --faults``), where the SRP corruptions become the sanitizer's catch
-    at the first inconsistent cycle."""
+    at the first inconsistent cycle.  The SRP bit flip always runs that
+    way: no other detector sees a self-inconsistent pool before the
+    schedule deadlocks."""
     plain = _probe_kernel(contract_clean=sanitizer)
     barrier = _probe_kernel(hold_across_barrier=True, contract_clean=sanitizer)
     config = SANITIZED_CONFIG if sanitizer else CAMPAIGN_CONFIG
-    if sanitizer:
-        flip_scenario, flip_config = "srp-bit-flip/sanitizer", config
-    else:
-        flip_scenario = "srp-bit-flip/invariants"
-        flip_config = dataclasses.replace(config, debug_invariants=True)
     return [
         # Lost release, wakeup policy: every waiter parks with no timer
         # pending — the no-timer deadlock check must fire.  Under the
@@ -262,13 +256,13 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
             FaultSpec("unbalanced-acquire", trigger=0, seed=seed),
             seed, kernel=barrier, retry_policy="wakeup", config=config,
         ),
-        # Flipped SRP bit: caught at the first inconsistent cycle, long
-        # before any deadlock forms — by the invariant checker when
-        # armed, by the sanitizer without it.
+        # Flipped SRP bit: caught by the sanitizer's structural check at
+        # the first inconsistent cycle, long before any deadlock forms.
         _run_sim_scenario(
-            flip_scenario,
+            "srp-bit-flip/sanitizer",
             FaultSpec("srp-bit-corruption", trigger=2, seed=seed),
-            seed, kernel=plain, retry_policy="wakeup", config=flip_config,
+            seed, kernel=_probe_kernel(contract_clean=True),
+            retry_policy="wakeup", config=SANITIZED_CONFIG,
             forced_sections=2,
         ),
     ]

@@ -192,8 +192,8 @@ class FaultingRegMutexState(RegMutexSmState):
     Behaves identically to the real state until the armed event
     ordinal, then corrupts the SRP through
     ``Srp.corrupt_for_fault_injection`` — after which detection is the
-    watchdog's and invariant checker's problem, exactly as it would be
-    on real silicon.
+    watchdog's and the sanitizer's problem, exactly as it would be on
+    real silicon.
     """
 
     def __init__(self, *args, fault: FaultSpec, **kwargs) -> None:

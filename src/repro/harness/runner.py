@@ -161,6 +161,14 @@ _TIMING_NEUTRAL_CONFIG_FIELDS = frozenset({
 })
 
 
+# Retired config fields, still serialized at the value every v6 key
+# was computed with, so removing them from GpuConfig orphaned no record.
+_RETIRED_CONFIG_FIELDS = {
+    "debug_invariants": False,       # per-cycle checks: GpuConfig.sanitizer
+    "runtime_safety_checks": False,  # extended-access: GpuConfig.sanitizer
+}
+
+
 def _config_fingerprint(config: GpuConfig) -> str:
     """Field-sorted serialization of a config for cache keys.
 
@@ -169,9 +177,10 @@ def _config_fingerprint(config: GpuConfig) -> str:
     key stable across field reordering and unaffected by cosmetic repr
     changes, while still covering every timing-relevant field's value.
     """
+    fields = {**_RETIRED_CONFIG_FIELDS, **dataclasses.asdict(config)}
     items = sorted(
         (k, v)
-        for k, v in dataclasses.asdict(config).items()
+        for k, v in fields.items()
         if k not in _TIMING_NEUTRAL_CONFIG_FIELDS
     )
     return ";".join(f"{k}={v!r}" for k, v in items)

@@ -43,20 +43,20 @@ from repro.observe.events import (
     SimEvent,
 )
 from repro.observe.probes import ProbeSeries
-from repro.sim.technique import SmTechniqueState
+from repro.sim.technique import (
+    DelegatingTechniqueState,
+    SmTechniqueState,
+    innermost,
+)
 from repro.sim.warp import Warp
 
 
-class ObservingTechniqueState(SmTechniqueState):
+class ObservingTechniqueState(DelegatingTechniqueState):
     """Wraps another technique state and publishes its decisions."""
 
     def __init__(self, inner: SmTechniqueState, bus: EventBus) -> None:
-        super().__init__(inner.kernel, inner.config, inner.stats)
-        self.inner = inner
+        super().__init__(inner)
         self.bus = bus
-
-    def can_issue(self, warp: Warp, inst, cycle: int) -> bool:
-        return self.inner.can_issue(warp, inst, cycle)
 
     def on_issue(self, warp: Warp, inst, cycle: int) -> None:
         self.bus.emit(SimEvent(
@@ -90,27 +90,6 @@ class ObservingTechniqueState(SmTechniqueState):
     def on_warp_finish(self, warp: Warp, cycle: int) -> None:
         self.inner.on_warp_finish(warp, cycle)
         self.bus.emit(SimEvent(cycle, WARP_FINISH, warp.warp_id, warp.pc))
-
-    def wakeup_pending(self):
-        return self.inner.wakeup_pending()
-
-    def check_invariants(self, cycle: int) -> None:
-        self.inner.check_invariants(cycle)
-
-    def debug_snapshot(self) -> dict:
-        return self.inner.debug_snapshot()
-
-    def resolve_physical(self, warp: Warp, arch_reg: int) -> int:
-        return self.inner.resolve_physical(warp, arch_reg)
-
-    def srp_view(self):
-        return self.inner.srp_view()
-
-    def state_snapshot(self) -> dict:
-        return self.inner.state_snapshot()
-
-    def state_restore(self, payload: dict, warps_by_id) -> None:
-        self.inner.state_restore(payload, warps_by_id)
 
 
 # Stat-attribute name -> event category label, in attribution priority
@@ -158,7 +137,7 @@ class SmObserver:
         sm._observer = self
         sm.technique = ObservingTechniqueState(sm.technique, self.bus)
         # SRP-level section transitions, when the technique has a pool.
-        srp = getattr(sm.technique.inner, "srp", None)
+        srp = getattr(innermost(sm.technique), "srp", None)
         if srp is not None and hasattr(srp, "on_transition"):
             srp.on_transition = self._on_srp_transition
         # Seed the stall baseline in case the SM already ran cycles.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.arch.config import GpuConfig
 from repro.arch.occupancy import OccupancyResult, theoretical_occupancy
 from repro.errors import InvariantViolationError
-from repro.isa.instructions import Instruction
 from repro.isa.kernel import Kernel
 from repro.regmutex.srp import SharedRegisterPool
 from repro.sim.stats import SmStats
@@ -72,21 +71,6 @@ class RegMutexSmState(SmTechniqueState):
         self._wakeup_spare: list[Warp] = []
 
     # -- technique interface -----------------------------------------------------
-    def on_issue(self, warp: Warp, inst, cycle: int) -> None:
-        if not self.config.runtime_safety_checks:
-            return
-        md = self.kernel.metadata
-        bs = md.base_set_size
-        if not bs or warp.holds_extended_set:
-            return
-        for reg in inst.registers:
-            if reg >= bs:
-                raise PermissionError(
-                    f"cycle {cycle}: warp {warp.warp_id} touched extended "
-                    f"register R{reg} at pc {warp.pc} without holding an "
-                    "SRP section (miscompiled kernel)"
-                )
-
     def try_acquire(self, warp: Warp, cycle: int) -> bool:
         self.stats.acquire_attempts += 1
         section = self.srp.acquire(warp.slot)

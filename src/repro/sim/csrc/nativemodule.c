@@ -88,10 +88,10 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_earliest_completion, *S_technique, *S_sanitizer_a,
     *S_banked_rf, *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_save_checkpoint, *S_config,
-    *S_issue_width_per_scheduler, *S_debug_invariants, *S_watchdog_window,
+    *S_issue_width_per_scheduler, *S_watchdog_window,
     *S_max_in_flight, *S_on_issue, *S_on_cycle, *S_on_fast_forward,
     *S_on_checkpoint, *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
-    *S_release, *S_check_invariants, *S_resolve_physical, *S_collect,
+    *S_release, *S_resolve_physical, *S_collect,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
     *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_loads_issued,
     *S_l1_hits, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate;
@@ -503,7 +503,7 @@ typedef struct {
         *dyn_col, *views, *kcs, *rngs, *trips, *sb_rows, *sb_max, *sb_heap;
     PyObject *memory, *mem_earliest, *mem_rng, *mem_in_flight;
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
-        *tech_try_acquire, *tech_release, *tech_check_inv;
+        *tech_try_acquire, *tech_release;
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *banked_rf, *tech_resolve_physical, *banked_collect;
     PyObject *observer;                          /* NULL: no observer */
@@ -517,7 +517,7 @@ typedef struct {
     long issue_width, window, mem_cap, num_sched;
     long l1_lat, dram_lat, shared_lat;
     double l1_rate;
-    int multi_issue, debug_inv, tail_hooks, tech_wakeups;
+    int multi_issue, tail_hooks, tech_wakeups;
     long expire_period, eager_backoff, horizon;
     UnitC *units;
     int nunits;
@@ -541,8 +541,7 @@ runstate_free(RunState *S)
     Py_XDECREF(S->memory); Py_XDECREF(S->mem_earliest);
     Py_XDECREF(S->mem_rng); Py_XDECREF(S->mem_in_flight);
     Py_XDECREF(S->tech); Py_XDECREF(S->tech_try_acquire);
-    Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_check_inv);
-    Py_XDECREF(S->tech_wakeup);
+    Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_wakeup);
     Py_XDECREF(S->san_on_issue); Py_XDECREF(S->san_on_cycle);
     Py_XDECREF(S->banked_rf); Py_XDECREF(S->tech_resolve_physical);
     Py_XDECREF(S->banked_collect);
@@ -890,8 +889,7 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         return -1;
     S->tech_try_acquire = PyObject_GetAttr(S->tech, S_try_acquire);
     S->tech_release = PyObject_GetAttr(S->tech, S_release);
-    S->tech_check_inv = PyObject_GetAttr(S->tech, S_check_invariants);
-    if (!S->tech_try_acquire || !S->tech_release || !S->tech_check_inv)
+    if (!S->tech_try_acquire || !S->tech_release)
         return -1;
     if (S->tech_wakeups) {
         S->tech_wakeup = PyObject_GetAttr(S->tech, S_wakeup_pending);
@@ -949,17 +947,6 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     if (config == NULL)
         return -1;
     S->issue_width = get_long_attr(config, S_issue_width_per_scheduler, &err);
-    if (!err) {
-        PyObject *dbg = PyObject_GetAttr(config, S_debug_invariants);
-        if (dbg == NULL)
-            err = 1;
-        else {
-            S->debug_inv = PyObject_IsTrue(dbg);
-            Py_DECREF(dbg);
-            if (S->debug_inv < 0)
-                err = 1;
-        }
-    }
     if (!err)
         S->window = get_long_attr(config, S_watchdog_window, &err);
     if (!err)
@@ -982,8 +969,7 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     if (err)
         return -1;
     S->multi_issue = S->issue_width > 1;
-    S->tail_hooks = S->debug_inv || S->san_on_cycle != NULL
-        || S->observer != NULL;
+    S->tail_hooks = S->san_on_cycle != NULL || S->observer != NULL;
 
     /* WarpStatus members for the wakeup drain (identity compares). */
     {
@@ -2014,13 +2000,6 @@ native_run(PyObject *self, PyObject *args)
         if (S->tail_hooks) {
             if (flush_stats(S) < 0)
                 goto fail;
-            if (S->debug_inv) {
-                PyObject *r = PyObject_CallFunctionObjArgs(
-                    S->tech_check_inv, S->cyc_obj, NULL);
-                if (r == NULL)
-                    goto fail;
-                Py_DECREF(r);
-            }
             if (S->san_on_cycle != NULL) {
                 PyObject *r = PyObject_CallFunctionObjArgs(
                     S->san_on_cycle, sm, NULL);
@@ -2323,7 +2302,6 @@ intern_all(void)
     IN(S_save_checkpoint, "save_checkpoint");
     IN(S_config, "config");
     IN(S_issue_width_per_scheduler, "issue_width_per_scheduler");
-    IN(S_debug_invariants, "debug_invariants");
     IN(S_watchdog_window, "watchdog_window");
     IN(S_max_in_flight, "_max_in_flight");
     IN(S_on_issue, "on_issue");
@@ -2334,7 +2312,6 @@ intern_all(void)
     IN(S_wakeup_pending, "wakeup_pending");
     IN(S_try_acquire, "try_acquire");
     IN(S_release, "release");
-    IN(S_check_invariants, "check_invariants");
     IN(S_resolve_physical, "resolve_physical");
     IN(S_collect, "collect");
     IN(S_on_acquire_wake, "on_acquire_wake");
@@ -2371,7 +2348,7 @@ PyInit__native(void)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
     EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 2) < 0) {
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 3) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -122,7 +122,7 @@ if _native is not None:
         "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
     )
     if not (
-        getattr(_native, "NATIVE_ABI", None) == 2
+        getattr(_native, "NATIVE_ABI", None) == 3
         and all(
             getattr(_native, name) == getattr(_col_mod, name)
             for name in _NATIVE_CONST_NAMES
@@ -579,11 +579,8 @@ class StreamingMultiprocessor:
         observer = self._observer
         resident_ctas = self.resident_ctas
         issue_width = self.config.issue_width_per_scheduler
-        debug_inv = self.config.debug_invariants
         window = self.config.watchdog_window
-        tail_hooks = (
-            debug_inv or sanitizer is not None or observer is not None
-        )
+        tail_hooks = sanitizer is not None or observer is not None
         wid2slot = core.wid2slot
         multi_issue = issue_width > 1
         cycle = self.cycle
@@ -969,8 +966,6 @@ class StreamingMultiprocessor:
                     last_progress,
                 )
                 d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-                if debug_inv:
-                    tech.check_invariants(cycle)
                 if sanitizer is not None:
                     sanitizer.on_cycle(self)
                 if observer is not None:
@@ -1215,8 +1210,6 @@ class StreamingMultiprocessor:
                     self.stats.stall_barrier += 1
                 elif saw_scoreboard:
                     self.stats.stall_scoreboard += 1
-        if self.config.debug_invariants:
-            self.technique.check_invariants(cycle)
         if self._sanitizer is not None:
             self._sanitizer.on_cycle(self)
         if self._observer is not None:

@@ -71,8 +71,8 @@ class SmTechniqueState:
 
     def check_invariants(self, cycle: int) -> None:
         """Raise ``InvariantViolationError`` if the technique's hardware
-        structures are inconsistent.  Called every cycle when the config
-        sets ``debug_invariants``; the default state has none."""
+        structures are inconsistent.  The sanitizer calls it every
+        ``sanitizer_stride`` cycles; the default state has none."""
 
     def debug_snapshot(self) -> dict:
         """Technique-internal state for deadlock diagnostics (plain
@@ -123,6 +123,64 @@ class SmTechniqueState:
         kept as an id, so identity checks (e.g. ``warp in queue``) keep
         working after resume.
         """
+
+
+class DelegatingTechniqueState(SmTechniqueState):
+    """Decorator base: forwards every hook to the wrapped ``inner`` state.
+
+    Wrappers that observe the technique (the observability bus, the
+    shadow executor) subclass this and override only the hooks they add
+    to, so a hook added here reaches every wrapper, checkpoint hooks
+    included.  Wrappers compose in any order; :func:`innermost` unwraps
+    them.
+    """
+
+    def __init__(self, inner: SmTechniqueState) -> None:
+        super().__init__(inner.kernel, inner.config, inner.stats)
+        self.inner = inner
+
+    def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
+        return self.inner.can_issue(warp, inst, cycle)
+
+    def on_issue(self, warp: Warp, inst: Instruction, cycle: int) -> None:
+        self.inner.on_issue(warp, inst, cycle)
+
+    def try_acquire(self, warp: Warp, cycle: int) -> bool:
+        return self.inner.try_acquire(warp, cycle)
+
+    def release(self, warp: Warp, cycle: int) -> None:
+        self.inner.release(warp, cycle)
+
+    def on_warp_finish(self, warp: Warp, cycle: int) -> None:
+        self.inner.on_warp_finish(warp, cycle)
+
+    def wakeup_pending(self) -> "Sequence[Warp]":
+        return self.inner.wakeup_pending()
+
+    def check_invariants(self, cycle: int) -> None:
+        self.inner.check_invariants(cycle)
+
+    def debug_snapshot(self) -> dict:
+        return self.inner.debug_snapshot()
+
+    def srp_view(self) -> "tuple[int, int] | None":
+        return self.inner.srp_view()
+
+    def resolve_physical(self, warp: Warp, arch_reg: int) -> int:
+        return self.inner.resolve_physical(warp, arch_reg)
+
+    def state_snapshot(self) -> dict:
+        return self.inner.state_snapshot()
+
+    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
+        self.inner.state_restore(payload, warps_by_id)
+
+
+def innermost(state: SmTechniqueState) -> SmTechniqueState:
+    """The technique state under any stack of delegating wrappers."""
+    while isinstance(state, DelegatingTechniqueState):
+        state = state.inner
+    return state
 
 
 class SharingTechnique:

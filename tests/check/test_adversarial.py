@@ -2,21 +2,16 @@
 
 Every simulator-layer fault must now be caught by a *typed* detector
 with provenance: the SRP corruptions by the sanitizer's structural
-check (previously they needed ``debug_invariants`` or had to grind into
-the deadlock detectors), the schedule-level unbalanced acquire by the
-deadlock machinery (its structures stay self-consistent — correctly
-not the sanitizer's catch).
+check, the schedule-level unbalanced acquire by the deadlock machinery
+(its structures stay self-consistent — correctly not the sanitizer's
+catch).
 """
 
 import pytest
 
 from repro.check.adversarial import run_adversarial_campaign
 from repro.compiler.verification import verify_regmutex_safety
-from repro.errors import (
-    InvariantViolationError,
-    SanitizerError,
-    SimulationDeadlockError,
-)
+from repro.errors import SanitizerError, SimulationDeadlockError
 from repro.check.sanitizer import SanitizerViolation
 from repro.faults.campaign import _classify, _probe_kernel, _sim_scenarios
 
@@ -40,10 +35,6 @@ class TestClassification:
         )
         assert detector == "sanitizer"
         assert "cycle 29" in detail and "warp 3" in detail
-
-    def test_invariant_error_classified(self):
-        detector, _ = _classify(InvariantViolationError("cycle 5: bad"))
-        assert detector == "invariant-checker"
 
     def test_deadlock_classified(self):
         detector, _ = _classify(SimulationDeadlockError("SM 0 deadlocked"))

@@ -149,3 +149,66 @@ class TestAttachShadow:
         warps = (kernel.metadata.threads_per_cta + 31) // 32
         assert len(streams) == warps
         assert all(count > 0 for _, _, count in streams)
+
+
+def _regmutex_sm(config, total_ctas=4):
+    """One SM of a contended acquire/release kernel (one SRP section)."""
+    from repro.regmutex.issue_logic import RegMutexSmState
+    from repro.sim.sm import StreamingMultiprocessor
+    from repro.sim.stats import SmStats
+
+    b = KernelBuilder(regs_per_thread=8, threads_per_cta=64)
+    for r in range(4):
+        b.ldc(r)
+    b.acquire()
+    for r in range(4, 8):
+        b.ldc(r)
+    for r in range(4, 8):
+        b.alu(0, 0, r)
+    b.release()
+    b.store(0, 0)
+    b.exit()
+    kernel = b.build()
+    stats = SmStats()
+    return StreamingMultiprocessor(
+        sm_id=0, config=config, kernel=kernel,
+        technique_state=RegMutexSmState(kernel, config, stats, num_sections=1),
+        ctas_resident_limit=2, total_ctas=total_ctas,
+        rng=DeterministicRng(1), stats=stats,
+    )
+
+
+class TestShadowWrapperDelegation:
+    """The shadow wrapper forwards every technique hook, so it composes
+    with checkpoints and with the observer like the bare state does."""
+
+    def test_checkpoint_keeps_the_wrapped_technique_state(self, tiny_config):
+        sm = _regmutex_sm(tiny_config)
+        attach_shadow(sm)
+        state = sm.technique.inner
+        while not state.srp.sections_in_use:
+            sm.step()
+        payload = sm.save_checkpoint()["technique"]
+        assert payload
+        assert payload == state.state_snapshot()
+
+    def test_attach_order_does_not_change_the_event_log(self, tiny_config):
+        from repro.observe import SmObserver
+        from repro.observe.events import SECTION_ACQUIRE
+
+        logs = []
+        for shadow_first in (True, False):
+            sm = _regmutex_sm(tiny_config)
+            obs = SmObserver()
+            if shadow_first:
+                attach_shadow(sm)
+                obs.attach(sm)
+            else:
+                obs.attach(sm)
+                attach_shadow(sm)
+            sm.run()
+            logs.append(list(obs.log))
+        shadow_first_log, observer_first_log = logs
+        acquires = [e for e in shadow_first_log if e.kind == SECTION_ACQUIRE]
+        assert len(acquires) == 8  # one per warp: 4 CTAs x 2 warps
+        assert shadow_first_log == observer_first_log

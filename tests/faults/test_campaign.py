@@ -49,7 +49,7 @@ class TestSimAndCacheLayers:
         # progress watchdog can call this livelock.
         assert detectors["lost-release/eager"] == "watchdog"
         assert detectors["unbalanced-acquire/barrier"] == "deadlock-check"
-        assert detectors["srp-bit-flip/invariants"] == "invariant-checker"
+        assert detectors["srp-bit-flip/sanitizer"] == "sanitizer"
         # Damaged checkpoints are classified and discarded, never
         # silently resumed; the journal/lock protocol survives
         # concurrent writers.

@@ -163,6 +163,23 @@ class TestCacheKeyHygiene:
         names = {f.name for f in dataclasses.fields(GpuConfig)}
         assert _TIMING_NEUTRAL_CONFIG_FIELDS <= names
 
+    def test_golden_v6_key(self, cfg):
+        """One fixed (kernel, config, technique) key, pinned at the hex
+        digest computed before ``runtime_safety_checks`` and
+        ``debug_invariants`` left GpuConfig: removing a field must not
+        move any v6 key."""
+        from repro.harness.runner import CACHE_KEY_VERSION
+        from repro.regmutex.issue_logic import RegMutexTechnique
+
+        runner = ExperimentRunner(target_ctas_per_sm=4)
+        key = runner.key_for(
+            straightline_kernel(), cfg, RegMutexTechnique(extended_set_size=4)
+        )
+        assert CACHE_KEY_VERSION == "v6"
+        assert key == (
+            "e3894a02f2c7306ec696426ce660ac12a2b59b1c5c0d8e0c26a4b22e7af97122"
+        )
+
     def test_engine_and_sanitizer_knobs_do_not_move_the_key(self, cfg):
         import dataclasses
         runner = ExperimentRunner(target_ctas_per_sm=4)

@@ -1,10 +1,13 @@
-"""Tests for the runtime extended-register safety checker."""
+"""Tests for the runtime extended-register safety check: the
+sanitizer's ``extended-access`` violation on hand-built kernels, and a
+clean run on well-formed and compiled ones."""
 
 import dataclasses
 
 import pytest
 
 from repro.arch.config import fermi_like
+from repro.errors import SanitizerError
 from repro.isa.builder import KernelBuilder
 from repro.regmutex.issue_logic import RegMutexSmState, RegMutexTechnique
 from repro.sim.gpu import Gpu
@@ -19,7 +22,7 @@ def checked_config():
     return fermi_like(
         name="checked", num_sms=1, max_warps_per_sm=8, max_ctas_per_sm=4,
         max_threads_per_sm=256, registers_per_sm=4096,
-        dram_latency=60, l1_hit_latency=8, runtime_safety_checks=True,
+        dram_latency=60, l1_hit_latency=8, sanitizer=True,
     )
 
 
@@ -34,6 +37,12 @@ def _run_raw(kernel, config, sections=2):
         rng=DeterministicRng(1), stats=stats,
     )
     return sm.run()
+
+
+def _assert_extended_access(excinfo, reg):
+    violation = excinfo.value.violations[0]
+    assert violation.check == "extended-access"
+    assert f"R{reg} " in violation.message
 
 
 class TestRuntimeSafety:
@@ -64,8 +73,9 @@ class TestRuntimeSafety:
         kernel = b.build().with_metadata(
             base_set_size=6, extended_set_size=2, regs_per_thread=8
         )
-        with pytest.raises(PermissionError, match="R6"):
+        with pytest.raises(SanitizerError, match="R6") as excinfo:
             _run_raw(kernel, checked_config)
+        _assert_extended_access(excinfo, 6)
 
     def test_access_after_release_caught(self, checked_config):
         b = KernelBuilder(regs_per_thread=8, threads_per_cta=32)
@@ -78,8 +88,9 @@ class TestRuntimeSafety:
         kernel = b.build().with_metadata(
             base_set_size=6, extended_set_size=2, regs_per_thread=8
         )
-        with pytest.raises(PermissionError):
+        with pytest.raises(SanitizerError) as excinfo:
             _run_raw(kernel, checked_config)
+        _assert_extended_access(excinfo, 6)
 
     def test_pipeline_output_runs_clean_under_checks(self, checked_config):
         """The full compiler pipeline's output must satisfy the dynamic
@@ -110,4 +121,22 @@ class TestRuntimeSafety:
 
     def test_checks_off_by_default(self):
         cfg = fermi_like()
-        assert not cfg.runtime_safety_checks
+        assert not cfg.sanitizer
+
+    def test_regmutex_state_adds_no_issue_hook(self, checked_config):
+        """RegMutex gates nothing at issue time beyond acquire/release:
+        its SM binds neither a ``can_issue`` nor an ``on_issue`` call,
+        only the wakeup drain."""
+        b = KernelBuilder(regs_per_thread=8, threads_per_cta=32)
+        b.exit()
+        kernel = b.build()
+        stats = SmStats()
+        sm = StreamingMultiprocessor(
+            sm_id=0, config=checked_config, kernel=kernel,
+            technique_state=RegMutexSmState(
+                kernel, checked_config, stats, num_sections=2
+            ),
+            ctas_resident_limit=1, total_ctas=1,
+            rng=DeterministicRng(1), stats=stats,
+        )
+        assert sm._hook_bindings() == (None, None, True)

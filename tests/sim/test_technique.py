@@ -60,3 +60,28 @@ class TestStats:
                            theoretical_occupancy=1.0, ctas_per_sm=4)
         assert fast.cycle_reduction_vs(base) == 0.25
         assert fast.cycle_increase_vs(base) == -0.25
+
+
+class TestDelegatingTechniqueState:
+    def test_forwards_every_hook(self):
+        """A hook added to SmTechniqueState must be forwarded too, or a
+        wrapped SM silently runs the stock default for it."""
+        import inspect
+
+        from repro.sim.technique import DelegatingTechniqueState
+
+        hooks = {
+            name for name, member in vars(SmTechniqueState).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        assert hooks
+        assert hooks <= set(vars(DelegatingTechniqueState))
+
+    def test_innermost_unwraps_nested_wrappers(self):
+        from repro.sim.technique import DelegatingTechniqueState, innermost
+
+        kernel = straightline_kernel()
+        state = SmTechniqueState(kernel, GTX480, SmStats())
+        wrapped = DelegatingTechniqueState(DelegatingTechniqueState(state))
+        assert innermost(wrapped) is state
+        assert innermost(state) is state
