@@ -395,8 +395,7 @@ class Orchestrator:
         outcomes: dict[JobSpec, object] = {}
         pending: list[tuple[JobSpec, str]] = []
         for job in ordered:
-            kernel, technique, _ = materialize_job(job)
-            key = self.runner.key_for(kernel, job.config, technique)
+            key = self.runner.job_key(job)
             record = self.runner.cached(key)
             if record is not None:
                 self.runner.cache_hits += 1

@@ -30,13 +30,14 @@ journal tail (a writer killed mid-append) is detected and dropped.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 try:
     import fcntl
@@ -49,6 +50,15 @@ from repro.isa.printer import format_kernel
 from repro.sim.gpu import Gpu
 from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique, SharingTechnique
+from repro.workloads.suite import (
+    APPLICATIONS,
+    AppSpec,
+    build_app_kernel,
+    get_app,
+)
+
+if TYPE_CHECKING:
+    from repro.harness.spec import JobSpec
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,18 @@ def _config_fingerprint(config: GpuConfig) -> str:
     dataclass repr implementation; sorting the asdict items makes the
     key stable across field reordering and unaffected by cosmetic repr
     changes, while still covering every timing-relevant field's value.
+
+    Memoized per config value.  Equal configs can still print
+    differently (``1`` vs ``1.0``, ``True`` vs ``1``), so the memo is
+    keyed by the field types too: a key never depends on which of two
+    equal configs was fingerprinted first.
     """
+    return _fingerprint_fields(config, tuple(map(type, vars(config).values())))
+
+
+# Bounded: a service client can send any config it likes.
+@functools.lru_cache(maxsize=64)
+def _fingerprint_fields(config: GpuConfig, _field_types: tuple) -> str:
     fields = {**_RETIRED_CONFIG_FIELDS, **dataclasses.asdict(config)}
     items = sorted(
         (k, v)
@@ -203,6 +224,16 @@ def _technique_fingerprint(technique: SharingTechnique) -> str:
     parts = [technique.name]
     parts.extend(f"{k}={params[k]!r}" for k in sorted(params))
     return ";".join(parts)
+
+
+# A job names its app and both front ends resolve the name through
+# ``get_app``, so the arguments are the registry's specs: one entry per
+# registered app (16, about 47 KB of text).
+@functools.lru_cache(maxsize=len(APPLICATIONS))
+def _app_kernel_text(app: AppSpec) -> str:
+    """Printed kernel of an app.  The generator is seeded by the
+    ``AppSpec``, so the text depends on nothing else."""
+    return format_kernel(build_app_kernel(app))
 
 
 class ExperimentRunner:
@@ -398,9 +429,14 @@ class ExperimentRunner:
     def _key(
         self, kernel: Kernel, config: GpuConfig, technique: SharingTechnique
     ) -> str:
+        return self._hash(format_kernel(kernel), config, technique)
+
+    def _hash(
+        self, kernel_text: str, config: GpuConfig, technique: SharingTechnique
+    ) -> str:
         payload = "|".join(
             [
-                format_kernel(kernel),
+                kernel_text,
                 _config_fingerprint(config),
                 _technique_fingerprint(technique),
                 str(self.seed),
@@ -413,8 +449,22 @@ class ExperimentRunner:
     def key_for(
         self, kernel: Kernel, config: GpuConfig, technique: SharingTechnique
     ) -> str:
-        """Public cache key (the orchestrator's dedup/install handle)."""
+        """Cache key of an arbitrary kernel (``run``'s key)."""
         return self._key(kernel, config, technique)
+
+    def job_key(self, job: JobSpec) -> str:
+        """Cache key of a :class:`~repro.harness.spec.JobSpec`: the key
+        ``key_for`` gives the job's built kernel, without building it.
+
+        The one key path of both front ends, the orchestrator and the
+        service daemon.  The app's kernel text and the config
+        fingerprint come from their memos, so a warm job costs one
+        technique build and one hash.
+        """
+        return self._hash(
+            _app_kernel_text(get_app(job.app)), job.config,
+            job.technique.build(),
+        )
 
     def cached(self, key: str) -> Optional[RunRecord]:
         """The stored record for ``key``, if any (no hit accounting).

@@ -58,7 +58,7 @@ from repro.errors import (
 from repro.harness.experiments import figure_spec
 from repro.harness.orchestrator import JobExecutor, ordered_unique_jobs
 from repro.harness.runner import ExperimentRunner
-from repro.harness.spec import JobFailure, JobSpec, materialize_job
+from repro.harness.spec import JobFailure, JobSpec
 from repro.harness.telemetry import MODE_CACHED, JobTiming, SessionTelemetry
 from repro.observe.bus import EventBus, EventLog
 from repro.observe.events import (
@@ -250,10 +250,6 @@ class SimulationService:
             self.runner.flush()
 
     # -- submission intake ----------------------------------------------------
-    def _key_for(self, job: JobSpec) -> str:
-        kernel, technique, _ = materialize_job(job)
-        return self.runner.key_for(kernel, job.config, technique)
-
     def submit(
         self, jobs: list[JobSpec], timeout: float | None = None
     ) -> list[tuple[JobState, str | None]]:
@@ -286,7 +282,7 @@ class SimulationService:
         plan: list[tuple[JobSpec, str, str | None, object]] = []
         fresh = 0
         for job in unique:
-            key = self._key_for(job)
+            key = self.runner.job_key(job)
             if key in self._inflight:
                 plan.append((job, key, "inflight", None))
                 continue

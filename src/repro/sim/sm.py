@@ -76,7 +76,7 @@ from repro.sim.rand import DeterministicRng
 from repro.sim.scheduler import WarpScheduler, make_scheduler
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.stats import SmStats
-from repro.sim.technique import SmTechniqueState
+from repro.sim.technique import SmTechniqueState, resolve_hook
 from repro.sim.warp import Warp, WarpStatus, resolve_conditional_branch
 
 # Scoreboard-expiry cadence: purging every cycle is wasted work; the
@@ -1084,19 +1084,17 @@ class StreamingMultiprocessor:
         """``(can_issue, on_issue, wakeups)`` for the columnar loops.
 
         Read once per run (observer attach swaps the technique object
-        before a run starts): a hook still at its ``SmTechniqueState``
-        no-op binds to None — ``wakeups`` to False — and the loops skip
-        it without a call; an overridden one is the bound method, and
-        sees the bound views as usual.
+        before a run starts).  Each hook resolves through any wrapper
+        stack (:func:`resolve_hook`): one no layer implements binds to
+        None — ``wakeups`` to False — and the loops skip it without a
+        call; one only the wrapped state implements binds that state's
+        method, not the wrappers' forwarding ones.
         """
         tech = self.technique
-        cls = type(tech)
         return (
-            None if cls.can_issue is SmTechniqueState.can_issue
-            else tech.can_issue,
-            None if cls.on_issue is SmTechniqueState.on_issue
-            else tech.on_issue,
-            cls.wakeup_pending is not SmTechniqueState.wakeup_pending,
+            resolve_hook(tech, "can_issue"),
+            resolve_hook(tech, "on_issue"),
+            resolve_hook(tech, "wakeup_pending") is not None,
         )
 
     def _flush_counters(

@@ -183,6 +183,26 @@ def innermost(state: SmTechniqueState) -> SmTechniqueState:
     return state
 
 
+def resolve_hook(state: SmTechniqueState, name: str):
+    """The bound method that does the work of hook ``name``, or None.
+
+    Walks a wrapper stack past layers that only forward the hook: the
+    outermost layer that overrides it is bound (it calls on inward
+    itself); with no overriding wrapper, the innermost state's own
+    method is bound, or None when that is the ``SmTechniqueState``
+    no-op.
+    """
+    while isinstance(state, DelegatingTechniqueState):
+        if getattr(type(state), name) is not getattr(
+            DelegatingTechniqueState, name
+        ):
+            return getattr(state, name)
+        state = state.inner
+    if getattr(type(state), name) is getattr(SmTechniqueState, name):
+        return None
+    return getattr(state, name)
+
+
 class SharingTechnique:
     """A register-management scheme: occupancy math + per-SM state factory."""
 

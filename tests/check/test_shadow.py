@@ -212,3 +212,68 @@ class TestShadowWrapperDelegation:
         acquires = [e for e in shadow_first_log if e.kind == SECTION_ACQUIRE]
         assert len(acquires) == 8  # one per warp: 4 CTAs x 2 warps
         assert shadow_first_log == observer_first_log
+
+
+class TestHookBindingsThroughWrappers:
+    """Wrappers that only forward a hook add no call to the issue loop:
+    ``_hook_bindings()`` resolves each hook through the wrapper stack."""
+
+    def _sm(self, config, make_state):
+        from repro.sim.sm import StreamingMultiprocessor
+        from repro.sim.stats import SmStats
+        from tests.conftest import straightline_kernel
+
+        kernel = straightline_kernel()
+        stats = SmStats()
+        return StreamingMultiprocessor(
+            sm_id=0, config=config, kernel=kernel,
+            technique_state=make_state(kernel, config, stats),
+            ctas_resident_limit=1, total_ctas=1,
+            rng=DeterministicRng(1), stats=stats,
+        )
+
+    def _states(self):
+        from repro.baselines.owf import OwfSmState
+        from repro.regmutex.issue_logic import RegMutexSmState
+        from repro.sim.technique import SmTechniqueState
+
+        return {
+            "baseline": SmTechniqueState,
+            "regmutex": lambda k, c, s: RegMutexSmState(
+                k, c, s, num_sections=1),
+            "owf": lambda k, c, s: OwfSmState(
+                k, c, s, base_ctas=1, extra_ctas=1),
+        }
+
+    def test_forwarding_wrappers_bind_the_inner_hooks(self, tiny_config):
+        from repro.observe import SmObserver
+
+        for name, make_state in self._states().items():
+            for shadow_first in (True, False):
+                sm = self._sm(tiny_config, make_state)
+                inner = sm.technique
+                bare_can_issue, bare_on_issue, wakeups = sm._hook_bindings()
+                assert bare_on_issue is None, name
+                if name == "owf":
+                    assert bare_can_issue == inner.can_issue
+                else:
+                    assert bare_can_issue is None, name
+                assert wakeups is (name != "baseline"), name
+
+                if shadow_first:
+                    attach_shadow(sm)
+                    SmObserver().attach(sm)
+                else:
+                    SmObserver().attach(sm)
+                    attach_shadow(sm)
+                assert sm.technique is not inner
+                can_issue, on_issue, wrapped_wakeups = sm._hook_bindings()
+                # can_issue and wakeup_pending: no wrapper adds to them.
+                if bare_can_issue is None:
+                    assert can_issue is None, name
+                else:
+                    assert can_issue == inner.can_issue
+                assert wrapped_wakeups is wakeups, name
+                # on_issue: both wrappers add to it, so the outer one
+                # is bound and calls inward itself.
+                assert on_issue == sm.technique.on_issue

@@ -95,3 +95,23 @@ def loop_kernel():
 @pytest.fixture
 def branch_kernel():
     return diamond_kernel()
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Names of the kernels generated during the test, counted from an
+    empty kernel-text memo (``ExperimentRunner.job_key``'s)."""
+    import repro.workloads.suite as suite
+    from repro.harness.runner import _app_kernel_text
+
+    calls = []
+    original = suite.generate_kernel
+
+    def counting(shape):
+        calls.append(shape.name)
+        return original(shape)
+
+    _app_kernel_text.cache_clear()
+    monkeypatch.setattr(suite, "generate_kernel", counting)
+    yield calls
+    _app_kernel_text.cache_clear()

@@ -205,6 +205,40 @@ class TestObserveWiring:
         drive(svc_config(tmp_path), body)
 
 
+class TestWarmPath:
+    def test_repeated_figure_submission_builds_no_kernel(
+        self, tmp_path, generate_calls
+    ):
+        """Over a pre-filled store, only the first figure submission
+        builds each app's kernel (to memoize its text); a repeat builds
+        none and is answered entirely from the store."""
+        from repro.harness.runner import ExperimentRunner
+        from tests.harness.test_job_key import figure_jobs, fill_store
+
+        config = svc_config(tmp_path)
+        jobs = list(figure_jobs("fig7"))
+        with ExperimentRunner(
+            seed=config.seed, target_ctas_per_sm=config.target_ctas_per_sm,
+            cache_path=config.cache_path,
+        ) as store:
+            fill_store(store, jobs)
+        generate_calls.clear()
+
+        async def body(service):
+            counts = []
+            for _ in range(2):
+                results = service.submit(jobs)
+                assert [dedup for _, dedup in results] == ["store"] * len(jobs)
+                counts.append(len(generate_calls))
+                generate_calls.clear()
+            assert service.stats["simulations"] == 0
+            return counts
+
+        first, repeat = drive(config, body)
+        assert first == len({job.app for job in jobs})
+        assert repeat == 0
+
+
 class TestConcurrentClients:
     def test_two_clients_one_simulation_identical_records(self, tmp_path):
         """The acceptance probe: two clients submit identical and
