@@ -39,10 +39,25 @@ def runner() -> ExperimentRunner:
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark an experiment driver with a single timed round.
+    """Benchmark an experiment with a single timed round.
 
     The interesting output is the experiment's rows (asserted by each
     bench); the timing records how long regenerating the figure takes.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def check_figure(benchmark, runner, name: str) -> None:
+    """Regenerate one paper figure, print its declared table, and
+    assert that its rows meet every paper claim declared for it
+    (:mod:`repro.harness.figures`)."""
+    from repro.harness.experiments import figure_spec
+    from repro.harness.figures import FIGURES
+    from repro.harness.orchestrator import Orchestrator
+
+    figure = FIGURES[name]
+    specs = [figure_spec(n) for n in (name, *figure.needs)]
+    rows = run_once(benchmark, Orchestrator(runner).run_specs, specs)
+    print(f"\n{name}\n" + figure.table(rows[name]))
+    assert figure.unmet(rows) == []

@@ -7,65 +7,12 @@ lands between no-technique (+23%) and default RegMutex, trailing the
 default by ≈ 8 points.
 """
 
-from repro.harness.experiments import fig12_paired_warps
-from repro.harness.reporting import format_table, percent
-from benchmarks.conftest import run_once
+from benchmarks.conftest import check_figure
 
 
 def test_fig12a_paired_baseline(benchmark, runner):
-    rows = run_once(benchmark, fig12_paired_warps, runner, half_rf=False)
-
-    print("\n" + format_table(
-        ["app", "paired reduction", "default reduction", "paired occupancy"],
-        [[r.app, percent(r.metric), percent(r.metric_default),
-          f"{r.occupancy_paired:.0%}"] for r in rows],
-        title="Figure 12a — paired-warps on the baseline architecture",
-    ))
-    n = len(rows)
-    avg_paired = sum(r.metric for r in rows) / n
-    avg_default = sum(r.metric_default for r in rows) / n
-    print(f"averages: paired {percent(avg_paired)} (paper +8%), "
-          f"default {percent(avg_default)} (paper +12%)")
-
-    assert n == 8
-    # Paired-warps trails the default mode on average (less sharing
-    # flexibility), but remains clearly positive.
-    assert avg_paired < avg_default
-    assert 0.02 <= avg_paired <= 0.15
-    # The gap is moderate (paper: ~4 points), not a collapse.
-    assert avg_default - avg_paired < 0.10
-    # Where pairing preserves the occupancy boost it stays competitive
-    # with the default mode (within a couple of points).
-    competitive = [
-        r for r in rows if r.metric > 0.05
-    ]
-    assert competitive
-    for r in competitive:
-        assert r.metric > r.metric_default - 0.06, r.app
+    check_figure(benchmark, runner, "fig12a")
 
 
 def test_fig12b_paired_half_rf(benchmark, runner):
-    rows = run_once(benchmark, fig12_paired_warps, runner, half_rf=True)
-
-    print("\n" + format_table(
-        ["app", "paired increase", "default increase", "paired occupancy"],
-        [[r.app, percent(r.metric), percent(r.metric_default),
-          f"{r.occupancy_paired:.0%}"] for r in rows],
-        title="Figure 12b — paired-warps on half RF (vs full-file baseline)",
-    ))
-    n = len(rows)
-    avg_paired = sum(r.metric for r in rows) / n
-    avg_default = sum(r.metric_default for r in rows) / n
-    print(f"averages: paired {percent(avg_paired)} (paper +17%), "
-          f"default {percent(avg_default)} (paper +9%)")
-
-    assert n == 8
-    # Default RegMutex outperforms the specialization on half RF
-    # (paper: default better by ~8 points).
-    assert avg_default <= avg_paired
-    # But pairing still recovers a meaningful part of the bare slowdown:
-    # compare against the no-technique increase from the Figure 8 data.
-    from repro.harness.experiments import fig8_half_register_file
-    bare = fig8_half_register_file(runner)
-    avg_none = sum(r.increase_no_technique for r in bare) / len(bare)
-    assert avg_paired < avg_none
+    check_figure(benchmark, runner, "fig12b")

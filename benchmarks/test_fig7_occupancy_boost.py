@@ -6,46 +6,8 @@ muted despite the same occupancy boost (SRP-section contention), and
 occupancy never decreasing.
 """
 
-from repro.harness.experiments import fig7_occupancy_boost
-from repro.harness.reporting import format_table, percent
-from benchmarks.conftest import run_once
+from benchmarks.conftest import check_figure
 
 
-def test_fig7_occupancy_boost(benchmark, runner):
-    rows = run_once(benchmark, fig7_occupancy_boost, runner)
-
-    print("\n" + format_table(
-        ["app", "cycle reduction", "occupancy init", "occupancy RegMutex",
-         "acquire success"],
-        [[r.app, percent(r.cycle_reduction), f"{r.occupancy_init:.0%}",
-          f"{r.occupancy_regmutex:.0%}", f"{r.acquire_success_rate:.0%}"]
-         for r in rows],
-        title="Figure 7 — RegMutex on the baseline GTX480",
-    ))
-    avg = sum(r.cycle_reduction for r in rows) / len(rows)
-    print(f"average reduction: {percent(avg)}  (paper: +13%)")
-
-    assert len(rows) == 8
-    by_app = {r.app: r for r in rows}
-
-    # Occupancy boost on every app (that is why these 8 were selected).
-    for r in rows:
-        assert r.occupancy_regmutex > r.occupancy_init, r.app
-
-    # Average in the paper's neighbourhood.
-    assert 0.08 <= avg <= 0.20
-
-    # BFS is the biggest winner (paper: up to 23%).
-    best = max(rows, key=lambda r: r.cycle_reduction)
-    assert best.app == "BFS"
-    assert best.cycle_reduction >= 0.18
-
-    # SAD and ParticleFilter gain far less than their occupancy boost
-    # would suggest — SRP contention (the paper's §IV-A discussion).
-    for muted in ("SAD", "ParticleFilter"):
-        assert by_app[muted].cycle_reduction < avg, muted
-        assert by_app[muted].acquire_success_rate < 0.9, muted
-
-    # No app collapses (worst case stays above a mild regression bound).
-    for r in rows:
-        assert r.cycle_reduction > -0.05, r.app
+def test_fig7_reduction_and_occupancy(benchmark, runner):
+    check_figure(benchmark, runner, "fig7")

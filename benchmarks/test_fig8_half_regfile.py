@@ -6,43 +6,8 @@ by ≈ 23% on the 64 KB file; with RegMutex the average increase drops to
 not raise occupancy, leaving only instruction overhead).
 """
 
-from repro.harness.experiments import fig8_half_register_file
-from repro.harness.reporting import format_table, percent
-from benchmarks.conftest import run_once
+from benchmarks.conftest import check_figure
 
 
 def test_fig8_half_register_file(benchmark, runner):
-    rows = run_once(benchmark, fig8_half_register_file, runner)
-
-    print("\n" + format_table(
-        ["app", "increase (no technique)", "increase (RegMutex)",
-         "occupancy bare", "occupancy RegMutex"],
-        [[r.app, percent(r.increase_no_technique),
-          percent(r.increase_regmutex),
-          f"{r.occupancy_half_no_technique:.0%}",
-          f"{r.occupancy_half_regmutex:.0%}"] for r in rows],
-        title="Figure 8 — half register file (64 KB/SM), vs full-file baseline",
-    ))
-    n = len(rows)
-    avg_none = sum(r.increase_no_technique for r in rows) / n
-    avg_rm = sum(r.increase_regmutex for r in rows) / n
-    print(f"average increase: no technique {percent(avg_none)} "
-          f"(paper +23%), RegMutex {percent(avg_rm)} (paper +9%)")
-
-    assert n == 8
-    # Halving the file hurts, and RegMutex absorbs most of it.
-    assert avg_none > 0.10
-    assert avg_rm < avg_none * 0.60
-    # Per-app: RegMutex never does *worse* than bare half-RF by much
-    # (MergeSort may show a slight overhead-only slowdown).
-    for r in rows:
-        assert r.increase_regmutex <= r.increase_no_technique + 0.03, r.app
-    # Occupancy recovered on most apps (7 of 8 in the paper).
-    recovered = sum(
-        r.occupancy_half_regmutex > r.occupancy_half_no_technique
-        for r in rows
-    )
-    assert recovered >= 6
-    # MergeSort: no occupancy gain from Table I's split at this geometry.
-    merge = next(r for r in rows if r.app == "MergeSort")
-    assert merge.occupancy_half_regmutex == merge.occupancy_half_no_technique
+    check_figure(benchmark, runner, "fig8")

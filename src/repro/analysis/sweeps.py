@@ -8,8 +8,8 @@ that cliff?".
 
 Each sweep is declared as an :class:`ExperimentSpec` whose row builder
 tolerates per-point failures (a scale where no CTA fits is a data point,
-not an error), so it runs serially through a runner or in parallel
-through an :class:`~repro.harness.orchestrator.Orchestrator` unchanged.
+not an error); it runs through an
+:class:`~repro.harness.orchestrator.Orchestrator` like every figure.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig, GTX480
+from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import (
     ExperimentSpec,
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.workloads.suite import get_app
 
@@ -114,10 +114,7 @@ def register_file_size_sweep(
     app: str,
     config: GpuConfig = GTX480,
     scales: tuple[float, ...] = DEFAULT_SCALES,
-    orchestrator=None,
 ) -> list[RfSizePoint]:
-    """Sweep the register file size for one application."""
+    """Sweep the register file size for one application, in-process."""
     spec = rf_size_sweep_spec(app, config, scales)
-    if orchestrator is not None:
-        return orchestrator.run_specs([spec])[spec.name]
-    return run_experiment(spec, runner)
+    return Orchestrator(runner).run_specs([spec])[spec.name]

@@ -30,7 +30,11 @@ measured-vs-paper table of every figure headline the run covers, and
 the session is written to a ``BENCH_<label>.json`` perf artifact.
 Performance is gated by ``benchmarks/perf_ab.py``, a same-machine A/B
 of ``perfbench/`` against the base commit, not by ``bench``.
-``--workers N`` on a figure command parallelizes just that figure.
+
+A figure command (``fig7`` … ``fig13``) runs its spec through the
+orchestrator (in-process at the default ``--workers 1``) and prints the
+table declared in :mod:`repro.harness.figures`.  ``--apps`` exists only
+where the figure takes an app subset (``fig1``, ``fig7`` … ``fig11``).
 
 ``faults`` runs the deterministic fault-injection campaign
 (:mod:`repro.faults.campaign`): every registered fault kind is armed
@@ -65,6 +69,7 @@ from pathlib import Path
 from repro.arch.config import GTX480
 from repro.errors import InterruptedRun
 from repro.harness import experiments as E
+from repro.harness.figures import FIGURES, figure_diffs, summarize_figures
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.reporting import (
     format_percent_series,
@@ -77,10 +82,7 @@ from repro.harness.spec import TECHNIQUE_LANES, lane_technique
 from repro.sim.technique import BaselineTechnique
 from repro.workloads.suite import APPLICATIONS, build_app_kernel, get_app
 
-_EXPERIMENTS = (
-    "fig1", "table1", "fig7", "fig8", "fig9a", "fig9b",
-    "fig10", "fig11", "fig12a", "fig12b", "fig13", "storage",
-)
+_EXPERIMENTS = ("fig1", "table1", *E.FIGURE_SPECS, "storage")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,10 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate {name}")
-        p.add_argument(
-            "--apps", default=None,
-            help="comma-separated app subset (where applicable)",
-        )
+        if name == "fig1" or (name in E.FIGURE_SPECS and E.takes_apps(name)):
+            p.add_argument(
+                "--apps", default=None, help="comma-separated app subset",
+            )
         p.add_argument(
             "--csv", default=None, metavar="PATH",
             help="also export the rows to a CSV file",
@@ -281,32 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run one app under one technique")
-    run.add_argument("app", choices=sorted(APPLICATIONS))
-    run.add_argument(
-        "--technique",
-        choices=TECHNIQUE_LANES,
-        default="regmutex",
-    )
-    run.add_argument("--es", type=int, default=None,
-                     help="force |Es| (default: Table I's split)")
-    run.add_argument("--half-rf", action="store_true",
-                     help="halve the register file")
-
     profile = sub.add_parser(
         "profile",
         help="run one SM with observability attached; print the profile "
              "report and optionally export a Perfetto trace",
     )
-    profile.add_argument("app", choices=sorted(APPLICATIONS))
-    profile.add_argument(
-        "--technique",
-        choices=TECHNIQUE_LANES,
-        default="regmutex",
-    )
-    profile.add_argument("--es", type=int, default=None,
-                         help="force |Es| (default: Table I's split)")
-    profile.add_argument("--half-rf", action="store_true",
-                         help="halve the register file")
+    for lane in (run, profile):
+        lane.add_argument("app", choices=sorted(APPLICATIONS))
+        lane.add_argument("--technique", choices=TECHNIQUE_LANES,
+                          default="regmutex")
+        lane.add_argument("--es", type=int, default=None,
+                          help="force |Es| (default: Table I's split)")
+        lane.add_argument("--half-rf", action="store_true",
+                          help="halve the register file")
     profile.add_argument(
         "--ctas", type=int, default=None, metavar="N",
         help="total CTAs to run through the SM (default: 2 waves)",
@@ -341,11 +330,6 @@ def _apps_arg(args) -> tuple[str, ...] | None:
     return None
 
 
-def _failed(row) -> str | None:
-    """``failed (<kind>)`` for a sweep row whose job failed, else None."""
-    return f"failed ({row.failure})" if row.failure else None
-
-
 def _cmd_list(args=None) -> int:
     if args is not None and args.as_json:
         import json
@@ -377,12 +361,17 @@ def _cmd_list(args=None) -> int:
     return 0
 
 
-def _cmd_run(args, runner: ExperimentRunner) -> int:
+def _lane(args):
+    """(kernel, config, technique, priority) of a run/profile lane."""
     spec = get_app(args.app)
     config = GTX480.with_half_register_file() if args.half_rf else GTX480
     es = args.es if args.es is not None else spec.expected_es
-    technique, priority = lane_technique(args.technique, es)
-    kernel = build_app_kernel(spec)
+    return (build_app_kernel(spec), config,
+            *lane_technique(args.technique, es))
+
+
+def _cmd_run(args, runner: ExperimentRunner) -> int:
+    kernel, config, technique, priority = _lane(args)
     record = runner.run(kernel, config, technique, scheduler_priority=priority)
     base = runner.run(kernel, config, BaselineTechnique())
     print(format_table(
@@ -411,11 +400,7 @@ def _cmd_profile(args) -> int:
         write_timeline_csv,
     )
 
-    spec = get_app(args.app)
-    config = GTX480.with_half_register_file() if args.half_rf else GTX480
-    es = args.es if args.es is not None else spec.expected_es
-    technique, priority = lane_technique(args.technique, es)
-    kernel = build_app_kernel(spec)
+    kernel, config, technique, priority = _lane(args)
     result = profile_kernel(
         kernel, config, technique,
         total_ctas=args.ctas, stride=args.stride,
@@ -449,22 +434,19 @@ def _maybe_csv(args, rows) -> None:
         print(f"(rows exported to {path})")
 
 
+def _orchestrator(args, runner: ExperimentRunner) -> Orchestrator:
+    """The one way a figure command runs its specs."""
+    return Orchestrator(runner, workers=args.workers,
+                        job_timeout=args.job_timeout, max_retries=args.retries)
+
+
 def _cmd_bench(args, runner: ExperimentRunner) -> int:
     """Regenerate figure suites through the orchestrator + telemetry."""
-    if args.figures:
-        names = [n.strip() for n in args.figures.split(",")]
-        unknown = [n for n in names if n not in E.FIGURE_SPECS]
-        if unknown:
-            known = ", ".join(sorted(E.FIGURE_SPECS))
-            raise KeyError(f"unknown figures {unknown} (known: {known})")
-    else:
-        names = list(E.FIGURE_SPECS)
+    names = ([n.strip() for n in args.figures.split(",")] if args.figures
+             else list(E.FIGURE_SPECS))
     apps = _apps_arg(args)
-    specs = [_figure_spec(n, apps) for n in names]
-    orch = Orchestrator(
-        runner, workers=args.workers,
-        job_timeout=args.job_timeout, max_retries=args.retries,
-    )
+    specs = [E.figure_spec(n, apps) for n in names]  # KeyError on a typo
+    orch = _orchestrator(args, runner)
     rows_by_name = orch.run_specs(specs)
     print(format_table(
         ["figure", "rows"],
@@ -473,7 +455,6 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
     print()
     print(format_telemetry(orch.telemetry))
 
-    from repro.harness.figures import figure_diffs, summarize_figures
     from repro.observe.perf import write_perf_artifact
 
     figures_summary = summarize_figures(rows_by_name)
@@ -494,11 +475,6 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
         print(f"\n(perf artifact written to {path})")
 
     return 0
-
-
-def _figure_spec(name: str, apps: tuple[str, ...] | None):
-    """Build one figure spec (thin alias of the shared resolver)."""
-    return E.figure_spec(name, apps)
 
 
 def _cmd_serve(args) -> int:
@@ -725,107 +701,28 @@ def _cmd_check(args) -> int:
 
 def _cmd_experiment(name: str, args, runner: ExperimentRunner) -> int:
     apps = _apps_arg(args)
-
     if name == "fig1":
         rows = E.fig1_liveness_traces(apps or E.FIGURE1_APPS)
         for row in rows:
             print(format_percent_series(row.app, row.utilization_series))
-        _maybe_csv(args, rows)
-        return 0
-    if name == "table1":
+    elif name == "table1":
         rows = E.table1_workloads()
         print(format_table(
             ["app", "regs", "rounded", "|Bs|", "|Es|", "sections", "heuristic"],
             [[r.app, r.regs, r.regs_rounded, r.bs, r.es, r.srp_sections,
               r.heuristic_agrees] for r in rows],
         ))
-        _maybe_csv(args, rows)
-        return 0
-    if name == "storage":
+    elif name == "storage":
         budgets = E.storage_overhead_comparison()
         print(format_table(
             ["technique", "bits/SM"],
             [[n, b.total_bits] for n, b in budgets.items()],
         ))
         return 0
-
-    kwargs = {"apps": apps} if apps else {}
-    extra = {}
-    if args.workers > 1:
-        extra["orchestrator"] = Orchestrator(
-            runner, workers=args.workers,
-            job_timeout=args.job_timeout, max_retries=args.retries,
-        )
-    kwargs.update(extra)
-    if name == "fig7":
-        rows = E.fig7_occupancy_boost(runner, **kwargs)
-        print(format_table(
-            ["app", "reduction", "occ init", "occ regmutex", "acq success"],
-            [[r.app, percent(r.cycle_reduction), f"{r.occupancy_init:.0%}",
-              f"{r.occupancy_regmutex:.0%}",
-              f"{r.acquire_success_rate:.0%}"] for r in rows],
-        ))
-    elif name == "fig8":
-        rows = E.fig8_half_register_file(runner, **kwargs)
-        print(format_table(
-            ["app", "increase bare", "increase regmutex"],
-            [[r.app, percent(r.increase_no_technique),
-              percent(r.increase_regmutex)] for r in rows],
-        ))
-    elif name == "fig9a":
-        rows = E.fig9a_comparison_baseline(runner, **kwargs)
-        print(format_table(
-            ["app", "OWF", "RFV", "RegMutex"],
-            [[r.app, percent(r.reduction_owf), percent(r.reduction_rfv),
-              percent(r.reduction_regmutex)] for r in rows],
-        ))
-    elif name == "fig9b":
-        rows = E.fig9b_comparison_half_rf(runner, **kwargs)
-        print(format_table(
-            ["app", "none", "OWF", "RFV", "RegMutex"],
-            [[r.app, percent(r.increase_none), percent(r.increase_owf),
-              percent(r.increase_rfv), percent(r.increase_regmutex)]
-             for r in rows],
-        ))
-    elif name == "fig10":
-        rows = E.fig10_es_sensitivity(runner, **kwargs)
-        print(format_table(
-            ["app", "|Es|", "reduction", "heuristic pick"],
-            [[r.app, r.es,
-              _failed(r) or percent(r.cycle_reduction), r.is_heuristic_pick]
-             for r in rows],
-        ))
-    elif name == "fig11":
-        rows = E.fig11_occupancy_and_acquires(runner, **kwargs)
-        print(format_table(
-            ["app", "|Es|", "occupancy", "acquire success"],
-            [[r.app, r.es,
-              _failed(r) or f"{r.theoretical_occupancy:.0%}",
-              _failed(r) or f"{r.acquire_success_rate:.0%}"] for r in rows],
-        ))
-    elif name == "fig12a":
-        rows = E.fig12_paired_warps(runner, half_rf=False, **extra)
-        print(format_table(
-            ["app", "paired reduction", "default reduction"],
-            [[r.app, percent(r.metric), percent(r.metric_default)]
-             for r in rows],
-        ))
-    elif name == "fig12b":
-        rows = E.fig12_paired_warps(runner, half_rf=True, **extra)
-        print(format_table(
-            ["app", "paired increase", "default increase"],
-            [[r.app, percent(r.metric), percent(r.metric_default)]
-             for r in rows],
-        ))
-    elif name == "fig13":
-        rows = E.fig13_acquire_success(runner, **extra)
-        print(format_table(
-            ["app", "arch", "default", "paired"],
-            [[r.app, r.arch, f"{r.success_default:.0%}",
-              f"{r.success_paired:.0%}"] for r in rows],
-        ))
-    else:  # pragma: no cover - parser restricts choices
-        raise AssertionError(name)
+    else:
+        spec = E.figure_spec(name, apps)
+        rows = _orchestrator(args, runner).run_specs([spec])[name]
+        print(FIGURES[name].table(rows))
     _maybe_csv(args, rows)
     return 0
 

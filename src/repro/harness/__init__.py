@@ -4,8 +4,9 @@
 :mod:`repro.harness.spec` declares experiments as (app, config,
 technique) job sets plus row builders; :mod:`repro.harness.experiments`
 declares every experiment of §IV that way;
-:mod:`repro.harness.orchestrator` deduplicates jobs across experiments
-and dispatches them to a process pool;
+:mod:`repro.harness.figures` declares each figure's table, means and
+paper claims; :mod:`repro.harness.orchestrator` runs specs, deduplicated,
+in-process or on a process pool;
 :mod:`repro.harness.telemetry` records per-job wall time, cache
 hit/miss counts, and worker utilization;
 :mod:`repro.harness.reporting` renders the same rows/series the paper
@@ -19,7 +20,6 @@ from repro.harness.spec import (
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.telemetry import JobTiming, SessionTelemetry
@@ -27,14 +27,6 @@ from repro.harness.experiments import (
     FIGURE_SPECS,
     fig1_liveness_traces,
     table1_workloads,
-    fig7_occupancy_boost,
-    fig8_half_register_file,
-    fig9a_comparison_baseline,
-    fig9b_comparison_half_rf,
-    fig10_es_sensitivity,
-    fig11_occupancy_and_acquires,
-    fig12_paired_warps,
-    fig13_acquire_success,
     storage_overhead_comparison,
 )
 from repro.harness.reporting import (
@@ -52,21 +44,12 @@ __all__ = [
     "JobResults",
     "JobFailure",
     "TechniqueSpec",
-    "run_experiment",
     "Orchestrator",
     "JobTiming",
     "SessionTelemetry",
     "FIGURE_SPECS",
     "fig1_liveness_traces",
     "table1_workloads",
-    "fig7_occupancy_boost",
-    "fig8_half_register_file",
-    "fig9a_comparison_baseline",
-    "fig9b_comparison_half_rf",
-    "fig10_es_sensitivity",
-    "fig11_occupancy_and_acquires",
-    "fig12_paired_warps",
-    "fig13_acquire_success",
     "storage_overhead_comparison",
     "format_table",
     "format_percent_series",

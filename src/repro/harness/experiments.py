@@ -3,10 +3,11 @@
 Every simulation-backed figure is declared as an
 :class:`~repro.harness.spec.ExperimentSpec` — the cross-product of
 (app, config, technique) jobs it needs plus a row builder — via a
-``figN_spec()`` factory.  The ``figN_*()`` driver functions keep their
-historical signatures as thin wrappers: they execute the spec serially
-through a runner, or through an :class:`Orchestrator` when one is
-passed (job dedup across figures, parallel dispatch, telemetry).
+``figN_spec()`` factory, registered by name in ``FIGURE_SPECS``.  Every
+caller runs figures one way,
+``Orchestrator(runner, workers=N).run_specs([...])`` (``N = 1`` runs
+the jobs in-process), and renders the rows through the figure's
+declaration in :mod:`repro.harness.figures`.
 
 RegMutex runs force Table I's |Bs|/|Es| split (``spec.expected_es``) so
 every figure uses exactly the paper's configuration; Figure 10/11 sweep
@@ -18,17 +19,17 @@ simulation) and stay plain functions.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.arch.config import GTX480, GpuConfig
 from repro.compiler.es_selection import select_extended_set_size
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import RunRecord
 from repro.harness.spec import (
     ExperimentSpec,
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.liveness.pressure import dynamic_pressure_trace
 from repro.regmutex.storage import (
@@ -62,16 +63,14 @@ def _rm(app: str, config: GpuConfig, es: int) -> JobSpec:
     return _job(app, config, "regmutex", extended_set_size=es)
 
 
-def _run(spec: ExperimentSpec, runner, orchestrator) -> list:
-    """Execute one spec: orchestrated if an orchestrator is given."""
-    if orchestrator is not None:
-        return orchestrator.run_specs([spec])[spec.name]
-    return run_experiment(spec, runner)
+def _records(plan, results: JobResults):
+    """Each plan entry with its jobs replaced by their records."""
+    for entry in plan:
+        yield tuple(results[x] if isinstance(x, JobSpec) else x
+                    for x in entry)
 
 
-# ---------------------------------------------------------------------------
 # Figure 1 — register liveness utilization traces
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig1Row:
@@ -109,9 +108,7 @@ def fig1_liveness_traces(
     return rows
 
 
-# ---------------------------------------------------------------------------
 # Table I — workloads, register demand, |Bs|
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Table1Row:
@@ -154,9 +151,7 @@ def table1_workloads(config: GpuConfig = GTX480) -> list[Table1Row]:
     return rows
 
 
-# ---------------------------------------------------------------------------
 # Figure 7 — occupancy boost on the baseline architecture
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig7Row:
@@ -181,36 +176,20 @@ def fig7_spec(
     ]
 
     def build(results: JobResults) -> list[Fig7Row]:
-        rows = []
-        for name, base_job, rm_job in plan:
-            base, rm = results[base_job], results[rm_job]
-            rows.append(
-                Fig7Row(
-                    app=name,
+        return [
+            Fig7Row(app=name,
                     cycle_reduction=rm.reduction_vs(base),
                     occupancy_init=base.theoretical_occupancy,
                     occupancy_regmutex=rm.theoretical_occupancy,
-                    acquire_success_rate=rm.acquire_success_rate,
-                )
-            )
-        return rows
+                    acquire_success_rate=rm.acquire_success_rate)
+            for name, base, rm in _records(plan, results)
+        ]
 
     jobs = tuple(j for _, base, rm in plan for j in (base, rm))
     return ExperimentSpec("fig7", jobs, build)
 
 
-def fig7_occupancy_boost(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig7Row]:
-    return _run(fig7_spec(apps, config), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # Figure 8 — half register file resilience
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig8Row:
@@ -238,38 +217,20 @@ def fig8_spec(
     ]
 
     def build(results: JobResults) -> list[Fig8Row]:
-        rows = []
-        for name, full_job, bare_job, rm_job in plan:
-            full, bare, rm = (
-                results[full_job], results[bare_job], results[rm_job]
-            )
-            rows.append(
-                Fig8Row(
-                    app=name,
+        return [
+            Fig8Row(app=name,
                     increase_no_technique=bare.increase_vs(full),
                     increase_regmutex=rm.increase_vs(full),
                     occupancy_half_no_technique=bare.theoretical_occupancy,
-                    occupancy_half_regmutex=rm.theoretical_occupancy,
-                )
-            )
-        return rows
+                    occupancy_half_regmutex=rm.theoretical_occupancy)
+            for name, full, bare, rm in _records(plan, results)
+        ]
 
     jobs = tuple(j for entry in plan for j in entry[1:])
     return ExperimentSpec("fig8", jobs, build)
 
 
-def fig8_half_register_file(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = REGISTER_RELAXED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig8Row]:
-    return _run(fig8_spec(apps, config), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # Figure 9 — comparison with OWF and RFV
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig9aRow:
@@ -296,30 +257,16 @@ def fig9a_spec(
     ]
 
     def build(results: JobResults) -> list[Fig9aRow]:
-        rows = []
-        for name, base_job, owf_job, rfv_job, rm_job in plan:
-            base = results[base_job]
-            rows.append(
-                Fig9aRow(
-                    app=name,
-                    reduction_owf=results[owf_job].reduction_vs(base),
-                    reduction_rfv=results[rfv_job].reduction_vs(base),
-                    reduction_regmutex=results[rm_job].reduction_vs(base),
-                )
-            )
-        return rows
+        return [
+            Fig9aRow(app=name,
+                     reduction_owf=owf.reduction_vs(base),
+                     reduction_rfv=rfv.reduction_vs(base),
+                     reduction_regmutex=rm.reduction_vs(base))
+            for name, base, owf, rfv, rm in _records(plan, results)
+        ]
 
     jobs = tuple(j for entry in plan for j in entry[1:])
     return ExperimentSpec("fig9a", jobs, build)
-
-
-def fig9a_comparison_baseline(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig9aRow]:
-    return _run(fig9a_spec(apps, config), runner, orchestrator)
 
 
 @dataclass(frozen=True)
@@ -350,36 +297,20 @@ def fig9b_spec(
     ]
 
     def build(results: JobResults) -> list[Fig9bRow]:
-        rows = []
-        for name, full_job, bare_job, owf_job, rfv_job, rm_job in plan:
-            full = results[full_job]
-            rows.append(
-                Fig9bRow(
-                    app=name,
-                    increase_none=results[bare_job].increase_vs(full),
-                    increase_owf=results[owf_job].increase_vs(full),
-                    increase_rfv=results[rfv_job].increase_vs(full),
-                    increase_regmutex=results[rm_job].increase_vs(full),
-                )
-            )
-        return rows
+        return [
+            Fig9bRow(app=name,
+                     increase_none=bare.increase_vs(full),
+                     increase_owf=owf.increase_vs(full),
+                     increase_rfv=rfv.increase_vs(full),
+                     increase_regmutex=rm.increase_vs(full))
+            for name, full, bare, owf, rfv, rm in _records(plan, results)
+        ]
 
     jobs = tuple(j for entry in plan for j in entry[1:])
     return ExperimentSpec("fig9b", jobs, build)
 
 
-def fig9b_comparison_half_rf(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = REGISTER_RELAXED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig9bRow]:
-    return _run(fig9b_spec(apps, config), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # Figures 10 and 11 — |Es| sensitivity
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig10Row:
@@ -418,33 +349,13 @@ def fig10_spec(
                 reduction = None if failure else (
                     results[rm_job].reduction_vs(results[base_job])
                 )
-                rows.append(
-                    Fig10Row(
-                        app=name,
-                        es=es,
-                        cycle_reduction=reduction,
-                        is_heuristic_pick=(es == expected_es),
-                        failure=failure,
-                    )
-                )
+                rows.append(Fig10Row(name, es, reduction, es == expected_es,
+                                     failure=failure))
         return rows
 
-    jobs = tuple(
-        j
-        for _, _, base, sweep_jobs in plan
-        for j in (base, *(rm for _, rm in sweep_jobs))
-    )
+    jobs = tuple(j for _, _, base, sweep_jobs in plan
+                 for j in (base, *(rm for _, rm in sweep_jobs)))
     return ExperimentSpec("fig10", jobs, build)
-
-
-def fig10_es_sensitivity(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    sweep: tuple[int, ...] = ES_SWEEP,
-    orchestrator=None,
-) -> list[Fig10Row]:
-    return _run(fig10_spec(apps, config, sweep), runner, orchestrator)
 
 
 @dataclass(frozen=True)
@@ -485,37 +396,17 @@ def fig11_spec(
                                          failure=failure))
                     continue
                 rm = results[rm_job]
-                rows.append(
-                    Fig11Row(
-                        app=name,
-                        es=es,
-                        theoretical_occupancy=rm.theoretical_occupancy,
-                        acquire_success_rate=rm.acquire_success_rate,
-                        is_heuristic_pick=(es == expected_es),
-                        active=rm.acquire_attempts > 0,
-                    )
-                )
+                rows.append(Fig11Row(name, es, rm.theoretical_occupancy,
+                                     rm.acquire_success_rate,
+                                     es == expected_es,
+                                     active=rm.acquire_attempts > 0))
         return rows
 
-    jobs = tuple(
-        rm for _, _, sweep_jobs in plan for _, rm in sweep_jobs
-    )
+    jobs = tuple(rm for _, _, sweep_jobs in plan for _, rm in sweep_jobs)
     return ExperimentSpec("fig11", jobs, build)
 
 
-def fig11_occupancy_and_acquires(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    sweep: tuple[int, ...] = ES_SWEEP,
-    orchestrator=None,
-) -> list[Fig11Row]:
-    return _run(fig11_spec(apps, config, sweep), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # Figure 12 — paired-warps specialization
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig12Row:
@@ -533,55 +424,29 @@ def fig12_spec(
     half RF, cycle *increase* vs the full-RF baseline)."""
     arch = _half(config) if half_rf else config
     apps = REGISTER_RELAXED_APPS if half_rf else OCCUPANCY_LIMITED_APPS
-    plan = []
-    for name in apps:
-        es = get_app(name).expected_es
-        plan.append(
-            (name,
-             _job(name, config, "baseline"),
-             _job(name, arch, "regmutex-paired", extended_set_size=es),
-             _rm(name, arch, es))
-        )
+    plan = [
+        (name,
+         _job(name, config, "baseline"),
+         _job(name, arch, "regmutex-paired", extended_set_size=es),
+         _rm(name, arch, es))
+        for name, es in ((n, get_app(n).expected_es) for n in apps)
+    ]
 
     def build(results: JobResults) -> list[Fig12Row]:
-        rows = []
-        for name, ref_job, paired_job, default_job in plan:
-            ref = results[ref_job]
-            paired, default = results[paired_job], results[default_job]
-            metric = (
-                paired.increase_vs(ref) if half_rf
-                else paired.reduction_vs(ref)
-            )
-            metric_default = (
-                default.increase_vs(ref) if half_rf
-                else default.reduction_vs(ref)
-            )
-            rows.append(
-                Fig12Row(
-                    app=name,
-                    metric=metric,
-                    occupancy_paired=paired.theoretical_occupancy,
-                    metric_default=metric_default,
-                )
-            )
-        return rows
+        vs = RunRecord.increase_vs if half_rf else RunRecord.reduction_vs
+        return [
+            Fig12Row(app=name,
+                     metric=vs(paired, ref),
+                     occupancy_paired=paired.theoretical_occupancy,
+                     metric_default=vs(default, ref))
+            for name, ref, paired, default in _records(plan, results)
+        ]
 
     jobs = tuple(j for entry in plan for j in entry[1:])
     return ExperimentSpec("fig12b" if half_rf else "fig12a", jobs, build)
 
 
-def fig12_paired_warps(
-    runner: ExperimentRunner,
-    config: GpuConfig = GTX480,
-    half_rf: bool = False,
-    orchestrator=None,
-) -> list[Fig12Row]:
-    return _run(fig12_spec(config, half_rf), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # Figure 13 — acquire success, default vs paired
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Fig13Row:
@@ -595,47 +460,29 @@ class Fig13Row:
 
 def fig13_spec(config: GpuConfig = GTX480) -> ExperimentSpec:
     """Figure 13: acquire success rates, default vs paired, all 16 apps."""
-    half = _half(config)
-    plan = []
-    for name in OCCUPANCY_LIMITED_APPS + REGISTER_RELAXED_APPS:
-        spec = get_app(name)
-        arch = config if spec.group == "occupancy-limited" else half
-        plan.append(
-            (name,
-             "baseline" if spec.group == "occupancy-limited" else "half-rf",
-             _rm(name, arch, spec.expected_es),
-             _job(name, arch, "regmutex-paired",
-                  extended_set_size=spec.expected_es))
-        )
+    plan = [
+        (name, label, _rm(name, arch, es),
+         _job(name, arch, "regmutex-paired", extended_set_size=es))
+        for apps, arch, label in (
+            (OCCUPANCY_LIMITED_APPS, config, "baseline"),
+            (REGISTER_RELAXED_APPS, _half(config), "half-rf"))
+        for name, es in ((n, get_app(n).expected_es) for n in apps)
+    ]
 
     def build(results: JobResults) -> list[Fig13Row]:
-        rows = []
-        for name, arch_label, default_job, paired_job in plan:
-            rows.append(
-                Fig13Row(
-                    app=name,
-                    arch=arch_label,
-                    success_default=results[default_job].acquire_success_rate,
-                    success_paired=results[paired_job].acquire_success_rate,
-                )
-            )
-        return rows
+        return [
+            Fig13Row(app=name,
+                     arch=arch_label,
+                     success_default=default.acquire_success_rate,
+                     success_paired=paired.acquire_success_rate)
+            for name, arch_label, default, paired in _records(plan, results)
+        ]
 
     jobs = tuple(j for entry in plan for j in entry[2:])
     return ExperimentSpec("fig13", jobs, build)
 
 
-def fig13_acquire_success(
-    runner: ExperimentRunner,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig13Row]:
-    return _run(fig13_spec(config), runner, orchestrator)
-
-
-# ---------------------------------------------------------------------------
 # §III-B / §IV-C — hardware storage overhead
-# ---------------------------------------------------------------------------
 
 def storage_overhead_comparison(
     config: GpuConfig = GTX480,
@@ -649,10 +496,9 @@ def storage_overhead_comparison(
     }
 
 
-# Zero-argument spec builders for every simulation-backed figure — the
-# orchestrated entry points (`repro bench`, benchmark-session prewarm,
-# EXPERIMENTS.md regeneration) iterate this to get the whole suite's job
-# set in one deduplicated batch.
+# Zero-argument spec builders for every simulation-backed figure, in
+# the paper's order: `repro bench` and EXPERIMENTS.md run the whole
+# suite's job set from it in one deduplicated batch.
 FIGURE_SPECS: dict[str, callable] = {
     "fig7": fig7_spec,
     "fig8": fig8_spec,
@@ -666,23 +512,24 @@ FIGURE_SPECS: dict[str, callable] = {
 }
 
 
+def takes_apps(name: str) -> bool:
+    """Whether figure ``name`` takes an app subset (fig12*/fig13 have
+    fixed app sets)."""
+    return "apps" in inspect.signature(FIGURE_SPECS[name]).parameters
+
+
 def figure_spec(
     name: str, apps: tuple[str, ...] | None = None
 ) -> ExperimentSpec:
     """Build one figure spec by name, forwarding ``apps`` where the
-    factory takes it (fig12*/fig13 have fixed app sets).
+    figure takes it (:func:`takes_apps`) and ignoring it elsewhere.
 
-    The one resolution path both the CLI (``repro bench``) and the
-    service daemon (named-experiment submissions) use; raises
+    The one resolution path the CLI and the service daemon use; raises
     ``KeyError`` listing the known names on a typo.
     """
-    import inspect
-
-    try:
-        factory = FIGURE_SPECS[name]
-    except KeyError:
+    if name not in FIGURE_SPECS:
         known = ", ".join(sorted(FIGURE_SPECS))
-        raise KeyError(f"unknown figure {name!r} (known: {known})") from None
-    if apps and "apps" in inspect.signature(factory).parameters:
-        return factory(apps=tuple(apps))
-    return factory()
+        raise KeyError(f"unknown figure {name!r} (known: {known})")
+    if apps and takes_apps(name):
+        return FIGURE_SPECS[name](apps=tuple(apps))
+    return FIGURE_SPECS[name]()

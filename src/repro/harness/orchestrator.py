@@ -25,8 +25,8 @@ pool, across all submissions).
 * **Job errors.**  A :class:`SimulationError` (deadlock, cycle limit,
   invariant violation, placement) reproduces bit-for-bit on a re-run,
   so it is *never* retried; it and every other exception a job raises
-  are classified by :func:`~repro.harness.spec.classify_failure`, the
-  function the serial path uses too, into a typed :class:`JobFailure`.
+  are classified by :func:`~repro.harness.spec.classify_failure` into
+  a typed :class:`JobFailure`.
 * **Worker deaths** (OOM kill, SIGKILL, hard fault) are transient.  A
   broken pool poisons every job running on it without saying which one
   killed it, so each poisoned job is charged one attempt and dispatched

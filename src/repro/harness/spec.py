@@ -16,11 +16,10 @@ This module makes the job set first-class:
 * :class:`ExperimentSpec` — an ordered tuple of jobs plus a row builder
   that turns the finished :class:`JobResults` into the figure's rows.
 
-:func:`run_experiment` executes a spec serially through a runner (the
-memoized one-process path every driver wrapper uses);
-:class:`repro.harness.orchestrator.Orchestrator` executes many specs at
-once, deduplicating jobs across them and fanning out to worker
-processes.
+:class:`repro.harness.orchestrator.Orchestrator` is the one way to
+execute specs: it deduplicates jobs across them, answers what it can
+from the run store, and runs the rest in-process (``workers=1``) or on
+worker processes.
 """
 
 from __future__ import annotations
@@ -256,22 +255,3 @@ class ExperimentSpec:
     def unique_jobs(self) -> tuple[JobSpec, ...]:
         return ordered_unique_jobs(self.jobs)
 
-
-def run_experiment(spec: ExperimentSpec, runner) -> list:
-    """Execute a spec serially (declared job order) and build its rows.
-
-    Jobs run through ``runner.run`` so the runner's memo/disk cache is
-    shared with every other execution path; failures are classified per
-    job exactly as the orchestrator classifies them and surface when
-    (and only when) the row builder touches them.
-    """
-    outcomes: dict[JobSpec, object] = {}
-    for job in spec.jobs:
-        if job in outcomes:
-            continue
-        try:
-            outcomes[job] = execute_job(job, runner)
-        except Exception as exc:
-            kind, message = classify_failure(exc)
-            outcomes[job] = JobFailure(message, kind=kind)
-    return spec.build_rows(JobResults(outcomes))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.arch.config import GTX480, GTX480_HALF_RF, fermi_like
@@ -115,3 +119,41 @@ def generate_calls(monkeypatch):
     monkeypatch.setattr(suite, "generate_kernel", counting)
     yield calls
     _app_kernel_text.cache_clear()
+
+
+# The full-scale RunRecord of every figure job (Figs. 7-13), pinned by
+# perfbench: 124 records plus the 4 |Es| sweep points that fail to
+# compile (BFS |Es|=4, ParticleFilter |Es|=2, SAD |Es|=4/6).
+PINNED_FIGURE_JOBS = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "expected" / "figure_jobs.json"
+)
+
+
+@pytest.fixture(scope="session")
+def pinned_store_template(tmp_path_factory) -> Path:
+    """A run store holding the pinned figure records under
+    ``runner.job_key(job)`` (``install`` + ``flush``), so every figure
+    builds from store hits in well under a second."""
+    from repro.harness.experiments import FIGURE_SPECS, figure_spec
+    from repro.harness.runner import ExperimentRunner, RunRecord
+
+    universe = {job.label: job
+                for name in FIGURE_SPECS for job in figure_spec(name).jobs}
+    path = tmp_path_factory.mktemp("pinned") / "store.json"
+    runner = ExperimentRunner(cache_path=str(path))
+    pinned = json.loads(PINNED_FIGURE_JOBS.read_text())["jobs"]
+    for label, entry in pinned.items():
+        if "record" in entry:
+            runner.install(runner.job_key(universe[label]),
+                           RunRecord(**entry["record"]))
+    runner.flush()
+    return path
+
+
+@pytest.fixture
+def pinned_store(pinned_store_template, tmp_path) -> str:
+    """This test's own copy of the pinned store (runs flush into it)."""
+    path = tmp_path / "store.json"
+    shutil.copy(pinned_store_template, path)
+    return str(path)

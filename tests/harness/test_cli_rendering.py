@@ -1,8 +1,8 @@
-"""CLI figure-command rendering tests with stubbed experiment drivers.
+"""CLI figure-command rendering tests with a stubbed orchestrator.
 
-The real drivers are exercised by the benchmark suite; these tests pin
-the CLI's table rendering and argument plumbing for every figure
-subcommand without simulation.
+Real rows are rendered by the golden and pinned-record tests and the
+benchmark suite; these tests pin the CLI's table rendering and argument
+plumbing for every figure subcommand without simulation.
 """
 
 from __future__ import annotations
@@ -16,40 +16,32 @@ from repro.harness.experiments import (
 )
 
 
+CANNED = {
+    "fig7": [Fig7Row("BFS", 0.254, 0.75, 1.0, 1.0)],
+    "fig8": [Fig8Row("Gaussian", 0.22, -0.003, 0.83, 1.0)],
+    "fig9a": [Fig9aRow("BFS", 0.0, 0.25, 0.25)],
+    "fig9b": [Fig9bRow("SPMV", 0.19, 0.19, 0.0, 0.0)],
+    "fig10": [Fig10Row("BFS", 6, 0.254, True)],
+    "fig11": [Fig11Row("BFS", 6, 1.0, 1.0, True)],
+    "fig12a": [Fig12Row("SAD", 0.08, 0.67, 0.12)],
+    "fig12b": [Fig12Row("SAD", 0.08, 0.67, 0.12)],
+    "fig13": [Fig13Row("SAD", "baseline", 0.51, 0.85)],
+}
+
+
+class StubOrchestrator:
+    """Answers every figure spec with its canned rows."""
+
+    def __init__(self, runner, **kwargs):
+        pass
+
+    def run_specs(self, specs):
+        return {spec.name: CANNED[spec.name] for spec in specs}
+
+
 @pytest.fixture(autouse=True)
 def stub_experiments(monkeypatch):
-    monkeypatch.setattr(
-        cli.E, "fig7_occupancy_boost",
-        lambda runner, **kw: [Fig7Row("BFS", 0.254, 0.75, 1.0, 1.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig8_half_register_file",
-        lambda runner, **kw: [Fig8Row("Gaussian", 0.22, -0.003, 0.83, 1.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig9a_comparison_baseline",
-        lambda runner, **kw: [Fig9aRow("BFS", 0.0, 0.25, 0.25)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig9b_comparison_half_rf",
-        lambda runner, **kw: [Fig9bRow("SPMV", 0.19, 0.19, 0.0, 0.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig10_es_sensitivity",
-        lambda runner, **kw: [Fig10Row("BFS", 6, 0.254, True)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig11_occupancy_and_acquires",
-        lambda runner, **kw: [Fig11Row("BFS", 6, 1.0, 1.0, True)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig12_paired_warps",
-        lambda runner, half_rf=False: [Fig12Row("SAD", 0.08, 0.67, 0.12)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig13_acquire_success",
-        lambda runner: [Fig13Row("SAD", "baseline", 0.51, 0.85)],
-    )
+    monkeypatch.setattr(cli, "Orchestrator", StubOrchestrator)
 
 
 @pytest.mark.parametrize("command,needle", [
@@ -76,9 +68,7 @@ def test_figure_commands_render(command, needle, capsys, tmp_path):
 def test_failed_sweep_point_renders_its_kind(
     command, row, monkeypatch, capsys, tmp_path
 ):
-    figure = {"fig10": "fig10_es_sensitivity",
-              "fig11": "fig11_occupancy_and_acquires"}[command]
-    monkeypatch.setattr(cli.E, figure, lambda runner, **kw: [row])
+    monkeypatch.setitem(CANNED, command, [row])
     assert cli.main(["--cache", str(tmp_path / "c.json"), command]) == 0
     assert "failed (job-error)" in capsys.readouterr().out
 

@@ -1,9 +1,12 @@
-"""Wiring tests for the experiment drivers, using a stubbed runner.
+"""Wiring tests for the figure specs, using a stubbed runner.
 
-The benchmark suite exercises the drivers against the real simulator;
-these tests pin the *plumbing* — which technique each driver runs on
-which architecture, and how rows are derived from records — without
-paying for simulation.
+The benchmark suite and the pinned-record claims test build the specs'
+rows from real simulations; these tests pin the *plumbing* — which
+technique each spec runs on which architecture, and how rows are
+derived from records — without paying for simulation.  Rows are built
+through ``spec.build_rows(JobResults(...))`` from the stub's records,
+one run per unique job in declared order, with a raising job classified
+the way the orchestrator classifies it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,12 @@ from repro.compiler.compaction import CompactionError
 from repro.harness import experiments as E
 from repro.harness.figures import summarize_figures
 from repro.harness.runner import RunRecord
+from repro.harness.spec import (
+    JobFailure,
+    JobResults,
+    classify_failure,
+    materialize_job,
+)
 
 
 class StubRunner:
@@ -66,6 +75,20 @@ class UncompactableStubRunner(StubRunner):
         return super().run(kernel, config, technique, scheduler_priority)
 
 
+def _rows(spec, runner):
+    """``spec``'s rows from ``runner``'s records (a raising job fails)."""
+    outcomes = {}
+    for job in spec.unique_jobs():
+        kernel, technique, priority = materialize_job(job)
+        try:
+            outcomes[job] = runner.run(kernel, job.config, technique,
+                                       scheduler_priority=priority)
+        except Exception as exc:
+            kind, message = classify_failure(exc)
+            outcomes[job] = JobFailure(message, kind=kind)
+    return spec.build_rows(JobResults(outcomes))
+
+
 @pytest.fixture
 def stub():
     return StubRunner()
@@ -73,7 +96,7 @@ def stub():
 
 class TestFig7Wiring:
     def test_runs_baseline_and_regmutex_on_full_rf(self, stub):
-        rows = E.fig7_occupancy_boost(stub, apps=("BFS",))
+        rows = _rows(E.fig7_spec(apps=("BFS",)), stub)
         assert [c[2] for c in stub.calls] == ["baseline", "regmutex"]
         assert all(c[1] == GTX480.name for c in stub.calls)
         (row,) = rows
@@ -82,19 +105,19 @@ class TestFig7Wiring:
         assert row.occupancy_regmutex == 1.0
 
     def test_acquire_rate_propagated(self, stub):
-        (row,) = E.fig7_occupancy_boost(stub, apps=("BFS",))
+        (row,) = _rows(E.fig7_spec(apps=("BFS",)), stub)
         assert row.acquire_success_rate == pytest.approx(0.9)
 
 
 class TestFig8Wiring:
     def test_configs(self, stub):
-        E.fig8_half_register_file(stub, apps=("Gaussian",))
+        _rows(E.fig8_spec(apps=("Gaussian",)), stub)
         configs = [c[1] for c in stub.calls]
         assert configs[0] == GTX480.name          # full-file reference
         assert all("half" in c.lower() for c in configs[1:])
 
     def test_increase_vs_full_reference(self, stub):
-        (row,) = E.fig8_half_register_file(stub, apps=("Gaussian",))
+        (row,) = _rows(E.fig8_spec(apps=("Gaussian",)), stub)
         # Stub gives every baseline 1000 cycles regardless of config,
         # so the bare increase is zero and RegMutex shows its gain.
         assert row.increase_no_technique == pytest.approx(0.0)
@@ -103,38 +126,37 @@ class TestFig8Wiring:
 
 class TestFig9Wiring:
     def test_three_techniques_plus_base(self, stub):
-        E.fig9a_comparison_baseline(stub, apps=("BFS",))
+        _rows(E.fig9a_spec(apps=("BFS",)), stub)
         assert [c[2] for c in stub.calls] == [
             "baseline", "owf", "rfv", "regmutex"
         ]
 
     def test_reductions(self, stub):
-        (row,) = E.fig9a_comparison_baseline(stub, apps=("BFS",))
+        (row,) = _rows(E.fig9a_spec(apps=("BFS",)), stub)
         assert row.reduction_owf == pytest.approx(0.01)
         assert row.reduction_rfv == pytest.approx(0.15)
         assert row.reduction_regmutex == pytest.approx(0.12)
 
     def test_9b_runs_on_half_rf(self, stub):
-        E.fig9b_comparison_half_rf(stub, apps=("Gaussian",))
+        _rows(E.fig9b_spec(apps=("Gaussian",)), stub)
         assert sum("half" in c[1].lower() for c in stub.calls) == 4
 
 
 class TestFig10And11Wiring:
     def test_sweep_covers_all_es(self, stub):
-        rows = E.fig10_es_sensitivity(stub, apps=("BFS",))
+        rows = _rows(E.fig10_spec(apps=("BFS",)), stub)
         assert [r.es for r in rows] == list(E.ES_SWEEP)
         assert sum(r.is_heuristic_pick for r in rows) == 1
 
     def test_fig11_active_flag(self, stub):
-        rows = E.fig11_occupancy_and_acquires(stub, apps=("BFS",))
+        rows = _rows(E.fig11_spec(apps=("BFS",)), stub)
         assert all(r.active for r in rows)  # stub always reports acquires
 
     def test_fig10_failed_point_is_a_failed_row(self):
-        """The serial path classifies a non-simulation error (here the
-        compiler's CompactionError) as a typed job failure, and the
-        sweep keeps every other point."""
-        rows = E.fig10_es_sensitivity(UncompactableStubRunner(4),
-                                      apps=("SAD",))
+        """A non-simulation error (here the compiler's CompactionError)
+        is a typed job failure, and the sweep keeps every other point."""
+        rows = _rows(E.fig10_spec(apps=("SAD",)),
+                     UncompactableStubRunner(4))
         assert [r.es for r in rows] == list(E.ES_SWEEP)
         (failed,) = [r for r in rows if r.failure]
         assert (failed.es, failed.failure) == (4, "job-error")
@@ -143,8 +165,8 @@ class TestFig10And11Wiring:
                    for r in rows if r is not failed)
 
     def test_fig11_failed_point_is_a_failed_row(self):
-        rows = E.fig11_occupancy_and_acquires(UncompactableStubRunner(4),
-                                              apps=("SAD",))
+        rows = _rows(E.fig11_spec(apps=("SAD",)),
+                     UncompactableStubRunner(4))
         (failed,) = [r for r in rows if r.failure]
         assert (failed.es, failed.failure) == (4, "job-error")
         assert failed.theoretical_occupancy is None
@@ -156,9 +178,8 @@ class TestFig10And11Wiring:
         fig10/fig11 summaries cover BFS's pick alone."""
         runner = UncompactableStubRunner(12)
         rows = {
-            "fig10": E.fig10_es_sensitivity(runner, apps=("BFS", "SAD")),
-            "fig11": E.fig11_occupancy_and_acquires(runner,
-                                                    apps=("BFS", "SAD")),
+            "fig10": _rows(E.fig10_spec(apps=("BFS", "SAD")), runner),
+            "fig11": _rows(E.fig11_spec(apps=("BFS", "SAD")), runner),
         }
         summary = summarize_figures(rows)
         assert summary["fig10"]["mean_reduction_heuristic"] == (
@@ -171,10 +192,10 @@ class TestFig10And11Wiring:
 
 class TestFig12And13Wiring:
     def test_12a_uses_paired_and_default(self, stub):
-        E.fig12_paired_warps(stub, half_rf=False)
+        _rows(E.fig12_spec(half_rf=False), stub)
         techniques = {c[2] for c in stub.calls}
         assert {"baseline", "regmutex", "regmutex-paired"} <= techniques
 
     def test_13_covers_all_sixteen(self, stub):
-        rows = E.fig13_acquire_success(stub)
+        rows = _rows(E.fig13_spec(), stub)
         assert len(rows) == 16

@@ -14,11 +14,13 @@ from repro.harness import experiments as E
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.spec import (
+    ExperimentSpec,
     JobFailure,
+    JobResults,
     JobSpec,
     TechniqueSpec,
+    execute_job,
     materialize_job,
-    run_experiment,
 )
 
 CFG = fermi_like(
@@ -70,13 +72,27 @@ class TestDeterminism:
             assert outcomes[spec] == record
             assert isinstance(outcomes[spec], RunRecord)
 
-    def test_orchestrated_rows_match_plain_run_experiment(self):
+    def test_orchestrated_rows_match_rows_from_execute_job(self):
         spec = E.fig7_spec(("Gaussian",), CFG)
-        plain = run_experiment(spec, _runner())
+        runner = _runner()
+        plain = spec.build_rows(JobResults(
+            {job: execute_job(job, runner) for job in spec.unique_jobs()}
+        ))
         orchestrated = Orchestrator(_runner(), workers=2).run_specs(
             [spec]
         )[spec.name]
         assert plain == orchestrated
+
+    def test_inline_run_executes_in_declared_order(self):
+        spec = E.fig7_spec(("Gaussian",), CFG)
+        orch = Orchestrator(_runner(), workers=1)
+        (row,) = orch.run_specs([spec])[spec.name]
+        assert [t.label for t in orch.telemetry.timings] == [
+            job.label for job in spec.jobs
+        ]
+        assert [t.label.split("/")[-1] for t in orch.telemetry.timings] == [
+            "baseline", "regmutex(extended_set_size=4)",
+        ]
 
 
 class TestDedupAndTelemetry:
@@ -104,6 +120,13 @@ class TestDedupAndTelemetry:
         again.run_specs(_specs())
         assert again.telemetry.cache_hits == unique
         assert again.telemetry.cache_misses == 0
+
+    def test_repeated_jobs_run_once(self):
+        base = JobSpec("Gaussian", CFG, TechniqueSpec.of("baseline"))
+        spec = ExperimentSpec("x", (base, base), lambda r: len(r))
+        orch = Orchestrator(_runner(), workers=1)
+        assert orch.run_specs([spec]) == {"x": 1}
+        assert orch.telemetry.jobs_total == 1
 
     def test_slowest_ranks_by_duration(self):
         orch = Orchestrator(_runner(), workers=1)

@@ -1,4 +1,4 @@
-"""Tests for the declarative spec layer (no simulation: stubbed runner)."""
+"""Tests for the declarative spec layer (no simulation)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.harness.spec import (
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.regmutex.issue_logic import RegMutexTechnique
 
@@ -100,19 +99,6 @@ class TestJobResults:
         assert results.error(job) is None
 
 
-class RecordingRunner:
-    """Returns canned records; logs (kernel, config, technique) calls."""
-
-    def __init__(self):
-        self.calls = []
-
-    def run(self, kernel, config, technique=None, scheduler_priority=None):
-        name = technique.name if technique else "baseline"
-        self.calls.append((kernel.name, config.name, name))
-        return _record(kernel.name, config.name, name,
-                       cycles=880 if name == "regmutex" else 1000)
-
-
 class TestExperimentSpec:
     def test_unique_jobs_preserves_declared_order(self):
         base = JobSpec("BFS", GTX480, TechniqueSpec.of("baseline"))
@@ -121,20 +107,6 @@ class TestExperimentSpec:
         ))
         spec = ExperimentSpec("x", (base, rm, base), lambda r: [])
         assert spec.unique_jobs() == (base, rm)
-
-    def test_run_experiment_executes_in_declared_order(self):
-        runner = RecordingRunner()
-        rows = run_experiment(E.fig7_spec(apps=("BFS",)), runner)
-        assert [c[2] for c in runner.calls] == ["baseline", "regmutex"]
-        (row,) = rows
-        assert row.cycle_reduction == pytest.approx(0.12)
-
-    def test_run_experiment_skips_repeated_jobs(self):
-        base = JobSpec("BFS", GTX480, TechniqueSpec.of("baseline"))
-        spec = ExperimentSpec("x", (base, base), lambda r: len(r))
-        runner = RecordingRunner()
-        assert run_experiment(spec, runner) == 1
-        assert len(runner.calls) == 1
 
 
 class TestFigureSpecRegistry:
@@ -160,6 +132,13 @@ class TestFigureSpecRegistry:
         # figures; the orchestrator's dedup is what makes the suite
         # cheaper than the sum of its figures.
         assert len(unique) < len(all_jobs)
+
+    def test_only_figures_with_an_app_set_take_apps(self):
+        assert {n for n in E.FIGURE_SPECS if E.takes_apps(n)} == {
+            "fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11",
+        }
+        # A fixed-app figure ignores the subset (the daemon's rule).
+        assert E.figure_spec("fig13", ("BFS",)) == E.figure_spec("fig13")
 
     def test_fig13_covers_all_sixteen_apps(self):
         spec = E.FIGURE_SPECS["fig13"]()
