@@ -19,7 +19,6 @@ from repro.isa.kernel import Kernel
 class ControlFlowGraph:
     """CFG: blocks in program order plus successor/predecessor maps."""
 
-    kernel: Kernel
     blocks: list[BasicBlock]
     successors: dict[int, tuple[int, ...]]
     predecessors: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -116,4 +115,4 @@ def build_cfg(kernel: Kernel) -> ControlFlowGraph:
                 unique.append(s)
         successors[blk.index] = tuple(unique)
 
-    return ControlFlowGraph(kernel=kernel, blocks=blocks, successors=successors)
+    return ControlFlowGraph(blocks=blocks, successors=successors)

@@ -713,12 +713,11 @@ def _cmd_experiment(name: str, args, runner: ExperimentRunner) -> int:
               r.heuristic_agrees] for r in rows],
         ))
     elif name == "storage":
-        budgets = E.storage_overhead_comparison()
+        rows = E.storage_rows()
         print(format_table(
             ["technique", "bits/SM"],
-            [[n, b.total_bits] for n, b in budgets.items()],
+            [[r.technique, r.bits_per_sm] for r in rows],
         ))
-        return 0
     else:
         spec = E.figure_spec(name, apps)
         rows = _orchestrator(args, runner).run_specs([spec])[name]

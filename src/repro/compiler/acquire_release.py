@@ -44,9 +44,9 @@ def _offending_edges(
     """Control edges (p -> s) that improperly cross the region boundary."""
     start, end = region.start, region.end
     offending: list[tuple[int, int]] = []
-    for pc in range(len(kernel)):
+    for pc, succs in enumerate(kernel.successor_table):
         inside = start <= pc < end
-        for succ in kernel.successors_of_pc(pc):
+        for succ in succs:
             succ_inside = start <= succ < end
             if inside and not succ_inside:
                 if succ == end:

@@ -23,103 +23,112 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.kernel import Kernel
-from repro.liveness.liveness import analyze_liveness
+from repro.liveness.liveness import analyze_liveness, kernel_liveness
 
 
 class CompactionError(ValueError):
     """Compaction cannot be performed safely for this kernel shape."""
 
 
-def _successor_pcs(kernel: Kernel, pc: int) -> list[int]:
-    inst = kernel[pc]
-    if inst.is_exit:
-        return []
-    if inst.is_branch:
-        targets = [kernel.label_pc(inst.target)]
-        if inst.is_conditional_branch and pc + 1 < len(kernel):
-            targets.append(pc + 1)
-        return targets
-    return [pc + 1] if pc + 1 < len(kernel) else []
-
-
 def _uses_reached(kernel: Kernel, start_pc: int, reg: int) -> set[int]:
     """Use PCs of ``reg`` reachable from ``start_pc`` (inclusive) without
     passing a redefinition of ``reg``."""
+    insts, successors = kernel.instructions, kernel.successor_table
     uses: set[int] = set()
     seen: set[int] = set()
-    stack = [start_pc]
+    stack = [start_pc] if start_pc < len(insts) else []
     while stack:
         pc = stack.pop()
-        if pc in seen or pc >= len(kernel):
+        if pc in seen:
             continue
         seen.add(pc)
-        inst = kernel[pc]
+        inst = insts[pc]
         if reg in inst.srcs:
             uses.add(pc)
         if reg in inst.dsts:
             continue  # value killed past this point on this path
-        stack.extend(_successor_pcs(kernel, pc))
+        # Push the taken target first: the set's insertion order fixes the
+        # order renames are checked in, so which unsound use an error names.
+        stack.extend(reversed(successors[pc]))
     return uses
 
 
-def _dst_clobbered(kernel: Kernel, start_pc: int, src: int, dst: int) -> bool:
-    """Whether a redefinition of ``dst`` can clobber the moved value of
-    ``src`` before a renamed use reads it.
+def _predecessor_table(kernel: Kernel) -> list[list[int]]:
+    predecessors: list[list[int]] = [[] for _ in range(len(kernel))]
+    for pc, succs in enumerate(kernel.successor_table):
+        for succ in succs:
+            predecessors[succ].append(pc)
+    return predecessors
 
-    Walks forward from ``start_pc`` (the instruction after the release)
-    along paths that do not redefine ``src`` — the rename chain ends at
-    a redefinition.  A definition of ``dst`` inside that region is fatal
-    iff some use of ``src`` lies ahead of it on such a path: after the
-    rename that use reads ``dst`` and would observe the clobber.  An
-    instruction that redefines both ends the chain and cannot clobber
-    (its own ``src`` operands read before the write).
+
+def _live_pcs(kernel: Kernel, reg: int, predecessors) -> set[int]:
+    """PCs where ``reg`` is live on entry: a use is reachable from the pc
+    without passing a redefinition (plain, per-path liveness — one
+    backward pass from the uses)."""
+    insts = kernel.instructions
+    live = {pc for pc, inst in enumerate(insts) if reg in inst.srcs}
+    stack = list(live)
+    while stack:
+        for pred in predecessors[stack.pop()]:
+            if pred not in live and reg not in insts[pred].dsts:
+                live.add(pred)
+                stack.append(pred)
+    return live
+
+
+def _clobbered_slots(kernel: Kernel, start_pc: int, src: int, predecessors) -> set[int]:
+    """Base slots a redefinition can clobber before a renamed use of
+    ``src`` reads the moved value.
+
+    The rename region runs forward from ``start_pc`` (the instruction
+    after the release) and ends at each redefinition of ``src``.  A
+    region instruction that does not redefine ``src`` clobbers every slot
+    it defines iff ``src`` is live at one of its successors: that use
+    would read the slot after the rename.  (On any clobbering path the
+    first definition of the slot satisfies this, so scanning the whole
+    region equals stopping each path at its first slot definition.)
     """
+    insts, successors = kernel.instructions, kernel.successor_table
+    live = _live_pcs(kernel, src, predecessors)
+    clobbered: set[int] = set()
     seen: set[int] = set()
-    stack = [start_pc]
+    stack = [start_pc] if start_pc < len(insts) else []
     while stack:
         pc = stack.pop()
-        if pc in seen or pc >= len(kernel):
+        if pc in seen:
             continue
         seen.add(pc)
-        inst = kernel[pc]
-        if src in inst.dsts:
+        dsts = insts[pc].dsts
+        if src in dsts:
             continue
-        if dst in inst.dsts:
-            for succ in _successor_pcs(kernel, pc):
-                if _uses_reached(kernel, succ, src):
-                    return True
-            continue
-        stack.extend(_successor_pcs(kernel, pc))
-    return False
+        succs = successors[pc]
+        if dsts and any(succ in live for succ in succs):
+            clobbered.update(dsts)
+        stack.extend(succs)
+    return clobbered
 
 
-def _other_defs_reach(kernel: Kernel, reg: int, use_pc: int, barrier_pc: int) -> bool:
-    """Whether any definition of ``reg`` other than the move at
-    ``barrier_pc`` reaches ``use_pc`` without passing ``barrier_pc``."""
-    sources = [0] + [
+def _reached_by_other_defs(kernel: Kernel, reg: int, barrier_pc: int) -> set[int]:
+    """PCs a definition of ``reg`` other than the move at ``barrier_pc``
+    reaches without passing ``barrier_pc`` (kernel entry counts as a
+    definition: the undefined incoming value)."""
+    insts, successors = kernel.instructions, kernel.successor_table
+    stack = [0] + [
         pc + 1
-        for pc, inst in enumerate(kernel)
-        if reg in inst.dsts and pc != barrier_pc and pc + 1 < len(kernel)
+        for pc, inst in enumerate(insts)
+        if reg in inst.dsts and pc != barrier_pc and pc + 1 < len(insts)
     ]
     seen: set[int] = set()
-    stack = list(sources)
     while stack:
         pc = stack.pop()
-        if pc in seen or pc >= len(kernel):
-            continue
-        if pc == barrier_pc:
-            continue  # would pass through the move; that path is renamed
+        if pc in seen or pc == barrier_pc:
+            continue  # through the move the path is renamed
         seen.add(pc)
-        if pc == use_pc:
-            return True
-        inst = kernel[pc]
-        if reg in inst.dsts:
-            continue
-        stack.extend(_successor_pcs(kernel, pc))
-    return False
+        if reg not in insts[pc].dsts:
+            stack.extend(successors[pc])
+    return seen
 
 
 def compact_register_indices(kernel: Kernel, base_set_size: int) -> Kernel:
@@ -133,7 +142,9 @@ def compact_register_indices(kernel: Kernel, base_set_size: int) -> Kernel:
         raise ValueError("base set size must be positive")
 
     # Iterate because renaming shifts liveness; each round fixes one
-    # release point, and there are finitely many.
+    # release point, and there are finitely many.  The round that finds
+    # nothing to fix leaves its analysis in the returned kernel's memo,
+    # where ``verify_compact`` reads it.
     for _ in range(len(kernel) + 1):
         info = analyze_liveness(kernel)
         change = _compact_one(kernel, base_set_size, info)
@@ -145,6 +156,7 @@ def compact_register_indices(kernel: Kernel, base_set_size: int) -> Kernel:
 
 def _compact_one(kernel: Kernel, base_set_size: int, info) -> Kernel | None:
     """Fix the first offending release point; None when all are clean."""
+    predecessors = None
     for pc, inst in enumerate(kernel):
         if inst.opcode is not Opcode.RELEASE:
             continue
@@ -164,17 +176,19 @@ def _compact_one(kernel: Kernel, base_set_size: int, info) -> Kernel | None:
         instructions = list(kernel.instructions)
         # Pair each overflow register with a base slot that is free at
         # the release AND survives until the renamed uses (no
-        # redefinition of the slot on the way — see _dst_clobbered; the
+        # redefinition of the slot on the way — see _clobbered_slots; the
         # oracle caught MRI-Q computing with a clobbered slot when the
         # pairing was done blindly by release-point liveness alone).
         # Matched with augmenting paths, not first-fit: one register's
         # only safe slot may be another's first choice.  When nothing
         # clobbers, this reduces to the plain overflow[i] -> free[i]
         # pairing, so previously-correct kernels compile unchanged.
-        safe_slots = {
-            src: [f for f in free if not _dst_clobbered(kernel, pc + 1, src, f)]
-            for src in overflow
-        }
+        if predecessors is None:
+            predecessors = _predecessor_table(kernel)
+        safe_slots = {}
+        for src in overflow:
+            clobbered = _clobbered_slots(kernel, pc + 1, src, predecessors)
+            safe_slots[src] = [f for f in free if f not in clobbered]
         slot_owner: dict[int, int] = {}
 
         def _assign(src: int, visited: set[int]) -> bool:
@@ -220,8 +234,9 @@ def _compact_one(kernel: Kernel, base_set_size: int, info) -> Kernel | None:
             mov_pc = pc + mov_offset
             start = release_pc  # uses begin after the release point
             reached = _uses_reached(shifted, start + 1, src)
+            other = _reached_by_other_defs(shifted, src, mov_pc)
             for use_pc in reached:
-                if _other_defs_reach(shifted, src, use_pc, mov_pc):
+                if use_pc in other:
                     raise CompactionError(
                         f"use of R{src} at pc {use_pc} is reachable from "
                         "another definition; rename would be unsound"
@@ -238,7 +253,7 @@ def _compact_one(kernel: Kernel, base_set_size: int, info) -> Kernel | None:
 
 def verify_compact(kernel: Kernel, base_set_size: int) -> None:
     """Assert no live register index reaches |Bs| at any RELEASE point."""
-    info = analyze_liveness(kernel)
+    info = kernel_liveness(kernel)
     for pc, inst in enumerate(kernel):
         if inst.opcode is Opcode.RELEASE:
             overflow = [r for r in info.live_out[pc] if r >= base_set_size]

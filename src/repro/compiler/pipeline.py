@@ -12,7 +12,6 @@ paper's "does not insert any acquire or release instructions" behaviour.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
@@ -21,7 +20,7 @@ from repro.compiler.compaction import compact_register_indices, verify_compact
 from repro.compiler.es_selection import EsSelection, select_extended_set_size
 from repro.compiler.regions import AcquireRegion, find_acquire_regions
 from repro.isa.kernel import Kernel
-from repro.liveness.liveness import analyze_liveness
+from repro.liveness.liveness import kernel_liveness
 
 
 @dataclass(frozen=True)
@@ -44,34 +43,14 @@ class CompilationReport:
         return self.instructions_after - self.instructions_before
 
 
-# Reports are keyed by the *output* kernel object so callers can look up
-# what the pipeline did without threading a second return value through
-# the technique interface.  Kernel defines __eq__ (so it is unhashable
-# and a WeakKeyDictionary cannot hold it); entries are keyed by identity
-# instead, hold only a weak reference to their kernel, and are dropped
-# by its callback when the kernel is collected.  A report therefore
-# lives exactly as long as its kernel, and a recycled id() can never
-# resolve to a stale one.
-_reports: "dict[int, tuple[weakref.ref, CompilationReport]]" = {}
-
-
-def _remember(kernel: Kernel, report: CompilationReport) -> None:
-    key = id(kernel)
-
-    def drop(ref: weakref.ref) -> None:
-        entry = _reports.get(key)
-        if entry is not None and entry[0] is ref:
-            del _reports[key]
-
-    _reports[key] = (weakref.ref(kernel, drop), report)
-
-
 def compilation_report(kernel: Kernel) -> CompilationReport | None:
-    """The report for a kernel produced by :func:`regmutex_compile`."""
-    entry = _reports.get(id(kernel))
-    if entry is None or entry[0]() is not kernel:
-        return None
-    return entry[1]
+    """The report for a kernel produced by :func:`regmutex_compile`.
+
+    The report sits in the output kernel's memo, so it lives exactly as
+    long as that kernel object; a copy (``with_metadata``, unpickling)
+    has none.
+    """
+    return kernel._memo.get("report")
 
 
 def regmutex_compile(
@@ -88,7 +67,7 @@ def regmutex_compile(
     """
     if kernel.metadata.uses_regmutex:
         raise ValueError("kernel already compiled for RegMutex")
-    info = analyze_liveness(kernel)
+    info = kernel_liveness(kernel)
     selection = select_extended_set_size(
         kernel, config, liveness=info, forced_es=forced_es
     )
@@ -96,7 +75,7 @@ def regmutex_compile(
     rounded = selection.rounded_regs
 
     def finish(result: Kernel, report: CompilationReport) -> Kernel:
-        _remember(result, report)
+        result._memo["report"] = report
         return result
 
     if not selection.uses_regmutex:

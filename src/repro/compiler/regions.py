@@ -41,7 +41,7 @@ class AcquireRegion:
         return self.start < other.end and other.start < self.end
 
 
-def _raw_regions(live_count: list[int], threshold: int) -> list[AcquireRegion]:
+def _raw_regions(live_count: tuple[int, ...], threshold: int) -> list[AcquireRegion]:
     """Maximal PC ranges where live count exceeds the threshold."""
     regions: list[AcquireRegion] = []
     start = None
@@ -72,7 +72,7 @@ def _merge_close(regions: list[AcquireRegion], gap: int) -> list[AcquireRegion]:
 
 
 def _align_to_blocks(
-    regions: list[AcquireRegion], cfg: ControlFlowGraph
+    regions: list[AcquireRegion], kernel: Kernel, cfg: ControlFlowGraph
 ) -> list[AcquireRegion]:
     """Snap region boundaries outward so that a region containing any part
     of a loop contains whole loop iterations' high-pressure blocks.
@@ -89,7 +89,7 @@ def _align_to_blocks(
         end = region.end
         block = cfg.block_of_pc(end - 1)
         term_pc = block.last_pc
-        inst = cfg.kernel[term_pc]
+        inst = kernel[term_pc]
         if end == term_pc and (inst.is_branch or inst.is_exit):
             # Region would end right before the terminator; the release
             # would land between the condition and the jump — widen.
@@ -121,7 +121,7 @@ def find_acquire_regions(
         return []
     cfg = info.cfg or build_cfg(kernel)
     merged = _merge_close(raw, merge_gap)
-    aligned = _align_to_blocks(merged, cfg)
+    aligned = _align_to_blocks(merged, kernel, cfg)
     if cover_extended_accesses:
         aligned = cover_extended_defs(kernel, aligned, base_set_size)
     return aligned

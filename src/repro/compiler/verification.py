@@ -57,16 +57,17 @@ def verify_regmutex_safety(kernel: Kernel, base_set_size: int) -> VerificationRe
     may_free[0] = True  # warps launch without a section
 
     # Worklist forward propagation.
+    insts, successors = kernel.instructions, kernel.successor_table
     work = [0]
     while work:
         pc = work.pop()
-        inst = kernel[pc]
+        inst = insts[pc]
         out_hold, out_free = may_hold[pc], may_free[pc]
         if inst.opcode is Opcode.ACQUIRE:
             out_hold, out_free = out_hold or out_free, False
         elif inst.opcode is Opcode.RELEASE:
             out_hold, out_free = False, out_hold or out_free
-        for succ in kernel.successors_of_pc(pc):
+        for succ in successors[pc]:
             changed = False
             if out_hold and not may_hold[succ]:
                 may_hold[succ] = True

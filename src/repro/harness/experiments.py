@@ -496,6 +496,21 @@ def storage_overhead_comparison(
     }
 
 
+@dataclass(frozen=True)
+class StorageRow:
+    """One technique's added storage per SM (``repro storage``)."""
+
+    technique: str
+    bits_per_sm: int
+
+
+def storage_rows(config: GpuConfig = GTX480) -> list[StorageRow]:
+    return [
+        StorageRow(name, budget.total_bits)
+        for name, budget in storage_overhead_comparison(config).items()
+    ]
+
+
 # Zero-argument spec builders for every simulation-backed figure, in
 # the paper's order: `repro bench` and EXPERIMENTS.md run the whole
 # suite's job set from it in one deduplicated batch.

@@ -119,6 +119,12 @@ OPCODE_CLASS: dict[Opcode, OpClass] = {
     Opcode.NOP: OpClass.NOP,
 }
 
+# Control transfers that carry a target label (EXIT has none).
+_BRANCH_OPCODES = tuple(
+    op for op, cls in OPCODE_CLASS.items()
+    if cls is OpClass.BRANCH and op is not Opcode.EXIT
+)
+
 # Issue-to-writeback latency in cycles per opcode, patterned on Fermi-era
 # numbers used by GPGPU-Sim configs (ALU ~4-6, SFU ~16-32; memory latency is
 # supplied by the memory model, the value here is only the pipeline
@@ -192,7 +198,9 @@ class Instruction:
 
     @property
     def is_branch(self) -> bool:
-        return self.op_class is OpClass.BRANCH and self.opcode is not Opcode.EXIT
+        # Tuple membership compares by identity; an OPCODE_CLASS lookup
+        # would hash the enum, a Python-level call on every CFG query.
+        return self.opcode in _BRANCH_OPCODES
 
     @property
     def is_conditional_branch(self) -> bool:

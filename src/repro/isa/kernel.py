@@ -53,7 +53,16 @@ class KernelMetadata:
 
 
 class Kernel:
-    """An immutable GPU kernel: instructions + metadata + label index."""
+    """An immutable GPU kernel: instructions + metadata + label index.
+
+    Because a kernel never changes, facts derived from it are computed
+    once and kept in a private per-kernel memo (``_memo``): the
+    successor table, its liveness (``repro.liveness``) and, for a
+    compiled kernel, the pipeline's ``CompilationReport``.  The memo
+    lives exactly as long as the kernel; equality ignores it, rewriting
+    (``with_instructions``/``with_metadata``) starts a fresh one, and
+    pickling drops it.
+    """
 
     def __init__(
         self,
@@ -75,6 +84,16 @@ class Kernel:
                 raise ValueError(
                     f"pc {pc}: branch target {inst.target!r} is not a label"
                 )
+        self._memo: dict[str, object] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
 
     # -- container protocol ----------------------------------------------------
     def __len__(self) -> int:
@@ -162,19 +181,37 @@ class Kernel:
             pc for pc, inst in enumerate(self._instructions) if inst.is_exit
         )
 
-    def successors_of_pc(self, pc: int) -> tuple[int, ...]:
-        """Instruction-level control-flow successors of ``pc``.
+    @property
+    def successor_table(self) -> tuple[tuple[int, ...], ...]:
+        """``successors_of_pc`` for every pc, built once per kernel.
 
         EXIT has none; JMP has its target; a conditional branch has the
         fall-through (if any) and the target; everything else falls
         through (if not at the end of the kernel).
         """
-        inst = self._instructions[pc]
-        if inst.is_exit:
-            return ()
-        if inst.is_branch:
-            target = self._labels[inst.target]
-            if inst.is_conditional_branch and pc + 1 < len(self._instructions):
-                return (pc + 1, target) if pc + 1 != target else (target,)
-            return (target,)
-        return (pc + 1,) if pc + 1 < len(self._instructions) else ()
+        table = self._memo.get("successors")
+        if table is None:
+            table = self._memo["successors"] = self._build_successor_table()
+        return table
+
+    def successors_of_pc(self, pc: int) -> tuple[int, ...]:
+        """Instruction-level control-flow successors of ``pc`` (see
+        :attr:`successor_table`)."""
+        return self.successor_table[pc]
+
+    def _build_successor_table(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self._instructions)
+        table: list[tuple[int, ...]] = []
+        for pc, inst in enumerate(self._instructions):
+            nxt = pc + 1
+            if inst.is_exit:
+                table.append(())
+            elif inst.is_branch:
+                target = self._labels[inst.target]
+                if inst.is_conditional_branch and nxt < n and nxt != target:
+                    table.append((nxt, target))
+                else:
+                    table.append((target,))
+            else:
+                table.append((nxt,) if nxt < n else ())
+        return tuple(table)

@@ -45,33 +45,30 @@ def instruction_defs_uses(inst: Instruction) -> tuple[frozenset[int], frozenset[
     return frozenset(inst.dsts), frozenset(inst.srcs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LivenessInfo:
     """Per-instruction liveness facts for one kernel.
 
     ``live_in[pc]`` / ``live_out[pc]`` are frozensets of architected
-    register indices.  ``live_count[pc]`` is ``len(live_in[pc] | defs(pc))``
-    — the number of registers that must physically exist while the
-    instruction at ``pc`` executes (a definition needs its destination
-    allocated even if the value dies immediately).
+    register indices, held in tuples: one result is shared by every
+    caller that analyses the same kernel, so none may change it.
+    ``live_count[pc]`` is ``len(live_in[pc] | defs(pc))`` — the number
+    of registers that must physically exist while the instruction at
+    ``pc`` executes (a definition needs its destination allocated even
+    if the value dies immediately).  The result holds no reference to
+    its kernel, so keeping it in the kernel's memo makes no cycle.
     """
 
-    kernel: Kernel
     cfg: ControlFlowGraph
-    live_in: list[frozenset[int]]
-    live_out: list[frozenset[int]]
-
-    @property
-    def live_count(self) -> list[int]:
-        counts = []
-        for pc, inst in enumerate(self.kernel):
-            counts.append(len(self.live_in[pc] | frozenset(inst.dsts)))
-        return counts
+    live_in: tuple[frozenset[int], ...]
+    live_out: tuple[frozenset[int], ...]
+    live_count: tuple[int, ...]
+    # (pc, live_in | defs) at every BAR.SYNC, in program order.
+    barrier_live: tuple[tuple[int, frozenset[int]], ...]
 
     def max_live(self) -> int:
         """Maximum simultaneous live registers anywhere in the kernel."""
-        counts = self.live_count
-        return max(counts) if counts else 0
+        return max(self.live_count) if self.live_count else 0
 
     def live_at_barriers(self) -> list[tuple[int, frozenset[int]]]:
         """(pc, live set) at every CTA-wide synchronization point.
@@ -79,11 +76,7 @@ class LivenessInfo:
         Drives the second deadlock-avoidance rule of §III-A2: |Bs| must
         cover the live count at every ``BAR.SYNC``.
         """
-        return [
-            (pc, self.live_in[pc] | frozenset(self.kernel[pc].dsts))
-            for pc, inst in enumerate(self.kernel)
-            if inst.is_barrier
-        ]
+        return list(self.barrier_live)
 
 
 def _block_transfer(kernel: Kernel, cfg: ControlFlowGraph):
@@ -93,11 +86,12 @@ def _block_transfer(kernel: Kernel, cfg: ControlFlowGraph):
     for blk in cfg.blocks:
         defs: set[int] = set()
         uses: set[int] = set()
-        for pc in blk.pcs:
-            d, u = instruction_defs_uses(kernel[pc])
+        for inst in kernel.instructions[blk.start:blk.end]:
             # upward-exposed uses: read before any def in this block
-            uses.update(u - defs)
-            defs.update(d)
+            for reg in inst.srcs:
+                if reg not in defs:
+                    uses.add(reg)
+            defs.update(inst.dsts)
         block_defs[blk.index] = frozenset(defs)
         block_uses[blk.index] = frozenset(uses)
 
@@ -126,8 +120,28 @@ def _branch_region_blocks(
 
 
 def analyze_liveness(kernel: Kernel, cfg: ControlFlowGraph | None = None) -> LivenessInfo:
-    """Run divergence-conservative liveness for a kernel."""
-    cfg = cfg or build_cfg(kernel)
+    """Run divergence-conservative liveness for a kernel.
+
+    Without an explicit ``cfg`` the result is kept in the kernel's memo,
+    so each kernel object is analysed once.
+    """
+    if cfg is not None:
+        return _analyze(kernel, cfg)
+    info = kernel._memo.get("liveness")
+    if info is None:
+        info = kernel._memo["liveness"] = _analyze(kernel, build_cfg(kernel))
+    return info
+
+
+def kernel_liveness(kernel: Kernel) -> LivenessInfo:
+    """``analyze_liveness(kernel)`` for callers that usually find the
+    analysis already made (an |Es| sweep's input kernel, compaction's
+    final kernel): a hit is one memo read and never re-enters the
+    analysis entry point."""
+    return kernel._memo.get("liveness") or analyze_liveness(kernel)
+
+
+def _analyze(kernel: Kernel, cfg: ControlFlowGraph) -> LivenessInfo:
     transfer = _block_transfer(kernel, cfg)
     result = BackwardDataflow(cfg, transfer).solve()
 
@@ -178,12 +192,28 @@ def analyze_liveness(kernel: Kernel, cfg: ControlFlowGraph | None = None) -> Liv
     n = len(kernel)
     live_in: list[frozenset[int]] = [frozenset()] * n
     live_out: list[frozenset[int]] = [frozenset()] * n
+    insts = kernel.instructions
     for blk in cfg.blocks:
         current = block_out[blk.index]
         for pc in reversed(blk.pcs):
-            d, u = instruction_defs_uses(kernel[pc])
+            inst = insts[pc]
             live_out[pc] = current
-            current = u | (current - d)
+            if inst.dsts:
+                current = current.difference(inst.dsts)
+            if inst.srcs:
+                current = current.union(inst.srcs)
             live_in[pc] = current
 
-    return LivenessInfo(kernel=kernel, cfg=cfg, live_in=live_in, live_out=live_out)
+    return LivenessInfo(
+        cfg=cfg,
+        live_in=tuple(live_in),
+        live_out=tuple(live_out),
+        live_count=tuple(
+            len(live.union(inst.dsts)) for live, inst in zip(live_in, insts)
+        ),
+        barrier_live=tuple(
+            (pc, live_in[pc].union(inst.dsts))
+            for pc, inst in enumerate(insts)
+            if inst.is_barrier
+        ),
+    )

@@ -21,7 +21,7 @@ class PressureProfile:
     """Static pressure facts derived from liveness."""
 
     kernel: Kernel
-    live_count: list[int]
+    live_count: tuple[int, ...]
 
     @property
     def max_live(self) -> int:

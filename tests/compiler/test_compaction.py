@@ -1,17 +1,23 @@
 """Tests for architected register index compaction (§III-A4)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.arch.config import GTX480, GTX480_HALF_RF
+from repro.compiler import compaction
 from repro.compiler.acquire_release import inject_primitives
 from repro.compiler.compaction import (
     CompactionError,
     compact_register_indices,
     verify_compact,
 )
+from repro.compiler.pipeline import regmutex_compile
 from repro.compiler.regions import find_acquire_regions
+from repro.harness.experiments import ES_SWEEP
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import Opcode
 from repro.liveness.liveness import analyze_liveness
+from repro.workloads.generator import KernelShape, PressurePhase, generate_kernel
 
 
 def stranded_value_kernel():
@@ -244,3 +250,158 @@ class TestClobberAwareSlotChoice:
         b.exit()
         with pytest.raises(CompactionError, match="no conflict-free"):
             compact_register_indices(b.build(), 4)
+
+
+# -- reference oracle for the linear clobber and other-definition checks ----
+# The per-query walks the compaction pass used before it computed each
+# control-flow fact once per overflow register; kept verbatim (with their
+# own successor function) as the specification the fast checks must meet.
+
+def _oracle_successor_pcs(kernel, pc):
+    inst = kernel[pc]
+    if inst.is_exit:
+        return []
+    if inst.is_branch:
+        targets = [kernel.label_pc(inst.target)]
+        if inst.is_conditional_branch and pc + 1 < len(kernel):
+            targets.append(pc + 1)
+        return targets
+    return [pc + 1] if pc + 1 < len(kernel) else []
+
+
+def _oracle_uses_reached(kernel, start_pc, reg):
+    uses = set()
+    seen = set()
+    stack = [start_pc]
+    while stack:
+        pc = stack.pop()
+        if pc in seen or pc >= len(kernel):
+            continue
+        seen.add(pc)
+        inst = kernel[pc]
+        if reg in inst.srcs:
+            uses.add(pc)
+        if reg in inst.dsts:
+            continue
+        stack.extend(_oracle_successor_pcs(kernel, pc))
+    return uses
+
+
+def _dst_clobbered(kernel, start_pc, src, dst):
+    seen = set()
+    stack = [start_pc]
+    while stack:
+        pc = stack.pop()
+        if pc in seen or pc >= len(kernel):
+            continue
+        seen.add(pc)
+        inst = kernel[pc]
+        if src in inst.dsts:
+            continue
+        if dst in inst.dsts:
+            for succ in _oracle_successor_pcs(kernel, pc):
+                if _oracle_uses_reached(kernel, succ, src):
+                    return True
+            continue
+        stack.extend(_oracle_successor_pcs(kernel, pc))
+    return False
+
+
+def _other_defs_reach(kernel, reg, use_pc, barrier_pc):
+    sources = [0] + [
+        pc + 1
+        for pc, inst in enumerate(kernel)
+        if reg in inst.dsts and pc != barrier_pc and pc + 1 < len(kernel)
+    ]
+    seen = set()
+    stack = list(sources)
+    while stack:
+        pc = stack.pop()
+        if pc in seen or pc >= len(kernel):
+            continue
+        if pc == barrier_pc:
+            continue
+        seen.add(pc)
+        if pc == use_pc:
+            return True
+        inst = kernel[pc]
+        if reg in inst.dsts:
+            continue
+        stack.extend(_oracle_successor_pcs(kernel, pc))
+    return False
+
+
+@st.composite
+def generator_shapes(draw):
+    """Register-limited generator shapes on GTX480 (256-thread CTAs,
+    more than 21 registers), with divergent inner phases and scrambled
+    register indices."""
+    low = draw(st.integers(min_value=3, max_value=10))
+    high = draw(st.integers(min_value=22, max_value=40))
+    return KernelShape(
+        name="compaction-prop",
+        phases=(
+            PressurePhase(low, draw(st.integers(4, 16)),
+                          barrier_after=draw(st.booleans())),
+            PressurePhase(high, draw(st.integers(4, 24)),
+                          loop_trips=draw(st.integers(0, 2)),
+                          divergent=draw(st.sampled_from([0.0, 0.5]))),
+            PressurePhase(low, draw(st.integers(4, 16))),
+        ),
+        regs_per_thread=high,
+        outer_trips=draw(st.integers(0, 2)),
+        scramble_indices=draw(st.booleans()),
+        seed=draw(st.integers(min_value=1, max_value=2**30)),
+    )
+
+
+class TestLinearChecksMatchOracle:
+    @settings(deadline=None, max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=generator_shapes())
+    def test_every_release_point_agrees(self, shape, monkeypatch):
+        """At every release point the compiler visits, over the whole
+        |Es| sweep on both register files, the clobbered-slot set equals
+        the per-slot oracle's and the other-definition reach equals the
+        per-use oracle's."""
+        clobber_calls, reach_calls = [], []
+
+        def recording(calls, function):
+            def wrapper(*args):
+                result = function(*args)
+                calls.append((args, result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(
+            compaction, "_clobbered_slots",
+            recording(clobber_calls, compaction._clobbered_slots))
+        monkeypatch.setattr(
+            compaction, "_reached_by_other_defs",
+            recording(reach_calls, compaction._reached_by_other_defs))
+
+        kernel = generate_kernel(shape)
+        for config in (GTX480, GTX480_HALF_RF):
+            for es in (None,) + ES_SWEEP:
+                if es is not None and es >= shape.regs_per_thread:
+                    continue
+                try:
+                    regmutex_compile(kernel, config, forced_es=es)
+                except CompactionError:
+                    pass
+
+        for (k, start_pc, src, _), clobbered in clobber_calls:
+            assert clobbered == {
+                f for f in k.referenced_registers()
+                if _dst_clobbered(k, start_pc, src, f)
+            }
+        for (k, reg, mov_pc), reached in reach_calls:
+            release_pc = next(pc for pc in range(mov_pc, len(k))
+                              if k[pc].opcode is Opcode.RELEASE)
+            uses = _oracle_uses_reached(k, release_pc + 1, reg)
+            # Same order too: the first unsound use names the error.
+            assert list(uses) == list(
+                compaction._uses_reached(k, release_pc + 1, reg))
+            for use_pc in uses:
+                assert (use_pc in reached) == _other_defs_reach(
+                    k, reg, use_pc, mov_pc)

@@ -1,14 +1,20 @@
 """Tests for the end-to-end RegMutex compilation pipeline."""
 
 import gc
+import pickle
+import weakref
 
 import pytest
 
 from repro.arch.config import GTX480, GTX480_HALF_RF
-from repro.compiler.compaction import verify_compact
-from repro.compiler import pipeline
+from repro.compiler.compaction import CompactionError, verify_compact
 from repro.compiler.pipeline import compilation_report, regmutex_compile
+from repro.harness.experiments import ES_SWEEP
 from repro.isa.instructions import Opcode
+from repro.isa.kernel import Kernel
+from repro.isa.parser import parse_kernel
+from repro.isa.printer import format_kernel
+from repro.liveness.liveness import analyze_liveness
 from repro.workloads.suite import APPLICATIONS, build_app_kernel, get_app
 
 
@@ -39,20 +45,77 @@ class TestRegmutexCompile:
         even one that reuses a dropped kernel's id() — has none."""
         spec = get_app("BFS")
         kernel = build_app_kernel(spec)
-        gc.collect()
-        before = len(pipeline._reports)
-        dropped_ids = set()
+        reports = []
         for _ in range(20):
             compiled = regmutex_compile(kernel, GTX480,
                                         forced_es=spec.expected_es)
             assert compilation_report(compiled) is not None
-            dropped_ids.add(id(compiled))
+            reports.append(weakref.ref(compilation_report(compiled)))
             del compiled
             gc.collect()
-        assert len(pipeline._reports) <= before
-        assert not dropped_ids & set(pipeline._reports)
+        assert all(ref() is None for ref in reports)
         strangers = [kernel.with_metadata(name=f"k{i}") for i in range(200)]
         assert all(compilation_report(k) is None for k in strangers)
+
+    def test_pickled_kernel_drops_the_memo(self):
+        """A compiled kernel pickles to the same bytes as a copy that never
+        held a memo, and comes back without a report."""
+        spec = get_app("BFS")
+        compiled = regmutex_compile(build_app_kernel(spec), GTX480,
+                                    forced_es=spec.expected_es)
+        analyze_liveness(compiled)
+        assert compilation_report(compiled) is not None
+        fresh = Kernel(compiled.instructions, compiled.metadata)
+        blob = pickle.dumps(compiled)
+        assert len(blob) == len(pickle.dumps(fresh))
+        restored = pickle.loads(blob)
+        assert restored == compiled
+        assert compilation_report(restored) is None
+        assert restored._memo == {}
+
+    def test_memo_makes_no_reference_cycle(self):
+        """Nothing in a kernel's memo points back at the kernel, so a
+        compiled kernel and everything cached on it go as soon as the
+        last reference does, without waiting for the cycle collector."""
+        spec = get_app("BFS")
+        compiled = regmutex_compile(build_app_kernel(spec), GTX480,
+                                    forced_es=spec.expected_es)
+        analyze_liveness(compiled)
+        compiled.successor_table
+        kernel_ref = weakref.ref(compiled)
+        report_ref = weakref.ref(compilation_report(compiled))
+        gc.disable()
+        try:
+            del compiled
+            assert kernel_ref() is None and report_ref() is None
+        finally:
+            gc.enable()
+
+    def test_sweep_analyses_its_input_once(self, monkeypatch):
+        """Every compile of one parsed kernel reuses the kernel's memoized
+        liveness: a full |Es| sweep on both register files analyses the
+        input kernel exactly once."""
+        from repro.liveness import liveness
+
+        analysed = []
+        original = liveness._analyze
+
+        def counting(kernel, cfg):
+            analysed.append(kernel)
+            return original(kernel, cfg)
+
+        monkeypatch.setattr(liveness, "_analyze", counting)
+        kernel = parse_kernel(format_kernel(build_app_kernel(get_app("BFS"))))
+        compiles = 0
+        for config in (GTX480, GTX480_HALF_RF):
+            for es in (None,) + ES_SWEEP:
+                try:
+                    regmutex_compile(kernel, config, forced_es=es)
+                except CompactionError:
+                    pass
+                compiles += 1
+        assert compiles == 14
+        assert sum(k is kernel for k in analysed) == 1
 
     def test_relaxed_app_untouched_on_full_rf(self):
         """Apps without register-limited occupancy get zero-size extended

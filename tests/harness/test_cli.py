@@ -26,6 +26,18 @@ class TestCli:
         assert "384" in out
         assert "31264" in out
 
+    def test_storage_csv(self, tmp_path, capsys):
+        from repro.harness.export import read_csv_rows
+
+        path = tmp_path / "storage.csv"
+        assert main(["storage", "--csv", str(path)]) == 0
+        assert f"(rows exported to {path})" in capsys.readouterr().out
+        rows = read_csv_rows(str(path))
+        assert [r["technique"] for r in rows] == [
+            "regmutex", "regmutex-paired", "rfv", "owf"]
+        bits = {r["technique"]: int(r["bits_per_sm"]) for r in rows}
+        assert bits["regmutex"] == 384 and bits["rfv"] == 31264
+
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0
         out = capsys.readouterr().out

@@ -119,3 +119,28 @@ class TestSuccessorsOfPc:
                 )
                 return
         pytest.fail("no JMP found")
+
+
+class TestSuccessorTable:
+    def test_table_matches_successors_of_pc(self, loop_kernel):
+        table = loop_kernel.successor_table
+        assert len(table) == len(loop_kernel)
+        for pc in range(len(loop_kernel)):
+            assert loop_kernel.successors_of_pc(pc) == table[pc]
+
+    def test_built_once(self, branch_kernel):
+        assert branch_kernel.successor_table is branch_kernel.successor_table
+
+
+class TestKernelMemo:
+    def test_with_metadata_starts_an_empty_memo(self, branch_kernel):
+        branch_kernel.successor_table  # fill the memo
+        assert branch_kernel._memo
+        renamed = branch_kernel.with_metadata(name="renamed")
+        assert renamed._memo == {}
+        assert renamed.with_instructions(renamed.instructions)._memo == {}
+
+    def test_equality_ignores_the_memo(self, straight_kernel):
+        copy = Kernel(straight_kernel.instructions, straight_kernel.metadata)
+        straight_kernel.successor_table
+        assert copy == straight_kernel

@@ -180,3 +180,23 @@ class TestMultipleBarriers:
         assert len(barriers) == 2
         first, second = barriers
         assert len(first[1]) < len(second[1])
+
+
+class TestSharedResult:
+    def test_result_is_memoized_per_kernel(self, loop_kernel):
+        assert analyze_liveness(loop_kernel) is analyze_liveness(loop_kernel)
+
+    def test_explicit_cfg_is_not_memoized(self, loop_kernel):
+        from repro.cfg.graph import build_cfg
+
+        info = analyze_liveness(loop_kernel, build_cfg(loop_kernel))
+        assert info is not analyze_liveness(loop_kernel)
+        assert info.live_in == analyze_liveness(loop_kernel).live_in
+
+    def test_live_sets_cannot_be_assigned(self, loop_kernel):
+        info = analyze_liveness(loop_kernel)
+        with pytest.raises(TypeError):
+            info.live_in[0] = frozenset({99})
+        with pytest.raises(TypeError):
+            info.live_out[0] = frozenset({99})
+        assert 99 not in analyze_liveness(loop_kernel).live_in[0]
