@@ -144,6 +144,16 @@ OPCODE_LATENCY: dict[Opcode, int] = {
     Opcode.NOP: 1,
 }
 
+# Each opcode carries its class, latency and the two class tests as
+# attributes, so the Instruction properties below read them without
+# hashing the enum (``Enum.__hash__`` is a Python-level call).
+for _op, _cls in OPCODE_CLASS.items():
+    _op.op_class = _cls
+    _op.latency = OPCODE_LATENCY[_op]
+    _op.is_memory = _cls in (OpClass.LOAD, OpClass.STORE)
+    _op.is_regmutex = _cls is OpClass.REGMUTEX
+del _op, _cls
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -168,7 +178,7 @@ class Instruction:
     comment: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.opcode not in OPCODE_CLASS:
+        if not isinstance(self.opcode, Opcode):
             raise ValueError(f"unknown opcode {self.opcode!r}")
         for reg in (*self.dsts, *self.srcs):
             if not isinstance(reg, int) or reg < 0:
@@ -185,11 +195,11 @@ class Instruction:
 
     @property
     def op_class(self) -> OpClass:
-        return OPCODE_CLASS[self.opcode]
+        return self.opcode.op_class
 
     @property
     def latency(self) -> int:
-        return OPCODE_LATENCY[self.opcode]
+        return self.opcode.latency
 
     @property
     def registers(self) -> tuple[int, ...]:
@@ -216,11 +226,11 @@ class Instruction:
 
     @property
     def is_memory(self) -> bool:
-        return self.op_class in (OpClass.LOAD, OpClass.STORE)
+        return self.opcode.is_memory
 
     @property
     def is_regmutex(self) -> bool:
-        return self.op_class is OpClass.REGMUTEX
+        return self.opcode.is_regmutex
 
     def with_label(self, label: str) -> "Instruction":
         return replace(self, label=label)

@@ -1,5 +1,6 @@
 """Tests for the end-to-end RegMutex compilation pipeline."""
 
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -7,6 +8,7 @@ import weakref
 import pytest
 
 from repro.arch.config import GTX480, GTX480_HALF_RF
+from repro.compiler import pipeline
 from repro.compiler.compaction import CompactionError, verify_compact
 from repro.compiler.pipeline import compilation_report, regmutex_compile
 from repro.harness.experiments import ES_SWEEP
@@ -116,6 +118,113 @@ class TestRegmutexCompile:
                 compiles += 1
         assert compiles == 14
         assert sum(k is kernel for k in analysed) == 1
+
+    @staticmethod
+    def _count_compactions(monkeypatch):
+        calls = []
+        original = pipeline.compact_register_indices
+
+        def counting(kernel, bs):
+            calls.append(bs)
+            return original(kernel, bs)
+
+        monkeypatch.setattr(pipeline, "compact_register_indices", counting)
+        return calls
+
+    def test_sweep_compacts_each_base_set_size_once(self, monkeypatch):
+        """Regions, injection, compaction and the checks depend only on
+        the kernel and |Bs|: a 14-compile sweep compacts once per
+        distinct |Bs| that compiles, plus once per failing compile (a
+        failure is never kept, so it runs again)."""
+        calls = self._count_compactions(monkeypatch)
+        kernel = parse_kernel(format_kernel(build_app_kernel(get_app("BFS"))))
+        compiled_bs, failures = set(), 0
+        for config in (GTX480, GTX480_HALF_RF):
+            for es in (None,) + ES_SWEEP:
+                try:
+                    compiled = regmutex_compile(kernel, config, forced_es=es)
+                except CompactionError:
+                    failures += 1
+                    continue
+                if compilation_report(compiled).instrumented:
+                    compiled_bs.add(compiled.metadata.base_set_size)
+        assert failures and len(compiled_bs) > 1
+        assert len(calls) == len(compiled_bs) + failures
+        assert set(calls) >= compiled_bs
+
+    def test_memoized_bodies_hold_no_analyses(self):
+        """The input kernel keeps only each |Bs|'s instructions, regions
+        and counts: no liveness, and no kernel that carries a memo of its
+        own, so a sweep does not keep every intermediate analysis alive."""
+        from repro.liveness.liveness import LivenessInfo
+
+        kernel = parse_kernel(format_kernel(build_app_kernel(get_app("BFS"))))
+        for config in (GTX480, GTX480_HALF_RF):
+            for es in (None,) + ES_SWEEP:
+                try:
+                    regmutex_compile(kernel, config, forced_es=es)
+                except CompactionError:
+                    pass
+
+        def held(value):
+            if isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from held(item)
+            elif dataclasses.is_dataclass(value) and not isinstance(
+                value, type
+            ):
+                yield value
+                for f in dataclasses.fields(value):
+                    yield from held(getattr(value, f.name))
+            elif isinstance(value, Kernel):
+                yield value
+
+        bodies = kernel._memo["bodies"]
+        assert len(bodies) > 1
+        for body in bodies.values():
+            for value in held(body):
+                assert not isinstance(value, LivenessInfo)
+                if isinstance(value, Kernel):
+                    assert value._memo == {}
+
+    def test_hits_return_their_own_kernel_and_report(self, monkeypatch):
+        """Compiles that share a |Bs| share the body only: each returns a
+        distinct kernel with its own metadata and report, equal to what a
+        compile of a fresh copy of the input produces."""
+        calls = self._count_compactions(monkeypatch)
+        text = format_kernel(build_app_kernel(get_app("BFS")))
+        kernel = parse_kernel(text)
+        first = regmutex_compile(kernel, GTX480)
+        hits = [regmutex_compile(kernel, config, forced_es=6)
+                for config in (GTX480, GTX480_HALF_RF)]
+        assert len(calls) == 1
+        a, b = hits
+        assert a is not b and a is not first
+        assert a.metadata is not b.metadata
+        assert a.metadata.base_set_size == b.metadata.base_set_size == 18
+        assert a.instructions == b.instructions == first.instructions
+        report_a, report_b = compilation_report(a), compilation_report(b)
+        assert report_a is not report_b
+        assert report_a.selection != report_b.selection
+        assert report_a.regions == report_b.regions
+        for config, hit in zip((GTX480, GTX480_HALF_RF), hits):
+            fresh = regmutex_compile(parse_kernel(text), config, forced_es=6)
+            assert hit == fresh
+            assert compilation_report(hit) == compilation_report(fresh)
+
+    def test_failing_base_set_size_raises_again_and_is_not_kept(
+        self, monkeypatch
+    ):
+        calls = self._count_compactions(monkeypatch)
+        kernel = parse_kernel(format_kernel(build_app_kernel(get_app("SAD"))))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CompactionError) as info:
+                regmutex_compile(kernel, GTX480, forced_es=4)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert calls == [28, 28]
+        assert (28, True) not in kernel._memo.get("bodies", {})
 
     def test_relaxed_app_untouched_on_full_rf(self):
         """Apps without register-limited occupancy get zero-size extended

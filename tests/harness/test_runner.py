@@ -106,6 +106,28 @@ class TestExperimentRunner:
         )
         assert a.cycles != b.cycles
 
+    def test_regmutex_run_compacts_once(self, cfg, monkeypatch):
+        """``run`` compiles the kernel for its occupancy and ``Gpu.launch``
+        compiles the same kernel object again; the second compile reuses
+        the first one's body instead of compacting again."""
+        from repro.compiler import pipeline
+        from repro.regmutex.issue_logic import RegMutexTechnique
+
+        calls = []
+        original = pipeline.compact_register_indices
+
+        def counting(kernel, bs):
+            calls.append(bs)
+            return original(kernel, bs)
+
+        monkeypatch.setattr(pipeline, "compact_register_indices", counting)
+        record = ExperimentRunner(target_ctas_per_sm=4).run(
+            straightline_kernel(n_alu=16, regs=16), cfg,
+            RegMutexTechnique(extended_set_size=8),
+        )
+        assert record.acquire_attempts > 0
+        assert calls == [8]
+
 
 class TestCacheKeyStability:
     """Cache keys must depend on every config field and every declared
@@ -147,7 +169,6 @@ class TestCacheKeyStability:
         runner.run(straightline_kernel(), cfg, BaselineTechnique())
         assert runner.cache_misses == 1
         assert runner.cache_hits == 1
-
 
 class TestCacheKeyHygiene:
     """Timing-neutral knobs — engine selection and the sanitizer

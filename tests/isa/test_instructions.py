@@ -21,6 +21,36 @@ class TestOpcodeTables:
     def test_sfu_slower_than_ialu(self):
         assert OPCODE_LATENCY[Opcode.RSQRT] > OPCODE_LATENCY[Opcode.IADD]
 
+    def test_properties_agree_with_the_tables(self):
+        for op in Opcode:
+            target = "t" if op in (Opcode.BRA, Opcode.JMP) else None
+            inst = Instruction(op, target=target)
+            assert inst.op_class is OPCODE_CLASS[op]
+            assert inst.latency == OPCODE_LATENCY[op]
+            assert inst.is_memory == (
+                OPCODE_CLASS[op] in (OpClass.LOAD, OpClass.STORE)
+            )
+            assert inst.is_regmutex == (OPCODE_CLASS[op] is OpClass.REGMUTEX)
+
+    def test_properties_never_hash_the_opcode(self, monkeypatch):
+        """``Enum.__hash__`` is a Python-level call: building an
+        instruction and reading its opcode-derived properties makes none."""
+        calls = []
+        original = Opcode.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Opcode, "__hash__", counting)
+        assert hash(Opcode.IADD) == original(Opcode.IADD) and calls
+        calls.clear()
+        for op in Opcode:
+            target = "t" if op in (Opcode.BRA, Opcode.JMP) else None
+            inst = Instruction(op, (0,), (1,), target=target)
+            inst.op_class, inst.latency, inst.is_memory, inst.is_regmutex
+        assert calls == []
+
 
 class TestInstruction:
     def test_basic_alu(self):
