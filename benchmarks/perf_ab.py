@@ -1,10 +1,20 @@
-"""Same-machine A/B of the benchmark: the head checkout against a base one.
+"""Same-machine A/B of the benchmark: the head commit against a base one.
 
 Run from the root of the head checkout, with a checkout of the base
 commit next to it::
 
     git worktree add ../base <base-sha>
     python3 benchmarks/perf_ab.py ../base
+
+The head tree that is timed is a ``git archive`` of this checkout's
+``HEAD`` (uncommitted changes are not in it), unpacked into a fresh
+sibling of the base directory and removed afterwards, so both trees run
+from like directories: where a checkout sits alone moved ``figures-cold``
+by about 12% between two copies of one commit.  Before timing, the
+script builds the C extension in both trees with ``setup.py build_ext
+--inplace``, so every run times the issue loop users run (the C loop
+wherever a compiler exists) and no run pays for the build; it stops
+when the extension builds in one tree and not the other.
 
 The workloads, ``run_seconds`` and the end-to-end metrics with their
 ``better`` direction and relative ``bound`` come from head's
@@ -19,11 +29,15 @@ result line to ``perf_ab.json`` and exits 1 when head fails the rule in
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,6 +133,24 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"workload": workload, "seed": seed, **json.loads(lines[-1])}
 
 
+def archive_head(parent: Path) -> Path:
+    """Unpack ``git archive HEAD`` of this checkout into a new directory
+    under ``parent``; return it."""
+    tar = subprocess.run(["git", "archive", "--format=tar", "HEAD"],
+                         cwd=HEAD, capture_output=True, check=True).stdout
+    tree = Path(tempfile.mkdtemp(prefix="perf-ab-head-", dir=parent))
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(tree, filter="data")
+    return tree
+
+
+def build_extension(tree: Path) -> bool:
+    """Build ``repro._native`` in place in ``tree``; whether it exists."""
+    subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                   cwd=tree, capture_output=True)
+    return any((tree / "src" / "repro").glob("_native*.so"))
+
+
 def print_tables(rows: list[Comparison]) -> None:
     for workload in dict.fromkeys(r.workload for r in rows):
         print(f"\n{workload}")
@@ -138,14 +170,25 @@ def main(argv: list[str]) -> int:
     base = Path(argv[0]).resolve()
     with open(HEAD / "BENCHMARK.json") as fh:
         spec = json.load(fh)
-    trees = {"base": base, "head": HEAD}
+    trees = {"base": base, "head": archive_head(base.parent)}
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     names = [w["name"] for w in spec["workloads"]]
-    for turn, (workload, seed) in enumerate(itertools.product(names, SEEDS)):
-        order = ("base", "head") if turn % 2 == 0 else ("head", "base")
-        for side in order:
-            runs[side].append(run_bench(trees[side], workload, seed,
-                                        spec["run_seconds"]))
+    try:
+        built = {side: build_extension(tree) for side, tree in trees.items()}
+        print("C extension built: " + ", ".join(
+            f"{side} {'yes' if ok else 'no'}" for side, ok in built.items()))
+        if built["base"] != built["head"]:
+            print("::error::the C extension builds in one tree only, so the "
+                  "two would time different issue loops")
+            return 1
+        for turn, (workload, seed) in enumerate(
+                itertools.product(names, SEEDS)):
+            order = ("base", "head") if turn % 2 == 0 else ("head", "base")
+            for side in order:
+                runs[side].append(run_bench(trees[side], workload, seed,
+                                            spec["run_seconds"]))
+    finally:
+        shutil.rmtree(trees["head"], ignore_errors=True)
     with open(HEAD / OUT, "w") as fh:
         json.dump(runs, fh, indent=2)
         fh.write("\n")

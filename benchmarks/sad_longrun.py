@@ -7,10 +7,10 @@ sits under a percent.  Reports wall time and cycles/sec, best of
 ``--repeat`` runs next to the median and median absolute deviation
 (MAD) of the per-run seconds, and (unless ``--no-artifact``) writes a
 schema-1 perf artifact per code path — ``BENCH_sad_<path>.json`` — so
-the issue-path numbers are committed next to the code.  The path is
-``scan``, or for the columnar engine whichever loop actually ran:
-``native`` when ``repro._native`` is built, ``columnar`` (pure Python)
-otherwise.
+the issue-path numbers are committed next to the code.  The path is the
+issue loop the run took, as a job's ``JobTiming.loop`` names it:
+``scan``, or for the columnar engine ``native`` (the C loop, built on
+first use wherever a compiler exists) or ``pure`` (pure Python).
 
 Usage::
 
@@ -43,10 +43,11 @@ SEED = 2018
 
 
 def path_label(engine: str) -> str:
-    """The code path a run of ``engine`` takes (artifact/trend label)."""
-    if engine == "columnar" and sm_mod._native is not None:
-        return "native"
-    return engine
+    """The issue loop a run of ``engine`` takes on the stock memory model
+    (``StreamingMultiprocessor.issue_loop``): the artifact label."""
+    if engine == "scan":
+        return "scan"
+    return "pure" if sm_mod.native_module() is None else "native"
 
 
 def run_once(engine: str) -> tuple[int, float]:
@@ -87,6 +88,7 @@ def bench_engine(engine: str, repeat: int) -> dict:
             "failed": False,
             "failure_kind": None,
             "attempts": 1,
+            "loop": path,
         })
         if best is None or elapsed < best:
             best = elapsed

@@ -1,16 +1,22 @@
 """Legacy setup shim: the offline environment lacks the ``wheel``
 package, so editable installs go through ``setup.py develop``.
 
-Also builds the optional ``repro._native`` extension, the C loop the
-columnar issue path runs whenever it is importable.  The extension is
-strictly optional: on a machine without a C compiler the build warns
-and continues, and ``repro.sim.sm`` runs the pure-Python columnar
-stepper with identical behaviour.  Build in place for the
-PYTHONPATH=src layout:
+Also the one build recipe of the optional ``repro._native`` extension,
+the C loop the columnar issue path runs.  Nobody has to run it by hand:
+in a checkout, the first columnar SM of a process runs
 
-    python setup.py build_ext --inplace
+    python setup.py build_ext --inplace --force
+
+in a child process when the binary is missing or was built from another
+``nativemodule.c`` (``repro.sim.native``).  The source's SHA-256 is
+compiled in as ``SOURCE_DIGEST``, so any build made here, whatever
+CFLAGS it used, is accepted as it is.  The extension stays optional: on
+a machine without a C compiler the build warns and continues, and
+``repro.sim.sm`` runs the pure-Python columnar stepper with identical
+behaviour.
 """
 
+import hashlib
 import warnings
 
 from setuptools import Extension, setup
@@ -50,11 +56,18 @@ class OptionalBuildExt(build_ext):
             )
 
 
+NATIVE_SOURCE = "src/repro/sim/csrc/nativemodule.c"
+with open(NATIVE_SOURCE, "rb") as fh:
+    NATIVE_DIGEST = hashlib.sha256(fh.read()).hexdigest()
+
 setup(
     ext_modules=[
         Extension(
             "repro._native",
-            sources=["src/repro/sim/csrc/nativemodule.c"],
+            sources=[NATIVE_SOURCE],
+            define_macros=[
+                ("REPRO_NATIVE_SOURCE_DIGEST", f'"{NATIVE_DIGEST}"'),
+            ],
             optional=True,
         )
     ],

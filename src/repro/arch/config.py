@@ -73,8 +73,10 @@ class GpuConfig:
     # Issue-path implementation.  "columnar" (the default) drives each
     # scheduler from wake-ordered ready lists and sleeper heaps over
     # the array-backed store (repro.sim.columnar), and runs its loop in
-    # the optional C extension repro._native whenever that is built —
-    # pure Python otherwise, with one RuntimeWarning per process.
+    # the C extension repro._native, which the first columnar SM of a
+    # process builds on demand in a checkout (repro.sim.native) — pure
+    # Python where it cannot be built, with one RuntimeWarning per
+    # process.
     # "scan" selects the naive all-warp reference stepper.  Both are
     # bit-identical (cycles, SmStats, oracle digests): the knob exists
     # for the differential identity tests and for auditing, and is

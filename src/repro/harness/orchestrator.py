@@ -98,7 +98,9 @@ def _simulate(
 
     Builds a throwaway cache-less runner so the grid sizing, seeding,
     and record normalization are exactly the serial path's; returns
-    ``(record | None, (kind, message) | None, seconds, resumed_cycle)``.
+    ``(record | None, (kind, message) | None, seconds, resumed_cycle,
+    loop)``, where ``loop`` is the issue loop the job's SMs ran (None
+    when it failed or was recalled from a store).
     Failures are returned (not raised) so the parent can distinguish a
     job error from the worker process itself dying, and so one failing
     job never takes its batch's flush and telemetry with it.
@@ -129,7 +131,8 @@ def _simulate(
     except Exception as exc:
         record, failure = None, classify_failure(exc)
     resumed = max(resume_report.get("resumed", {}).values(), default=None)
-    return record, failure, time.perf_counter() - start, resumed
+    return (record, failure, time.perf_counter() - start, resumed,
+            resume_report.get("loop") if failure is None else None)
 
 
 def _terminate(pool: ProcessPoolExecutor) -> None:
@@ -219,12 +222,12 @@ class JobExecutor:
                     continue
                 result = None, (FAILURE_WORKER_CRASH,
                                 f"worker process died ({exc}); gave up "
-                                f"after {attempt} attempts"), 0.0, None
+                                f"after {attempt} attempts"), 0.0, None, None
             except Exception as exc:
                 # The worker entry returns job errors, so this is the
                 # pool itself failing the call (an unpicklable result,
                 # say): still this job's typed failure.
-                result = None, classify_failure(exc), 0.0, None
+                result = None, classify_failure(exc), 0.0, None, None
             return self._settle(job, key, result, MODE_POOL, attempt)
 
     async def _dispatch(self, job: JobSpec, key: str, timeout: float | None):
@@ -244,7 +247,7 @@ class JobExecutor:
                     failure = (FAILURE_TIMEOUT,
                                f"job still running after {timeout:.1f}s "
                                "timeout; its pool was retired")
-                    return None, failure, timeout, None
+                    return None, failure, timeout, None, None
                 if isinstance(future.exception(), BrokenExecutor):
                     self._retire(pool)
                 result = future.result()
@@ -296,7 +299,7 @@ class JobExecutor:
         attempts: int = 1,
     ) -> tuple[object, JobTiming]:
         """Install or type one :func:`_simulate`-shaped result; time it."""
-        record, failure, seconds, resumed = result
+        record, failure, seconds, resumed, loop = result
         if failure is None:
             self.runner.install(key, record)
             outcome = record
@@ -310,6 +313,7 @@ class JobExecutor:
             attempts=attempts,
             cycles=record.cycles if failure is None else None,
             resumed_from_cycle=resumed,
+            loop=loop,
         )
         return outcome, timing
 

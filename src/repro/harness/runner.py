@@ -570,6 +570,9 @@ class ExperimentRunner:
         The checkpoint knobs are deliberately keyword arguments rather
         than config or technique fields: a resumed run is bit-identical
         to a fresh one, so it must (and does) share the same cache key.
+        A computed run also stores the issue loop its SMs ran under
+        ``resume_report["loop"]`` (see ``LaunchResult.loop``), which no
+        record or key holds.
         """
         technique = technique or BaselineTechnique()
         key = self._key(kernel, config, technique)
@@ -594,6 +597,8 @@ class ExperimentRunner:
             checkpoint_interval=checkpoint_interval,
             resume_report=resume_report,
         )
+        if resume_report is not None:
+            resume_report["loop"] = result.loop
         total = result.stats.total
         record = RunRecord(
             kernel_name=kernel.name,

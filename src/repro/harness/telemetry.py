@@ -52,6 +52,10 @@ class JobTiming:
     # Cycle the job's slowest SM resumed from when a surviving
     # checkpoint was reloaded (None for runs computed from cycle 0).
     resumed_from_cycle: int | None = None
+    # Issue loop the job's SMs ran: "native" (the C loop), "pure" (the
+    # pure-Python columnar loop) or "scan" (the reference stepper); None
+    # for cached and failed jobs.  Never part of a record or cache key.
+    loop: str | None = None
 
     @property
     def cached(self) -> bool:
@@ -82,6 +86,7 @@ class JobTiming:
             "failure_kind": self.failure_kind,
             "attempts": self.attempts,
             "resumed_from_cycle": self.resumed_from_cycle,
+            "loop": self.loop,
         }
 
     @classmethod
@@ -112,6 +117,7 @@ class JobTiming:
             attempts=int(data.get("attempts", 1)),
             cycles=data.get("cycles"),
             resumed_from_cycle=data.get("resumed_from_cycle"),
+            loop=data.get("loop"),
         )
 
 
@@ -136,10 +142,11 @@ class SessionTelemetry:
     def record(self, label: str, seconds: float, mode: str,
                failed: bool = False, failure_kind: str | None = None,
                attempts: int = 1, cycles: int | None = None,
-               resumed_from_cycle: int | None = None) -> JobTiming:
+               resumed_from_cycle: int | None = None,
+               loop: str | None = None) -> JobTiming:
         """Append one job's timing and return it."""
         timing = JobTiming(label, seconds, mode, failed, failure_kind,
-                           attempts, cycles, resumed_from_cycle)
+                           attempts, cycles, resumed_from_cycle, loop)
         self.timings.append(timing)
         return timing
 

@@ -1,8 +1,10 @@
 /* nativemodule.c — optional C accelerator for the columnar issue path.
  *
  * repro.sim.sm runs every columnar run() through this module whenever
- * it imports and passes the ABI check, and the pure-Python stepper
- * otherwise; there is no separate engine name for it.
+ * repro.sim.native finds a binary built from this source (building one
+ * on first use in a checkout) that passes the ABI check, and the
+ * pure-Python stepper otherwise; there is no separate engine name for
+ * it.
  *
  * This is a line-for-line transliteration of
  * StreamingMultiprocessor._run_columnar (src/repro/sim/sm.py) operating
@@ -39,9 +41,15 @@
 #include <string.h>
 #include <limits.h>
 
+/* SHA-256 of this file, which setup.py passes in; repro.sim.native
+ * loads a binary only when it equals the source's digest. */
+#ifndef REPRO_NATIVE_SOURCE_DIGEST
+#define REPRO_NATIVE_SOURCE_DIGEST "unknown"
+#endif
+
 /* Column encodings — mirrored from repro.sim.columnar.
- * sm.py cross-checks every one of these against the Python constants
- * at import time and refuses to use the extension on drift. */
+ * repro.sim.native cross-checks every one of these against the Python
+ * constants before the first run and refuses the extension on drift. */
 #define ST_READY 0
 #define ST_BARRIER 1
 #define ST_ACQUIRE 2
@@ -2348,7 +2356,9 @@ PyInit__native(void)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
     EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 3) < 0) {
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 3) < 0
+        || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
+                                      REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);
         return NULL;
     }

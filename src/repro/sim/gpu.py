@@ -27,6 +27,9 @@ class LaunchResult:
 
     stats: KernelStats
     compiled_kernel: Kernel
+    # The issue loop the simulated SMs ran ("native", "pure" or "scan";
+    # None when no SM ran).  Not part of any record or cache key.
+    loop: str | None = None
 
     @property
     def cycles(self) -> int:
@@ -93,6 +96,7 @@ class Gpu:
 
         stats_by_count: dict[int, SmStats] = {}
         per_sm: list[SmStats] = []
+        loops: set[str] = set()
         for sm_id, count in enumerate(per_sm_counts):
             if count == 0:
                 per_sm.append(SmStats())
@@ -100,7 +104,7 @@ class Gpu:
             if observer_factory is not None:
                 per_sm.append(self._run_one_sm(
                     sm_id, compiled, occ.ctas_per_sm, count,
-                    scheduler_priority, max_cycles,
+                    scheduler_priority, max_cycles, loops,
                     observer=observer_factory(sm_id),
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_interval=checkpoint_interval,
@@ -110,7 +114,7 @@ class Gpu:
             if count not in stats_by_count:
                 stats_by_count[count] = self._run_one_sm(
                     sm_id, compiled, occ.ctas_per_sm, count,
-                    scheduler_priority, max_cycles,
+                    scheduler_priority, max_cycles, loops,
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_interval=checkpoint_interval,
                     resume_report=resume_report,
@@ -127,7 +131,10 @@ class Gpu:
             ctas_per_sm=occ.ctas_per_sm,
             per_sm=per_sm,
         )
-        return LaunchResult(stats=kstats, compiled_kernel=compiled)
+        # Every SM of a launch shares the config and the stock memory
+        # model, so all take one loop.
+        loop = loops.pop() if len(loops) == 1 else None
+        return LaunchResult(stats=kstats, compiled_kernel=compiled, loop=loop)
 
     def _run_one_sm(
         self,
@@ -136,7 +143,8 @@ class Gpu:
         resident_limit: int,
         total_ctas: int,
         scheduler_priority,
-        max_cycles: int = 50_000_000,
+        max_cycles: int,
+        loops: set[str],
         observer=None,
         checkpoint_dir: str | None = None,
         checkpoint_interval: int = 0,
@@ -159,6 +167,7 @@ class Gpu:
         )
         if observer is not None:
             observer.attach(sm)
+        loops.add(sm.issue_loop)
         if checkpoint_dir is None:
             return sm.run(max_cycles=max_cycles)
 

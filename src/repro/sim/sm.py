@@ -94,50 +94,31 @@ def _by_warp_id(warp: Warp) -> int:
     return warp.warp_id
 
 
-# Optional C accelerator for the columnar issue path.  Whenever
-# ``repro._native`` imports and passes the ABI check below, every
-# columnar ``run()`` goes through it; otherwise the pure-Python stepper
-# runs (identical results, one RuntimeWarning per process).  Tests force
-# the pure path by setting this module attribute to None.
-try:
-    from repro import _native
-except ImportError:  # pragma: no cover - depends on the build
-    _native = None
-
-# Set once the fallback has been reported (at import for ABI drift, at
-# the first columnar SM otherwise), so a process warns exactly once.
+# The C loop of the columnar issue path.  The first columnar SM of a
+# process resolves it (repro.sim.native finds the ``repro._native``
+# binary built from this checkout's C source, building it on first
+# use); from then on every columnar ``run()`` goes through it, or, when
+# it is None, through the pure-Python stepper (identical results, one
+# RuntimeWarning per process).  Tests force the pure path by setting
+# this module attribute to None.
+_UNRESOLVED = object()
+_native = _UNRESOLVED
+# Why ``_native`` is None, for the one fallback warning.
+_native_fallback_cause = "repro._native is switched off"
 _NATIVE_FALLBACK_WARNED = False
 
-if _native is not None:
-    # The extension hardcodes the column encodings; refuse it (and fall
-    # back) if they ever drift from the Python constants.
-    import repro.sim.columnar as _col_mod
 
-    _NATIVE_CONST_NAMES = (
-        "ST_READY", "ST_BARRIER", "ST_ACQUIRE", "ST_FINISHED",
-        "SL_NONE", "SL_SCOREBOARD", "SL_MEMORY", "SL_TECHNIQUE",
-        "QS_OUT", "QS_READY", "QS_SLEEPING", "QS_BARRIER", "QS_ACQUIRE",
-        "K_ALU", "K_LOAD", "K_SHARED_LOAD", "K_STORE", "K_EXIT",
-        "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
-        "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
-    )
-    if not (
-        getattr(_native, "NATIVE_ABI", None) == 3
-        and all(
-            getattr(_native, name) == getattr(_col_mod, name)
-            for name in _NATIVE_CONST_NAMES
-        )
-    ):  # pragma: no cover - guards a build/source mismatch
-        import warnings as _warnings
+def native_module():
+    """The C loop's module, resolving it on first call; None when the
+    columnar path runs pure Python in this process."""
+    global _native, _native_fallback_cause
+    if _native is _UNRESOLVED:
+        from repro.sim.native import load_native
 
-        _warnings.warn(
-            "repro._native was built against different column encodings; "
-            "ignoring it (the columnar issue path will run pure Python)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        _native = None
-        _NATIVE_FALLBACK_WARNED = True
+        _native, cause = load_native()
+        if cause is not None:
+            _native_fallback_cause = cause
+    return _native
 
 
 def _warn_native_fallback() -> None:
@@ -149,9 +130,8 @@ def _warn_native_fallback() -> None:
     import warnings
 
     warnings.warn(
-        "repro._native extension is not built; the columnar issue path "
-        "is falling back to pure Python (identical results, lower "
-        "throughput). Build it with `python setup.py build_ext --inplace`.",
+        f"{_native_fallback_cause}; the columnar issue path is falling "
+        "back to pure Python (identical results, lower throughput)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -204,7 +184,7 @@ class StreamingMultiprocessor:
         self._reset_warp_state()
         self._use_native = False
         if self._columnar is not None:
-            self._use_native = _native is not None
+            self._use_native = native_module() is not None
             if not self._use_native:
                 _warn_native_fallback()
         self.memory = MemoryModel(config, rng.fork(0x3E3))
@@ -1366,6 +1346,25 @@ class StreamingMultiprocessor:
         if self._observer is not None:
             self._observer.on_fast_forward(self, skip)
 
+    @property
+    def issue_loop(self) -> str:
+        """The loop :meth:`run` takes: "native", "pure" or "scan"."""
+        if self._columnar is None:
+            return "scan"
+        # The C loop carries its own copy of the stock MemoryModel; a
+        # customized one (a subclass, an instance-level issue_load/retire,
+        # another rng) runs the pure loop, which calls the model's
+        # methods and gives identical results.
+        mem = self.memory
+        native = (
+            self._use_native
+            and type(mem) is MemoryModel
+            and type(mem._rng) is DeterministicRng
+            and "issue_load" not in mem.__dict__
+            and "retire" not in mem.__dict__
+        )
+        return "native" if native else "pure"
+
     def run(
         self,
         max_cycles: int = 50_000_000,
@@ -1390,18 +1389,7 @@ class StreamingMultiprocessor:
         :class:`CycleLimitExceededError` at the ``max_cycles`` backstop.
         """
         if self._columnar is not None:
-            # The C loop carries its own copy of the stock MemoryModel;
-            # a customized one (a subclass, an instance-level
-            # issue_load/retire, another rng) runs the pure loop, which
-            # calls the model's methods and gives identical results.
-            mem = self.memory
-            native = (
-                self._use_native
-                and type(mem) is MemoryModel
-                and type(mem._rng) is DeterministicRng
-                and "issue_load" not in mem.__dict__
-                and "retire" not in mem.__dict__
-            )
+            native = self.issue_loop == "native"
             run_loop = self._run_native if native else self._run_columnar
             return run_loop(
                 max_cycles,

@@ -128,6 +128,28 @@ class TestDedupAndTelemetry:
         assert orch.run_specs([spec]) == {"x": 1}
         assert orch.telemetry.jobs_total == 1
 
+    def test_timing_names_the_issue_loop_that_ran(self):
+        """Each computed job's timing names its issue loop; a recalled
+        one names none, and the record never carries it."""
+        import dataclasses
+
+        import repro.sim.sm as sm_mod
+
+        columnar = "pure" if sm_mod.native_module() is None else "native"
+        scan_cfg = dataclasses.replace(CFG, name="orch-scan",
+                                       issue_engine="scan")
+        jobs = [JobSpec("Gaussian", cfg, TechniqueSpec.of("baseline"))
+                for cfg in (dataclasses.replace(CFG, issue_engine="columnar"),
+                            scan_cfg)]
+        runner = _runner()
+        orch = Orchestrator(runner, workers=1)
+        results = orch.run_jobs(jobs)
+        assert [t.loop for t in orch.telemetry.timings] == [columnar, "scan"]
+        assert all("loop" not in dataclasses.asdict(results[j]) for j in jobs)
+        again = Orchestrator(runner, workers=1)
+        again.run_jobs(jobs)
+        assert [t.loop for t in again.telemetry.timings] == [None, None]
+
     def test_slowest_ranks_by_duration(self):
         orch = Orchestrator(_runner(), workers=1)
         orch.run_specs([E.fig7_spec(("Gaussian",), CFG)])

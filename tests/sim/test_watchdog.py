@@ -22,6 +22,7 @@ from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique
 from tests.conftest import looped_kernel, straightline_kernel
+from tests.sim.test_wakequeue import NATIVE_MISSING
 
 
 def srp_kernel():
@@ -239,10 +240,6 @@ class TestCycleLimit:
         assert result.cycles < 1_000_000
 
 
-NATIVE_MISSING = (
-    "repro._native is NOT BUILT: this native-path leg did not run "
-    "(build it with `python setup.py build_ext --inplace`)"
-)
 
 # Each stop: (retry policy, watchdog window override, max_cycles, error).
 _STOP_CASES = {
@@ -293,7 +290,7 @@ class TestStopPathsAcrossEngines:
     @pytest.mark.parametrize("case", sorted(_STOP_CASES))
     @pytest.mark.parametrize("engine", ["scan", "columnar", "native"])
     def test_stop_matches_scan(self, tiny_config, engine, case, observed):
-        if engine == "native" and sm_mod._native is None:
+        if engine == "native" and sm_mod.native_module() is None:
             pytest.skip(NATIVE_MISSING)
         reference = _stop_outcome(tiny_config, case, "scan", observed)
         assert _stop_outcome(tiny_config, case, engine, observed) == reference
