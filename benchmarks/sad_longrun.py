@@ -9,8 +9,8 @@ sits under a percent.  Reports wall time and cycles/sec, best of
 schema-1 perf artifact per code path — ``BENCH_sad_<path>.json`` — so
 the issue-path numbers are committed next to the code.  The path is the
 issue loop the run took, as a job's ``JobTiming.loop`` names it:
-``scan``, or for the columnar engine ``native`` (the C loop, built on
-first use wherever a compiler exists) or ``pure`` (pure Python).
+``scan``, or ``native`` for the columnar engine's C loop (built on first
+use wherever a compiler exists; without one a columnar run is ``scan``).
 
 Usage::
 
@@ -43,11 +43,11 @@ SEED = 2018
 
 
 def path_label(engine: str) -> str:
-    """The issue loop a run of ``engine`` takes on the stock memory model
+    """The issue loop a run of ``engine`` takes
     (``StreamingMultiprocessor.issue_loop``): the artifact label."""
-    if engine == "scan":
+    if engine == "scan" or sm_mod.native_module() is None:
         return "scan"
-    return "pure" if sm_mod.native_module() is None else "native"
+    return "native"
 
 
 def run_once(engine: str) -> tuple[int, float]:

@@ -2,7 +2,7 @@
 package, so editable installs go through ``setup.py develop``.
 
 Also the one build recipe of the optional ``repro._native`` extension,
-the C loop the columnar issue path runs.  Nobody has to run it by hand:
+the C loop the columnar issue engine runs.  Nobody has to run it by hand:
 in a checkout, the first columnar SM of a process runs
 
     python setup.py build_ext --inplace --force
@@ -12,8 +12,8 @@ in a child process when the binary is missing or was built from another
 compiled in as ``SOURCE_DIGEST``, so any build made here, whatever
 CFLAGS it used, is accepted as it is.  The extension stays optional: on
 a machine without a C compiler the build warns and continues, and
-``repro.sim.sm`` runs the pure-Python columnar stepper with identical
-behaviour.
+``repro.sim.sm`` builds columnar configs on the scan stepper, with
+identical results.
 """
 
 import hashlib
@@ -37,8 +37,8 @@ class OptionalBuildExt(build_ext):
         except Exception as exc:  # noqa: BLE001 - any toolchain failure
             warnings.warn(
                 "repro._native extension build failed "
-                f"({type(exc).__name__}: {exc}); the pure-Python "
-                "columnar engine will be used instead",
+                f"({type(exc).__name__}: {exc}); columnar configs "
+                "will run the scan stepper instead",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -49,8 +49,8 @@ class OptionalBuildExt(build_ext):
         except Exception as exc:  # noqa: BLE001
             warnings.warn(
                 f"building {ext.name} failed "
-                f"({type(exc).__name__}: {exc}); the pure-Python "
-                "columnar engine will be used instead",
+                f"({type(exc).__name__}: {exc}); columnar configs "
+                "will run the scan stepper instead",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -72,11 +72,11 @@ class GpuConfig:
     sanitizer: bool = False
     # Issue-path implementation.  "columnar" (the default) drives each
     # scheduler from wake-ordered ready lists and sleeper heaps over
-    # the array-backed store (repro.sim.columnar), and runs its loop in
-    # the C extension repro._native, which the first columnar SM of a
-    # process builds on demand in a checkout (repro.sim.native) — pure
-    # Python where it cannot be built, with one RuntimeWarning per
-    # process.
+    # the array-backed store (repro.sim.columnar) in the C loop of
+    # repro._native, which the first columnar SM of a process builds on
+    # demand in a checkout (repro.sim.native).  Where it cannot be
+    # built, a columnar config runs the scan stepper, with one
+    # RuntimeWarning per process.
     # "scan" selects the naive all-warp reference stepper.  Both are
     # bit-identical (cycles, SmStats, oracle digests): the knob exists
     # for the differential identity tests and for auditing, and is

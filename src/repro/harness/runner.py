@@ -165,7 +165,7 @@ def _fsync_dir(path: str) -> None:
 # records — and so adding them did not invalidate every pre-existing
 # key (v6 stays v6).
 _TIMING_NEUTRAL_CONFIG_FIELDS = frozenset({
-    "issue_engine",   # scan / columnar (native or not): same schedule by contract
+    "issue_engine",   # scan / columnar (the C loop): same schedule by contract
     "sanitizer",      # observer-only runtime checks (raise, never steer)
     "sanitizer_stride",
 })

@@ -52,9 +52,10 @@ class JobTiming:
     # Cycle the job's slowest SM resumed from when a surviving
     # checkpoint was reloaded (None for runs computed from cycle 0).
     resumed_from_cycle: int | None = None
-    # Issue loop the job's SMs ran: "native" (the C loop), "pure" (the
-    # pure-Python columnar loop) or "scan" (the reference stepper); None
-    # for cached and failed jobs.  Never part of a record or cache key.
+    # Issue loop the job's SMs ran: "native" (the columnar engine's C
+    # loop) or "scan" (the reference stepper, also what a columnar config
+    # runs where the C loop cannot be built); None for cached and failed
+    # jobs.  Never part of a record or cache key.
     loop: str | None = None
 
     @property

@@ -126,7 +126,7 @@ class SmObserver:
         """Install this observer on an SM (idempotent per SM).
 
         Replacing ``sm.technique`` with the observing wrapper is safe
-        under both issue engines: the columnar path binds
+        under both issue engines: the columnar engine's C loop binds
         ``self.technique`` at the start of each run (attach before
         ``run()``), and the wrapper forwards ``wakeup_pending``
         verbatim, so acquire re-arms still reach the wake queues.

@@ -16,8 +16,8 @@ issue path's private representation.  The columnar path's ready lists,
 sleeper heaps, blocked counts and queue-state codes are a function of
 the warps' status/wake/stall fields at the cycle boundary, so restore
 rebuilds them instead of reading them.  A checkpoint written on the
-scan stepper, the pure-Python columnar loop, or the ``repro._native``
-accelerator therefore resumes bit-identically on any of them.  That
+scan stepper or on the columnar engine's C loop (``repro._native``)
+therefore resumes bit-identically on either.  That
 property is what lets the harness resume a crashed worker from its last
 checkpoint instead of recomputing, with the cached result
 indistinguishable from a clean run.
@@ -212,7 +212,7 @@ def restore_into(sm, payload: dict) -> None:
     # Fresh containers (never patch constructor-launched state).  The
     # scheduler *objects* are kept — their rotation state restores below
     # and techniques may hold priority hooks bound to them.
-    sm._reset_warp_state()
+    sm._reset_warp_state(sm._columnar is not None)
     warps_by_id: dict[int, Warp] = {}
     for cta_p in payload["ctas"]:
         cta_id = cta_p["cta_id"]

@@ -29,9 +29,8 @@ This module restructures the per-SM hot state into a **columnar store**:
   ``warp.pc``/``warp.status``/... while the stepper works on the arrays.
 * :class:`ColumnarScoreboard` — the :class:`repro.sim.scoreboard.Scoreboard`
   methods that code outside the issue loop calls (the sanitizer's hazard
-  re-check, deadlock diagnostics, checkpoints, ``_fast_forward``), over
-  the rows, so those callers are agnostic to which engine owns the
-  state.
+  re-check, deadlock diagnostics, checkpoints), over the rows, so those
+  callers are agnostic to which engine owns the state.
 
 Representation note (measured, not assumed): the hot columns are plain
 Python lists, *not* NumPy arrays.  Scalar indexing — which is all the
@@ -88,16 +87,17 @@ status only changes by issuing or being qualified, and a CTA only
 retires when every warp has finished), so sleeper heap entries are
 exact — no lazy deletion.
 
-Bit-identity contract: identical cycle counts, identical per-stall
-``SmStats``, identical oracle digests against the retained scan stepper,
-with and without the ``repro._native`` accelerator (which runs this
-module's loop over these same columns) — enforced by the engine-identity
+The loop over these columns is the C loop in ``repro._native``
+(``sim/csrc/nativemodule.c``); this module holds its state and the cold
+paths it calls back into.  Bit-identity contract: identical cycle
+counts, identical per-stall ``SmStats``, identical oracle digests
+against the scan reference stepper — enforced by the engine-identity
 property tests and the differential oracle.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 
 from repro.isa.instructions import Instruction, OpClass, Opcode
 from repro.isa.kernel import Kernel
@@ -162,9 +162,10 @@ K_BARRIER = 7
 K_ACQUIRE = 8
 K_RELEASE = 9
 
-# Run-loop stop codes: why a columnar run ended before the kernel did
-# (0 is a completed run).  Both loops stop with one of these and
-# ``StreamingMultiprocessor._stop_error`` turns it into the typed error.
+# Run-loop stop codes: why a run ended before the kernel did (0 is a
+# completed run).  The C loop and the scan run loop stop with one of
+# these; ``StreamingMultiprocessor._stop_error`` turns it into the typed
+# error.
 STOP_DEADLOCK = 2     # no issuable warp and no pending timer
 STOP_WATCHDOG = 3     # no forward progress for a watchdog window
 STOP_CYCLE_LIMIT = 4  # past the max_cycles backstop
@@ -398,8 +399,7 @@ class ColumnarCore:
 
     Columns are parallel lists indexed by warp slot; ``wid[slot] == -1``
     marks a free slot.  ``hot`` is a prebuilt tuple of the stepper's
-    column references so ``_step_columnar`` aliases them all with a
-    single attribute read + unpack per cycle.
+    column references, which the C loop reads once per run.
     """
 
     __slots__ = (
@@ -584,15 +584,6 @@ class ColumnarCore:
             unit.acquire_count -= 1
             self.qstate[slot] = QS_READY
             insort(unit.ready, (warp_id, slot))
-
-    def earliest_wake(self) -> int | None:
-        """Soonest sleeper wake cycle across schedulers (fast-forward)."""
-        best: int | None = None
-        for unit in self.units:
-            heap = unit.sleepers
-            if heap and (best is None or heap[0][0] < best):
-                best = heap[0][0]
-        return best
 
     # -- checkpoint restore (repro.sim.checkpoint) ------------------------------
     def rebuild_queues(self, cycle: int) -> None:
@@ -842,21 +833,3 @@ class ColumnarScoreboard:
         core = self._core
         row = core.sb_rows[core.wid2slot[warp_id]]
         return {reg: ready for reg, ready in enumerate(row) if ready > cycle}
-
-    def earliest_ready(self, cycle: int) -> int | None:
-        """Heap peek with lazy discard, exactly like the dict engine: an
-        entry is live iff its warp is still resident and its row still
-        holds that completion cycle (superseding writes only grow row
-        values, so a mismatch means the entry was overwritten)."""
-        core = self._core
-        heap = core.sb_heap
-        wid2slot = core.wid2slot
-        rows = core.sb_rows
-        while heap:
-            ready, warp_id, reg = heap[0]
-            if ready > cycle:
-                slot = wid2slot.get(warp_id)
-                if slot is not None and rows[slot][reg] == ready:
-                    return ready
-            heappop(heap)
-        return None

@@ -1,36 +1,33 @@
-/* nativemodule.c — optional C accelerator for the columnar issue path.
+/* nativemodule.c — the C loop of the columnar issue engine.
  *
- * repro.sim.sm runs every columnar run() through this module whenever
- * repro.sim.native finds a binary built from this source (building one
- * on first use in a checkout) that passes the ABI check, and the
- * pure-Python stepper otherwise; there is no separate engine name for
- * it.
+ * repro.sim.sm runs every columnar run() through this module.  An SM
+ * is columnar only when repro.sim.native finds a binary built from this
+ * source (building one on first use in a checkout) that passes the ABI
+ * check; otherwise it is built on the scan reference stepper instead.
  *
- * This is a line-for-line transliteration of
- * StreamingMultiprocessor._run_columnar (src/repro/sim/sm.py) operating
+ * The loop drives the columnar store of repro.sim.columnar and operates
  * on the *same* Python objects: the ColumnarCore column lists, the
  * per-unit ready/sleeper/far structures, the scheduler and technique
  * objects.  No state is mirrored into C between cycles — every list,
- * dict and counter the pure-Python stepper mutates is mutated here
- * through the CPython API, so views, checkpoints, hooks and the
- * sanitizer observe bit-identical state at every observation point.
+ * dict and counter is mutated in place through the CPython API, so
+ * views, checkpoints, hooks and the sanitizer observe the state the
+ * scan stepper's schedule implies at every observation point.
  *
- * Python is re-entered only where the pure stepper calls a hook:
+ * Python is re-entered only at the scan stepper's hook points:
  * technique can_issue/on_issue/try_acquire/release/wakeup_pending,
- * sanitizer + observer strides, CTA barrier arrival, the memory
- * model's earliest_completion, checkpoint emission.  Everything else
+ * sanitizer + observer strides (on_cycle every cycle while one is
+ * attached), CTA barrier arrival and EXIT commit, the memory model's
+ * earliest_completion, checkpoint emission.  Everything else
  * (qualification in launch order, scoreboard pending-maxima, the stock
  * MemoryModel's issue_load/retire, sleeper fast-forward, stall
- * attribution) runs as plain C over unboxed longs.  sm.py only calls
- * in with a stock MemoryModel; any other memory model runs the pure
- * loop.
+ * attribution) runs as plain C over unboxed longs.  sm.py calls in only
+ * with a stock MemoryModel and raises TypeError for any other.
  *
  * Error contract: any hook may raise; we return NULL *without*
- * flushing the delta-stat locals, matching the pure stepper (whose
- * frame locals are lost when an exception unwinds).  The deadlock /
- * watchdog / cycle-limit stops flush first and return their stop code
- * (the STOP_* constants of repro.sim.columnar); sm.py raises the typed
- * error from the same code as the pure loop.
+ * flushing the delta-stat locals.  The deadlock / watchdog /
+ * cycle-limit stops flush first and return their stop code (the STOP_*
+ * constants of repro.sim.columnar); sm.py raises the typed error from
+ * the same code as the scan run loop.
  *
  * Return protocol: run_columnar(...) -> (status, aux)
  *   0                          aux = stats (cycles already stamped)
@@ -102,7 +99,9 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_release, *S_resolve_physical, *S_collect,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
     *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_loads_issued,
-    *S_l1_hits, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate;
+    *S_l1_hits, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate,
+    *S_mod_warp, *S_mod_sm, *S_WarpStatus, *S_EXPIRE_PERIOD,
+    *S_EAGER_RETRY_BACKOFF, *S_MEMORY_STALL_HORIZON;
 
 /* ---- small helpers -------------------------------------------------- */
 
@@ -627,7 +626,7 @@ slot_kcache(RunState *S, Py_ssize_t slot)
 
 /* Flush the delta-stat locals into SmStats + _last_progress_cycle.
  * Zero-skip per field: totals are identical, attribute traffic isn't
- * wasted on zeros (mirrors the guarded flush in the pure stepper). */
+ * wasted on zeros. */
 static int
 flush_stats(RunState *S)
 {
@@ -666,7 +665,8 @@ set_cycle(RunState *S, long cycle)
 /* C transliteration of MemoryModel.issue_load.  Counters, the in-flight
  * multiset, and the rng stream position all live in the Python object
  * and are updated eagerly (not deferred to a flush), so any hook that
- * inspects the memory model mid-run sees exactly the pure-path state. */
+ * inspects the memory model mid-run sees what MemoryModel.issue_load
+ * would have written. */
 static int
 mem_issue_load_c(RunState *S, long cycle, int shared, long *ready)
 {
@@ -745,8 +745,8 @@ mem_issue_load_c(RunState *S, long cycle, int shared, long *ready)
 }
 
 /* C transliteration of MemoryModel.retire.  The caller has already
- * established _next_retire is due (<= cycle), mirroring the pure
- * path's early return. */
+ * established _next_retire is due (<= cycle), mirroring
+ * MemoryModel.retire's early return. */
 static int
 mem_retire_c(RunState *S, long cycle)
 {
@@ -877,7 +877,7 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
      * instance-level issue_load/retire, so the C transliteration of
      * those two is exact.  State (counters, the in-flight multiset, the
      * rng stream) stays in the Python object and is updated eagerly, so
-     * hooks and checkpoints see what the pure path would have written. */
+     * hooks and checkpoints see what the Python methods would write. */
     S->mem_earliest = PyObject_GetAttr(S->memory, S_earliest_completion);
     S->mem_rng = PyObject_GetAttr(S->memory, S_rng_a);
     S->mem_in_flight = PyObject_GetAttr(S->memory, S_in_flight_d);
@@ -981,10 +981,10 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
 
     /* WarpStatus members for the wakeup drain (identity compares). */
     {
-        PyObject *warp_mod = PyImport_ImportModule("repro.sim.warp");
+        PyObject *warp_mod = PyImport_Import(S_mod_warp);
         if (warp_mod == NULL)
             return -1;
-        PyObject *ws = PyObject_GetAttrString(warp_mod, "WarpStatus");
+        PyObject *ws = PyObject_GetAttr(warp_mod, S_WarpStatus);
         Py_DECREF(warp_mod);
         if (ws == NULL)
             return -1;
@@ -996,15 +996,15 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
             return -1;
     }
     /* Timing constants, fetched from sm.py (which imports the horizon
-     * from repro.sim.columnar) so they can never drift from the pure
+     * from repro.sim.columnar) so they can never drift from the scan
      * stepper. */
     {
-        PyObject *sm_mod = PyImport_ImportModule("repro.sim.sm");
+        PyObject *sm_mod = PyImport_Import(S_mod_sm);
         if (sm_mod == NULL)
             return -1;
-        PyObject *a = PyObject_GetAttrString(sm_mod, "_EXPIRE_PERIOD");
-        PyObject *b = PyObject_GetAttrString(sm_mod, "_EAGER_RETRY_BACKOFF");
-        PyObject *c = PyObject_GetAttrString(sm_mod, "MEMORY_STALL_HORIZON");
+        PyObject *a = PyObject_GetAttr(sm_mod, S_EXPIRE_PERIOD);
+        PyObject *b = PyObject_GetAttr(sm_mod, S_EAGER_RETRY_BACKOFF);
+        PyObject *c = PyObject_GetAttr(sm_mod, S_MEMORY_STALL_HORIZON);
         Py_DECREF(sm_mod);
         if (!a || !b || !c) {
             Py_XDECREF(a); Py_XDECREF(b); Py_XDECREF(c);
@@ -1176,8 +1176,8 @@ advance_pc(RunState *S, long slot, long newpc)
 }
 
 /* One simulated cycle over every scheduler unit: sleeper wake-ups,
- * qualification, pick/execute/dispose, idle attribution.  Mirrors the
- * per-unit body of _run_columnar exactly.  Returns issued count via
+ * qualification, pick/execute/dispose, idle attribution: the scan
+ * stepper's schedule over the wake queues.  Returns issued count via
  * *issued_out, -1 on a raised hook. */
 static int
 do_cycle(RunState *S, long cycle, long *issued_out)
@@ -2037,7 +2037,7 @@ native_run(PyObject *self, PyObject *args)
                 busy = PyList_GET_SIZE(S->resident_ctas) > 0;
             if (busy) {
                 /* Inline fast-forward: lazy scoreboard peek + memory +
-                 * sleeper minima, identical to _fast_forward. */
+                 * sleeper minima, the targets of sm._fast_forward. */
                 int has_target = 0;
                 long target = 0;
                 while (PyList_GET_SIZE(S->sb_heap) > 0) {
@@ -2326,6 +2326,12 @@ intern_all(void)
     IN(S_on_barrier_release, "on_barrier_release");
     IN(S_READY_attr, "READY");
     IN(S_WAITING_ACQUIRE_attr, "WAITING_ACQUIRE");
+    IN(S_mod_warp, "repro.sim.warp");
+    IN(S_mod_sm, "repro.sim.sm");
+    IN(S_WarpStatus, "WarpStatus");
+    IN(S_EXPIRE_PERIOD, "_EXPIRE_PERIOD");
+    IN(S_EAGER_RETRY_BACKOFF, "_EAGER_RETRY_BACKOFF");
+    IN(S_MEMORY_STALL_HORIZON, "MEMORY_STALL_HORIZON");
 #undef IN
     return 0;
 }

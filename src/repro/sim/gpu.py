@@ -27,8 +27,8 @@ class LaunchResult:
 
     stats: KernelStats
     compiled_kernel: Kernel
-    # The issue loop the simulated SMs ran ("native", "pure" or "scan";
-    # None when no SM ran).  Not part of any record or cache key.
+    # The issue loop the simulated SMs ran ("native" or "scan"; None
+    # when no SM ran).  Not part of any record or cache key.
     loop: str | None = None
 
     @property
@@ -131,8 +131,7 @@ class Gpu:
             ctas_per_sm=occ.ctas_per_sm,
             per_sm=per_sm,
         )
-        # Every SM of a launch shares the config and the stock memory
-        # model, so all take one loop.
+        # Every SM of a launch shares the config, so all take one loop.
         loop = loops.pop() if len(loops) == 1 else None
         return LaunchResult(stats=kstats, compiled_kernel=compiled, loop=loop)
 

@@ -1,4 +1,4 @@
-"""Find, check or build ``repro._native``, the C loop of the columnar path.
+"""Find, check or build ``repro._native``, the columnar engine's C loop.
 
 :func:`load_native` runs once per process, from the first columnar SM
 (``repro.sim.sm.native_module``), never at ``import repro``: compile-only
@@ -15,7 +15,7 @@ setuptools and the compiler never enter the simulating process — under
 a file lock, so concurrent first users build it once.  Everything that
 leaves no usable binary (no compiler, no checkout, column encodings
 that drift from :mod:`repro.sim.columnar`) is returned as a cause; the
-caller warns once and runs the pure-Python loop.
+caller warns once and builds its SMs on the scan stepper instead.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def _build_lock(root: Path):
 
 
 def _build(root: Path) -> str:
-    """Run setup.py's build in a child; its last output line (the
-    failure warning when the build did not succeed)."""
+    """Run setup.py's build in a child; what its failure warning says
+    when the build did not succeed, else its last output line."""
     try:
         proc = subprocess.run(
             [sys.executable, "setup.py", "build_ext", "--inplace", "--force"],
@@ -103,6 +103,11 @@ def _build(root: Path) -> str:
         return f"{type(exc).__name__}: {exc}"
     lines = proc.stdout.strip().splitlines()
     tail = lines[-1] if lines else ""
+    # A warning prints its source line after it: report the message.
+    for line in reversed(lines):
+        if "RuntimeWarning: " in line:
+            tail = line.split("RuntimeWarning: ", 1)[1].split("; ", 1)[0]
+            break
     return f"exit {proc.returncode}: {tail}" if proc.returncode else tail
 
 

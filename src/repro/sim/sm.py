@@ -29,7 +29,6 @@ interactions RegMutex lives on without modelling bank conflicts.
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heappop, heappush
 
 from repro.arch.config import GpuConfig
 from repro.errors import (
@@ -42,28 +41,8 @@ from repro.errors import (
 from repro.isa.instructions import Instruction, OpClass, Opcode
 from repro.isa.kernel import Kernel
 from repro.sim.columnar import (
-    K_ACQUIRE,
-    K_ALU,
-    K_BARRIER,
-    K_BRA,
-    K_EXIT,
-    K_JMP,
-    K_LOAD,
-    K_SHARED_LOAD,
-    K_STORE,
     MEMORY_STALL_HORIZON,
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_READY,
-    QS_SLEEPING,
-    SL_MEMORY,
-    SL_NONE,
-    SL_SCOREBOARD,
-    SL_TECHNIQUE,
-    ST_ACQUIRE,
-    ST_BARRIER,
     ST_FINISHED,
-    ST_READY,
     STOP_CYCLE_LIMIT,
     STOP_DEADLOCK,
     STOP_WATCHDOG,
@@ -77,7 +56,7 @@ from repro.sim.scheduler import WarpScheduler, make_scheduler
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState, resolve_hook
-from repro.sim.warp import Warp, WarpStatus, resolve_conditional_branch
+from repro.sim.warp import Warp, WarpStatus
 
 # Scoreboard-expiry cadence: purging every cycle is wasted work; the
 # horizon only affects dict size, never correctness.
@@ -94,13 +73,12 @@ def _by_warp_id(warp: Warp) -> int:
     return warp.warp_id
 
 
-# The C loop of the columnar issue path.  The first columnar SM of a
-# process resolves it (repro.sim.native finds the ``repro._native``
-# binary built from this checkout's C source, building it on first
-# use); from then on every columnar ``run()`` goes through it, or, when
-# it is None, through the pure-Python stepper (identical results, one
-# RuntimeWarning per process).  Tests force the pure path by setting
-# this module attribute to None.
+# The C loop of the columnar engine.  The first columnar SM of a process
+# resolves it (repro.sim.native finds the ``repro._native`` binary built
+# from this checkout's C source, building it on first use).  When it is
+# None, an SM configured for the columnar engine builds the scan stepper
+# instead (identical results, one RuntimeWarning per process).  Tests
+# force that fallback by setting this module attribute to None.
 _UNRESOLVED = object()
 _native = _UNRESOLVED
 # Why ``_native`` is None, for the one fallback warning.
@@ -109,8 +87,8 @@ _NATIVE_FALLBACK_WARNED = False
 
 
 def native_module():
-    """The C loop's module, resolving it on first call; None when the
-    columnar path runs pure Python in this process."""
+    """The C loop's module, resolving it on first call; None when a
+    columnar config runs the scan stepper in this process."""
     global _native, _native_fallback_cause
     if _native is _UNRESOLVED:
         from repro.sim.native import load_native
@@ -122,7 +100,8 @@ def native_module():
 
 
 def _warn_native_fallback() -> None:
-    """Report, once per process, that the columnar path runs pure Python."""
+    """Report, once per process, that columnar configs run the scan
+    stepper."""
     global _NATIVE_FALLBACK_WARNED
     if _NATIVE_FALLBACK_WARNED:
         return
@@ -130,10 +109,22 @@ def _warn_native_fallback() -> None:
     import warnings
 
     warnings.warn(
-        f"{_native_fallback_cause}; the columnar issue path is falling "
-        "back to pure Python (identical results, lower throughput)",
+        f"{_native_fallback_cause}; the columnar issue engine is falling "
+        "back to the scan stepper (identical results, lower throughput)",
         RuntimeWarning,
         stacklevel=4,
+    )
+
+
+def _stock_memory(memory) -> bool:
+    """Whether ``memory`` is the stock ``MemoryModel``, which the C loop
+    carries its own copy of (no subclass, no instance-level
+    ``issue_load``/``retire``, the stock rng)."""
+    return (
+        type(memory) is MemoryModel
+        and type(memory._rng) is DeterministicRng
+        and "issue_load" not in memory.__dict__
+        and "retire" not in memory.__dict__
     )
 
 
@@ -181,12 +172,13 @@ class StreamingMultiprocessor:
             make_scheduler(config.scheduler_policy, i, priority=scheduler_priority)
             for i in range(config.num_schedulers)
         ]
-        self._reset_warp_state()
-        self._use_native = False
-        if self._columnar is not None:
-            self._use_native = native_module() is not None
-            if not self._use_native:
-                _warn_native_fallback()
+        # The engine is chosen once: columnar when configured and the C
+        # loop resolves, else the scan stepper.
+        columnar = config.issue_engine == "columnar"
+        if columnar and native_module() is None:
+            _warn_native_fallback()
+            columnar = False
+        self._reset_warp_state(columnar)
         self.memory = MemoryModel(config, rng.fork(0x3E3))
         if config.model_bank_conflicts:
             from repro.sim.banks import BankedRegisterFile
@@ -223,18 +215,17 @@ class StreamingMultiprocessor:
         self._fill_ctas()
 
     # -- warp containers ----------------------------------------------------------
-    def _reset_warp_state(self) -> None:
-        """Empty warp containers and fresh issue-path state (construction
-        and checkpoint restore).
+    def _reset_warp_state(self, columnar: bool) -> None:
+        """Empty warp containers and fresh issue-path state (construction,
+        and checkpoint restore on the engine the SM was built with).
 
-        Columnar store (``config.issue_engine == "columnar"``, the
-        default): per-slot state arrays + thin Warp views — see
-        repro.sim.columnar.  When active, the scoreboard is the columnar
-        facade over the same store, so every external consumer
-        (sanitizer hazard re-check, deadlock diagnostics, checkpoints,
-        tests) reads the columns through the Scoreboard methods it uses.
-        None selects the retained scan stepper (the bit-identity
-        reference).
+        Columnar store (``columnar=True``): per-slot state arrays + thin
+        Warp views that the C loop drives — see repro.sim.columnar.  The
+        scoreboard is then the columnar facade over the same store, so
+        every external consumer (sanitizer hazard re-check, deadlock
+        diagnostics, checkpoints, tests) reads the columns through the
+        Scoreboard methods it uses.  Otherwise ``_columnar`` is None and
+        the scan stepper runs (the bit-identity reference).
         """
         config = self.config
         self.resident_ctas: list[Cta] = []
@@ -253,7 +244,7 @@ class StreamingMultiprocessor:
             for sched, warps in zip(self.schedulers, self._warps_by_scheduler)
         ]
         self._columnar: ColumnarCore | None = None
-        if config.issue_engine == "columnar":
+        if columnar:
             self._columnar = ColumnarCore(self.schedulers, config)
             self.scoreboard = ColumnarScoreboard(self._columnar)
         else:
@@ -464,21 +455,24 @@ class StreamingMultiprocessor:
         raise AssertionError(f"unhandled op class {inst.op_class}")
 
     def step(self) -> int:
-        """Advance one cycle; returns the number of instructions issued.
+        """Advance the scan stepper one cycle; returns the number of
+        instructions issued.
 
-        Dispatches to the columnar array-backed stepper (the default) or
-        the naive all-warp-scan reference stepper
-        (``issue_engine="scan"``).  Both are bit-identical — same cycle
-        counts, same ``SmStats`` down to each stall counter, same oracle
-        digests — which the engine-identity property tests and the
-        ``repro check`` oracle enforce.
+        The single-cycle API exists on the scan engine only.  A columnar
+        SM's loop is the C loop, which runs a whole :meth:`run` per call;
+        inspect it per cycle through an observer's ``on_cycle``, which
+        that loop calls every cycle.
         """
         if self._columnar is not None:
-            return self._step_columnar()
+            raise TypeError(
+                "step() drives the scan stepper; a columnar SM runs only "
+                "through run() (attach an SmObserver for per-cycle "
+                "inspection, or build the SM with issue_engine='scan')"
+            )
         return self._step_scan()
 
     def _columnar_on_exit(self, warp: Warp, cycle: int) -> None:
-        """EXIT commit for the columnar stepper: mirrors ``_execute``
+        """EXIT commit for the C loop: mirrors ``_execute``
         (finish → queue release → technique hook → CTA retire/refill)
         writing the status/dyn columns directly."""
         core = self._columnar
@@ -492,581 +486,13 @@ class StreamingMultiprocessor:
             self._retire_cta(cta)
             self._fill_ctas()
 
-    def _step_columnar(self) -> int:
-        """Single-cycle entry point for the columnar engine (``step()``
-        API): one iteration of :meth:`_run_columnar`, so manual steppers
-        and the batched run share one implementation of the cycle body."""
-        return self._run_columnar(0, single_step=True)
-
-    def _run_columnar(
-        self,
-        max_cycles: int,
-        single_step: bool = False,
-        checkpoint_interval: int = 0,
-        checkpoint_sink=None,
-    ):
-        """Array-backed issue path: the scan stepper's schedule, driven
-        from wake-ordered ready lists, sleeper heaps and blocked counts
-        (see :mod:`repro.sim.columnar`) instead of an all-warp scan.
-
-        The representation and loop structure differ from the scan, not
-        the schedule: warps are ``(warp_id, slot)`` tuples indexing flat
-        per-slot columns, instructions are pre-decoded per-kernel arrays
-        (:class:`~repro.sim.columnar.KernelColumns`), and the
-        qualification/execute/dispose steps are inlined into this one
-        frame — no ``Warp`` attribute traffic, no ``Instruction``
-        property/enum cost, no per-check method calls.  The whole run
-        loop (step, fast-forward, watchdog, cycle limit) lives in this
-        frame too, so per-cycle constants (hook bindings, column
-        aliases, width/caps) are hoisted once per *run* instead of once
-        per cycle, and the stall counters accumulate in locals that are
-        flushed to ``SmStats`` only when someone can observe them (tail
-        hooks, fast-forward hooks, checkpoints, the run's end; see
-        :meth:`_flush_counters`).  A deadlock, watchdog or cycle-limit
-        stop breaks out with a ``STOP_*`` code onto the same final flush
-        and is raised through :meth:`_stop_error`.
-
-        Technique, sanitizer, and observer hooks still receive the bound
-        views, so their side effects (and hence the issue order) replay
-        identically; the default no-op technique hooks are detected once
-        and skipped entirely.  ``self.cycle`` is kept current every
-        cycle — mid-cycle hooks (CTA retire observers, the sanitizer)
-        read it.
-
-        Bit-identity with ``_step_scan`` is enforced by the
-        engine-identity property tests and the differential oracle.
-        :meth:`run` hands the same loop to ``repro._native`` when it is
-        built and the memory model is the stock one; this frame is the
-        pure-Python path.  With
-        ``single_step=True``, runs exactly one cycle, flushes, and
-        returns the issued count (fast-forward/watchdog stay with the
-        generic ``run`` loop in that mode — which never engages for
-        columnar; it exists for manual ``step()`` drivers).
-        """
-        core = self._columnar
-        (
-            pc_col, wake_col, status_col, stall_col, qstate_col, dyn_col,
-            views, kcs, rngs, trips, sb_rows, sb_max, sb_heap,
-        ) = core.hot
-        units = core.units
-        num_sched = len(units)
-        memory = self.memory
-        mem_cap = memory._max_in_flight
-        tech = self.technique
-        tech_can_issue, tech_on_issue, tech_wakeups = self._hook_bindings()
-        sanitizer = self._sanitizer
-        banked_rf = self.banked_rf
-        observer = self._observer
-        resident_ctas = self.resident_ctas
-        issue_width = self.config.issue_width_per_scheduler
-        window = self.config.watchdog_window
-        tail_hooks = sanitizer is not None or observer is not None
-        wid2slot = core.wid2slot
-        multi_issue = issue_width > 1
-        cycle = self.cycle
-        last_progress = self._last_progress_cycle
-        next_expire = cycle - (cycle % _EXPIRE_PERIOD) + _EXPIRE_PERIOD
-        # Stall/issue counters accumulate in locals; flushed to stats at
-        # observation points only (see _flush_counters).
-        d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-        stop = 0
-        next_ckpt = None
-        if checkpoint_interval and checkpoint_sink is not None:
-            next_ckpt = cycle + checkpoint_interval
-
-        while True:
-            cycle += 1
-            self.cycle = cycle
-            issued_this = 0
-            nxt = memory._next_retire
-            if nxt is not None and nxt <= cycle:
-                memory.retire(cycle)
-            if cycle >= next_expire:
-                next_expire = cycle + _EXPIRE_PERIOD
-                while sb_heap and sb_heap[0][0] <= cycle:
-                    heappop(sb_heap)
-            if tech_wakeups:
-                pending = tech.wakeup_pending()
-                if pending:
-                    for warp in pending:
-                        if warp.status is WarpStatus.WAITING_ACQUIRE:
-                            warp.status = WarpStatus.READY
-                            core.on_acquire_wake(warp.warp_id, warp.slot)
-            d_res += self._resident_warp_count
-
-            for unit in units:
-                ready = unit.ready
-                sleepers = unit.sleepers
-                if sleepers and sleepers[0][0] <= cycle:
-                    while sleepers and sleepers[0][0] <= cycle:
-                        _, wid, slot, is_mem = heappop(sleepers)
-                        if is_mem:
-                            unit.mem_sleepers -= 1
-                        else:
-                            unit.nonmem_sleepers -= 1
-                        qstate_col[slot] = QS_READY
-                        insort(ready, (wid, slot))
-                # Blocked counts captured before qualification: a warp
-                # parking during this pass (OWF's can_issue, a failed
-                # ACQUIRE) contributes its park flag only from the next
-                # cycle, exactly like the scan, which classifies by the
-                # status it saw at scan time.
-                barrier_count = unit.barrier_count
-                acquire_count = unit.acquire_count
-                qual_mem = qual_sb = False
-                if ready:
-                    candidates = unit.candidates
-                    keep = unit.keep
-                    candidates.clear()
-                    # `keep` materializes lazily: in the dominant
-                    # all-qualify cycle every item lands in candidates
-                    # and `ready` is left untouched (qualified-so-far ==
-                    # candidates, so the first failure seeds keep from
-                    # it).
-                    routed = False
-                    for item in ready:
-                        wid, slot = item
-                        kc = kcs[slot]
-                        pc = pc_col[slot]
-                        # -- inline _issuable: scoreboard, memory
-                        #    window, technique gate --
-                        if sb_max[slot] <= cycle:
-                            sb_ok = True
-                        elif stall_col[slot] == SL_SCOREBOARD:
-                            # Waking from a scoreboard sleep: the recorded
-                            # wake IS the max over this pc's registers, and
-                            # only the warp's own issues (none since) can
-                            # grow its row — no re-scan needed.
-                            sb_ok = wake_col[slot] <= cycle
-                            latest = wake_col[slot]
-                        else:
-                            latest = cycle
-                            row = sb_rows[slot]
-                            for reg in kc.regs[pc]:
-                                r = row[reg]
-                                if r > latest:
-                                    latest = r
-                            sb_ok = latest <= cycle
-                        if not sb_ok:
-                            stall_col[slot] = SL_SCOREBOARD
-                            wake_col[slot] = latest
-                        elif (
-                            K_LOAD <= kc.kind[pc] <= K_SHARED_LOAD
-                            and memory._in_flight_total >= mem_cap
-                        ):
-                            stall_col[slot] = SL_MEMORY
-                            done = memory.earliest_completion(cycle)
-                            if done is not None:
-                                wake_col[slot] = done
-                        elif tech_can_issue is not None and not tech_can_issue(
-                            views[slot], kc.insts[pc], cycle
-                        ):
-                            stall_col[slot] = SL_TECHNIQUE
-                        else:
-                            stall_col[slot] = SL_NONE
-                            candidates.append(item)
-                            if routed:
-                                keep.append(item)
-                            continue
-                        # -- qualification failed: flags + routing --
-                        if not routed:
-                            routed = True
-                            keep.clear()
-                            keep.extend(candidates)
-                        sc = stall_col[slot]
-                        if sc == SL_MEMORY:
-                            qual_mem = True
-                        elif sb_max[slot] - cycle > MEMORY_STALL_HORIZON:
-                            qual_mem = True
-                        else:
-                            qual_sb = True
-                        if status_col[slot] != ST_READY:
-                            # Technique can_issue parked the warp.
-                            qstate_col[slot] = QS_ACQUIRE
-                            unit.acquire_count += 1
-                        elif wake_col[slot] > cycle:
-                            qstate_col[slot] = QS_SLEEPING
-                            wake = wake_col[slot]
-                            is_mem = sc == SL_MEMORY
-                            if is_mem:
-                                unit.mem_sleepers += 1
-                            else:
-                                unit.nonmem_sleepers += 1
-                                if wake - cycle > MEMORY_STALL_HORIZON:
-                                    heappush(
-                                        unit.far,
-                                        wake - MEMORY_STALL_HORIZON,
-                                    )
-                            heappush(sleepers, (wake, wid, slot, is_mem))
-                        else:
-                            keep.append(item)
-                    if routed:
-                        ready[:] = keep
-                else:
-                    candidates = None
-
-                issued_here = 0
-                if candidates:
-                    sched = unit.sched
-                    sched_kind = unit.kind
-                    issued_list = unit.issued
-                    for _ in range(issue_width):
-                        if not candidates:
-                            break
-                        # -- inline scheduler pick --
-                        if sched_kind == 0:  # GTO, default priority
-                            chosen = None
-                            greedy = sched._greedy
-                            if greedy is not None:
-                                gwid = greedy.warp_id
-                                for item in candidates:
-                                    if item[0] == gwid:
-                                        chosen = item
-                                        break
-                            if chosen is None:
-                                chosen = candidates[0]  # oldest: sorted
-                        elif sched_kind == 1:  # LRR
-                            chosen = None
-                            last = sched._last_id
-                            for item in candidates:
-                                if item[0] > last:
-                                    chosen = item
-                                    break
-                            if chosen is None:
-                                chosen = candidates[0]
-                        else:  # priority hook: real pick over views
-                            view_pick = sched.pick(
-                                [views[s] for _, s in candidates]
-                            )
-                            if view_pick is None:
-                                break
-                            chosen = (view_pick.warp_id, view_pick.slot)
-                        wid, slot = chosen
-                        # -- inline _execute --
-                        kc = kcs[slot]
-                        pc = pc_col[slot]
-                        kind = kc.kind[pc]
-                        view = views[slot]
-                        d_issued += 1
-                        if tech_on_issue is not None:
-                            tech_on_issue(view, kc.insts[pc], cycle)
-                        if sanitizer is not None:
-                            sanitizer.on_issue(view, kc.insts[pc], cycle)
-                        bank_penalty = 0
-                        if banked_rf is not None and kc.srcs[pc]:
-                            physical = [
-                                tech.resolve_physical(view, reg)
-                                for reg in kc.srcs[pc]
-                            ]
-                            bank_penalty = banked_rf.collect(
-                                slot, physical
-                            ).extra_cycles
-                        exited = False
-                        if kind <= K_SHARED_LOAD:  # ALU / LOAD / SHARED_LOAD
-                            if kind == K_ALU:
-                                done = cycle + kc.lat[pc] + bank_penalty
-                            else:
-                                done = memory.issue_load(
-                                    cycle, shared=kind == K_SHARED_LOAD
-                                ) + bank_penalty
-                            row = sb_rows[slot]
-                            for reg in kc.dsts[pc]:
-                                if done > row[reg]:
-                                    row[reg] = done
-                                    heappush(sb_heap, (done, wid, reg))
-                                    if done > sb_max[slot]:
-                                        sb_max[slot] = done
-                            pc_col[slot] = pc + 1
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        elif kind == K_STORE:
-                            pc_col[slot] = pc + 1
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        elif kind == K_JMP:
-                            pc_col[slot] = kc.tgt[pc]
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        elif kind == K_BRA:
-                            pc_col[slot] = resolve_conditional_branch(
-                                pc, kc.tgt[pc], kc.trip[pc], kc.prob[pc],
-                                trips[slot], rngs[slot],
-                            )
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        elif kind == K_EXIT:
-                            if observer is not None:
-                                # CTA retire/launch hooks may read the
-                                # shared counters: flush first.
-                                self._flush_counters(
-                                    d_issued, d_idle, d_mem, d_bar, d_sb,
-                                    d_acq, d_res, last_progress,
-                                )
-                                d_issued = d_idle = d_mem = d_bar = 0
-                                d_sb = d_acq = d_res = 0
-                            self._columnar_on_exit(view, cycle)
-                            last_progress = cycle
-                            exited = True
-                        elif kind == K_BARRIER:
-                            # Advance first: the warp resumes past the
-                            # barrier when released.
-                            pc_col[slot] = pc + 1
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                            cta = self._ctas_by_id[view.cta_id]
-                            if cta.arrive_at_barrier(view):
-                                core.on_barrier_release(cta)
-                        elif kind == K_ACQUIRE:
-                            if tech.try_acquire(view, cycle):
-                                pc_col[slot] = pc + 1
-                                dyn_col[slot] += 1
-                                last_progress = cycle
-                            elif status_col[slot] == ST_READY:
-                                # Eager retry backoff (see _execute).
-                                wake_col[slot] = cycle + _EAGER_RETRY_BACKOFF
-                        else:  # K_RELEASE
-                            tech.release(view, cycle)
-                            pc_col[slot] = pc + 1
-                            dyn_col[slot] += 1
-                            last_progress = cycle
-                        # -- inline notify_issued --
-                        if sched_kind == 0:
-                            sched.issued_count += 1
-                            sched._greedy = view
-                        elif sched_kind == 1:
-                            sched.issued_count += 1
-                            sched._last_id = wid
-                        else:
-                            sched.notify_issued(view)
-                        issued_this += 1
-                        issued_here += 1
-                        issued_list.append(chosen)
-                        if multi_issue:
-                            # candidates is dead after a width-1 pick
-                            # (cleared on next use) — only maintain it
-                            # when a second pick this cycle can read it.
-                            candidates.remove(chosen)
-                        # -- inline requalification for remaining width.
-                        # Guarded on `exited`: after a CTA retire the
-                        # slot may already host a fresh warp; the scan
-                        # stepper's `not chosen.finished` check is
-                        # per-object, ours must not read the recycled
-                        # slot. --
-                        if (
-                            not exited
-                            and status_col[slot] == ST_READY
-                            and wake_col[slot] <= cycle
-                        ):
-                            pc = pc_col[slot]
-                            if sb_max[slot] <= cycle:
-                                sb_ok = True
-                            else:
-                                latest = cycle
-                                row = sb_rows[slot]
-                                for reg in kc.regs[pc]:
-                                    r = row[reg]
-                                    if r > latest:
-                                        latest = r
-                                sb_ok = latest <= cycle
-                            if not sb_ok:
-                                stall_col[slot] = SL_SCOREBOARD
-                                wake_col[slot] = latest
-                            elif (
-                                K_LOAD <= kc.kind[pc] <= K_SHARED_LOAD
-                                and memory._in_flight_total >= mem_cap
-                            ):
-                                stall_col[slot] = SL_MEMORY
-                                done = memory.earliest_completion(cycle)
-                                if done is not None:
-                                    wake_col[slot] = done
-                            elif (
-                                tech_can_issue is not None
-                                and not tech_can_issue(
-                                    views[slot], kc.insts[pc], cycle
-                                )
-                            ):
-                                stall_col[slot] = SL_TECHNIQUE
-                            else:
-                                stall_col[slot] = SL_NONE
-                                if multi_issue:
-                                    insort(candidates, chosen)
-                    for item in issued_list:
-                        # -- inline dispose_issued (qstate-guarded,
-                        #    idempotent) --
-                        wid, slot = item
-                        if qstate_col[slot] != QS_READY:
-                            continue  # finished or re-homed same-pass
-                        st = status_col[slot]
-                        if st == ST_READY:
-                            wake = wake_col[slot]
-                            if wake > cycle:  # eager acquire backoff
-                                ready.remove(item)
-                                qstate_col[slot] = QS_SLEEPING
-                                is_mem = stall_col[slot] == SL_MEMORY
-                                if is_mem:
-                                    unit.mem_sleepers += 1
-                                else:
-                                    unit.nonmem_sleepers += 1
-                                    if wake - cycle > MEMORY_STALL_HORIZON:
-                                        heappush(
-                                            unit.far,
-                                            wake - MEMORY_STALL_HORIZON,
-                                        )
-                                heappush(sleepers, (wake, wid, slot, is_mem))
-                        elif st == ST_BARRIER:
-                            ready.remove(item)
-                            qstate_col[slot] = QS_BARRIER
-                            unit.barrier_count += 1
-                        elif st == ST_ACQUIRE:
-                            ready.remove(item)
-                            qstate_col[slot] = QS_ACQUIRE
-                            unit.acquire_count += 1
-                    issued_list.clear()
-                if issued_here == 0:
-                    d_idle += 1
-                    if acquire_count:
-                        d_acq += 1
-                    else:
-                        # Inline sleeper_flags: prune the far heap,
-                        # then the aggregate-count classification.
-                        far = unit.far
-                        while far and far[0] <= cycle:
-                            heappop(far)
-                        far_n = len(far)
-                        if qual_mem or unit.mem_sleepers > 0 or far_n > 0:
-                            d_mem += 1
-                        elif barrier_count:
-                            d_bar += 1
-                        elif qual_sb or unit.nonmem_sleepers > far_n:
-                            d_sb += 1
-
-            if tail_hooks or single_step:
-                self._flush_counters(
-                    d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res,
-                    last_progress,
-                )
-                d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-                if sanitizer is not None:
-                    sanitizer.on_cycle(self)
-                if observer is not None:
-                    observer.on_cycle(self)
-                if single_step:
-                    return issued_this
-
-            # -- run-loop controls (mirrors the generic run loop) --
-            if issued_this == 0 and (self.ctas_pending or resident_ctas):
-                # Inline fast-forward: same targets as _fast_forward —
-                # memory retired at cycle start, so _next_retire is the
-                # earliest completion verbatim.  The scoreboard target is
-                # ColumnarScoreboard.earliest_ready's lazy heap-peek
-                # (pop stale/superseded entries until a live one), over
-                # the locals already in hand.
-                target = None
-                while sb_heap:
-                    ready_at, hwid, hreg = sb_heap[0]
-                    if ready_at > cycle:
-                        hslot = wid2slot.get(hwid)
-                        if hslot is not None and sb_rows[hslot][hreg] == ready_at:
-                            target = ready_at
-                            break
-                    heappop(sb_heap)
-                mem_t = memory._next_retire
-                if mem_t is not None and (target is None or mem_t < target):
-                    target = mem_t
-                # Completion-backed minimum so far: creditable against
-                # the watchdog (see _fast_forward) iff it survives as
-                # the overall minimum below.
-                creditable = target
-                for unit in units:
-                    heap = unit.sleepers
-                    if heap and (target is None or heap[0][0] < target):
-                        target = heap[0][0]
-                if target is None:
-                    stop = STOP_DEADLOCK
-                    break
-                skip = target - cycle - 1
-                if skip > 0:
-                    cycle += skip
-                    self.cycle = cycle
-                    if creditable is not None and creditable == target:
-                        # Legitimate waiting on a pending completion —
-                        # not livelock polling (see _fast_forward).
-                        last_progress += skip
-                    d_idle += skip * num_sched
-                    d_mem += skip * num_sched
-                    d_res += skip * self._resident_warp_count
-                    if observer is not None:
-                        self._flush_counters(
-                            d_issued, d_idle, d_mem, d_bar, d_sb, d_acq,
-                            d_res, last_progress,
-                        )
-                        d_issued = d_idle = d_mem = d_bar = 0
-                        d_sb = d_acq = d_res = 0
-                        observer.on_fast_forward(self, skip)
-            if window and cycle - last_progress > window:
-                stop = STOP_WATCHDOG
-                break
-            if cycle > max_cycles:
-                stop = STOP_CYCLE_LIMIT
-                break
-            if not resident_ctas and not self.ctas_pending:
-                break
-            if next_ckpt is not None and cycle >= next_ckpt:
-                next_ckpt = cycle + checkpoint_interval
-                # The snapshot reads SmStats and _last_progress_cycle:
-                # flush the delta locals first.  Timing-neutral — the
-                # totals are identical whenever they are flushed.
-                self._flush_counters(
-                    d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res,
-                    last_progress,
-                )
-                d_issued = d_idle = d_mem = d_bar = d_sb = d_acq = d_res = 0
-                checkpoint_sink(self.save_checkpoint())
-                if observer is not None:
-                    observer.on_checkpoint(self, cycle)
-
-        self._flush_counters(
-            d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res, last_progress
-        )
-        if stop:
-            raise self._stop_error(stop, max_cycles)
-        self.stats.cycles = cycle
-        if observer is not None:
-            observer.on_run_end(self)
-        return self.stats
-
-    def _run_native(
-        self,
-        max_cycles: int,
-        checkpoint_interval: int = 0,
-        checkpoint_sink=None,
-    ) -> SmStats:
-        """Batched run loop on the C backend (``repro._native``).
-
-        The extension drives the exact ``_run_columnar`` algorithm over
-        the *same* ColumnarCore state, re-entering Python only at hook
-        observation points, so results, checkpoint payloads, and hook
-        side effects are bit-identical.  It takes the same hook bindings
-        and stops with the same codes as the pure loop, so the typed
-        errors come from the one ``_stop_error``.  ``step()`` drivers
-        keep using the pure stepper — only the batched ``run()`` is
-        native, and only over the stock memory model (see :meth:`run`).
-        """
-        status, stats = _native.run_columnar(
-            self, max_cycles, checkpoint_interval, checkpoint_sink,
-            *self._hook_bindings(),
-        )
-        if status:
-            raise self._stop_error(status, max_cycles)
-        return stats
-
     def _hook_bindings(self):
-        """``(can_issue, on_issue, wakeups)`` for the columnar loops.
+        """``(can_issue, on_issue, wakeups)`` for the C loop.
 
         Read once per run (observer attach swaps the technique object
         before a run starts).  Each hook resolves through any wrapper
         stack (:func:`resolve_hook`): one no layer implements binds to
-        None — ``wakeups`` to False — and the loops skip it without a
+        None — ``wakeups`` to False — and the loop skips it without a
         call; one only the wrapped state implements binds that state's
         method, not the wrappers' forwarding ones.
         """
@@ -1077,29 +503,12 @@ class StreamingMultiprocessor:
             resolve_hook(tech, "wakeup_pending") is not None,
         )
 
-    def _flush_counters(
-        self, issued, idle, mem, bar, sb, acq, res, last_progress
-    ) -> None:
-        """Add the pure columnar loop's counter deltas to ``SmStats`` and
-        publish its progress marker.  The loop keeps both in locals and
-        flushes only where someone can read them: tail and fast-forward
-        hooks, an EXIT under an observer, checkpoints, and the run's
-        end (completed or stopped)."""
-        stats = self.stats
-        stats.instructions_issued += issued
-        stats.idle_scheduler_cycles += idle
-        stats.stall_memory += mem
-        stats.stall_barrier += bar
-        stats.stall_scoreboard += sb
-        stats.stall_acquire += acq
-        stats.resident_warp_cycles += res
-        self._last_progress_cycle = last_progress
-
     def _step_scan(self) -> int:
         """Naive reference stepper: scan every resident warp, every cycle.
 
-        Retained as the bit-identity oracle for the columnar path (and
-        selectable via ``issue_engine="scan"``): simple enough to audit
+        The bit-identity reference for the columnar engine's C loop, and
+        what a columnar config runs where that loop cannot be built
+        (selectable via ``issue_engine="scan"``): simple enough to audit
         by eye, slow enough to never be the default.
         """
         self.cycle += 1
@@ -1132,7 +541,7 @@ class StreamingMultiprocessor:
                     # reason is exact (nothing the warp depends on can
                     # complete earlier than its recorded wake cycle).
                     if warp.stalled_on == "memory" or (
-                        warp.wake_cycle - cycle > 20
+                        warp.wake_cycle - cycle > MEMORY_STALL_HORIZON
                     ):
                         saw_memory = True
                     else:
@@ -1144,7 +553,7 @@ class StreamingMultiprocessor:
                 elif warp.stalled_on == "memory":
                     saw_memory = True
                 elif self.scoreboard.has_pending_memory(
-                    warp.warp_id, cycle, horizon=20
+                    warp.warp_id, cycle, horizon=MEMORY_STALL_HORIZON
                 ):
                     saw_memory = True
                 else:
@@ -1228,8 +637,8 @@ class StreamingMultiprocessor:
         )
 
     def _stop_error(self, code: int, max_cycles: int = 0) -> SimulationError:
-        """The typed error for a run-loop stop code, shared by every run
-        loop (and ``_fast_forward``'s deadlock check):
+        """The typed error for a run-loop stop code, shared by the scan
+        run loop, the C loop and ``_fast_forward``'s deadlock check:
 
         * ``STOP_DEADLOCK`` — no issuable warp and no pending timer;
         * ``STOP_WATCHDOG`` — more than ``config.watchdog_window`` cycles
@@ -1297,12 +706,10 @@ class StreamingMultiprocessor:
         warp's progress, which itself requires one of those two timers —
         so no-timer-and-not-done means deadlock, and we raise.
 
-        The three target sources are all O(log n) reads in columnar
-        mode: the scoreboard's completion heap, the memory model's
-        cached next retirement, and the per-scheduler sleeper-heap
-        minima (every READY warp with a future wake cycle is in a
-        sleeper heap by construction).  Scan mode iterates all warps
-        instead, and both provably agree on ``min(targets)``.
+        The targets are the scoreboard's completion heap, the memory
+        model's cached next retirement, and every READY warp's future
+        wake cycle (the C loop reads the same three from its own
+        structures).
         """
         targets = []
         sb = self.scoreboard.earliest_ready(self.cycle)
@@ -1322,15 +729,10 @@ class StreamingMultiprocessor:
         creditable = min(targets) if targets else None
         # Eager acquire-retry backoffs are self-imposed timers: a READY
         # warp with a future wake_cycle will poll again at that cycle.
-        if self._columnar is not None:
-            wake = self._columnar.earliest_wake()
-            if wake is not None:
-                targets.append(wake)
-        else:
-            for warps in self._warps_by_scheduler:
-                for w in warps:
-                    if w.status is WarpStatus.READY and w.wake_cycle > self.cycle:
-                        targets.append(w.wake_cycle)
+        for warps in self._warps_by_scheduler:
+            for w in warps:
+                if w.status is WarpStatus.READY and w.wake_cycle > self.cycle:
+                    targets.append(w.wake_cycle)
         if not targets:
             raise self._stop_error(STOP_DEADLOCK)
         target = min(targets)
@@ -1348,22 +750,9 @@ class StreamingMultiprocessor:
 
     @property
     def issue_loop(self) -> str:
-        """The loop :meth:`run` takes: "native", "pure" or "scan"."""
-        if self._columnar is None:
-            return "scan"
-        # The C loop carries its own copy of the stock MemoryModel; a
-        # customized one (a subclass, an instance-level issue_load/retire,
-        # another rng) runs the pure loop, which calls the model's
-        # methods and gives identical results.
-        mem = self.memory
-        native = (
-            self._use_native
-            and type(mem) is MemoryModel
-            and type(mem._rng) is DeterministicRng
-            and "issue_load" not in mem.__dict__
-            and "retire" not in mem.__dict__
-        )
-        return "native" if native else "pure"
+        """The loop :meth:`run` takes: "native" (the columnar engine's C
+        loop) or "scan"."""
+        return "scan" if self._columnar is None else "native"
 
     def run(
         self,
@@ -1387,21 +776,36 @@ class StreamingMultiprocessor:
         of fruitless polling (livelock: warps keep retrying an acquire
         that can never be granted).  Raises
         :class:`CycleLimitExceededError` at the ``max_cycles`` backstop.
+
+        A columnar SM runs the C loop (``repro._native``) over its
+        ColumnarCore, re-entering Python only at hook observation
+        points; it stops with the scan loop's codes, so the typed errors
+        come from the one :meth:`_stop_error`.  That loop carries its own
+        copy of the stock ``MemoryModel``: on a columnar SM whose
+        ``memory`` is anything else this raises ``TypeError`` (build such
+        an SM with ``issue_engine="scan"``).
         """
         if self._columnar is not None:
-            native = self.issue_loop == "native"
-            run_loop = self._run_native if native else self._run_columnar
-            return run_loop(
-                max_cycles,
-                checkpoint_interval=checkpoint_interval,
-                checkpoint_sink=checkpoint_sink,
+            if not _stock_memory(self.memory):
+                raise TypeError(
+                    "the columnar engine's C loop runs only the stock "
+                    f"MemoryModel, not {type(self.memory).__name__} with "
+                    "its own issue_load/retire/rng; build this SM with "
+                    "issue_engine='scan'"
+                )
+            status, stats = _native.run_columnar(
+                self, max_cycles, checkpoint_interval, checkpoint_sink,
+                *self._hook_bindings(),
             )
+            if status:
+                raise self._stop_error(status, max_cycles)
+            return stats
         window = self.config.watchdog_window
         next_ckpt = None
         if checkpoint_interval and checkpoint_sink is not None:
             next_ckpt = self.cycle + checkpoint_interval
         while not self.done:
-            issued = self.step()
+            issued = self._step_scan()
             if issued == 0 and not self.done:
                 self._fast_forward()
             if next_ckpt is not None and self.cycle >= next_ckpt and not self.done:

@@ -183,7 +183,10 @@ class TestShadowWrapperDelegation:
     with checkpoints and with the observer like the bare state does."""
 
     def test_checkpoint_keeps_the_wrapped_technique_state(self, tiny_config):
-        sm = _regmutex_sm(tiny_config)
+        import dataclasses
+
+        # Stepped to the first acquire: step() drives the scan stepper.
+        sm = _regmutex_sm(dataclasses.replace(tiny_config, issue_engine="scan"))
         attach_shadow(sm)
         state = sm.technique.inner
         while not state.srp.sections_in_use:

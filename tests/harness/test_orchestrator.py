@@ -135,7 +135,7 @@ class TestDedupAndTelemetry:
 
         import repro.sim.sm as sm_mod
 
-        columnar = "pure" if sm_mod.native_module() is None else "native"
+        columnar = "scan" if sm_mod.native_module() is None else "native"
         scan_cfg = dataclasses.replace(CFG, name="orch-scan",
                                        issue_engine="scan")
         jobs = [JobSpec("Gaussian", cfg, TechniqueSpec.of("baseline"))

@@ -229,20 +229,10 @@ class TestCacheKeyHygiene:
                    BaselineTechnique())
         return runner
 
-    def test_columnar_run_hits_scan_runs_cache(self, cfg, monkeypatch):
-        """A pure-Python columnar run lands on the same v6 entry a scan
-        run populated — the engine is timing-neutral, not a different
-        experiment."""
-        import repro.sim.sm as sm_mod
-        monkeypatch.setattr(sm_mod, "_native", None)
-        runner = self._scan_then_columnar(cfg)
-        assert runner.cache_misses == 1
-        assert runner.cache_hits == 1
-
     def test_native_run_hits_scan_runs_cache(self, cfg):
-        """The default columnar path (the native loop where
-        ``repro._native`` is built) hits the scan run's entry too: the C
-        accelerator is timing-neutral as well."""
+        """A columnar run (the C loop where ``repro._native`` is built)
+        lands on the same v6 entry a scan run populated — the engine is
+        timing-neutral, not a different experiment."""
         runner = self._scan_then_columnar(cfg)
         assert runner.cache_misses == 1
         assert runner.cache_hits == 1

@@ -25,7 +25,7 @@ def _session() -> SessionTelemetry:
     t.record("MergeSort/owf", 0.5, MODE_POOL, failed=True,
              failure_kind="timeout", attempts=2)
     t.record("Hotspot/baseline", 2.0, MODE_POOL, cycles=200_000,
-             resumed_from_cycle=40_000, loop="pure")
+             resumed_from_cycle=40_000, loop="scan")
     t.wall_seconds = 4.5
     return t
 

@@ -1,14 +1,14 @@
 """Checkpoint/resume: bit-identity and the typed failure taxonomy.
 
 The checkpoint contract mirrors the issue-engine contract in
-``test_wakequeue``: resuming a freshly constructed SM from any
+``test_engine_identity``: resuming a freshly constructed SM from any
 checkpoint emitted by ``run()`` must produce the *bit-identical* tail —
 same final cycle and same ``SmStats`` down to each stall counter — as
-the uninterrupted run, on every issue path (scan, pure-Python columnar,
-and columnar with the native accelerator), for any technique and
-scheduler policy.  The payload is engine-neutral — canonical warp state
-only, with the columnar queues rebuilt on restore — so a checkpoint
-written on any issue path resumes identically on any other.
+the uninterrupted run, on both issue engines (the scan stepper and the
+columnar engine's C loop), for any technique and scheduler policy.  The
+payload is engine-neutral — canonical warp state only, with the columnar
+queues rebuilt on restore — so a checkpoint written on either engine
+resumes identically on the other.
 
 Checkpoints here always come from ``run(checkpoint_interval=...,
 checkpoint_sink=...)`` — the product path — never from stepping an SM
@@ -27,11 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from unittest import mock
 
 import pytest
 
-import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CheckpointCorruptError,
@@ -49,29 +47,22 @@ from repro.sim.checkpoint import (
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from tests.sim.test_wakequeue import (
-    NATIVE_BUILT,
-    NATIVE_MISSING,
+from tests.sim.test_engine_identity import (
     _acquire_kernel,
     _random_kernel,
+    needs_native,
 )
 
-# Issue paths under test.  "columnar" is the pure-Python columnar loop
-# (the native accelerator switched off); "native" is the columnar path as
-# it runs by default — the native loop where ``repro._native`` is built,
-# the pure fallback elsewhere.  TestCrossPathResume pins the two columnar
-# loops against each other, TestCrossEngineResume scan against both.
-ENGINES = ("scan", "columnar", "native")
+# Issue paths under test: "scan", and "native", the columnar config as it
+# runs by default — the C loop where ``repro._native`` is built, the scan
+# fallback elsewhere.
+ENGINES = ("scan", "native")
 
-# (writer, reader) issue paths for cross-engine resume; the native legs
-# run only where the extension is built (elsewhere "native" is the pure
-# loop, which the first two pairs already cover).
-_NATIVE_ONLY = pytest.mark.skipif(not NATIVE_BUILT, reason=NATIVE_MISSING)
+# (writer, reader) issue paths for cross-engine resume; they run only
+# where the extension is built (elsewhere both are scan).
 CROSS_PATHS = (
-    ("scan", "columnar"),
-    ("columnar", "scan"),
-    pytest.param("scan", "native", marks=_NATIVE_ONLY),
-    pytest.param("native", "scan", marks=_NATIVE_ONLY),
+    pytest.param("scan", "native", marks=needs_native),
+    pytest.param("native", "scan", marks=needs_native),
 )
 
 # One representative scheduler per technique keeps the matrix affordable;
@@ -90,11 +81,6 @@ def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6,
              **config_overrides):
     """A fresh SM exactly as ``Gpu.launch`` would build it, on the issue
     path ``engine`` names (one of ``ENGINES``)."""
-    if engine == "columnar":
-        # The SM picks its columnar loop at construction.
-        with mock.patch.object(sm_mod, "_native", None):
-            return _make_sm(kernel, technique_kind, "native", sched,
-                            seed=seed, total=total, **config_overrides)
     issue_engine = "columnar" if engine == "native" else engine
     config = fermi_like(num_sms=1, issue_engine=issue_engine,
                         scheduler_policy=sched, **config_overrides)
@@ -156,6 +142,9 @@ def _assert_resumes(kernel, technique_kind, engine, sched, reader=None,
         # Round-trip through JSON text: proves the payload is pure data,
         # exactly what a checkpoint file on disk would hand back.
         payload = json.loads(json.dumps(payload))
+        # Engine-neutral: nothing in it names or encodes an issue path.
+        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION
+        assert not {"issue_engine", "engine_state", "scoreboard"} & set(payload)
         resumed = _make_sm(kernel, technique_kind, reader or engine, sched,
                            **sm_overrides)
         resumed.restore_checkpoint(payload)
@@ -183,42 +172,12 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_kernels_resume(self, seed):
-        # Property sweep in the style of test_wakequeue: random kernels,
-        # engines and techniques rotated by seed.
+        # Property sweep in the style of test_engine_identity: random
+        # kernels, engines and techniques rotated by seed.
         engine = ENGINES[seed % len(ENGINES)]
         technique_kind, sched = TECHNIQUE_SCHED[seed % len(TECHNIQUE_SCHED)]
         _assert_resumes(_random_kernel(100 + seed), technique_kind,
                         engine, sched)
-
-
-class TestCrossPathResume:
-    @pytest.mark.skipif(not NATIVE_BUILT, reason=NATIVE_MISSING)
-    @pytest.mark.parametrize("writer", ("native", "pure"))
-    @pytest.mark.parametrize("technique_kind,sched", (
-        ("baseline", "gto"), ("regmutex", "lrr"),
-    ))
-    def test_checkpoint_resumes_on_the_other_path(
-        self, writer, technique_kind, sched
-    ):
-        """A checkpoint written by one columnar loop (native or pure)
-        resumes bit-identically on the other: the payload names no
-        issue path, and both loops read and write the same columns."""
-        kernel = _random_kernel(3)
-        write_path, read_path = (
-            ("columnar", "native") if writer == "pure"
-            else ("native", "columnar")
-        )
-        ref_out, checkpoints = _checkpointed_run(
-            kernel, technique_kind, write_path, sched
-        )
-        payload = json.loads(json.dumps(checkpoints[-1]))
-        assert payload["schema"] == CHECKPOINT_SCHEMA_VERSION
-        assert not {"issue_engine", "engine_state", "scoreboard"} & set(payload)
-        resumed = _make_sm(kernel, technique_kind, read_path, sched)
-        assert resumed._use_native == (read_path == "native")
-        resumed.restore_checkpoint(payload)
-        resumed.run()
-        assert _outcome(resumed) == ref_out
 
 
 class TestCrossEngineResume:
@@ -287,12 +246,12 @@ REBUILD_CASES = (
 
 
 class TestRebuiltQueues:
-    @pytest.mark.parametrize("engine", ("columnar", "native"))
+    @needs_native
     @pytest.mark.parametrize(
         "kernel_id,technique_kind,sched,overrides", REBUILD_CASES
     )
     def test_restore_rebuilds_the_writers_live_queues(
-        self, engine, kernel_id, technique_kind, sched, overrides
+        self, kernel_id, technique_kind, sched, overrides
     ):
         """Restore derives the ready lists, sleeper heaps, ``far``
         thresholds, blocked counts and queue-state codes from the
@@ -304,7 +263,7 @@ class TestRebuiltQueues:
         )
 
         def make():
-            return _make_sm(kernel, technique_kind, engine, sched,
+            return _make_sm(kernel, technique_kind, "native", sched,
                             **overrides)
 
         probe = make()

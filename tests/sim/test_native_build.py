@@ -131,14 +131,17 @@ def test_stale_binary_is_rebuilt_never_run(tmp_path):
     assert result["setuptools_loaded"] is False
 
 
-def test_no_compiler_runs_pure_loop_with_one_warning(tmp_path):
+def test_no_compiler_runs_scan_with_one_warning(tmp_path):
+    """No compiler: columnar configs are built on the scan stepper, with
+    one warning naming the failed build."""
     root = _checkout(tmp_path)
     result = _result(_spawn(root, CC="/bin/false"))
-    assert result["loops"] == ["pure", "pure"]
+    assert result["loops"] == ["scan", "scan"]
     assert result["digest"] is None
     [warning] = result["warnings"]
     assert "repro._native is not built, and building it failed" in warning
-    assert "falling back to pure Python" in warning
+    assert "CompileError" in warning  # the build's own reason
+    assert "falling back to the scan stepper" in warning
     assert _binaries(root) == []
     assert result["setuptools_loaded"] is False
 
@@ -158,12 +161,12 @@ def test_racing_first_builds_both_load_a_valid_module(tmp_path):
     assert len(_binaries(root)) == 1
 
 
-def test_no_setup_py_runs_pure_loop_with_one_warning(tmp_path):
+def test_no_setup_py_runs_scan_with_one_warning(tmp_path):
     """An installed package (no setup.py beside src/) never builds."""
     root = _checkout(tmp_path)
     (root / "setup.py").unlink()
     result = _result(_spawn(root))
-    assert result["loops"] == ["pure", "pure"]
+    assert result["loops"] == ["scan", "scan"]
     [warning] = result["warnings"]
     assert "there is no setup.py to build it" in warning
     assert not (root / "build").exists()

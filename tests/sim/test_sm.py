@@ -1,5 +1,7 @@
 """Integration tests for the SM pipeline on small kernels."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.config import fermi_like
@@ -135,12 +137,14 @@ class TestFastForward:
         kernel = b.build()
         stats_ff, _ = _run(kernel, tiny_config)
 
-        # Re-run with fast-forward disabled by stepping manually.
+        # Re-run with fast-forward disabled by stepping the scan stepper
+        # manually (step() is its single-cycle API).
         from repro.sim.stats import SmStats as _Stats
         stats2 = _Stats()
+        scan = dataclasses.replace(tiny_config, issue_engine="scan")
         sm = StreamingMultiprocessor(
-            sm_id=0, config=tiny_config, kernel=kernel,
-            technique_state=SmTechniqueState(kernel, tiny_config, stats2),
+            sm_id=0, config=scan, kernel=kernel,
+            technique_state=SmTechniqueState(kernel, scan, stats2),
             ctas_resident_limit=1, total_ctas=1,
             rng=DeterministicRng(1), stats=stats2,
         )
@@ -231,8 +235,9 @@ class TestWarpSlotAllocation:
     def test_cta_rotation_keeps_slots_distinct_and_bounded(self, tiny_config):
         """Drive warp ids well past the slot count and check, every
         cycle, that live slots are distinct, in range, and mirrored by
-        the accounting set."""
-        sm = self._sm(tiny_config, ctas_resident=4, total_ctas=12)
+        the accounting set (stepping the scan stepper)."""
+        sm = self._sm(dataclasses.replace(tiny_config, issue_engine="scan"),
+                      ctas_resident=4, total_ctas=12)
         saw_high_warp_id = False
         while not sm.done:
             sm.step()

@@ -1,11 +1,9 @@
 """Progress watchdog, cycle-limit backstop, and structured deadlock errors."""
 
 import dataclasses
-from unittest import mock
 
 import pytest
 
-import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CycleLimitExceededError,
@@ -22,7 +20,7 @@ from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique
 from tests.conftest import looped_kernel, straightline_kernel
-from tests.sim.test_wakequeue import NATIVE_MISSING
+from tests.sim.test_engine_identity import needs_native
 
 
 def srp_kernel():
@@ -259,13 +257,8 @@ def _stop_outcome(config, case, engine, observed):
     config = dataclasses.replace(
         config, issue_engine="scan" if engine == "scan" else "columnar"
     )
-    if engine == "columnar":
-        with mock.patch.object(sm_mod, "_native", None):
-            sm = starved_sm(config, retry_policy)
-        assert not sm._use_native
-    else:
-        sm = starved_sm(config, retry_policy)
-        assert sm._use_native == (engine == "native")
+    sm = starved_sm(config, retry_policy)
+    assert sm.issue_loop == engine
     observer = SmObserver(stride=16).attach(sm) if observed else None
     with pytest.raises(error) as ei:
         sm.run(max_cycles=max_cycles)
@@ -281,17 +274,17 @@ def _stop_outcome(config, case, engine, observed):
 
 class TestStopPathsAcrossEngines:
     """Deadlock, watchdog and cycle-limit stops leave the same error,
-    counters, progress marker and clock on every engine: the scan
-    reference, the pure columnar loop, and the native loop — with and
-    without an observer re-entering Python on every cycle."""
+    counters, progress marker and clock on both engines: the scan
+    reference and the C loop — with and without an observer re-entering
+    Python on every cycle."""
 
     @pytest.mark.parametrize("observed", [False, True],
                              ids=["bare", "observed"])
     @pytest.mark.parametrize("case", sorted(_STOP_CASES))
-    @pytest.mark.parametrize("engine", ["scan", "columnar", "native"])
+    @pytest.mark.parametrize("engine", [
+        "scan", pytest.param("native", marks=needs_native),
+    ])
     def test_stop_matches_scan(self, tiny_config, engine, case, observed):
-        if engine == "native" and sm_mod.native_module() is None:
-            pytest.skip(NATIVE_MISSING)
         reference = _stop_outcome(tiny_config, case, "scan", observed)
         assert _stop_outcome(tiny_config, case, engine, observed) == reference
 
