@@ -52,11 +52,6 @@ class GpuConfig:
     max_in_flight_loads: int = 96  # MSHR-style cap on outstanding loads
     # Operand-collector / issue model.
     issue_width_per_scheduler: int = 1
-    # Optional fidelity knob: charge operand-collector bank conflicts
-    # explicitly (see repro.sim.banks).  Off by default — the paper's
-    # simplified pipeline folds them into fixed latencies.
-    model_bank_conflicts: bool = False
-    register_file_banks: int = 16
     # Deadlock watchdog: raise SimulationDeadlockError (with a state
     # snapshot) when no warp advances its pc for this many cycles.  Set
     # far above any legitimate stall (the longest is one DRAM round
@@ -108,11 +103,6 @@ class GpuConfig:
             raise ValueError("sanitizer_stride must be positive")
         if self.issue_engine not in ISSUE_ENGINES:
             raise ValueError(f"unknown issue engine {self.issue_engine!r}")
-
-    @property
-    def registers_per_sm_per_thread_slot(self) -> int:
-        """Register budget divided across the maximum thread population."""
-        return self.registers_per_sm // self.max_threads_per_sm
 
     @property
     def warp_register_packs(self) -> int:

@@ -176,6 +176,8 @@ _TIMING_NEUTRAL_CONFIG_FIELDS = frozenset({
 _RETIRED_CONFIG_FIELDS = {
     "debug_invariants": False,       # per-cycle checks: GpuConfig.sanitizer
     "runtime_safety_checks": False,  # extended-access: GpuConfig.sanitizer
+    "model_bank_conflicts": False,   # operand-collector bank model, deleted
+    "register_file_banks": 16,       # its bank count
 }
 
 

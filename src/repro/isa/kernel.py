@@ -148,10 +148,6 @@ class Kernel:
             regs.update(inst.registers)
         return regs
 
-    def max_register_index(self) -> int:
-        regs = self.referenced_registers()
-        return max(regs) if regs else -1
-
     def has_barrier(self) -> bool:
         return any(inst.is_barrier for inst in self._instructions)
 

@@ -184,13 +184,15 @@ class RegMutexSmState(SmTechniqueState):
         self._wakeup_spare = []
 
     def resolve_physical(self, warp: Warp, arch_reg: int) -> int:
-        """The Figure 6b mux, for the bank-conflict model.
+        """The Figure 6b mux, read by the sanitizer's physical-bounds
+        and physical-aliasing checks.
 
         Base registers live in the warp's |Bs| block; extended registers
         live in the warp's current SRP section past the SRP offset.  A
         warp touching an extended register without a section would be a
-        compiler bug (the static verifier forbids it); fall back to the
-        base formula so the timing model never crashes mid-run.
+        compiler bug (the static verifier forbids it, and the sanitizer's
+        extended-access check reports it); fall back to the base formula
+        so the physical checks never crash mid-run.
         """
         md = self.kernel.metadata
         bs = md.base_set_size or md.regs_per_thread

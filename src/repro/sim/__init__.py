@@ -17,7 +17,6 @@ from repro.sim.memory import MemoryModel
 from repro.sim.regfile import BaselineRegisterMapper, MappedRegister
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.gpu import Gpu, LaunchResult, simulate_kernel
-from repro.sim.banks import BankedRegisterFile
 from repro.sim.multikernel import launch_concurrent, kernels_similar
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Gpu",
     "LaunchResult",
     "simulate_kernel",
-    "BankedRegisterFile",
     "launch_concurrent",
     "kernels_similar",
 ]

@@ -149,11 +149,6 @@ def capture_sm(sm) -> dict:
         "schedulers": [s.snapshot() for s in sm.schedulers],
         "technique": sm.technique.state_snapshot(),
     }
-    if sm.banked_rf is not None:
-        payload["banked_rf"] = {
-            "total_reads": sm.banked_rf.total_reads,
-            "total_conflicts": sm.banked_rf.total_conflicts,
-        }
     if sm._sanitizer is not None:
         payload["sanitizer"] = {
             "claims": {
@@ -255,9 +250,6 @@ def restore_into(sm, payload: dict) -> None:
     sm.technique.state_restore(payload["technique"], warps_by_id)
     sm.rng._state = s["rng_state"]
 
-    if sm.banked_rf is not None and payload.get("banked_rf") is not None:
-        sm.banked_rf.total_reads = payload["banked_rf"]["total_reads"]
-        sm.banked_rf.total_conflicts = payload["banked_rf"]["total_conflicts"]
     if sm._sanitizer is not None:
         claims = (payload.get("sanitizer") or {}).get("claims", {})
         sm._sanitizer._claims = {

@@ -202,7 +202,7 @@ class KernelColumns:
     """
 
     __slots__ = (
-        "kind", "lat", "dsts", "srcs", "regs", "insts",
+        "kind", "lat", "dsts", "regs", "insts",
         "tgt", "trip", "prob", "nregs",
     )
 
@@ -212,7 +212,6 @@ class KernelColumns:
         self.kind = [_kind_code(inst) for inst in insts]
         self.lat = [inst.latency for inst in insts]
         self.dsts = [inst.dsts for inst in insts]
-        self.srcs = [inst.srcs for inst in insts]
         # Qualification order matches Scoreboard.ready_cycle: srcs, dsts.
         self.regs = [(*inst.srcs, *inst.dsts) for inst in insts]
         self.tgt = [
@@ -389,9 +388,6 @@ class ColumnarUnit:
         self.nonmem_sleepers = 0
         self.barrier_count = 0
         self.acquire_count = 0
-
-    def sleeping_warps(self) -> int:
-        return self.mem_sleepers + self.nonmem_sleepers
 
 
 class ColumnarCore:

@@ -85,18 +85,18 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_idle_scheduler_cycles, *S_stall_memory, *S_stall_barrier,
     *S_stall_scoreboard, *S_stall_acquire, *S_resident_warp_cycles,
     *S_cycles, *S_cycle, *S_last_progress_cycle, *S_resident_warp_count,
-    *S_ctas_pending, *S_arrive_at_barrier, *S_extra_cycles,
-    *S_kind, *S_lat, *S_tgt, *S_trip, *S_prob, *S_dsts, *S_srcs,
+    *S_ctas_pending, *S_arrive_at_barrier,
+    *S_kind, *S_lat, *S_tgt, *S_trip, *S_prob, *S_dsts,
     *S_regs, *S_insts, *S_units, *S_sched, *S_ready, *S_candidates,
     *S_keep, *S_issued, *S_sleepers, *S_far, *S_pick, *S_notify_issued,
     *S_hot, *S_wid2slot, *S_columnar, *S_memory,
     *S_earliest_completion, *S_technique, *S_sanitizer_a,
-    *S_banked_rf, *S_observer_a, *S_stats, *S_resident_ctas,
+    *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_save_checkpoint, *S_config,
     *S_issue_width_per_scheduler, *S_watchdog_window,
     *S_max_in_flight, *S_on_issue, *S_on_cycle, *S_on_fast_forward,
     *S_on_checkpoint, *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
-    *S_release, *S_resolve_physical, *S_collect,
+    *S_release,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
     *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_loads_issued,
     *S_l1_hits, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate,
@@ -373,7 +373,6 @@ rng_uniform(PyObject *rng, double *out)
 typedef struct {
     PyObject *kc;       /* strong: keeps identity + arrays alive */
     PyObject *insts;    /* strong: tuple of Instruction */
-    PyObject *srcs;     /* strong: list of tuples (banked-RF path) */
     Py_ssize_t n;
     long *kind, *lat, *tgt, *trip;
     double *prob;
@@ -381,7 +380,6 @@ typedef struct {
     Py_ssize_t *regs_off;   /* n + 1 offsets into regs_data */
     long *dsts_data;
     Py_ssize_t *dsts_off;
-    Py_ssize_t *srcs_len;
 } KCache;
 
 static void
@@ -389,7 +387,6 @@ kcache_free(KCache *k)
 {
     Py_XDECREF(k->kc);
     Py_XDECREF(k->insts);
-    Py_XDECREF(k->srcs);
     PyMem_Free(k->kind);
     PyMem_Free(k->lat);
     PyMem_Free(k->tgt);
@@ -399,7 +396,6 @@ kcache_free(KCache *k)
     PyMem_Free(k->regs_off);
     PyMem_Free(k->dsts_data);
     PyMem_Free(k->dsts_off);
-    PyMem_Free(k->srcs_len);
     memset(k, 0, sizeof(*k));
 }
 
@@ -445,10 +441,9 @@ kcache_build(KCache *k, PyObject *kc)
     prob = PyObject_GetAttr(kc, S_prob);
     dsts = PyObject_GetAttr(kc, S_dsts);
     regs = PyObject_GetAttr(kc, S_regs);
-    k->srcs = PyObject_GetAttr(kc, S_srcs);
     k->insts = PyObject_GetAttr(kc, S_insts);
     if (!kind || !lat || !tgt || !trip || !prob || !dsts || !regs
-        || !k->srcs || !k->insts)
+        || !k->insts)
         goto done;
     Py_ssize_t n = PyList_GET_SIZE(kind);
     k->n = n;
@@ -457,9 +452,7 @@ kcache_build(KCache *k, PyObject *kc)
     k->tgt = PyMem_Malloc(sizeof(long) * (n ? n : 1));
     k->trip = PyMem_Malloc(sizeof(long) * (n ? n : 1));
     k->prob = PyMem_Malloc(sizeof(double) * (n ? n : 1));
-    k->srcs_len = PyMem_Malloc(sizeof(Py_ssize_t) * (n ? n : 1));
-    if (!k->kind || !k->lat || !k->tgt || !k->trip || !k->prob
-        || !k->srcs_len) {
+    if (!k->kind || !k->lat || !k->tgt || !k->trip || !k->prob) {
         PyErr_NoMemory();
         goto done;
     }
@@ -470,7 +463,6 @@ kcache_build(KCache *k, PyObject *kc)
         PyObject *t = PyList_GET_ITEM(trip, i);
         k->trip[i] = (t == Py_None) ? TRIP_NONE : PyLong_AsLong(t);
         k->prob[i] = PyFloat_AsDouble(PyList_GET_ITEM(prob, i));
-        k->srcs_len[i] = PyTuple_GET_SIZE(PyList_GET_ITEM(k->srcs, i));
     }
     if (PyErr_Occurred())
         goto done;
@@ -512,7 +504,6 @@ typedef struct {
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
         *tech_try_acquire, *tech_release;
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
-    PyObject *banked_rf, *tech_resolve_physical, *banked_collect;
     PyObject *observer;                          /* NULL: no observer */
     PyObject *obs_on_cycle, *obs_on_fast_forward, *obs_on_checkpoint,
         *obs_on_run_end;
@@ -550,8 +541,6 @@ runstate_free(RunState *S)
     Py_XDECREF(S->tech); Py_XDECREF(S->tech_try_acquire);
     Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_wakeup);
     Py_XDECREF(S->san_on_issue); Py_XDECREF(S->san_on_cycle);
-    Py_XDECREF(S->banked_rf); Py_XDECREF(S->tech_resolve_physical);
-    Py_XDECREF(S->banked_collect);
     Py_XDECREF(S->observer); Py_XDECREF(S->obs_on_cycle);
     Py_XDECREF(S->obs_on_fast_forward); Py_XDECREF(S->obs_on_checkpoint);
     Py_XDECREF(S->obs_on_run_end);
@@ -913,17 +902,6 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         S->san_on_cycle = PyObject_GetAttr(san, S_on_cycle);
         Py_DECREF(san);
         if (!S->san_on_issue || !S->san_on_cycle)
-            return -1;
-    }
-
-    S->banked_rf = getattr_or_none(sm, S_banked_rf);
-    if (S->banked_rf == NULL && PyErr_Occurred())
-        return -1;
-    if (S->banked_rf != NULL) {
-        S->tech_resolve_physical =
-            PyObject_GetAttr(S->tech, S_resolve_physical);
-        S->banked_collect = PyObject_GetAttr(S->banked_rf, S_collect);
-        if (!S->tech_resolve_physical || !S->banked_collect)
             return -1;
     }
 
@@ -1492,39 +1470,6 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                             goto pick_fail;
                         Py_DECREF(r);
                     }
-                    long bank_penalty = 0;
-                    if (S->banked_rf != NULL && kc->srcs_len[pc] > 0) {
-                        PyObject *srcs_t = PyList_GET_ITEM(kc->srcs, pc);
-                        Py_ssize_t m = PyTuple_GET_SIZE(srcs_t);
-                        PyObject *phys = PyList_New(m);
-                        if (phys == NULL)
-                            goto pick_fail;
-                        for (Py_ssize_t j = 0; j < m; j++) {
-                            PyObject *p = PyObject_CallFunctionObjArgs(
-                                S->tech_resolve_physical, view,
-                                PyTuple_GET_ITEM(srcs_t, j), NULL);
-                            if (p == NULL) {
-                                Py_DECREF(phys);
-                                goto pick_fail;
-                            }
-                            PyList_SET_ITEM(phys, j, p);
-                        }
-                        PyObject *res = PyObject_CallFunctionObjArgs(
-                            S->banked_collect, PyTuple_GET_ITEM(chosen, 1),
-                            phys, NULL);
-                        Py_DECREF(phys);
-                        if (res == NULL)
-                            goto pick_fail;
-                        PyObject *ec =
-                            PyObject_GetAttr(res, S_extra_cycles);
-                        Py_DECREF(res);
-                        if (ec == NULL)
-                            goto pick_fail;
-                        bank_penalty = PyLong_AsLong(ec);
-                        Py_DECREF(ec);
-                        if (bank_penalty == -1 && PyErr_Occurred())
-                            goto pick_fail;
-                    }
                     int exited = 0;
                     if (kind <= K_SHARED_LOAD) { /* ALU/LOAD/SHARED_LOAD */
                         long done;
@@ -1534,7 +1479,6 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                                                   kind == K_SHARED_LOAD,
                                                   &done) < 0)
                             goto pick_fail;
-                        done += bank_penalty;
                         if (sb_write(S, kc, pc, slot, wid_o, done) < 0
                             || advance_pc(S, slot, pc + 1) < 0)
                             goto pick_fail;
@@ -2274,14 +2218,12 @@ intern_all(void)
     IN(S_resident_warp_count, "_resident_warp_count");
     IN(S_ctas_pending, "ctas_pending");
     IN(S_arrive_at_barrier, "arrive_at_barrier");
-    IN(S_extra_cycles, "extra_cycles");
     IN(S_kind, "kind");
     IN(S_lat, "lat");
     IN(S_tgt, "tgt");
     IN(S_trip, "trip");
     IN(S_prob, "prob");
     IN(S_dsts, "dsts");
-    IN(S_srcs, "srcs");
     IN(S_regs, "regs");
     IN(S_insts, "insts");
     IN(S_units, "units");
@@ -2301,7 +2243,6 @@ intern_all(void)
     IN(S_earliest_completion, "earliest_completion");
     IN(S_technique, "technique");
     IN(S_sanitizer_a, "_sanitizer");
-    IN(S_banked_rf, "banked_rf");
     IN(S_observer_a, "_observer");
     IN(S_stats, "stats");
     IN(S_resident_ctas, "resident_ctas");
@@ -2320,8 +2261,6 @@ intern_all(void)
     IN(S_wakeup_pending, "wakeup_pending");
     IN(S_try_acquire, "try_acquire");
     IN(S_release, "release");
-    IN(S_resolve_physical, "resolve_physical");
-    IN(S_collect, "collect");
     IN(S_on_acquire_wake, "on_acquire_wake");
     IN(S_on_barrier_release, "on_barrier_release");
     IN(S_READY_attr, "READY");
@@ -2362,7 +2301,7 @@ PyInit__native(void)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
     EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 3) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 4) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

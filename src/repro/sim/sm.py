@@ -180,18 +180,12 @@ class StreamingMultiprocessor:
             columnar = False
         self._reset_warp_state(columnar)
         self.memory = MemoryModel(config, rng.fork(0x3E3))
-        if config.model_bank_conflicts:
-            from repro.sim.banks import BankedRegisterFile
-
-            self.banked_rf = BankedRegisterFile(config.register_file_banks)
-        else:
-            self.banked_rf = None
         self._resident_warp_count = 0
         self._next_warp_id = 0
         self._next_cta_seq = 0
         # SM-local warp-slot allocator.  Hardware structures (SRP status
-        # bits, base register blocks, banked-RF lanes) are indexed by a
-        # slot in [0, max_warps_per_sm); ``warp_id % max_warps_per_sm``
+        # bits, base register blocks) are indexed by a slot in
+        # [0, max_warps_per_sm); ``warp_id % max_warps_per_sm``
         # aliases once ids wrap past the slot count while earlier warps
         # are still resident (out-of-order CTA retirement), so slots are
         # allocated explicitly: the modulo value when free — which keeps
@@ -389,17 +383,8 @@ class StreamingMultiprocessor:
         if self._sanitizer is not None:
             self._sanitizer.on_issue(warp, inst, cycle)
 
-        bank_penalty = 0
-        if self.banked_rf is not None and inst.srcs:
-            physical = [
-                self.technique.resolve_physical(warp, reg) for reg in inst.srcs
-            ]
-            bank_penalty = self.banked_rf.collect(
-                warp.slot, physical
-            ).extra_cycles
-
         if inst.op_class in (OpClass.IALU, OpClass.FALU, OpClass.SFU, OpClass.NOP):
-            done = cycle + inst.latency + bank_penalty
+            done = cycle + inst.latency
             for reg in inst.dsts:
                 self.scoreboard.record_write(warp.warp_id, reg, done)
             warp.advance(warp.pc + 1)
@@ -407,7 +392,7 @@ class StreamingMultiprocessor:
 
         if inst.op_class is OpClass.LOAD:
             shared = inst.opcode is Opcode.LD_SHARED
-            ready = self.memory.issue_load(cycle, shared=shared) + bank_penalty
+            ready = self.memory.issue_load(cycle, shared=shared)
             for reg in inst.dsts:
                 self.scoreboard.record_write(warp.warp_id, reg, ready)
             warp.advance(warp.pc + 1)

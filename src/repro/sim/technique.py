@@ -89,7 +89,8 @@ class SmTechniqueState:
         return None
 
     def resolve_physical(self, warp: Warp, arch_reg: int) -> int:
-        """Architected-to-physical mapping for the bank-conflict model.
+        """Architected-to-physical mapping, read by the sanitizer's
+        physical-bounds and physical-aliasing checks.
 
         Default: the stock ``Y = X + Coeff * Widx`` with the kernel's
         declared per-thread register count as the coefficient (paper

@@ -79,7 +79,7 @@ class Warp:
         self.warp_id = warp_id
         self.cta_id = cta_id
         # SM-local warp slot: indexes the per-SM hardware structures
-        # (SRP status bit, register-file base block, banked-RF lane).
+        # (SRP status bit, register-file base block).
         # warp_id is globally unique and monotonic; two warps whose ids
         # differ by max_warps_per_sm must still get distinct slots, so
         # the SM allocates slots explicitly.  Defaults to warp_id for

@@ -184,11 +184,23 @@ class TestCacheKeyHygiene:
         names = {f.name for f in dataclasses.fields(GpuConfig)}
         assert _TIMING_NEUTRAL_CONFIG_FIELDS <= names
 
+    def test_retired_fields_are_not_config_fields(self):
+        """A retired name still on GpuConfig would be serialized twice,
+        and the live value would silently win over the pinned one."""
+        import dataclasses
+
+        from repro.arch.config import GpuConfig
+        from repro.harness.runner import _RETIRED_CONFIG_FIELDS
+
+        names = {f.name for f in dataclasses.fields(GpuConfig)}
+        assert not names & _RETIRED_CONFIG_FIELDS.keys()
+
     def test_golden_v6_key(self, cfg):
         """One fixed (kernel, config, technique) key, pinned at the hex
-        digest computed before ``runtime_safety_checks`` and
-        ``debug_invariants`` left GpuConfig: removing a field must not
-        move any v6 key."""
+        digest computed before ``runtime_safety_checks``,
+        ``debug_invariants``, ``model_bank_conflicts`` and
+        ``register_file_banks`` left GpuConfig: removing a field must
+        not move any v6 key."""
         from repro.harness.runner import CACHE_KEY_VERSION
         from repro.regmutex.issue_logic import RegMutexTechnique
 

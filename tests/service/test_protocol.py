@@ -14,6 +14,7 @@ from repro.errors import (
     ServiceUnavailableError,
     ServiceVersionError,
 )
+from repro.harness.runner import _RETIRED_CONFIG_FIELDS
 from repro.harness.spec import TechniqueSpec
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -83,6 +84,15 @@ class TestJobMarshalling:
         wire = job_to_wire(make_job())
         wire["config"]["no_such_field"] = 1
         with pytest.raises(ServiceSpecError):
+            job_from_wire(wire)
+
+    @pytest.mark.parametrize("field", sorted(_RETIRED_CONFIG_FIELDS))
+    def test_retired_config_field_is_spec_error(self, field):
+        """A client still sending a deleted knob (``model_bank_conflicts``
+        among them) is refused by name, never run with it dropped."""
+        wire = job_to_wire(make_job())
+        wire["config"][field] = _RETIRED_CONFIG_FIELDS[field]
+        with pytest.raises(ServiceSpecError, match=field):
             job_from_wire(wire)
 
 
