@@ -23,69 +23,132 @@ Model specifics:
 
 from __future__ import annotations
 
+from array import array
+from types import MappingProxyType
+from typing import Mapping
+
 from repro.arch.config import GpuConfig
 from repro.arch.occupancy import OccupancyResult, theoretical_occupancy
 from repro.isa.instructions import Instruction
 from repro.isa.kernel import Kernel
 from repro.liveness.liveness import analyze_liveness
+from repro.sim.columnar import buffer_field
 from repro.sim.stats import SmStats
 from repro.sim.technique import SharingTechnique, SmTechniqueState
 from repro.sim.warp import Warp
 
 
+# Slots of ``RfvSmState.pool``.
+RFV_POOL_FREE = 0
+RFV_RESERVE_HOLDER = 1  # a warp id; -1 means None
+RFV_PEAK_POOL_USE = 2
+RFV_POOL_CAPACITY = 3
+RFV_NEXT_ORDER = 4      # the next first-issue sequence number
+
+
 class RfvSmState(SmTechniqueState):
-    """Per-SM virtualized register pool."""
+    """Per-SM virtualized register pool.
+
+    The state lives in ``array('l')`` buffers that the columnar engine's
+    C loop reads and writes in place (:meth:`native_gate`):
+
+    * ``live_count`` — per pc, the static live register count (demand);
+    * ``held`` — per warp slot, the per-thread registers it holds;
+    * ``owner`` / ``order`` — per slot, the holder's warp id and its
+      first-issue sequence number (-1: the slot holds no allocation),
+      which keep ``allocated`` in the order the warps first issued;
+    * ``pool`` — ``[pool_free, reserve_holder, peak_pool_use,
+      pool_capacity, next_order]``.
+
+    ``can_issue``/``on_issue`` below are the specification and what the
+    scan stepper runs; the C loop evaluates the same rules over the same
+    buffers when they are bound unwrapped.
+    """
 
     def __init__(self, kernel: Kernel, config: GpuConfig, stats: SmStats) -> None:
         super().__init__(kernel, config, stats)
         info = analyze_liveness(kernel)
-        self._live_count = info.live_count
-        self.pool_capacity = config.registers_per_sm // config.warp_size
-        self.pool_free = self.pool_capacity
-        self._allocated: dict[int, int] = {}  # warp_id -> per-thread regs held
-        self.peak_pool_use = 0
+        self.live_count = array("l", info.live_count)
+        slots = config.max_warps_per_sm
+        self.held = array("l", [0]) * slots
+        self.owner = array("l", [-1]) * slots
+        self.order = array("l", [-1]) * slots
+        capacity = config.registers_per_sm // config.warp_size
         # Forward-progress reserve: exactly one warp may over-allocate
         # from an exhausted pool.  The token must never sit on a warp
         # that cannot run (a barrier waiter would deadlock the SM), so it
         # is dropped when the holder hits a barrier, returns registers,
         # or finishes.
-        self._reserve_holder: int | None = None
+        self.pool = array("l", [capacity, -1, 0, capacity, 0])
+        self._gate = (
+            self.live_count, self.held, self.owner, self.order, self.pool,
+        )
 
-    def _demand_at(self, warp: Warp) -> int:
-        return self._live_count[warp.pc]
+    pool_free = buffer_field("pool", RFV_POOL_FREE)
+    peak_pool_use = buffer_field("pool", RFV_PEAK_POOL_USE)
+    pool_capacity = buffer_field("pool", RFV_POOL_CAPACITY)
+
+    @property
+    def _reserve_holder(self) -> int | None:
+        holder = self.pool[RFV_RESERVE_HOLDER]
+        return None if holder < 0 else holder
+
+    @property
+    def _allocated(self) -> Mapping[int, int]:
+        """warp_id -> per-thread registers held, in first-issue order."""
+        order = self.order
+        holders = sorted(
+            (slot for slot in range(len(order)) if order[slot] >= 0),
+            key=order.__getitem__,
+        )
+        return MappingProxyType(
+            {self.owner[slot]: self.held[slot] for slot in holders}
+        )
+
+    def native_gate(self) -> tuple:
+        return self._gate
 
     def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
-        held = self._allocated.get(warp.warp_id, 0)
-        needed = self._demand_at(warp) - held
+        needed = self.live_count[warp.pc] - self.held[warp.slot]
         if needed <= 0:
             return True
-        if self.pool_free >= needed:
+        pool = self.pool
+        if pool[RFV_POOL_FREE] >= needed:
             return True
-        if self._reserve_holder in (None, warp.warp_id):
-            self._reserve_holder = warp.warp_id
+        if pool[RFV_RESERVE_HOLDER] in (-1, warp.warp_id):
+            pool[RFV_RESERVE_HOLDER] = warp.warp_id
             return True
         warp.stalled_on = "technique"
         return False
 
     def on_issue(self, warp: Warp, inst: Instruction, cycle: int) -> None:
-        held = self._allocated.get(warp.warp_id, 0)
-        demand = self._demand_at(warp)
-        delta = demand - held
-        self.pool_free -= delta
-        self._allocated[warp.warp_id] = demand
-        used = self.pool_capacity - self.pool_free
-        if used > self.peak_pool_use:
-            self.peak_pool_use = used
-        if self._reserve_holder == warp.warp_id and (
+        slot = warp.slot
+        pool = self.pool
+        demand = self.live_count[warp.pc]
+        delta = demand - self.held[slot]
+        pool[RFV_POOL_FREE] -= delta
+        if self.order[slot] < 0:
+            self.order[slot] = pool[RFV_NEXT_ORDER]
+            pool[RFV_NEXT_ORDER] += 1
+            self.owner[slot] = warp.warp_id
+        self.held[slot] = demand
+        used = pool[RFV_POOL_CAPACITY] - pool[RFV_POOL_FREE]
+        if used > pool[RFV_PEAK_POOL_USE]:
+            pool[RFV_PEAK_POOL_USE] = used
+        if pool[RFV_RESERVE_HOLDER] == warp.warp_id and (
             delta < 0 or inst.is_barrier
         ):
-            self._reserve_holder = None
+            pool[RFV_RESERVE_HOLDER] = -1
 
     def on_warp_finish(self, warp: Warp, cycle: int) -> None:
-        held = self._allocated.pop(warp.warp_id, 0)
-        self.pool_free += held
-        if self._reserve_holder == warp.warp_id:
-            self._reserve_holder = None
+        slot = warp.slot
+        pool = self.pool
+        pool[RFV_POOL_FREE] += self.held[slot]
+        self.held[slot] = 0
+        self.owner[slot] = -1
+        self.order[slot] = -1
+        if pool[RFV_RESERVE_HOLDER] == warp.warp_id:
+            pool[RFV_RESERVE_HOLDER] = -1
 
     def state_snapshot(self) -> dict:
         return {
@@ -96,12 +159,21 @@ class RfvSmState(SmTechniqueState):
         }
 
     def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self.pool_free = payload["pool_free"]
-        self._allocated = {
-            int(w): h for w, h in payload["allocated"].items()
-        }
-        self.peak_pool_use = payload["peak_pool_use"]
-        self._reserve_holder = payload["reserve_holder"]
+        # In place: a C-loop run shares these buffers.
+        slots = len(self.held)
+        self.held[:] = array("l", [0]) * slots
+        self.owner[:] = array("l", [-1]) * slots
+        self.order[:] = array("l", [-1]) * slots
+        for seq, (wid, held) in enumerate(payload["allocated"].items()):
+            slot = warps_by_id[int(wid)].slot
+            self.held[slot] = held
+            self.owner[slot] = int(wid)
+            self.order[slot] = seq
+        holder = payload["reserve_holder"]
+        self.pool[RFV_POOL_FREE] = payload["pool_free"]
+        self.pool[RFV_RESERVE_HOLDER] = -1 if holder is None else holder
+        self.pool[RFV_PEAK_POOL_USE] = payload["peak_pool_use"]
+        self.pool[RFV_NEXT_ORDER] = len(payload["allocated"])
 
 
 class RfvTechnique(SharingTechnique):

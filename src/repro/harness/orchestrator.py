@@ -310,6 +310,7 @@ class JobExecutor:
             job.label, seconds, mode,
             failed=failure is not None,
             failure_kind=failure[0] if failure else None,
+            failure_message=failure[1] if failure else None,
             attempts=attempts,
             cycles=record.cycles if failure is None else None,
             resumed_from_cycle=resumed,

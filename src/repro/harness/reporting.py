@@ -62,11 +62,18 @@ def percent(value: float) -> str:
     return f"{value * 100:+.1f}%"
 
 
+def _first_line(message: str | None, width: int = 120) -> str:
+    """A failure message cut to one table cell."""
+    line = (message or "").strip().split("\n", 1)[0]
+    return line if len(line) <= width else line[: width - 3] + "..."
+
+
 def format_telemetry(telemetry, slowest: int = 10) -> str:
     """Render a :class:`~repro.harness.telemetry.SessionTelemetry` report.
 
     One summary table (job counts, cache hits/misses, wall vs simulated
-    seconds, worker utilization) followed by the slowest simulated jobs.
+    seconds, worker utilization), the failures by kind and each failed
+    job with what it raised, then the slowest simulated jobs.
     """
     summary = format_table(
         ["metric", "value"],
@@ -91,6 +98,13 @@ def format_telemetry(telemetry, slowest: int = 10) -> str:
             ["failure kind", "count"],
             [[kind, count] for kind, count in by_kind.items()],
             title="failures by kind",
+        )
+        summary += "\n\n" + format_table(
+            ["job", "kind", "raised"],
+            [[t.label, t.failure_kind or "error",
+              _first_line(t.failure_message)]
+             for t in telemetry.timings if t.failed],
+            title="failed jobs",
         )
     jobs = telemetry.slowest(slowest)
     if not jobs:

@@ -36,8 +36,10 @@ class JobTiming:
     """One job's execution record.
 
     ``failure_kind`` carries the :mod:`repro.errors` taxonomy label when
-    the job failed; ``attempts`` counts dispatches (>1 after retries of
-    transient worker crashes).
+    the job failed, and ``failure_message`` what it raised (for a
+    ``job-error``, the exception class and where it was raised);
+    ``attempts`` counts dispatches (>1 after retries of transient worker
+    crashes).
     """
 
     label: str
@@ -57,6 +59,7 @@ class JobTiming:
     # runs where the C loop cannot be built); None for cached and failed
     # jobs.  Never part of a record or cache key.
     loop: str | None = None
+    failure_message: str | None = None
 
     @property
     def cached(self) -> bool:
@@ -85,6 +88,7 @@ class JobTiming:
             "cycles_per_sec": round(cps, 1) if cps is not None else None,
             "failed": self.failed,
             "failure_kind": self.failure_kind,
+            "failure_message": self.failure_message,
             "attempts": self.attempts,
             "resumed_from_cycle": self.resumed_from_cycle,
             "loop": self.loop,
@@ -119,6 +123,7 @@ class JobTiming:
             cycles=data.get("cycles"),
             resumed_from_cycle=data.get("resumed_from_cycle"),
             loop=data.get("loop"),
+            failure_message=data.get("failure_message"),
         )
 
 
@@ -144,10 +149,12 @@ class SessionTelemetry:
                failed: bool = False, failure_kind: str | None = None,
                attempts: int = 1, cycles: int | None = None,
                resumed_from_cycle: int | None = None,
-               loop: str | None = None) -> JobTiming:
+               loop: str | None = None,
+               failure_message: str | None = None) -> JobTiming:
         """Append one job's timing and return it."""
         timing = JobTiming(label, seconds, mode, failed, failure_kind,
-                           attempts, cycles, resumed_from_cycle, loop)
+                           attempts, cycles, resumed_from_cycle, loop,
+                           failure_message)
         self.timings.append(timing)
         return timing
 

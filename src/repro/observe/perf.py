@@ -21,7 +21,8 @@ Schema (``PERF_ARTIFACT_VERSION`` 1)::
       "failure_kinds": {"<kind>": N, ...},
       "figures": {"<fig>": {"<metric>": float, ...}, ...},   # optional
       "jobs": [{"label", "mode", "seconds", "cycles", "cycles_per_sec",
-                "failed", "failure_kind", "attempts"}, ...]
+                "failed", "failure_kind", "failure_message", "attempts",
+                "resumed_from_cycle", "loop"}, ...]
     }
 
 ``totals.cycles`` counts **computed** (non-cached) jobs only: cache hits

@@ -32,15 +32,33 @@ This module restructures the per-SM hot state into a **columnar store**:
   re-check, deadlock diagnostics, checkpoints), over the rows, so those
   callers are agnostic to which engine owns the state.
 
-Representation note (measured, not assumed): the hot columns are plain
-Python lists, *not* NumPy arrays.  Scalar indexing — which is all the
-issue loop does — costs ~74 ns on a list vs ~186 ns on an ndarray (and
-numpy scalar comparison boxes through ``np.bool_``), so ndarray-backed
-columns would be ~2.5x *slower* here.  NumPy earns its keep on the bulk
-reads: :meth:`ColumnarCore.snapshot` exports the columns as arrays, and
-the masked invariant sweeps (:meth:`ColumnarCore.check_hygiene`, the
-probes' histogram path) vectorize over them.  NumPy is optional at
-import — the pure-Python fallbacks keep minimal installs working.
+Representation note: the hot columns are ``array('l')`` buffers —
+``pc``, ``wake``, ``status``, ``stall``, ``qstate``, ``dyn``,
+``sb_max``, every slot's scoreboard row, and each unit's four counters
+(``ColumnarUnit.counts``).  Python indexes them like lists (an ``int``
+in, an ``int`` out), and the C loop reads and writes the same memory as
+plain C ``long`` values, so no column is mirrored and no value is boxed
+on the loop's side.  The buffer contract:
+
+* the loop takes one writable buffer per column (and per unit's
+  counters) for a whole run, and caches each scoreboard row's buffer
+  by the row object's identity, re-taking it when ``new_warp`` swaps a
+  slot's row;
+* it refuses a buffer whose items are not C ``long`` values with
+  a ``TypeError`` — never a silent fallback;
+* it releases every buffer on every exit (a finished run, each
+  ``STOP_*`` code, a hook that raises), so the arrays can be resized
+  again afterwards;
+* while a run holds them, the arrays must not change size (``array``
+  raises ``BufferError`` if anything tries): ``__init__`` sizes every
+  column to ``max_warps_per_sm`` slots up front, and code outside the
+  loop writes through indexing only.
+
+NumPy is not used on the hot path: :meth:`ColumnarCore.snapshot`
+exports the columns as arrays for the masked invariant sweeps
+(:meth:`ColumnarCore.check_hygiene`, the probes' histogram path).
+NumPy is optional at import — the pure-Python fallbacks keep minimal
+installs working.
 
 Scoreboard rows never expire (unlike the dict engine's periodic
 ``expire``): a stale entry has ``ready <= cycle`` and every consumer
@@ -97,7 +115,9 @@ property tests and the differential oracle.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappush
+from operator import attrgetter
 
 from repro.isa.instructions import Instruction, OpClass, Opcode
 from repro.isa.kernel import Kernel
@@ -169,6 +189,26 @@ K_RELEASE = 9
 STOP_DEADLOCK = 2     # no issuable warp and no pending timer
 STOP_WATCHDOG = 3     # no forward progress for a watchdog window
 STOP_CYCLE_LIMIT = 4  # past the max_cycles backstop
+
+# Slots of ``ColumnarUnit.counts``.
+U_MEM_SLEEPERS = 0
+U_NONMEM_SLEEPERS = 1
+U_BARRIER = 2
+U_ACQUIRE = 3
+
+
+def buffer_field(buffer: str, index: int) -> property:
+    """An int attribute stored at ``self.<buffer>[index]``: a slot of an
+    ``array('l')`` the C loop shares, under its Python name."""
+    items = attrgetter(buffer)
+
+    def get(self) -> int:
+        return items(self)[index]
+
+    def set(self, value: int) -> None:
+        items(self)[index] = value
+
+    return property(get, set)
 
 
 def _kind_code(inst: Instruction) -> int:
@@ -365,9 +405,13 @@ class ColumnarUnit:
 
     __slots__ = (
         "sched", "kind", "ready", "candidates", "keep", "issued",
-        "sleepers", "far", "mem_sleepers", "nonmem_sleepers",
-        "barrier_count", "acquire_count",
+        "sleepers", "far", "counts",
     )
+
+    mem_sleepers = buffer_field("counts", U_MEM_SLEEPERS)
+    nonmem_sleepers = buffer_field("counts", U_NONMEM_SLEEPERS)
+    barrier_count = buffer_field("counts", U_BARRIER)
+    acquire_count = buffer_field("counts", U_ACQUIRE)
 
     def __init__(self, sched) -> None:
         self.sched = sched
@@ -384,18 +428,20 @@ class ColumnarUnit:
         # (wake_cycle, warp_id, slot, is_memory_stall)
         self.sleepers: list[tuple[int, int, int, bool]] = []
         self.far: list[int] = []
-        self.mem_sleepers = 0
-        self.nonmem_sleepers = 0
-        self.barrier_count = 0
-        self.acquire_count = 0
+        # mem_sleepers, nonmem_sleepers, barrier_count, acquire_count:
+        # one buffer the C loop shares (see the properties above).
+        self.counts = array("l", [0, 0, 0, 0])
 
 
 class ColumnarCore:
     """The per-SM columnar store plus its event bookkeeping.
 
-    Columns are parallel lists indexed by warp slot; ``wid[slot] == -1``
-    marks a free slot.  ``hot`` is a prebuilt tuple of the stepper's
-    column references, which the C loop reads once per run.
+    Columns are parallel sequences indexed by warp slot; ``wid[slot] ==
+    -1`` marks a free slot.  The ones the C loop reads every cycle are
+    ``array('l')`` buffers (module docstring); the object-valued ones
+    (views, kernel columns, rngs, trips, rows) and the cold ones stay
+    lists.  ``hot`` is a prebuilt tuple of the loop's column references,
+    which the C loop reads once per run.
     """
 
     __slots__ = (
@@ -412,18 +458,18 @@ class ColumnarCore:
         self.num_schedulers = len(schedulers)
         self.issue_width = config.issue_width_per_scheduler
         self.capacity = 0
-        self.pc: list[int] = []
-        self.wake: list[int] = []
-        self.status: list[int] = []
-        self.stall: list[int] = []
-        self.qstate: list[int] = []
-        self.dyn: list[int] = []
+        self.pc = array("l")
+        self.wake = array("l")
+        self.status = array("l")
+        self.stall = array("l")
+        self.qstate = array("l")
+        self.dyn = array("l")
         self.views: list[ColumnarWarpView | None] = []
         self.kcs: list[KernelColumns | None] = []
         self.rngs: list[DeterministicRng | None] = []
         self.trips: list[dict | None] = []
-        self.sb_rows: list[list[int] | None] = []
-        self.sb_max: list[int] = []
+        self.sb_rows: list[array | None] = []
+        self.sb_max = array("l")
         # Scoreboard completion min-heap of (ready_cycle, warp_id, reg);
         # lazily validated against the rows (see ColumnarScoreboard).
         self.sb_heap: list[tuple[int, int, int]] = []
@@ -444,8 +490,10 @@ class ColumnarCore:
         )
 
     def _ensure(self, slot: int) -> None:
-        """Grow every column to cover ``slot`` (lists mutate in place, so
-        the prebuilt ``hot`` tuple stays valid)."""
+        """Grow every column to cover ``slot`` (columns grow in place, so
+        the prebuilt ``hot`` tuple stays valid).  Never during a C-loop
+        run, which holds the arrays' buffers: the constructor covers
+        every slot the SM can allocate."""
         while self.capacity <= slot:
             self.pc.append(0)
             self.wake.append(0)
@@ -498,7 +546,7 @@ class ColumnarCore:
         self.kcs[slot] = kc
         self.rngs[slot] = rng
         self.trips[slot] = view._trips_remaining
-        self.sb_rows[slot] = [0] * kc.nregs
+        self.sb_rows[slot] = array("l", [0]) * kc.nregs
         self.sb_max[slot] = 0
         self.wid[slot] = warp_id
         self.holds[slot] = False
@@ -760,9 +808,10 @@ class ColumnarScoreboard:
     """The ``Scoreboard`` methods used outside the issue loop, over the
     columnar rows (the loops read the rows directly).
 
-    Rows are per-slot lists indexed by architected register, sized from
-    the kernel's pre-decode; ``sb_max`` caches each slot's maximum
-    pending completion so the clean-slot common case is one comparison.
+    Rows are per-slot ``array('l')`` buffers indexed by architected
+    register, sized from the kernel's pre-decode; ``sb_max`` caches each
+    slot's maximum pending completion so the clean-slot common case is
+    one comparison.
     Entries are never deleted — values only grow, stale ones are
     ``<= cycle`` and invisible to every ``> cycle`` predicate (see
     module docstring).

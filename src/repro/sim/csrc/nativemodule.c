@@ -6,22 +6,44 @@
  * check; otherwise it is built on the scan reference stepper instead.
  *
  * The loop drives the columnar store of repro.sim.columnar and operates
- * on the *same* Python objects: the ColumnarCore column lists, the
- * per-unit ready/sleeper/far structures, the scheduler and technique
- * objects.  No state is mirrored into C between cycles — every list,
- * dict and counter is mutated in place through the CPython API, so
- * views, checkpoints, hooks and the sanitizer observe the state the
- * scan stepper's schedule implies at every observation point.
+ * on the *same* Python objects: the ColumnarCore columns, the per-unit
+ * ready/sleeper/far structures, the scheduler and technique objects.
+ * No state is mirrored into C between cycles, so views, checkpoints,
+ * hooks and the sanitizer observe the state the scan stepper's schedule
+ * implies at every observation point.
+ *
+ * Buffer contract.  The state the loop touches every cycle is
+ * array('l') memory that Python reads and writes too: the pc, wake,
+ * status, stall, qstate, dyn and sb_max columns, every slot's
+ * scoreboard row, each unit's counts (mem_sleepers, nonmem_sleepers,
+ * barrier_count, acquire_count), the MemoryModel's _counters
+ * (_in_flight_total, _next_retire with -1 for None, loads_issued,
+ * l1_hits) and a technique's native_gate() declaration.  The loop
+ * takes one writable buffer per object for the whole run (rows are
+ * cached per slot by the row object's identity, so new_warp's fresh
+ * row is re-taken), reads and writes them as plain longs, and releases
+ * every buffer on every exit: a finished run, each STOP_* code and a
+ * hook that raises.  A buffer whose items are not C longs is refused
+ * with TypeError; there is no boxed fallback.  While a run holds them
+ * the arrays cannot be resized (array raises BufferError), which the
+ * columns never need: they are sized for every slot up front.  Heaps,
+ * ready lists and the in-flight dict stay Python objects, mutated in
+ * place through the CPython API.
  *
  * Python is re-entered only at the scan stepper's hook points:
  * technique can_issue/on_issue/try_acquire/release/wakeup_pending,
  * sanitizer + observer strides (on_cycle every cycle while one is
  * attached), CTA barrier arrival and EXIT commit, the memory model's
- * earliest_completion, checkpoint emission.  Everything else
- * (qualification in launch order, scoreboard pending-maxima, the stock
- * MemoryModel's issue_load/retire, sleeper fast-forward, stall
- * attribution) runs as plain C over unboxed longs.  sm.py calls in only
- * with a stock MemoryModel and raises TypeError for any other.
+ * earliest_completion, checkpoint emission.  Every re-entry sets
+ * py_ran, and wakeup_pending is drained only on a cycle that follows
+ * one: only Python code can queue a wakeup.  A technique whose gate is
+ * data (RfvSmState.native_gate) is not re-entered for can_issue or
+ * on_issue at all, unless a wrapper overrides the hook; the wrapper's
+ * call then reaches the same buffers.  Everything else (qualification
+ * in launch order, scoreboard pending-maxima, the stock MemoryModel's
+ * issue_load/retire, sleeper fast-forward, stall attribution) runs as
+ * plain C.  sm.py calls in only with a stock MemoryModel and raises
+ * TypeError for any other.
  *
  * Error contract: any hook may raise; we return NULL *without*
  * flushing the delta-stat locals.  The deadlock / watchdog /
@@ -74,14 +96,29 @@
 #define STOP_WATCHDOG 3
 #define STOP_CYCLE_LIMIT 4
 
+/* Slots of ColumnarUnit.counts, MemoryModel._counters and the RFV
+ * pool (repro.sim.columnar, repro.sim.memory, repro.baselines.rfv). */
+#define U_MEM_SLEEPERS 0
+#define U_NONMEM_SLEEPERS 1
+#define U_BARRIER 2
+#define U_ACQUIRE 3
+#define M_IN_FLIGHT_TOTAL 0
+#define M_NEXT_RETIRE 1 /* -1: nothing in flight */
+#define M_LOADS_ISSUED 2
+#define M_L1_HITS 3
+#define RFV_POOL_FREE 0
+#define RFV_RESERVE_HOLDER 1 /* -1: nobody */
+#define RFV_PEAK_POOL_USE 2
+#define RFV_POOL_CAPACITY 3
+#define RFV_NEXT_ORDER 4
+
 #define TRIP_NONE LONG_MIN
 #define U64_MASK 0xFFFFFFFFFFFFFFFFULL
 
 /* ---- interned attribute names -------------------------------------- */
 static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
-    *S_issued_count, *S_greedy, *S_last_id, *S_barrier_count,
-    *S_acquire_count, *S_mem_sleepers, *S_nonmem_sleepers,
-    *S_next_retire, *S_in_flight_total, *S_instructions_issued,
+    *S_issued_count, *S_greedy, *S_last_id, *S_counts, *S_counters,
+    *S_instructions_issued,
     *S_idle_scheduler_cycles, *S_stall_memory, *S_stall_barrier,
     *S_stall_scoreboard, *S_stall_acquire, *S_resident_warp_cycles,
     *S_cycles, *S_cycle, *S_last_progress_cycle, *S_resident_warp_count,
@@ -98,8 +135,7 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_on_checkpoint, *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
     *S_release,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
-    *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_loads_issued,
-    *S_l1_hits, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate,
+    *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate,
     *S_mod_warp, *S_mod_sm, *S_WarpStatus, *S_EXPIRE_PERIOD,
     *S_EAGER_RETRY_BACKOFF, *S_MEMORY_STALL_HORIZON;
 
@@ -109,15 +145,6 @@ static inline long
 lget(PyObject *list, Py_ssize_t i)
 {
     return PyLong_AsLong(PyList_GET_ITEM(list, i));
-}
-
-static inline int
-lset(PyObject *list, Py_ssize_t i, long v)
-{
-    PyObject *o = PyLong_FromLong(v);
-    if (o == NULL)
-        return -1;
-    return PyList_SetItem(list, i, o);
 }
 
 static long
@@ -492,17 +519,28 @@ typedef struct {
     PyObject *unit, *sched;
     PyObject *ready, *candidates, *keep, *issued, *sleepers, *far;
     PyObject *sched_pick, *sched_notify; /* kind 2 only */
+    long *counts;                        /* ColumnarUnit.counts */
     long kind;
 } UnitC;
+
+/* RfvSmState.native_gate(): (live_count, held, owner, order, pool). */
+typedef struct {
+    long *live, *held, *owner, *order, *pool;
+    Py_ssize_t npc, nslots;
+} RfvGate;
 
 typedef struct {
     PyObject *sm;
     PyObject *core, *hot;
-    PyObject *pc_col, *wake_col, *status_col, *stall_col, *qstate_col,
-        *dyn_col, *views, *kcs, *rngs, *trips, *sb_rows, *sb_max, *sb_heap;
+    /* array('l') columns, indexed by slot (buffers in bufs). */
+    long *pc, *wake, *status, *stall, *qstate, *dyn, *sb_max;
+    PyObject *views, *kcs, *rngs, *trips, *sb_rows, *sb_heap;
     PyObject *memory, *mem_earliest, *mem_rng, *mem_in_flight;
+    long *memc;                                  /* MemoryModel._counters */
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
         *tech_try_acquire, *tech_release;
+    RfvGate rfv;
+    int gate_can, gate_on;      /* the RFV gate replaces can_issue/on_issue */
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *observer;                          /* NULL: no observer */
     PyObject *obs_on_cycle, *obs_on_fast_forward, *obs_on_checkpoint,
@@ -516,6 +554,9 @@ typedef struct {
     long l1_lat, dram_lat, shared_lat;
     double l1_rate;
     int multi_issue, tail_hooks, tech_wakeups;
+    /* Set at every re-entry into Python: only Python code can queue a
+     * technique wakeup, so the drain runs only on a cycle after one. */
+    int py_ran;
     long expire_period, eager_backoff, horizon;
     UnitC *units;
     int nunits;
@@ -524,6 +565,15 @@ typedef struct {
     PyObject **slot_kc_obj;
     KCache **slot_kc;
     Py_ssize_t slot_cap;
+    /* Every buffer held for the run (columns, counters, gate); sized
+     * once in runstate_setup, so the views never move. */
+    Py_buffer *bufs;
+    int nbufs, bufcap;
+    /* Scoreboard rows: the buffer of sb_rows[slot], cached by the row
+     * object's identity (its buffer holds a reference, so the identity
+     * stays unique while cached). */
+    PyObject **row_obj;
+    Py_buffer *row_buf;
     long d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res;
     long cycle, last_progress;
     /* Mirror of sm._resident_warp_count: only CTA retire/launch (the
@@ -531,6 +581,10 @@ typedef struct {
      * after every on-exit call instead of every cycle. */
     long resident_cnt;
 } RunState;
+
+/* A Python call from the loop: marks the re-entry for the wakeup drain. */
+#define PYCALL(S, ...) \
+    ((S)->py_ran = 1, PyObject_CallFunctionObjArgs(__VA_ARGS__, NULL))
 
 static void
 runstate_free(RunState *S)
@@ -550,6 +604,15 @@ runstate_free(RunState *S)
     Py_XDECREF(S->status_ready); Py_XDECREF(S->status_waiting_acquire);
     Py_XDECREF(S->on_acquire_wake); Py_XDECREF(S->on_barrier_release);
     Py_XDECREF(S->cyc_obj);
+    for (int i = 0; i < S->nbufs; i++)
+        PyBuffer_Release(&S->bufs[i]);
+    PyMem_Free(S->bufs);
+    if (S->row_obj != NULL)
+        for (Py_ssize_t i = 0; i < S->slot_cap; i++)
+            if (S->row_obj[i] != NULL)
+                PyBuffer_Release(&S->row_buf[i]);
+    PyMem_Free(S->row_obj);
+    PyMem_Free(S->row_buf);
     if (S->units != NULL) {
         for (int i = 0; i < S->nunits; i++) {
             UnitC *u = &S->units[i];
@@ -568,6 +631,167 @@ runstate_free(RunState *S)
     }
     PyMem_Free(S->slot_kc_obj);
     PyMem_Free(S->slot_kc);
+}
+
+/* ---- shared long buffers -------------------------------------------- */
+
+/* Export obj's buffer into *view as writable C longs, or fail: a
+ * TypeError names `what` when the items are anything else. */
+static int
+long_buffer(PyObject *obj, Py_buffer *view, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)
+            || PyErr_ExceptionMatches(PyExc_BufferError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError,
+                         "%s must be a writable array('l'), not %.100s",
+                         what, Py_TYPE(obj)->tp_name);
+        }
+        return -1;
+    }
+    if (view->itemsize != (Py_ssize_t)sizeof(long) || view->format == NULL
+        || strcmp(view->format, "l") != 0) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s must be a buffer of C longs (array('l')), not "
+                     "format '%s' with itemsize %zd",
+                     what, view->format ? view->format : "B",
+                     view->itemsize);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* Hold obj's buffer for the run (released by runstate_free) and return
+ * its items, at least min_len of them; *len gets the count if given. */
+static long *
+take_longs(RunState *S, PyObject *obj, Py_ssize_t min_len,
+           Py_ssize_t *len, const char *what)
+{
+    if (S->nbufs == S->bufcap) {
+        PyErr_SetString(PyExc_RuntimeError, "run buffer table is full");
+        return NULL;
+    }
+    Py_buffer *view = &S->bufs[S->nbufs];
+    if (long_buffer(obj, view, what) < 0)
+        return NULL;
+    S->nbufs++;
+    Py_ssize_t n = view->len / (Py_ssize_t)sizeof(long);
+    if (n < min_len) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd items, needs %zd",
+                     what, n, min_len);
+        return NULL;
+    }
+    if (len != NULL)
+        *len = n;
+    return (long *)view->buf;
+}
+
+/* The scoreboard row of a slot, as longs. */
+static long *
+slot_row(RunState *S, Py_ssize_t slot)
+{
+    PyObject *row = PyList_GET_ITEM(S->sb_rows, slot);
+    if (row == S->row_obj[slot])
+        return (long *)S->row_buf[slot].buf;
+    if (S->row_obj[slot] != NULL) {
+        PyBuffer_Release(&S->row_buf[slot]);
+        S->row_obj[slot] = NULL;
+    }
+    if (long_buffer(row, &S->row_buf[slot], "a scoreboard row") < 0)
+        return NULL;
+    S->row_obj[slot] = row;
+    return (long *)S->row_buf[slot].buf;
+}
+
+/* ---- RFV issue gate (RfvSmState.can_issue / on_issue as data) -------- */
+
+static int
+rfv_check(RunState *S, long slot, long pc)
+{
+    if (pc < 0 || pc >= S->rfv.npc || slot < 0 || slot >= S->rfv.nslots) {
+        PyErr_Format(PyExc_IndexError,
+                     "RFV gate: pc %ld or slot %ld out of range", pc, slot);
+        return -1;
+    }
+    return 0;
+}
+
+/* 1: may issue, 0: stalled on the technique, -1: error. */
+static int
+rfv_can_issue(RunState *S, long slot, long wid, long pc)
+{
+    RfvGate *g = &S->rfv;
+    if (rfv_check(S, slot, pc) < 0)
+        return -1;
+    long needed = g->live[pc] - g->held[slot];
+    if (needed <= 0 || g->pool[RFV_POOL_FREE] >= needed)
+        return 1;
+    long holder = g->pool[RFV_RESERVE_HOLDER];
+    if (holder == -1 || holder == wid) {
+        g->pool[RFV_RESERVE_HOLDER] = wid;
+        return 1;
+    }
+    return 0;
+}
+
+static int
+rfv_on_issue(RunState *S, long slot, long wid, long pc, long kind)
+{
+    RfvGate *g = &S->rfv;
+    if (rfv_check(S, slot, pc) < 0)
+        return -1;
+    long *pool = g->pool;
+    long demand = g->live[pc];
+    long delta = demand - g->held[slot];
+    pool[RFV_POOL_FREE] -= delta;
+    if (g->order[slot] < 0) {
+        g->order[slot] = pool[RFV_NEXT_ORDER]++;
+        g->owner[slot] = wid;
+    }
+    g->held[slot] = demand;
+    long used = pool[RFV_POOL_CAPACITY] - pool[RFV_POOL_FREE];
+    if (used > pool[RFV_PEAK_POOL_USE])
+        pool[RFV_PEAK_POOL_USE] = used;
+    if (pool[RFV_RESERVE_HOLDER] == wid && (delta < 0 || kind == K_BARRIER))
+        pool[RFV_RESERVE_HOLDER] = -1;
+    return 0;
+}
+
+/* The technique's issue gate for the warp at `slot`: the declared gate,
+ * the bound Python can_issue, or none.  1 / 0 / -1 as rfv_can_issue. */
+static int
+tech_can_issue(RunState *S, KCache *kc, long slot, long wid, long pc)
+{
+    if (S->gate_can)
+        return rfv_can_issue(S, slot, wid, pc);
+    if (S->tech_can_issue == NULL)
+        return 1;
+    PyObject *r = PYCALL(S, S->tech_can_issue,
+                         PyList_GET_ITEM(S->views, slot),
+                         PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj);
+    if (r == NULL)
+        return -1;
+    int ok = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return ok;
+}
+
+static int
+tech_on_issue(RunState *S, KCache *kc, PyObject *view, long slot, long wid,
+              long pc)
+{
+    if (S->gate_on)
+        return rfv_on_issue(S, slot, wid, pc, kc->kind[pc]);
+    if (S->tech_on_issue == NULL)
+        return 0;
+    PyObject *r = PYCALL(S, S->tech_on_issue, view,
+                         PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
 }
 
 /* Resolve the KCache for a slot, memoised per slot by the identity of
@@ -651,11 +875,11 @@ set_cycle(RunState *S, long cycle)
 
 /* ---- MemoryModel fast path ------------------------------------------ */
 
-/* C transliteration of MemoryModel.issue_load.  Counters, the in-flight
- * multiset, and the rng stream position all live in the Python object
- * and are updated eagerly (not deferred to a flush), so any hook that
- * inspects the memory model mid-run sees what MemoryModel.issue_load
- * would have written. */
+/* C transliteration of MemoryModel.issue_load.  The counters live in
+ * the shared _counters buffer, the in-flight multiset and the rng stream
+ * position in the Python object, all updated eagerly (not deferred to a
+ * flush), so any hook that inspects the memory model mid-run sees what
+ * MemoryModel.issue_load would have written. */
 static int
 mem_issue_load_c(RunState *S, long cycle, int shared, long *ready)
 {
@@ -663,24 +887,19 @@ mem_issue_load_c(RunState *S, long cycle, int shared, long *ready)
         *ready = cycle + S->shared_lat;
         return 0;
     }
-    int err = 0;
-    long total = get_long_attr(S->memory, S_in_flight_total, &err);
-    if (err)
-        return -1;
-    if (total >= S->mem_cap) {
+    long *memc = S->memc;
+    if (memc[M_IN_FLIGHT_TOTAL] >= S->mem_cap) {
         PyErr_SetString(PyExc_RuntimeError,
                         "memory model saturated; call can_accept first");
         return -1;
     }
-    if (add_long_attr(S->memory, S_loads_issued, 1) < 0)
-        return -1;
+    memc[M_LOADS_ISSUED] += 1;
     double u;
     if (rng_uniform(S->mem_rng, &u) < 0)
         return -1;
     long latency;
     if (u < S->l1_rate) {
-        if (add_long_attr(S->memory, S_l1_hits, 1) < 0)
-            return -1;
+        memc[M_L1_HITS] += 1;
         latency = S->l1_lat;
     }
     else
@@ -712,23 +931,9 @@ mem_issue_load_c(RunState *S, long cycle, int shared, long *ready)
     Py_DECREF(key);
     if (r < 0)
         return -1;
-    if (set_long_attr(S->memory, S_in_flight_total, total + 1) < 0)
-        return -1;
-    PyObject *nxt = PyObject_GetAttr(S->memory, S_next_retire);
-    if (nxt == NULL)
-        return -1;
-    int update = (nxt == Py_None);
-    if (!update) {
-        long cached = PyLong_AsLong(nxt);
-        if (cached == -1 && PyErr_Occurred()) {
-            Py_DECREF(nxt);
-            return -1;
-        }
-        update = done < cached;
-    }
-    Py_DECREF(nxt);
-    if (update && set_long_attr(S->memory, S_next_retire, done) < 0)
-        return -1;
+    memc[M_IN_FLIGHT_TOTAL] += 1;
+    if (memc[M_NEXT_RETIRE] == -1 || done < memc[M_NEXT_RETIRE])
+        memc[M_NEXT_RETIRE] = done;
     *ready = done;
     return 0;
 }
@@ -751,8 +956,8 @@ mem_retire_c(RunState *S, long cycle)
         }
     }
     Py_ssize_t ndue = 0;
-    long removed = 0, newmin = 0;
-    int have_min = 0, ok = 0;
+    long removed = 0, newmin = -1;
+    int ok = 0;
     PyObject *k, *v;
     Py_ssize_t pos = 0;
     while (PyDict_Next(dict, &pos, &k, &v)) {
@@ -767,28 +972,14 @@ mem_retire_c(RunState *S, long cycle)
             Py_INCREF(k);
             due[ndue++] = k;
         }
-        else if (!have_min || c < newmin) {
-            have_min = 1;
+        else if (newmin == -1 || c < newmin)
             newmin = c;
-        }
     }
     for (Py_ssize_t i = 0; i < ndue; i++)
         if (PyDict_DelItem(dict, due[i]) < 0)
             goto done;
-    if (removed) {
-        int err = 0;
-        long total = get_long_attr(S->memory, S_in_flight_total, &err);
-        if (err)
-            goto done;
-        if (set_long_attr(S->memory, S_in_flight_total, total - removed) < 0)
-            goto done;
-    }
-    if (have_min) {
-        if (set_long_attr(S->memory, S_next_retire, newmin) < 0)
-            goto done;
-    }
-    else if (PyObject_SetAttr(S->memory, S_next_retire, Py_None) < 0)
-        goto done;
+    S->memc[M_IN_FLIGHT_TOTAL] -= removed;
+    S->memc[M_NEXT_RETIRE] = newmin;
     ok = 1;
 done:
     for (Py_ssize_t i = 0; i < ndue; i++)
@@ -819,9 +1010,28 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     int err = 0;
     S->sm = sm;
     S->checkpoint_sink = (sink == Py_None) ? NULL : sink;
-    S->tech_can_issue = (can_issue == Py_None) ? NULL : can_issue;
-    S->tech_on_issue = (on_issue == Py_None) ? NULL : on_issue;
+    /* A tuple is the technique's native_gate() declaration (see
+     * sm._hook_bindings); the C gate then runs in place of the hook. */
+    PyObject *gate = NULL;
+    if (PyTuple_Check(can_issue)) {
+        gate = can_issue;
+        S->gate_can = 1;
+    }
+    else if (can_issue != Py_None)
+        S->tech_can_issue = can_issue;
+    if (PyTuple_Check(on_issue)) {
+        if (gate != NULL && gate != on_issue) {
+            PyErr_SetString(PyExc_TypeError,
+                            "can_issue and on_issue declare different gates");
+            return -1;
+        }
+        gate = on_issue;
+        S->gate_on = 1;
+    }
+    else if (on_issue != Py_None)
+        S->tech_on_issue = on_issue;
     S->tech_wakeups = wakeups;
+    S->py_ran = 1;
 
     S->core = PyObject_GetAttr(sm, S_columnar);
     if (S->core == NULL || S->core == Py_None) {
@@ -838,20 +1048,22 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         return -1;
     }
     /* Borrowed from S->hot (which we own): stable for the whole run —
-     * ColumnarCore mutates these lists in place, never rebinds them. */
-    S->pc_col = PyTuple_GET_ITEM(S->hot, 0);
-    S->wake_col = PyTuple_GET_ITEM(S->hot, 1);
-    S->status_col = PyTuple_GET_ITEM(S->hot, 2);
-    S->stall_col = PyTuple_GET_ITEM(S->hot, 3);
-    S->qstate_col = PyTuple_GET_ITEM(S->hot, 4);
-    S->dyn_col = PyTuple_GET_ITEM(S->hot, 5);
+     * ColumnarCore mutates these lists in place, never rebinds them.
+     * The array columns are taken as buffers below. */
     S->views = PyTuple_GET_ITEM(S->hot, 6);
     S->kcs = PyTuple_GET_ITEM(S->hot, 7);
     S->rngs = PyTuple_GET_ITEM(S->hot, 8);
     S->trips = PyTuple_GET_ITEM(S->hot, 9);
     S->sb_rows = PyTuple_GET_ITEM(S->hot, 10);
-    S->sb_max = PyTuple_GET_ITEM(S->hot, 11);
     S->sb_heap = PyTuple_GET_ITEM(S->hot, 12);
+    if (!PyList_Check(S->views) || !PyList_Check(S->kcs)
+        || !PyList_Check(S->rngs) || !PyList_Check(S->trips)
+        || !PyList_Check(S->sb_rows) || !PyList_Check(S->sb_heap)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "core.hot: views/kcs/rngs/trips/sb_rows/sb_heap "
+                        "must be lists");
+        return -1;
+    }
 
     S->wid2slot = PyObject_GetAttr(S->core, S_wid2slot);
     S->on_acquire_wake = PyObject_GetAttr(S->core, S_on_acquire_wake);
@@ -864,9 +1076,10 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         return -1;
     /* sm.py has verified type(memory) is MemoryModel with no
      * instance-level issue_load/retire, so the C transliteration of
-     * those two is exact.  State (counters, the in-flight multiset, the
-     * rng stream) stays in the Python object and is updated eagerly, so
-     * hooks and checkpoints see what the Python methods would write. */
+     * those two is exact.  State (the _counters buffer, the in-flight
+     * multiset, the rng stream) stays in the Python object and is
+     * updated eagerly, so hooks and checkpoints see what the Python
+     * methods would write. */
     S->mem_earliest = PyObject_GetAttr(S->memory, S_earliest_completion);
     S->mem_rng = PyObject_GetAttr(S->memory, S_rng_a);
     S->mem_in_flight = PyObject_GetAttr(S->memory, S_in_flight_d);
@@ -1040,13 +1253,86 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     Py_DECREF(units_list);
 
     S->slot_cap = PyList_GET_SIZE(S->views);
-    S->slot_kc_obj = PyMem_Calloc(S->slot_cap ? S->slot_cap : 1,
-                                  sizeof(PyObject *));
-    S->slot_kc = PyMem_Calloc(S->slot_cap ? S->slot_cap : 1,
-                              sizeof(KCache *));
-    if (S->slot_kc_obj == NULL || S->slot_kc == NULL) {
+    Py_ssize_t cap1 = S->slot_cap ? S->slot_cap : 1;
+    S->slot_kc_obj = PyMem_Calloc(cap1, sizeof(PyObject *));
+    S->slot_kc = PyMem_Calloc(cap1, sizeof(KCache *));
+    S->row_obj = PyMem_Calloc(cap1, sizeof(PyObject *));
+    S->row_buf = PyMem_Calloc(cap1, sizeof(Py_buffer));
+    /* 7 columns, one counts array per unit, the memory counters and at
+     * most 5 gate arrays. */
+    S->bufcap = 7 + S->nunits + 1 + 5;
+    S->bufs = PyMem_Calloc(S->bufcap, sizeof(Py_buffer));
+    if (S->slot_kc_obj == NULL || S->slot_kc == NULL || S->row_obj == NULL
+        || S->row_buf == NULL || S->bufs == NULL) {
         PyErr_NoMemory();
         return -1;
+    }
+    {
+        static const char *names[7] = {
+            "core.pc", "core.wake", "core.status", "core.stall",
+            "core.qstate", "core.dyn", "core.sb_max",
+        };
+        static const int hot_index[7] = {0, 1, 2, 3, 4, 5, 11};
+        long **cols[7] = {
+            &S->pc, &S->wake, &S->status, &S->stall, &S->qstate, &S->dyn,
+            &S->sb_max,
+        };
+        for (int i = 0; i < 7; i++) {
+            *cols[i] = take_longs(S, PyTuple_GET_ITEM(S->hot, hot_index[i]),
+                                  S->slot_cap, NULL, names[i]);
+            if (*cols[i] == NULL)
+                return -1;
+        }
+    }
+    for (int i = 0; i < S->nunits; i++) {
+        UnitC *u = &S->units[i];
+        PyObject *counts = PyObject_GetAttr(u->unit, S_counts);
+        if (counts == NULL)
+            return -1;
+        u->counts = take_longs(S, counts, 4, NULL, "ColumnarUnit.counts");
+        Py_DECREF(counts);
+        if (u->counts == NULL)
+            return -1;
+    }
+    {
+        PyObject *memc = PyObject_GetAttr(S->memory, S_counters);
+        if (memc == NULL)
+            return -1;
+        S->memc = take_longs(S, memc, 4, NULL, "MemoryModel._counters");
+        Py_DECREF(memc);
+        if (S->memc == NULL)
+            return -1;
+    }
+    if (gate != NULL) {
+        if (!PyTuple_CheckExact(gate) || PyTuple_GET_SIZE(gate) != 5) {
+            PyErr_SetString(PyExc_TypeError,
+                            "native_gate(): expected (live_count, held, "
+                            "owner, order, pool)");
+            return -1;
+        }
+        RfvGate *g = &S->rfv;
+        Py_ssize_t nheld, nowner, norder;
+        g->live = take_longs(S, PyTuple_GET_ITEM(gate, 0), 0, &g->npc,
+                             "gate live_count");
+        if (g->live == NULL)
+            return -1;
+        g->held = take_longs(S, PyTuple_GET_ITEM(gate, 1), 0, &nheld,
+                             "gate held");
+        if (g->held == NULL)
+            return -1;
+        g->owner = take_longs(S, PyTuple_GET_ITEM(gate, 2), nheld, &nowner,
+                              "gate owner");
+        if (g->owner == NULL)
+            return -1;
+        g->order = take_longs(S, PyTuple_GET_ITEM(gate, 3), nheld, &norder,
+                              "gate order");
+        if (g->order == NULL)
+            return -1;
+        g->pool = take_longs(S, PyTuple_GET_ITEM(gate, 4), 5, NULL,
+                             "gate pool");
+        if (g->pool == NULL)
+            return -1;
+        g->nslots = nheld;
     }
 
     S->cycle = get_long_attr(sm, S_cycle, &err);
@@ -1069,13 +1355,10 @@ static int
 park_sleeper(RunState *S, UnitC *u, long cycle, long wake,
              PyObject *wid_o, PyObject *slot_o, int is_mem)
 {
-    if (is_mem) {
-        if (add_long_attr(u->unit, S_mem_sleepers, 1) < 0)
-            return -1;
-    }
+    if (is_mem)
+        u->counts[U_MEM_SLEEPERS] += 1;
     else {
-        if (add_long_attr(u->unit, S_nonmem_sleepers, 1) < 0)
-            return -1;
+        u->counts[U_NONMEM_SLEEPERS] += 1;
         if (wake - cycle > S->horizon) {
             PyObject *f = PyLong_FromLong(wake - S->horizon);
             if (f == NULL)
@@ -1112,12 +1395,13 @@ static int
 sb_write(RunState *S, KCache *kc, long pc, long slot, PyObject *wid_o,
          long done)
 {
-    PyObject *row = PyList_GET_ITEM(S->sb_rows, slot);
+    long *row = slot_row(S, slot);
+    if (row == NULL)
+        return -1;
     for (Py_ssize_t j = kc->dsts_off[pc]; j < kc->dsts_off[pc + 1]; j++) {
         long reg = kc->dsts_data[j];
-        if (done > lget(row, reg)) {
-            if (lset(row, reg, done) < 0)
-                return -1;
+        if (done > row[reg]) {
+            row[reg] = done;
             PyObject *t = PyTuple_New(3);
             if (t == NULL)
                 return -1;
@@ -1137,20 +1421,74 @@ sb_write(RunState *S, KCache *kc, long pc, long slot, PyObject *wid_o,
             Py_DECREF(t);
             if (rc < 0)
                 return -1;
-            if (done > lget(S->sb_max, slot)
-                && lset(S->sb_max, slot, done) < 0)
-                return -1;
+            if (done > S->sb_max[slot])
+                S->sb_max[slot] = done;
         }
     }
     return 0;
 }
 
-static inline int
+static inline void
 advance_pc(RunState *S, long slot, long newpc)
 {
-    if (lset(S->pc_col, slot, newpc) < 0)
+    S->pc[slot] = newpc;
+    S->dyn[slot] += 1;
+}
+
+/* sm._issuable for the warp at `slot`: scoreboard, memory window, then
+ * the technique gate.  On failure records the stall reason (and, when
+ * the blocker has a known expiry, the wake cycle); on success clears
+ * the reason.  `hint`: a warp already stalled on the scoreboard takes
+ * its recorded wake cycle as its latest pending operand.
+ * 1 = qualified, 0 = not, -1 = a raised hook. */
+static int
+qualify(RunState *S, KCache *kc, long slot, long wid, long cycle, int hint)
+{
+    long pc = S->pc[slot];
+    if (S->sb_max[slot] > cycle) {
+        long latest;
+        if (hint && S->stall[slot] == SL_SCOREBOARD)
+            latest = S->wake[slot];
+        else {
+            long *row = slot_row(S, slot);
+            if (row == NULL)
+                return -1;
+            latest = cycle;
+            for (Py_ssize_t j = kc->regs_off[pc]; j < kc->regs_off[pc + 1];
+                 j++) {
+                long r = row[kc->regs_data[j]];
+                if (r > latest)
+                    latest = r;
+            }
+        }
+        if (latest > cycle) {
+            S->stall[slot] = SL_SCOREBOARD;
+            S->wake[slot] = latest;
+            return 0;
+        }
+    }
+    if (kc->kind[pc] >= K_LOAD && kc->kind[pc] <= K_SHARED_LOAD
+        && S->memc[M_IN_FLIGHT_TOTAL] >= S->mem_cap) {
+        S->stall[slot] = SL_MEMORY;
+        PyObject *done = PYCALL(S, S->mem_earliest, S->cyc_obj);
+        if (done == NULL)
+            return -1;
+        if (done != Py_None) {
+            long dv = PyLong_AsLong(done);
+            if (dv == -1 && PyErr_Occurred()) {
+                Py_DECREF(done);
+                return -1;
+            }
+            S->wake[slot] = dv;
+        }
+        Py_DECREF(done);
+        return 0;
+    }
+    int ok = tech_can_issue(S, kc, slot, wid, pc);
+    if (ok < 0)
         return -1;
-    return lset(S->dyn_col, slot, lget(S->dyn_col, slot) + 1);
+    S->stall[slot] = ok ? SL_NONE : SL_TECHNIQUE;
+    return ok;
 }
 
 /* One simulated cycle over every scheduler unit: sleeper wake-ups,
@@ -1164,6 +1502,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
     int err = 0;
     for (int ui = 0; ui < S->nunits; ui++) {
         UnitC *u = &S->units[ui];
+        long *counts = u->counts;
         PyObject *ready = u->ready;
         PyObject *sleepers = u->sleepers;
         while (PyList_GET_SIZE(sleepers) > 0
@@ -1175,18 +1514,12 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             PyObject *wid_o = PyTuple_GET_ITEM(t, 1);
             PyObject *slot_o = PyTuple_GET_ITEM(t, 2);
             int is_mem = PyObject_IsTrue(PyTuple_GET_ITEM(t, 3));
-            if (is_mem < 0
-                || add_long_attr(u->unit,
-                                 is_mem ? S_mem_sleepers : S_nonmem_sleepers,
-                                 -1) < 0) {
+            if (is_mem < 0) {
                 Py_DECREF(t);
                 return -1;
             }
-            long slot = PyLong_AsLong(slot_o);
-            if (lset(S->qstate_col, slot, QS_READY) < 0) {
-                Py_DECREF(t);
-                return -1;
-            }
+            counts[is_mem ? U_MEM_SLEEPERS : U_NONMEM_SLEEPERS] -= 1;
+            S->qstate[PyLong_AsLong(slot_o)] = QS_READY;
             PyObject *pair = PyTuple_New(2);
             if (pair == NULL) {
                 Py_DECREF(t);
@@ -1204,12 +1537,8 @@ do_cycle(RunState *S, long cycle, long *issued_out)
         }
         /* Blocked counts captured before qualification (scan-stepper
          * semantics: a warp parking this pass counts from next cycle). */
-        long barrier_count = get_long_attr(u->unit, S_barrier_count, &err);
-        if (err)
-            return -1;
-        long acquire_count = get_long_attr(u->unit, S_acquire_count, &err);
-        if (err)
-            return -1;
+        long barrier_count = counts[U_BARRIER];
+        long acquire_count = counts[U_ACQUIRE];
         int qual_mem = 0, qual_sb = 0;
         int have_candidates = 0;
         PyObject *candidates = u->candidates;
@@ -1221,84 +1550,16 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             for (Py_ssize_t i = 0; i < PyList_GET_SIZE(ready); i++) {
                 PyObject *item = PyList_GET_ITEM(ready, i);
                 Py_INCREF(item);
+                long wid = PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
                 long slot = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
                 KCache *kc = slot_kcache(S, slot);
                 if (kc == NULL)
                     goto item_fail;
-                long pc = lget(S->pc_col, slot);
-                int sb_ok;
-                long latest = 0;
-                long sbm = lget(S->sb_max, slot);
-                if (sbm <= cycle)
-                    sb_ok = 1;
-                else if (lget(S->stall_col, slot) == SL_SCOREBOARD) {
-                    latest = lget(S->wake_col, slot);
-                    sb_ok = latest <= cycle;
-                }
-                else {
-                    latest = cycle;
-                    PyObject *row = PyList_GET_ITEM(S->sb_rows, slot);
-                    for (Py_ssize_t j = kc->regs_off[pc];
-                         j < kc->regs_off[pc + 1]; j++) {
-                        long r = lget(row, kc->regs_data[j]);
-                        if (r > latest)
-                            latest = r;
-                    }
-                    sb_ok = latest <= cycle;
-                }
-                int qualified = 0;
-                if (!sb_ok) {
-                    if (lset(S->stall_col, slot, SL_SCOREBOARD) < 0
-                        || lset(S->wake_col, slot, latest) < 0)
-                        goto item_fail;
-                }
-                else if (kc->kind[pc] >= K_LOAD
-                         && kc->kind[pc] <= K_SHARED_LOAD) {
-                    long inflight =
-                        get_long_attr(S->memory, S_in_flight_total, &err);
-                    if (err)
-                        goto item_fail;
-                    if (inflight >= S->mem_cap) {
-                        if (lset(S->stall_col, slot, SL_MEMORY) < 0)
-                            goto item_fail;
-                        PyObject *done = PyObject_CallFunctionObjArgs(
-                            S->mem_earliest, S->cyc_obj, NULL);
-                        if (done == NULL)
-                            goto item_fail;
-                        if (done != Py_None) {
-                            long dv = PyLong_AsLong(done);
-                            Py_DECREF(done);
-                            if ((dv == -1 && PyErr_Occurred())
-                                || lset(S->wake_col, slot, dv) < 0)
-                                goto item_fail;
-                        }
-                        else
-                            Py_DECREF(done);
-                    }
-                    else
-                        qualified = 1;
-                }
-                else
-                    qualified = 1;
-                if (qualified && S->tech_can_issue != NULL) {
-                    PyObject *r = PyObject_CallFunctionObjArgs(
-                        S->tech_can_issue, PyList_GET_ITEM(S->views, slot),
-                        PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj, NULL);
-                    if (r == NULL)
-                        goto item_fail;
-                    int ok = PyObject_IsTrue(r);
-                    Py_DECREF(r);
-                    if (ok < 0)
-                        goto item_fail;
-                    if (!ok) {
-                        qualified = 0;
-                        if (lset(S->stall_col, slot, SL_TECHNIQUE) < 0)
-                            goto item_fail;
-                    }
-                }
+                int qualified = qualify(S, kc, slot, wid, cycle, 1);
+                if (qualified < 0)
+                    goto item_fail;
                 if (qualified) {
-                    if (lset(S->stall_col, slot, SL_NONE) < 0
-                        || PyList_Append(candidates, item) < 0
+                    if (PyList_Append(candidates, item) < 0
                         || (routed && PyList_Append(u->keep, item) < 0))
                         goto item_fail;
                     Py_DECREF(item);
@@ -1311,26 +1572,25 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         || PyList_SetSlice(u->keep, 0, 0, candidates) < 0)
                         goto item_fail;
                 }
-                long sc = lget(S->stall_col, slot);
+                long sc = S->stall[slot];
                 if (sc == SL_MEMORY)
                     qual_mem = 1;
-                else if (lget(S->sb_max, slot) - cycle > S->horizon)
+                else if (S->sb_max[slot] - cycle > S->horizon)
                     qual_mem = 1;
                 else
                     qual_sb = 1;
-                if (lget(S->status_col, slot) != ST_READY) {
-                    if (lset(S->qstate_col, slot, QS_ACQUIRE) < 0
-                        || add_long_attr(u->unit, S_acquire_count, 1) < 0)
-                        goto item_fail;
+                if (S->status[slot] != ST_READY) {
+                    S->qstate[slot] = QS_ACQUIRE;
+                    counts[U_ACQUIRE] += 1;
                 }
                 else {
-                    long wake = lget(S->wake_col, slot);
+                    long wake = S->wake[slot];
                     if (wake > cycle) {
-                        if (lset(S->qstate_col, slot, QS_SLEEPING) < 0
-                            || park_sleeper(S, u, cycle, wake,
-                                            PyTuple_GET_ITEM(item, 0),
-                                            PyTuple_GET_ITEM(item, 1),
-                                            sc == SL_MEMORY) < 0)
+                        S->qstate[slot] = QS_SLEEPING;
+                        if (park_sleeper(S, u, cycle, wake,
+                                         PyTuple_GET_ITEM(item, 0),
+                                         PyTuple_GET_ITEM(item, 1),
+                                         sc == SL_MEMORY) < 0)
                             goto item_fail;
                     }
                     else if (PyList_Append(u->keep, item) < 0)
@@ -1414,8 +1674,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         Py_INCREF(v);
                         PyList_SET_ITEM(vl, i, v);
                     }
-                    PyObject *pick = PyObject_CallFunctionObjArgs(
-                        u->sched_pick, vl, NULL);
+                    PyObject *pick = PYCALL(S, u->sched_pick, vl);
                     Py_DECREF(vl);
                     if (pick == NULL)
                         return -1;
@@ -1447,25 +1706,17 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     KCache *kc = slot_kcache(S, slot);
                     if (kc == NULL)
                         goto pick_fail;
-                    long pc = lget(S->pc_col, slot);
+                    long pc = S->pc[slot];
                     long kind = kc->kind[pc];
                     view = PyList_GET_ITEM(S->views, slot);
                     Py_INCREF(view);
                     S->d_issued += 1;
-                    if (S->tech_on_issue != NULL) {
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->tech_on_issue, view,
-                            PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj,
-                            NULL);
-                        if (r == NULL)
-                            goto pick_fail;
-                        Py_DECREF(r);
-                    }
+                    if (tech_on_issue(S, kc, view, slot, wid, pc) < 0)
+                        goto pick_fail;
                     if (S->san_on_issue != NULL) {
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->san_on_issue, view,
-                            PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj,
-                            NULL);
+                        PyObject *r = PYCALL(
+                            S, S->san_on_issue, view,
+                            PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj);
                         if (r == NULL)
                             goto pick_fail;
                         Py_DECREF(r);
@@ -1479,19 +1730,17 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                                                   kind == K_SHARED_LOAD,
                                                   &done) < 0)
                             goto pick_fail;
-                        if (sb_write(S, kc, pc, slot, wid_o, done) < 0
-                            || advance_pc(S, slot, pc + 1) < 0)
+                        if (sb_write(S, kc, pc, slot, wid_o, done) < 0)
                             goto pick_fail;
+                        advance_pc(S, slot, pc + 1);
                         S->last_progress = cycle;
                     }
                     else if (kind == K_STORE) {
-                        if (advance_pc(S, slot, pc + 1) < 0)
-                            goto pick_fail;
+                        advance_pc(S, slot, pc + 1);
                         S->last_progress = cycle;
                     }
                     else if (kind == K_JMP) {
-                        if (advance_pc(S, slot, kc->tgt[pc]) < 0)
-                            goto pick_fail;
+                        advance_pc(S, slot, kc->tgt[pc]);
                         S->last_progress = cycle;
                     }
                     else if (kind == K_BRA) {
@@ -1539,8 +1788,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         }
                         else
                             newpc = pc + 1;
-                        if (advance_pc(S, slot, newpc) < 0)
-                            goto pick_fail;
+                        advance_pc(S, slot, newpc);
                         S->last_progress = cycle;
                     }
                     else if (kind == K_EXIT) {
@@ -1548,8 +1796,8 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                          * counters: flush first. */
                         if (S->observer != NULL && flush_stats(S) < 0)
                             goto pick_fail;
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->columnar_on_exit, view, S->cyc_obj, NULL);
+                        PyObject *r = PYCALL(S, S->columnar_on_exit, view,
+                                             S->cyc_obj);
                         if (r == NULL)
                             goto pick_fail;
                         Py_DECREF(r);
@@ -1566,8 +1814,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     else if (kind == K_BARRIER) {
                         /* Advance first: the warp resumes past the
                          * barrier when released. */
-                        if (advance_pc(S, slot, pc + 1) < 0)
-                            goto pick_fail;
+                        advance_pc(S, slot, pc + 1);
                         S->last_progress = cycle;
                         PyObject *cid = PyObject_GetAttr(view, S_cta_id);
                         if (cid == NULL)
@@ -1582,6 +1829,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         }
                         Py_INCREF(cta);
                         Py_DECREF(cid);
+                        S->py_ran = 1;
                         PyObject *r = PyObject_CallMethodObjArgs(
                             cta, S_arrive_at_barrier, view, NULL);
                         if (r == NULL) {
@@ -1595,8 +1843,8 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                             goto pick_fail;
                         }
                         if (released) {
-                            PyObject *r2 = PyObject_CallFunctionObjArgs(
-                                S->on_barrier_release, cta, NULL);
+                            PyObject *r2 =
+                                PYCALL(S, S->on_barrier_release, cta);
                             if (r2 == NULL) {
                                 Py_DECREF(cta);
                                 goto pick_fail;
@@ -1606,8 +1854,8 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         Py_DECREF(cta);
                     }
                     else if (kind == K_ACQUIRE) {
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->tech_try_acquire, view, S->cyc_obj, NULL);
+                        PyObject *r = PYCALL(S, S->tech_try_acquire, view,
+                                             S->cyc_obj);
                         if (r == NULL)
                             goto pick_fail;
                         int got = PyObject_IsTrue(r);
@@ -1615,25 +1863,20 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                         if (got < 0)
                             goto pick_fail;
                         if (got) {
-                            if (advance_pc(S, slot, pc + 1) < 0)
-                                goto pick_fail;
+                            advance_pc(S, slot, pc + 1);
                             S->last_progress = cycle;
                         }
-                        else if (lget(S->status_col, slot) == ST_READY) {
+                        else if (S->status[slot] == ST_READY)
                             /* Eager retry backoff (see _execute). */
-                            if (lset(S->wake_col, slot,
-                                     cycle + S->eager_backoff) < 0)
-                                goto pick_fail;
-                        }
+                            S->wake[slot] = cycle + S->eager_backoff;
                     }
                     else { /* K_RELEASE */
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->tech_release, view, S->cyc_obj, NULL);
+                        PyObject *r = PYCALL(S, S->tech_release, view,
+                                             S->cyc_obj);
                         if (r == NULL)
                             goto pick_fail;
                         Py_DECREF(r);
-                        if (advance_pc(S, slot, pc + 1) < 0)
-                            goto pick_fail;
+                        advance_pc(S, slot, pc + 1);
                         S->last_progress = cycle;
                     }
                     /* inline notify_issued */
@@ -1649,8 +1892,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                             goto pick_fail;
                     }
                     else {
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            u->sched_notify, view, NULL);
+                        PyObject *r = PYCALL(S, u->sched_notify, view);
                         if (r == NULL)
                             goto pick_fail;
                         Py_DECREF(r);
@@ -1665,87 +1907,14 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     /* inline requalification for remaining width; guarded
                      * on `exited` — the slot may host a fresh warp after a
                      * CTA retire and must not be read. */
-                    if (!exited && lget(S->status_col, slot) == ST_READY
-                        && lget(S->wake_col, slot) <= cycle) {
-                        pc = lget(S->pc_col, slot);
-                        int sb_ok;
-                        long latest = 0;
-                        if (lget(S->sb_max, slot) <= cycle)
-                            sb_ok = 1;
-                        else {
-                            latest = cycle;
-                            PyObject *row =
-                                PyList_GET_ITEM(S->sb_rows, slot);
-                            for (Py_ssize_t j = kc->regs_off[pc];
-                                 j < kc->regs_off[pc + 1]; j++) {
-                                long r = lget(row, kc->regs_data[j]);
-                                if (r > latest)
-                                    latest = r;
-                            }
-                            sb_ok = latest <= cycle;
-                        }
-                        int requal = 0;
-                        if (!sb_ok) {
-                            if (lset(S->stall_col, slot, SL_SCOREBOARD) < 0
-                                || lset(S->wake_col, slot, latest) < 0)
-                                goto pick_fail;
-                        }
-                        else if (kc->kind[pc] >= K_LOAD
-                                 && kc->kind[pc] <= K_SHARED_LOAD) {
-                            long inflight = get_long_attr(
-                                S->memory, S_in_flight_total, &err);
-                            if (err)
-                                goto pick_fail;
-                            if (inflight >= S->mem_cap) {
-                                if (lset(S->stall_col, slot,
-                                         SL_MEMORY) < 0)
-                                    goto pick_fail;
-                                PyObject *done =
-                                    PyObject_CallFunctionObjArgs(
-                                        S->mem_earliest, S->cyc_obj, NULL);
-                                if (done == NULL)
-                                    goto pick_fail;
-                                if (done != Py_None) {
-                                    long dv = PyLong_AsLong(done);
-                                    Py_DECREF(done);
-                                    if ((dv == -1 && PyErr_Occurred())
-                                        || lset(S->wake_col, slot, dv) < 0)
-                                        goto pick_fail;
-                                }
-                                else
-                                    Py_DECREF(done);
-                            }
-                            else
-                                requal = 1;
-                        }
-                        else
-                            requal = 1;
-                        if (requal && S->tech_can_issue != NULL) {
-                            PyObject *r = PyObject_CallFunctionObjArgs(
-                                S->tech_can_issue,
-                                PyList_GET_ITEM(S->views, slot),
-                                PyTuple_GET_ITEM(kc->insts, pc),
-                                S->cyc_obj, NULL);
-                            if (r == NULL)
-                                goto pick_fail;
-                            int ok = PyObject_IsTrue(r);
-                            Py_DECREF(r);
-                            if (ok < 0)
-                                goto pick_fail;
-                            if (!ok) {
-                                requal = 0;
-                                if (lset(S->stall_col, slot,
-                                         SL_TECHNIQUE) < 0)
-                                    goto pick_fail;
-                            }
-                        }
-                        if (requal) {
-                            if (lset(S->stall_col, slot, SL_NONE) < 0)
-                                goto pick_fail;
-                            if (S->multi_issue
-                                && list_insort(candidates, chosen) < 0)
-                                goto pick_fail;
-                        }
+                    if (!exited && S->status[slot] == ST_READY
+                        && S->wake[slot] <= cycle) {
+                        int requal = qualify(S, kc, slot, wid, cycle, 0);
+                        if (requal < 0)
+                            goto pick_fail;
+                        if (requal && S->multi_issue
+                            && list_insort(candidates, chosen) < 0)
+                            goto pick_fail;
                     }
                 }
                 Py_DECREF(view);
@@ -1762,34 +1931,33 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             for (Py_ssize_t i = 0; i < ni; i++) {
                 PyObject *item = PyList_GET_ITEM(issued_list, i);
                 long slot = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
-                if (lget(S->qstate_col, slot) != QS_READY)
+                if (S->qstate[slot] != QS_READY)
                     continue; /* finished or re-homed same-pass */
-                long st = lget(S->status_col, slot);
+                long st = S->status[slot];
                 if (st == ST_READY) {
-                    long wake = lget(S->wake_col, slot);
+                    long wake = S->wake[slot];
                     if (wake > cycle) { /* eager acquire backoff */
-                        if (list_remove(ready, item) < 0
-                            || lset(S->qstate_col, slot, QS_SLEEPING) < 0
-                            || park_sleeper(
-                                   S, u, cycle, wake,
-                                   PyTuple_GET_ITEM(item, 0),
-                                   PyTuple_GET_ITEM(item, 1),
-                                   lget(S->stall_col, slot)
-                                       == SL_MEMORY) < 0)
+                        if (list_remove(ready, item) < 0)
+                            return -1;
+                        S->qstate[slot] = QS_SLEEPING;
+                        if (park_sleeper(S, u, cycle, wake,
+                                         PyTuple_GET_ITEM(item, 0),
+                                         PyTuple_GET_ITEM(item, 1),
+                                         S->stall[slot] == SL_MEMORY) < 0)
                             return -1;
                     }
                 }
                 else if (st == ST_BARRIER) {
-                    if (list_remove(ready, item) < 0
-                        || lset(S->qstate_col, slot, QS_BARRIER) < 0
-                        || add_long_attr(u->unit, S_barrier_count, 1) < 0)
+                    if (list_remove(ready, item) < 0)
                         return -1;
+                    S->qstate[slot] = QS_BARRIER;
+                    counts[U_BARRIER] += 1;
                 }
                 else if (st == ST_ACQUIRE) {
-                    if (list_remove(ready, item) < 0
-                        || lset(S->qstate_col, slot, QS_ACQUIRE) < 0
-                        || add_long_attr(u->unit, S_acquire_count, 1) < 0)
+                    if (list_remove(ready, item) < 0)
                         return -1;
+                    S->qstate[slot] = QS_ACQUIRE;
+                    counts[U_ACQUIRE] += 1;
                 }
             }
             if (list_clear_all(issued_list) < 0)
@@ -1811,21 +1979,12 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     Py_DECREF(p);
                 }
                 long far_n = PyList_GET_SIZE(u->far);
-                long ms = get_long_attr(u->unit, S_mem_sleepers, &err);
-                if (err)
-                    return -1;
-                if (qual_mem || ms > 0 || far_n > 0)
+                if (qual_mem || counts[U_MEM_SLEEPERS] > 0 || far_n > 0)
                     S->d_mem += 1;
                 else if (barrier_count)
                     S->d_bar += 1;
-                else {
-                    long nms =
-                        get_long_attr(u->unit, S_nonmem_sleepers, &err);
-                    if (err)
-                        return -1;
-                    if (qual_sb || nms > far_n)
-                        S->d_sb += 1;
-                }
+                else if (qual_sb || counts[U_NONMEM_SLEEPERS] > far_n)
+                    S->d_sb += 1;
             }
         }
     }
@@ -1865,19 +2024,9 @@ native_run(PyObject *self, PyObject *args)
             goto fail;
         long issued_this = 0;
         {
-            PyObject *nxt = PyObject_GetAttr(S->memory, S_next_retire);
-            if (nxt == NULL)
+            long nxt = S->memc[M_NEXT_RETIRE];
+            if (nxt != -1 && nxt <= cycle && mem_retire_c(S, cycle) < 0)
                 goto fail;
-            if (nxt != Py_None) {
-                long nv = PyLong_AsLong(nxt);
-                Py_DECREF(nxt);
-                if (nv == -1 && PyErr_Occurred())
-                    goto fail;
-                if (nv <= cycle && mem_retire_c(S, cycle) < 0)
-                    goto fail;
-            }
-            else
-                Py_DECREF(nxt);
         }
         if (cycle >= next_expire) {
             next_expire = cycle + S->expire_period;
@@ -1890,7 +2039,9 @@ native_run(PyObject *self, PyObject *args)
                 Py_DECREF(p);
             }
         }
-        if (S->tech_wakeups) {
+        /* Only Python code queues wakeups: drain after a re-entry. */
+        if (S->tech_wakeups && S->py_ran) {
+            S->py_ran = 0;
             PyObject *pending = PyObject_CallNoArgs(S->tech_wakeup);
             if (pending == NULL)
                 goto fail;
@@ -1907,6 +2058,9 @@ native_run(PyObject *self, PyObject *args)
                     goto fail;
                 }
                 Py_ssize_t np = PySequence_Fast_GET_SIZE(fast);
+                /* The drain itself ran Python (status setters, the
+                 * unblock hook): drain again next cycle. */
+                S->py_ran = 1;
                 for (Py_ssize_t i = 0; i < np; i++) {
                     PyObject *warp = PySequence_Fast_GET_ITEM(fast, i);
                     PyObject *wst = PyObject_GetAttr(warp, S_status);
@@ -1953,15 +2107,13 @@ native_run(PyObject *self, PyObject *args)
             if (flush_stats(S) < 0)
                 goto fail;
             if (S->san_on_cycle != NULL) {
-                PyObject *r = PyObject_CallFunctionObjArgs(
-                    S->san_on_cycle, sm, NULL);
+                PyObject *r = PYCALL(S, S->san_on_cycle, sm);
                 if (r == NULL)
                     goto fail;
                 Py_DECREF(r);
             }
             if (S->observer != NULL) {
-                PyObject *r = PyObject_CallFunctionObjArgs(
-                    S->obs_on_cycle, sm, NULL);
+                PyObject *r = PYCALL(S, S->obs_on_cycle, sm);
                 if (r == NULL)
                     goto fail;
                 Py_DECREF(r);
@@ -1998,8 +2150,10 @@ native_run(PyObject *self, PyObject *args)
                             long hslot = PyLong_AsLong(hslot_o);
                             long hreg = PyLong_AsLong(
                                 PyTuple_GET_ITEM(top, 2));
-                            if (lget(PyList_GET_ITEM(S->sb_rows, hslot),
-                                     hreg) == ready_at) {
+                            long *row = slot_row(S, hslot);
+                            if (row == NULL)
+                                goto fail;
+                            if (row[hreg] == ready_at) {
                                 target = ready_at;
                                 has_target = 1;
                                 break;
@@ -2012,22 +2166,11 @@ native_run(PyObject *self, PyObject *args)
                     Py_DECREF(p);
                 }
                 {
-                    PyObject *mt =
-                        PyObject_GetAttr(S->memory, S_next_retire);
-                    if (mt == NULL)
-                        goto fail;
-                    if (mt != Py_None) {
-                        long mv = PyLong_AsLong(mt);
-                        if (mv == -1 && PyErr_Occurred()) {
-                            Py_DECREF(mt);
-                            goto fail;
-                        }
-                        if (!has_target || mv < target) {
-                            target = mv;
-                            has_target = 1;
-                        }
+                    long mv = S->memc[M_NEXT_RETIRE];
+                    if (mv != -1 && (!has_target || mv < target)) {
+                        target = mv;
+                        has_target = 1;
                     }
-                    Py_DECREF(mt);
                 }
                 /* Completion-backed minimum so far: creditable against
                  * the watchdog iff it survives as the overall minimum. */
@@ -2066,8 +2209,8 @@ native_run(PyObject *self, PyObject *args)
                         PyObject *sk = PyLong_FromLong(skip);
                         if (sk == NULL)
                             goto fail;
-                        PyObject *r = PyObject_CallFunctionObjArgs(
-                            S->obs_on_fast_forward, sm, sk, NULL);
+                        PyObject *r =
+                            PYCALL(S, S->obs_on_fast_forward, sm, sk);
                         Py_DECREF(sk);
                         if (r == NULL)
                             goto fail;
@@ -2109,18 +2252,18 @@ native_run(PyObject *self, PyObject *args)
              * flush first (timing-neutral). */
             if (flush_stats(S) < 0)
                 goto fail;
+            S->py_ran = 1;
             PyObject *ck = PyObject_CallNoArgs(S->save_checkpoint);
             if (ck == NULL)
                 goto fail;
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                S->checkpoint_sink, ck, NULL);
+            PyObject *r = PYCALL(S, S->checkpoint_sink, ck);
             Py_DECREF(ck);
             if (r == NULL)
                 goto fail;
             Py_DECREF(r);
             if (S->observer != NULL) {
-                PyObject *r2 = PyObject_CallFunctionObjArgs(
-                    S->obs_on_checkpoint, sm, S->cyc_obj, NULL);
+                PyObject *r2 =
+                    PYCALL(S, S->obs_on_checkpoint, sm, S->cyc_obj);
                 if (r2 == NULL)
                     goto fail;
                 Py_DECREF(r2);
@@ -2134,8 +2277,7 @@ native_run(PyObject *self, PyObject *args)
         if (set_long_attr(S->stats, S_cycles, S->cycle) < 0)
             goto fail;
         if (S->observer != NULL) {
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                S->obs_on_run_end, sm, NULL);
+            PyObject *r = PYCALL(S, S->obs_on_run_end, sm);
             if (r == NULL)
                 goto fail;
             Py_DECREF(r);
@@ -2187,8 +2329,6 @@ intern_all(void)
     IN(S_state, "_state");
     IN(S_in_flight_d, "_in_flight");
     IN(S_rng_a, "_rng");
-    IN(S_loads_issued, "loads_issued");
-    IN(S_l1_hits, "l1_hits");
     IN(S_l1_hit_latency, "l1_hit_latency");
     IN(S_dram_latency, "dram_latency");
     IN(S_l1_hit_rate, "l1_hit_rate");
@@ -2199,12 +2339,8 @@ intern_all(void)
     IN(S_issued_count, "issued_count");
     IN(S_greedy, "_greedy");
     IN(S_last_id, "_last_id");
-    IN(S_barrier_count, "barrier_count");
-    IN(S_acquire_count, "acquire_count");
-    IN(S_mem_sleepers, "mem_sleepers");
-    IN(S_nonmem_sleepers, "nonmem_sleepers");
-    IN(S_next_retire, "_next_retire");
-    IN(S_in_flight_total, "_in_flight_total");
+    IN(S_counts, "counts");
+    IN(S_counters, "_counters");
     IN(S_instructions_issued, "instructions_issued");
     IN(S_idle_scheduler_cycles, "idle_scheduler_cycles");
     IN(S_stall_memory, "stall_memory");
@@ -2300,8 +2436,14 @@ PyInit__native(void)
     EXPORT(K_EXIT) EXPORT(K_JMP) EXPORT(K_BRA) EXPORT(K_BARRIER)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
     EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
+    EXPORT(U_MEM_SLEEPERS) EXPORT(U_NONMEM_SLEEPERS) EXPORT(U_BARRIER)
+    EXPORT(U_ACQUIRE)
+    EXPORT(M_IN_FLIGHT_TOTAL) EXPORT(M_NEXT_RETIRE) EXPORT(M_LOADS_ISSUED)
+    EXPORT(M_L1_HITS)
+    EXPORT(RFV_POOL_FREE) EXPORT(RFV_RESERVE_HOLDER) EXPORT(RFV_PEAK_POOL_USE)
+    EXPORT(RFV_POOL_CAPACITY) EXPORT(RFV_NEXT_ORDER)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 4) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 5) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

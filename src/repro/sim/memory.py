@@ -14,8 +14,19 @@ extreme occupancy cannot hide latency for free.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.arch.config import GpuConfig
+from repro.sim.columnar import buffer_field
 from repro.sim.rand import DeterministicRng
+
+# Slots of ``MemoryModel._counters``, the one buffer the columnar
+# engine's C loop shares with this object (it runs ``issue_load`` and
+# ``retire`` itself; see ``sim/csrc/nativemodule.c``).
+M_IN_FLIGHT_TOTAL = 0
+M_NEXT_RETIRE = 1  # -1 means None: nothing in flight
+M_LOADS_ISSUED = 2
+M_L1_HITS = 3
 
 
 class MemoryModel:
@@ -36,14 +47,25 @@ class MemoryModel:
         # Completion cycles of in-flight loads (multiset as sorted list is
         # overkill; dict cycle -> count keeps retire O(1)).
         self._in_flight: dict[int, int] = {}
-        self._in_flight_total = 0
-        # Earliest in-flight completion cycle (None when idle): lets the
-        # per-cycle retire() return without scanning the dict, which is
-        # the common case — loads complete every ~20-400 cycles, retire
-        # runs every cycle.
-        self._next_retire: int | None = None
-        self.loads_issued = 0
-        self.l1_hits = 0
+        # _in_flight_total, _next_retire, loads_issued, l1_hits.
+        # ``_next_retire`` is the earliest in-flight completion cycle
+        # (None when idle): it lets the per-cycle retire() return without
+        # scanning the dict, which is the common case — loads complete
+        # every ~20-400 cycles, retire runs every cycle.
+        self._counters = array("l", [0, -1, 0, 0])
+
+    _in_flight_total = buffer_field("_counters", M_IN_FLIGHT_TOTAL)
+    loads_issued = buffer_field("_counters", M_LOADS_ISSUED)
+    l1_hits = buffer_field("_counters", M_L1_HITS)
+
+    @property
+    def _next_retire(self) -> int | None:
+        nxt = self._counters[M_NEXT_RETIRE]
+        return None if nxt < 0 else nxt
+
+    @_next_retire.setter
+    def _next_retire(self, value: int | None) -> None:
+        self._counters[M_NEXT_RETIRE] = -1 if value is None else value
 
     @property
     def in_flight(self) -> int:
@@ -71,7 +93,8 @@ class MemoryModel:
         done = cycle + latency
         self._in_flight[done] = self._in_flight.get(done, 0) + 1
         self._in_flight_total += 1
-        if self._next_retire is None or done < self._next_retire:
+        nxt = self._next_retire
+        if nxt is None or done < nxt:
             self._next_retire = done
         return done
 

@@ -13,9 +13,10 @@ binary, which it could not unload again after a rebuild.  In a checkout
 ``python setup.py build_ext --inplace --force`` in a child process —
 setuptools and the compiler never enter the simulating process — under
 a file lock, so concurrent first users build it once.  Everything that
-leaves no usable binary (no compiler, no checkout, column encodings
-that drift from :mod:`repro.sim.columnar`) is returned as a cause; the
-caller warns once and builds its SMs on the scan stepper instead.
+leaves no usable binary (no compiler, no checkout, column encodings or
+shared-buffer layouts that drift from the Python modules' constants) is
+returned as a cause; the caller warns once and builds its SMs on the
+scan stepper instead.
 """
 
 from __future__ import annotations
@@ -34,19 +35,30 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 SOURCE = Path(__file__).resolve().parent / "csrc" / "nativemodule.c"
-NATIVE_ABI = 4
+NATIVE_ABI = 5
 # A hung compiler must not hang the simulation forever.
 BUILD_TIMEOUT_S = 600
 
-# Constants the C loop hardcodes; each must equal repro.sim.columnar's.
-_CONST_NAMES = (
-    "ST_READY", "ST_BARRIER", "ST_ACQUIRE", "ST_FINISHED",
-    "SL_NONE", "SL_SCOREBOARD", "SL_MEMORY", "SL_TECHNIQUE",
-    "QS_OUT", "QS_READY", "QS_SLEEPING", "QS_BARRIER", "QS_ACQUIRE",
-    "K_ALU", "K_LOAD", "K_SHARED_LOAD", "K_STORE", "K_EXIT",
-    "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
-    "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
-)
+# Constants the C loop hardcodes, by the module each must equal: the
+# column encodings and the slot layouts of the buffers it shares.
+_CONST_NAMES = {
+    "repro.sim.columnar": (
+        "ST_READY", "ST_BARRIER", "ST_ACQUIRE", "ST_FINISHED",
+        "SL_NONE", "SL_SCOREBOARD", "SL_MEMORY", "SL_TECHNIQUE",
+        "QS_OUT", "QS_READY", "QS_SLEEPING", "QS_BARRIER", "QS_ACQUIRE",
+        "K_ALU", "K_LOAD", "K_SHARED_LOAD", "K_STORE", "K_EXIT",
+        "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
+        "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
+        "U_MEM_SLEEPERS", "U_NONMEM_SLEEPERS", "U_BARRIER", "U_ACQUIRE",
+    ),
+    "repro.sim.memory": (
+        "M_IN_FLIGHT_TOTAL", "M_NEXT_RETIRE", "M_LOADS_ISSUED", "M_L1_HITS",
+    ),
+    "repro.baselines.rfv": (
+        "RFV_POOL_FREE", "RFV_RESERVE_HOLDER", "RFV_PEAK_POOL_USE",
+        "RFV_POOL_CAPACITY", "RFV_NEXT_ORDER",
+    ),
+}
 
 
 def _source_digest() -> str:
@@ -133,12 +145,13 @@ def load_native():
         from repro import _native
     except ImportError as exc:
         return None, f"repro._native does not import ({exc})"
-    from repro.sim import columnar
-
     if not (
         getattr(_native, "NATIVE_ABI", None) == NATIVE_ABI
-        and all(getattr(_native, name, None) == getattr(columnar, name)
-                for name in _CONST_NAMES)
+        and all(
+            getattr(_native, name, None)
+            == getattr(importlib.import_module(module), name)
+            for module, names in _CONST_NAMES.items() for name in names
+        )
     ):
         return None, ("repro._native was built against different column "
                       "encodings")

@@ -55,7 +55,7 @@ from repro.sim.rand import DeterministicRng
 from repro.sim.scheduler import WarpScheduler, make_scheduler
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.stats import SmStats
-from repro.sim.technique import SmTechniqueState, resolve_hook
+from repro.sim.technique import SmTechniqueState, resolve_gate, resolve_hook
 from repro.sim.warp import Warp, WarpStatus
 
 # Scoreboard-expiry cadence: purging every cycle is wasted work; the
@@ -476,15 +476,17 @@ class StreamingMultiprocessor:
 
         Read once per run (observer attach swaps the technique object
         before a run starts).  Each hook resolves through any wrapper
-        stack (:func:`resolve_hook`): one no layer implements binds to
+        stack (:func:`resolve_gate`): one no layer implements binds to
         None — ``wakeups`` to False — and the loop skips it without a
         call; one only the wrapped state implements binds that state's
-        method, not the wrappers' forwarding ones.
+        method, not the wrappers' forwarding ones — or, when the state
+        declares its gate as data (``native_gate``, RFV), binds that
+        declaration, which the loop evaluates without a call.
         """
         tech = self.technique
         return (
-            resolve_hook(tech, "can_issue"),
-            resolve_hook(tech, "on_issue"),
+            resolve_gate(tech, "can_issue"),
+            resolve_gate(tech, "on_issue"),
             resolve_hook(tech, "wakeup_pending") is not None,
         )
 

@@ -51,12 +51,28 @@ class SmTechniqueState:
     def on_warp_finish(self, warp: Warp, cycle: int) -> None:
         """Warp executed EXIT; reclaim any held resources."""
 
-    def wakeup_pending(self) -> "Sequence[Warp]":
-        """Warps whose blocked acquire may now succeed (drained each cycle).
+    def native_gate(self) -> "tuple | None":
+        """The technique's issue gate as data, or None (the default).
 
-        Returns the empty tuple when nothing is pending — the SM calls
-        this every cycle, and techniques without wakeups (baseline, OWF,
-        RFV) must not allocate a fresh list per cycle for nothing.
+        A state that returns a declaration here promises that the
+        columnar engine's C loop evaluates its class's own ``can_issue``
+        and ``on_issue`` over exactly these buffers (each an
+        ``array('l')`` the Python hooks read and write too), so the loop
+        binds the declaration instead of calling the method
+        (:func:`resolve_gate`).  The layout is the C loop's; RFV is the
+        one technique that declares one.
+        """
+        return None
+
+    def wakeup_pending(self) -> "Sequence[Warp]":
+        """Warps whose blocked acquire may now succeed, as queued by the
+        technique's own hooks.
+
+        Returns the empty tuple when nothing is pending — the scan
+        stepper calls this every cycle, the C loop on each cycle after
+        it re-entered Python (only Python code can queue a wakeup), and
+        techniques without wakeups (baseline, OWF, RFV) must not
+        allocate a fresh list per call for nothing.
 
         This drain is the *only* event that re-arms an acquire-parked
         warp on the columnar issue path: a warp this method returns is
@@ -155,6 +171,9 @@ class DelegatingTechniqueState(SmTechniqueState):
     def on_warp_finish(self, warp: Warp, cycle: int) -> None:
         self.inner.on_warp_finish(warp, cycle)
 
+    def native_gate(self) -> "tuple | None":
+        return self.inner.native_gate()
+
     def wakeup_pending(self) -> "Sequence[Warp]":
         return self.inner.wakeup_pending()
 
@@ -202,6 +221,28 @@ def resolve_hook(state: SmTechniqueState, name: str):
     if getattr(type(state), name) is getattr(SmTechniqueState, name):
         return None
     return getattr(state, name)
+
+
+def resolve_gate(state: SmTechniqueState, name: str):
+    """Hook ``name`` as the C loop runs it: :func:`resolve_hook`'s
+    binding, or the innermost state's :meth:`~SmTechniqueState.native_gate`
+    declaration when that binding is the method of the class that
+    declares the gate.  A wrapper that overrides the hook (observer,
+    shadow, fault injector), or a subclass that redefines it, keeps its
+    Python call, and that call reaches the same buffers."""
+    hook = resolve_hook(state, name)
+    inner = innermost(state)
+    if hook is None or getattr(hook, "__self__", None) is not inner:
+        return hook
+    gate = inner.native_gate()
+    if gate is None:
+        return hook
+    declaring = next(
+        cls for cls in type(inner).__mro__ if "native_gate" in vars(cls)
+    )
+    if hook.__func__ is vars(declaring).get(name):
+        return gate
+    return hook
 
 
 class SharingTechnique:

@@ -10,6 +10,7 @@ import pytest
 from repro.arch.config import fermi_like
 from repro.errors import InterruptedRun
 from repro.harness.orchestrator import Orchestrator
+from repro.harness.reporting import format_telemetry
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.spec import (
     JobFailure,
@@ -95,6 +96,15 @@ class TestNonSimulationJobErrors:
         assert isinstance(outcomes[good], RunRecord)
         assert orch.telemetry.failures_by_kind() == {"job-error": 1}
         assert orch.telemetry.wall_seconds > 0  # the session was closed
+        # The timing, the bench artifact row and the printed report name
+        # what the job raised, not only its kind.
+        timing = next(t for t in orch.telemetry.timings if t.failed)
+        assert timing.failure_message == outcomes[bad].message
+        assert timing.to_dict()["failure_message"].startswith(
+            "CompactionError: ")
+        report = format_telemetry(orch.telemetry)
+        assert "failed jobs" in report
+        assert f"{bad.label}  job-error  CompactionError: " in report
 
         fresh = ExperimentRunner(target_ctas_per_sm=2, seed=7,
                                  cache_path=str(cache))

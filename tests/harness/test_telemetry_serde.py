@@ -23,7 +23,8 @@ def _session() -> SessionTelemetry:
              loop="native")
     t.record("BFS/regmutex-e4", 0.0, MODE_CACHED, cycles=88_000)
     t.record("MergeSort/owf", 0.5, MODE_POOL, failed=True,
-             failure_kind="timeout", attempts=2)
+             failure_kind="timeout", attempts=2,
+             failure_message="job exceeded its 5.0 s timeout")
     t.record("Hotspot/baseline", 2.0, MODE_POOL, cycles=200_000,
              resumed_from_cycle=40_000, loop="scan")
     t.wall_seconds = 4.5

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,37 @@ class TestRebuiltQueues:
             assert _queue_state(restored) == live, (
                 f"rebuilt queues differ at cycle {payload['cycle']}"
             )
+
+
+RFV_GOLDEN = Path(__file__).parent / "golden" / "rfv_checkpoint.json"
+
+
+class TestRfvPayloadGolden:
+    """An RFV payload is written byte for byte as pinned: the pool, the
+    reserve holder and ``allocated`` in first-issue order (warps 2, 5,
+    4 here), whichever engine wrote it.  The pinned text was captured
+    from the dict-backed ``RfvSmState`` the buffer-backed one replaced.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_payload_matches_golden(self, engine):
+        from repro.baselines.rfv import RfvSmState
+        from tests.sim.test_engine_identity import _config
+
+        issue_engine = "columnar" if engine == "native" else engine
+        config = _config(issue_engine=issue_engine, registers_per_sm=256)
+        kernel = _random_kernel(0)
+        stats = SmStats()
+        sm = StreamingMultiprocessor(
+            sm_id=0, config=config, kernel=kernel,
+            technique_state=RfvSmState(kernel, config, stats),
+            ctas_resident_limit=2, total_ctas=5,
+            rng=DeterministicRng(7), stats=stats,
+        )
+        payloads = []
+        sm.run(checkpoint_interval=700, checkpoint_sink=payloads.append)
+        text = json.dumps(payloads[0], indent=1) + "\n"
+        assert text == RFV_GOLDEN.read_text()
 
 
 @pytest.fixture(scope="module")

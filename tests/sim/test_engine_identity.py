@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+from array import array
 import random
 import sys
 import tracemalloc
@@ -32,6 +33,8 @@ import pytest
 
 import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
+from repro.baselines.owf import OwfSmState, owf_priority
+from repro.baselines.rfv import RfvSmState
 from repro.isa.builder import KernelBuilder
 from repro.observe.hooks import SmObserver
 from repro.regmutex.issue_logic import RegMutexSmState
@@ -136,7 +139,8 @@ def _acquire_kernel(work: int = 6):
     return b.build().with_metadata(base_set_size=2, extended_set_size=2)
 
 
-def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas):
+def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas,
+             priority=None):
     stats = SmStats()
     return StreamingMultiprocessor(
         sm_id=0,
@@ -146,12 +150,15 @@ def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas):
         ctas_resident_limit=ctas_resident,
         total_ctas=total_ctas,
         rng=DeterministicRng(7),
+        scheduler_priority=priority,
         stats=stats,
     )
 
 
-def _run_sm(kernel, config, state_factory, ctas_resident, total_ctas):
-    sm = _make_sm(kernel, config, state_factory, ctas_resident, total_ctas)
+def _run_sm(kernel, config, state_factory, ctas_resident, total_ctas,
+            priority=None):
+    sm = _make_sm(kernel, config, state_factory, ctas_resident, total_ctas,
+                  priority)
     sm.run()
     return sm
 
@@ -203,7 +210,8 @@ def _assert_columnar_drained(sm):
     assert all(qs == QS_OUT for qs in core.qstate)
 
 
-def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas):
+def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas,
+               priority=None):
     """Outcomes of both engines, the columnar one hygiene-checked: scan
     and the C loop.  Skips where the extension is not built (a columnar
     config would run scan there, comparing scan with itself)."""
@@ -211,11 +219,11 @@ def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas):
         pytest.skip(NATIVE_MISSING)
     scan = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="scan"),
-        state_factory, ctas_resident, total_ctas,
+        state_factory, ctas_resident, total_ctas, priority,
     )
     native = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="columnar"),
-        state_factory, ctas_resident, total_ctas,
+        state_factory, ctas_resident, total_ctas, priority,
     )
     assert native.issue_loop == "native"
     _assert_columnar_drained(native)
@@ -274,6 +282,180 @@ class TestEngineIdentityProperty:
             kernel, _config(scheduler_policy="lrr"), make_state,
             ctas_resident=3, total_ctas=5,
         ))
+
+
+# A pool of 256 / 32 = 8 per-thread registers: two resident CTAs of a
+# random kernel outrun it, so RFV's pool, reserve and stall paths fire.
+_RFV_TIGHT = dict(registers_per_sm=256)
+
+
+def _owf_state(kernel, config, stats):
+    return OwfSmState(kernel, config, stats, base_ctas=1, extra_ctas=1)
+
+
+class TestBaselineTechniqueIdentity:
+    """RFV runs its issue gate in C (``RfvSmState.native_gate``), OWF
+    calls its Python hooks and priority pick: both must equal scan field
+    for field."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_rfv_random_kernels_identical(self, seed, policy):
+        _assert_identical(_all_paths(
+            _random_kernel(seed), _config(scheduler_policy=policy, **_RFV_TIGHT),
+            RfvSmState, ctas_resident=2, total_ctas=5,
+        ))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_owf_random_kernels_identical(self, seed):
+        _assert_identical(_all_paths(
+            _random_kernel(seed), _config(scheduler_policy="gto"),
+            _owf_state, ctas_resident=2, total_ctas=5, priority=owf_priority,
+        ))
+
+    def test_plain_rfv_binds_no_python_gate(self):
+        sm = _make_sm(_random_kernel(0), _config(**_RFV_TIGHT), RfvSmState,
+                      ctas_resident=2, total_ctas=5)
+        can_issue, on_issue, wakeups = sm._hook_bindings()
+        gate = sm.technique.native_gate()
+        assert can_issue is gate and on_issue is gate
+        assert not callable(can_issue) and not callable(on_issue)
+        assert wakeups is False
+
+    @needs_native
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rfv_observer_takes_on_issue_only(self, seed):
+        """With an observer attached, ``on_issue`` is the wrapper's Python
+        call while ``can_issue`` stays the C gate; both reach the same
+        buffers, so the run equals the bare one."""
+        kernel = _random_kernel(seed)
+        config = _config(issue_engine="columnar", **_RFV_TIGHT)
+        bare = _run_sm(kernel, config, RfvSmState, ctas_resident=2,
+                       total_ctas=5)
+        sm = _make_sm(kernel, config, RfvSmState, ctas_resident=2,
+                      total_ctas=5)
+        inner = sm.technique
+        SmObserver(collect_log=False).attach(sm)
+        can_issue, on_issue, _ = sm._hook_bindings()
+        assert can_issue is inner.native_gate()
+        assert on_issue == sm.technique.on_issue
+        sm.run()
+        assert _outcome(sm) == _outcome(bare)
+        assert inner.state_snapshot() == bare.technique.state_snapshot()
+
+
+def _shared_arrays(sm):
+    """Every array the C loop takes a buffer of, by name."""
+    core = sm._columnar
+    arrays = {name: getattr(core, name) for name in (
+        "pc", "wake", "status", "stall", "qstate", "dyn", "sb_max")}
+    arrays.update({f"row{slot}": row for slot, row in enumerate(core.sb_rows)
+                   if row is not None})
+    arrays.update({f"unit{i}.counts": unit.counts
+                   for i, unit in enumerate(core.units)})
+    arrays["memory._counters"] = sm.memory._counters
+    gate = sm.technique.native_gate() or ()
+    arrays.update({f"gate{i}": buf for i, buf in enumerate(gate)})
+    return arrays
+
+
+def _assert_released(sm):
+    """No run holds a buffer any more: every shared array resizes."""
+    for name, buf in _shared_arrays(sm).items():
+        try:
+            buf.append(0)
+        except BufferError:  # pragma: no cover - the failure being tested
+            pytest.fail(f"{name} is still exported after the run")
+        buf.pop()
+
+
+class _RaisingRfv(RfvSmState):
+    """RFV whose ``on_issue`` is a Python override (``can_issue`` stays
+    the C gate) that raises on its 40th call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def on_issue(self, warp, inst, cycle):
+        self.calls += 1
+        if self.calls == 40:
+            raise RuntimeError("hook failed")
+        super().on_issue(warp, inst, cycle)
+
+
+class _StarvedRfv(RfvSmState):
+    """RFV on a kernel with acquires it never grants: the warps re-poll
+    forever (eager backoff), which only the watchdog stops."""
+
+    def try_acquire(self, warp, cycle):
+        return False
+
+
+@needs_native
+class TestSharedBuffers:
+    """The C loop holds a buffer of each shared array for a run and
+    releases all of them on every exit."""
+
+    def test_released_after_a_finished_run(self):
+        sm = _run_sm(_random_kernel(1), _config(**_RFV_TIGHT), RfvSmState,
+                     ctas_resident=2, total_ctas=5)
+        assert len(_shared_arrays(sm)) > 12
+        _assert_released(sm)
+
+    def test_released_after_a_raising_hook(self):
+        sm = _make_sm(_random_kernel(1), _config(**_RFV_TIGHT), _RaisingRfv,
+                      ctas_resident=2, total_ctas=5)
+        can_issue, on_issue, _ = sm._hook_bindings()
+        assert can_issue is sm.technique.native_gate()
+        assert on_issue == sm.technique.on_issue
+        with pytest.raises(RuntimeError, match="hook failed"):
+            sm.run()
+        _assert_released(sm)
+
+    def test_released_after_a_watchdog_stop(self):
+        from repro.errors import SimulationDeadlockError
+        from tests.sim.test_watchdog import srp_kernel
+
+        sm = _make_sm(srp_kernel(), _config(watchdog_window=500),
+                      _StarvedRfv, ctas_resident=2, total_ctas=4)
+        with pytest.raises(SimulationDeadlockError, match="no forward"):
+            sm.run()
+        _assert_released(sm)
+
+    @pytest.mark.parametrize("typecode", ["i", "d"])
+    def test_a_column_of_other_items_is_refused(self, typecode):
+        """A column whose items are not C longs raises ``TypeError``;
+        the loop never falls back to boxed access."""
+        sm = _make_sm(_random_kernel(1), _config(), SmTechniqueState,
+                      ctas_resident=2, total_ctas=5)
+        core = sm._columnar
+        core.hot = (array(typecode, core.pc),) + core.hot[1:]
+        with pytest.raises(TypeError, match="core.pc"):
+            sm.run()
+        _assert_released(sm)
+
+    def test_wakeups_drain_only_after_python_ran(self):
+        """``wakeup_pending`` is called only on cycles after a re-entry
+        into Python, never on the cycles the loop runs alone."""
+
+        class Counting(RegMutexSmState):
+            calls = 0
+
+            def wakeup_pending(self):
+                Counting.calls += 1
+                return super().wakeup_pending()
+
+        def make_state(k, c, s):
+            return Counting(k, c, s, num_sections=1)
+
+        kernel = _acquire_kernel(work=40)
+        native = _run_sm(kernel, _config(), make_state, ctas_resident=3,
+                         total_ctas=6)
+        assert 0 < Counting.calls < native.cycle // 2
+        scan = _run_sm(kernel, _config(issue_engine="scan"), make_state,
+                       ctas_resident=3, total_ctas=6)
+        assert _outcome(native) == _outcome(scan)
 
 
 class TestNativeFallback:
