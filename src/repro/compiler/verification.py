@@ -1,11 +1,11 @@
 """Static verification of compiled RegMutex kernels.
 
-The hardware contract (enforced dynamically by
-:class:`repro.regmutex.mapping.RegMutexRegisterMapper` with a
-``PermissionError``) is: a warp may only touch an architected register
-with index >= |Bs| while it holds an SRP section.  This module proves
-the property statically for a compiled kernel, so miscompiled kernels
-are rejected before they ever reach the simulator:
+The hardware contract (checked dynamically, on every issued
+instruction of a sanitizer-armed run, by the ``extended-access`` check
+of :mod:`repro.check.sanitizer`) is: a warp may only touch an
+architected register with index >= |Bs| while it holds an SRP section.
+This module proves the property statically for a compiled kernel, so
+miscompiled kernels are rejected before they ever reach the simulator:
 
 * **hold-state dataflow** — for every PC, compute whether the warp may
   be holding / not-holding a section when the instruction executes

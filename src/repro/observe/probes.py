@@ -77,11 +77,10 @@ class ProbeSeries:
     def sample(self, sm) -> None:
         """Append one row snapshotted from a live SM.
 
-        Under the columnar engine the histogram is one bulk pass over
-        the state columns (:meth:`repro.sim.columnar.ColumnarCore.
-        probe_counts` — vectorized when numpy is present) instead of a
-        per-warp object walk; both paths count the same thing, which
-        the column-view tests assert.
+        Under the columnar engine the histogram is one pass over the
+        state columns (:meth:`repro.sim.columnar.ColumnarCore.
+        probe_counts`) instead of a per-warp object walk; both paths
+        count the same thing, which the column-view tests assert.
         """
         core = getattr(sm, "_columnar", None)
         if core is not None:

@@ -9,6 +9,7 @@ prints.
 
 from __future__ import annotations
 
+from repro.analysis.bottleneck import attribute_bottlenecks
 from repro.arch.config import GpuConfig
 from repro.observe.bus import EventLog
 from repro.observe.probes import ProbeSeries
@@ -37,10 +38,6 @@ def profile_report(
     title: str = "profile",
 ) -> str:
     """Render the profile report for one SM run."""
-    # Local import: repro.analysis imports repro.sim, whose trace shim
-    # imports this package — a module-level import here would be a cycle.
-    from repro.analysis.bottleneck import attribute_bottlenecks
-
     lines = [title, "=" * len(title), ""]
 
     report = attribute_bottlenecks(stats, num_schedulers=config.num_schedulers)

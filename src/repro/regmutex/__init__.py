@@ -10,7 +10,6 @@ specialization (§III-C) and the storage-overhead accounting used for the
 
 from repro.regmutex.srp import Bitmask, SharedRegisterPool
 from repro.regmutex.issue_logic import RegMutexSmState, RegMutexTechnique
-from repro.regmutex.mapping import RegMutexRegisterMapper
 from repro.regmutex.paired import PairedWarpsSmState, PairedWarpsTechnique
 from repro.regmutex.storage import (
     StorageBudget,
@@ -24,7 +23,6 @@ __all__ = [
     "SharedRegisterPool",
     "RegMutexSmState",
     "RegMutexTechnique",
-    "RegMutexRegisterMapper",
     "PairedWarpsSmState",
     "PairedWarpsTechnique",
     "StorageBudget",

@@ -168,16 +168,15 @@ class SharedRegisterPool:
 
         Bulk consumers (the sanitizer's cross-check against the
         columnar ``holds`` column, the column-view tests, exporters)
-        read these instead of probing bits one at a time.  Returns
-        ndarrays when numpy is installed, plain lists otherwise —
-        mirroring :meth:`repro.sim.columnar.ColumnarCore.snapshot`.
+        read these instead of probing bits one at a time.  Each column
+        is a plain list.
 
         Keys: ``holds`` (bool per warp slot: status bit), ``section``
         (int per warp slot: LUT entry, -1 when none), ``taken`` (bool
         per *addressable* section: SRP bit — pre-set bits past
         ``num_sections`` included, exactly as the hardware holds them).
         """
-        cols = {
+        return {
             "holds": [
                 self.warp_status.test(slot) for slot in range(self._max_warps)
             ],
@@ -189,11 +188,6 @@ class SharedRegisterPool:
                 for section in range(self._max_warps)
             ],
         }
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - minimal installs
-            return cols
-        return {name: np.asarray(col) for name, col in cols.items()}
 
     # -- fault injection support -----------------------------------------------------
     def corrupt_for_fault_injection(

@@ -14,7 +14,6 @@ from repro.sim.cta import Cta
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.scheduler import make_scheduler, GtoScheduler, LrrScheduler
 from repro.sim.memory import MemoryModel
-from repro.sim.regfile import BaselineRegisterMapper, MappedRegister
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.gpu import Gpu, LaunchResult, simulate_kernel
 from repro.sim.multikernel import launch_concurrent, kernels_similar
@@ -30,8 +29,6 @@ __all__ = [
     "GtoScheduler",
     "LrrScheduler",
     "MemoryModel",
-    "BaselineRegisterMapper",
-    "MappedRegister",
     "StreamingMultiprocessor",
     "Gpu",
     "LaunchResult",

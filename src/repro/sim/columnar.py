@@ -54,11 +54,10 @@ on the loop's side.  The buffer contract:
   column to ``max_warps_per_sm`` slots up front, and code outside the
   loop writes through indexing only.
 
-NumPy is not used on the hot path: :meth:`ColumnarCore.snapshot`
-exports the columns as arrays for the masked invariant sweeps
-(:meth:`ColumnarCore.check_hygiene`, the probes' histogram path).
-NumPy is optional at import — the pure-Python fallbacks keep minimal
-installs working.
+The cold consumers outside the loop — the invariant sweep
+(:meth:`ColumnarCore.check_hygiene`) and the probes' histogram
+(:meth:`ColumnarCore.probe_counts`) — walk the same columns slot by
+slot in plain Python; the package has no third-party dependency.
 
 Scoreboard rows never expire (unlike the dict engine's periodic
 ``expire``): a stale entry has ``ready <= cycle`` and every consumer
@@ -124,11 +123,6 @@ from repro.isa.kernel import Kernel
 from repro.sim.rand import DeterministicRng
 from repro.sim.scheduler import GtoScheduler, LrrScheduler
 from repro.sim.warp import Warp, WarpStatus
-
-try:  # Bulk/masked ops only — the hot loop never touches numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 # Stall-attribution horizon (cycles): a pending completion further out
 # than this is attributed to memory, nearer to the scoreboard.  Shared
@@ -668,39 +662,11 @@ class ColumnarCore:
                 self.qstate[slot] = QS_ACQUIRE
                 unit.acquire_count += 1
 
-    # -- bulk reads (numpy when available) --------------------------------------
-    def snapshot(self) -> dict:
-        """Columns as arrays (ndarray with numpy, lists without) for the
-        masked consumers: sanitizer sweeps, probes, tests, exporters."""
-        cols = {
-            "wid": self.wid, "pc": self.pc, "wake": self.wake,
-            "status": self.status, "stall": self.stall,
-            "qstate": self.qstate, "dyn": self.dyn, "sb_max": self.sb_max,
-            "holds": self.holds, "base_regs": self.base_regs,
-            "ext_regs": self.ext_regs,
-        }
-        if _np is None:
-            return {name: list(col) for name, col in cols.items()}
-        return {name: _np.asarray(col) for name, col in cols.items()}
-
+    # -- bulk reads -------------------------------------------------------------
     def probe_counts(self) -> tuple[int, int, int, int, int, int]:
         """(ready, at_barrier, waiting_acquire, resident, holders, live)
         over the active slots — the probes' per-sample histogram, as one
-        vectorized pass when numpy is present."""
-        if _np is not None:
-            snap = self.snapshot()
-            alive = (snap["wid"] >= 0) & (snap["status"] != ST_FINISHED)
-            status = snap["status"][alive]
-            holds = snap["holds"][alive]
-            counts = _np.bincount(status, minlength=4)
-            live = int(snap["base_regs"][alive].sum()) + int(
-                snap["ext_regs"][alive][holds].sum()
-            )
-            return (
-                int(counts[ST_READY]), int(counts[ST_BARRIER]),
-                int(counts[ST_ACQUIRE]), int(alive.sum()),
-                int(holds.sum()), live,
-            )
+        pass over the columns."""
         ready = barrier = waiting = resident = holders = live = 0
         for slot in range(self.capacity):
             if self.wid[slot] < 0:
@@ -726,11 +692,11 @@ class ColumnarCore:
 
         Per unit: sleeper heap size matches the class counts, the ready
         list is id-sorted, and every queued warp's qstate/status agree
-        with the structure holding it.  On top, the column-level invariants are checked as masked array
-        ops when numpy is available (pure-Python equivalent otherwise):
-        every active slot's codes must be in range, a finished warp must
-        be out of every queue structure, and the qstate histogram must
-        reconcile with the queues' own counts.
+        with the structure holding it.  On top, one pass over the
+        columns checks that every active slot's codes are in range, a
+        finished warp is out of every queue structure, a free slot is
+        owned by none, and the qstate histogram reconciles with the
+        queues' own counts.
         """
         status = self.status
         qstate = self.qstate
@@ -761,47 +727,41 @@ class ColumnarCore:
             total_barrier += unit.barrier_count
             total_acquire += unit.acquire_count
 
-        if _np is not None:
-            wid = _np.asarray(self.wid)
-            st = _np.asarray(status)
-            qs = _np.asarray(qstate)
-            active = wid >= 0
-            assert bool(((st >= ST_READY) & (st <= ST_FINISHED))[active].all()), (
+        sleeping = barrier = acquire = 0
+        for slot in range(self.capacity):
+            qs = qstate[slot]
+            if self.wid[slot] < 0:
+                assert qs == QS_OUT, (
+                    "free slot still owned by a queue structure"
+                )
+                continue
+            st = status[slot]
+            assert ST_READY <= st <= ST_FINISHED, (
                 "status code out of range on an active slot"
             )
-            assert bool(((qs >= QS_OUT) & (qs <= QS_ACQUIRE))[active].all()), (
+            assert QS_OUT <= qs <= QS_ACQUIRE, (
                 "qstate code out of range on an active slot"
             )
-            finished = active & (st == ST_FINISHED)
-            assert bool((qs[finished] == QS_OUT).all()), (
-                "finished warp still owned by a queue structure"
-            )
-            assert int((qs[active] == QS_SLEEPING).sum()) == total_sleeping
-            assert int((qs[active] == QS_BARRIER).sum()) == total_barrier
-            assert int((qs[active] == QS_ACQUIRE).sum()) == total_acquire
-            inactive = ~active
-            assert bool((qs[inactive] == QS_OUT).all()), (
-                "free slot still owned by a queue structure"
-            )
-        else:  # pragma: no cover - minimal installs
-            sleeping = barrier = acquire = 0
-            for slot in range(self.capacity):
-                if self.wid[slot] < 0:
-                    assert qstate[slot] == QS_OUT
-                    continue
-                assert ST_READY <= status[slot] <= ST_FINISHED
-                assert QS_OUT <= qstate[slot] <= QS_ACQUIRE
-                if status[slot] == ST_FINISHED:
-                    assert qstate[slot] == QS_OUT
-                if qstate[slot] == QS_SLEEPING:
-                    sleeping += 1
-                elif qstate[slot] == QS_BARRIER:
-                    barrier += 1
-                elif qstate[slot] == QS_ACQUIRE:
-                    acquire += 1
-            assert sleeping == total_sleeping
-            assert barrier == total_barrier
-            assert acquire == total_acquire
+            if st == ST_FINISHED:
+                assert qs == QS_OUT, (
+                    "finished warp still owned by a queue structure"
+                )
+            if qs == QS_SLEEPING:
+                sleeping += 1
+            elif qs == QS_BARRIER:
+                barrier += 1
+            elif qs == QS_ACQUIRE:
+                acquire += 1
+        assert sleeping == total_sleeping, (
+            f"{sleeping} slots marked sleeping, {total_sleeping} in heaps"
+        )
+        assert barrier == total_barrier, (
+            f"{barrier} slots marked at barrier, units count {total_barrier}"
+        )
+        assert acquire == total_acquire, (
+            f"{acquire} slots marked waiting to acquire, units count "
+            f"{total_acquire}"
+        )
 
 
 class ColumnarScoreboard:

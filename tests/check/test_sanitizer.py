@@ -12,6 +12,8 @@ from repro.check.sanitizer import Sanitizer, SanitizerViolation
 from repro.observe.bus import EventBus
 from repro.observe.events import SANITIZER
 from repro.regmutex.issue_logic import RegMutexTechnique
+from repro.sim import sm as sm_mod
+from repro.sim.columnar import QS_BARRIER, ST_FINISHED
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
@@ -201,6 +203,62 @@ class TestPerCycleChecks:
         sm.cycle = 16
         san.on_cycle(sm)
         assert san.violations
+
+
+@pytest.mark.skipif(
+    sm_mod.native_module() is None,
+    reason="repro._native could not be built here: no columnar store",
+)
+class TestColumnarHygiene:
+    """The per-cycle ``columnar-hygiene`` check over the C loop's store:
+    its column invariants and the ``holds`` cache of the SRP bit."""
+
+    @pytest.fixture
+    def columnar(self, config):
+        import dataclasses
+
+        sm, san = _regmutex_sm(
+            dataclasses.replace(config, issue_engine="columnar"),
+            fail_fast=True,
+        )
+        assert sm._columnar is not None
+        return sm, san, sm._columnar, sm.resident_ctas[0].warps[0]
+
+    def test_clean_store_is_silent(self, columnar):
+        sm, san, _, _ = columnar
+        san.on_cycle(sm)
+        assert san.violations == []
+
+    def test_finished_slot_still_queued(self, columnar):
+        sm, san, core, warp = columnar
+        slot = warp.slot
+        # Move the warp from its ready list to a barrier count, keeping
+        # the per-unit structures consistent, then finish it in place:
+        # only the column invariant "finished => QS_OUT" is broken.
+        (unit,) = [u for u in core.units if (warp.warp_id, slot) in u.ready]
+        unit.ready.remove((warp.warp_id, slot))
+        unit.barrier_count += 1
+        core.qstate[slot] = QS_BARRIER
+        core.status[slot] = ST_FINISHED
+        with pytest.raises(SanitizerError, match="columnar-hygiene") as exc:
+            san.on_cycle(sm)
+        assert "finished warp still owned by a queue structure" in str(
+            exc.value
+        )
+
+    def test_holds_column_disagrees_with_srp_bit(self, columnar):
+        sm, san, core, warp = columnar
+        # A lost acquire transition: the SRP granted a section, the
+        # column cache never heard of it.
+        assert sm.technique.srp.acquire(warp.slot) is not None
+        assert not core.holds[warp.slot]
+        with pytest.raises(SanitizerError, match="columnar-hygiene") as exc:
+            san.on_cycle(sm)
+        assert (
+            f"holds column says False for slot {warp.slot} but SRP status "
+            "bit is True"
+        ) in str(exc.value)
+        assert exc.value.violations[-1].warp_id == warp.warp_id
 
 
 class TestReporting:

@@ -917,7 +917,7 @@ class TestColumnarViews:
 
     @needs_native
     def test_probe_counts_matches_object_walk(self):
-        """The probes' vectorized histogram must count exactly what the
+        """The probes' column histogram must count exactly what the
         per-warp object walk counted, at every cycle of a C-loop run
         with barriers, retires, and live-register churn."""
         kernel = _random_kernel(1)
