@@ -77,7 +77,7 @@ def main(app_name: str, half_rf: bool) -> None:
     ))
     print("\nThe paper's pitch in one line: RegMutex buys most of RFV's "
           "speedup at ~1% of its storage.")
-    runner.flush()  # persist the shared cache once, at session end
+    runner.flush()  # compact the shared store if this session saw damage
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def main() -> None:
           f"acquire success {rm.acquire_success_rate:.0%}")
     reduction = rm.reduction_vs(base)
     print(f"execution-cycle reduction: {reduction:+.1%}")
-    runner.flush()  # persist the shared cache once, at session end
+    runner.flush()  # compact the shared store if this session saw damage
     if reduction <= 0:
         raise SystemExit("expected RegMutex to win on BFS — check the build")
 

@@ -57,7 +57,7 @@ def main(apps: list[str]) -> None:
     ))
     print("\nRegMutex should absorb most of the slowdown from the smaller "
           "register file (paper: 23% -> 9% average increase).")
-    runner.flush()  # persist the shared cache once, at session end
+    runner.flush()  # compact the shared store if this session saw damage
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ subset; ``--faults`` instead re-runs the fault campaign with the
 sanitizer armed and reports which mechanism caught each fault.
 
 ``serve`` runs the persistent simulation daemon (:mod:`repro.service`):
-an asyncio front end over the journaled run store that dedups
+an asyncio front end over the shared run store that dedups
 submissions three ways and streams per-job telemetry; ``submit`` sends
 a figure name or a JSON job file to a running daemon and follows the
 event stream (exit 1 if any job failed, matching the batch CLI);
@@ -133,11 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-queue", type=int, default=64, metavar="N",
         help="max concurrently active jobs before submissions get a "
              "typed queue-full rejection (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--flush-interval", type=float, default=5.0, metavar="SECONDS",
-        help="periodic cache flush cadence, 0 disables "
-             "(default: %(default)s)",
     )
     serve.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -501,7 +496,6 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
-        flush_interval=args.flush_interval,
     )
     where = args.socket + (f" and {args.tcp}" if args.tcp else "")
     print(f"repro service listening on {where} "
@@ -752,8 +746,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_experiment(args.command, args, runner)
     except InterruptedRun as exc:
         # Ctrl-C mid-campaign: the orchestrator has already cancelled
-        # outstanding work and flushed completed records to the cache,
-        # so a re-run picks up where this one stopped.
+        # outstanding work, and completed records are in the store, so
+        # a re-run picks up where this one stopped.
         print(f"interrupted: {exc.summary()}", file=sys.stderr)
         return 130
 

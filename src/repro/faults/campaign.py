@@ -12,9 +12,9 @@ escaped:
 * Harness faults run real jobs through the :class:`Orchestrator` and
   must be absorbed (transient crash → retried to success) or attributed
   (deterministic error → typed :class:`JobFailure`, hang → timeout).
-* Cache faults damage a real on-disk result cache and must be caught by
-  the runner's load-time validation (``.corrupt`` backup or per-entry
-  quarantine) without poisoning results.
+* Cache faults damage a real on-disk run store and must be caught by
+  the runner's per-line validation (the damaged line quarantined, every
+  intact line kept) without poisoning results.
 
 Everything is a pure function of ``seed``: injection sites are event
 ordinals, the simulator is deterministic, and worker retry outcomes are
@@ -345,7 +345,7 @@ def _concurrent_cache_worker(
 ) -> int:
     """Pool entry point: compute ``entries`` distinct records against a
     shared cache file, flushing after every one for maximal collision
-    pressure on the journal/lock protocol."""
+    pressure on the append/lock protocol."""
     runner = ExperimentRunner(target_ctas_per_sm=2, seed=seed, cache_path=path)
     kernel = _plain_kernel()
     for i in range(entries):
@@ -362,10 +362,10 @@ def _concurrent_cache_scenario(
 ) -> FaultOutcome:
     """Hammer one cache path from several processes at once.
 
-    Every writer journals and flushes its own records concurrently; the
-    advisory lock + write-ahead journal must deliver all of them into
-    the final cache file with valid checksums — no lost entries, no
-    quarantine, no torn file.
+    Every writer stores and flushes its own records concurrently; the
+    fsync'd appends under the advisory lock must deliver all of them
+    into the store file with valid checksums — no lost entries, no
+    quarantine, no torn line.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -500,7 +500,7 @@ def _daemon_kill_worker_scenario(
         workers=max(2, workers), seed=seed, target_ctas_per_sm=2,
         max_retries=2, retry_backoff=0.01,
         checkpoint_dir=os.path.join(workdir, "daemon-kill-ckpts"),
-        checkpoint_interval=interval, flush_interval=0,
+        checkpoint_interval=interval,
     )
 
     async def drive():
@@ -630,44 +630,64 @@ def _harness_scenarios(seed: int, workers: int, workdir: str) -> list[FaultOutco
 
 
 # -- cache-layer scenarios ---------------------------------------------------------
+SEEDED_RECORDS = 3  # so that halving the store cuts inside a line
+
+
 def _seed_cache(path: str, seed: int) -> None:
     with ExperimentRunner(target_ctas_per_sm=2, seed=seed, cache_path=path) as r:
-        r.run(_probe_kernel(), CAMPAIGN_CONFIG, BaselineTechnique())
+        for i in range(SEEDED_RECORDS):
+            config = dataclasses.replace(CAMPAIGN_CONFIG, name=f"seeded-{i}")
+            r.run(_probe_kernel(), config, BaselineTechnique())
+
+
+def _quarantined_lines(path: str) -> list[str]:
+    import json
+
+    try:
+        with open(path + ".quarantine.json") as fh:
+            return [entry["line"] for entry in json.load(fh).values()]
+    except (OSError, ValueError):
+        return []
 
 
 def _cache_scenarios(seed: int, workdir: str) -> list[FaultOutcome]:
+    """Damage a seeded store and reopen it.  Detected means all of: a
+    warning, exactly one quarantined line holding the damaged text,
+    and every other complete line adopted — so no damaged record is
+    adopted, and a truncated store keeps the lines before the cut."""
     import warnings as warnings_mod
 
     outcomes = []
     cases = [
-        ("cache-truncate", "torn write"),
-        ("cache-garbage", "non-JSON overwrite"),
-        ("cache-poison-entry", "silent record bit-rot"),
+        ("cache-truncate", "torn-tail-quarantine", "torn write"),
+        ("cache-garbage", "line-quarantine", "non-JSON overwrite"),
+        ("cache-poison-entry", "checksum-quarantine", "silent record bit-rot"),
     ]
-    for kind, label in cases:
+    for kind, detector, label in cases:
         path = os.path.join(workdir, f"{kind}.json")
         _seed_cache(path, seed)
-        corrupt_cache_file(path, kind, seed=seed)
+        damaged = corrupt_cache_file(path, kind, seed=seed)
+        with open(path) as fh:
+            intact = [line for line in fh
+                      if line.endswith("\n") and line[:-1] != damaged]
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
             runner = ExperimentRunner(
                 target_ctas_per_sm=2, seed=seed, cache_path=path
             )
-        warned = len(caught) > 0
-        if kind == "cache-poison-entry":
-            detected = runner.quarantined_entries == 1 and warned
-            detector = "checksum-quarantine"
-            detail = (
-                f"{runner.quarantined_entries} entry quarantined to "
-                f"{os.path.basename(path)}.quarantine.json"
-            )
-        else:
-            backed_up = os.path.exists(path + ".corrupt")
-            detected = backed_up and warned and not runner._memo
-            detector = "load-validation"
-            detail = f"{label} preserved at {os.path.basename(path)}.corrupt"
-        if not detected:
-            detail = f"{label} was silently accepted"
+        detected = (
+            len(caught) > 0
+            and runner.quarantined_entries == 1
+            and damaged in _quarantined_lines(path)
+            and len(runner._memo) == len(intact)
+        )
+        detail = (
+            f"{label} quarantined, {len(intact)}/{SEEDED_RECORDS} "
+            f"intact line(s) kept"
+            if detected else
+            f"{label}: quarantined {runner.quarantined_entries}, "
+            f"adopted {len(runner._memo)} of {len(intact)} intact"
+        )
         outcomes.append(FaultOutcome(
             f"{kind}/reload", kind, "cache",
             detected=detected,

@@ -25,8 +25,8 @@ Fault kinds (see :data:`FAULT_KINDS`):
   hard (transient — retried), raises a deterministic simulation error
   (never retried), or hangs past the per-job timeout.
 * ``cache-truncate`` / ``cache-garbage`` / ``cache-poison-entry`` —
-  on-disk cache damage via :func:`corrupt_cache_file`, caught by the
-  runner's checksum validation and quarantine.
+  on-disk run-store damage via :func:`corrupt_cache_file`, caught by
+  the runner's per-line validation and quarantine.
 * ``kill-mid-run`` — a worker is SIGKILLed at a deterministic
   simulation cycle via :class:`KillMidRunTechnique`; with periodic
   checkpointing armed, the orchestrator's retry must *resume* from the
@@ -36,9 +36,9 @@ Fault kinds (see :data:`FAULT_KINDS`):
   (:func:`corrupt_checkpoint_file`); resume must classify the damage
   (:class:`repro.errors.CheckpointCorruptError`) and fall back to a
   fresh, bit-identical run — never resume silently from bad state.
-* ``cache-concurrent-writer`` — multiple processes hammer one result
-  cache; the journal + advisory-lock protocol must lose no entry and
-  corrupt none.
+* ``cache-concurrent-writer`` — multiple processes hammer one run
+  store; the fsync'd appends under the advisory lock must lose no
+  entry and corrupt none.
 
 Every injection site is an *event ordinal* (the Nth release, the Nth
 acquire attempt), not a wall-clock or cycle trigger, so a campaign is
@@ -461,30 +461,40 @@ def corrupt_checkpoint_file(path: str, kind: str, seed: int = 0) -> None:
 
 
 # -- cache-level faults ------------------------------------------------------------
-def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> None:
-    """Damage an on-disk result cache in one of three deterministic ways."""
+def corrupt_cache_file(path: str, kind: str, seed: int = 0) -> str:
+    """Damage an on-disk run store in one of three deterministic ways.
+
+    Returns the damaged text: the torn final line, the garbage, or the
+    poisoned line (without its newline) — what the store must
+    quarantine and never adopt.
+    """
     import json
 
     if kind == "cache-truncate":
+        # A torn write: the file loses its second half, mid-line.
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(max(1, size // 2))
+        with open(path) as fh:
+            return fh.read().rpartition("\n")[2]
     elif kind == "cache-garbage":
+        garbage = "{this is not json" + "x" * (seed % 7)
         with open(path, "w") as fh:
-            fh.write("{this is not json" + "x" * (seed % 7))
+            fh.write(garbage)
+        return garbage
     elif kind == "cache-poison-entry":
         with open(path) as fh:
-            raw = json.load(fh)
-        entries = raw.get("entries", raw)
-        if not entries:
+            lines = fh.read().splitlines()
+        if not lines:
             raise FaultInjectionError(f"cache {path!r} has no entries to poison")
-        key = sorted(entries)[seed % len(entries)]
-        entry = entries[key]
-        record = entry.get("record", entry)
+        index = seed % len(lines)
+        entry = json.loads(lines[index])
         # Flip a result field without touching the stored checksum —
-        # the signature of silent bit-rot or a torn write.
-        record["cycles"] = int(record.get("cycles", 0)) + 1
+        # the signature of silent bit-rot.
+        entry["record"]["cycles"] += 1
+        lines[index] = json.dumps(entry, separators=(",", ":"))
         with open(path, "w") as fh:
-            json.dump(raw, fh)
+            fh.writelines(line + "\n" for line in lines)
+        return lines[index]
     else:
         raise FaultInjectionError(f"unknown cache fault kind {kind!r}")

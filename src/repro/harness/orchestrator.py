@@ -14,8 +14,8 @@ the :class:`ExperimentRunner`:
    a worker rebuilds the exact same (kernel, technique, seed) triple
    and runs the same deterministic simulator.
 3. **Merge.**  Worker records are installed into the runner's memo
-   under the same content-hash keys ``runner.run`` would use, then the
-   store is flushed once for the whole session.
+   under the same content-hash keys ``runner.run`` would use; each is
+   appended to a file-backed store as it is installed.
 
 :class:`JobExecutor` is the one execution policy behind both front
 ends: this batch orchestrator (one executor and pool per ``run_jobs``
@@ -46,7 +46,8 @@ pool, across all submissions).
   workers are terminated only once no other job still runs on it.
   Siblings finish uncharged.
 * **Operator interrupts** (SIGINT / Ctrl-C): the workers are killed,
-  everything already computed is flushed along with partial telemetry,
+  everything already computed is kept (already on disk for a
+  file-backed store) along with partial telemetry,
   and a typed :class:`repro.errors.InterruptedRun` carrying the
   completed/total counts replaces the raw traceback.
 
@@ -420,10 +421,10 @@ class Orchestrator:
             elif pending:
                 asyncio.run(self._run_pool(pending, timeouts, outcomes))
         except KeyboardInterrupt as exc:
-            # Ctrl-C mid-batch: keep everything already computed.  The
-            # journaled runner has each finished record on disk already;
-            # the flush folds them into the main cache file, and the
-            # telemetry covers the partial session.  Surviving worker
+            # Ctrl-C mid-batch: keep everything already computed.  Each
+            # finished record is on disk already (the runner appends it
+            # when it is installed), and the telemetry covers the
+            # partial session.  Surviving worker
             # checkpoints stay in an operator-provided checkpoint_dir,
             # so rerunning the same batch resumes rather than restarts.
             self.runner.flush()

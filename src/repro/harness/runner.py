@@ -16,15 +16,15 @@ Two problems a naive ``simulate_kernel`` comparison has:
    optionally, in a JSON file keyed by a content hash of everything that
    affects the result (kernel text, config, technique parameters, seed).
 
-Crash-safety of the disk cache (see docs/ARCHITECTURE.md, "crash-safety &
-resume"): every computed record is first appended to a write-ahead
-journal (``<path>.journal``) as one fsync'd JSON line under an advisory
-file lock, so a simulation result survives a crash that lands before the
-session's single ``flush()``.  ``flush()`` itself merges the on-disk
-cache, the journal, and the in-memory memo under the same lock before an
-fsync'd atomic replace — concurrent processes sharing a cache directory
-can interleave freely without torn writes or lost entries, and a torn
-journal tail (a writer killed mid-append) is detected and dropped.
+Crash-safety of the disk store (see docs/ARCHITECTURE.md, "Journaled
+run store"): the store is one append-only file of checksummed JSON
+lines ``{"key", "record", "checksum"}``.  ``run`` and ``install``
+append and fsync one line under an advisory file lock before they
+return, so a record is durable, and visible to every process sharing
+the path, from then on.  A reader adopts new lines from a remembered
+offset; a damaged line (a crashed writer's torn tail, garbage, a
+checksum mismatch, a store in an older layout) is quarantined and its
+record recomputed, and ``flush()`` compacts such lines away.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class RunRecord:
         return -self.reduction_vs(baseline)
 
 
-# On-disk cache layout version.  v2 wraps every record with a content
-# checksum so bit-rot / torn writes are caught per entry (and quarantined)
-# instead of silently trusted or fatally wiping the whole cache.
-CACHE_FORMAT_VERSION = 2
-
 # Simulator-semantics version folded into every cache key.  Bump ONLY
 # when a change alters simulated cycle counts — a bump invalidates every
 # cached run everywhere.  Checkers, observers, and other timing-neutral
@@ -121,11 +116,33 @@ def _record_checksum(fields: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _encode_line(key: str, record: RunRecord) -> bytes:
+    """One store line: the key, the record and the record's checksum."""
+    fields = asdict(record)
+    return (json.dumps(
+        {"key": key, "record": fields, "checksum": _record_checksum(fields)},
+        separators=(",", ":"),
+    ) + "\n").encode()
+
+
+def _decode_line(line: bytes) -> tuple[str, RunRecord]:
+    """The (key, record) of one store line.  Raises ``ValueError``,
+    ``KeyError`` or ``TypeError`` for anything but an intact line."""
+    entry = json.loads(line)
+    fields = entry["record"]
+    if entry.get("checksum") != _record_checksum(fields):
+        raise ValueError("checksum mismatch")
+    key = entry["key"]
+    if not isinstance(key, str):
+        raise TypeError(f"key is {type(key).__name__}, not str")
+    return key, RunRecord(**fields)
+
+
 @contextmanager
 def _file_lock(lock_path: str):
     """Advisory exclusive lock scoped to the ``with`` body.
 
-    Serializes journal appends and cache flushes across *processes*
+    Serializes store appends and compactions across *processes*
     sharing one cache path.  Degrades to a no-op where ``fcntl`` is
     unavailable — single-process use stays correct, only cross-process
     exclusion is lost.
@@ -252,168 +269,91 @@ class ExperimentRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         self._memo: dict[str, RunRecord] = {}
-        self._dirty = False
         self._cache_path = cache_path
         self.quarantined_entries = 0
-        # Byte offset of the first unread journal line; reset whenever
-        # the journal is truncated (by our flush or a peer's).
-        self._journal_offset = 0
-        if cache_path and os.path.exists(cache_path):
-            self._load_cache(cache_path)
+        # How far this runner has read the store file: the file's
+        # (st_dev, st_ino) and the byte offset of its first unread line.
+        # A compaction replaces the file, and so changes its id.
+        self._file_id: tuple[int, int] | None = None
+        self._offset = 0
+        # Set once this runner has read a damaged line or a duplicate
+        # key: the only case in which flush() rewrites the file.
+        self._needs_compaction = False
         if cache_path:
-            self._replay_journal()
-
-    @property
-    def _journal_path(self) -> str:
-        return self._cache_path + ".journal"
+            with _file_lock(self._lock_path):
+                self._read_new_lines(locked=True)
 
     @property
     def _lock_path(self) -> str:
         return self._cache_path + ".lock"
 
-    # -- cache plumbing ---------------------------------------------------------
-    def _load_cache(self, cache_path: str) -> None:
-        """Load the disk cache, validating every entry.
+    # -- the store file ---------------------------------------------------------
+    def _read_new_lines(self, locked: bool) -> None:
+        """Adopt the records appended to the store since the last read.
 
-        An unparseable file is preserved (not destroyed) at
-        ``<path>.corrupt`` so the evidence survives for diagnosis, and
-        the session starts fresh.  A parseable file with individually
-        bad entries — checksum mismatch, schema drift — loses only
-        those entries: each is appended to ``<path>.quarantine.json``
-        and the rest of the cache is kept, instead of the old behaviour
-        of silently wiping the whole memo.
+        Every append holds the lock, so under the lock (``locked``) an
+        unterminated final line is a crashed writer's torn tail and is
+        quarantined like any other damaged line.  Without the lock it
+        may be an append in progress, and is left for a later read.  A
+        file that a compaction has replaced is re-read from its start,
+        adopting only the keys this runner lacks.
         """
         try:
-            with open(cache_path) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise TypeError(f"cache root is {type(raw).__name__}, not dict")
-        except (json.JSONDecodeError, TypeError, OSError) as exc:
-            backup = cache_path + ".corrupt"
-            try:
-                os.replace(cache_path, backup)
-                _fsync_dir(backup)
-            except OSError:
-                backup = "<unmovable>"
-            warnings.warn(
-                f"result cache {cache_path!r} is unreadable ({exc}); "
-                f"preserved at {backup!r}, starting with an empty cache",
-                stacklevel=2,
-            )
+            fh = open(self._cache_path, "rb")
+        except FileNotFoundError:
             return
-
-        if raw.get("__cache_format__") == CACHE_FORMAT_VERSION:
-            entries = raw.get("entries", {})
-            checked = True
-        else:
-            # Legacy v1 layout: a bare {key: record-dict} mapping with
-            # no checksums.  Load best-effort and mark dirty so the
-            # next flush rewrites it in the checksummed format.
-            entries = {k: {"record": v} for k, v in raw.items()}
-            checked = False
-            self._dirty = True
-
-        bad: dict[str, object] = {}
-        for key, entry in entries.items():
+        with fh:
+            st = os.fstat(fh.fileno())
+            rereading = False
+            if ((st.st_dev, st.st_ino) != self._file_id
+                    or st.st_size < self._offset):
+                rereading = self._file_id is not None
+                self._file_id = (st.st_dev, st.st_ino)
+                self._offset = 0
+            fh.seek(self._offset)
+            data = fh.read()
+        lines = data.split(b"\n")
+        tail = lines.pop()  # b"" when the data ends with a newline
+        bad: list[tuple[bytes, str]] = []
+        for line in lines:
+            if not line.strip():
+                continue
             try:
-                fields = entry["record"]
-                if checked and entry.get("checksum") != _record_checksum(fields):
-                    raise ValueError("checksum mismatch")
-                self._memo[key] = RunRecord(**fields)
+                key, record = _decode_line(line)
             except (KeyError, TypeError, ValueError) as exc:
-                bad[key] = {"entry": entry, "reason": str(exc)}
+                bad.append((line, str(exc)))
+                continue
+            if key not in self._memo:
+                self._memo[key] = record
+            elif not rereading:
+                self._needs_compaction = True  # a duplicate key
+        self._offset += len(data) - len(tail)
+        if tail and locked:
+            bad.append((tail, "no terminating newline: a torn append, "
+                              "or a store in an older layout"))
+            self._offset += len(tail)
         if bad:
-            self._quarantine(cache_path, bad)
-            self._dirty = True
+            self._needs_compaction = True
+            self._quarantine(bad)
 
-    # -- write-ahead journal -----------------------------------------------------
-    def _journal_append(self, key: str, record: RunRecord) -> None:
-        """Durably log one computed record before the session flush.
+    def _quarantine(self, bad: list[tuple[bytes, str]]) -> None:
+        """Keep damaged lines in ``<path>.quarantine.json`` and warn.
 
-        One fsync'd JSON line per record, appended under the advisory
-        lock: a crash between compute and ``flush()`` loses nothing, and
-        two processes appending concurrently cannot interleave bytes.
+        Entries are keyed by a hash of the line, so a line that several
+        readers quarantine is kept once.
         """
-        if not self._cache_path:
-            return
-        fields = asdict(record)
-        line = json.dumps(
-            {"key": key, "record": fields,
-             "checksum": _record_checksum(fields)},
-            separators=(",", ":"),
-        ) + "\n"
-        with _file_lock(self._lock_path):
-            with open(self._journal_path, "a") as fh:
-                fh.write(line)
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    def _replay_journal(self, into: dict[str, RunRecord] | None = None) -> int:
-        """Merge journal entries written since the last replay.
-
-        With ``into`` given, reads the whole journal into that dict
-        (flush-time merge); otherwise reads incrementally from the
-        remembered offset into the memo.  A torn final line (no
-        terminating newline: the writer died mid-append) is left in
-        place unconsumed — the writer's lock-protected retry or the next
-        flush resolves it.  Corrupt complete lines are skipped.
-        """
-        if not self._cache_path:
-            return 0
-        target = self._memo if into is None else into
-        adopted = 0
-        try:
-            size = os.path.getsize(self._journal_path)
-        except OSError:
-            if into is None:
-                self._journal_offset = 0
-            return 0
-        offset = 0 if into is not None else self._journal_offset
-        if size < offset:
-            # The journal was truncated by a peer's flush: our offset
-            # points into a file that no longer has those bytes.
-            offset = 0
-        try:
-            with open(self._journal_path) as fh:
-                fh.seek(offset)
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break  # torn tail from an interrupted append
-                    offset += len(line.encode())
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        entry = json.loads(stripped)
-                        fields = entry["record"]
-                        if entry.get("checksum") != _record_checksum(fields):
-                            raise ValueError("checksum mismatch")
-                        record = RunRecord(**fields)
-                        key = entry["key"]
-                    except (KeyError, TypeError, ValueError):
-                        continue  # corrupt line: dropped at next flush
-                    if key not in target:
-                        target[key] = record
-                        adopted += 1
-                        if into is None:
-                            self._dirty = True
-        except OSError:
-            return adopted
-        if into is None:
-            self._journal_offset = offset
-        return adopted
-
-    def _quarantine(self, cache_path: str, bad: dict[str, object]) -> None:
-        """Append invalid entries to ``<path>.quarantine.json`` and warn."""
         self.quarantined_entries += len(bad)
-        quarantine_path = cache_path + ".quarantine.json"
+        quarantine_path = self._cache_path + ".quarantine.json"
         existing: dict[str, object] = {}
         try:
             with open(quarantine_path) as fh:
                 existing = json.load(fh)
         except (OSError, json.JSONDecodeError):
             pass
-        existing.update(bad)
+        for line, reason in bad:
+            existing[hashlib.sha256(line).hexdigest()[:16]] = {
+                "line": line.decode(errors="replace"), "reason": reason,
+            }
         tmp = f"{quarantine_path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
             json.dump(existing, fh, indent=2)
@@ -422,11 +362,41 @@ class ExperimentRunner:
         os.replace(tmp, quarantine_path)
         _fsync_dir(quarantine_path)
         warnings.warn(
-            f"result cache {cache_path!r}: {len(bad)} invalid "
+            f"result cache {self._cache_path!r}: {len(bad)} invalid "
             f"entr{'y' if len(bad) == 1 else 'ies'} quarantined to "
             f"{quarantine_path!r}; they will be recomputed",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+    def _store(self, key: str, record: RunRecord) -> None:
+        """Memoize a record and, for a file-backed store, make it durable.
+
+        The record's line is appended and fsync'd under the lock, after
+        adopting the lines peers appended since the last read (so the
+        offset can move past this line).  A torn final line left by a
+        crashed writer is first ended with a newline, so this line
+        stays a line of its own.
+        """
+        self._memo[key] = record
+        if not self._cache_path:
+            return
+        line = _encode_line(key, record)
+        with _file_lock(self._lock_path):
+            self._read_new_lines(locked=True)
+            with open(self._cache_path, "a+b") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        line = b"\n" + line
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
+                st = os.fstat(fh.fileno())
+            if not end:
+                _fsync_dir(self._cache_path)  # the new file's entry
+            self._file_id = (st.st_dev, st.st_ino)
+            self._offset = st.st_size
 
     def _key(
         self, kernel: Kernel, config: GpuConfig, technique: SharingTechnique
@@ -472,83 +442,49 @@ class ExperimentRunner:
         """The stored record for ``key``, if any (no hit accounting).
 
         The one store lookup every front end uses.  On a miss, a
-        file-backed store first replays its journal, adopting a record
-        a concurrent process sharing the cache path has computed and
-        journaled since this runner loaded it.
+        file-backed store first reads the lines appended since its last
+        read, adopting a record a concurrent process sharing the cache
+        path has stored since.
         """
         record = self._memo.get(key)
         if record is None and self._cache_path:
-            self._replay_journal()
+            self._read_new_lines(locked=False)
             record = self._memo.get(key)
         return record
 
     def install(self, key: str, record: RunRecord) -> None:
-        """Merge an externally computed record (a worker's result)."""
-        self._memo[key] = record
-        self._dirty = True
-        self._journal_append(key, record)
+        """Merge an externally computed record (a worker's result).
+        It is durable when this returns."""
+        self._store(key, record)
 
     def flush(self) -> None:
-        """Atomically persist the memo to disk, once, if anything changed.
+        """Compact the store file, if this runner saw anything to compact.
 
-        Persisting used to happen after *every* run — an O(cache) JSON
-        rewrite per simulation.  Callers (CLI, orchestrator, benchmark
-        session, examples) now flush once when their session ends.
-
-        The whole merge-write-truncate sequence holds the advisory lock:
-        the on-disk cache and the journal are re-read first so entries
-        flushed or journaled by a concurrent process survive this
-        process's rewrite, then the journal (now folded in) is removed.
-        The temp file is fsync'd before the atomic replace so a crash at
-        any point leaves either the old complete cache or the new one.
+        Records are durable as soon as they are stored, so a clean
+        store needs no flush.  After this runner has read a damaged
+        line or a duplicate key, the file is rewritten without them:
+        under the lock, after adopting the newest lines, through an
+        fsync'd temp file, ``os.replace`` and a directory fsync, so a
+        crash leaves either the old file or the new one.  Other readers
+        see the new file's id and re-read it.
         """
-        if not self._cache_path or not self._dirty:
+        if not self._cache_path or not self._needs_compaction:
             return
         with _file_lock(self._lock_path):
-            merged: dict[str, RunRecord] = {}
-            try:
-                with open(self._cache_path) as fh:
-                    raw = json.load(fh)
-                if (
-                    isinstance(raw, dict)
-                    and raw.get("__cache_format__") == CACHE_FORMAT_VERSION
-                ):
-                    for key, entry in raw.get("entries", {}).items():
-                        try:
-                            fields = entry["record"]
-                            if entry.get("checksum") != _record_checksum(fields):
-                                continue
-                            merged[key] = RunRecord(**fields)
-                        except (KeyError, TypeError, ValueError):
-                            continue
-            except (OSError, json.JSONDecodeError, TypeError):
-                pass
-            self._replay_journal(into=merged)
-            merged.update(self._memo)
-            self._memo = merged
-            payload = {
-                "__cache_format__": CACHE_FORMAT_VERSION,
-                "entries": {
-                    k: {
-                        "record": asdict(v),
-                        "checksum": _record_checksum(asdict(v)),
-                    }
-                    for k, v in merged.items()
-                },
-            }
+            self._read_new_lines(locked=True)
             tmp = f"{self._cache_path}.tmp.{os.getpid()}"
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh)
+            with open(tmp, "wb") as fh:
+                fh.writelines(
+                    _encode_line(k, r) for k, r in self._memo.items()
+                )
                 fh.flush()
                 os.fsync(fh.fileno())
+                st = os.fstat(fh.fileno())
             os.replace(tmp, self._cache_path)
             _fsync_dir(self._cache_path)
-            try:
-                os.remove(self._journal_path)
-            except FileNotFoundError:
-                pass
-            self._journal_offset = 0
-        self._dirty = False
+            self._file_id = (st.st_dev, st.st_ino)
+            self._offset = st.st_size
+        self._needs_compaction = False
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -618,7 +554,5 @@ class ExperimentRunner:
             stall_acquire=total.stall_acquire,
             stall_memory=total.stall_memory,
         )
-        self._memo[key] = record
-        self._dirty = True
-        self._journal_append(key, record)
+        self._store(key, record)
         return record

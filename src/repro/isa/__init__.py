@@ -12,7 +12,6 @@ label-based control flow, which is exactly what the compiler passes in
 consume.
 """
 
-from repro.isa.registers import Register, RegisterSet
 from repro.isa.instructions import (
     Opcode,
     OpClass,
@@ -26,8 +25,6 @@ from repro.isa.parser import parse_kernel, AsmSyntaxError
 from repro.isa.printer import format_kernel, format_instruction
 
 __all__ = [
-    "Register",
-    "RegisterSet",
     "Opcode",
     "OpClass",
     "Instruction",

@@ -3,7 +3,7 @@
 Every ``repro`` invocation used to pay process startup, simulator
 import, and a private cache load.  :class:`SimulationService` keeps one
 asyncio front end (Unix-domain socket, optionally TCP) over one
-journaled :class:`~repro.harness.runner.ExperimentRunner` and one
+file-backed :class:`~repro.harness.runner.ExperimentRunner` and one
 :class:`~repro.harness.orchestrator.JobExecutor` whose warm pool lives
 across submissions, so the marginal cost of a submission is a
 cache-key lookup.
@@ -14,9 +14,9 @@ Deduplication is layered, cheapest first:
    :func:`~repro.harness.orchestrator.ordered_unique_jobs`, the same
    function the batch orchestrator applies across figure specs.
 2. **Run store** — a content-addressed fingerprint hit in the shared
-   journaled cache answers instantly with zero simulation cycles
-   (including results journaled by concurrent *processes*, which are
-   adopted via journal replay before declaring a miss).
+   run store answers instantly with zero simulation cycles (including
+   results stored by concurrent *processes*, whose appended lines are
+   read before declaring a miss).
 3. **In-flight singleflight** — a submission whose key is already
    computing attaches to the running computation; both clients stream
    the same job id and receive the same record when it lands.
@@ -27,11 +27,11 @@ pool worker with periodic checkpoints keyed like the run cache, a
 worker crash retries (resuming from the surviving checkpoint), a
 per-job timeout — the client's override or the service default — fails
 the job with kind ``timeout`` and retires its pool without touching
-sibling jobs, and every completed record is write-ahead journaled
-before the periodic flush folds it into the cache file.  Killing the
-daemon itself (SIGKILL) therefore loses nothing: a restarted daemon
-adopts journaled records and resumes interrupted jobs from their
-checkpoints.
+sibling jobs, and every completed record is appended to the store
+file and fsync'd when it is installed, visible at once to every
+process sharing the path.  Killing the daemon itself (SIGKILL)
+therefore loses nothing: a restarted daemon reads the stored records
+and resumes interrupted jobs from their checkpoints.
 
 Job lifecycle (queued → running → resumed → done/failed) is published
 twice from one code path: as wire frames to subscribed clients, and as
@@ -103,7 +103,6 @@ class ServiceConfig:
     max_queue: int = 64
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 0
-    flush_interval: float = 5.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -165,17 +164,15 @@ class SimulationService:
         self._servers: list[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
         self._draining = False
-        self._flush_task: asyncio.Task | None = None
         self._started_at = time.monotonic()
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
-        """Bring up the periodic cache flusher (no sockets yet — tests
-        and the fault campaign drive the service in-process through
-        :meth:`submit`).  The executor's pool starts with the first
+        """Start the service without sockets — tests, the fault campaign
+        and the benchmark drive it in-process through :meth:`submit`.
+        Nothing runs in the background: records are durable when
+        installed, and the executor's pool starts with the first
         dispatch and stays warm until :meth:`aclose`."""
-        if self.config.flush_interval > 0:
-            self._flush_task = asyncio.create_task(self._flush_loop())
 
     async def start_servers(self) -> None:
         """Bind the Unix-domain socket and/or the TCP listener."""
@@ -213,7 +210,8 @@ class SimulationService:
         return 0
 
     async def aclose(self) -> None:
-        """Drain in-flight jobs, flush the cache, release everything."""
+        """Drain in-flight jobs, compact the store if it needs it, release
+        everything."""
         self._draining = True
         for server in self._servers:
             server.close()
@@ -222,12 +220,6 @@ class SimulationService:
             await asyncio.gather(*tasks, return_exceptions=True)
         # Let follow-mode connection handlers forward the final events.
         await asyncio.sleep(0)
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
         self.runner.flush()
         for server in self._servers:
             try:
@@ -240,14 +232,6 @@ class SimulationService:
                 os.unlink(self.config.socket_path)
             except OSError:
                 pass
-
-    async def _flush_loop(self) -> None:
-        """Fold journaled records into the cache file periodically, so a
-        long-lived daemon's results become visible to plain ``repro``
-        batch runs sharing the cache path."""
-        while True:
-            await asyncio.sleep(self.config.flush_interval)
-            self.runner.flush()
 
     # -- submission intake ----------------------------------------------------
     def submit(

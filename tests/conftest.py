@@ -153,7 +153,7 @@ def pinned_store_template(tmp_path_factory) -> Path:
 
 @pytest.fixture
 def pinned_store(pinned_store_template, tmp_path) -> str:
-    """This test's own copy of the pinned store (runs flush into it)."""
+    """This test's own copy of the pinned store (runs append to it)."""
     path = tmp_path / "store.json"
     shutil.copy(pinned_store_template, path)
     return str(path)

@@ -51,11 +51,20 @@ class TestSimAndCacheLayers:
         assert detectors["unbalanced-acquire/barrier"] == "deadlock-check"
         assert detectors["srp-bit-flip/sanitizer"] == "sanitizer"
         # Damaged checkpoints are classified and discarded, never
-        # silently resumed; the journal/lock protocol survives
+        # silently resumed; the store's append/lock protocol survives
         # concurrent writers.
         assert detectors["checkpoint-truncate/fallback"] == "checkpoint-validation"
         assert detectors["checkpoint-corrupt/fallback"] == "checkpoint-validation"
         assert detectors["cache-concurrent-writer/stress"] == "journal-lock"
+        # Store damage is quarantined line by line.
+        assert detectors["cache-truncate/reload"] == "torn-tail-quarantine"
+        assert detectors["cache-garbage/reload"] == "line-quarantine"
+        assert detectors["cache-poison-entry/reload"] == "checksum-quarantine"
+
+    def test_truncated_store_keeps_the_lines_before_the_cut(self, sim_outcomes):
+        [truncate] = [o for o in sim_outcomes
+                      if o.scenario == "cache-truncate/reload"]
+        assert "1/3 intact line(s) kept" in truncate.detail
 
     def test_campaign_is_deterministic(self, sim_outcomes):
         assert run_campaign(seed=2018, include_harness=False) == sim_outcomes

@@ -198,44 +198,51 @@ class TestFaultyWorkerTechnique:
 
 
 class TestCacheCorruption:
-    def _write_cache(self, path):
-        import json
+    LINES = [
+        '{"key":"k1","record":{"cycles":100},"checksum":"x"}',
+        '{"key":"k2","record":{"cycles":200,"stall_memory":9},"checksum":"y"}',
+    ]  # the second line is the longer one, so halving cuts inside it
 
-        payload = {
-            "__cache_format__": 2,
-            "entries": {"k1": {"record": {"cycles": 100}, "checksum": "x"}},
-        }
+    def _write_cache(self, path):
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.writelines(line + "\n" for line in self.LINES)
 
     def test_truncate_halves_the_file(self, tmp_path):
         path = str(tmp_path / "cache.json")
         self._write_cache(path)
         size = os.path.getsize(path)
-        corrupt_cache_file(path, "cache-truncate")
+        torn = corrupt_cache_file(path, "cache-truncate")
         assert os.path.getsize(path) == size // 2
+        with open(path) as fh:
+            # The first line survives whole; the returned text is the
+            # unterminated rest of the second.
+            assert fh.read() == self.LINES[0] + "\n" + torn
+        assert torn and self.LINES[1].startswith(torn)
 
     def test_garbage_makes_file_unparseable(self, tmp_path):
         import json
 
         path = str(tmp_path / "cache.json")
         self._write_cache(path)
-        corrupt_cache_file(path, "cache-garbage")
+        garbage = corrupt_cache_file(path, "cache-garbage")
+        with open(path) as fh:
+            assert fh.read() == garbage
         with pytest.raises(json.JSONDecodeError):
-            with open(path) as fh:
-                json.load(fh)
+            json.loads(garbage)
 
     def test_poison_bumps_record_not_checksum(self, tmp_path):
         import json
 
         path = str(tmp_path / "cache.json")
         self._write_cache(path)
-        corrupt_cache_file(path, "cache-poison-entry")
+        poisoned = corrupt_cache_file(path, "cache-poison-entry", seed=1)
         with open(path) as fh:
-            raw = json.load(fh)
-        entry = raw["entries"]["k1"]
-        assert entry["record"]["cycles"] == 101
-        assert entry["checksum"] == "x"  # stale on purpose
+            lines = fh.read().splitlines()
+        assert lines[0] == self.LINES[0]  # seed 1 picks the second line
+        assert lines[1] == poisoned
+        entry = json.loads(poisoned)
+        assert entry["record"]["cycles"] == 201
+        assert entry["checksum"] == "y"  # stale on purpose
 
     def test_unknown_cache_kind_rejected(self, tmp_path):
         path = str(tmp_path / "cache.json")

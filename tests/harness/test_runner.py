@@ -73,14 +73,19 @@ class TestExperimentRunner:
         assert r1 == r2
         assert fresh.cache_hits == 1  # served from disk, not re-simulated
 
-    def test_flush_is_deferred_until_requested(self, cfg, tmp_path):
+    def test_run_appends_one_line_and_flush_leaves_it(self, cfg, tmp_path):
         import os
         path = str(tmp_path / "cache.json")
         runner = ExperimentRunner(target_ctas_per_sm=4, cache_path=path)
         runner.run(straightline_kernel(), cfg, BaselineTechnique())
-        assert not os.path.exists(path)  # no write-per-run
-        runner.flush()
-        assert os.path.exists(path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        assert before.count(b"\n") == 1 and before.endswith(b"\n")
+        inode = os.stat(path).st_ino
+        runner.flush()  # a clean store: nothing to compact
+        assert os.stat(path).st_ino == inode
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
     def test_context_manager_flushes_on_exit(self, cfg, tmp_path):
         import os

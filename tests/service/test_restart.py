@@ -55,7 +55,6 @@ class TestDaemonRestart:
         serve_args = (
             "--checkpoint-dir", str(ckpt),
             "--checkpoint-interval", "4000",
-            "--flush-interval", "60",       # no periodic flush window
             "--seed", "2018",
         )
 

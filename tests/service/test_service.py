@@ -45,7 +45,6 @@ def svc_config(tmp_path, **overrides) -> ServiceConfig:
         seed=7,
         target_ctas_per_sm=2,
         retry_backoff=0.01,
-        flush_interval=0,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
