@@ -171,21 +171,6 @@ class OwfSmState(SmTechniqueState):
             "natives": list(self._natives),
         }
 
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self._partner = {
-            int(w): warps_by_id[p] for w, p in payload["partner"].items()
-        }
-        self._waiting_on = {
-            int(n): [warps_by_id[w] for w in waiters]
-            for n, waiters in payload["waiting_on"].items()
-        }
-        self._native_round_robin = payload["native_round_robin"]
-        self._pending_wakeups = [
-            warps_by_id[w] for w in payload["pending_wakeups"]
-        ]
-        self._wakeup_spare = []
-        self._natives = {w: warps_by_id[w] for w in payload["natives"]}
-
 
 def owf_priority(warp: Warp) -> int:
     """Owner-Warp-First: lock owners outrank everyone else."""

@@ -158,23 +158,6 @@ class RfvSmState(SmTechniqueState):
             "reserve_holder": self._reserve_holder,
         }
 
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        # In place: a C-loop run shares these buffers.
-        slots = len(self.held)
-        self.held[:] = array("l", [0]) * slots
-        self.owner[:] = array("l", [-1]) * slots
-        self.order[:] = array("l", [-1]) * slots
-        for seq, (wid, held) in enumerate(payload["allocated"].items()):
-            slot = warps_by_id[int(wid)].slot
-            self.held[slot] = held
-            self.owner[slot] = int(wid)
-            self.order[slot] = seq
-        holder = payload["reserve_holder"]
-        self.pool[RFV_POOL_FREE] = payload["pool_free"]
-        self.pool[RFV_RESERVE_HOLDER] = -1 if holder is None else holder
-        self.pool[RFV_PEAK_POOL_USE] = payload["peak_pool_use"]
-        self.pool[RFV_NEXT_ORDER] = len(payload["allocated"])
-
 
 class RfvTechnique(SharingTechnique):
     """Register file virtualization with dead-value reclamation."""

@@ -134,15 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max concurrently active jobs before submissions get a "
              "typed queue-full rejection (default: %(default)s)",
     )
-    serve.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="directory for per-job checkpoints; with "
-             "--checkpoint-interval this makes daemon kills resumable",
-    )
-    serve.add_argument(
-        "--checkpoint-interval", type=int, default=0, metavar="CYCLES",
-        help="checkpoint every N simulated cycles (0 disables)",
-    )
     serve.add_argument("--seed", type=int, default=2018,
                        help="simulation seed (default: %(default)s)")
 
@@ -241,9 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--kill-mid-run", action="store_true",
         help="also run the crash-safety probe: SIGKILL a worker at a "
-             "deterministic cycle and require the retry to resume from "
-             "the surviving checkpoint bit-identically "
-             "(implies the harness scenarios)",
+             "deterministic cycle and require the retry to recompute "
+             "the job bit-identically (implies the harness scenarios)",
     )
 
     check = sub.add_parser(
@@ -494,8 +484,6 @@ def _cmd_serve(args) -> int:
         job_timeout=args.job_timeout,
         max_retries=args.retries,
         max_queue=args.max_queue,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
     )
     where = args.socket + (f" and {args.tcp}" if args.tcp else "")
     print(f"repro service listening on {where} "
@@ -548,8 +536,6 @@ def _cmd_submit(args) -> int:
             line += f" ({mode}"
             if dedup:
                 line += f", dedup={dedup}"
-            if event.get("resumed_from_cycle") is not None:
-                line += f", resumed@{event['resumed_from_cycle']}"
             line += f", {timing.get('seconds', 0.0):.2f}s)"
         elif status == "failed":
             failure = event.get("failure") or {}

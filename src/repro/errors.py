@@ -160,34 +160,6 @@ class FaultInjectionError(RuntimeError):
     injection site in the target kernel)."""
 
 
-class CheckpointError(RuntimeError):
-    """Base class for checkpoint save/restore failures.
-
-    Deliberately *not* a :class:`SimulationError`: a bad checkpoint
-    says nothing about the determinism of the underlying job, so the
-    harness treats it as "fall back to a fresh run", never as a
-    non-retryable simulation verdict.
-    """
-
-    kind = "checkpoint"
-
-
-class CheckpointCorruptError(CheckpointError):
-    """The checkpoint file is unreadable or fails its content checksum
-    (torn write, truncation, bit-rot)."""
-
-    kind = "checkpoint-corrupt"
-
-
-class CheckpointSchemaError(CheckpointError):
-    """The checkpoint parses but its payload layout is not the supported
-    schema version (a stale file from an older release).  The issue
-    engine is not part of the context: the payload is engine-neutral,
-    so a checkpoint written on any issue path resumes on any other."""
-
-    kind = "checkpoint-schema"
-
-
 class ServiceError(RuntimeError):
     """Base class for simulation-service failures (:mod:`repro.service`).
 

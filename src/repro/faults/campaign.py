@@ -43,7 +43,6 @@ from repro.faults.injector import (
     FaultSpec,
     FaultingRegMutexTechnique,
     corrupt_cache_file,
-    corrupt_checkpoint_file,
 )
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -268,12 +267,10 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
     ]
 
 
-# -- checkpoint-layer scenarios ----------------------------------------------------
 def _plain_kernel() -> Kernel:
-    """An uninstrumented compute kernel for the checkpoint scenarios
-    (baseline technique — no acquire/release, so the fault surface is
-    purely the checkpoint machinery)."""
-    b = KernelBuilder(name="ckpt-probe", regs_per_thread=8, threads_per_cta=64)
+    """An uninstrumented compute kernel (baseline technique — no
+    acquire/release) for the cache-concurrency scenario."""
+    b = KernelBuilder(name="plain-probe", regs_per_thread=8, threads_per_cta=64)
     for reg in range(4):
         b.ldc(reg)
     b.alu(4, 0, 1)
@@ -282,61 +279,6 @@ def _plain_kernel() -> Kernel:
     b.store(0, 6)
     b.exit()
     return b.build()
-
-
-def _checkpoint_scenarios(seed: int, workdir: str) -> list[FaultOutcome]:
-    """Damage a surviving checkpoint; resume must classify and fall back.
-
-    The surviving checkpoint is produced the way a real crash produces
-    one: a checkpointing launch is cut off mid-run (here by the cycle
-    limit standing in for SIGKILL), leaving its periodic snapshot on
-    disk because the completion cleanup never ran.
-    """
-    from repro.sim.checkpoint import checkpoint_path
-
-    kernel = _plain_kernel()
-    ref = Gpu(CAMPAIGN_CONFIG, BaselineTechnique(), seed=seed).launch(
-        kernel, grid_ctas=8
-    )
-    interval = max(10, ref.cycles // 4)
-    outcomes = []
-    for kind in ("checkpoint-truncate", "checkpoint-corrupt"):
-        ckpt_dir = os.path.join(workdir, kind)
-        os.makedirs(ckpt_dir, exist_ok=True)
-        try:
-            Gpu(CAMPAIGN_CONFIG, BaselineTechnique(), seed=seed).launch(
-                kernel, grid_ctas=8,
-                max_cycles=interval * 2,  # "crash" after >=1 checkpoint
-                checkpoint_dir=ckpt_dir, checkpoint_interval=interval,
-            )
-            raise AssertionError("truncated run unexpectedly completed")
-        except CycleLimitExceededError:
-            pass
-        path = checkpoint_path(ckpt_dir, total_ctas=8)
-        corrupt_checkpoint_file(path, kind, seed=seed)
-        report: dict = {}
-        result = Gpu(CAMPAIGN_CONFIG, BaselineTechnique(), seed=seed).launch(
-            kernel, grid_ctas=8,
-            checkpoint_dir=ckpt_dir, checkpoint_interval=interval,
-            resume_report=report,
-        )
-        fallback = report.get("fallback", {}).get(8, "")
-        classified = "CheckpointCorruptError" in fallback
-        identical = result.stats == ref.stats
-        detected = classified and identical and not report.get("resumed")
-        outcomes.append(FaultOutcome(
-            f"{kind}/fallback", kind, "checkpoint",
-            detected=detected,
-            detector="checkpoint-validation" if detected else "",
-            cycles=None,
-            detail=(
-                "classified, discarded, recomputed bit-identically"
-                if detected else
-                f"classified={classified} identical={identical} "
-                f"resumed={report.get('resumed')}"
-            ),
-        ))
-    return outcomes
 
 
 # -- cache-concurrency scenario ----------------------------------------------------
@@ -396,70 +338,64 @@ def _concurrent_cache_scenario(
     )
 
 
-# -- kill-mid-run scenario ---------------------------------------------------------
-def _kill_mid_run_scenario(
-    seed: int, workers: int, workdir: str, engine: str | None = None
-) -> FaultOutcome:
-    """SIGKILL a worker at a deterministic cycle; resume must finish the
-    job bit-identically to an undisturbed baseline run.
-
-    ``engine`` pins the issue engine (e.g. ``"scan"``: the reference
-    stepper's mid-run checkpoints must be just as resumable as the
-    columnar path's); None keeps the config default.
-    """
-    config = HARNESS_CONFIG
-    tag = ""
-    if engine is not None:
-        config = dataclasses.replace(config, issue_engine=engine)
-        tag = f"-{engine}"
+# -- kill-mid-run scenarios --------------------------------------------------------
+def _kill_mid_run_job(
+    seed: int, workdir: str, name: str
+) -> tuple[RunRecord, int, JobSpec]:
+    """The undisturbed reference record, the deterministic kill cycle
+    (mid-run), and the job whose first dispatch SIGKILLs its worker
+    there."""
     ref_job = JobSpec(
-        app="Gaussian", config=config,
+        app="Gaussian", config=HARNESS_CONFIG,
         technique=TechniqueSpec("baseline"),
     )
     ref_orch = Orchestrator(
         ExperimentRunner(target_ctas_per_sm=2, seed=seed), workers=1
     )
     ref = ref_orch.run_jobs([ref_job])[ref_job]
-
     kill_cycle = max(200, ref.cycles // 2)
-    interval = max(50, kill_cycle // 3)
-    marker = os.path.join(workdir, f"kill-mid-run{tag}.marker")
-    ckpt_dir = os.path.join(workdir, f"kill-mid-run{tag}-ckpts")
     job = JobSpec(
-        app="Gaussian", config=config,
+        app="Gaussian", config=HARNESS_CONFIG,
         technique=TechniqueSpec.of(
-            "kill-mid-run", kill_cycle=kill_cycle, marker_path=marker
+            "kill-mid-run", kill_cycle=kill_cycle,
+            marker_path=os.path.join(workdir, f"{name}.marker"),
         ),
     )
+    return ref, kill_cycle, job
+
+
+def _identical(record, ref: RunRecord) -> bool:
+    """``record`` equals ``ref`` but for the technique label."""
+    return isinstance(record, RunRecord) and (
+        dataclasses.replace(record, technique=ref.technique) == ref
+    )
+
+
+def _kill_mid_run_scenario(
+    seed: int, workers: int, workdir: str
+) -> FaultOutcome:
+    """SIGKILL a worker at a deterministic cycle; the orchestrator's
+    retry must recompute the job from cycle 0, bit-identically to an
+    undisturbed baseline run."""
+    ref, kill_cycle, job = _kill_mid_run_job(seed, workdir, "kill-mid-run")
     orch = Orchestrator(
         ExperimentRunner(target_ctas_per_sm=2, seed=seed),
         workers=max(2, workers), max_retries=2, retry_backoff=0.01,
-        checkpoint_dir=ckpt_dir, checkpoint_interval=interval,
     )
     result = orch.run_jobs([job])[job]
-    recovered = isinstance(result, RunRecord)
     retried = orch.telemetry.retries >= 1
-    resumed = orch.telemetry.resumed_jobs >= 1
-    identical = recovered and (
-        dataclasses.replace(result, technique=ref.technique) == ref
-    )
-    detected = recovered and retried and resumed and identical
-    resumed_cycle = next(
-        (t.resumed_from_cycle for t in orch.telemetry.timings
-         if t.resumed_from_cycle is not None),
-        None,
-    )
+    identical = _identical(result, ref)
+    detected = retried and identical
     return FaultOutcome(
-        f"kill-mid-run{tag}/resume", "kill-mid-run", "harness",
+        "kill-mid-run/recompute", "kill-mid-run", "harness",
         detected=detected,
-        detector="checkpoint-resume" if detected else "",
-        cycles=resumed_cycle,
+        detector="retry-recompute" if detected else "",
+        cycles=None,
         detail=(
-            f"SIGKILL at cycle {kill_cycle} absorbed; resumed from cycle "
-            f"{resumed_cycle}, result bit-identical to undisturbed run"
+            f"SIGKILL at cycle {kill_cycle} absorbed; the retry's record "
+            "is bit-identical to the undisturbed run"
             if detected else
-            f"recovered={recovered} retried={retried} resumed={resumed} "
-            f"identical={identical}"
+            f"retried={retried} identical={identical}"
         ),
     )
 
@@ -468,39 +404,20 @@ def _daemon_kill_worker_scenario(
     seed: int, workers: int, workdir: str
 ) -> FaultOutcome:
     """SIGKILL a pool worker *under the service daemon*; the daemon's
-    retry path must resume from the surviving checkpoint and finish the
-    job bit-identically — the daemon twin of the orchestrator's
-    kill-mid-run probe: the same ``JobExecutor`` policy, reached through
-    the daemon's warm pool and singleflight instead of a batch."""
+    retry must recompute the job bit-identically — the daemon twin of
+    the orchestrator's kill-mid-run probe: the same ``JobExecutor``
+    policy, reached through the daemon's warm pool and singleflight
+    instead of a batch."""
     import asyncio
 
     from repro.service.daemon import ServiceConfig, SimulationService
 
-    ref_job = JobSpec(
-        app="Gaussian", config=HARNESS_CONFIG,
-        technique=TechniqueSpec("baseline"),
-    )
-    ref_orch = Orchestrator(
-        ExperimentRunner(target_ctas_per_sm=2, seed=seed), workers=1
-    )
-    ref = ref_orch.run_jobs([ref_job])[ref_job]
-
-    kill_cycle = max(200, ref.cycles // 2)
-    interval = max(50, kill_cycle // 3)
-    marker = os.path.join(workdir, "daemon-kill.marker")
-    job = JobSpec(
-        app="Gaussian", config=HARNESS_CONFIG,
-        technique=TechniqueSpec.of(
-            "kill-mid-run", kill_cycle=kill_cycle, marker_path=marker
-        ),
-    )
+    ref, kill_cycle, job = _kill_mid_run_job(seed, workdir, "daemon-kill")
     service_config = ServiceConfig(
         socket_path=os.path.join(workdir, "daemon-kill.sock"),
         cache_path=os.path.join(workdir, "daemon-kill-cache.json"),
         workers=max(2, workers), seed=seed, target_ctas_per_sm=2,
         max_retries=2, retry_backoff=0.01,
-        checkpoint_dir=os.path.join(workdir, "daemon-kill-ckpts"),
-        checkpoint_interval=interval,
     )
 
     async def drive():
@@ -516,28 +433,22 @@ def _daemon_kill_worker_scenario(
             await service.aclose()
 
     service, state = asyncio.run(drive())
-    recovered = isinstance(state.record, RunRecord)
     timing = state.timing
     retried = timing is not None and timing.attempts >= 2
-    resumed_cycle = timing.resumed_from_cycle if timing else None
-    resumed = resumed_cycle is not None
     restarted = service.stats["pool_restarts"] >= 1
-    identical = recovered and (
-        dataclasses.replace(state.record, technique=ref.technique) == ref
-    )
-    detected = recovered and retried and resumed and restarted and identical
+    identical = _identical(state.record, ref)
+    detected = retried and restarted and identical
     return FaultOutcome(
-        "daemon-kill-worker/resume", "kill-mid-run", "service",
+        "daemon-kill-worker/recompute", "kill-mid-run", "service",
         detected=detected,
-        detector="daemon-retry+resume" if detected else "",
-        cycles=resumed_cycle,
+        detector="daemon-retry-recompute" if detected else "",
+        cycles=None,
         detail=(
             f"daemon absorbed SIGKILL at cycle {kill_cycle}: pool "
-            f"recycled, retry resumed from cycle "
-            f"{resumed_cycle}, record bit-identical"
+            "recycled, the retry's record is bit-identical"
             if detected else
-            f"recovered={recovered} retried={retried} resumed={resumed} "
-            f"pool_restarted={restarted} identical={identical}"
+            f"retried={retried} pool_restarted={restarted} "
+            f"identical={identical}"
         ),
     )
 
@@ -708,17 +619,16 @@ def run_campaign(
 
     ``include_harness=False`` skips the orchestrator/pool scenarios
     (which spawn real worker processes and take a few seconds) — the
-    simulator, checkpoint, and cache layers alone run in well under a
-    second.  ``include_kill_mid_run`` adds the SIGKILL-at-cycle
-    checkpoint/resume scenario (``repro faults --kill-mid-run``): the
-    heaviest probe — it deliberately kills a pool worker and proves the
-    retry resumes bit-identically — so it is opt-in on top of
+    simulator and cache layers alone run in well under a second.
+    ``include_kill_mid_run`` adds the SIGKILL-at-cycle scenarios
+    (``repro faults --kill-mid-run``): the heaviest probes — they
+    deliberately kill a pool worker and prove the retry recomputes the
+    job bit-identically — so they are opt-in on top of
     ``include_harness``.
     """
     outcomes = _sim_scenarios(seed)
     workdir = tempfile.mkdtemp(prefix="regmutex-faults-")
     try:
-        outcomes.extend(_checkpoint_scenarios(seed, workdir))
         outcomes.extend(_cache_scenarios(seed, workdir))
         outcomes.append(_concurrent_cache_scenario(seed, workdir))
         if include_harness:
@@ -726,11 +636,6 @@ def run_campaign(
             if include_kill_mid_run:
                 outcomes.append(
                     _kill_mid_run_scenario(seed, workers, workdir)
-                )
-                outcomes.append(
-                    _kill_mid_run_scenario(
-                        seed, workers, workdir, engine="scan"
-                    )
                 )
                 outcomes.append(
                     _daemon_kill_worker_scenario(seed, workers, workdir)

@@ -28,14 +28,9 @@ Fault kinds (see :data:`FAULT_KINDS`):
   on-disk run-store damage via :func:`corrupt_cache_file`, caught by
   the runner's per-line validation and quarantine.
 * ``kill-mid-run`` — a worker is SIGKILLed at a deterministic
-  simulation cycle via :class:`KillMidRunTechnique`; with periodic
-  checkpointing armed, the orchestrator's retry must *resume* from the
-  surviving checkpoint and finish bit-identical to an undisturbed run.
-* ``checkpoint-truncate`` / ``checkpoint-corrupt`` — a checkpoint file
-  is cut short or its payload altered under an unchanged checksum
-  (:func:`corrupt_checkpoint_file`); resume must classify the damage
-  (:class:`repro.errors.CheckpointCorruptError`) and fall back to a
-  fresh, bit-identical run — never resume silently from bad state.
+  simulation cycle via :class:`KillMidRunTechnique`; the orchestrator's
+  retry must recompute the job from cycle 0 and finish bit-identical
+  to an undisturbed run.
 * ``cache-concurrent-writer`` — multiple processes hammer one run
   store; the fsync'd appends under the advisory lock must lose no
   entry and corrupt none.
@@ -94,10 +89,6 @@ FAULT_KINDS: dict[str, FaultKind] = {
                   "one cache record is altered without its checksum"),
         FaultKind("kill-mid-run", "harness",
                   "a worker is SIGKILLed at a deterministic sim cycle"),
-        FaultKind("checkpoint-truncate", "checkpoint",
-                  "a checkpoint file is cut short mid-write"),
-        FaultKind("checkpoint-corrupt", "checkpoint",
-                  "checkpoint payload altered under an unchanged checksum"),
         FaultKind("cache-concurrent-writer", "cache",
                   "concurrent processes collide on one result cache"),
     )
@@ -261,13 +252,6 @@ class FaultingRegMutexState(RegMutexSmState):
         }
         return payload
 
-    def state_restore(self, payload: dict, warps_by_id) -> None:
-        super().state_restore(payload, warps_by_id)
-        counters = payload["fault_counters"]
-        self._releases_seen = counters["releases_seen"]
-        self._acquires_seen = counters["acquires_seen"]
-        self.fault_fired_at = counters["fired_at"]
-
 
 class FaultingRegMutexTechnique(RegMutexTechnique):
     """RegMutex with a fault armed — the campaign's simulator entry.
@@ -405,10 +389,9 @@ class KillMidRunTechnique(BaselineTechnique):
     """Baseline occupancy and timing, plus one mid-run SIGKILL.
 
     Used by the kill-mid-run campaign: the first dispatch dies at
-    ``kill_cycle`` (after the periodic checkpointer has flushed at
-    least once), the marker file lets the retry finish, and the final
-    record must be bit-identical to a plain baseline run — the whole
-    point of checkpoint/resume.
+    ``kill_cycle``, the marker file lets the retry finish, and the
+    retry's record, recomputed from cycle 0, must be bit-identical to a
+    plain baseline run.
     """
 
     name = "kill-mid-run"
@@ -431,33 +414,6 @@ class KillMidRunTechnique(BaselineTechnique):
             kernel, config, stats,
             kill_cycle=self.kill_cycle, marker_path=self.marker_path,
         )
-
-
-# -- checkpoint-level faults -------------------------------------------------------
-def corrupt_checkpoint_file(path: str, kind: str, seed: int = 0) -> None:
-    """Damage a checkpoint file the way a crash or bit-rot would.
-
-    ``checkpoint-truncate`` models a writer killed mid-write (only
-    possible on the temp file path, but belt and braces); the result is
-    not valid JSON.  ``checkpoint-corrupt`` alters the payload while
-    keeping the stored checksum — parseable, plausible, and wrong —
-    which only the content checksum can catch.
-    """
-    import json
-
-    if kind == "checkpoint-truncate":
-        size = os.path.getsize(path)
-        with open(path, "r+b") as fh:
-            fh.truncate(max(1, size // 2))
-    elif kind == "checkpoint-corrupt":
-        with open(path) as fh:
-            raw = json.load(fh)
-        payload = raw.get("payload", {})
-        payload["cycle"] = int(payload.get("cycle", 0)) + 1 + seed % 7
-        with open(path, "w") as fh:
-            json.dump(raw, fh)  # checksum left stale on purpose
-    else:
-        raise FaultInjectionError(f"unknown checkpoint fault kind {kind!r}")
 
 
 # -- cache-level faults ------------------------------------------------------------

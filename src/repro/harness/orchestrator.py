@@ -31,10 +31,12 @@ pool, across all submissions).
   broken pool poisons every job running on it without saying which one
   killed it, so each poisoned job is charged one attempt and dispatched
   again to a fresh pool after ``retry_backoff * 2**(attempt-1)``
-  seconds, up to ``max_retries`` extra attempts.  With checkpointing
-  on (``checkpoint_interval > 0``) the new attempt *resumes* from the
-  checkpoints its predecessor flushed; resume is bit-identical, so
-  retries and cold runs share one cache key.
+  seconds, up to ``max_retries`` extra attempts.  The new attempt
+  recomputes the job from cycle 0: the simulator is deterministic, so
+  the retried record is bit-identical to an undisturbed run.  Pool
+  workers exit when their parent process dies (see
+  :func:`_exit_with_parent`), so a killed orchestrator or daemon
+  leaves no simulation running.
 * **Timeouts.**  Each job has its own wall-clock budget: a per-job
   override (``run_jobs(..., timeouts=...)``, the path a service
   client's per-submit timeout rides) or the front end's default.  The
@@ -59,11 +61,10 @@ worker utilization are recorded in a :class:`SessionTelemetry`
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import multiprocessing.connection
 import os
-import shutil
 import signal
-import tempfile
+import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Iterable, Mapping, Sequence
@@ -88,52 +89,49 @@ from repro.harness.telemetry import (
 )
 
 
-def _simulate(
-    job: JobSpec,
-    seed: int,
-    target_ctas_per_sm: int,
-    checkpoint_dir: str | None = None,
-    checkpoint_interval: int = 0,
-):
-    """Worker-process entry point: run one job from scratch or resume it.
+def _simulate(job: JobSpec, seed: int, target_ctas_per_sm: int):
+    """Worker-process entry point: run one job from cycle 0.
 
     Builds a throwaway cache-less runner so the grid sizing, seeding,
     and record normalization are exactly the serial path's; returns
-    ``(record | None, (kind, message) | None, seconds, resumed_cycle,
-    loop)``, where ``loop`` is the issue loop the job's SMs ran (None
-    when it failed or was recalled from a store).
+    ``(record | None, (kind, message) | None, seconds, loop)``, where
+    ``loop`` is the issue loop the job's SMs ran (None when it failed).
     Failures are returned (not raised) so the parent can distinguish a
     job error from the worker process itself dying, and so one failing
     job never takes its batch's flush and telemetry with it.
-
-    With ``checkpoint_dir`` set, the simulation writes periodic
-    checkpoints there and — after a crashed or timed-out predecessor —
-    resumes from any surviving ones; ``resumed_cycle`` reports the
-    deepest such resume point (None for a cold start).  Resume is
-    bit-identical to recomputation, so the record is cache-equivalent
-    either way.
     """
     start = time.perf_counter()
     runner = ExperimentRunner(
         target_ctas_per_sm=target_ctas_per_sm, seed=seed
     )
-    resume_report: dict = {}
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
+    loop = None
     try:
         kernel, technique, priority = materialize_job(job)
-        record = runner.run(
+        record, loop = runner.simulate(
             kernel, job.config, technique, scheduler_priority=priority,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            resume_report=resume_report,
         )
         failure = None
     except Exception as exc:
         record, failure = None, classify_failure(exc)
-    resumed = max(resume_report.get("resumed", {}).values(), default=None)
-    return (record, failure, time.perf_counter() - start, resumed,
-            resume_report.get("loop") if failure is None else None)
+    return record, failure, time.perf_counter() - start, loop
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent process dies.
+
+    A spawned worker of a SIGKILLed parent is re-parented and would
+    otherwise simulate on to the end of its job.  A daemon thread waits
+    on the parent's sentinel, which becomes ready when the parent
+    exits, and then ends the worker at once.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
 
 
 def _terminate(pool: ProcessPoolExecutor) -> None:
@@ -170,22 +168,16 @@ class JobExecutor:
         workers: int = 1,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
         self.runner = runner
         self.telemetry = telemetry
         self.workers = workers
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
         self.stats = {"simulations": 0, "timeouts": 0, "pool_restarts": 0}
         self._pool: ProcessPoolExecutor | None = None
         # Jobs in flight on the current pool and on each retired pool
@@ -193,17 +185,12 @@ class JobExecutor:
         self._load: dict[ProcessPoolExecutor, int] = {}
         self._slots: asyncio.Semaphore | None = None
 
-    def _args(self, job: JobSpec, key: str) -> tuple:
-        checkpoint_dir = None
-        if self.checkpoint_dir is not None and self.checkpoint_interval > 0:
-            # Per-job subdirectory, keyed like the run store.
-            checkpoint_dir = os.path.join(self.checkpoint_dir, key[:16])
-        return (job, self.runner.seed, self.runner.target_ctas_per_sm,
-                checkpoint_dir, self.checkpoint_interval)
+    def _args(self, job: JobSpec) -> tuple:
+        return job, self.runner.seed, self.runner.target_ctas_per_sm
 
     def run_inline(self, job: JobSpec, key: str) -> tuple[object, JobTiming]:
         """Simulate one job in this process (nothing can preempt it)."""
-        return self._settle(job, key, _simulate(*self._args(job, key)),
+        return self._settle(job, key, _simulate(*self._args(job)),
                             MODE_INLINE)
 
     async def run(
@@ -223,12 +210,12 @@ class JobExecutor:
                     continue
                 result = None, (FAILURE_WORKER_CRASH,
                                 f"worker process died ({exc}); gave up "
-                                f"after {attempt} attempts"), 0.0, None, None
+                                f"after {attempt} attempts"), 0.0, None
             except Exception as exc:
                 # The worker entry returns job errors, so this is the
                 # pool itself failing the call (an unpicklable result,
                 # say): still this job's typed failure.
-                result = None, classify_failure(exc), 0.0, None, None
+                result = None, classify_failure(exc), 0.0, None
             return self._settle(job, key, result, MODE_POOL, attempt)
 
     async def _dispatch(self, job: JobSpec, key: str, timeout: float | None):
@@ -248,7 +235,7 @@ class JobExecutor:
                     failure = (FAILURE_TIMEOUT,
                                f"job still running after {timeout:.1f}s "
                                "timeout; its pool was retired")
-                    return None, failure, timeout, None, None
+                    return None, failure, timeout, None
                 if isinstance(future.exception(), BrokenExecutor):
                     self._retire(pool)
                 result = future.result()
@@ -262,12 +249,13 @@ class JobExecutor:
     def _submit(self, pool: ProcessPoolExecutor, job: JobSpec,
                 key: str) -> Future:
         """Hand one job to a pool worker (the dispatch seam)."""
-        return pool.submit(_simulate, *self._args(job, key))
+        return pool.submit(_simulate, *self._args(job))
 
     def _new_pool(self) -> ProcessPoolExecutor:
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent,
         )
         self._load[self._pool] = 0
         return self._pool
@@ -300,7 +288,7 @@ class JobExecutor:
         attempts: int = 1,
     ) -> tuple[object, JobTiming]:
         """Install or type one :func:`_simulate`-shaped result; time it."""
-        record, failure, seconds, resumed, loop = result
+        record, failure, seconds, loop = result
         if failure is None:
             self.runner.install(key, record)
             outcome = record
@@ -314,7 +302,6 @@ class JobExecutor:
             failure_message=failure[1] if failure else None,
             attempts=attempts,
             cycles=record.cycles if failure is None else None,
-            resumed_from_cycle=resumed,
             loop=loop,
         )
         return outcome, timing
@@ -331,8 +318,6 @@ class Orchestrator:
         job_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 0,
     ) -> None:
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive (or None)")
@@ -343,22 +328,7 @@ class Orchestrator:
         self.executor = JobExecutor(
             runner, self.telemetry, workers=workers,
             max_retries=max_retries, retry_backoff=retry_backoff,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
         )
-        # Checkpointing turns the retry path into a *resume* path: a job
-        # re-dispatched after a worker crash or timeout reloads whatever
-        # checkpoints its predecessor flushed instead of restarting at
-        # cycle 0.  An explicit dir also survives across sessions (kill
-        # the whole process, rerun, resume); the auto-created tempdir
-        # only covers within-session retries and is removed at the end.
-        self._owns_checkpoint_dir = (
-            checkpoint_dir is None and checkpoint_interval > 0
-        )
-        if self._owns_checkpoint_dir:
-            self.executor.checkpoint_dir = tempfile.mkdtemp(
-                prefix="repro-ckpt-"
-            )
 
     # -- public API -----------------------------------------------------------
     def run_specs(
@@ -424,9 +394,7 @@ class Orchestrator:
             # Ctrl-C mid-batch: keep everything already computed.  Each
             # finished record is on disk already (the runner appends it
             # when it is installed), and the telemetry covers the
-            # partial session.  Surviving worker
-            # checkpoints stay in an operator-provided checkpoint_dir,
-            # so rerunning the same batch resumes rather than restarts.
+            # partial session.
             self.runner.flush()
             self.telemetry.finish()
             raise InterruptedRun(
@@ -438,8 +406,6 @@ class Orchestrator:
 
         self.runner.flush()
         self.telemetry.finish()
-        if self._owns_checkpoint_dir:
-            shutil.rmtree(self.executor.checkpoint_dir, ignore_errors=True)
         return outcomes
 
     async def _run_pool(

@@ -499,19 +499,8 @@ class ExperimentRunner:
         config: GpuConfig,
         technique: SharingTechnique | None = None,
         scheduler_priority=None,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 0,
-        resume_report: dict | None = None,
     ) -> RunRecord:
-        """Run (or recall) one (kernel, config, technique) combination.
-
-        The checkpoint knobs are deliberately keyword arguments rather
-        than config or technique fields: a resumed run is bit-identical
-        to a fresh one, so it must (and does) share the same cache key.
-        A computed run also stores the issue loop its SMs ran under
-        ``resume_report["loop"]`` (see ``LaunchResult.loop``), which no
-        record or key holds.
-        """
+        """Run (or recall) one (kernel, config, technique) combination."""
         technique = technique or BaselineTechnique()
         key = self._key(kernel, config, technique)
         cached = self.cached(key)
@@ -519,7 +508,23 @@ class ExperimentRunner:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
+        record, _ = self.simulate(kernel, config, technique,
+                                  scheduler_priority)
+        self._store(key, record)
+        return record
 
+    def simulate(
+        self,
+        kernel: Kernel,
+        config: GpuConfig,
+        technique: SharingTechnique,
+        scheduler_priority=None,
+    ) -> tuple[RunRecord, str | None]:
+        """Compute one record from cycle 0, with no store lookup or write.
+
+        Also returns the issue loop the SMs ran (see
+        ``LaunchResult.loop``), which no record or key holds.
+        """
         gpu = Gpu(config, technique, seed=self.seed)
         compiled = technique.prepare_kernel(kernel, config)
         occ = technique.occupancy(compiled, config)
@@ -527,16 +532,7 @@ class ExperimentRunner:
         waves = max(2, round(self.target_ctas_per_sm / resident))
         grid = resident * waves * config.num_sms
 
-        result = gpu.launch(
-            kernel,
-            grid,
-            scheduler_priority=scheduler_priority,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            resume_report=resume_report,
-        )
-        if resume_report is not None:
-            resume_report["loop"] = result.loop
+        result = gpu.launch(kernel, grid, scheduler_priority=scheduler_priority)
         total = result.stats.total
         record = RunRecord(
             kernel_name=kernel.name,
@@ -554,5 +550,4 @@ class ExperimentRunner:
             stall_acquire=total.stall_acquire,
             stall_memory=total.stall_memory,
         )
-        self._store(key, record)
-        return record
+        return record, result.loop

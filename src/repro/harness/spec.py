@@ -46,7 +46,7 @@ from repro.workloads.suite import build_app_kernel, get_app
 # (crash / deterministic error / hang) — the fault campaign's probe for
 # the orchestrator's retry, attribution, and timeout machinery.
 # "kill-mid-run" is baseline behaviour until a deterministic cycle,
-# then SIGKILLs its worker — the checkpoint/resume campaign's probe.
+# then SIGKILLs its worker — the crash-recovery campaign's probe.
 _TECHNIQUES: dict[str, tuple[type, object]] = {
     "baseline": (BaselineTechnique, None),
     "regmutex": (RegMutexTechnique, None),

@@ -51,9 +51,6 @@ class JobTiming:
     # Simulated cycles the job produced (None when the job failed before
     # producing a record); cycles/seconds is the perf-artifact metric.
     cycles: int | None = None
-    # Cycle the job's slowest SM resumed from when a surviving
-    # checkpoint was reloaded (None for runs computed from cycle 0).
-    resumed_from_cycle: int | None = None
     # Issue loop the job's SMs ran: "native" (the columnar engine's C
     # loop) or "scan" (the reference stepper, also what a columnar config
     # runs where the C loop cannot be built); None for cached and failed
@@ -90,7 +87,6 @@ class JobTiming:
             "failure_kind": self.failure_kind,
             "failure_message": self.failure_message,
             "attempts": self.attempts,
-            "resumed_from_cycle": self.resumed_from_cycle,
             "loop": self.loop,
         }
 
@@ -121,7 +117,6 @@ class JobTiming:
             failure_kind=data.get("failure_kind"),
             attempts=int(data.get("attempts", 1)),
             cycles=data.get("cycles"),
-            resumed_from_cycle=data.get("resumed_from_cycle"),
             loop=data.get("loop"),
             failure_message=data.get("failure_message"),
         )
@@ -148,13 +143,11 @@ class SessionTelemetry:
     def record(self, label: str, seconds: float, mode: str,
                failed: bool = False, failure_kind: str | None = None,
                attempts: int = 1, cycles: int | None = None,
-               resumed_from_cycle: int | None = None,
                loop: str | None = None,
                failure_message: str | None = None) -> JobTiming:
         """Append one job's timing and return it."""
         timing = JobTiming(label, seconds, mode, failed, failure_kind,
-                           attempts, cycles, resumed_from_cycle, loop,
-                           failure_message)
+                           attempts, cycles, loop, failure_message)
         self.timings.append(timing)
         return timing
 
@@ -179,11 +172,6 @@ class SessionTelemetry:
     def retries(self) -> int:
         """Extra dispatches beyond each job's first attempt."""
         return sum(t.attempts - 1 for t in self.timings)
-
-    @property
-    def resumed_jobs(self) -> int:
-        """Jobs that restarted from a surviving checkpoint."""
-        return sum(1 for t in self.timings if t.resumed_from_cycle is not None)
 
     def failures_by_kind(self) -> dict[str, int]:
         """Failure counts grouped by taxonomy kind (empty if all passed)."""

@@ -22,7 +22,6 @@ from repro.observe.events import (
     JOB_FAILED,
     JOB_KINDS,
     JOB_QUEUED,
-    JOB_RESUMED,
     JOB_RUNNING,
     RELEASE,
     SECTION_ACQUIRE,
@@ -67,7 +66,6 @@ __all__ = [
     "JOB_FAILED",
     "JOB_KINDS",
     "JOB_QUEUED",
-    "JOB_RESUMED",
     "JOB_RUNNING",
     "ObservingTechniqueState",
     "PERF_ARTIFACT_VERSION",

@@ -43,11 +43,6 @@ STALL = "stall"
 FAST_FORWARD = "fast_forward"   # value = skipped cycles
 WATCHDOG = "watchdog"           # detail = diagnostic summary
 
-# Crash-safety lifecycle (repro.sim.checkpoint): a snapshot was emitted
-# / the SM was rebuilt from one.  ``value`` is the snapshot cycle.
-CHECKPOINT = "checkpoint"
-RESTORE = "restore"
-
 # SRP section transitions (emitted by the pool itself, so they cover
 # defensive EXIT-time reclamation too).  ``warp_id`` is the warp *slot*,
 # ``value`` the section index.
@@ -64,24 +59,22 @@ SANITIZER = "sanitizer"
 # but live on wall-clock time, not simulated cycles: ``cycle`` is
 # milliseconds since the daemon started, ``value`` the daemon job id,
 # ``detail`` the job label (JOB_DONE appends the execution mode,
-# JOB_FAILED the failure kind, JOB_RESUMED carries the resume cycle in
-# ``pc``).
+# JOB_FAILED the failure kind).
 JOB_QUEUED = "job_queued"
 JOB_RUNNING = "job_running"
-JOB_RESUMED = "job_resumed"
 JOB_DONE = "job_done"
 JOB_FAILED = "job_failed"
 
 STALL_CATEGORIES = ("memory", "scoreboard", "barrier", "acquire")
 
 JOB_KINDS = frozenset({
-    JOB_QUEUED, JOB_RUNNING, JOB_RESUMED, JOB_DONE, JOB_FAILED,
+    JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED,
 })
 
 ALL_KINDS = frozenset({
     ISSUE, ACQUIRE_OK, ACQUIRE_BLOCKED, RELEASE, WARP_FINISH,
     CTA_LAUNCH, CTA_RETIRE, STALL, FAST_FORWARD, WATCHDOG,
-    SECTION_ACQUIRE, SECTION_RELEASE, SANITIZER, CHECKPOINT, RESTORE,
+    SECTION_ACQUIRE, SECTION_RELEASE, SANITIZER,
 }) | JOB_KINDS
 
 

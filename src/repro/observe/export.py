@@ -35,7 +35,6 @@ from repro.observe.events import (
     JOB_FAILED,
     JOB_KINDS,
     JOB_QUEUED,
-    JOB_RESUMED,
     JOB_RUNNING,
     RELEASE,
     SANITIZER,
@@ -243,7 +242,7 @@ def job_trace_events(log: EventLog, pid: int = 0) -> list[dict]:
 
     One thread per daemon job (``tid`` = job id), a ``running`` span
     from JOB_RUNNING to JOB_DONE/JOB_FAILED, and instants for queueing
-    and checkpoint resumes.  Timestamps are the events' wall-clock
+    and completion.  Timestamps are the events' wall-clock
     milliseconds (the daemon stamps ``cycle`` that way for JOB_* kinds),
     so daemon traces render on a real timeline rather than simulated
     cycles.  Spans still open at the end of the log (jobs in flight
@@ -274,9 +273,6 @@ def job_trace_events(log: EventLog, pid: int = 0) -> list[dict]:
                 name = e.detail or "running"
                 open_run[e.value] = name
                 out.append(_span(pid, tid(e), "B", e.cycle, name))
-        elif e.kind == JOB_RESUMED:
-            out.append({"ph": "i", "ts": e.cycle, "pid": pid, "tid": tid(e),
-                        "name": f"resumed from cycle {e.pc}", "s": "t"})
         elif e.kind in (JOB_DONE, JOB_FAILED):
             t = tid(e)
             name = open_run.pop(e.value, None)

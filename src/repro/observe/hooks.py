@@ -28,13 +28,11 @@ from repro.observe.bus import EventBus, EventLog
 from repro.observe.events import (
     ACQUIRE_BLOCKED,
     ACQUIRE_OK,
-    CHECKPOINT,
     CTA_LAUNCH,
     CTA_RETIRE,
     FAST_FORWARD,
     ISSUE,
     RELEASE,
-    RESTORE,
     SECTION_ACQUIRE,
     SECTION_RELEASE,
     STALL,
@@ -178,18 +176,6 @@ class SmObserver:
 
     def on_watchdog(self, sm, summary: str) -> None:
         self.bus.emit(SimEvent(sm.cycle, WATCHDOG, detail=summary))
-
-    def on_checkpoint(self, sm, cycle: int) -> None:
-        self.bus.emit(SimEvent(cycle, CHECKPOINT, value=cycle))
-
-    def on_restore(self, sm, cycle: int) -> None:
-        # Re-seed the stall baseline and sample cursor from the restored
-        # counters: deltas are measured from the restore point onward,
-        # not from attach time (which may predate the checkpoint).
-        stats = sm.stats
-        self._prev_stalls = [getattr(stats, f) for f, _ in _STALL_FIELDS]
-        self._next_sample = sm.cycle
-        self.bus.emit(SimEvent(cycle, RESTORE, value=cycle))
 
     def on_run_end(self, sm) -> None:
         """Flush trailing stall deltas and take a final sample."""

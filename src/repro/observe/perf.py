@@ -22,7 +22,7 @@ Schema (``PERF_ARTIFACT_VERSION`` 1)::
       "figures": {"<fig>": {"<metric>": float, ...}, ...},   # optional
       "jobs": [{"label", "mode", "seconds", "cycles", "cycles_per_sec",
                 "failed", "failure_kind", "failure_message", "attempts",
-                "resumed_from_cycle", "loop"}, ...]
+                "loop"}, ...]
     }
 
 ``totals.cycles`` counts **computed** (non-cached) jobs only: cache hits

@@ -172,17 +172,6 @@ class RegMutexSmState(SmTechniqueState):
             "pending_wakeups": [w.warp_id for w in self._pending_wakeups],
         }
 
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self.srp.srp_bitmask._bits = payload["srp_bitmask"]
-        self.srp.warp_status._bits = payload["warp_status"]
-        self.srp._lut = list(payload["lut"])
-        # FIFO order is part of the schedule: restore verbatim.
-        self._wait_queue = [warps_by_id[w] for w in payload["wait_queue"]]
-        self._pending_wakeups = [
-            warps_by_id[w] for w in payload["pending_wakeups"]
-        ]
-        self._wakeup_spare = []
-
     def resolve_physical(self, warp: Warp, arch_reg: int) -> int:
         """The Figure 6b mux, read by the sanitizer's physical-bounds
         and physical-aliasing checks.

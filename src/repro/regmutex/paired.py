@@ -103,19 +103,6 @@ class PairedWarpsSmState(SmTechniqueState):
             "pending_wakeups": [w.warp_id for w in self._pending_wakeups],
         }
 
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self.pair_status._bits = payload["pair_status"]
-        self._holder = {
-            int(p): warps_by_id[w] for p, w in payload["holder"].items()
-        }
-        self._waiting = {
-            int(p): warps_by_id[w] for p, w in payload["waiting"].items()
-        }
-        self._pending_wakeups = [
-            warps_by_id[w] for w in payload["pending_wakeups"]
-        ]
-        self._wakeup_spare = []
-
 
 class PairedWarpsTechnique(RegMutexTechnique):
     """RegMutex with statically paired warps sharing one section each."""

@@ -4,8 +4,9 @@ One warm process in front of the journaled run store (see
 docs/ARCHITECTURE.md, "service daemon"): :class:`SimulationService` accepts
 job/experiment submissions over newline-delimited JSON, dedups them
 three ways (batch, run store, in-flight singleflight), executes on a
-persistent worker pool with checkpoint/resume, and streams per-job
-telemetry events to subscribed clients and onto the observe bus.
+persistent worker pool that retries a dead worker's job from cycle 0,
+and streams per-job telemetry events to subscribed clients and onto the
+observe bus.
 """
 
 from repro.service.client import ServiceClient, SubmitResult

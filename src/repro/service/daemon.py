@@ -23,17 +23,17 @@ Deduplication is layered, cheapest first:
 
 Execution is the batch orchestrator's own :class:`JobExecutor`, so
 both front ends share one retry and timeout policy: each job runs in a
-pool worker with periodic checkpoints keyed like the run cache, a
-worker crash retries (resuming from the surviving checkpoint), a
+pool worker, a worker crash retries the job from cycle 0, a
 per-job timeout — the client's override or the service default — fails
 the job with kind ``timeout`` and retires its pool without touching
 sibling jobs, and every completed record is appended to the store
 file and fsync'd when it is installed, visible at once to every
 process sharing the path.  Killing the daemon itself (SIGKILL)
-therefore loses nothing: a restarted daemon reads the stored records
-and resumes interrupted jobs from their checkpoints.
+therefore loses no finished job: its pool workers exit with it, and a
+restarted daemon reads the stored records and recomputes the jobs
+that were interrupted.
 
-Job lifecycle (queued → running → resumed → done/failed) is published
+Job lifecycle (queued → running → done/failed) is published
 twice from one code path: as wire frames to subscribed clients, and as
 ``JOB_*`` :class:`~repro.observe.events.SimEvent`s on an observe
 :class:`~repro.observe.bus.EventBus` (wall-clock milliseconds in the
@@ -65,7 +65,6 @@ from repro.observe.events import (
     JOB_DONE,
     JOB_FAILED,
     JOB_QUEUED,
-    JOB_RESUMED,
     JOB_RUNNING,
     SimEvent,
 )
@@ -101,8 +100,6 @@ class ServiceConfig:
     max_retries: int = 2
     retry_backoff: float = 0.05
     max_queue: int = 64
-    checkpoint_dir: str | None = None
-    checkpoint_interval: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -148,8 +145,6 @@ class SimulationService:
             self.runner, self.telemetry, workers=config.workers,
             max_retries=config.max_retries,
             retry_backoff=config.retry_backoff,
-            checkpoint_dir=config.checkpoint_dir,
-            checkpoint_interval=config.checkpoint_interval,
         )
         # One counter dict: the executor counts simulations, timeouts
         # and pool_restarts; the intake counts the rest.
@@ -330,10 +325,6 @@ class SimulationService:
             outcome, state.timing = await self.executor.run(
                 state.job, state.key, state.timeout
             )
-            resumed = state.timing.resumed_from_cycle
-            if resumed is not None:
-                self._emit(state, JOB_RESUMED, RUNNING, pc=resumed,
-                           resumed_from_cycle=resumed)
             self._finish(state, outcome)
         finally:
             self._inflight.pop(state.key, None)
@@ -349,15 +340,13 @@ class SimulationService:
         else:
             state.record, state.status = outcome, DONE
             self._emit(state, JOB_DONE, DONE, timing=timing,
-                       record=record_to_wire(outcome), dedup=state.dedup,
-                       resumed_from_cycle=state.timing.resumed_from_cycle)
+                       record=record_to_wire(outcome), dedup=state.dedup)
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)
 
     def _emit(
-        self, state: JobState, kind: str, status: str,
-        pc: int = -1, **frame_extra,
+        self, state: JobState, kind: str, status: str, **frame_extra,
     ) -> None:
         """One code path feeding both outputs: the observe bus (Perfetto
         export path) and every subscribed client's frame queue."""
@@ -367,8 +356,8 @@ class SimulationService:
         elif kind == JOB_FAILED and state.failure is not None:
             detail = f"{state.job.label} [{state.failure.kind}]"
         self.bus.emit(SimEvent(
-            cycle=self._now_ms(), kind=kind, warp_id=-1, pc=pc,
-            detail=detail, value=state.job_id,
+            cycle=self._now_ms(), kind=kind, detail=detail,
+            value=state.job_id,
         ))
         frame = {
             "event": "job",

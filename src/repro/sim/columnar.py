@@ -29,7 +29,7 @@ This module restructures the per-SM hot state into a **columnar store**:
   ``warp.pc``/``warp.status``/... while the stepper works on the arrays.
 * :class:`ColumnarScoreboard` — the :class:`repro.sim.scoreboard.Scoreboard`
   methods that code outside the issue loop calls (the sanitizer's hazard
-  re-check, deadlock diagnostics, checkpoints), over the rows, so those
+  re-check, deadlock diagnostics, state snapshots), over the rows, so those
   callers are agnostic to which engine owns the state.
 
 Representation note: the hot columns are ``array('l')`` buffers —
@@ -622,45 +622,6 @@ class ColumnarCore:
             unit.acquire_count -= 1
             self.qstate[slot] = QS_READY
             insort(unit.ready, (warp_id, slot))
-
-    # -- checkpoint restore (repro.sim.checkpoint) ------------------------------
-    def rebuild_queues(self, cycle: int) -> None:
-        """Derive every wake-queue structure from the per-slot columns.
-
-        A checkpoint carries only canonical warp state, so a restored
-        core starts with empty units; one pass over the resident warps
-        in id order rebuilds exactly what the stepper would hold at the
-        ``cycle`` boundary: a ``READY`` warp is in the ready list when
-        ``wake <= cycle`` and asleep otherwise (with its ``far``
-        threshold while the window still exceeds the horizon — expired
-        thresholds are pruned at read time, so omitting them is
-        behaviour-identical), and parked warps are blocked counts.
-        """
-        for wid in sorted(self.wid2slot):
-            slot = self.wid2slot[wid]
-            unit = self.units[wid % self.num_schedulers]
-            st = self.status[slot]
-            if st == ST_READY:
-                wake = self.wake[slot]
-                if wake <= cycle:
-                    self.qstate[slot] = QS_READY
-                    unit.ready.append((wid, slot))
-                    continue
-                self.qstate[slot] = QS_SLEEPING
-                is_mem = self.stall[slot] == SL_MEMORY
-                if is_mem:
-                    unit.mem_sleepers += 1
-                else:
-                    unit.nonmem_sleepers += 1
-                    if wake - cycle > MEMORY_STALL_HORIZON:
-                        heappush(unit.far, wake - MEMORY_STALL_HORIZON)
-                heappush(unit.sleepers, (wake, wid, slot, is_mem))
-            elif st == ST_BARRIER:
-                self.qstate[slot] = QS_BARRIER
-                unit.barrier_count += 1
-            elif st == ST_ACQUIRE:
-                self.qstate[slot] = QS_ACQUIRE
-                unit.acquire_count += 1
 
     # -- bulk reads -------------------------------------------------------------
     def probe_counts(self) -> tuple[int, int, int, int, int, int]:

@@ -8,7 +8,7 @@
  * The loop drives the columnar store of repro.sim.columnar and operates
  * on the *same* Python objects: the ColumnarCore columns, the per-unit
  * ready/sleeper/far structures, the scheduler and technique objects.
- * No state is mirrored into C between cycles, so views, checkpoints,
+ * No state is mirrored into C between cycles, so views, snapshots,
  * hooks and the sanitizer observe the state the scan stepper's schedule
  * implies at every observation point.
  *
@@ -34,7 +34,7 @@
  * technique can_issue/on_issue/try_acquire/release/wakeup_pending,
  * sanitizer + observer strides (on_cycle every cycle while one is
  * attached), CTA barrier arrival and EXIT commit, the memory model's
- * earliest_completion, checkpoint emission.  Every re-entry sets
+ * earliest_completion.  Every re-entry sets
  * py_ran, and wakeup_pending is drained only on a cycle that follows
  * one: only Python code can queue a wakeup.  A technique whose gate is
  * data (RfvSmState.native_gate) is not re-entered for can_issue or
@@ -129,10 +129,10 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_hot, *S_wid2slot, *S_columnar, *S_memory,
     *S_earliest_completion, *S_technique, *S_sanitizer_a,
     *S_observer_a, *S_stats, *S_resident_ctas,
-    *S_ctas_by_id, *S_columnar_on_exit, *S_save_checkpoint, *S_config,
+    *S_ctas_by_id, *S_columnar_on_exit, *S_config,
     *S_issue_width_per_scheduler, *S_watchdog_window,
     *S_max_in_flight, *S_on_issue, *S_on_cycle, *S_on_fast_forward,
-    *S_on_checkpoint, *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
+    *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
     *S_release,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
     *S_WAITING_ACQUIRE_attr, *S_in_flight_d, *S_rng_a, *S_l1_hit_latency, *S_dram_latency, *S_l1_hit_rate,
@@ -543,10 +543,9 @@ typedef struct {
     int gate_can, gate_on;      /* the RFV gate replaces can_issue/on_issue */
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *observer;                          /* NULL: no observer */
-    PyObject *obs_on_cycle, *obs_on_fast_forward, *obs_on_checkpoint,
-        *obs_on_run_end;
+    PyObject *obs_on_cycle, *obs_on_fast_forward, *obs_on_run_end;
     PyObject *stats, *resident_ctas, *ctas_by_id, *wid2slot;
-    PyObject *columnar_on_exit, *save_checkpoint, *checkpoint_sink;
+    PyObject *columnar_on_exit;
     PyObject *status_ready, *status_waiting_acquire; /* WarpStatus members */
     PyObject *on_acquire_wake, *on_barrier_release;
     PyObject *cyc_obj;                           /* PyLong of cycle */
@@ -596,11 +595,10 @@ runstate_free(RunState *S)
     Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_wakeup);
     Py_XDECREF(S->san_on_issue); Py_XDECREF(S->san_on_cycle);
     Py_XDECREF(S->observer); Py_XDECREF(S->obs_on_cycle);
-    Py_XDECREF(S->obs_on_fast_forward); Py_XDECREF(S->obs_on_checkpoint);
-    Py_XDECREF(S->obs_on_run_end);
+    Py_XDECREF(S->obs_on_fast_forward); Py_XDECREF(S->obs_on_run_end);
     Py_XDECREF(S->stats); Py_XDECREF(S->resident_ctas);
     Py_XDECREF(S->ctas_by_id); Py_XDECREF(S->wid2slot);
-    Py_XDECREF(S->columnar_on_exit); Py_XDECREF(S->save_checkpoint);
+    Py_XDECREF(S->columnar_on_exit);
     Py_XDECREF(S->status_ready); Py_XDECREF(S->status_waiting_acquire);
     Py_XDECREF(S->on_acquire_wake); Py_XDECREF(S->on_barrier_release);
     Py_XDECREF(S->cyc_obj);
@@ -1004,12 +1002,11 @@ getattr_or_none(PyObject *obj, PyObject *name)
 }
 
 static int
-runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
+runstate_setup(RunState *S, PyObject *sm,
                PyObject *can_issue, PyObject *on_issue, int wakeups)
 {
     int err = 0;
     S->sm = sm;
-    S->checkpoint_sink = (sink == Py_None) ? NULL : sink;
     /* A tuple is the technique's native_gate() declaration (see
      * sm._hook_bindings); the C gate then runs in place of the hook. */
     PyObject *gate = NULL;
@@ -1078,7 +1075,7 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
      * instance-level issue_load/retire, so the C transliteration of
      * those two is exact.  State (the _counters buffer, the in-flight
      * multiset, the rng stream) stays in the Python object and is
-     * updated eagerly, so hooks and checkpoints see what the Python
+     * updated eagerly, so hooks and snapshots see what the Python
      * methods would write. */
     S->mem_earliest = PyObject_GetAttr(S->memory, S_earliest_completion);
     S->mem_rng = PyObject_GetAttr(S->memory, S_rng_a);
@@ -1125,11 +1122,9 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         S->obs_on_cycle = PyObject_GetAttr(S->observer, S_on_cycle);
         S->obs_on_fast_forward =
             PyObject_GetAttr(S->observer, S_on_fast_forward);
-        S->obs_on_checkpoint =
-            PyObject_GetAttr(S->observer, S_on_checkpoint);
         S->obs_on_run_end = PyObject_GetAttr(S->observer, S_on_run_end);
         if (!S->obs_on_cycle || !S->obs_on_fast_forward
-            || !S->obs_on_checkpoint || !S->obs_on_run_end)
+            || !S->obs_on_run_end)
             return -1;
     }
 
@@ -1137,9 +1132,8 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
     S->resident_ctas = PyObject_GetAttr(sm, S_resident_ctas);
     S->ctas_by_id = PyObject_GetAttr(sm, S_ctas_by_id);
     S->columnar_on_exit = PyObject_GetAttr(sm, S_columnar_on_exit);
-    S->save_checkpoint = PyObject_GetAttr(sm, S_save_checkpoint);
     if (!S->stats || !S->resident_ctas || !S->ctas_by_id
-        || !S->columnar_on_exit || !S->save_checkpoint)
+        || !S->columnar_on_exit)
         return -1;
 
     PyObject *config = PyObject_GetAttr(sm, S_config);
@@ -1997,25 +1991,22 @@ do_cycle(RunState *S, long cycle, long *issued_out)
 static PyObject *
 native_run(PyObject *self, PyObject *args)
 {
-    PyObject *sm, *sink, *can_issue, *on_issue;
-    long max_cycles, interval;
+    PyObject *sm, *can_issue, *on_issue;
+    long max_cycles;
     int wakeups;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OllOOOp", &sm, &max_cycles, &interval,
-                          &sink, &can_issue, &on_issue, &wakeups))
+    if (!PyArg_ParseTuple(args, "OlOOp", &sm, &max_cycles,
+                          &can_issue, &on_issue, &wakeups))
         return NULL;
     RunState St;
     memset(&St, 0, sizeof(St));
     RunState *S = &St;
-    if (runstate_setup(S, sm, sink, can_issue, on_issue, wakeups) < 0) {
+    if (runstate_setup(S, sm, can_issue, on_issue, wakeups) < 0) {
         runstate_free(S);
         return NULL;
     }
     long next_expire =
         S->cycle - (S->cycle % S->expire_period) + S->expire_period;
-    long next_ckpt = -1;
-    if (interval && S->checkpoint_sink != NULL)
-        next_ckpt = S->cycle + interval;
     long status = 0;
 
     for (;;) {
@@ -2246,29 +2237,6 @@ native_run(PyObject *self, PyObject *args)
                     break;
             }
         }
-        if (next_ckpt >= 0 && cycle >= next_ckpt) {
-            next_ckpt = cycle + interval;
-            /* The snapshot reads SmStats and _last_progress_cycle:
-             * flush first (timing-neutral). */
-            if (flush_stats(S) < 0)
-                goto fail;
-            S->py_ran = 1;
-            PyObject *ck = PyObject_CallNoArgs(S->save_checkpoint);
-            if (ck == NULL)
-                goto fail;
-            PyObject *r = PYCALL(S, S->checkpoint_sink, ck);
-            Py_DECREF(ck);
-            if (r == NULL)
-                goto fail;
-            Py_DECREF(r);
-            if (S->observer != NULL) {
-                PyObject *r2 =
-                    PYCALL(S, S->obs_on_checkpoint, sm, S->cyc_obj);
-                if (r2 == NULL)
-                    goto fail;
-                Py_DECREF(r2);
-            }
-        }
     }
 
     if (status == 0) {
@@ -2300,8 +2268,8 @@ fail:
 
 static PyMethodDef native_methods[] = {
     {"run_columnar", native_run, METH_VARARGS,
-     "run_columnar(sm, max_cycles, checkpoint_interval, checkpoint_sink,"
-     " can_issue, on_issue, wakeups) -> (status, aux)\n\n"
+     "run_columnar(sm, max_cycles, can_issue, on_issue, wakeups)"
+     " -> (status, aux)\n\n"
      "Batched columnar run loop over the SM's ColumnarCore.  Statuses:\n"
      "0=done (aux=stats), else STOP_DEADLOCK/STOP_WATCHDOG/"
      "STOP_CYCLE_LIMIT (aux=None)."},
@@ -2384,7 +2352,6 @@ intern_all(void)
     IN(S_resident_ctas, "resident_ctas");
     IN(S_ctas_by_id, "_ctas_by_id");
     IN(S_columnar_on_exit, "_columnar_on_exit");
-    IN(S_save_checkpoint, "save_checkpoint");
     IN(S_config, "config");
     IN(S_issue_width_per_scheduler, "issue_width_per_scheduler");
     IN(S_watchdog_window, "watchdog_window");
@@ -2392,7 +2359,6 @@ intern_all(void)
     IN(S_on_issue, "on_issue");
     IN(S_on_cycle, "on_cycle");
     IN(S_on_fast_forward, "on_fast_forward");
-    IN(S_on_checkpoint, "on_checkpoint");
     IN(S_on_run_end, "on_run_end");
     IN(S_wakeup_pending, "wakeup_pending");
     IN(S_try_acquire, "try_acquire");
@@ -2443,7 +2409,7 @@ PyInit__native(void)
     EXPORT(RFV_POOL_FREE) EXPORT(RFV_RESERVE_HOLDER) EXPORT(RFV_PEAK_POOL_USE)
     EXPORT(RFV_POOL_CAPACITY) EXPORT(RFV_NEXT_ORDER)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 5) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 6) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

@@ -9,11 +9,10 @@ per-SM seed, so distinct CTA counts are simulated once and reused.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
-from repro.errors import CheckpointError, KernelPlacementError
+from repro.errors import KernelPlacementError
 from repro.isa.kernel import Kernel
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
@@ -56,9 +55,6 @@ class Gpu:
         scheduler_priority=None,
         max_cycles: int = 50_000_000,
         observer_factory=None,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 0,
-        resume_report: dict | None = None,
     ) -> LaunchResult:
         """Run ``grid_ctas`` CTAs of ``kernel`` across the device.
 
@@ -66,19 +62,6 @@ class Gpu:
         observability to individual SMs; any observed launch disables the
         equal-CTA-count memoization below, since observers must see every
         SM actually simulated.
-
-        ``checkpoint_dir`` enables crash-safe resume: each distinct CTA
-        count writes periodic checkpoints (every ``checkpoint_interval``
-        cycles) to ``sm_<count>.ckpt.json`` in that directory, and a
-        fresh launch over the same directory resumes from any surviving
-        checkpoint instead of recomputing from cycle 0.  Per-SM state
-        depends only on the CTA count (see the seed note below), so one
-        file per count covers every SM.  Checkpoint files are removed as
-        their SM completes; an unreadable or mismatched checkpoint falls
-        back to a fresh run and is recorded in ``resume_report``.
-
-        ``resume_report``, when given a dict, is filled in place:
-        ``{"resumed": {count: cycle}, "fallback": {count: reason}}``.
         """
         if grid_ctas <= 0:
             raise ValueError("grid must contain at least one CTA")
@@ -106,18 +89,12 @@ class Gpu:
                     sm_id, compiled, occ.ctas_per_sm, count,
                     scheduler_priority, max_cycles, loops,
                     observer=observer_factory(sm_id),
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_interval=checkpoint_interval,
-                    resume_report=resume_report,
                 ))
                 continue
             if count not in stats_by_count:
                 stats_by_count[count] = self._run_one_sm(
                     sm_id, compiled, occ.ctas_per_sm, count,
                     scheduler_priority, max_cycles, loops,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_interval=checkpoint_interval,
-                    resume_report=resume_report,
                 )
             per_sm.append(stats_by_count[count])
 
@@ -145,9 +122,6 @@ class Gpu:
         max_cycles: int,
         loops: set[str],
         observer=None,
-        checkpoint_dir: str | None = None,
-        checkpoint_interval: int = 0,
-        resume_report: dict | None = None,
     ) -> SmStats:
         stats = SmStats()
         state = self.technique.make_sm_state(compiled, self.config, stats)
@@ -167,47 +141,7 @@ class Gpu:
         if observer is not None:
             observer.attach(sm)
         loops.add(sm.issue_loop)
-        if checkpoint_dir is None:
-            return sm.run(max_cycles=max_cycles)
-
-        from repro.sim.checkpoint import (
-            checkpoint_path,
-            read_checkpoint,
-            write_checkpoint,
-        )
-
-        path = checkpoint_path(checkpoint_dir, total_ctas)
-        if os.path.exists(path):
-            # A surviving checkpoint from an interrupted launch: resume
-            # from it unless it is corrupt or from a different context —
-            # then fall back to a fresh run (resume must never produce a
-            # different result than recomputing, so a bad checkpoint is
-            # discarded, not guessed at).
-            try:
-                sm.restore_checkpoint(read_checkpoint(path))
-                if resume_report is not None:
-                    resume_report.setdefault("resumed", {})[total_ctas] = (
-                        sm.cycle
-                    )
-            except CheckpointError as exc:
-                if resume_report is not None:
-                    resume_report.setdefault("fallback", {})[total_ctas] = (
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-        result = sm.run(
-            max_cycles=max_cycles,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_sink=lambda payload: write_checkpoint(path, payload),
-        )
-        try:
-            os.remove(path)  # complete: the checkpoint is spent
-        except FileNotFoundError:
-            pass
-        return result
+        return sm.run(max_cycles=max_cycles)
 
 
 def simulate_kernel(

@@ -134,7 +134,7 @@ class MemoryModel:
             return 0.0
         return self.l1_hits / self.loads_issued
 
-    # -- checkpointing (repro.sim.checkpoint) -------------------------------------
+    # -- state snapshot (repro.sim.checkpoint) -------------------------------------
     def snapshot(self) -> dict:
         """All mutable state, including the hit/miss RNG stream position."""
         return {
@@ -145,11 +145,3 @@ class MemoryModel:
             "l1_hits": self.l1_hits,
             "rng_state": self._rng._state,
         }
-
-    def restore(self, payload: dict) -> None:
-        self._in_flight = {int(c): n for c, n in payload["in_flight"].items()}
-        self._in_flight_total = payload["in_flight_total"]
-        self._next_retire = payload["next_retire"]
-        self.loads_issued = payload["loads_issued"]
-        self.l1_hits = payload["l1_hits"]
-        self._rng._state = payload["rng_state"]

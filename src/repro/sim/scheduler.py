@@ -43,13 +43,10 @@ class WarpScheduler:
     def notify_removed(self, warp: Warp) -> None:
         """Called when a warp leaves the SM (CTA retired)."""
 
-    # -- checkpointing (repro.sim.checkpoint) -------------------------------------
+    # -- state snapshot (repro.sim.checkpoint) -------------------------------------
     def snapshot(self) -> dict:
         """Mutable rotation state (policy-specific fields via override)."""
         return {"issued_count": self.issued_count}
-
-    def restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self.issued_count = payload["issued_count"]
 
 
 def _by_warp_id(warp: Warp) -> int:
@@ -123,19 +120,6 @@ class GtoScheduler(WarpScheduler):
         )
         return payload
 
-    def restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        super().restore(payload, warps_by_id)
-        greedy = payload["greedy"]
-        # The greedy pointer is an object reference: resolve through the
-        # restored warps so ``greedy in candidates`` identity holds.  A
-        # warp that issued EXIT gets notify_issued *after* its CTA
-        # retired, so the live pointer can legitimately reference a
-        # departed warp — behaviorally identical to None (it can never
-        # reappear among candidates), so restore it as None.
-        self._greedy = (
-            warps_by_id.get(greedy) if greedy is not None else None
-        )
-
 
 class LrrScheduler(WarpScheduler):
     """Loose round-robin: next warp id after the last issued one."""
@@ -168,10 +152,6 @@ class LrrScheduler(WarpScheduler):
         payload = super().snapshot()
         payload["last_id"] = self._last_id
         return payload
-
-    def restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        super().restore(payload, warps_by_id)
-        self._last_id = payload["last_id"]
 
 
 def make_scheduler(

@@ -98,7 +98,7 @@ class Scoreboard:
     def pending_writes(self, warp_id: int, cycle: int) -> dict[int, int]:
         """The warp's live writes (``ready > cycle``) as ``{reg: ready}``,
         register-sorted — the engine-neutral scoreboard state a
-        checkpoint carries and replays through :meth:`record_write`."""
+        snapshot (:func:`repro.sim.checkpoint.capture_sm`) carries."""
         pending = self._pending[warp_id]
         return {reg: pending[reg] for reg in sorted(pending) if pending[reg] > cycle}
 

@@ -178,7 +178,7 @@ class StreamingMultiprocessor:
         if columnar and native_module() is None:
             _warn_native_fallback()
             columnar = False
-        self._reset_warp_state(columnar)
+        self._init_warp_state(columnar)
         self.memory = MemoryModel(config, rng.fork(0x3E3))
         self._resident_warp_count = 0
         self._next_warp_id = 0
@@ -209,15 +209,14 @@ class StreamingMultiprocessor:
         self._fill_ctas()
 
     # -- warp containers ----------------------------------------------------------
-    def _reset_warp_state(self, columnar: bool) -> None:
-        """Empty warp containers and fresh issue-path state (construction,
-        and checkpoint restore on the engine the SM was built with).
+    def _init_warp_state(self, columnar: bool) -> None:
+        """Empty warp containers and fresh issue-path state.
 
         Columnar store (``columnar=True``): per-slot state arrays + thin
         Warp views that the C loop drives — see repro.sim.columnar.  The
         scoreboard is then the columnar facade over the same store, so
         every external consumer (sanitizer hazard re-check, deadlock
-        diagnostics, checkpoints, tests) reads the columns through the
+        diagnostics, state snapshots, tests) reads the columns through the
         Scoreboard methods it uses.  Otherwise ``_columnar`` is None and
         the scan stepper runs (the bit-identity reference).
         """
@@ -249,12 +248,12 @@ class StreamingMultiprocessor:
         rng: DeterministicRng, slot: int,
     ) -> Warp:
         """Construct a warp on this SM's issue path and register it with
-        the scoreboard and its scheduler (CTA launch and restore).
+        the scoreboard and its scheduler (CTA launch).
 
         Columnar mode: the core owns the hot state and hands back a
         bound view (slot columns initialized, scoreboard row allocated,
         wid→slot adopted).  Queue membership is the caller's: launch
-        appends to the ready list, restore rebuilds the queues.
+        appends to the ready list.
         """
         if self._columnar is not None:
             warp = self._columnar.new_warp(warp_id, cta_id, kernel, rng, slot)
@@ -265,12 +264,6 @@ class StreamingMultiprocessor:
             warp
         )
         return warp
-
-    def _rebuild_queues(self) -> None:
-        """After restore: derive the columnar wake queues from the
-        restored warp state (the scan stepper keeps no queues)."""
-        if self._columnar is not None:
-            self._columnar.rebuild_queues(self.cycle)
 
     # -- CTA dispatch -------------------------------------------------------------
     def _fill_ctas(self) -> None:
@@ -660,28 +653,6 @@ class StreamingMultiprocessor:
             )
         raise AssertionError(f"unknown run-loop stop code {code!r}")
 
-    # -- checkpoint/restore -------------------------------------------------------
-    def save_checkpoint(self) -> dict:
-        """JSON-safe snapshot of the SM's full mutable state, taken at a
-        cycle boundary.  See :mod:`repro.sim.checkpoint` for the payload
-        layout and the bit-identity contract."""
-        from repro.sim.checkpoint import capture_sm
-
-        return capture_sm(self)
-
-    def restore_checkpoint(self, payload: dict) -> None:
-        """Rebuild this SM's state from a checkpoint payload.
-
-        The SM must have been constructed with the same arguments as the
-        checkpointed one (kernel, config, technique, seed) — on any issue
-        engine: the payload is engine-neutral.  Constructor-launched CTAs
-        and queues are torn down and rebuilt.  Raises the typed
-        :class:`repro.errors.CheckpointError` family on schema or context
-        mismatch — never resumes silently."""
-        from repro.sim.checkpoint import restore_into
-
-        restore_into(self, payload)
-
     def _fast_forward(self) -> None:
         """Jump the clock to the next event when no warp can issue.
 
@@ -744,18 +715,8 @@ class StreamingMultiprocessor:
     def run(
         self,
         max_cycles: int = 50_000_000,
-        checkpoint_interval: int = 0,
-        checkpoint_sink=None,
     ) -> SmStats:
         """Run to completion.
-
-        With ``checkpoint_interval > 0`` and a ``checkpoint_sink``
-        callable, a full state snapshot (:meth:`save_checkpoint`) is
-        handed to the sink roughly every ``checkpoint_interval`` cycles
-        — the SM does no file I/O itself; persistence policy belongs to
-        the caller (see :func:`repro.sim.checkpoint.write_checkpoint`).
-        Emission is timing-neutral: the schedule and every stat are
-        bit-identical with and without checkpointing.
 
         Raises :class:`SimulationDeadlockError` when the schedule stops
         making forward progress — immediately when no timer is pending
@@ -781,25 +742,16 @@ class StreamingMultiprocessor:
                     "issue_engine='scan'"
                 )
             status, stats = _native.run_columnar(
-                self, max_cycles, checkpoint_interval, checkpoint_sink,
-                *self._hook_bindings(),
+                self, max_cycles, *self._hook_bindings(),
             )
             if status:
                 raise self._stop_error(status, max_cycles)
             return stats
         window = self.config.watchdog_window
-        next_ckpt = None
-        if checkpoint_interval and checkpoint_sink is not None:
-            next_ckpt = self.cycle + checkpoint_interval
         while not self.done:
             issued = self._step_scan()
             if issued == 0 and not self.done:
                 self._fast_forward()
-            if next_ckpt is not None and self.cycle >= next_ckpt and not self.done:
-                next_ckpt = self.cycle + checkpoint_interval
-                checkpoint_sink(self.save_checkpoint())
-                if self._observer is not None:
-                    self._observer.on_checkpoint(self, self.cycle)
             if window and self.cycle - self._last_progress_cycle > window:
                 raise self._stop_error(STOP_WATCHDOG)
             if self.cycle > max_cycles:

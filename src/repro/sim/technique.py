@@ -115,31 +115,23 @@ class SmTechniqueState:
         coeff = max(1, self.kernel.metadata.regs_per_thread)
         return arch_reg + coeff * warp.slot
 
-    # -- checkpoint hooks (repro.sim.checkpoint) ----------------------------------
-    # Distinct names from the issue-path hooks on purpose: the columnar
+    # -- state snapshot (repro.sim.checkpoint) ----------------------------------
+    # A distinct name from the issue-path hooks on purpose: the columnar
     # stepper detects overridden can_issue/on_issue/wakeup_pending by
-    # class identity to pick its fast path, and a checkpoint mixin must
+    # class identity to pick its fast path, and a snapshot hook must
     # never perturb that detection.
 
     def state_snapshot(self) -> dict:
         """JSON-able snapshot of the technique's mutable per-SM state.
 
         The base state is stateless (``kernel``/``config``/``stats``
-        are restored by the SM itself), so the default is empty.
-        Techniques with wait queues, pools, or counters override both
-        hooks; orderings (FIFO queues, insertion-ordered dicts) must be
-        preserved exactly — resume is a *bit-identity* contract.
+        are captured by the SM itself), so the default is empty.
+        Techniques with wait queues, pools, or counters override it;
+        orderings (FIFO queues, insertion-ordered dicts) are part of the
+        schedule and appear verbatim, so the engines' snapshots compare
+        byte for byte.
         """
         return {}
-
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        """Rebuild mutable state from :meth:`state_snapshot` output.
-
-        ``warps_by_id`` maps warp ids to the *restored* warp objects —
-        any serialized warp reference must be resolved through it, never
-        kept as an id, so identity checks (e.g. ``warp in queue``) keep
-        working after resume.
-        """
 
 
 class DelegatingTechniqueState(SmTechniqueState):
@@ -147,7 +139,7 @@ class DelegatingTechniqueState(SmTechniqueState):
 
     Wrappers that observe the technique (the observability bus, the
     shadow executor) subclass this and override only the hooks they add
-    to, so a hook added here reaches every wrapper, checkpoint hooks
+    to, so a hook added here reaches every wrapper, the snapshot hook
     included.  Wrappers compose in any order; :func:`innermost` unwraps
     them.
     """
@@ -191,9 +183,6 @@ class DelegatingTechniqueState(SmTechniqueState):
 
     def state_snapshot(self) -> dict:
         return self.inner.state_snapshot()
-
-    def state_restore(self, payload: dict, warps_by_id: dict[int, Warp]) -> None:
-        self.inner.state_restore(payload, warps_by_id)
 
 
 def innermost(state: SmTechniqueState) -> SmTechniqueState:

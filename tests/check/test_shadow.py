@@ -180,10 +180,12 @@ def _regmutex_sm(config, total_ctas=4):
 
 class TestShadowWrapperDelegation:
     """The shadow wrapper forwards every technique hook, so it composes
-    with checkpoints and with the observer like the bare state does."""
+    with state snapshots and with the observer like the bare state does."""
 
     def test_checkpoint_keeps_the_wrapped_technique_state(self, tiny_config):
         import dataclasses
+
+        from repro.sim.checkpoint import capture_sm
 
         # Stepped to the first acquire: step() drives the scan stepper.
         sm = _regmutex_sm(dataclasses.replace(tiny_config, issue_engine="scan"))
@@ -191,7 +193,7 @@ class TestShadowWrapperDelegation:
         state = sm.technique.inner
         while not state.srp.sections_in_use:
             sm.step()
-        payload = sm.save_checkpoint()["technique"]
+        payload = capture_sm(sm)["technique"]
         assert payload
         assert payload == state.state_snapshot()
 

@@ -29,11 +29,9 @@ class TestSimAndCacheLayers:
         assert not escaped, campaign_table(sim_outcomes)
 
     def test_covers_sim_and_cache_scenarios(self, sim_outcomes):
-        # 4 simulator + 2 checkpoint + 3 cache-damage + 1 cache-concurrency
-        assert len(sim_outcomes) == 10
-        assert {o.layer for o in sim_outcomes} == {
-            "srp", "compiler", "checkpoint", "cache",
-        }
+        # 4 simulator + 3 cache-damage + 1 cache-concurrency
+        assert len(sim_outcomes) == 8
+        assert {o.layer for o in sim_outcomes} == {"srp", "compiler", "cache"}
 
     def test_deadlocks_caught_well_before_deadline(self, sim_outcomes):
         for outcome in sim_outcomes:
@@ -50,11 +48,7 @@ class TestSimAndCacheLayers:
         assert detectors["lost-release/eager"] == "watchdog"
         assert detectors["unbalanced-acquire/barrier"] == "deadlock-check"
         assert detectors["srp-bit-flip/sanitizer"] == "sanitizer"
-        # Damaged checkpoints are classified and discarded, never
-        # silently resumed; the store's append/lock protocol survives
-        # concurrent writers.
-        assert detectors["checkpoint-truncate/fallback"] == "checkpoint-validation"
-        assert detectors["checkpoint-corrupt/fallback"] == "checkpoint-validation"
+        # The store's append/lock protocol survives concurrent writers.
         assert detectors["cache-concurrent-writer/stress"] == "journal-lock"
         # Store damage is quarantined line by line.
         assert detectors["cache-truncate/reload"] == "torn-tail-quarantine"
@@ -79,7 +73,7 @@ class TestSimAndCacheLayers:
 class TestFullCampaign:
     def test_harness_faults_absorbed_or_attributed(self):
         outcomes = run_campaign(seed=2018, include_harness=True, workers=2)
-        assert len(outcomes) == 13
+        assert len(outcomes) == 11
         escaped = [o for o in outcomes if o.escaped]
         assert not escaped, campaign_table(outcomes)
         harness = {o.scenario: o for o in outcomes if o.layer == "harness"}
@@ -89,30 +83,24 @@ class TestFullCampaign:
 
 
 class TestKillMidRun:
-    def test_sigkilled_worker_resumes_bit_identically(self):
+    def test_sigkilled_worker_is_recomputed_bit_identically(self):
         """The crash-safety acceptance probe: a worker SIGKILLed at a
-        deterministic cycle is retried, the retry resumes from the
-        surviving checkpoint, and the final record is bit-identical to
-        an undisturbed run."""
+        deterministic cycle is retried, the retry recomputes the job
+        from cycle 0, and its record is bit-identical to an
+        undisturbed run."""
         outcomes = run_campaign(
             seed=2018, include_harness=True, workers=2,
             include_kill_mid_run=True,
         )
-        assert len(outcomes) == 16
-        # Two orchestrator variants: the default columnar path (native
-        # when built) and the scan reference stepper (whose checkpoints
-        # are stamped and must resume under the same engine).
+        assert len(outcomes) == 13
         by_scenario = {o.scenario: o for o in outcomes}
-        for scenario in ("kill-mid-run/resume", "kill-mid-run-scan/resume"):
-            kill = by_scenario[scenario]
-            assert kill.detected, kill.detail
-            assert kill.detector == "checkpoint-resume"
-            assert kill.cycles is not None and kill.cycles > 0  # resume cycle
-            assert "bit-identical" in kill.detail
+        kill = by_scenario["kill-mid-run/recompute"]
+        assert kill.detected, kill.detail
+        assert kill.detector == "retry-recompute"
+        assert "bit-identical" in kill.detail
         # The daemon twin: the same SIGKILL absorbed by the service's
         # pool-recycle + retry path instead of the orchestrator's.
         daemon = next(o for o in outcomes if o.layer == "service")
-        assert daemon.scenario == "daemon-kill-worker/resume"
+        assert daemon.scenario == "daemon-kill-worker/recompute"
         assert daemon.detected, daemon.detail
-        assert daemon.detector == "daemon-retry+resume"
-        assert daemon.cycles is not None and daemon.cycles > 0
+        assert daemon.detector == "daemon-retry-recompute"

@@ -51,13 +51,11 @@ class TestFaultSpec:
     def test_registry_is_sorted_and_complete(self):
         assert fault_kinds() == tuple(sorted(FAULT_KINDS))
         assert {k.layer for k in FAULT_KINDS.values()} == {
-            "srp", "compiler", "harness", "cache", "checkpoint",
+            "srp", "compiler", "harness", "cache",
         }
 
     def test_crash_safety_kinds_registered(self):
         assert FaultSpec(kind="kill-mid-run").layer == "harness"
-        assert FaultSpec(kind="checkpoint-truncate").layer == "checkpoint"
-        assert FaultSpec(kind="checkpoint-corrupt").layer == "checkpoint"
         assert FaultSpec(kind="cache-concurrent-writer").layer == "cache"
 
 

@@ -26,7 +26,7 @@ def _session() -> SessionTelemetry:
              failure_kind="timeout", attempts=2,
              failure_message="job exceeded its 5.0 s timeout")
     t.record("Hotspot/baseline", 2.0, MODE_POOL, cycles=200_000,
-             resumed_from_cycle=40_000, loop="scan")
+             loop="scan")
     t.wall_seconds = 4.5
     return t
 
@@ -70,7 +70,6 @@ class TestSessionTelemetry:
         assert back.wall_seconds == session.wall_seconds
         assert back.failures == 1
         assert back.retries == 1
-        assert back.resumed_jobs == 1
         assert back.cache_hits == 1
 
     def test_schema_marker_is_stamped_and_checked(self):

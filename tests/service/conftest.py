@@ -110,13 +110,12 @@ def wait_for_socket(proc, sock_path: str, timeout: float = 30.0) -> None:
 
 def kill_daemon(proc) -> None:
     """SIGKILL the daemon's whole process group — daemon AND pool
-    workers, like a machine crash.
+    workers at the same instant, like a machine crash.
 
-    ``proc.kill()`` alone would orphan the pool workers: a worker
-    mid-job keeps simulating, finishes, and removes its checkpoint as
-    spent — so whether a restarted daemon finds anything to resume
-    from would depend on how fast the orphan ran (a race the native
-    issue engine loses deterministically)."""
+    (A SIGKILL of the daemon PID alone ends its workers too: each pool
+    worker exits when its parent dies, which
+    ``test_restart.py::test_sigkilled_daemon_leaves_no_worker_behind``
+    checks.)"""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:

@@ -1,12 +1,8 @@
 """Tests for the whole-device launcher."""
 
-import dataclasses
-import os
-from unittest import mock
 
 import pytest
 
-import repro.sim.checkpoint as checkpoint_mod
 from repro.arch.config import fermi_like
 from repro.sim.gpu import Gpu, simulate_kernel
 from repro.sim.technique import BaselineTechnique
@@ -93,78 +89,6 @@ class TestGpuLaunch:
         assert result.stats.total.instructions_issued == (
             len(kernel) * warps_per_cta * 6
         )
-
-
-class _Crash(Exception):
-    """Stands in for a worker dying right after a checkpoint write."""
-
-
-_write_checkpoint = checkpoint_mod.write_checkpoint
-
-
-def _crash_after_first_checkpoint(path, payload):
-    _write_checkpoint(path, payload)
-    raise _Crash
-
-
-class TestLaunchResume:
-    """``Gpu.launch(checkpoint_dir=...)`` resumes surviving checkpoints
-    and reports what it did in ``resume_report``."""
-
-    GRID = 6  # two CTAs per SM: one checkpoint file, sm_2.ckpt.json
-
-    def _launch(self, config, **kwargs):
-        return Gpu(config).launch(memory_kernel(), grid_ctas=self.GRID,
-                                  **kwargs)
-
-    def test_scan_checkpoint_resumes_on_columnar(
-        self, small_gpu_config, tmp_path
-    ):
-        scan = dataclasses.replace(small_gpu_config, issue_engine="scan")
-        columnar = dataclasses.replace(
-            small_gpu_config, issue_engine="columnar"
-        )
-        fresh = self._launch(columnar)
-        crash = mock.patch.object(
-            checkpoint_mod, "write_checkpoint", _crash_after_first_checkpoint
-        )
-        with crash, pytest.raises(_Crash):
-            self._launch(scan, checkpoint_dir=str(tmp_path),
-                         checkpoint_interval=50)
-        path = checkpoint_mod.checkpoint_path(str(tmp_path), 2)
-        written_at = checkpoint_mod.read_checkpoint(path)["cycle"]
-
-        report = {}
-        resumed = self._launch(columnar, checkpoint_dir=str(tmp_path),
-                               checkpoint_interval=50, resume_report=report)
-        assert report == {"resumed": {2: written_at}}
-        assert 0 < written_at < fresh.stats.cycles
-        assert resumed.stats == fresh.stats
-        assert not os.path.exists(path)
-
-    def test_stale_schema_falls_back_to_a_fresh_run(
-        self, small_gpu_config, tmp_path
-    ):
-        fresh = self._launch(small_gpu_config)
-        captured = []
-        capture = mock.patch.object(
-            checkpoint_mod, "write_checkpoint",
-            lambda path, payload: captured.append(payload),
-        )
-        with capture:
-            self._launch(small_gpu_config, checkpoint_dir=str(tmp_path),
-                         checkpoint_interval=50)
-        stale = dict(captured[0], schema=2, issue_engine="scan")
-        path = checkpoint_mod.checkpoint_path(str(tmp_path), 2)
-        checkpoint_mod.write_checkpoint(path, stale)
-
-        report = {}
-        result = self._launch(small_gpu_config, checkpoint_dir=str(tmp_path),
-                              resume_report=report)
-        assert set(report) == {"fallback"}
-        assert report["fallback"][2].startswith("CheckpointSchemaError: ")
-        assert not os.path.exists(path)
-        assert result.stats == fresh.stats
 
 
 class TestSimulateKernel:
