@@ -23,7 +23,6 @@ from repro import (
     RfvTechnique,
     build_app_kernel,
     get_app,
-    owf_priority,
     paired_storage_bits,
     regmutex_storage_bits,
     rfv_storage_bits,
@@ -47,19 +46,18 @@ def main(app_name: str, half_rf: bool) -> None:
         "rfv": rfv_storage_bits(config).total_bits,
     }
     plans = [
-        ("baseline", BaselineTechnique(), None),
-        ("regmutex", RegMutexTechnique(extended_set_size=spec.expected_es), None),
+        ("baseline", BaselineTechnique()),
+        ("regmutex", RegMutexTechnique(extended_set_size=spec.expected_es)),
         ("regmutex-paired",
-         PairedWarpsTechnique(extended_set_size=spec.expected_es), None),
-        ("owf", OwfTechnique(), owf_priority),
-        ("rfv", RfvTechnique(), None),
+         PairedWarpsTechnique(extended_set_size=spec.expected_es)),
+        ("owf", OwfTechnique()),
+        ("rfv", RfvTechnique()),
     ]
 
     base = runner.run(kernel, config, BaselineTechnique())
     rows = []
-    for name, technique, priority in plans:
-        record = runner.run(kernel, config, technique,
-                            scheduler_priority=priority)
+    for name, technique in plans:
+        record = runner.run(kernel, config, technique)
         rows.append([
             name,
             f"{record.cycles_per_cta:.0f}",

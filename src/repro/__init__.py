@@ -33,7 +33,7 @@ from repro.compiler.verification import (
     verify_regmutex_safety,
 )
 from repro.sim.multikernel import launch_concurrent
-from repro.baselines.owf import OwfTechnique, owf_priority
+from repro.baselines.owf import OwfTechnique
 from repro.baselines.rfv import RfvTechnique
 from repro.compiler.pipeline import regmutex_compile, compilation_report
 from repro.compiler.es_selection import select_extended_set_size
@@ -79,7 +79,6 @@ __all__ = [
     "theoretical_occupancy",
     "OccupancyResult",
     "OwfTechnique",
-    "owf_priority",
     "RfvTechnique",
     "regmutex_compile",
     "compilation_report",

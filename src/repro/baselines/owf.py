@@ -67,8 +67,15 @@ def _extra_ctas(config: GpuConfig, md, base: OccupancyResult) -> int:
                       cap_smem, cap_pairing))
 
 
+def owf_priority(warp: Warp) -> int:
+    """Owner-Warp-First: lock owners outrank everyone else."""
+    return 0 if warp.owns_pair_lock else 1
+
+
 class OwfSmState(SmTechniqueState):
     """Per-SM one-shot pair locks between native and extra warps."""
+
+    scheduler_priority = staticmethod(owf_priority)
 
     def __init__(
         self,
@@ -170,11 +177,6 @@ class OwfSmState(SmTechniqueState):
             # indexes the live natives in registration order.
             "natives": list(self._natives),
         }
-
-
-def owf_priority(warp: Warp) -> int:
-    """Owner-Warp-First: lock owners outrank everyone else."""
-    return 0 if warp.owns_pair_lock else 1
 
 
 class OwfTechnique(SharingTechnique):

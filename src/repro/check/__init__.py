@@ -13,9 +13,11 @@ count the repo reports.  This package closes that hole twice over:
   equivalent modulo each technique's documented remapping;
 * :mod:`repro.check.sanitizer` — the ``GpuConfig.sanitizer`` runtime
   checker folding the scattered safety checks into one per-issue /
-  per-cycle pass with typed, provenance-carrying violations;
-* :mod:`repro.check.adversarial` — the PR-2 fault campaign re-run with
-  the sanitizer armed, classifying which mechanism catches each fault.
+  per-cycle pass with typed, provenance-carrying violations.
+
+The fault campaign (:mod:`repro.faults.campaign`, ``repro faults``)
+re-runs its simulator faults with the sanitizer armed and reports which
+mechanism catches each one.
 """
 
 from repro.check.oracle import (

@@ -114,7 +114,7 @@ def run_technique_trace(
     kernel = build_app_kernel(spec)
     # |Es| is left to the compiler heuristic, so regmutex/paired/OWF
     # all derive their splits from the same selection pass.
-    technique, priority = lane_technique(technique_name)
+    technique = lane_technique(technique_name)
 
     # Identical workload across lanes: two baseline waves of CTAs.  The
     # per-technique residency only changes *when* each CTA runs.
@@ -133,7 +133,6 @@ def run_technique_trace(
         ctas_resident_limit=resident,
         total_ctas=total_ctas,
         rng=DeterministicRng(seed),
-        scheduler_priority=priority,
         stats=stats,
     )
     shadow = attach_shadow(sm)

@@ -12,7 +12,6 @@ Usage::
     python -m repro bench [--figures fig7,fig9a] [--workers 8] [--label ci]
     python -m repro faults [--seed 7] [--skip-harness]
     python -m repro check [--smoke] [--apps BFS,SAD] [--update-golden]
-    python -m repro check --faults
     python -m repro --workers 4 serve [--socket .repro.sock]
     python -m repro submit fig7 [--timeout 120] [--socket .repro.sock]
     python -m repro status [--trace service.json]
@@ -40,6 +39,9 @@ where the figure takes an app subset (``fig1``, ``fig7`` … ``fig11``).
 (:mod:`repro.faults.campaign`): every registered fault kind is armed
 against its layer and the detection-rate table (injected vs detected vs
 escaped) is printed; the exit code is non-zero if any fault escaped.
+The lost-release and unbalanced-acquire faults run twice, plain and
+with the sanitizer armed (``+sanitizer`` rows), so the table also says
+which mechanism catches each one when the sanitizer is on.
 
 ``check`` runs the differential execution oracle (:mod:`repro.check`):
 each app is simulated under all five techniques with the sanitizer
@@ -48,8 +50,7 @@ register/memory state and per-warp retired-instruction streams are
 asserted equivalent modulo each technique's documented remapping.
 ``--update-golden`` (re)writes the golden snapshots under
 ``tests/check/golden/``; ``--smoke`` restricts to the three-app CI
-subset; ``--faults`` instead re-runs the fault campaign with the
-sanitizer armed and reports which mechanism caught each fault.
+subset.
 
 ``serve`` runs the persistent simulation daemon (:mod:`repro.service`):
 an asyncio front end over the shared run store that dedups
@@ -261,11 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--seed", type=int, default=2018,
                        help="oracle seed (default: %(default)s)")
-    check.add_argument(
-        "--faults", action="store_true",
-        help="instead run the fault campaign with the sanitizer armed "
-             "and report which mechanism classified each fault",
-    )
 
     run = sub.add_parser("run", help="run one app under one technique")
     profile = sub.add_parser(
@@ -347,17 +343,16 @@ def _cmd_list(args=None) -> int:
 
 
 def _lane(args):
-    """(kernel, config, technique, priority) of a run/profile lane."""
+    """(kernel, config, technique) of a run/profile lane."""
     spec = get_app(args.app)
     config = GTX480.with_half_register_file() if args.half_rf else GTX480
     es = args.es if args.es is not None else spec.expected_es
-    return (build_app_kernel(spec), config,
-            *lane_technique(args.technique, es))
+    return build_app_kernel(spec), config, lane_technique(args.technique, es)
 
 
 def _cmd_run(args, runner: ExperimentRunner) -> int:
-    kernel, config, technique, priority = _lane(args)
-    record = runner.run(kernel, config, technique, scheduler_priority=priority)
+    kernel, config, technique = _lane(args)
+    record = runner.run(kernel, config, technique)
     base = runner.run(kernel, config, BaselineTechnique())
     print(format_table(
         ["field", "value"],
@@ -385,11 +380,10 @@ def _cmd_profile(args) -> int:
         write_timeline_csv,
     )
 
-    kernel, config, technique, priority = _lane(args)
+    kernel, config, technique = _lane(args)
     result = profile_kernel(
         kernel, config, technique,
-        total_ctas=args.ctas, stride=args.stride,
-        scheduler_priority=priority, seed=args.seed,
+        total_ctas=args.ctas, stride=args.stride, seed=args.seed,
     )
     title = (f"{result.kernel_name} / {result.technique_name} "
              f"on {config.name} ({result.total_ctas} CTAs)")
@@ -629,18 +623,8 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    """Differential oracle / sanitized fault campaign; exit 1 on failure."""
+    """Differential oracle; exit 1 on any mismatch."""
     from repro.check.oracle import DEFAULT_GOLDEN_DIR, SMOKE_APPS, check_apps
-
-    if args.faults:
-        from repro.check.adversarial import run_adversarial_campaign
-        from repro.faults.campaign import campaign_table
-
-        outcomes = run_adversarial_campaign(
-            seed=args.seed, workers=max(2, args.workers)
-        )
-        print(campaign_table(outcomes))
-        return 1 if any(o.escaped for o in outcomes) else 0
 
     apps = _apps_arg(args)
     if apps is None and args.smoke:

@@ -8,7 +8,9 @@ escaped:
   1-SM device and must be caught by the simulator's failure detectors —
   the no-timer deadlock check, the progress watchdog, or the sanitizer's
   per-cycle structural check — with a structured diagnostic, well
-  before the hard cycle limit.
+  before the hard cycle limit.  The lost-release and unbalanced-acquire
+  faults run a second time with the sanitizer armed (``+sanitizer``
+  rows), so the table says which mechanism catches each with it on.
 * Harness faults run real jobs through the :class:`Orchestrator` and
   must be absorbed (transient crash → retried to success) or attributed
   (deterministic error → typed :class:`JobFailure`, hang → timeout).
@@ -70,9 +72,8 @@ CAMPAIGN_CONFIG = fermi_like(
     l1_hit_latency=8,
 )
 
-# The campaign config with the sanitizer armed: ``repro check --faults``
-# runs every simulator scenario on it, the plain campaign its SRP
-# bit-flip scenario.
+# The campaign config with the sanitizer armed: the ``+sanitizer``
+# re-runs of the schedule faults and the SRP bit-flip scenario use it.
 SANITIZED_CONFIG = dataclasses.replace(CAMPAIGN_CONFIG, sanitizer=True)
 
 # Small device for the harness-level jobs (real workload apps).
@@ -218,23 +219,22 @@ def _run_sim_scenario(
     )
 
 
-def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
-    """The simulator-layer faults.  ``sanitizer=True`` re-runs them with
-    the sanitizer armed on the contract-clean probe (``repro check
-    --faults``), where the SRP corruptions become the sanitizer's catch
-    at the first inconsistent cycle.  The SRP bit flip always runs that
-    way: no other detector sees a self-inconsistent pool before the
-    schedule deadlocks."""
+def _schedule_scenarios(seed: int, sanitizer: bool) -> list[FaultOutcome]:
+    """The lost-release and unbalanced-acquire faults.  ``sanitizer=True``
+    runs them with the sanitizer armed on the contract-clean probe and
+    suffixes each scenario ``+sanitizer``: the SRP corruptions become
+    the sanitizer's catch at the first inconsistent cycle."""
     plain = _probe_kernel(contract_clean=sanitizer)
     barrier = _probe_kernel(hold_across_barrier=True, contract_clean=sanitizer)
     config = SANITIZED_CONFIG if sanitizer else CAMPAIGN_CONFIG
+    suffix = "+sanitizer" if sanitizer else ""
     return [
         # Lost release, wakeup policy: every waiter parks with no timer
         # pending — the no-timer deadlock check must fire.  Under the
         # sanitizer the section bit is left set with an empty LUT slot,
         # and its structural check fires the same cycle.
         _run_sim_scenario(
-            "lost-release/wakeup",
+            f"lost-release/wakeup{suffix}",
             FaultSpec("dropped-release", trigger=0, seed=seed),
             seed, kernel=plain, retry_policy="wakeup", config=config,
         ),
@@ -242,7 +242,7 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
         # timers, so there is never a timer-free cycle — only the
         # progress watchdog (or the sanitizer) can see this livelock.
         _run_sim_scenario(
-            "lost-release/eager",
+            f"lost-release/eager{suffix}",
             FaultSpec("dropped-release", trigger=0, seed=seed),
             seed, kernel=plain, retry_policy="eager", config=config,
         ),
@@ -251,10 +251,21 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
         # structure stays self-consistent, so this one is *correctly*
         # not the sanitizer's catch: the deadlock detectors classify it.
         _run_sim_scenario(
-            "unbalanced-acquire/barrier",
+            f"unbalanced-acquire/barrier{suffix}",
             FaultSpec("unbalanced-acquire", trigger=0, seed=seed),
             seed, kernel=barrier, retry_policy="wakeup", config=config,
         ),
+    ]
+
+
+def _sim_scenarios(seed: int) -> list[FaultOutcome]:
+    """The simulator-layer faults: the schedule faults plain, the SRP bit
+    flip, then the schedule faults again with the sanitizer armed, so
+    the table says which mechanism catches each one with and without
+    it.  The bit flip runs armed only: no other detector sees a
+    self-inconsistent pool before the schedule deadlocks."""
+    return [
+        *_schedule_scenarios(seed, sanitizer=False),
         # Flipped SRP bit: caught by the sanitizer's structural check at
         # the first inconsistent cycle, long before any deadlock forms.
         _run_sim_scenario(
@@ -264,6 +275,7 @@ def _sim_scenarios(seed: int, sanitizer: bool = False) -> list[FaultOutcome]:
             retry_policy="wakeup", config=SANITIZED_CONFIG,
             forced_sections=2,
         ),
+        *_schedule_scenarios(seed, sanitizer=True),
     ]
 
 

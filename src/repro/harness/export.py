@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _flatten(value: object) -> object:

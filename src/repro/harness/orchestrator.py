@@ -106,10 +106,8 @@ def _simulate(job: JobSpec, seed: int, target_ctas_per_sm: int):
     )
     loop = None
     try:
-        kernel, technique, priority = materialize_job(job)
-        record, loop = runner.simulate(
-            kernel, job.config, technique, scheduler_priority=priority,
-        )
+        kernel, technique, _ = materialize_job(job)
+        record, loop = runner.simulate(kernel, job.config, technique)
         failure = None
     except Exception as exc:
         record, failure = None, classify_failure(exc)

@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import warnings
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
@@ -48,7 +49,6 @@ from repro.arch.config import GpuConfig
 from repro.isa.kernel import Kernel
 from repro.isa.printer import format_kernel
 from repro.sim.gpu import Gpu
-from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique, SharingTechnique
 from repro.workloads.suite import (
     APPLICATIONS,
@@ -273,9 +273,13 @@ class ExperimentRunner:
         self.quarantined_entries = 0
         # How far this runner has read the store file: the file's
         # (st_dev, st_ino) and the byte offset of its first unread line.
-        # A compaction replaces the file, and so changes its id.
+        # A compaction replaces the file, and so changes its id.  The
+        # file last read stays open (``_hold``): a freed inode number
+        # can be reused by a later compaction's file, which would then
+        # pass for the file this runner has read up to ``_offset``.
         self._file_id: tuple[int, int] | None = None
         self._offset = 0
+        self._release = weakref.finalize(self, lambda: None)
         # Set once this runner has read a damaged line or a duplicate
         # key: the only case in which flush() rewrites the file.
         self._needs_compaction = False
@@ -288,6 +292,15 @@ class ExperimentRunner:
         return self._cache_path + ".lock"
 
     # -- the store file ---------------------------------------------------------
+    def _hold(self, fh) -> os.stat_result:
+        """Keep ``fh``, an open store file, open in place of the one
+        held before, take its id, and return its stat."""
+        self._release()
+        self._release = weakref.finalize(self, fh.close)
+        st = os.fstat(fh.fileno())
+        self._file_id = (st.st_dev, st.st_ino)
+        return st
+
     def _read_new_lines(self, locked: bool) -> None:
         """Adopt the records appended to the store since the last read.
 
@@ -302,16 +315,15 @@ class ExperimentRunner:
             fh = open(self._cache_path, "rb")
         except FileNotFoundError:
             return
-        with fh:
-            st = os.fstat(fh.fileno())
-            rereading = False
-            if ((st.st_dev, st.st_ino) != self._file_id
-                    or st.st_size < self._offset):
-                rereading = self._file_id is not None
-                self._file_id = (st.st_dev, st.st_ino)
-                self._offset = 0
-            fh.seek(self._offset)
-            data = fh.read()
+        st = os.fstat(fh.fileno())
+        rereading = False
+        if ((st.st_dev, st.st_ino) != self._file_id
+                or st.st_size < self._offset):
+            rereading = self._file_id is not None
+            self._offset = 0
+        fh.seek(self._offset)
+        data = fh.read()
+        self._hold(fh)
         lines = data.split(b"\n")
         tail = lines.pop()  # b"" when the data ends with a newline
         bad: list[tuple[bytes, str]] = []
@@ -392,11 +404,9 @@ class ExperimentRunner:
                 fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
-                st = os.fstat(fh.fileno())
             if not end:
                 _fsync_dir(self._cache_path)  # the new file's entry
-            self._file_id = (st.st_dev, st.st_ino)
-            self._offset = st.st_size
+            self._offset = self._hold(open(self._cache_path, "rb")).st_size
 
     def _key(
         self, kernel: Kernel, config: GpuConfig, technique: SharingTechnique
@@ -479,11 +489,9 @@ class ExperimentRunner:
                 )
                 fh.flush()
                 os.fsync(fh.fileno())
-                st = os.fstat(fh.fileno())
             os.replace(tmp, self._cache_path)
             _fsync_dir(self._cache_path)
-            self._file_id = (st.st_dev, st.st_ino)
-            self._offset = st.st_size
+            self._offset = self._hold(open(self._cache_path, "rb")).st_size
         self._needs_compaction = False
 
     def __enter__(self) -> "ExperimentRunner":
@@ -498,7 +506,6 @@ class ExperimentRunner:
         kernel: Kernel,
         config: GpuConfig,
         technique: SharingTechnique | None = None,
-        scheduler_priority=None,
     ) -> RunRecord:
         """Run (or recall) one (kernel, config, technique) combination."""
         technique = technique or BaselineTechnique()
@@ -508,8 +515,7 @@ class ExperimentRunner:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        record, _ = self.simulate(kernel, config, technique,
-                                  scheduler_priority)
+        record, _ = self.simulate(kernel, config, technique)
         self._store(key, record)
         return record
 
@@ -518,7 +524,6 @@ class ExperimentRunner:
         kernel: Kernel,
         config: GpuConfig,
         technique: SharingTechnique,
-        scheduler_priority=None,
     ) -> tuple[RunRecord, str | None]:
         """Compute one record from cycle 0, with no store lookup or write.
 
@@ -532,7 +537,7 @@ class ExperimentRunner:
         waves = max(2, round(self.target_ctas_per_sm / resident))
         grid = resident * waves * config.num_sms
 
-        result = gpu.launch(kernel, grid, scheduler_priority=scheduler_priority)
+        result = gpu.launch(kernel, grid)
         total = result.stats.total
         record = RunRecord(
             kernel_name=kernel.name,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.arch.config import GpuConfig
-from repro.baselines.owf import OwfTechnique, owf_priority
+from repro.baselines.owf import OwfTechnique
 from repro.baselines.rfv import RfvTechnique
 from repro.errors import FAILURE_JOB_ERROR, FAILURE_RUNTIME, SimulationError
 from repro.faults.injector import FaultyWorkerTechnique, KillMidRunTechnique
@@ -39,22 +39,20 @@ from repro.regmutex.paired import PairedWarpsTechnique
 from repro.sim.technique import BaselineTechnique, SharingTechnique
 from repro.workloads.suite import build_app_kernel, get_app
 
-# kind -> (factory, scheduler priority hook). The factory is called with
-# the spec's params; the priority hook is what the driver used to thread
-# through ``runner.run(..., scheduler_priority=...)``.
+# kind -> factory, called with the spec's params.
 # "faulty-worker" is baseline behaviour plus an injected harness fault
 # (crash / deterministic error / hang) — the fault campaign's probe for
 # the orchestrator's retry, attribution, and timeout machinery.
 # "kill-mid-run" is baseline behaviour until a deterministic cycle,
 # then SIGKILLs its worker — the crash-recovery campaign's probe.
-_TECHNIQUES: dict[str, tuple[type, object]] = {
-    "baseline": (BaselineTechnique, None),
-    "regmutex": (RegMutexTechnique, None),
-    "regmutex-paired": (PairedWarpsTechnique, None),
-    "owf": (OwfTechnique, owf_priority),
-    "rfv": (RfvTechnique, None),
-    "faulty-worker": (FaultyWorkerTechnique, None),
-    "kill-mid-run": (KillMidRunTechnique, None),
+_TECHNIQUES: dict[str, type] = {
+    "baseline": BaselineTechnique,
+    "regmutex": RegMutexTechnique,
+    "regmutex-paired": PairedWarpsTechnique,
+    "owf": OwfTechnique,
+    "rfv": RfvTechnique,
+    "faulty-worker": FaultyWorkerTechnique,
+    "kill-mid-run": KillMidRunTechnique,
 }
 
 
@@ -75,11 +73,7 @@ class TechniqueSpec:
         return TechniqueSpec(kind, tuple(sorted(params.items())))
 
     def build(self) -> SharingTechnique:
-        factory, _ = _TECHNIQUES[self.kind]
-        return factory(**dict(self.params))
-
-    def scheduler_priority(self):
-        return _TECHNIQUES[self.kind][1]
+        return _TECHNIQUES[self.kind](**dict(self.params))
 
     def __str__(self) -> str:
         if not self.params:
@@ -102,16 +96,16 @@ TECHNIQUE_LANES: tuple[str, ...] = (
 _LANE_KINDS = {"paired": "regmutex-paired"}
 
 
-def lane_technique(name: str, es: int | None = None):
-    """``(technique, scheduler_priority)`` for a technique lane, built
-    through :class:`TechniqueSpec`.  ``es`` forces |Es| on the RegMutex
+def lane_technique(name: str, es: int | None = None) -> SharingTechnique:
+    """The technique of a technique lane, built through
+    :class:`TechniqueSpec`.  ``es`` forces |Es| on the RegMutex
     lanes; None leaves it to the compiler heuristic."""
     if name not in TECHNIQUE_LANES:
         raise ValueError(f"unknown technique lane {name!r}")
     kind = _LANE_KINDS.get(name, name)
     params = {"extended_set_size": es} if kind.startswith("regmutex") else {}
     spec = TechniqueSpec.of(kind, **params)
-    return spec.build(), spec.scheduler_priority()
+    return spec.build()
 
 
 @dataclass(frozen=True)
@@ -188,17 +182,21 @@ def ordered_unique_jobs(jobs: Iterable[JobSpec]) -> tuple[JobSpec, ...]:
 
 
 def materialize_job(job: JobSpec):
-    """Build the live (kernel, technique, scheduler_priority) triple."""
+    """Build the live ``(kernel, technique, None)`` triple.
+
+    The third item is always None.  It used to carry OWF's
+    owner-warp-first scheduling, which the technique's per-SM state now
+    declares itself; the triple shape stays for callers that still
+    unpack three items.
+    """
     kernel = build_app_kernel(get_app(job.app))
-    technique = job.technique.build()
-    return kernel, technique, job.technique.scheduler_priority()
+    return kernel, job.technique.build(), None
 
 
 def execute_job(job: JobSpec, runner) -> "RunRecord":
     """Run one job through a runner (memoized, in-process)."""
-    kernel, technique, priority = materialize_job(job)
-    return runner.run(kernel, job.config, technique,
-                      scheduler_priority=priority)
+    kernel, technique, _ = materialize_job(job)
+    return runner.run(kernel, job.config, technique)
 
 
 class JobResults:

@@ -20,7 +20,7 @@ string labels resolved by :class:`repro.isa.kernel.Kernel`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 

@@ -9,10 +9,10 @@ occupancy calculator needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction
 
 
 @dataclass(frozen=True)

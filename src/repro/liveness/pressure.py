@@ -9,7 +9,7 @@ series of the paper's Figure 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.kernel import Kernel
 from repro.liveness.liveness import LivenessInfo, analyze_liveness

@@ -48,7 +48,6 @@ def profile_kernel(
     technique: SharingTechnique,
     total_ctas: int | None = None,
     stride: int = 64,
-    scheduler_priority=None,
     seed: int = 2018,
     max_cycles: int = 50_000_000,
 ) -> ProfileResult:
@@ -75,7 +74,6 @@ def profile_kernel(
         ctas_resident_limit=resident,
         total_ctas=total_ctas,
         rng=DeterministicRng(seed),
-        scheduler_priority=scheduler_priority,
         stats=stats,
     )
     observer = SmObserver(stride=stride)

@@ -52,7 +52,6 @@ class Gpu:
         self,
         kernel: Kernel,
         grid_ctas: int,
-        scheduler_priority=None,
         max_cycles: int = 50_000_000,
         observer_factory=None,
     ) -> LaunchResult:
@@ -87,14 +86,14 @@ class Gpu:
             if observer_factory is not None:
                 per_sm.append(self._run_one_sm(
                     sm_id, compiled, occ.ctas_per_sm, count,
-                    scheduler_priority, max_cycles, loops,
+                    max_cycles, loops,
                     observer=observer_factory(sm_id),
                 ))
                 continue
             if count not in stats_by_count:
                 stats_by_count[count] = self._run_one_sm(
                     sm_id, compiled, occ.ctas_per_sm, count,
-                    scheduler_priority, max_cycles, loops,
+                    max_cycles, loops,
                 )
             per_sm.append(stats_by_count[count])
 
@@ -118,7 +117,6 @@ class Gpu:
         compiled: Kernel,
         resident_limit: int,
         total_ctas: int,
-        scheduler_priority,
         max_cycles: int,
         loops: set[str],
         observer=None,
@@ -135,7 +133,6 @@ class Gpu:
             # Seed depends on CTA count only, so equal-count SMs are
             # bit-identical and the memoization above is sound.
             rng=DeterministicRng(self.seed * 1_000_003 + total_ctas),
-            scheduler_priority=scheduler_priority,
             stats=stats,  # shared with the technique state
         )
         if observer is not None:

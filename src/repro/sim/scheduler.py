@@ -12,8 +12,9 @@ sequence number).
 LRR: rotate through warps in id order starting after the last issued.
 
 The OWF baseline (Jatala et al.) adds *owner-warp-first* on top of GTO:
-warps holding the pair lock outrank everyone else, which
-:mod:`repro.baselines.owf` implements as a priority hook.
+warps holding the pair lock outrank everyone else, a priority hook that
+the technique state declares (``OwfSmState.scheduler_priority``) and the
+SM passes to :func:`make_scheduler`.
 """
 
 from __future__ import annotations

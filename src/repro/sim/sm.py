@@ -140,7 +140,6 @@ class StreamingMultiprocessor:
         ctas_resident_limit: int,
         total_ctas: int,
         rng: DeterministicRng,
-        scheduler_priority=None,
         stats: SmStats | None = None,
         kernels_for_ctas: list[Kernel] | None = None,
     ) -> None:
@@ -169,7 +168,8 @@ class StreamingMultiprocessor:
         self._observer = None
 
         self.schedulers: list[WarpScheduler] = [
-            make_scheduler(config.scheduler_policy, i, priority=scheduler_priority)
+            make_scheduler(config.scheduler_policy, i,
+                           priority=technique_state.scheduler_priority)
             for i in range(config.num_schedulers)
         ]
         # The engine is chosen once: columnar when configured and the C

@@ -29,6 +29,13 @@ class SmTechniqueState:
     tests simple).
     """
 
+    # The GTO scheduler's priority hook (``warp -> int``, lower issues
+    # first), or None for plain greedy-then-oldest.  The SM builds its
+    # schedulers from it, so a technique whose scheduling is part of its
+    # definition (OWF's owner-warp-first) carries that scheduling into
+    # every run of its state.
+    scheduler_priority = None
+
     def __init__(self, kernel: Kernel, config: GpuConfig, stats: SmStats) -> None:
         self.kernel = kernel
         self.config = config
@@ -147,6 +154,10 @@ class DelegatingTechniqueState(SmTechniqueState):
     def __init__(self, inner: SmTechniqueState) -> None:
         super().__init__(inner.kernel, inner.config, inner.stats)
         self.inner = inner
+
+    @property
+    def scheduler_priority(self):
+        return self.inner.scheduler_priority
 
     def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
         return self.inner.can_issue(warp, inst, cycle)

@@ -26,7 +26,7 @@ stress-testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import Opcode

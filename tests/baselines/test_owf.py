@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.arch.config import GTX480
+from repro.arch.config import GTX480, fermi_like
 from repro.baselines.owf import OwfSmState, OwfTechnique, owf_priority, _extra_ctas
 from repro.isa.instructions import Instruction, Opcode
 from repro.sim.rand import DeterministicRng
+from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique
 from repro.sim.warp import Warp, WarpStatus
@@ -117,3 +118,18 @@ class TestOwfTechnique:
         )
         with pytest.raises(ValueError):
             OwfTechnique().prepare_kernel(kernel, GTX480)
+
+    def test_owner_warp_first_needs_gto(self):
+        """The SM builds its schedulers from the state's owner-warp-first
+        hook, which only GTO takes: an OWF state on LRR fails at SM
+        construction instead of running without OWF's scheduling."""
+        config = fermi_like(num_sms=1, scheduler_policy="lrr")
+        kernel = straightline_kernel()
+        stats = SmStats()
+        state = OwfSmState(kernel, config, stats, base_ctas=1, extra_ctas=1)
+        with pytest.raises(ValueError, match="only supported for GTO"):
+            StreamingMultiprocessor(
+                sm_id=0, config=config, kernel=kernel, technique_state=state,
+                ctas_resident_limit=1, total_ctas=1,
+                rng=DeterministicRng(1), stats=stats,
+            )

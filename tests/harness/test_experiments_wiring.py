@@ -32,7 +32,7 @@ class StubRunner:
     def __init__(self):
         self.calls: list[tuple[str, str, str]] = []
 
-    def run(self, kernel, config, technique=None, scheduler_priority=None):
+    def run(self, kernel, config, technique=None):
         name = technique.name if technique else "baseline"
         self.calls.append((kernel.name, config.name, name))
         # Cycles keyed by technique so reductions are deterministic.
@@ -69,20 +69,19 @@ class UncompactableStubRunner(StubRunner):
         super().__init__()
         self.failing_es = failing_es
 
-    def run(self, kernel, config, technique=None, scheduler_priority=None):
+    def run(self, kernel, config, technique=None):
         if getattr(technique, "extended_set_size", None) == self.failing_es:
             raise CompactionError(f"cannot compact |Es|={self.failing_es}")
-        return super().run(kernel, config, technique, scheduler_priority)
+        return super().run(kernel, config, technique)
 
 
 def _rows(spec, runner):
     """``spec``'s rows from ``runner``'s records (a raising job fails)."""
     outcomes = {}
     for job in spec.unique_jobs():
-        kernel, technique, priority = materialize_job(job)
+        kernel, technique, _ = materialize_job(job)
         try:
-            outcomes[job] = runner.run(kernel, job.config, technique,
-                                       scheduler_priority=priority)
+            outcomes[job] = runner.run(kernel, job.config, technique)
         except Exception as exc:
             kind, message = classify_failure(exc)
             outcomes[job] = JobFailure(message, kind=kind)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.config import fermi_like
+from repro.baselines.owf import OwfTechnique
 from repro.harness import experiments as E
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
@@ -66,9 +67,8 @@ class TestDeterminism:
 
         direct = _runner()
         for spec in (job, rm):
-            kernel, technique, priority = materialize_job(spec)
-            record = direct.run(kernel, spec.config, technique,
-                                scheduler_priority=priority)
+            kernel, technique, _ = materialize_job(spec)
+            record = direct.run(kernel, spec.config, technique)
             assert outcomes[spec] == record
             assert isinstance(outcomes[spec], RunRecord)
 
@@ -171,6 +171,31 @@ class TestCacheMerge:
         assert rows_fresh == rows_first
         assert fresh.telemetry.cache_misses == 0
         assert fresh.telemetry.cache_hits == len(spec.jobs)
+
+    def test_direct_owf_run_stores_the_figure_jobs_record(self):
+        """``runner.run(kernel, config, OwfTechnique())`` stores under
+        the OWF figure job's key, so it must compute that job's
+        owner-warp-first schedule: a later figure job reads it back."""
+
+        class NoOwnerFirst(OwfTechnique):
+            def make_sm_state(self, kernel, config, stats):
+                state = super().make_sm_state(kernel, config, stats)
+                state.scheduler_priority = None
+                return state
+
+        job = JobSpec("SRAD", CFG, TechniqueSpec.of("owf"))
+        fresh = Orchestrator(_runner(), workers=1).run_jobs([job])[job]
+        kernel, _, _ = materialize_job(job)
+        # On SRAD the owner-warp-first pick moves the cycle count, so a
+        # run without it cannot pass for the figure job.
+        plain, _ = _runner().simulate(kernel, CFG, NoOwnerFirst())
+        assert plain.cycles != fresh.cycles
+
+        runner = _runner()
+        assert runner.run(kernel, CFG, OwfTechnique()) == fresh
+        orch = Orchestrator(runner, workers=1)
+        assert orch.run_jobs([job])[job] == fresh
+        assert orch.telemetry.cache_hits == 1
 
 
 class TestFailureTolerance:

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.arch.config import GTX480, GpuConfig
-from repro.baselines.owf import OwfTechnique, owf_priority
+from repro.baselines.owf import OwfSmState, OwfTechnique, owf_priority
 from repro.harness import experiments as E
 from repro.harness.runner import RunRecord
 from repro.harness.spec import (
@@ -18,6 +18,7 @@ from repro.harness.spec import (
     TechniqueSpec,
 )
 from repro.regmutex.issue_logic import RegMutexTechnique
+from repro.sim.technique import SmTechniqueState
 
 
 def _record(name="k", config="c", technique="baseline", cycles=1000):
@@ -49,10 +50,12 @@ class TestTechniqueSpec:
             TechniqueSpec.of("warp-vodoo")
 
     def test_owf_carries_scheduler_priority(self):
-        spec = TechniqueSpec.of("owf")
-        assert isinstance(spec.build(), OwfTechnique)
-        assert spec.scheduler_priority() is owf_priority
-        assert TechniqueSpec.of("baseline").scheduler_priority() is None
+        """OWF's owner-warp-first pick is declared by its per-SM state,
+        which every front end builds through the technique."""
+        assert isinstance(TechniqueSpec.of("owf").build(), OwfTechnique)
+        assert OwfSmState.scheduler_priority is owf_priority
+        assert SmTechniqueState.scheduler_priority is None
+        assert not hasattr(TechniqueSpec, "scheduler_priority")
 
     def test_str_form(self):
         assert str(TechniqueSpec.of("baseline")) == "baseline"

@@ -9,7 +9,7 @@ behaviours qualitatively.
 import pytest
 
 from repro.arch.config import fermi_like
-from repro.baselines.owf import OwfTechnique, owf_priority
+from repro.baselines.owf import OwfTechnique
 from repro.baselines.rfv import RfvTechnique
 from repro.harness.runner import ExperimentRunner
 from repro.regmutex.issue_logic import RegMutexTechnique
@@ -90,10 +90,7 @@ class TestRegMutexEndToEnd:
         assert paired.reduction_vs(base) <= rm.reduction_vs(base) + 0.02
 
     def test_owf_runs_without_deadlock(self, config, limited_kernel, runner):
-        owf = runner.run(
-            limited_kernel, config, OwfTechnique(),
-            scheduler_priority=owf_priority,
-        )
+        owf = runner.run(limited_kernel, config, OwfTechnique())
         assert owf.cycles > 0
 
     def test_rfv_runs_and_boosts_occupancy(self, config, limited_kernel, runner):

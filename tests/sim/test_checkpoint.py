@@ -68,8 +68,7 @@ def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6,
     issue_engine = "columnar" if engine == "native" else engine
     config = fermi_like(num_sms=1, issue_engine=issue_engine,
                         scheduler_policy=sched, **config_overrides)
-    factory, prio_hook = _TECHNIQUES[technique_kind]
-    technique = factory()
+    technique = _TECHNIQUES[technique_kind]()
     try:
         compiled = technique.prepare_kernel(kernel, config)
     except ValueError:
@@ -77,12 +76,11 @@ def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6,
     occ = technique.occupancy(compiled, config)
     stats = SmStats()
     state = technique.make_sm_state(compiled, config, stats)
-    prio = prio_hook if (prio_hook and sched == "gto") else None
     return StreamingMultiprocessor(
         sm_id=0, config=config, kernel=compiled, technique_state=state,
         ctas_resident_limit=occ.ctas_per_sm, total_ctas=total,
         rng=DeterministicRng(seed * 1_000_003 + total),
-        scheduler_priority=prio, stats=stats,
+        stats=stats,
     )
 
 

@@ -33,7 +33,7 @@ import pytest
 
 import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
-from repro.baselines.owf import OwfSmState, owf_priority
+from repro.baselines.owf import OwfSmState
 from repro.baselines.rfv import RfvSmState
 from repro.isa.builder import KernelBuilder
 from repro.observe.hooks import SmObserver
@@ -139,8 +139,7 @@ def _acquire_kernel(work: int = 6):
     return b.build().with_metadata(base_set_size=2, extended_set_size=2)
 
 
-def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas,
-             priority=None):
+def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas):
     stats = SmStats()
     return StreamingMultiprocessor(
         sm_id=0,
@@ -150,15 +149,12 @@ def _make_sm(kernel, config, state_factory, ctas_resident, total_ctas,
         ctas_resident_limit=ctas_resident,
         total_ctas=total_ctas,
         rng=DeterministicRng(7),
-        scheduler_priority=priority,
         stats=stats,
     )
 
 
-def _run_sm(kernel, config, state_factory, ctas_resident, total_ctas,
-            priority=None):
-    sm = _make_sm(kernel, config, state_factory, ctas_resident, total_ctas,
-                  priority)
+def _run_sm(kernel, config, state_factory, ctas_resident, total_ctas):
+    sm = _make_sm(kernel, config, state_factory, ctas_resident, total_ctas)
     sm.run()
     return sm
 
@@ -210,8 +206,7 @@ def _assert_columnar_drained(sm):
     assert all(qs == QS_OUT for qs in core.qstate)
 
 
-def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas,
-               priority=None):
+def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas):
     """Outcomes of both engines, the columnar one hygiene-checked: scan
     and the C loop.  Skips where the extension is not built (a columnar
     config would run scan there, comparing scan with itself)."""
@@ -219,11 +214,11 @@ def _all_paths(kernel, config, state_factory, ctas_resident, total_ctas,
         pytest.skip(NATIVE_MISSING)
     scan = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="scan"),
-        state_factory, ctas_resident, total_ctas, priority,
+        state_factory, ctas_resident, total_ctas,
     )
     native = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="columnar"),
-        state_factory, ctas_resident, total_ctas, priority,
+        state_factory, ctas_resident, total_ctas,
     )
     assert native.issue_loop == "native"
     _assert_columnar_drained(native)
@@ -310,7 +305,7 @@ class TestBaselineTechniqueIdentity:
     def test_owf_random_kernels_identical(self, seed):
         _assert_identical(_all_paths(
             _random_kernel(seed), _config(scheduler_policy="gto"),
-            _owf_state, ctas_resident=2, total_ctas=5, priority=owf_priority,
+            _owf_state, ctas_resident=2, total_ctas=5,
         ))
 
     def test_plain_rfv_binds_no_python_gate(self):

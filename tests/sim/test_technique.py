@@ -72,10 +72,20 @@ class TestDelegatingTechniqueState:
 
         hooks = {
             name for name, member in vars(SmTechniqueState).items()
-            if inspect.isfunction(member) and not name.startswith("_")
+            if not name.startswith("_")
+            and (inspect.isfunction(member) or member is None)
         }
-        assert hooks
+        assert "scheduler_priority" in hooks
         assert hooks <= set(vars(DelegatingTechniqueState))
+
+    def test_wrapper_forwards_the_scheduler_priority(self):
+        from repro.baselines.owf import OwfSmState, owf_priority
+        from repro.sim.technique import DelegatingTechniqueState
+
+        state = OwfSmState(straightline_kernel(), GTX480, SmStats(),
+                           base_ctas=1, extra_ctas=1)
+        wrapped = DelegatingTechniqueState(DelegatingTechniqueState(state))
+        assert wrapped.scheduler_priority is owf_priority
 
     def test_innermost_unwraps_nested_wrappers(self):
         from repro.sim.technique import DelegatingTechniqueState, innermost
