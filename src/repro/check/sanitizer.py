@@ -2,9 +2,9 @@
 
 ``GpuConfig.sanitizer`` is the simulator's one switch for dynamic
 checks.  Every failure is reported as a typed :class:`SanitizerViolation`
-with warp/pc/cycle provenance, published on the observability bus (so
-violations land in Perfetto traces as instant events) and raised as
-:class:`repro.errors.SanitizerError`.
+with warp/pc/cycle provenance, appended to the attached observer's
+event log (so violations land in Perfetto traces as instant events)
+and raised as :class:`repro.errors.SanitizerError`.
 
 Per issued instruction:
 
@@ -97,7 +97,7 @@ class Sanitizer:
         self.violations.append(violation)
         observer = self.sm._observer
         if observer is not None:
-            observer.bus.emit(SimEvent(
+            observer.log.append(SimEvent(
                 cycle, SANITIZER, warp_id=warp_id, pc=pc,
                 detail=f"{check}: {message}",
             ))

@@ -1,22 +1,21 @@
-"""Simulation observability: event bus, probes, exporters, perf artifacts.
+"""Simulation observability: event log, probes, exporters, perf artifacts.
 
 The subsystem is strictly opt-in: an SM without an attached
 :class:`SmObserver` pays one ``is not None`` branch per cycle and zero
 allocations.  With one attached, every acquire/release/issue decision,
-stall attribution delta, and CTA lifecycle event flows over the
-:class:`EventBus`, cycle-sampled :class:`ProbeSeries` timelines record
-levels, and the exporters turn both into Perfetto-loadable Chrome
-traces, CSV timelines, and text profile reports.
+SRP section transition and CTA lifecycle event is appended to its
+:class:`EventLog`, cycle-sampled :class:`ProbeSeries` timelines record
+levels (stall attribution among them), and the exporters turn both
+into Perfetto-loadable Chrome traces, CSV timelines, and text profile
+reports.
 """
 
-from repro.observe.bus import EventBus, EventLog
+from repro.observe.bus import EventLog
 from repro.observe.events import (
     ACQUIRE_BLOCKED,
     ACQUIRE_OK,
-    ALL_KINDS,
     CTA_LAUNCH,
     CTA_RETIRE,
-    FAST_FORWARD,
     ISSUE,
     JOB_DONE,
     JOB_FAILED,
@@ -26,8 +25,6 @@ from repro.observe.events import (
     RELEASE,
     SECTION_ACQUIRE,
     SECTION_RELEASE,
-    STALL,
-    STALL_CATEGORIES,
     WARP_FINISH,
     WATCHDOG,
     SimEvent,
@@ -48,19 +45,16 @@ from repro.observe.perf import (
     perf_artifact,
     write_perf_artifact,
 )
-from repro.observe.probes import ProbeSample, ProbeSeries
+from repro.observe.probes import ProbeSeries
 from repro.observe.report import profile_report
 from repro.observe.session import ProfileResult, profile_kernel
 
 __all__ = [
     "ACQUIRE_BLOCKED",
     "ACQUIRE_OK",
-    "ALL_KINDS",
     "CTA_LAUNCH",
     "CTA_RETIRE",
-    "EventBus",
     "EventLog",
-    "FAST_FORWARD",
     "ISSUE",
     "JOB_DONE",
     "JOB_FAILED",
@@ -69,14 +63,11 @@ __all__ = [
     "JOB_RUNNING",
     "ObservingTechniqueState",
     "PERF_ARTIFACT_VERSION",
-    "ProbeSample",
     "ProbeSeries",
     "ProfileResult",
     "RELEASE",
     "SECTION_ACQUIRE",
     "SECTION_RELEASE",
-    "STALL",
-    "STALL_CATEGORIES",
     "SimEvent",
     "SmObserver",
     "WARP_FINISH",

@@ -1,78 +1,30 @@
-"""The event bus: fan-out from simulator hooks to subscribers.
+"""The event log: the one sink every observability producer appends to.
 
-A :class:`EventBus` only exists while observability is enabled — the SM
-holds no bus when disabled, so the disabled hot path pays a single
-``is None`` branch per cycle and nothing else (see
-:mod:`repro.sim.sm`).  Subscribers are plain callables; they may filter
-by kind at subscription time so high-rate kinds (issue events) are only
-dispatched where someone listens.
-
-:class:`EventLog` is the standard recording subscriber: an append-only
-list of :class:`~repro.observe.events.SimEvent` with the query helpers
-the test suite and exporters need (kind/warp filters, SRP hold
-intervals).
+An :class:`EventLog` only exists while observability is enabled — the
+SM holds no observer when disabled, so the disabled hot path pays a
+single ``is None`` branch per cycle and nothing else (see
+:mod:`repro.sim.sm`).  Producers (the observing technique wrapper, the
+SRP transition callback, the SM's observer hooks, the sanitizer and
+the service daemon) call :meth:`EventLog.append` directly; the log is
+an append-only list of :class:`~repro.observe.events.SimEvent` with
+the query helpers the exporters, the report and the test suite need
+(kind/warp filters, SRP hold intervals).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.observe.events import (
     ACQUIRE_OK,
-    ALL_KINDS,
     RELEASE,
     SimEvent,
     WARP_FINISH,
 )
 
-Subscriber = Callable[[SimEvent], None]
-
-
-class EventBus:
-    """Synchronous publish/subscribe dispatch for :class:`SimEvent`s."""
-
-    __slots__ = ("_any", "_by_kind")
-
-    def __init__(self) -> None:
-        self._any: list[Subscriber] = []
-        self._by_kind: dict[str, list[Subscriber]] = {}
-
-    def subscribe(self, fn: Subscriber, kind: str | None = None) -> Subscriber:
-        """Register ``fn`` for one kind (or every event when ``None``).
-
-        Returns ``fn`` so it can be used as a decorator.
-        """
-        if kind is None:
-            self._any.append(fn)
-        else:
-            if kind not in ALL_KINDS:
-                known = ", ".join(sorted(ALL_KINDS))
-                raise KeyError(f"unknown event kind {kind!r} (known: {known})")
-            self._by_kind.setdefault(kind, []).append(fn)
-        return fn
-
-    def emit(self, event: SimEvent) -> None:
-        """Deliver ``event`` to wildcard and kind subscribers, in order."""
-        for fn in self._any:
-            fn(event)
-        subs = self._by_kind.get(event.kind)
-        if subs is not None:
-            for fn in subs:
-                fn(event)
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._any) + sum(len(v) for v in self._by_kind.values())
-
 
 class EventLog:
-    """An append-only event record with query helpers.
-
-    Usable directly as a bus subscriber::
-
-        log = EventLog()
-        bus.subscribe(log.append)
-    """
+    """An append-only event record with query helpers."""
 
     __slots__ = ("events",)
 
@@ -118,14 +70,6 @@ class EventLog:
             )
             intervals.append((start, last))
         return intervals
-
-    def stall_totals(self) -> dict[str, int]:
-        """Idle-slot sums per stall category, from the STALL stream."""
-        totals: dict[str, int] = {}
-        for e in self.events:
-            if e.kind == "stall":
-                totals[e.detail] = totals.get(e.detail, 0) + e.value
-        return totals
 
     def __len__(self) -> int:
         return len(self.events)

@@ -1,20 +1,27 @@
 """Event vocabulary of the observability subsystem.
 
-Every observable simulator occurrence is a :class:`SimEvent` — a small
-frozen record with a ``kind`` drawn from the constants below.  The
-vocabulary is deliberately flat (no per-kind subclasses): exporters and
-tests dispatch on the string kind, and the two generic payload fields
-(``detail`` for a category/opcode label, ``value`` for an index/count)
-cover every current producer without per-event dict allocation.
+Every recorded occurrence is a :class:`SimEvent` — a small frozen
+record with a ``kind`` drawn from the constants below — appended to an
+:class:`~repro.observe.bus.EventLog`.  The vocabulary is deliberately
+flat (no per-kind subclasses): exporters and tests dispatch on the
+string kind, and the two generic payload fields (``detail`` for an
+opcode/diagnostic label, ``value`` for an index) cover every producer
+without per-event dict allocation.  Each kind has a reader in
+:mod:`repro.observe.export` or :mod:`repro.observe.report`; levels and
+cumulative counters (stall attribution included) are the probes' job
+(:mod:`repro.observe.probes`), not the log's.
 
-Producers (see :mod:`repro.observe.hooks`):
+Producers:
 
 * issue/acquire/release/warp-finish — the technique wrapper around the
-  installed :class:`~repro.sim.technique.SmTechniqueState`;
-* CTA launch/retire, stall attribution, fast-forward, watchdog — the
-  :class:`~repro.observe.hooks.SmObserver` cycle hook in the SM;
+  installed :class:`~repro.sim.technique.SmTechniqueState`
+  (:mod:`repro.observe.hooks`);
+* CTA launch/retire and watchdog — the
+  :class:`~repro.observe.hooks.SmObserver` hooks in the SM;
 * SRP section transitions — the
-  :class:`~repro.regmutex.srp.SharedRegisterPool` transition callback.
+  :class:`~repro.regmutex.srp.SharedRegisterPool` transition callback;
+* sanitizer violations — :mod:`repro.check.sanitizer`;
+* service job lifecycle — :mod:`repro.service.daemon`.
 """
 
 from __future__ import annotations
@@ -33,14 +40,7 @@ WARP_FINISH = "warp_finish"
 CTA_LAUNCH = "cta_launch"
 CTA_RETIRE = "cta_retire"
 
-# Per-cycle stall attribution: one event per (cycle, category) with a
-# non-zero idle-slot delta; ``detail`` is the category
-# ("scoreboard" | "memory" | "barrier" | "acquire"), ``value`` the
-# number of idle issue slots newly attributed to it.
-STALL = "stall"
-
-# Clock jumps and failure diagnostics.
-FAST_FORWARD = "fast_forward"   # value = skipped cycles
+# Failure diagnostics.
 WATCHDOG = "watchdog"           # detail = diagnostic summary
 
 # SRP section transitions (emitted by the pool itself, so they cover
@@ -49,13 +49,13 @@ WATCHDOG = "watchdog"           # detail = diagnostic summary
 SECTION_ACQUIRE = "section_acquire"
 SECTION_RELEASE = "section_release"
 
-# Dynamic sanitizer violation (emitted by repro.check.sanitizer when a
-# bus is attached): ``detail`` is "<check>: <message>", ``warp_id``/``pc``
+# Dynamic sanitizer violation (emitted by repro.check.sanitizer when an
+# observer is attached): ``detail`` is "<check>: <message>", ``warp_id``/``pc``
 # the provenance (-1 when the violation has no warp subject).
 SANITIZER = "sanitizer"
 
 # Service job lifecycle (emitted by the simulation daemon,
-# :mod:`repro.service`).  These ride the same bus as simulator events
+# :mod:`repro.service`).  These share the simulator events' record
 # but live on wall-clock time, not simulated cycles: ``cycle`` is
 # milliseconds since the daemon started, ``value`` the daemon job id,
 # ``detail`` the job label (JOB_DONE appends the execution mode,
@@ -65,27 +65,19 @@ JOB_RUNNING = "job_running"
 JOB_DONE = "job_done"
 JOB_FAILED = "job_failed"
 
-STALL_CATEGORIES = ("memory", "scoreboard", "barrier", "acquire")
-
 JOB_KINDS = frozenset({
     JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED,
 })
-
-ALL_KINDS = frozenset({
-    ISSUE, ACQUIRE_OK, ACQUIRE_BLOCKED, RELEASE, WARP_FINISH,
-    CTA_LAUNCH, CTA_RETIRE, STALL, FAST_FORWARD, WATCHDOG,
-    SECTION_ACQUIRE, SECTION_RELEASE, SANITIZER,
-}) | JOB_KINDS
 
 
 @dataclass(frozen=True, slots=True)
 class SimEvent:
     """One observable simulator occurrence.
 
-    ``warp_id``/``pc`` are -1 for events without a warp subject (CTA and
-    stall events); ``detail`` carries an opcode or category label;
-    ``value`` carries a small integer payload (section index, idle-slot
-    count, CTA id, skipped cycles) whose meaning is fixed per kind.
+    ``warp_id``/``pc`` are -1 for events without a warp subject (CTA,
+    watchdog and job events); ``detail`` carries an opcode, diagnostic
+    or job label; ``value`` carries a small integer payload (section
+    index, CTA id, job id) whose meaning is fixed per kind.
     """
 
     cycle: int

@@ -84,8 +84,14 @@ def chrome_trace_events(
         _meta(sm_id, TID_SM, "thread_name", "SM events"),
     ]
     if log is not None:
-        events.extend(_warp_track_events(log, sm_id, include_issues))
-        events.extend(_section_track_events(log, sm_id))
+        # Spans still open at the end (a run that raised) close on the
+        # run's last observed cycle: the final probe sample, when it
+        # is later than the last logged event.
+        end = log.events[-1].cycle if log.events else 0
+        if samples is not None and len(samples):
+            end = max(end, samples.cycle[-1])
+        events.extend(_warp_track_events(log, sm_id, include_issues, end))
+        events.extend(_section_track_events(log, sm_id, end))
         events.extend(_sm_instant_events(log, sm_id))
     if samples is not None and len(samples):
         events.extend(_counter_track_events(samples, sm_id))
@@ -93,7 +99,7 @@ def chrome_trace_events(
 
 
 def _warp_track_events(
-    log: EventLog, sm_id: int, include_issues: bool
+    log: EventLog, sm_id: int, include_issues: bool, end: int
 ) -> list[dict]:
     out: list[dict] = []
     named: set[int] = set()
@@ -140,18 +146,17 @@ def _warp_track_events(
             out.append({"ph": "X", "ts": e.cycle, "pid": sm_id,
                         "tid": tid(e.warp_id), "name": e.detail or "issue",
                         "dur": 1})
-    # Close any span left open at the end of the log (e.g. a run that
-    # raised): balanced B/E is part of the exported contract.
-    last = log.events[-1].cycle if log.events else 0
+    # Close any span left open at the end: balanced B/E is part of the
+    # exported contract.
     for warp_id in list(open_wait):
-        out.append(_span(sm_id, TID_WARP_BASE + warp_id, "E", last,
+        out.append(_span(sm_id, TID_WARP_BASE + warp_id, "E", end,
                          "wait acquire"))
     for warp_id, name in open_hold.items():
-        out.append(_span(sm_id, TID_WARP_BASE + warp_id, "E", last, name))
+        out.append(_span(sm_id, TID_WARP_BASE + warp_id, "E", end, name))
     return out
 
 
-def _section_track_events(log: EventLog, sm_id: int) -> list[dict]:
+def _section_track_events(log: EventLog, sm_id: int, end: int) -> list[dict]:
     out: list[dict] = []
     named: set[int] = set()
     open_by_section: dict[int, str] = {}
@@ -171,9 +176,8 @@ def _section_track_events(log: EventLog, sm_id: int) -> list[dict]:
             name = open_by_section.pop(e.value, None)
             if name is not None:
                 out.append(_span(sm_id, t, "E", e.cycle, name))
-    last = log.events[-1].cycle if log.events else 0
     for section, name in open_by_section.items():
-        out.append(_span(sm_id, TID_SECTION_BASE + section, "E", last, name))
+        out.append(_span(sm_id, TID_SECTION_BASE + section, "E", end, name))
     return out
 
 

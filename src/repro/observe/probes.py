@@ -1,11 +1,14 @@
 """Cycle-sampled probes: columnar timelines of SM state.
 
-Where the event bus captures *transitions*, probes capture *levels*: at
+Where the event log captures *transitions*, probes capture *levels*: at
 a configurable stride (every N-th cycle) the observer snapshots SRP
 occupancy, the warp-status histogram, live-register pressure, and the
-cumulative issue/stall counters.  Columns are parallel Python lists —
-appending four ints per sample keeps full-length runs cheap at stride
-64 (the default), and exporters read the columns directly.
+cumulative issue/stall counters.  Columns are parallel Python lists
+that the exporters and the report read directly.  The histogram is one
+walk over the SM's resident warps on either issue engine (a columnar
+SM's warps are views whose attributes read its columns), and the
+counters are the live ``SmStats``, so the final sample, taken on the
+run's last cycle, equals the run's stall attribution.
 
 Live-register pressure counts registers a warp can architecturally
 touch right now: ``|Bs|`` per resident warp (its private base set) plus
@@ -15,30 +18,7 @@ non-RegMutex kernel it degrades to ``regs_per_thread × warps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.warp import WarpStatus
-
-
-@dataclass(frozen=True)
-class ProbeSample:
-    """One row of the timeline (a convenience view over the columns)."""
-
-    cycle: int
-    srp_in_use: int
-    srp_total: int
-    warps_ready: int
-    warps_at_barrier: int
-    warps_waiting_acquire: int
-    resident_warps: int
-    section_holders: int
-    live_registers: int
-    instructions_issued: int
-    idle_scheduler_cycles: int
-    stall_memory: int
-    stall_scoreboard: int
-    stall_barrier: int
-    stall_acquire: int
 
 
 _COLUMNS = (
@@ -75,38 +55,25 @@ class ProbeSeries:
         return _COLUMNS
 
     def sample(self, sm) -> None:
-        """Append one row snapshotted from a live SM.
-
-        Under the columnar engine the histogram is one pass over the
-        state columns (:meth:`repro.sim.columnar.ColumnarCore.
-        probe_counts`) instead of a per-warp object walk; both paths
-        count the same thing, which the column-view tests assert.
-        """
-        core = getattr(sm, "_columnar", None)
-        if core is not None:
-            (
-                ready, barrier, waiting, resident, holders, live,
-            ) = core.probe_counts()
-        else:
-            ready = barrier = waiting = resident = holders = live = 0
-            for warps in sm._warps_by_scheduler:
-                for w in warps:
-                    status = w.status
-                    if status is WarpStatus.FINISHED:
-                        continue
-                    resident += 1
-                    if status is WarpStatus.READY:
-                        ready += 1
-                    elif status is WarpStatus.AT_BARRIER:
-                        barrier += 1
-                    elif status is WarpStatus.WAITING_ACQUIRE:
-                        waiting += 1
-                    md = w.kernel.metadata
-                    base = md.base_set_size or md.regs_per_thread
-                    live += base
-                    if w.holds_extended_set:
-                        holders += 1
-                        live += md.extended_set_size or 0
+        """Append one row snapshotted from a live SM."""
+        ready = barrier = waiting = resident = holders = live = 0
+        for warps in sm._warps_by_scheduler:
+            for w in warps:
+                status = w.status
+                if status is WarpStatus.FINISHED:
+                    continue
+                resident += 1
+                if status is WarpStatus.READY:
+                    ready += 1
+                elif status is WarpStatus.AT_BARRIER:
+                    barrier += 1
+                elif status is WarpStatus.WAITING_ACQUIRE:
+                    waiting += 1
+                md = w.kernel.metadata
+                live += md.base_set_size or md.regs_per_thread
+                if w.holds_extended_set:
+                    holders += 1
+                    live += md.extended_set_size or 0
 
         view = sm.technique.srp_view()
         in_use, total = view if view is not None else (0, 0)
@@ -130,13 +97,7 @@ class ProbeSeries:
             tuple(s.issued_count for s in sm.schedulers)
         )
 
-    # -- views -----------------------------------------------------------------
-    def row(self, i: int) -> ProbeSample:
-        return ProbeSample(*(getattr(self, name)[i] for name in _COLUMNS))
-
-    def rows(self) -> list[ProbeSample]:
-        return [self.row(i) for i in range(len(self))]
-
+    # -- summaries -------------------------------------------------------------
     def srp_utilization(self) -> float:
         """Mean fraction of SRP sections in use across the samples."""
         pairs = [

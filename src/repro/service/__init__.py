@@ -5,8 +5,8 @@ docs/ARCHITECTURE.md, "service daemon"): :class:`SimulationService` accepts
 job/experiment submissions over newline-delimited JSON, dedups them
 three ways (batch, run store, in-flight singleflight), executes on a
 persistent worker pool that retries a dead worker's job from cycle 0,
-and streams per-job telemetry events to subscribed clients and onto the
-observe bus.
+and streams per-job telemetry events to subscribed clients and into its
+event log.
 """
 
 from repro.service.client import ServiceClient, SubmitResult

@@ -33,12 +33,12 @@ therefore loses no finished job: its pool workers exit with it, and a
 restarted daemon reads the stored records and recomputes the jobs
 that were interrupted.
 
-Job lifecycle (queued → running → done/failed) is published
-twice from one code path: as wire frames to subscribed clients, and as
-``JOB_*`` :class:`~repro.observe.events.SimEvent`s on an observe
-:class:`~repro.observe.bus.EventBus` (wall-clock milliseconds in the
-``cycle`` field), which is what makes daemon-executed jobs exportable
-to Perfetto via :func:`~repro.observe.export.job_trace_events`.
+Job lifecycle (queued → running → done/failed) is recorded twice
+from one code path: as wire frames to subscribed clients, and as
+``JOB_*`` :class:`~repro.observe.events.SimEvent`s appended to the
+daemon's :class:`~repro.observe.bus.EventLog` (wall-clock milliseconds
+in the ``cycle`` field), which is what makes daemon-executed jobs
+exportable to Perfetto via :func:`~repro.observe.export.job_trace_events`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from repro.harness.orchestrator import JobExecutor, ordered_unique_jobs
 from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import JobFailure, JobSpec
 from repro.harness.telemetry import MODE_CACHED, JobTiming, SessionTelemetry
-from repro.observe.bus import EventBus, EventLog
+from repro.observe.bus import EventLog
 from repro.observe.events import (
     JOB_DONE,
     JOB_FAILED,
@@ -138,9 +138,7 @@ class SimulationService:
             cache_path=config.cache_path,
         )
         self.telemetry = SessionTelemetry(workers=config.workers)
-        self.bus = EventBus()
         self.log = EventLog()
-        self.bus.subscribe(self.log.append)
         self.executor = JobExecutor(
             self.runner, self.telemetry, workers=config.workers,
             max_retries=config.max_retries,
@@ -348,14 +346,14 @@ class SimulationService:
     def _emit(
         self, state: JobState, kind: str, status: str, **frame_extra,
     ) -> None:
-        """One code path feeding both outputs: the observe bus (Perfetto
+        """One code path feeding both outputs: the event log (Perfetto
         export path) and every subscribed client's frame queue."""
         detail = state.job.label
         if kind == JOB_DONE and state.timing is not None:
             detail = f"{state.job.label} [{state.timing.mode}]"
         elif kind == JOB_FAILED and state.failure is not None:
             detail = f"{state.job.label} [{state.failure.kind}]"
-        self.bus.emit(SimEvent(
+        self.log.append(SimEvent(
             cycle=self._now_ms(), kind=kind, detail=detail,
             value=state.job_id,
         ))

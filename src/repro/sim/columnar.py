@@ -54,9 +54,8 @@ on the loop's side.  The buffer contract:
   column to ``max_warps_per_sm`` slots up front, and code outside the
   loop writes through indexing only.
 
-The cold consumers outside the loop — the invariant sweep
-(:meth:`ColumnarCore.check_hygiene`) and the probes' histogram
-(:meth:`ColumnarCore.probe_counts`) — walk the same columns slot by
+The cold consumer outside the loop — the invariant sweep
+(:meth:`ColumnarCore.check_hygiene`) — walks the same columns slot by
 slot in plain Python; the package has no third-party dependency.
 
 Scoreboard rows never expire (unlike the dict engine's periodic
@@ -443,7 +442,7 @@ class ColumnarCore:
         "pc", "wake", "status", "stall", "qstate", "dyn",
         "views", "kcs", "rngs", "trips",
         "sb_rows", "sb_max", "sb_heap",
-        "wid", "holds", "base_regs", "ext_regs",
+        "wid", "holds",
         "wid2slot", "_kc_cache", "hot",
     )
 
@@ -469,8 +468,6 @@ class ColumnarCore:
         self.sb_heap: list[tuple[int, int, int]] = []
         self.wid: list[int] = []
         self.holds: list[bool] = []
-        self.base_regs: list[int] = []
-        self.ext_regs: list[int] = []
         self.wid2slot: dict[int, int] = {}
         # Keyed by id(kernel); the kernel ref in the value keeps the id
         # stable for the SM's lifetime (Kernel defines __eq__ and is
@@ -503,8 +500,6 @@ class ColumnarCore:
             self.sb_max.append(0)
             self.wid.append(-1)
             self.holds.append(False)
-            self.base_regs.append(0)
-            self.ext_regs.append(0)
             self.capacity += 1
 
     def kernel_columns(self, kernel: Kernel) -> KernelColumns:
@@ -544,9 +539,6 @@ class ColumnarCore:
         self.sb_max[slot] = 0
         self.wid[slot] = warp_id
         self.holds[slot] = False
-        metadata = kernel.metadata
-        self.base_regs[slot] = metadata.base_set_size or metadata.regs_per_thread
-        self.ext_regs[slot] = metadata.extended_set_size or 0
         self.wid2slot[warp_id] = slot
         view._bound = True
         return view
@@ -623,31 +615,7 @@ class ColumnarCore:
             self.qstate[slot] = QS_READY
             insort(unit.ready, (warp_id, slot))
 
-    # -- bulk reads -------------------------------------------------------------
-    def probe_counts(self) -> tuple[int, int, int, int, int, int]:
-        """(ready, at_barrier, waiting_acquire, resident, holders, live)
-        over the active slots — the probes' per-sample histogram, as one
-        pass over the columns."""
-        ready = barrier = waiting = resident = holders = live = 0
-        for slot in range(self.capacity):
-            if self.wid[slot] < 0:
-                continue
-            st = self.status[slot]
-            if st == ST_FINISHED:
-                continue
-            resident += 1
-            if st == ST_READY:
-                ready += 1
-            elif st == ST_BARRIER:
-                barrier += 1
-            elif st == ST_ACQUIRE:
-                waiting += 1
-            live += self.base_regs[slot]
-            if self.holds[slot]:
-                holders += 1
-                live += self.ext_regs[slot]
-        return ready, barrier, waiting, resident, holders, live
-
+    # -- invariants -------------------------------------------------------------
     def check_hygiene(self) -> None:
         """Structural + mask invariants, for tests and the sanitizer.
 

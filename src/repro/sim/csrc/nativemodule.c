@@ -131,7 +131,7 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_config,
     *S_issue_width_per_scheduler, *S_watchdog_window,
-    *S_max_in_flight, *S_on_issue, *S_on_cycle, *S_on_fast_forward,
+    *S_max_in_flight, *S_on_issue, *S_on_cycle,
     *S_on_run_end, *S_wakeup_pending, *S_try_acquire,
     *S_release,
     *S_on_acquire_wake, *S_on_barrier_release, *S_READY_attr,
@@ -543,7 +543,7 @@ typedef struct {
     int gate_can, gate_on;      /* the RFV gate replaces can_issue/on_issue */
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *observer;                          /* NULL: no observer */
-    PyObject *obs_on_cycle, *obs_on_fast_forward, *obs_on_run_end;
+    PyObject *obs_on_cycle, *obs_on_run_end;
     PyObject *stats, *resident_ctas, *ctas_by_id, *wid2slot;
     PyObject *columnar_on_exit;
     PyObject *status_ready, *status_waiting_acquire; /* WarpStatus members */
@@ -595,7 +595,7 @@ runstate_free(RunState *S)
     Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_wakeup);
     Py_XDECREF(S->san_on_issue); Py_XDECREF(S->san_on_cycle);
     Py_XDECREF(S->observer); Py_XDECREF(S->obs_on_cycle);
-    Py_XDECREF(S->obs_on_fast_forward); Py_XDECREF(S->obs_on_run_end);
+    Py_XDECREF(S->obs_on_run_end);
     Py_XDECREF(S->stats); Py_XDECREF(S->resident_ctas);
     Py_XDECREF(S->ctas_by_id); Py_XDECREF(S->wid2slot);
     Py_XDECREF(S->columnar_on_exit);
@@ -1120,11 +1120,8 @@ runstate_setup(RunState *S, PyObject *sm,
         return -1;
     if (S->observer != NULL) {
         S->obs_on_cycle = PyObject_GetAttr(S->observer, S_on_cycle);
-        S->obs_on_fast_forward =
-            PyObject_GetAttr(S->observer, S_on_fast_forward);
         S->obs_on_run_end = PyObject_GetAttr(S->observer, S_on_run_end);
-        if (!S->obs_on_cycle || !S->obs_on_fast_forward
-            || !S->obs_on_run_end)
+        if (!S->obs_on_cycle || !S->obs_on_run_end)
             return -1;
     }
 
@@ -2194,19 +2191,6 @@ native_run(PyObject *self, PyObject *args)
                     S->d_idle += skip * S->num_sched;
                     S->d_mem += skip * S->num_sched;
                     S->d_res += skip * S->resident_cnt;
-                    if (S->observer != NULL) {
-                        if (flush_stats(S) < 0)
-                            goto fail;
-                        PyObject *sk = PyLong_FromLong(skip);
-                        if (sk == NULL)
-                            goto fail;
-                        PyObject *r =
-                            PYCALL(S, S->obs_on_fast_forward, sm, sk);
-                        Py_DECREF(sk);
-                        if (r == NULL)
-                            goto fail;
-                        Py_DECREF(r);
-                    }
                 }
             }
         }
@@ -2358,7 +2342,6 @@ intern_all(void)
     IN(S_max_in_flight, "_max_in_flight");
     IN(S_on_issue, "on_issue");
     IN(S_on_cycle, "on_cycle");
-    IN(S_on_fast_forward, "on_fast_forward");
     IN(S_on_run_end, "on_run_end");
     IN(S_wakeup_pending, "wakeup_pending");
     IN(S_try_acquire, "try_acquire");
@@ -2409,7 +2392,7 @@ PyInit__native(void)
     EXPORT(RFV_POOL_FREE) EXPORT(RFV_RESERVE_HOLDER) EXPORT(RFV_PEAK_POOL_USE)
     EXPORT(RFV_POOL_CAPACITY) EXPORT(RFV_NEXT_ORDER)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 6) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 7) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 SOURCE = Path(__file__).resolve().parent / "csrc" / "nativemodule.c"
-NATIVE_ABI = 6
+NATIVE_ABI = 7
 # A hung compiler must not hang the simulation forever.
 BUILD_TIMEOUT_S = 600
 

@@ -703,8 +703,6 @@ class StreamingMultiprocessor:
         self.stats.idle_scheduler_cycles += skip * len(self.schedulers)
         self.stats.stall_memory += skip * len(self.schedulers)
         self.stats.resident_warp_cycles += skip * self._resident_warp_count
-        if self._observer is not None:
-            self._observer.on_fast_forward(self, skip)
 
     @property
     def issue_loop(self) -> str:

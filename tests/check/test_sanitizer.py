@@ -9,7 +9,7 @@ from repro.errors import SanitizerError
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import Instruction, Opcode
 from repro.check.sanitizer import Sanitizer, SanitizerViolation
-from repro.observe.bus import EventBus
+from repro.observe.bus import EventLog
 from repro.observe.events import SANITIZER
 from repro.regmutex.issue_logic import RegMutexTechnique
 from repro.sim import sm as sm_mod
@@ -282,13 +282,10 @@ class TestReporting:
 
     def test_violation_lands_on_event_bus(self, config):
         sm, san = _regmutex_sm(config)
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append, SANITIZER)
-        sm._observer = SimpleNamespace(bus=bus)
+        sm._observer = SimpleNamespace(log=EventLog())
         warp = sm.resident_ctas[0].warps[0]
         san.on_issue(warp, Instruction(Opcode.IADD, (5,), (0, 1)), cycle=9)
-        (event,) = events
+        (event,) = sm._observer.log
         assert event.kind == SANITIZER
         assert event.cycle == 9
         assert event.warp_id == warp.warp_id

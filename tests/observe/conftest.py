@@ -55,11 +55,12 @@ def run_sm(config):
     Returns ``(observer_or_None, stats, sm)``.  Build parameters default
     to the trace-test shape (2 resident warps, 2 sections) so acquire
     succeeds immediately; pass ``sections=1`` / ``total_ctas>1`` to
-    create contention and stalls.
+    create contention and stalls, and ``config`` to run another config
+    (another issue engine, say).
     """
 
     def _run(kernel, sections=2, total_ctas=1, resident=2, seed=1,
-             observer=None, observe=True, stride=8):
+             observe=True, stride=8, config=config):
         stats = SmStats()
         state = RegMutexSmState(kernel, config, stats,
                                 num_sections=sections)
@@ -70,10 +71,7 @@ def run_sm(config):
         )
         obs = None
         if observe:
-            obs = observer if observer is not None else SmObserver(
-                stride=stride
-            )
-            obs.attach(sm)
+            obs = SmObserver(stride=stride).attach(sm)
         sm.run()
         return obs, stats, sm
 

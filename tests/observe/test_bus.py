@@ -1,62 +1,18 @@
-"""Unit tests for the event bus and event log (no simulator involved)."""
-
-import pytest
+"""Unit tests for the event log (no simulator involved)."""
 
 from repro.observe import (
     ACQUIRE_OK,
+    CTA_LAUNCH,
     ISSUE,
     RELEASE,
-    STALL,
     WARP_FINISH,
-    EventBus,
     EventLog,
     SimEvent,
 )
 
 
-def _ev(cycle, kind, warp_id=-1, detail=None, value=0):
-    return SimEvent(cycle, kind, warp_id=warp_id, detail=detail, value=value)
-
-
-class TestEventBus:
-    def test_wildcard_subscriber_sees_everything(self):
-        bus, seen = EventBus(), []
-        bus.subscribe(seen.append)
-        bus.emit(_ev(1, ISSUE, 0))
-        bus.emit(_ev(2, RELEASE, 1))
-        assert [e.kind for e in seen] == [ISSUE, RELEASE]
-
-    def test_kind_subscriber_filters(self):
-        bus, seen = EventBus(), []
-        bus.subscribe(seen.append, kind=RELEASE)
-        bus.emit(_ev(1, ISSUE, 0))
-        bus.emit(_ev(2, RELEASE, 1))
-        bus.emit(_ev(3, ISSUE, 0))
-        assert [e.cycle for e in seen] == [2]
-
-    def test_unknown_kind_rejected_at_subscribe(self):
-        with pytest.raises(KeyError, match="unknown event kind"):
-            EventBus().subscribe(lambda e: None, kind="not_a_kind")
-
-    def test_subscribe_returns_fn(self):
-        bus = EventBus()
-        fn = lambda e: None  # noqa: E731
-        assert bus.subscribe(fn) is fn
-
-    def test_subscriber_count(self):
-        bus = EventBus()
-        assert bus.subscriber_count == 0
-        bus.subscribe(lambda e: None)
-        bus.subscribe(lambda e: None, kind=ISSUE)
-        bus.subscribe(lambda e: None, kind=ISSUE)
-        assert bus.subscriber_count == 3
-
-    def test_wildcard_then_kind_dispatch_order(self):
-        bus, order = EventBus(), []
-        bus.subscribe(lambda e: order.append("any"))
-        bus.subscribe(lambda e: order.append("kind"), kind=ISSUE)
-        bus.emit(_ev(1, ISSUE))
-        assert order == ["any", "kind"]
+def _ev(cycle, kind, warp_id=-1, value=0):
+    return SimEvent(cycle, kind, warp_id=warp_id, value=value)
 
 
 class TestEventLog:
@@ -75,9 +31,9 @@ class TestEventLog:
 
     def test_for_warp_and_warp_ids(self):
         log = self._log(_ev(1, ISSUE, 0), _ev(2, ISSUE, 3),
-                        _ev(3, STALL, detail="memory", value=2))
+                        _ev(3, CTA_LAUNCH, value=2))
         assert [e.warp_id for e in log.for_warp(3)] == [3]
-        assert log.warp_ids() == [0, 3]  # stall has no warp subject
+        assert log.warp_ids() == [0, 3]  # a CTA launch has no warp subject
 
     def test_hold_intervals_pairing(self):
         log = self._log(
@@ -93,12 +49,3 @@ class TestEventLog:
     def test_unmatched_hold_closes_at_last_logged_cycle(self):
         log = self._log(_ev(10, ACQUIRE_OK, 0), _ev(99, ISSUE, 1))
         assert log.hold_intervals(0) == [(10, 99)]
-
-    def test_stall_totals_sums_by_category(self):
-        log = self._log(
-            _ev(1, STALL, detail="memory", value=2),
-            _ev(2, STALL, detail="memory", value=3),
-            _ev(2, STALL, detail="acquire", value=1),
-            _ev(3, ISSUE, 0),
-        )
-        assert log.stall_totals() == {"memory": 5, "acquire": 1}

@@ -15,6 +15,7 @@ from repro.observe import (
     ACQUIRE_OK,
     ISSUE,
     EventLog,
+    ProbeSeries,
     SimEvent,
     chrome_trace_events,
     timeline_rows,
@@ -79,6 +80,21 @@ class TestChromeTraceFromRun:
         assert validate_chrome_trace(events) == len(events)
         closes = [e for e in events if e["ph"] == "E"]
         assert any(e["name"] == "hold S1" and e["ts"] == 20 for e in closes)
+
+    def test_dangling_hold_closes_at_final_sample(self):
+        """A run that raised takes its final sample on the cycle it
+        stopped; spans still open close there, not at the last event."""
+        log = EventLog()
+        log.append(SimEvent(9, ACQUIRE_OK, warp_id=0, value=1))
+        samples = ProbeSeries()
+        for name in samples.columns:
+            getattr(samples, name).append(0)
+        samples.cycle[-1] = 50
+        samples.sched_issued.append((0,))
+        events = chrome_trace_events(log, samples)
+        assert validate_chrome_trace(events) == len(events)
+        closes = [e for e in events if e["ph"] == "E"]
+        assert [(e["name"], e["ts"]) for e in closes] == [("hold S1", 50)]
 
 
 def _minimal(ph="i", **over):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observe import ProbeSample, ProbeSeries, SmObserver
+from repro.observe import ProbeSeries
 
 
 class TestProbeSeries:
@@ -27,15 +27,6 @@ class TestProbeSeries:
         # All gaps except the final flush sample respect the stride.
         gaps = [b - a for a, b in zip(cycles, cycles[1:])]
         assert all(g >= 16 for g in gaps[:-1])
-
-    def test_row_view_matches_columns(self, run_sm, regmutex_kernel):
-        obs, _, _ = run_sm(regmutex_kernel())
-        s = obs.samples
-        row = s.row(0)
-        assert isinstance(row, ProbeSample)
-        assert row.cycle == s.cycle[0]
-        assert row.srp_total == s.srp_total[0]
-        assert len(s.rows()) == len(s)
 
     def test_srp_columns_track_the_pool(self, run_sm, regmutex_kernel):
         obs, _, _ = run_sm(regmutex_kernel(), sections=2)

@@ -6,7 +6,9 @@ to each stall counter, for any kernel, technique, scheduler policy, and
 issue width.  The property test here throws randomized generator kernels
 at that contract; the staleness tests pin the transition paths where an
 event could plausibly be lost (a CTA retiring while other warps sleep,
-an acquire wakeup handed off past a finished warp); the wake-queue and
+an acquire wakeup handed off past a finished warp); the observation
+tests require an observer sampling every cycle to record the same
+events and probe columns on both engines; the wake-queue and
 column-view tests cover the columnar store's own hazards — re-entry
 order, idempotent unblock hooks, slot recycling after CTA retirement,
 and the qstate/status mask invariants, checked every cycle of a C-loop
@@ -169,7 +171,7 @@ class _CycleCheck(SmObserver):
     observer is attached)."""
 
     def __init__(self, check):
-        super().__init__(collect_log=False)
+        super().__init__()
         self.check = check
         self.cycles = 0
 
@@ -330,13 +332,82 @@ class TestBaselineTechniqueIdentity:
         sm = _make_sm(kernel, config, RfvSmState, ctas_resident=2,
                       total_ctas=5)
         inner = sm.technique
-        SmObserver(collect_log=False).attach(sm)
+        SmObserver().attach(sm)
         can_issue, on_issue, _ = sm._hook_bindings()
         assert can_issue is inner.native_gate()
         assert on_issue == sm.technique.on_issue
         sm.run()
         assert _outcome(sm) == _outcome(bare)
         assert inner.state_snapshot() == bare.technique.state_snapshot()
+
+
+def _observations(kernel, config, state_factory, ctas_resident,
+                  total_ctas):
+    """What an observer sampling every cycle records of one run: the
+    event log and every probe column, ``sched_issued`` included."""
+    sm = _make_sm(kernel, config, state_factory, ctas_resident, total_ctas)
+    observer = SmObserver(stride=1).attach(sm)
+    sm.run()
+    samples = observer.samples
+    columns = {name: getattr(samples, name)
+               for name in samples.columns + ("sched_issued",)}
+    return observer.log.events, columns
+
+
+def _assert_same_observations(kernel, config, state_factory,
+                              ctas_resident, total_ctas):
+    """Scan and the C loop give an observer the same events, in the same
+    order, and the same samples.  Returns the scan leg's events."""
+    scan = _observations(
+        kernel, dataclasses.replace(config, issue_engine="scan"),
+        state_factory, ctas_resident, total_ctas,
+    )
+    native = _observations(
+        kernel, dataclasses.replace(config, issue_engine="columnar"),
+        state_factory, ctas_resident, total_ctas,
+    )
+    assert native[0] == scan[0]
+    assert native[1] == scan[1]
+    return scan[0]
+
+
+_OBSERVED_FAMILIES = {
+    "baseline": (_config(), SmTechniqueState),
+    "rfv": (_config(**_RFV_TIGHT), RfvSmState),
+    "owf": (_config(scheduler_policy="gto"), _owf_state),
+}
+
+
+@needs_native
+class TestObservationIdentity:
+    """An observer attached to the C loop sees what it sees on scan: the
+    same events in the same order, and the same per-cycle samples, whose
+    counters the loop flushes before each observer hook."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", sorted(_OBSERVED_FAMILIES))
+    def test_random_kernels_observe_identically(self, family, seed):
+        config, state_factory = _OBSERVED_FAMILIES[family]
+        events = _assert_same_observations(
+            _random_kernel(seed), config, state_factory,
+            ctas_resident=2, total_ctas=5,
+        )
+        assert any(e.kind == "cta_retire" for e in events)
+
+    @pytest.mark.parametrize("retry_policy", ["wakeup", "eager"])
+    def test_contended_acquire_observes_identically(self, retry_policy):
+        def make_state(k, c, s):
+            return RegMutexSmState(
+                k, c, s, num_sections=1, retry_policy=retry_policy
+            )
+
+        events = _assert_same_observations(
+            _acquire_kernel(), _config(), make_state,
+            ctas_resident=3, total_ctas=6,
+        )
+        kinds = {e.kind for e in events}
+        assert {"acquire_blocked", "section_acquire",
+                "section_release"} <= kinds
 
 
 def _shared_arrays(sm):
@@ -909,37 +980,6 @@ class TestColumnarViews:
         unobserved = _run_sm(kernel, config, SmTechniqueState,
                              ctas_resident=2, total_ctas=5)
         assert _outcome(sm) == _outcome(unobserved)
-
-    @needs_native
-    def test_probe_counts_matches_object_walk(self):
-        """The probes' column histogram must count exactly what the
-        per-warp object walk counted, at every cycle of a C-loop run
-        with barriers, retires, and live-register churn."""
-        kernel = _random_kernel(1)
-        config = dataclasses.replace(_config(), issue_engine="columnar")
-
-        def check(sm):
-            expected = [0, 0, 0, 0, 0, 0]
-            for cta in sm.resident_ctas:
-                for w in cta.warps:
-                    status = w.status
-                    if status is WarpStatus.FINISHED:
-                        continue
-                    expected[3] += 1
-                    if status is WarpStatus.READY:
-                        expected[0] += 1
-                    elif status is WarpStatus.AT_BARRIER:
-                        expected[1] += 1
-                    elif status is WarpStatus.WAITING_ACQUIRE:
-                        expected[2] += 1
-                    md = w.kernel.metadata
-                    expected[5] += md.base_set_size or md.regs_per_thread
-                    if w.holds_extended_set:
-                        expected[4] += 1
-                        expected[5] += md.extended_set_size or 0
-            assert sm._columnar.probe_counts() == tuple(expected)
-
-        _run_checked(kernel, config, check)
 
     def test_srp_occupancy_columns_track_acquire_release(self):
         from repro.regmutex.srp import SharedRegisterPool
