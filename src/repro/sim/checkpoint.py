@@ -9,9 +9,14 @@ bookkeeping (SRP bitmask + LUT, pair locks, OWF subscriptions, RFV
 pool), every ``SmStats`` counter, and the SM-level RNG stream.
 
 The payload holds only canonical state, never an issue path's private
-representation (the columnar path's ready lists, sleeper heaps, blocked
+representation: the columnar path's ready lists, sleeper heaps, blocked
 counts and queue-state codes are a function of the warps'
-status/wake/stall fields at the cycle boundary).  So the scan stepper
+status/wake/stall fields at the cycle boundary, and the C loop's
+scoreboard completion heap is rebuilt from the rows' pending writes at
+the start of each run.  The clock and the schedulers' rotation state,
+which the C loop keeps in C between re-entries into Python, are
+published at every exit, so a snapshot after a stop reads them exact.
+So the scan stepper
 and the columnar engine's C loop (``repro._native``), stopped at the
 same cycle boundary, yield byte-identical snapshots:
 ``tests/sim/test_checkpoint.py`` compares them after cycle-limit stops,

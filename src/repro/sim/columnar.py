@@ -21,7 +21,7 @@ This module restructures the per-SM hot state into a **columnar store**:
   issue loop touches: pc, wake cycle, status code, stall-reason code,
   queue-state code, dynamic instruction count, scoreboard rows and
   per-slot pending maxima, plus one :class:`ColumnarUnit` per scheduler
-  holding its wake queues of bare ``(warp_id, slot)`` tuples.
+  holding its wake queues as slot numbers in ``array('l')`` buffers.
 * :class:`ColumnarWarpView` — a ``Warp`` subclass whose hot attributes
   are properties proxying into the columns, so the public API is
   unchanged: techniques, the CTA barrier protocol, observers, the
@@ -34,16 +34,17 @@ This module restructures the per-SM hot state into a **columnar store**:
 
 Representation note: the hot columns are ``array('l')`` buffers —
 ``pc``, ``wake``, ``status``, ``stall``, ``qstate``, ``dyn``,
-``sb_max``, every slot's scoreboard row, and each unit's four counters
-(``ColumnarUnit.counts``).  Python indexes them like lists (an ``int``
-in, an ``int`` out), and the C loop reads and writes the same memory as
-plain C ``long`` values, so no column is mirrored and no value is boxed
-on the loop's side.  The buffer contract:
+``sb_max``, ``wid``, every slot's scoreboard row, and each unit's
+queues and counters (``ColumnarUnit.ready``/``sleepers``/``far`` and
+``counts``).  Python indexes them like lists (an ``int`` in, an
+``int`` out), and the C loop reads and writes the same memory as plain
+C ``long`` values, so no value is boxed on the loop's side.  The
+buffer contract:
 
 * the loop takes one writable buffer per column (and per unit's
-  counters) for a whole run, and caches each scoreboard row's buffer
-  by the row object's identity, re-taking it when ``new_warp`` swaps a
-  slot's row;
+  queues and counters) for a whole run, and caches each scoreboard
+  row's buffer by the row object's identity, re-taking it when
+  ``new_warp`` swaps a slot's row;
 * it refuses a buffer whose items are not C ``long`` values with
   a ``TypeError`` — never a silent fallback;
 * it releases every buffer on every exit (a finished run, each
@@ -96,12 +97,25 @@ until the final ``HORIZON`` cycles of its window.  The unit reproduces
 that from aggregates: ``mem_sleepers`` and ``nonmem_sleepers`` count the
 two classes, and ``far`` is a min-heap of ``wake_cycle - HORIZON``
 thresholds, one per non-memory sleeper whose window was longer than
-``HORIZON`` at sleep time; pruning expired entries at read time keeps
-``len(far)`` equal to the non-memory sleepers still classified as
-memory stalls.  A sleeping warp can never leave its window early (its
-status only changes by issuing or being qualified, and a CTA only
-retires when every warp has finished), so sleeper heap entries are
-exact — no lazy deletion.
+``HORIZON`` at sleep time; pruning expired entries at read time (and
+before each push) keeps the far heap's length equal to the non-memory
+sleepers still classified as memory stalls.  A sleeping warp can never
+leave its window early (its status only changes by issuing or being
+qualified, and a CTA only retires when every warp has finished), so
+sleeper heap entries are exact — no lazy deletion.
+
+The three queues are fixed-capacity ``array('l')`` buffers the C loop
+shares, one entry per slot the SM can allocate: a warp sits in at most
+one queue, and the far heap holds at most one threshold per sleeper.
+The ready list and the sleeper heap hold slots, ordered through the
+``wid`` and ``wake`` columns (a sleeper's wake cycle and stall reason
+do not change while it sleeps); the far heap holds the thresholds.
+Their lengths are ``counts[U_NREADY]``, ``counts[U_NSLEEPERS]`` and
+``counts[U_NFAR]``.  The loop keeps no copy of them: Python code run
+from a hook (a CTA retire's ``on_finish``, the unblock hooks) changes
+the same buffers through :class:`ColumnarUnit`'s methods, and the loop
+reads the lengths back from ``counts``.  The qualification candidates
+and the slots issued in a pass are the loop's private scratch.
 
 The loop over these columns is the C loop in ``repro._native``
 (``sim/csrc/nativemodule.c``); this module holds its state and the cold
@@ -114,7 +128,6 @@ property tests and the differential oracle.
 from __future__ import annotations
 
 from array import array
-from heapq import heappush
 from operator import attrgetter
 
 from repro.isa.instructions import Instruction, OpClass, Opcode
@@ -183,11 +196,16 @@ STOP_DEADLOCK = 2     # no issuable warp and no pending timer
 STOP_WATCHDOG = 3     # no forward progress for a watchdog window
 STOP_CYCLE_LIMIT = 4  # past the max_cycles backstop
 
-# Slots of ``ColumnarUnit.counts``.
+# Slots of ``ColumnarUnit.counts``: the sleeper classes, the blocked
+# counts, and the lengths of the unit's three queues.
 U_MEM_SLEEPERS = 0
 U_NONMEM_SLEEPERS = 1
 U_BARRIER = 2
 U_ACQUIRE = 3
+U_NREADY = 4
+U_NSLEEPERS = 5
+U_NFAR = 6
+U_NCOUNTS = 7
 
 
 def buffer_field(buffer: str, index: int) -> property:
@@ -386,9 +404,17 @@ class ColumnarWarpView(Warp):
 
 
 class ColumnarUnit:
-    """Per-scheduler ready/sleeper/blocked state over ``(warp_id, slot)``
-    tuples, with the stall-attribution bookkeeping (class counts +
-    far-threshold heap) described in the module docstring.
+    """Per-scheduler ready/sleeper/blocked state over warp slots, with
+    the stall-attribution bookkeeping (class counts + far-threshold
+    heap) described in the module docstring.
+
+    The queues are ``array('l')`` buffers of one entry per slot that the
+    C loop shares; their lengths live in ``counts`` (``U_NREADY``,
+    ``U_NSLEEPERS``, ``U_NFAR``), and a warp sits in at most one queue.
+    ``ready`` holds slots by warp id, ``sleepers`` is a min-heap of
+    slots keyed ``(wake, warp_id)`` through the core's columns, and
+    ``far`` a min-heap of thresholds.  Read and change them through the
+    methods below.
 
     ``kind`` encodes the scheduler pick fast path: 0 = GTO with the
     default priority (greedy id match, else lowest id), 1 = LRR (first
@@ -396,17 +422,14 @@ class ColumnarUnit:
     ``sched.pick`` over the view objects so user hooks see real warps.
     """
 
-    __slots__ = (
-        "sched", "kind", "ready", "candidates", "keep", "issued",
-        "sleepers", "far", "counts",
-    )
+    __slots__ = ("sched", "kind", "ready", "sleepers", "far", "counts", "_wid")
 
     mem_sleepers = buffer_field("counts", U_MEM_SLEEPERS)
     nonmem_sleepers = buffer_field("counts", U_NONMEM_SLEEPERS)
     barrier_count = buffer_field("counts", U_BARRIER)
     acquire_count = buffer_field("counts", U_ACQUIRE)
 
-    def __init__(self, sched) -> None:
+    def __init__(self, sched, wid: array) -> None:
         self.sched = sched
         if isinstance(sched, GtoScheduler) and sched._default_priority:
             self.kind = 0
@@ -414,16 +437,43 @@ class ColumnarUnit:
             self.kind = 1
         else:
             self.kind = 2
-        self.ready: list[tuple[int, int]] = []
-        self.candidates: list[tuple[int, int]] = []
-        self.keep: list[tuple[int, int]] = []
-        self.issued: list[tuple[int, int]] = []
-        # (wake_cycle, warp_id, slot, is_memory_stall)
-        self.sleepers: list[tuple[int, int, int, bool]] = []
-        self.far: list[int] = []
-        # mem_sleepers, nonmem_sleepers, barrier_count, acquire_count:
-        # one buffer the C loop shares (see the properties above).
-        self.counts = array("l", [0, 0, 0, 0])
+        # Sized with the core's columns (``ColumnarCore._ensure``).
+        self.ready = array("l")
+        self.sleepers = array("l")
+        self.far = array("l")
+        self.counts = array("l", [0]) * U_NCOUNTS
+        self._wid = wid
+
+    def ready_entries(self) -> list[tuple[int, int]]:
+        """The ready list as ``(warp_id, slot)`` pairs, in order."""
+        wid = self._wid
+        return [(wid[slot], slot)
+                for slot in self.ready[:self.counts[U_NREADY]]]
+
+    def sleeping_slots(self) -> list[int]:
+        """The sleeper heap's slots, in heap order."""
+        return list(self.sleepers[:self.counts[U_NSLEEPERS]])
+
+    def insert_ready(self, slot: int) -> None:
+        """Insert ``slot`` in warp-id position (``bisect.insort``)."""
+        ready, wid = self.ready, self._wid
+        key = wid[slot]
+        i = self.counts[U_NREADY]
+        while i > 0 and wid[ready[i - 1]] > key:
+            ready[i] = ready[i - 1]
+            i -= 1
+        ready[i] = slot
+        self.counts[U_NREADY] += 1
+
+    def remove_ready(self, slot: int) -> None:
+        """Remove ``slot`` (``ValueError`` when it is not ready)."""
+        n = self.counts[U_NREADY]
+        ready = self.ready
+        # Item by item: a slice assignment would resize the array, which
+        # a running C loop's buffer forbids.
+        for i in range(ready[:n].index(slot), n - 1):
+            ready[i] = ready[i + 1]
+        self.counts[U_NREADY] = n - 1
 
 
 class ColumnarCore:
@@ -441,13 +491,14 @@ class ColumnarCore:
         "units", "num_schedulers", "issue_width", "capacity",
         "pc", "wake", "status", "stall", "qstate", "dyn",
         "views", "kcs", "rngs", "trips",
-        "sb_rows", "sb_max", "sb_heap",
+        "sb_rows", "sb_max",
         "wid", "holds",
         "wid2slot", "_kc_cache", "hot",
     )
 
     def __init__(self, schedulers, config) -> None:
-        self.units = [ColumnarUnit(s) for s in schedulers]
+        self.wid = array("l")
+        self.units = [ColumnarUnit(s, self.wid) for s in schedulers]
         self.num_schedulers = len(schedulers)
         self.issue_width = config.issue_width_per_scheduler
         self.capacity = 0
@@ -463,10 +514,6 @@ class ColumnarCore:
         self.trips: list[dict | None] = []
         self.sb_rows: list[array | None] = []
         self.sb_max = array("l")
-        # Scoreboard completion min-heap of (ready_cycle, warp_id, reg);
-        # lazily validated against the rows (see ColumnarScoreboard).
-        self.sb_heap: list[tuple[int, int, int]] = []
-        self.wid: list[int] = []
         self.holds: list[bool] = []
         self.wid2slot: dict[int, int] = {}
         # Keyed by id(kernel); the kernel ref in the value keeps the id
@@ -477,7 +524,7 @@ class ColumnarCore:
         self.hot = (
             self.pc, self.wake, self.status, self.stall, self.qstate,
             self.dyn, self.views, self.kcs, self.rngs, self.trips,
-            self.sb_rows, self.sb_max, self.sb_heap,
+            self.sb_rows, self.sb_max, self.wid,
         )
 
     def _ensure(self, slot: int) -> None:
@@ -500,6 +547,10 @@ class ColumnarCore:
             self.sb_max.append(0)
             self.wid.append(-1)
             self.holds.append(False)
+            for unit in self.units:
+                unit.ready.append(0)
+                unit.sleepers.append(0)
+                unit.far.append(0)
             self.capacity += 1
 
     def kernel_columns(self, kernel: Kernel) -> KernelColumns:
@@ -544,13 +595,11 @@ class ColumnarCore:
         return view
 
     def add_warp(self, view: ColumnarWarpView) -> None:
-        """CTA launch made the warp resident: append to its scheduler's
-        ready list (warp ids are monotonic, so append keeps id order)."""
+        """CTA launch made the warp resident: into its scheduler's ready
+        list (warp ids are monotonic, so it lands at the end)."""
         slot = view.slot
         self.qstate[slot] = QS_READY
-        self.units[view.warp_id % self.num_schedulers].ready.append(
-            (view.warp_id, slot)
-        )
+        self.units[view.warp_id % self.num_schedulers].insert_ready(slot)
 
     def release_warp(self, view: ColumnarWarpView) -> None:
         """CTA retirement: detach the view (column values copied back to
@@ -587,7 +636,7 @@ class ColumnarCore:
         unit = self.units[warp_id % self.num_schedulers]
         qs = self.qstate[slot]
         if qs == QS_READY:
-            unit.ready.remove((warp_id, slot))
+            unit.remove_ready(slot)
         elif qs == QS_BARRIER:
             unit.barrier_count -= 1
         elif qs == QS_ACQUIRE:
@@ -595,8 +644,6 @@ class ColumnarCore:
         self.qstate[slot] = QS_OUT
 
     def on_barrier_release(self, cta) -> None:
-        from bisect import insort
-
         qstate = self.qstate
         for warp in cta.warps:
             slot = warp.slot
@@ -604,16 +651,14 @@ class ColumnarCore:
                 unit = self.units[warp.warp_id % self.num_schedulers]
                 unit.barrier_count -= 1
                 qstate[slot] = QS_READY
-                insort(unit.ready, (warp.warp_id, slot))
+                unit.insert_ready(slot)
 
     def on_acquire_wake(self, warp_id: int, slot: int) -> None:
-        from bisect import insort
-
         if self.qstate[slot] == QS_ACQUIRE:
             unit = self.units[warp_id % self.num_schedulers]
             unit.acquire_count -= 1
             self.qstate[slot] = QS_READY
-            insort(unit.ready, (warp_id, slot))
+            unit.insert_ready(slot)
 
     # -- invariants -------------------------------------------------------------
     def check_hygiene(self) -> None:
@@ -631,28 +676,27 @@ class ColumnarCore:
         qstate = self.qstate
         total_sleeping = total_barrier = total_acquire = 0
         for unit in self.units:
-            assert len(unit.sleepers) == unit.mem_sleepers + unit.nonmem_sleepers, (
-                f"sleeper heap {len(unit.sleepers)} != class counts "
+            sleepers = unit.sleeping_slots()
+            assert len(sleepers) == unit.mem_sleepers + unit.nonmem_sleepers, (
+                f"sleeper heap {len(sleepers)} != class counts "
                 f"{unit.mem_sleepers}+{unit.nonmem_sleepers}"
             )
             assert unit.barrier_count >= 0 and unit.acquire_count >= 0
-            ids = [wid for wid, _ in unit.ready]
+            ready = unit.ready_entries()
+            ids = [wid for wid, _ in ready]
             assert ids == sorted(ids), f"ready list out of order: {ids}"
-            for wid, slot in unit.ready:
+            for wid, slot in ready:
                 assert qstate[slot] == QS_READY and status[slot] == ST_READY, (
                     f"warp {wid} in ready with qstate={qstate[slot]} "
                     f"status={status[slot]}"
                 )
-                assert self.wid[slot] == wid, (
-                    f"ready entry ({wid}, {slot}) aliases slot tenant "
-                    f"{self.wid[slot]}"
-                )
-            for _, wid, slot, _ in unit.sleepers:
+                assert wid >= 0, f"ready entry for free slot {slot}"
+            for slot in sleepers:
                 assert qstate[slot] == QS_SLEEPING and status[slot] == ST_READY, (
-                    f"warp {wid} asleep with qstate={qstate[slot]} "
+                    f"warp {self.wid[slot]} asleep with qstate={qstate[slot]} "
                     f"status={status[slot]}"
                 )
-            total_sleeping += len(unit.sleepers)
+            total_sleeping += len(sleepers)
             total_barrier += unit.barrier_count
             total_acquire += unit.acquire_count
 
@@ -746,12 +790,15 @@ class ColumnarScoreboard:
         ]
 
     def record_write(self, warp_id: int, reg: int, ready_cycle: int) -> None:
+        """Record a pending write in the row.  The C loop's completion
+        heap is built from the rows when a run starts: a write recorded
+        between runs is a fast-forward target of the next run, one
+        recorded from a hook during a run is not."""
         core = self._core
         slot = core.wid2slot[warp_id]
         row = core.sb_rows[slot]
         if ready_cycle > row[reg]:
             row[reg] = ready_cycle
-            heappush(core.sb_heap, (ready_cycle, warp_id, reg))
             if ready_cycle > core.sb_max[slot]:
                 core.sb_max[slot] = ready_cycle
 

@@ -5,30 +5,51 @@
  * source (building one on first use in a checkout) that passes the ABI
  * check; otherwise it is built on the scan reference stepper instead.
  *
- * The loop drives the columnar store of repro.sim.columnar and operates
- * on the *same* Python objects: the ColumnarCore columns, the per-unit
- * ready/sleeper/far structures, the scheduler and technique objects.
- * No state is mirrored into C between cycles, so views, snapshots,
- * hooks and the sanitizer observe the state the scan stepper's schedule
- * implies at every observation point.
+ * State contract.  The loop drives the columnar store of
+ * repro.sim.columnar.  Most of its state is memory it shares with
+ * Python (the buffer contract below); three pieces live in the loop
+ * between re-entries into Python and are kept exact where Python runs:
+ *
+ *  - the clock: sm.cycle (and the PyLong handed to hooks) is written
+ *    only when it changed since the last publish;
+ *  - the GTO/LRR rotation state of each unit without a priority hook
+ *    (issued_count, _greedy, _last_id), cached in UnitC;
+ *  - the scoreboard completion heap, a C array of (done, wid, reg)
+ *    built at run start from the rows: one entry per resident warp's
+ *    row[reg] > cycle.  Expiry drops only entries <= cycle and the
+ *    fast-forward takes only the least entry still in its row, so the
+ *    rebuilt heap answers every query as one kept since cycle 0 would.
+ *
+ * The clock and the rotation state are published (PYCALL, enter_py)
+ * before every re-entry — each hook call, arrive_at_barrier, the
+ * wakeup drain, the sanitizer and observer tail hooks — and at every
+ * exit, a hook that raises included.  After a re-entry the rotation
+ * state is read back before the loop next uses it: a CTA retire calls
+ * notify_removed.  Units with a priority hook (kind 2, OWF) keep their
+ * Python pick/notify_issued.  Between re-entries the loop allocates no
+ * Python object and writes no Python attribute on its per-cycle and
+ * per-issue path, except the RNG streams, the trip dicts and the
+ * memory model's in-flight dict, which stay Python objects.
  *
  * Buffer contract.  The state the loop touches every cycle is
  * array('l') memory that Python reads and writes too: the pc, wake,
- * status, stall, qstate, dyn and sb_max columns, every slot's
- * scoreboard row, each unit's counts (mem_sleepers, nonmem_sleepers,
- * barrier_count, acquire_count), the MemoryModel's _counters
- * (_in_flight_total, _next_retire with -1 for None, loads_issued,
- * l1_hits) and a technique's native_gate() declaration.  The loop
- * takes one writable buffer per object for the whole run (rows are
- * cached per slot by the row object's identity, so new_warp's fresh
- * row is re-taken), reads and writes them as plain longs, and releases
- * every buffer on every exit: a finished run, each STOP_* code and a
- * hook that raises.  A buffer whose items are not C longs is refused
- * with TypeError; there is no boxed fallback.  While a run holds them
- * the arrays cannot be resized (array raises BufferError), which the
- * columns never need: they are sized for every slot up front.  Heaps,
- * ready lists and the in-flight dict stay Python objects, mutated in
- * place through the CPython API.
+ * status, stall, qstate, dyn, sb_max and wid columns, every slot's
+ * scoreboard row, each unit's counts (sleeper classes, blocked counts
+ * and the queue lengths) and its ready, sleeper and far queues, the
+ * MemoryModel's _counters (_in_flight_total, _next_retire with -1 for
+ * None, loads_issued, l1_hits) and a technique's native_gate()
+ * declaration.  The queues hold slots (thresholds, for far), ordered
+ * through the wid and wake columns; a warp sits in at most one queue,
+ * so each is sized for every slot up front.  The loop takes one
+ * writable buffer per object for the whole run (rows are cached per
+ * slot by the row object's identity, so new_warp's fresh row is
+ * re-taken), reads and writes them as plain longs, and releases every
+ * buffer on every exit: a finished run, each STOP_* code and a hook
+ * that raises.  A buffer whose items are not C longs is refused with
+ * TypeError; there is no boxed fallback.  While a run holds them the
+ * arrays cannot be resized (array raises BufferError), which they
+ * never need.  The qualification candidates and the issued list are
+ * C-private scratch.
  *
  * Python is re-entered only at the scan stepper's hook points:
  * technique can_issue/on_issue/try_acquire/release/wakeup_pending,
@@ -46,10 +67,11 @@
  * TypeError for any other.
  *
  * Error contract: any hook may raise; we return NULL *without*
- * flushing the delta-stat locals.  The deadlock / watchdog /
- * cycle-limit stops flush first and return their stop code (the STOP_*
- * constants of repro.sim.columnar); sm.py raises the typed error from
- * the same code as the scan run loop.
+ * flushing the delta-stat locals (the clock and the rotation state are
+ * still published).  The deadlock / watchdog / cycle-limit stops flush
+ * first and return their stop code (the STOP_* constants of
+ * repro.sim.columnar); sm.py raises the typed error from the same code
+ * as the scan run loop.
  *
  * Return protocol: run_columnar(...) -> (status, aux)
  *   0                          aux = stats (cycles already stamped)
@@ -96,12 +118,17 @@
 #define STOP_WATCHDOG 3
 #define STOP_CYCLE_LIMIT 4
 
-/* Slots of ColumnarUnit.counts, MemoryModel._counters and the RFV
+/* Slots of ColumnarUnit.counts (U_NREADY.. are the lengths of the
+ * unit's ready, sleeper and far queues), MemoryModel._counters and the RFV
  * pool (repro.sim.columnar, repro.sim.memory, repro.baselines.rfv). */
 #define U_MEM_SLEEPERS 0
 #define U_NONMEM_SLEEPERS 1
 #define U_BARRIER 2
 #define U_ACQUIRE 3
+#define U_NREADY 4
+#define U_NSLEEPERS 5
+#define U_NFAR 6
+#define U_NCOUNTS 7
 #define M_IN_FLIGHT_TOTAL 0
 #define M_NEXT_RETIRE 1 /* -1: nothing in flight */
 #define M_LOADS_ISSUED 2
@@ -124,9 +151,8 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_cycles, *S_cycle, *S_last_progress_cycle, *S_resident_warp_count,
     *S_ctas_pending, *S_arrive_at_barrier,
     *S_kind, *S_lat, *S_tgt, *S_trip, *S_prob, *S_dsts,
-    *S_regs, *S_insts, *S_units, *S_sched, *S_ready, *S_candidates,
-    *S_keep, *S_issued, *S_sleepers, *S_far, *S_pick, *S_notify_issued,
-    *S_hot, *S_wid2slot, *S_columnar, *S_memory,
+    *S_regs, *S_insts, *S_units, *S_sched, *S_ready, *S_sleepers, *S_far,
+    *S_pick, *S_notify_issued, *S_hot, *S_columnar, *S_memory,
     *S_earliest_completion, *S_technique, *S_sanitizer_a,
     *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_config,
@@ -185,186 +211,6 @@ add_long_attr(PyObject *obj, PyObject *name, long d)
     if (err)
         return -1;
     return set_long_attr(obj, name, v + d);
-}
-
-/* ---- heapq transliteration (PyObject_RichCompareBool ordering) ------ */
-
-/* Ordering fast path: the queue/heap entries are small-int tuples
- * ((wake, wid, slot, is_mem), (done, wid, reg), (wid, slot)) or bare
- * ints, so compare element-wise as C longs when possible.  Bools are
- * PyLong subtypes and compare numerically, exactly like CPython's
- * tuple/long rich comparison; anything else (or an overflowing int)
- * falls back to PyObject_RichCompareBool. */
-static int
-fast_cmp2(PyObject *a, PyObject *b, int op)
-{
-    if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b)) {
-        Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b);
-        Py_ssize_t n = na < nb ? na : nb;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            PyObject *x = PyTuple_GET_ITEM(a, i);
-            PyObject *y = PyTuple_GET_ITEM(b, i);
-            if (!PyLong_Check(x) || !PyLong_Check(y))
-                goto fallback;
-            int ovx = 0, ovy = 0;
-            long lx = PyLong_AsLongAndOverflow(x, &ovx);
-            long ly = PyLong_AsLongAndOverflow(y, &ovy);
-            if (ovx || ovy)
-                goto fallback;
-            if ((lx == -1 || ly == -1) && PyErr_Occurred())
-                return -1;
-            if (lx != ly)
-                return op == Py_LT ? lx < ly : 0;
-        }
-        if (op == Py_EQ)
-            return na == nb;
-        return na < nb;
-    }
-    if (PyLong_CheckExact(a) && PyLong_CheckExact(b)) {
-        int ovx = 0, ovy = 0;
-        long lx = PyLong_AsLongAndOverflow(a, &ovx);
-        long ly = PyLong_AsLongAndOverflow(b, &ovy);
-        if (!ovx && !ovy) {
-            if ((lx == -1 || ly == -1) && PyErr_Occurred())
-                return -1;
-            return op == Py_LT ? lx < ly : lx == ly;
-        }
-    }
-fallback:
-    return PyObject_RichCompareBool(a, b, op);
-}
-
-static inline int
-fast_lt(PyObject *a, PyObject *b)
-{
-    return fast_cmp2(a, b, Py_LT);
-}
-
-static int
-heap_siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos)
-{
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
-        int lt = fast_lt(newitem, parent);
-        if (lt < 0) {
-            Py_DECREF(newitem);
-            return -1;
-        }
-        if (!lt)
-            break;
-        Py_INCREF(parent);
-        PyList_SetItem(heap, pos, parent);
-        pos = parentpos;
-    }
-    PyList_SetItem(heap, pos, newitem);
-    return 0;
-}
-
-static int
-heap_siftup(PyObject *heap, Py_ssize_t pos)
-{
-    Py_ssize_t endpos = PyList_GET_SIZE(heap);
-    Py_ssize_t startpos = pos;
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    Py_ssize_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (rightpos < endpos) {
-            int lt = fast_lt(PyList_GET_ITEM(heap, childpos),
-                             PyList_GET_ITEM(heap, rightpos));
-            if (lt < 0) {
-                Py_DECREF(newitem);
-                return -1;
-            }
-            if (!lt)
-                childpos = rightpos;
-        }
-        PyObject *child = PyList_GET_ITEM(heap, childpos);
-        Py_INCREF(child);
-        PyList_SetItem(heap, pos, child);
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    PyList_SetItem(heap, pos, newitem);
-    return heap_siftdown(heap, startpos, pos);
-}
-
-/* heappush(heap, item); does NOT steal item. */
-static int
-heap_push(PyObject *heap, PyObject *item)
-{
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    return heap_siftdown(heap, 0, PyList_GET_SIZE(heap) - 1);
-}
-
-/* heappop(heap) -> new reference, or NULL on error.  heap non-empty. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
-        return NULL;
-    }
-    if (n == 1)
-        return last;
-    PyObject *ret = PyList_GET_ITEM(heap, 0);
-    Py_INCREF(ret);
-    PyList_SetItem(heap, 0, last);
-    if (heap_siftup(heap, 0) < 0) {
-        Py_DECREF(ret);
-        return NULL;
-    }
-    return ret;
-}
-
-/* bisect.insort (insort_right); does NOT steal item. */
-static int
-list_insort(PyObject *list, PyObject *item)
-{
-    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(list);
-    while (lo < hi) {
-        Py_ssize_t mid = (lo + hi) >> 1;
-        int lt = fast_lt(item, PyList_GET_ITEM(list, mid));
-        if (lt < 0)
-            return -1;
-        if (lt)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return PyList_Insert(list, lo, item);
-}
-
-/* list.remove(item) — first == match; ValueError when absent. */
-static int
-list_remove(PyObject *list, PyObject *item)
-{
-    Py_ssize_t n = PyList_GET_SIZE(list);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int eq = fast_cmp2(PyList_GET_ITEM(list, i), item, Py_EQ);
-        if (eq < 0)
-            return -1;
-        if (eq)
-            return PyList_SetSlice(list, i, i + 1, NULL);
-    }
-    PyErr_SetString(PyExc_ValueError, "list.remove(x): x not in list");
-    return -1;
-}
-
-static inline int
-list_clear_all(PyObject *list)
-{
-    if (PyList_GET_SIZE(list) == 0)
-        return 0;
-    return PyList_SetSlice(list, 0, PY_SSIZE_T_MAX, NULL);
 }
 
 /* DeterministicRng.uniform(): xorshift64* over the object's _state. */
@@ -517,11 +363,29 @@ done:
 
 typedef struct {
     PyObject *unit, *sched;
-    PyObject *ready, *candidates, *keep, *issued, *sleepers, *far;
     PyObject *sched_pick, *sched_notify; /* kind 2 only */
     long *counts;                        /* ColumnarUnit.counts */
+    /* ColumnarUnit.ready (slots by warp id), .sleepers (a heap of slots
+     * by (wake, warp id)) and .far (a heap of thresholds); lengths in
+     * counts[U_NREADY..U_NFAR]. */
+    long *ready, *sleepers, *far;
     long kind;
+    /* Rotation state of a kind 0/1 scheduler between re-entries:
+     * issued_count, GTO's _greedy (a strong reference, NULL for None,
+     * and its warp id, -1 for None) and LRR's _last_id.  `dirty`: the
+     * loop changed it since the last publish; `synced`: the epoch it
+     * was last read back at. */
+    long issued_count, last_id, greedy_wid;
+    PyObject *greedy;
+    int dirty;
+    unsigned long synced;
 } UnitC;
+
+/* One pending scoreboard write, ordered as the tuple (done, wid, reg);
+ * `slot` finds the row that says whether it is still pending. */
+typedef struct {
+    long done, wid, reg, slot;
+} SbEntry;
 
 /* RfvSmState.native_gate(): (live_count, held, owner, order, pool). */
 typedef struct {
@@ -533,8 +397,8 @@ typedef struct {
     PyObject *sm;
     PyObject *core, *hot;
     /* array('l') columns, indexed by slot (buffers in bufs). */
-    long *pc, *wake, *status, *stall, *qstate, *dyn, *sb_max;
-    PyObject *views, *kcs, *rngs, *trips, *sb_rows, *sb_heap;
+    long *pc, *wake, *status, *stall, *qstate, *dyn, *sb_max, *wid;
+    PyObject *views, *kcs, *rngs, *trips, *sb_rows;
     PyObject *memory, *mem_earliest, *mem_rng, *mem_in_flight;
     long *memc;                                  /* MemoryModel._counters */
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
@@ -544,11 +408,13 @@ typedef struct {
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *observer;                          /* NULL: no observer */
     PyObject *obs_on_cycle, *obs_on_run_end;
-    PyObject *stats, *resident_ctas, *ctas_by_id, *wid2slot;
+    PyObject *stats, *resident_ctas, *ctas_by_id;
     PyObject *columnar_on_exit;
     PyObject *status_ready, *status_waiting_acquire; /* WarpStatus members */
     PyObject *on_acquire_wake, *on_barrier_release;
-    PyObject *cyc_obj;                           /* PyLong of cycle */
+    /* sm.cycle as last published, and the PyLong hooks receive. */
+    PyObject *cyc_obj;
+    long cyc_pub;
     long issue_width, window, mem_cap, num_sched;
     long l1_lat, dram_lat, shared_lat;
     double l1_rate;
@@ -556,6 +422,9 @@ typedef struct {
     /* Set at every re-entry into Python: only Python code can queue a
      * technique wakeup, so the drain runs only on a cycle after one. */
     int py_ran;
+    /* Counts re-entries: a unit whose `synced` differs reads its
+     * rotation state back before the loop uses it. */
+    unsigned long epoch;
     long expire_period, eager_backoff, horizon;
     UnitC *units;
     int nunits;
@@ -564,8 +433,8 @@ typedef struct {
     PyObject **slot_kc_obj;
     KCache **slot_kc;
     Py_ssize_t slot_cap;
-    /* Every buffer held for the run (columns, counters, gate); sized
-     * once in runstate_setup, so the views never move. */
+    /* Every buffer held for the run (columns, counters, queues, gate);
+     * sized once in runstate_setup, so the views never move. */
     Py_buffer *bufs;
     int nbufs, bufcap;
     /* Scoreboard rows: the buffer of sb_rows[slot], cached by the row
@@ -573,6 +442,13 @@ typedef struct {
      * stays unique while cached). */
     PyObject **row_obj;
     Py_buffer *row_buf;
+    /* The scoreboard completion min-heap. */
+    SbEntry *sb;
+    Py_ssize_t sb_len, sb_cap;
+    /* Per-pass scratch of the unit being stepped: the qualified
+     * candidates (by warp id) and the rebuilt ready list, slot_cap
+     * each, and the slots issued this pass, issue_width. */
+    long *cand, *keep, *issued;
     long d_issued, d_idle, d_mem, d_bar, d_sb, d_acq, d_res;
     long cycle, last_progress;
     /* Mirror of sm._resident_warp_count: only CTA retire/launch (the
@@ -581,9 +457,106 @@ typedef struct {
     long resident_cnt;
 } RunState;
 
-/* A Python call from the loop: marks the re-entry for the wakeup drain. */
+/* Write the loop's clock and the dirty units' rotation state into
+ * their Python attributes. */
+static int
+publish(RunState *S)
+{
+    if (S->cyc_pub != S->cycle) {
+        PyObject *o = PyLong_FromLong(S->cycle);
+        if (o == NULL)
+            return -1;
+        Py_XSETREF(S->cyc_obj, o);
+        S->cyc_pub = S->cycle;
+        if (PyObject_SetAttr(S->sm, S_cycle, o) < 0)
+            return -1;
+    }
+    for (int i = 0; i < S->nunits; i++) {
+        UnitC *u = &S->units[i];
+        if (!u->dirty)
+            continue;
+        PyObject *n = PyLong_FromLong(u->issued_count);
+        if (n == NULL)
+            return -1;
+        int r = PyObject_SetAttr(u->sched, S_issued_count, n);
+        Py_DECREF(n);
+        if (r < 0)
+            return -1;
+        if (u->kind == 0)
+            r = PyObject_SetAttr(u->sched, S_greedy,
+                                 u->greedy ? u->greedy : Py_None);
+        else {
+            PyObject *l = PyLong_FromLong(u->last_id);
+            if (l == NULL)
+                return -1;
+            r = PyObject_SetAttr(u->sched, S_last_id, l);
+            Py_DECREF(l);
+        }
+        if (r < 0)
+            return -1;
+        u->dirty = 0;
+    }
+    return 0;
+}
+
+/* Before any Python code runs from the loop: publish, and mark the
+ * re-entry for the wakeup drain and the rotation-state read-back. */
+static int
+enter_py(RunState *S)
+{
+    if (publish(S) < 0)
+        return -1;
+    S->py_ran = 1;
+    S->epoch++;
+    return 0;
+}
+
+/* A Python call from the loop.  The arguments are evaluated after
+ * enter_py, so S->cyc_obj among them is the published clock. */
 #define PYCALL(S, ...) \
-    ((S)->py_ran = 1, PyObject_CallFunctionObjArgs(__VA_ARGS__, NULL))
+    (enter_py(S) < 0 ? NULL : PyObject_CallFunctionObjArgs(__VA_ARGS__, NULL))
+
+/* Read a kind 0/1 unit's rotation state back if Python ran since the
+ * loop last read it (it never is dirty then: enter_py published it). */
+static int
+sync_unit(RunState *S, UnitC *u)
+{
+    if (u->synced == S->epoch)
+        return 0;
+    int err = 0;
+    long n = get_long_attr(u->sched, S_issued_count, &err);
+    if (err)
+        return -1;
+    if (u->kind == 0) {
+        PyObject *g = PyObject_GetAttr(u->sched, S_greedy);
+        if (g == NULL)
+            return -1;
+        if (g == Py_None) {
+            Py_DECREF(g);
+            Py_CLEAR(u->greedy);
+            u->greedy_wid = -1;
+        }
+        else if (g != u->greedy) {
+            long w = get_long_attr(g, S_warp_id, &err);
+            if (err) {
+                Py_DECREF(g);
+                return -1;
+            }
+            Py_XSETREF(u->greedy, g);
+            u->greedy_wid = w;
+        }
+        else
+            Py_DECREF(g);
+    }
+    else {
+        u->last_id = get_long_attr(u->sched, S_last_id, &err);
+        if (err)
+            return -1;
+    }
+    u->issued_count = n;
+    u->synced = S->epoch;
+    return 0;
+}
 
 static void
 runstate_free(RunState *S)
@@ -597,7 +570,7 @@ runstate_free(RunState *S)
     Py_XDECREF(S->observer); Py_XDECREF(S->obs_on_cycle);
     Py_XDECREF(S->obs_on_run_end);
     Py_XDECREF(S->stats); Py_XDECREF(S->resident_ctas);
-    Py_XDECREF(S->ctas_by_id); Py_XDECREF(S->wid2slot);
+    Py_XDECREF(S->ctas_by_id);
     Py_XDECREF(S->columnar_on_exit);
     Py_XDECREF(S->status_ready); Py_XDECREF(S->status_waiting_acquire);
     Py_XDECREF(S->on_acquire_wake); Py_XDECREF(S->on_barrier_release);
@@ -615,10 +588,8 @@ runstate_free(RunState *S)
         for (int i = 0; i < S->nunits; i++) {
             UnitC *u = &S->units[i];
             Py_XDECREF(u->unit); Py_XDECREF(u->sched);
-            Py_XDECREF(u->ready); Py_XDECREF(u->candidates);
-            Py_XDECREF(u->keep); Py_XDECREF(u->issued);
-            Py_XDECREF(u->sleepers); Py_XDECREF(u->far);
             Py_XDECREF(u->sched_pick); Py_XDECREF(u->sched_notify);
+            Py_XDECREF(u->greedy);
         }
         PyMem_Free(S->units);
     }
@@ -629,6 +600,160 @@ runstate_free(RunState *S)
     }
     PyMem_Free(S->slot_kc_obj);
     PyMem_Free(S->slot_kc);
+    PyMem_Free(S->sb);
+    PyMem_Free(S->cand);
+    PyMem_Free(S->keep);
+    PyMem_Free(S->issued);
+}
+
+/* ---- queues over shared long buffers ------------------------------- */
+
+/* Queue order: `key` NULL compares the items (far thresholds); else the
+ * items are slots ordered by (key[slot], wid[slot]), (wake, warp id)
+ * for the sleeper heap.  Sleeper keys are unique and fixed while the
+ * warp sleeps (only qualifying or issuing moves a wake cycle), so any
+ * heap pops them in heapq's order. */
+static inline int
+item_lt(const long *key, const long *wid, long a, long b)
+{
+    if (key == NULL)
+        return a < b;
+    if (key[a] != key[b])
+        return key[a] < key[b];
+    return wid[a] < wid[b];
+}
+
+static int
+qheap_push(long *heap, long *len, long cap, long item, const long *key,
+           const long *wid)
+{
+    if (*len >= cap) {
+        PyErr_SetString(PyExc_RuntimeError, "a unit queue is full");
+        return -1;
+    }
+    long pos = (*len)++;
+    while (pos > 0) {
+        long parent = (pos - 1) >> 1;
+        if (!item_lt(key, wid, item, heap[parent]))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+    return 0;
+}
+
+/* Pop the least item; the heap is non-empty. */
+static long
+qheap_pop(long *heap, long *len, const long *key, const long *wid)
+{
+    long top = heap[0];
+    long n = --(*len);
+    if (n == 0)
+        return top;
+    long item = heap[n];
+    long pos = 0, child;
+    while ((child = 2 * pos + 1) < n) {
+        if (child + 1 < n && item_lt(key, wid, heap[child + 1], heap[child]))
+            child++;
+        if (!item_lt(key, wid, heap[child], item))
+            break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = item;
+    return top;
+}
+
+/* Insert `slot` into a list kept sorted by warp id (after equal ids,
+ * as bisect.insort).  `cap` bounds the list. */
+static int
+slot_insort(long *list, long *len, long cap, long slot, const long *wid)
+{
+    if (*len >= cap) {
+        PyErr_SetString(PyExc_RuntimeError, "a unit queue is full");
+        return -1;
+    }
+    long w = wid[slot];
+    long i = (*len)++;
+    while (i > 0 && wid[list[i - 1]] > w) {
+        list[i] = list[i - 1];
+        i--;
+    }
+    list[i] = slot;
+    return 0;
+}
+
+/* Remove `slot` from a list (ValueError when absent, as list.remove). */
+static int
+slot_remove(long *list, long *len, long slot)
+{
+    for (long i = 0; i < *len; i++) {
+        if (list[i] == slot) {
+            memmove(list + i, list + i + 1,
+                    (size_t)(*len - i - 1) * sizeof(long));
+            (*len)--;
+            return 0;
+        }
+    }
+    PyErr_SetString(PyExc_ValueError, "slot is not in the queue");
+    return -1;
+}
+
+static inline int
+sb_lt(const SbEntry *a, const SbEntry *b)
+{
+    if (a->done != b->done)
+        return a->done < b->done;
+    if (a->wid != b->wid)
+        return a->wid < b->wid;
+    return a->reg < b->reg;
+}
+
+static int
+sb_push(RunState *S, long done, long wid, long reg, long slot)
+{
+    if (S->sb_len == S->sb_cap) {
+        Py_ssize_t ncap = S->sb_cap ? S->sb_cap * 2 : 64;
+        SbEntry *n = PyMem_Realloc(S->sb, sizeof(SbEntry) * ncap);
+        if (n == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        S->sb = n;
+        S->sb_cap = ncap;
+    }
+    SbEntry e = {done, wid, reg, slot};
+    Py_ssize_t pos = S->sb_len++;
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!sb_lt(&e, &S->sb[parent]))
+            break;
+        S->sb[pos] = S->sb[parent];
+        pos = parent;
+    }
+    S->sb[pos] = e;
+    return 0;
+}
+
+/* Drop the least entry; the heap is non-empty. */
+static void
+sb_pop(RunState *S)
+{
+    Py_ssize_t n = --S->sb_len;
+    if (n == 0)
+        return;
+    SbEntry e = S->sb[n];
+    Py_ssize_t pos = 0, child;
+    while ((child = 2 * pos + 1) < n) {
+        if (child + 1 < n && sb_lt(&S->sb[child + 1], &S->sb[child]))
+            child++;
+        if (!sb_lt(&S->sb[child], &e))
+            break;
+        S->sb[pos] = S->sb[child];
+        pos = child;
+    }
+    S->sb[pos] = e;
 }
 
 /* ---- shared long buffers -------------------------------------------- */
@@ -860,17 +985,6 @@ flush_stats(RunState *S)
     return set_long_attr(S->sm, S_last_progress_cycle, S->last_progress);
 }
 
-static int
-set_cycle(RunState *S, long cycle)
-{
-    PyObject *o = PyLong_FromLong(cycle);
-    if (o == NULL)
-        return -1;
-    Py_XSETREF(S->cyc_obj, o);
-    S->cycle = cycle;
-    return PyObject_SetAttr(S->sm, S_cycle, o);
-}
-
 /* ---- MemoryModel fast path ------------------------------------------ */
 
 /* C transliteration of MemoryModel.issue_load.  The counters live in
@@ -1052,20 +1166,17 @@ runstate_setup(RunState *S, PyObject *sm,
     S->rngs = PyTuple_GET_ITEM(S->hot, 8);
     S->trips = PyTuple_GET_ITEM(S->hot, 9);
     S->sb_rows = PyTuple_GET_ITEM(S->hot, 10);
-    S->sb_heap = PyTuple_GET_ITEM(S->hot, 12);
     if (!PyList_Check(S->views) || !PyList_Check(S->kcs)
         || !PyList_Check(S->rngs) || !PyList_Check(S->trips)
-        || !PyList_Check(S->sb_rows) || !PyList_Check(S->sb_heap)) {
+        || !PyList_Check(S->sb_rows)) {
         PyErr_SetString(PyExc_TypeError,
-                        "core.hot: views/kcs/rngs/trips/sb_rows/sb_heap "
-                        "must be lists");
+                        "core.hot: views/kcs/rngs/trips/sb_rows must be lists");
         return -1;
     }
 
-    S->wid2slot = PyObject_GetAttr(S->core, S_wid2slot);
     S->on_acquire_wake = PyObject_GetAttr(S->core, S_on_acquire_wake);
     S->on_barrier_release = PyObject_GetAttr(S->core, S_on_barrier_release);
-    if (!S->wid2slot || !S->on_acquire_wake || !S->on_barrier_release)
+    if (!S->on_acquire_wake || !S->on_barrier_release)
         return -1;
 
     S->memory = PyObject_GetAttr(sm, S_memory);
@@ -1216,17 +1327,11 @@ runstate_setup(RunState *S, PyObject *sm,
         u->unit = PyList_GET_ITEM(units_list, i);
         Py_INCREF(u->unit);
         u->sched = PyObject_GetAttr(u->unit, S_sched);
-        u->ready = PyObject_GetAttr(u->unit, S_ready);
-        u->candidates = PyObject_GetAttr(u->unit, S_candidates);
-        u->keep = PyObject_GetAttr(u->unit, S_keep);
-        u->issued = PyObject_GetAttr(u->unit, S_issued);
-        u->sleepers = PyObject_GetAttr(u->unit, S_sleepers);
-        u->far = PyObject_GetAttr(u->unit, S_far);
-        if (!u->sched || !u->ready || !u->candidates || !u->keep
-            || !u->issued || !u->sleepers || !u->far) {
+        if (u->sched == NULL) {
             Py_DECREF(units_list);
             return -1;
         }
+        u->greedy_wid = -1;
         u->kind = get_long_attr(u->unit, S_kind, &err);
         if (err) {
             Py_DECREF(units_list);
@@ -1249,26 +1354,31 @@ runstate_setup(RunState *S, PyObject *sm,
     S->slot_kc = PyMem_Calloc(cap1, sizeof(KCache *));
     S->row_obj = PyMem_Calloc(cap1, sizeof(PyObject *));
     S->row_buf = PyMem_Calloc(cap1, sizeof(Py_buffer));
-    /* 7 columns, one counts array per unit, the memory counters and at
-     * most 5 gate arrays. */
-    S->bufcap = 7 + S->nunits + 1 + 5;
+    S->cand = PyMem_Calloc(cap1, sizeof(long));
+    S->keep = PyMem_Calloc(cap1, sizeof(long));
+    S->issued = PyMem_Calloc(S->issue_width > 0 ? S->issue_width : 1,
+                             sizeof(long));
+    /* 8 columns, four arrays per unit (counts and three queues), the
+     * memory counters and at most 5 gate arrays. */
+    S->bufcap = 8 + 4 * S->nunits + 1 + 5;
     S->bufs = PyMem_Calloc(S->bufcap, sizeof(Py_buffer));
     if (S->slot_kc_obj == NULL || S->slot_kc == NULL || S->row_obj == NULL
-        || S->row_buf == NULL || S->bufs == NULL) {
+        || S->row_buf == NULL || S->cand == NULL || S->keep == NULL
+        || S->issued == NULL || S->bufs == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     {
-        static const char *names[7] = {
+        static const char *names[8] = {
             "core.pc", "core.wake", "core.status", "core.stall",
-            "core.qstate", "core.dyn", "core.sb_max",
+            "core.qstate", "core.dyn", "core.sb_max", "core.wid",
         };
-        static const int hot_index[7] = {0, 1, 2, 3, 4, 5, 11};
-        long **cols[7] = {
+        static const int hot_index[8] = {0, 1, 2, 3, 4, 5, 11, 12};
+        long **cols[8] = {
             &S->pc, &S->wake, &S->status, &S->stall, &S->qstate, &S->dyn,
-            &S->sb_max,
+            &S->sb_max, &S->wid,
         };
-        for (int i = 0; i < 7; i++) {
+        for (int i = 0; i < 8; i++) {
             *cols[i] = take_longs(S, PyTuple_GET_ITEM(S->hot, hot_index[i]),
                                   S->slot_cap, NULL, names[i]);
             if (*cols[i] == NULL)
@@ -1277,13 +1387,31 @@ runstate_setup(RunState *S, PyObject *sm,
     }
     for (int i = 0; i < S->nunits; i++) {
         UnitC *u = &S->units[i];
-        PyObject *counts = PyObject_GetAttr(u->unit, S_counts);
-        if (counts == NULL)
+        static const char *names[4] = {
+            "ColumnarUnit.counts", "ColumnarUnit.ready",
+            "ColumnarUnit.sleepers", "ColumnarUnit.far",
+        };
+        PyObject *const attrs[4] = {S_counts, S_ready, S_sleepers, S_far};
+        long **bufs[4] = {&u->counts, &u->ready, &u->sleepers, &u->far};
+        for (int j = 0; j < 4; j++) {
+            PyObject *obj = PyObject_GetAttr(u->unit, attrs[j]);
+            if (obj == NULL)
+                return -1;
+            *bufs[j] = take_longs(S, obj, j ? S->slot_cap : U_NCOUNTS, NULL,
+                                  names[j]);
+            Py_DECREF(obj);
+            if (*bufs[j] == NULL)
+                return -1;
+        }
+        long *c = u->counts;
+        if (c[U_NREADY] < 0 || c[U_NREADY] > S->slot_cap
+            || c[U_NSLEEPERS] < 0 || c[U_NSLEEPERS] > S->slot_cap
+            || c[U_NFAR] < 0 || c[U_NFAR] > S->slot_cap) {
+            PyErr_SetString(PyExc_ValueError,
+                            "ColumnarUnit.counts: a queue length is out of "
+                            "range");
             return -1;
-        u->counts = take_longs(S, counts, 4, NULL, "ColumnarUnit.counts");
-        Py_DECREF(counts);
-        if (u->counts == NULL)
-            return -1;
+        }
     }
     {
         PyObject *memc = PyObject_GetAttr(S->memory, S_counters);
@@ -1338,53 +1466,54 @@ runstate_setup(RunState *S, PyObject *sm,
     S->cyc_obj = PyLong_FromLong(S->cycle);
     if (S->cyc_obj == NULL)
         return -1;
+    S->cyc_pub = S->cycle;
+    /* Rotation state is read on first use (units start unsynced). */
+    S->epoch = 1;
+    /* The completion heap: every write still pending in a resident
+     * warp's row. */
+    for (Py_ssize_t slot = 0; slot < S->slot_cap; slot++) {
+        if (S->wid[slot] < 0 || PyList_GET_ITEM(S->sb_rows, slot) == Py_None)
+            continue;
+        long *row = slot_row(S, slot);
+        if (row == NULL)
+            return -1;
+        Py_ssize_t nregs = S->row_buf[slot].len / (Py_ssize_t)sizeof(long);
+        for (Py_ssize_t reg = 0; reg < nregs; reg++)
+            if (row[reg] > S->cycle
+                && sb_push(S, row[reg], S->wid[slot], reg, slot) < 0)
+                return -1;
+    }
     return 0;
 }
 
-/* Park a warp in its unit's sleeper heap (qualification + dispose). */
+/* Park the warp at `slot` in its unit's sleeper heap (qualification +
+ * dispose).  A non-memory sleeper whose window reaches past the horizon
+ * also gets a far threshold; thresholds <= cycle are pruned first (each
+ * read prunes them anyway), so far holds at most one per sleeper. */
 static int
-park_sleeper(RunState *S, UnitC *u, long cycle, long wake,
-             PyObject *wid_o, PyObject *slot_o, int is_mem)
+park_sleeper(RunState *S, UnitC *u, long cycle, long slot, int is_mem)
 {
+    long *counts = u->counts;
+    long wake = S->wake[slot];
     if (is_mem)
-        u->counts[U_MEM_SLEEPERS] += 1;
+        counts[U_MEM_SLEEPERS] += 1;
     else {
-        u->counts[U_NONMEM_SLEEPERS] += 1;
+        counts[U_NONMEM_SLEEPERS] += 1;
         if (wake - cycle > S->horizon) {
-            PyObject *f = PyLong_FromLong(wake - S->horizon);
-            if (f == NULL)
-                return -1;
-            int r = heap_push(u->far, f);
-            Py_DECREF(f);
-            if (r < 0)
+            while (counts[U_NFAR] > 0 && u->far[0] <= cycle)
+                qheap_pop(u->far, &counts[U_NFAR], NULL, NULL);
+            if (qheap_push(u->far, &counts[U_NFAR], S->slot_cap,
+                           wake - S->horizon, NULL, NULL) < 0)
                 return -1;
         }
     }
-    PyObject *t = PyTuple_New(4);
-    if (t == NULL)
-        return -1;
-    PyObject *w = PyLong_FromLong(wake);
-    if (w == NULL) {
-        Py_DECREF(t);
-        return -1;
-    }
-    PyTuple_SET_ITEM(t, 0, w);
-    Py_INCREF(wid_o);
-    PyTuple_SET_ITEM(t, 1, wid_o);
-    Py_INCREF(slot_o);
-    PyTuple_SET_ITEM(t, 2, slot_o);
-    PyObject *b = is_mem ? Py_True : Py_False;
-    Py_INCREF(b);
-    PyTuple_SET_ITEM(t, 3, b);
-    int r = heap_push(u->sleepers, t);
-    Py_DECREF(t);
-    return r;
+    return qheap_push(u->sleepers, &counts[U_NSLEEPERS], S->slot_cap, slot,
+                      S->wake, S->wid);
 }
 
 /* Scoreboard dst-register writes for ALU/LOAD completions. */
 static int
-sb_write(RunState *S, KCache *kc, long pc, long slot, PyObject *wid_o,
-         long done)
+sb_write(RunState *S, KCache *kc, long pc, long slot, long wid, long done)
 {
     long *row = slot_row(S, slot);
     if (row == NULL)
@@ -1393,24 +1522,7 @@ sb_write(RunState *S, KCache *kc, long pc, long slot, PyObject *wid_o,
         long reg = kc->dsts_data[j];
         if (done > row[reg]) {
             row[reg] = done;
-            PyObject *t = PyTuple_New(3);
-            if (t == NULL)
-                return -1;
-            PyObject *d = PyLong_FromLong(done);
-            PyObject *r = PyLong_FromLong(reg);
-            if (d == NULL || r == NULL) {
-                Py_XDECREF(d);
-                Py_XDECREF(r);
-                Py_DECREF(t);
-                return -1;
-            }
-            PyTuple_SET_ITEM(t, 0, d);
-            Py_INCREF(wid_o);
-            PyTuple_SET_ITEM(t, 1, wid_o);
-            PyTuple_SET_ITEM(t, 2, r);
-            int rc = heap_push(S->sb_heap, t);
-            Py_DECREF(t);
-            if (rc < 0)
+            if (sb_push(S, done, wid, reg, slot) < 0)
                 return -1;
             if (done > S->sb_max[slot])
                 S->sb_max[slot] = done;
@@ -1490,40 +1602,19 @@ static int
 do_cycle(RunState *S, long cycle, long *issued_out)
 {
     long issued_this = 0;
-    int err = 0;
+    long *cand = S->cand, *keep = S->keep, *issued = S->issued;
     for (int ui = 0; ui < S->nunits; ui++) {
         UnitC *u = &S->units[ui];
         long *counts = u->counts;
-        PyObject *ready = u->ready;
-        PyObject *sleepers = u->sleepers;
-        while (PyList_GET_SIZE(sleepers) > 0
-               && PyLong_AsLong(PyTuple_GET_ITEM(
-                      PyList_GET_ITEM(sleepers, 0), 0)) <= cycle) {
-            PyObject *t = heap_pop(sleepers);
-            if (t == NULL)
-                return -1;
-            PyObject *wid_o = PyTuple_GET_ITEM(t, 1);
-            PyObject *slot_o = PyTuple_GET_ITEM(t, 2);
-            int is_mem = PyObject_IsTrue(PyTuple_GET_ITEM(t, 3));
-            if (is_mem < 0) {
-                Py_DECREF(t);
-                return -1;
-            }
-            counts[is_mem ? U_MEM_SLEEPERS : U_NONMEM_SLEEPERS] -= 1;
-            S->qstate[PyLong_AsLong(slot_o)] = QS_READY;
-            PyObject *pair = PyTuple_New(2);
-            if (pair == NULL) {
-                Py_DECREF(t);
-                return -1;
-            }
-            Py_INCREF(wid_o);
-            PyTuple_SET_ITEM(pair, 0, wid_o);
-            Py_INCREF(slot_o);
-            PyTuple_SET_ITEM(pair, 1, slot_o);
-            int r = list_insort(ready, pair);
-            Py_DECREF(pair);
-            Py_DECREF(t);
-            if (r < 0)
+        long *ready = u->ready;
+        while (counts[U_NSLEEPERS] > 0 && S->wake[u->sleepers[0]] <= cycle) {
+            long slot = qheap_pop(u->sleepers, &counts[U_NSLEEPERS], S->wake,
+                                  S->wid);
+            counts[S->stall[slot] == SL_MEMORY ? U_MEM_SLEEPERS
+                                               : U_NONMEM_SLEEPERS] -= 1;
+            S->qstate[slot] = QS_READY;
+            if (slot_insort(ready, &counts[U_NREADY], S->slot_cap, slot,
+                            S->wid) < 0)
                 return -1;
         }
         /* Blocked counts captured before qualification (scan-stepper
@@ -1531,37 +1622,31 @@ do_cycle(RunState *S, long cycle, long *issued_out)
         long barrier_count = counts[U_BARRIER];
         long acquire_count = counts[U_ACQUIRE];
         int qual_mem = 0, qual_sb = 0;
-        int have_candidates = 0;
-        PyObject *candidates = u->candidates;
-        if (PyList_GET_SIZE(ready) > 0) {
-            have_candidates = 1;
-            if (list_clear_all(candidates) < 0)
-                return -1;
+        long ncand = 0;
+        long nready = counts[U_NREADY];
+        if (nready > 0) {
+            /* Once a warp fails, keep collects the ready list anew: the
+             * warps that stay (qualified or due again next cycle). */
+            long nkeep = 0;
             int routed = 0;
-            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(ready); i++) {
-                PyObject *item = PyList_GET_ITEM(ready, i);
-                Py_INCREF(item);
-                long wid = PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
-                long slot = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
+            for (long i = 0; i < nready; i++) {
+                long slot = ready[i];
                 KCache *kc = slot_kcache(S, slot);
                 if (kc == NULL)
-                    goto item_fail;
-                int qualified = qualify(S, kc, slot, wid, cycle, 1);
+                    return -1;
+                int qualified = qualify(S, kc, slot, S->wid[slot], cycle, 1);
                 if (qualified < 0)
-                    goto item_fail;
+                    return -1;
                 if (qualified) {
-                    if (PyList_Append(candidates, item) < 0
-                        || (routed && PyList_Append(u->keep, item) < 0))
-                        goto item_fail;
-                    Py_DECREF(item);
+                    cand[ncand++] = slot;
+                    if (routed)
+                        keep[nkeep++] = slot;
                     continue;
                 }
-                /* qualification failed: flags + routing */
                 if (!routed) {
                     routed = 1;
-                    if (list_clear_all(u->keep) < 0
-                        || PyList_SetSlice(u->keep, 0, 0, candidates) < 0)
-                        goto item_fail;
+                    memcpy(keep, cand, (size_t)ncand * sizeof(long));
+                    nkeep = ncand;
                 }
                 long sc = S->stall[slot];
                 if (sc == SL_MEMORY)
@@ -1574,385 +1659,311 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     S->qstate[slot] = QS_ACQUIRE;
                     counts[U_ACQUIRE] += 1;
                 }
-                else {
-                    long wake = S->wake[slot];
-                    if (wake > cycle) {
-                        S->qstate[slot] = QS_SLEEPING;
-                        if (park_sleeper(S, u, cycle, wake,
-                                         PyTuple_GET_ITEM(item, 0),
-                                         PyTuple_GET_ITEM(item, 1),
-                                         sc == SL_MEMORY) < 0)
-                            goto item_fail;
-                    }
-                    else if (PyList_Append(u->keep, item) < 0)
-                        goto item_fail;
+                else if (S->wake[slot] > cycle) {
+                    S->qstate[slot] = QS_SLEEPING;
+                    if (park_sleeper(S, u, cycle, slot, sc == SL_MEMORY) < 0)
+                        return -1;
                 }
-                Py_DECREF(item);
-                continue;
-            item_fail:
-                Py_DECREF(item);
-                return -1;
+                else
+                    keep[nkeep++] = slot;
             }
-            if (routed
-                && PyList_SetSlice(ready, 0, PY_SSIZE_T_MAX, u->keep) < 0)
-                return -1;
+            if (routed) {
+                memcpy(ready, keep, (size_t)nkeep * sizeof(long));
+                counts[U_NREADY] = nkeep;
+            }
         }
 
         long issued_here = 0;
-        if (have_candidates && PyList_GET_SIZE(candidates) > 0) {
-            PyObject *issued_list = u->issued;
-            for (long wi = 0; wi < S->issue_width; wi++) {
-                if (PyList_GET_SIZE(candidates) == 0)
-                    break;
-                PyObject *chosen = NULL; /* owned */
-                PyObject *view = NULL;   /* owned */
-                if (u->kind == 0) { /* GTO, default priority */
-                    PyObject *greedy = PyObject_GetAttr(u->sched, S_greedy);
-                    if (greedy == NULL)
-                        return -1;
-                    if (greedy != Py_None) {
-                        PyObject *g = PyObject_GetAttr(greedy, S_warp_id);
-                        if (g == NULL) {
-                            Py_DECREF(greedy);
-                            return -1;
-                        }
-                        long gwid = PyLong_AsLong(g);
-                        Py_DECREF(g);
-                        Py_ssize_t nc = PyList_GET_SIZE(candidates);
-                        for (Py_ssize_t i = 0; i < nc; i++) {
-                            PyObject *it = PyList_GET_ITEM(candidates, i);
-                            if (PyLong_AsLong(PyTuple_GET_ITEM(it, 0))
-                                == gwid) {
-                                chosen = it;
-                                Py_INCREF(chosen);
-                                break;
-                            }
-                        }
-                    }
-                    Py_DECREF(greedy);
-                    if (chosen == NULL) { /* oldest: sorted */
-                        chosen = PyList_GET_ITEM(candidates, 0);
-                        Py_INCREF(chosen);
-                    }
-                }
-                else if (u->kind == 1) { /* LRR */
-                    long last = get_long_attr(u->sched, S_last_id, &err);
-                    if (err)
-                        return -1;
-                    Py_ssize_t nc = PyList_GET_SIZE(candidates);
-                    for (Py_ssize_t i = 0; i < nc; i++) {
-                        PyObject *it = PyList_GET_ITEM(candidates, i);
-                        if (PyLong_AsLong(PyTuple_GET_ITEM(it, 0)) > last) {
-                            chosen = it;
-                            Py_INCREF(chosen);
+        long nissued = 0;
+        for (long wi = 0; wi < S->issue_width && ncand > 0; wi++) {
+            long slot = -1;
+            PyObject *view = NULL; /* owned */
+            if (u->kind == 0) { /* GTO, default priority */
+                if (sync_unit(S, u) < 0)
+                    return -1;
+                if (u->greedy_wid >= 0)
+                    for (long i = 0; i < ncand; i++)
+                        if (S->wid[cand[i]] == u->greedy_wid) {
+                            slot = cand[i];
                             break;
                         }
-                    }
-                    if (chosen == NULL) {
-                        chosen = PyList_GET_ITEM(candidates, 0);
-                        Py_INCREF(chosen);
-                    }
-                }
-                else { /* priority hook: real pick over views */
-                    Py_ssize_t nc = PyList_GET_SIZE(candidates);
-                    PyObject *vl = PyList_New(nc);
-                    if (vl == NULL)
-                        return -1;
-                    for (Py_ssize_t i = 0; i < nc; i++) {
-                        long s = PyLong_AsLong(PyTuple_GET_ITEM(
-                            PyList_GET_ITEM(candidates, i), 1));
-                        PyObject *v = PyList_GET_ITEM(S->views, s);
-                        Py_INCREF(v);
-                        PyList_SET_ITEM(vl, i, v);
-                    }
-                    PyObject *pick = PYCALL(S, u->sched_pick, vl);
-                    Py_DECREF(vl);
-                    if (pick == NULL)
-                        return -1;
-                    if (pick == Py_None) {
-                        Py_DECREF(pick);
+                if (slot < 0) /* oldest: sorted */
+                    slot = cand[0];
+            }
+            else if (u->kind == 1) { /* LRR */
+                if (sync_unit(S, u) < 0)
+                    return -1;
+                for (long i = 0; i < ncand; i++)
+                    if (S->wid[cand[i]] > u->last_id) {
+                        slot = cand[i];
                         break;
                     }
-                    PyObject *pw = PyObject_GetAttr(pick, S_warp_id);
-                    PyObject *ps = PyObject_GetAttr(pick, S_slot);
-                    Py_DECREF(pick);
-                    if (pw == NULL || ps == NULL) {
-                        Py_XDECREF(pw);
-                        Py_XDECREF(ps);
-                        return -1;
-                    }
-                    chosen = PyTuple_New(2);
-                    if (chosen == NULL) {
-                        Py_DECREF(pw);
-                        Py_DECREF(ps);
-                        return -1;
-                    }
-                    PyTuple_SET_ITEM(chosen, 0, pw);
-                    PyTuple_SET_ITEM(chosen, 1, ps);
+                if (slot < 0)
+                    slot = cand[0];
+            }
+            else { /* priority hook: real pick over views */
+                PyObject *vl = PyList_New(ncand);
+                if (vl == NULL)
+                    return -1;
+                for (long i = 0; i < ncand; i++) {
+                    PyObject *v = PyList_GET_ITEM(S->views, cand[i]);
+                    Py_INCREF(v);
+                    PyList_SET_ITEM(vl, i, v);
                 }
-                {
-                    PyObject *wid_o = PyTuple_GET_ITEM(chosen, 0);
-                    long wid = PyLong_AsLong(wid_o);
-                    long slot = PyLong_AsLong(PyTuple_GET_ITEM(chosen, 1));
-                    KCache *kc = slot_kcache(S, slot);
-                    if (kc == NULL)
+                PyObject *pick = PYCALL(S, u->sched_pick, vl);
+                Py_DECREF(vl);
+                if (pick == NULL)
+                    return -1;
+                if (pick == Py_None) {
+                    Py_DECREF(pick);
+                    break;
+                }
+                int err = 0;
+                slot = get_long_attr(pick, S_slot, &err);
+                Py_DECREF(pick);
+                if (err)
+                    return -1;
+                if (slot < 0 || slot >= S->slot_cap) {
+                    PyErr_Format(PyExc_IndexError,
+                                 "pick() chose a warp in slot %ld", slot);
+                    return -1;
+                }
+            }
+            long wid = S->wid[slot];
+            KCache *kc = slot_kcache(S, slot);
+            if (kc == NULL)
+                return -1;
+            long pc = S->pc[slot];
+            long kind = kc->kind[pc];
+            /* Owned: an EXIT that retires the CTA drops the list's
+             * reference. */
+            view = PyList_GET_ITEM(S->views, slot);
+            Py_INCREF(view);
+            S->d_issued += 1;
+            if (tech_on_issue(S, kc, view, slot, wid, pc) < 0)
+                goto pick_fail;
+            if (S->san_on_issue != NULL) {
+                PyObject *r = PYCALL(S, S->san_on_issue, view,
+                                     PyTuple_GET_ITEM(kc->insts, pc),
+                                     S->cyc_obj);
+                if (r == NULL)
+                    goto pick_fail;
+                Py_DECREF(r);
+            }
+            int exited = 0;
+            if (kind <= K_SHARED_LOAD) { /* ALU/LOAD/SHARED_LOAD */
+                long done;
+                if (kind == K_ALU)
+                    done = cycle + kc->lat[pc];
+                else if (mem_issue_load_c(S, cycle, kind == K_SHARED_LOAD,
+                                          &done) < 0)
+                    goto pick_fail;
+                if (sb_write(S, kc, pc, slot, wid, done) < 0)
+                    goto pick_fail;
+                advance_pc(S, slot, pc + 1);
+                S->last_progress = cycle;
+            }
+            else if (kind == K_STORE) {
+                advance_pc(S, slot, pc + 1);
+                S->last_progress = cycle;
+            }
+            else if (kind == K_JMP) {
+                advance_pc(S, slot, kc->tgt[pc]);
+                S->last_progress = cycle;
+            }
+            else if (kind == K_BRA) {
+                long newpc;
+                if (kc->trip[pc] != TRIP_NONE) {
+                    PyObject *trips_d = PyList_GET_ITEM(S->trips, slot);
+                    PyObject *key = PyLong_FromLong(pc);
+                    if (key == NULL)
                         goto pick_fail;
-                    long pc = S->pc[slot];
-                    long kind = kc->kind[pc];
-                    view = PyList_GET_ITEM(S->views, slot);
-                    Py_INCREF(view);
-                    S->d_issued += 1;
-                    if (tech_on_issue(S, kc, view, slot, wid, pc) < 0)
+                    PyObject *rem = PyDict_GetItemWithError(trips_d, key);
+                    if (rem == NULL && PyErr_Occurred()) {
+                        Py_DECREF(key);
                         goto pick_fail;
-                    if (S->san_on_issue != NULL) {
-                        PyObject *r = PYCALL(
-                            S, S->san_on_issue, view,
-                            PyTuple_GET_ITEM(kc->insts, pc), S->cyc_obj);
-                        if (r == NULL)
-                            goto pick_fail;
-                        Py_DECREF(r);
                     }
-                    int exited = 0;
-                    if (kind <= K_SHARED_LOAD) { /* ALU/LOAD/SHARED_LOAD */
-                        long done;
-                        if (kind == K_ALU)
-                            done = cycle + kc->lat[pc];
-                        else if (mem_issue_load_c(S, cycle,
-                                                  kind == K_SHARED_LOAD,
-                                                  &done) < 0)
-                            goto pick_fail;
-                        if (sb_write(S, kc, pc, slot, wid_o, done) < 0)
-                            goto pick_fail;
-                        advance_pc(S, slot, pc + 1);
-                        S->last_progress = cycle;
-                    }
-                    else if (kind == K_STORE) {
-                        advance_pc(S, slot, pc + 1);
-                        S->last_progress = cycle;
-                    }
-                    else if (kind == K_JMP) {
-                        advance_pc(S, slot, kc->tgt[pc]);
-                        S->last_progress = cycle;
-                    }
-                    else if (kind == K_BRA) {
-                        long newpc;
-                        if (kc->trip[pc] != TRIP_NONE) {
-                            PyObject *trips_d =
-                                PyList_GET_ITEM(S->trips, slot);
-                            PyObject *key = PyLong_FromLong(pc);
-                            if (key == NULL)
-                                goto pick_fail;
-                            PyObject *rem =
-                                PyDict_GetItemWithError(trips_d, key);
-                            if (rem == NULL && PyErr_Occurred()) {
-                                Py_DECREF(key);
-                                goto pick_fail;
-                            }
-                            long remaining =
-                                rem ? PyLong_AsLong(rem) : kc->trip[pc];
-                            long store;
-                            if (remaining > 0) {
-                                store = remaining - 1;
-                                newpc = kc->tgt[pc];
-                            }
-                            else {
-                                store = kc->trip[pc];
-                                newpc = pc + 1;
-                            }
-                            PyObject *sv = PyLong_FromLong(store);
-                            if (sv == NULL) {
-                                Py_DECREF(key);
-                                goto pick_fail;
-                            }
-                            int rc = PyDict_SetItem(trips_d, key, sv);
-                            Py_DECREF(sv);
-                            Py_DECREF(key);
-                            if (rc < 0)
-                                goto pick_fail;
-                        }
-                        else if (kc->prob[pc] > 0.0) {
-                            double uu;
-                            if (rng_uniform(
-                                    PyList_GET_ITEM(S->rngs, slot), &uu) < 0)
-                                goto pick_fail;
-                            newpc = uu < kc->prob[pc] ? kc->tgt[pc] : pc + 1;
-                        }
-                        else
-                            newpc = pc + 1;
-                        advance_pc(S, slot, newpc);
-                        S->last_progress = cycle;
-                    }
-                    else if (kind == K_EXIT) {
-                        /* CTA retire/launch hooks may read the shared
-                         * counters: flush first. */
-                        if (S->observer != NULL && flush_stats(S) < 0)
-                            goto pick_fail;
-                        PyObject *r = PYCALL(S, S->columnar_on_exit, view,
-                                             S->cyc_obj);
-                        if (r == NULL)
-                            goto pick_fail;
-                        Py_DECREF(r);
-                        {
-                            int rerr = 0;
-                            S->resident_cnt = get_long_attr(
-                                S->sm, S_resident_warp_count, &rerr);
-                            if (rerr)
-                                goto pick_fail;
-                        }
-                        S->last_progress = cycle;
-                        exited = 1;
-                    }
-                    else if (kind == K_BARRIER) {
-                        /* Advance first: the warp resumes past the
-                         * barrier when released. */
-                        advance_pc(S, slot, pc + 1);
-                        S->last_progress = cycle;
-                        PyObject *cid = PyObject_GetAttr(view, S_cta_id);
-                        if (cid == NULL)
-                            goto pick_fail;
-                        PyObject *cta =
-                            PyDict_GetItemWithError(S->ctas_by_id, cid);
-                        if (cta == NULL) {
-                            if (!PyErr_Occurred())
-                                PyErr_SetObject(PyExc_KeyError, cid);
-                            Py_DECREF(cid);
-                            goto pick_fail;
-                        }
-                        Py_INCREF(cta);
-                        Py_DECREF(cid);
-                        S->py_ran = 1;
-                        PyObject *r = PyObject_CallMethodObjArgs(
-                            cta, S_arrive_at_barrier, view, NULL);
-                        if (r == NULL) {
-                            Py_DECREF(cta);
-                            goto pick_fail;
-                        }
-                        int released = PyObject_IsTrue(r);
-                        Py_DECREF(r);
-                        if (released < 0) {
-                            Py_DECREF(cta);
-                            goto pick_fail;
-                        }
-                        if (released) {
-                            PyObject *r2 =
-                                PYCALL(S, S->on_barrier_release, cta);
-                            if (r2 == NULL) {
-                                Py_DECREF(cta);
-                                goto pick_fail;
-                            }
-                            Py_DECREF(r2);
-                        }
-                        Py_DECREF(cta);
-                    }
-                    else if (kind == K_ACQUIRE) {
-                        PyObject *r = PYCALL(S, S->tech_try_acquire, view,
-                                             S->cyc_obj);
-                        if (r == NULL)
-                            goto pick_fail;
-                        int got = PyObject_IsTrue(r);
-                        Py_DECREF(r);
-                        if (got < 0)
-                            goto pick_fail;
-                        if (got) {
-                            advance_pc(S, slot, pc + 1);
-                            S->last_progress = cycle;
-                        }
-                        else if (S->status[slot] == ST_READY)
-                            /* Eager retry backoff (see _execute). */
-                            S->wake[slot] = cycle + S->eager_backoff;
-                    }
-                    else { /* K_RELEASE */
-                        PyObject *r = PYCALL(S, S->tech_release, view,
-                                             S->cyc_obj);
-                        if (r == NULL)
-                            goto pick_fail;
-                        Py_DECREF(r);
-                        advance_pc(S, slot, pc + 1);
-                        S->last_progress = cycle;
-                    }
-                    /* inline notify_issued */
-                    if (u->kind == 0) {
-                        if (add_long_attr(u->sched, S_issued_count, 1) < 0
-                            || PyObject_SetAttr(u->sched, S_greedy,
-                                                view) < 0)
-                            goto pick_fail;
-                    }
-                    else if (u->kind == 1) {
-                        if (add_long_attr(u->sched, S_issued_count, 1) < 0
-                            || set_long_attr(u->sched, S_last_id, wid) < 0)
-                            goto pick_fail;
+                    long remaining = rem ? PyLong_AsLong(rem) : kc->trip[pc];
+                    long store;
+                    if (remaining > 0) {
+                        store = remaining - 1;
+                        newpc = kc->tgt[pc];
                     }
                     else {
-                        PyObject *r = PYCALL(S, u->sched_notify, view);
-                        if (r == NULL)
-                            goto pick_fail;
-                        Py_DECREF(r);
+                        store = kc->trip[pc];
+                        newpc = pc + 1;
                     }
-                    issued_this += 1;
-                    issued_here += 1;
-                    if (PyList_Append(issued_list, chosen) < 0)
+                    PyObject *sv = PyLong_FromLong(store);
+                    if (sv == NULL) {
+                        Py_DECREF(key);
                         goto pick_fail;
-                    if (S->multi_issue
-                        && list_remove(candidates, chosen) < 0)
-                        goto pick_fail;
-                    /* inline requalification for remaining width; guarded
-                     * on `exited` — the slot may host a fresh warp after a
-                     * CTA retire and must not be read. */
-                    if (!exited && S->status[slot] == ST_READY
-                        && S->wake[slot] <= cycle) {
-                        int requal = qualify(S, kc, slot, wid, cycle, 0);
-                        if (requal < 0)
-                            goto pick_fail;
-                        if (requal && S->multi_issue
-                            && list_insort(candidates, chosen) < 0)
-                            goto pick_fail;
                     }
+                    int rc = PyDict_SetItem(trips_d, key, sv);
+                    Py_DECREF(sv);
+                    Py_DECREF(key);
+                    if (rc < 0)
+                        goto pick_fail;
                 }
-                Py_DECREF(view);
-                Py_DECREF(chosen);
-                continue;
-            pick_fail:
-                Py_XDECREF(view);
-                Py_XDECREF(chosen);
-                return -1;
+                else if (kc->prob[pc] > 0.0) {
+                    double uu;
+                    if (rng_uniform(PyList_GET_ITEM(S->rngs, slot), &uu) < 0)
+                        goto pick_fail;
+                    newpc = uu < kc->prob[pc] ? kc->tgt[pc] : pc + 1;
+                }
+                else
+                    newpc = pc + 1;
+                advance_pc(S, slot, newpc);
+                S->last_progress = cycle;
             }
+            else if (kind == K_EXIT) {
+                /* CTA retire/launch hooks may read the shared counters:
+                 * flush first. */
+                if (S->observer != NULL && flush_stats(S) < 0)
+                    goto pick_fail;
+                PyObject *r = PYCALL(S, S->columnar_on_exit, view,
+                                     S->cyc_obj);
+                if (r == NULL)
+                    goto pick_fail;
+                Py_DECREF(r);
+                int rerr = 0;
+                S->resident_cnt = get_long_attr(S->sm, S_resident_warp_count,
+                                                &rerr);
+                if (rerr)
+                    goto pick_fail;
+                S->last_progress = cycle;
+                exited = 1;
+            }
+            else if (kind == K_BARRIER) {
+                /* Advance first: the warp resumes past the barrier when
+                 * released. */
+                advance_pc(S, slot, pc + 1);
+                S->last_progress = cycle;
+                PyObject *cid = PyObject_GetAttr(view, S_cta_id);
+                if (cid == NULL)
+                    goto pick_fail;
+                PyObject *cta = PyDict_GetItemWithError(S->ctas_by_id, cid);
+                if (cta == NULL) {
+                    if (!PyErr_Occurred())
+                        PyErr_SetObject(PyExc_KeyError, cid);
+                    Py_DECREF(cid);
+                    goto pick_fail;
+                }
+                Py_INCREF(cta);
+                Py_DECREF(cid);
+                PyObject *r = NULL;
+                if (enter_py(S) == 0)
+                    r = PyObject_CallMethodObjArgs(cta, S_arrive_at_barrier,
+                                                   view, NULL);
+                int released = r == NULL ? -1 : PyObject_IsTrue(r);
+                Py_XDECREF(r);
+                if (released > 0) {
+                    PyObject *r2 = PYCALL(S, S->on_barrier_release, cta);
+                    if (r2 == NULL)
+                        released = -1;
+                    Py_XDECREF(r2);
+                }
+                Py_DECREF(cta);
+                if (released < 0)
+                    goto pick_fail;
+            }
+            else if (kind == K_ACQUIRE) {
+                PyObject *r = PYCALL(S, S->tech_try_acquire, view, S->cyc_obj);
+                if (r == NULL)
+                    goto pick_fail;
+                int got = PyObject_IsTrue(r);
+                Py_DECREF(r);
+                if (got < 0)
+                    goto pick_fail;
+                if (got) {
+                    advance_pc(S, slot, pc + 1);
+                    S->last_progress = cycle;
+                }
+                else if (S->status[slot] == ST_READY)
+                    /* Eager retry backoff (see _execute). */
+                    S->wake[slot] = cycle + S->eager_backoff;
+            }
+            else { /* K_RELEASE */
+                PyObject *r = PYCALL(S, S->tech_release, view, S->cyc_obj);
+                if (r == NULL)
+                    goto pick_fail;
+                Py_DECREF(r);
+                advance_pc(S, slot, pc + 1);
+                S->last_progress = cycle;
+            }
+            /* notify_issued: in C for GTO/LRR, after a read-back (a CTA
+             * retire above may have cleared _greedy). */
+            if (u->kind == 2) {
+                PyObject *r = PYCALL(S, u->sched_notify, view);
+                if (r == NULL)
+                    goto pick_fail;
+                Py_DECREF(r);
+            }
+            else {
+                if (sync_unit(S, u) < 0)
+                    goto pick_fail;
+                u->issued_count += 1;
+                if (u->kind == 0) {
+                    Py_INCREF(view);
+                    Py_XSETREF(u->greedy, view);
+                    u->greedy_wid = wid;
+                }
+                else
+                    u->last_id = wid;
+                u->dirty = 1;
+            }
+            issued_this += 1;
+            issued_here += 1;
+            issued[nissued++] = slot;
+            if (S->multi_issue && slot_remove(cand, &ncand, slot) < 0)
+                goto pick_fail;
+            /* inline requalification for remaining width; guarded on
+             * `exited` — the slot may host a fresh warp after a CTA
+             * retire and must not be read. */
+            if (!exited && S->status[slot] == ST_READY
+                && S->wake[slot] <= cycle) {
+                int requal = qualify(S, kc, slot, wid, cycle, 0);
+                if (requal < 0)
+                    goto pick_fail;
+                if (requal && S->multi_issue
+                    && slot_insort(cand, &ncand, S->slot_cap, slot,
+                                   S->wid) < 0)
+                    goto pick_fail;
+            }
+            Py_DECREF(view);
+            continue;
+        pick_fail:
+            Py_XDECREF(view);
+            return -1;
+        }
 
-            /* inline dispose_issued (qstate-guarded, idempotent) */
-            Py_ssize_t ni = PyList_GET_SIZE(issued_list);
-            for (Py_ssize_t i = 0; i < ni; i++) {
-                PyObject *item = PyList_GET_ITEM(issued_list, i);
-                long slot = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
-                if (S->qstate[slot] != QS_READY)
-                    continue; /* finished or re-homed same-pass */
-                long st = S->status[slot];
-                if (st == ST_READY) {
-                    long wake = S->wake[slot];
-                    if (wake > cycle) { /* eager acquire backoff */
-                        if (list_remove(ready, item) < 0)
-                            return -1;
-                        S->qstate[slot] = QS_SLEEPING;
-                        if (park_sleeper(S, u, cycle, wake,
-                                         PyTuple_GET_ITEM(item, 0),
-                                         PyTuple_GET_ITEM(item, 1),
-                                         S->stall[slot] == SL_MEMORY) < 0)
-                            return -1;
-                    }
-                }
-                else if (st == ST_BARRIER) {
-                    if (list_remove(ready, item) < 0)
+        /* inline dispose_issued (qstate-guarded, idempotent) */
+        for (long i = 0; i < nissued; i++) {
+            long slot = issued[i];
+            if (S->qstate[slot] != QS_READY)
+                continue; /* finished or re-homed same-pass */
+            long st = S->status[slot];
+            if (st == ST_READY) {
+                if (S->wake[slot] > cycle) { /* eager acquire backoff */
+                    if (slot_remove(ready, &counts[U_NREADY], slot) < 0)
                         return -1;
-                    S->qstate[slot] = QS_BARRIER;
-                    counts[U_BARRIER] += 1;
-                }
-                else if (st == ST_ACQUIRE) {
-                    if (list_remove(ready, item) < 0)
+                    S->qstate[slot] = QS_SLEEPING;
+                    if (park_sleeper(S, u, cycle, slot,
+                                     S->stall[slot] == SL_MEMORY) < 0)
                         return -1;
-                    S->qstate[slot] = QS_ACQUIRE;
-                    counts[U_ACQUIRE] += 1;
                 }
             }
-            if (list_clear_all(issued_list) < 0)
-                return -1;
+            else if (st == ST_BARRIER) {
+                if (slot_remove(ready, &counts[U_NREADY], slot) < 0)
+                    return -1;
+                S->qstate[slot] = QS_BARRIER;
+                counts[U_BARRIER] += 1;
+            }
+            else if (st == ST_ACQUIRE) {
+                if (slot_remove(ready, &counts[U_NREADY], slot) < 0)
+                    return -1;
+                S->qstate[slot] = QS_ACQUIRE;
+                counts[U_ACQUIRE] += 1;
+            }
         }
         if (issued_here == 0) {
             S->d_idle += 1;
@@ -1961,15 +1972,9 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             else {
                 /* Inline sleeper_flags: prune the far heap, then the
                  * aggregate-count classification. */
-                while (PyList_GET_SIZE(u->far) > 0
-                       && PyLong_AsLong(PyList_GET_ITEM(u->far, 0))
-                              <= cycle) {
-                    PyObject *p = heap_pop(u->far);
-                    if (p == NULL)
-                        return -1;
-                    Py_DECREF(p);
-                }
-                long far_n = PyList_GET_SIZE(u->far);
+                while (counts[U_NFAR] > 0 && u->far[0] <= cycle)
+                    qheap_pop(u->far, &counts[U_NFAR], NULL, NULL);
+                long far_n = counts[U_NFAR];
                 if (qual_mem || counts[U_MEM_SLEEPERS] > 0 || far_n > 0)
                     S->d_mem += 1;
                 else if (barrier_count)
@@ -1984,6 +1989,95 @@ do_cycle(RunState *S, long cycle, long *issued_out)
 }
 
 /* ---- the batched run loop ------------------------------------------- */
+
+/* Whether the SM is done: no resident CTA and none pending. */
+static int
+run_done(RunState *S)
+{
+    if (PyList_GET_SIZE(S->resident_ctas) > 0)
+        return 0;
+    PyObject *pending_ctas = PyObject_GetAttr(S->sm, S_ctas_pending);
+    if (pending_ctas == NULL)
+        return -1;
+    int more = PyObject_IsTrue(pending_ctas);
+    Py_DECREF(pending_ctas);
+    return more < 0 ? -1 : !more;
+}
+
+/* Every exit: publish the clock and the rotation state (keeping a
+ * pending error), release the run's state, return `res`. */
+static PyObject *
+end_run(RunState *S, PyObject *res)
+{
+    if (res == NULL) {
+        PyObject *type, *value, *tb;
+        PyErr_Fetch(&type, &value, &tb);
+        if (publish(S) < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+    }
+    else if (publish(S) < 0)
+        Py_CLEAR(res);
+    runstate_free(S);
+    return res;
+}
+
+/* The technique's wakeup drain: re-arm every warp it returns that is
+ * still parked on its acquire. */
+static int
+drain_wakeups(RunState *S)
+{
+    if (enter_py(S) < 0)
+        return -1;
+    S->py_ran = 0;
+    PyObject *pending = PyObject_CallNoArgs(S->tech_wakeup);
+    if (pending == NULL)
+        return -1;
+    int truthy = PyObject_IsTrue(pending);
+    if (truthy <= 0) {
+        Py_DECREF(pending);
+        return truthy;
+    }
+    PyObject *fast = PySequence_Fast(pending,
+                                     "wakeup_pending() must be iterable");
+    Py_DECREF(pending);
+    if (fast == NULL)
+        return -1;
+    /* The drain itself ran Python (status setters, the unblock hook):
+     * drain again next cycle. */
+    S->py_ran = 1;
+    int rc = 0;
+    Py_ssize_t np = PySequence_Fast_GET_SIZE(fast);
+    for (Py_ssize_t i = 0; i < np && rc == 0; i++) {
+        PyObject *warp = PySequence_Fast_GET_ITEM(fast, i);
+        PyObject *wst = PyObject_GetAttr(warp, S_status);
+        if (wst == NULL) {
+            rc = -1;
+            break;
+        }
+        int is_wa = (wst == S->status_waiting_acquire);
+        Py_DECREF(wst);
+        if (!is_wa)
+            continue;
+        if (PyObject_SetAttr(warp, S_status, S->status_ready) < 0) {
+            rc = -1;
+            break;
+        }
+        PyObject *wwid = PyObject_GetAttr(warp, S_warp_id);
+        PyObject *wslot = PyObject_GetAttr(warp, S_slot);
+        PyObject *r = NULL;
+        if (wwid != NULL && wslot != NULL)
+            r = PyObject_CallFunctionObjArgs(S->on_acquire_wake, wwid, wslot,
+                                             NULL);
+        Py_XDECREF(wwid);
+        Py_XDECREF(wslot);
+        if (r == NULL)
+            rc = -1;
+        Py_XDECREF(r);
+    }
+    Py_DECREF(fast);
+    return rc;
+}
 
 static PyObject *
 native_run(PyObject *self, PyObject *args)
@@ -2006,152 +2100,75 @@ native_run(PyObject *self, PyObject *args)
         S->cycle - (S->cycle % S->expire_period) + S->expire_period;
     long status = 0;
 
+    /* `while not done`, as the scan run loop: a finished SM simulates
+     * no further cycle. */
     for (;;) {
-        long cycle = S->cycle + 1;
-        if (set_cycle(S, cycle) < 0)
-            goto fail;
+        int done = run_done(S);
+        if (done < 0)
+            return end_run(S, NULL);
+        if (done)
+            break;
+        long cycle = ++S->cycle;
         long issued_this = 0;
         {
             long nxt = S->memc[M_NEXT_RETIRE];
             if (nxt != -1 && nxt <= cycle && mem_retire_c(S, cycle) < 0)
-                goto fail;
+                return end_run(S, NULL);
         }
         if (cycle >= next_expire) {
             next_expire = cycle + S->expire_period;
-            while (PyList_GET_SIZE(S->sb_heap) > 0
-                   && PyLong_AsLong(PyTuple_GET_ITEM(
-                          PyList_GET_ITEM(S->sb_heap, 0), 0)) <= cycle) {
-                PyObject *p = heap_pop(S->sb_heap);
-                if (p == NULL)
-                    goto fail;
-                Py_DECREF(p);
-            }
+            while (S->sb_len > 0 && S->sb[0].done <= cycle)
+                sb_pop(S);
         }
         /* Only Python code queues wakeups: drain after a re-entry. */
-        if (S->tech_wakeups && S->py_ran) {
-            S->py_ran = 0;
-            PyObject *pending = PyObject_CallNoArgs(S->tech_wakeup);
-            if (pending == NULL)
-                goto fail;
-            int truthy = PyObject_IsTrue(pending);
-            if (truthy < 0) {
-                Py_DECREF(pending);
-                goto fail;
-            }
-            if (truthy) {
-                PyObject *fast = PySequence_Fast(
-                    pending, "wakeup_pending() must be iterable");
-                if (fast == NULL) {
-                    Py_DECREF(pending);
-                    goto fail;
-                }
-                Py_ssize_t np = PySequence_Fast_GET_SIZE(fast);
-                /* The drain itself ran Python (status setters, the
-                 * unblock hook): drain again next cycle. */
-                S->py_ran = 1;
-                for (Py_ssize_t i = 0; i < np; i++) {
-                    PyObject *warp = PySequence_Fast_GET_ITEM(fast, i);
-                    PyObject *wst = PyObject_GetAttr(warp, S_status);
-                    if (wst == NULL) {
-                        Py_DECREF(fast);
-                        Py_DECREF(pending);
-                        goto fail;
-                    }
-                    int is_wa = (wst == S->status_waiting_acquire);
-                    Py_DECREF(wst);
-                    if (!is_wa)
-                        continue;
-                    if (PyObject_SetAttr(warp, S_status,
-                                         S->status_ready) < 0) {
-                        Py_DECREF(fast);
-                        Py_DECREF(pending);
-                        goto fail;
-                    }
-                    PyObject *wwid = PyObject_GetAttr(warp, S_warp_id);
-                    PyObject *wslot = PyObject_GetAttr(warp, S_slot);
-                    PyObject *r = NULL;
-                    if (wwid != NULL && wslot != NULL)
-                        r = PyObject_CallFunctionObjArgs(
-                            S->on_acquire_wake, wwid, wslot, NULL);
-                    Py_XDECREF(wwid);
-                    Py_XDECREF(wslot);
-                    if (r == NULL) {
-                        Py_DECREF(fast);
-                        Py_DECREF(pending);
-                        goto fail;
-                    }
-                    Py_DECREF(r);
-                }
-                Py_DECREF(fast);
-            }
-            Py_DECREF(pending);
-        }
+        if (S->tech_wakeups && S->py_ran && drain_wakeups(S) < 0)
+            return end_run(S, NULL);
         S->d_res += S->resident_cnt;
 
         if (do_cycle(S, cycle, &issued_this) < 0)
-            goto fail;
+            return end_run(S, NULL);
 
         if (S->tail_hooks) {
             if (flush_stats(S) < 0)
-                goto fail;
+                return end_run(S, NULL);
             if (S->san_on_cycle != NULL) {
                 PyObject *r = PYCALL(S, S->san_on_cycle, sm);
                 if (r == NULL)
-                    goto fail;
+                    return end_run(S, NULL);
                 Py_DECREF(r);
             }
             if (S->observer != NULL) {
                 PyObject *r = PYCALL(S, S->obs_on_cycle, sm);
                 if (r == NULL)
-                    goto fail;
+                    return end_run(S, NULL);
                 Py_DECREF(r);
             }
         }
 
         /* -- run-loop controls (mirrors the generic run loop) -- */
         if (issued_this == 0) {
-            PyObject *pending_ctas = PyObject_GetAttr(sm, S_ctas_pending);
-            if (pending_ctas == NULL)
-                goto fail;
-            int busy = PyObject_IsTrue(pending_ctas);
-            Py_DECREF(pending_ctas);
-            if (busy < 0)
-                goto fail;
-            if (!busy)
-                busy = PyList_GET_SIZE(S->resident_ctas) > 0;
-            if (busy) {
-                /* Inline fast-forward: lazy scoreboard peek + memory +
-                 * sleeper minima, the targets of sm._fast_forward. */
+            int idle_done = run_done(S);
+            if (idle_done < 0)
+                return end_run(S, NULL);
+            if (!idle_done) {
+                /* Inline fast-forward: the least scoreboard write still
+                 * pending in its row, the memory and sleeper minima: the
+                 * targets of sm._fast_forward. */
                 int has_target = 0;
                 long target = 0;
-                while (PyList_GET_SIZE(S->sb_heap) > 0) {
-                    PyObject *top = PyList_GET_ITEM(S->sb_heap, 0);
-                    long ready_at =
-                        PyLong_AsLong(PyTuple_GET_ITEM(top, 0));
-                    if (ready_at > cycle) {
-                        PyObject *hwid = PyTuple_GET_ITEM(top, 1);
-                        PyObject *hslot_o = PyDict_GetItemWithError(
-                            S->wid2slot, hwid);
-                        if (hslot_o == NULL && PyErr_Occurred())
-                            goto fail;
-                        if (hslot_o != NULL) {
-                            long hslot = PyLong_AsLong(hslot_o);
-                            long hreg = PyLong_AsLong(
-                                PyTuple_GET_ITEM(top, 2));
-                            long *row = slot_row(S, hslot);
-                            if (row == NULL)
-                                goto fail;
-                            if (row[hreg] == ready_at) {
-                                target = ready_at;
-                                has_target = 1;
-                                break;
-                            }
+                while (S->sb_len > 0) {
+                    SbEntry *top = &S->sb[0];
+                    if (top->done > cycle && S->wid[top->slot] == top->wid) {
+                        long *row = slot_row(S, top->slot);
+                        if (row == NULL)
+                            return end_run(S, NULL);
+                        if (row[top->reg] == top->done) {
+                            target = top->done;
+                            has_target = 1;
+                            break;
                         }
                     }
-                    PyObject *p = heap_pop(S->sb_heap);
-                    if (p == NULL)
-                        goto fail;
-                    Py_DECREF(p);
+                    sb_pop(S);
                 }
                 {
                     long mv = S->memc[M_NEXT_RETIRE];
@@ -2165,10 +2182,9 @@ native_run(PyObject *self, PyObject *args)
                 int has_creditable = has_target;
                 long creditable = target;
                 for (int ui = 0; ui < S->nunits; ui++) {
-                    PyObject *heap = S->units[ui].sleepers;
-                    if (PyList_GET_SIZE(heap) > 0) {
-                        long first = PyLong_AsLong(PyTuple_GET_ITEM(
-                            PyList_GET_ITEM(heap, 0), 0));
+                    UnitC *u = &S->units[ui];
+                    if (u->counts[U_NSLEEPERS] > 0) {
+                        long first = S->wake[u->sleepers[0]];
                         if (!has_target || first < target) {
                             target = first;
                             has_target = 1;
@@ -2177,15 +2193,14 @@ native_run(PyObject *self, PyObject *args)
                 }
                 if (!has_target) {
                     if (flush_stats(S) < 0)
-                        goto fail;
+                        return end_run(S, NULL);
                     status = STOP_DEADLOCK;
                     break;
                 }
                 long skip = target - cycle - 1;
                 if (skip > 0) {
                     cycle += skip;
-                    if (set_cycle(S, cycle) < 0)
-                        goto fail;
+                    S->cycle = cycle;
                     if (has_creditable && creditable == target)
                         S->last_progress += skip;
                     S->d_idle += skip * S->num_sched;
@@ -2196,56 +2211,29 @@ native_run(PyObject *self, PyObject *args)
         }
         if (S->window && cycle - S->last_progress > S->window) {
             if (flush_stats(S) < 0)
-                goto fail;
+                return end_run(S, NULL);
             status = STOP_WATCHDOG;
             break;
         }
         if (cycle > max_cycles) {
             if (flush_stats(S) < 0)
-                goto fail;
+                return end_run(S, NULL);
             status = STOP_CYCLE_LIMIT;
             break;
         }
-        {
-            int done = PyList_GET_SIZE(S->resident_ctas) == 0;
-            if (done) {
-                PyObject *pending_ctas =
-                    PyObject_GetAttr(sm, S_ctas_pending);
-                if (pending_ctas == NULL)
-                    goto fail;
-                int more = PyObject_IsTrue(pending_ctas);
-                Py_DECREF(pending_ctas);
-                if (more < 0)
-                    goto fail;
-                if (!more)
-                    break;
-            }
-        }
     }
 
-    if (status == 0) {
-        if (flush_stats(S) < 0)
-            goto fail;
-        if (set_long_attr(S->stats, S_cycles, S->cycle) < 0)
-            goto fail;
-        if (S->observer != NULL) {
-            PyObject *r = PYCALL(S, S->obs_on_run_end, sm);
-            if (r == NULL)
-                goto fail;
-            Py_DECREF(r);
-        }
-        PyObject *res = Py_BuildValue("(lO)", status, S->stats);
-        runstate_free(S);
-        return res;
+    if (status != 0)
+        return end_run(S, Py_BuildValue("(lO)", status, Py_None));
+    if (flush_stats(S) < 0 || set_long_attr(S->stats, S_cycles, S->cycle) < 0)
+        return end_run(S, NULL);
+    if (S->observer != NULL) {
+        PyObject *r = PYCALL(S, S->obs_on_run_end, sm);
+        if (r == NULL)
+            return end_run(S, NULL);
+        Py_DECREF(r);
     }
-    {
-        PyObject *res = Py_BuildValue("(lO)", status, Py_None);
-        runstate_free(S);
-        return res;
-    }
-fail:
-    runstate_free(S);
-    return NULL;
+    return end_run(S, Py_BuildValue("(lO)", status, S->stats));
 }
 
 /* ---- module boilerplate --------------------------------------------- */
@@ -2317,15 +2305,11 @@ intern_all(void)
     IN(S_units, "units");
     IN(S_sched, "sched");
     IN(S_ready, "ready");
-    IN(S_candidates, "candidates");
-    IN(S_keep, "keep");
-    IN(S_issued, "issued");
     IN(S_sleepers, "sleepers");
     IN(S_far, "far");
     IN(S_pick, "pick");
     IN(S_notify_issued, "notify_issued");
     IN(S_hot, "hot");
-    IN(S_wid2slot, "wid2slot");
     IN(S_columnar, "_columnar");
     IN(S_memory, "memory");
     IN(S_earliest_completion, "earliest_completion");
@@ -2386,13 +2370,14 @@ PyInit__native(void)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
     EXPORT(STOP_DEADLOCK) EXPORT(STOP_WATCHDOG) EXPORT(STOP_CYCLE_LIMIT)
     EXPORT(U_MEM_SLEEPERS) EXPORT(U_NONMEM_SLEEPERS) EXPORT(U_BARRIER)
-    EXPORT(U_ACQUIRE)
+    EXPORT(U_ACQUIRE) EXPORT(U_NREADY) EXPORT(U_NSLEEPERS) EXPORT(U_NFAR)
+    EXPORT(U_NCOUNTS)
     EXPORT(M_IN_FLIGHT_TOTAL) EXPORT(M_NEXT_RETIRE) EXPORT(M_LOADS_ISSUED)
     EXPORT(M_L1_HITS)
     EXPORT(RFV_POOL_FREE) EXPORT(RFV_RESERVE_HOLDER) EXPORT(RFV_PEAK_POOL_USE)
     EXPORT(RFV_POOL_CAPACITY) EXPORT(RFV_NEXT_ORDER)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 7) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 8) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 SOURCE = Path(__file__).resolve().parent / "csrc" / "nativemodule.c"
-NATIVE_ABI = 7
+NATIVE_ABI = 8
 # A hung compiler must not hang the simulation forever.
 BUILD_TIMEOUT_S = 600
 
@@ -50,6 +50,7 @@ _CONST_NAMES = {
         "K_JMP", "K_BRA", "K_BARRIER", "K_ACQUIRE", "K_RELEASE",
         "STOP_DEADLOCK", "STOP_WATCHDOG", "STOP_CYCLE_LIMIT",
         "U_MEM_SLEEPERS", "U_NONMEM_SLEEPERS", "U_BARRIER", "U_ACQUIRE",
+        "U_NREADY", "U_NSLEEPERS", "U_NFAR", "U_NCOUNTS",
     ),
     "repro.sim.memory": (
         "M_IN_FLIGHT_TOTAL", "M_NEXT_RETIRE", "M_LOADS_ISSUED", "M_L1_HITS",

@@ -235,8 +235,9 @@ class TestColumnarHygiene:
         # Move the warp from its ready list to a barrier count, keeping
         # the per-unit structures consistent, then finish it in place:
         # only the column invariant "finished => QS_OUT" is broken.
-        (unit,) = [u for u in core.units if (warp.warp_id, slot) in u.ready]
-        unit.ready.remove((warp.warp_id, slot))
+        (unit,) = [u for u in core.units
+                   if (warp.warp_id, slot) in u.ready_entries()]
+        unit.remove_ready(slot)
         unit.barrier_count += 1
         core.qstate[slot] = QS_BARRIER
         core.status[slot] = ST_FINISHED

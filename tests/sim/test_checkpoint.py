@@ -8,11 +8,14 @@ past the fast-forward that jumped over it) stops at the same boundary
 on the scan stepper and on the columnar engine's C loop, so snapshotting both compares the two engines' whole
 state mid-run, not only their final stats.  This is the state-level
 half of ``test_engine_identity``, and the comparison a bisect between
-the engines reads.
+the engines reads.  A stopped run can also be continued by calling
+``run()`` again: a run continued through stops ends in the state of
+one never stopped, on either engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -118,6 +121,72 @@ class TestSnapshotIdentity:
             assert native == scan, (
                 f"engines' state differs at the stop after cycle {stop}"
             )
+
+
+def _final_state(sm) -> tuple:
+    """What a finished run leaves: its clock, every ``SmStats`` field and
+    the snapshot payload."""
+    return (sm.cycle, dataclasses.asdict(sm.stats),
+            json.dumps(capture_sm(sm), sort_keys=True))
+
+
+class TestSegmentedRuns:
+    """A run continued through cycle-limit stops ends where the run that
+    was never stopped ends.  Each stop re-enters ``run()``: the C loop
+    rebuilds its scoreboard completion heap from the rows and re-reads
+    the clock and scheduler state that its previous exit published."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "kernel_id,technique_kind,sched,overrides", IDENTITY_CASES
+    )
+    def test_segmented_run_equals_uninterrupted(
+        self, engine, kernel_id, technique_kind, sched, overrides
+    ):
+        kernel = (
+            _acquire_kernel() if kernel_id == "acquire"
+            else _random_kernel(kernel_id)
+        )
+        whole = _make_sm(kernel, technique_kind, engine, sched, **overrides)
+        whole.run()
+        expected = _final_state(whole)
+
+        sm = _make_sm(kernel, technique_kind, engine, sched, **overrides)
+        for k in range(1, STOPS):
+            if sm.done:  # a stop on the run's last cycle
+                break
+            with pytest.raises(CycleLimitExceededError):
+                sm.run(max_cycles=k * whole.cycle // STOPS)
+        sm.run()
+        assert _final_state(sm) == expected
+        # A finished SM simulates nothing more.
+        sm.run()
+        assert _final_state(sm) == expected
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "kernel_id,technique_kind,sched,overrides", IDENTITY_CASES
+    )
+    def test_stopped_at_every_cycle_boundary(
+        self, engine, kernel_id, technique_kind, sched, overrides
+    ):
+        """One stop per cycle boundary (after each stepped cycle or
+        fast-forward): scoreboard writes are then pending at every stop,
+        so each fast-forward target comes from a heap built at a run's
+        start."""
+        kernel = (
+            _acquire_kernel() if kernel_id == "acquire"
+            else _random_kernel(kernel_id)
+        )
+        whole = _make_sm(kernel, technique_kind, engine, sched, **overrides)
+        whole.run()
+
+        sm = _make_sm(kernel, technique_kind, engine, sched, **overrides)
+        while not sm.done:
+            with pytest.raises(CycleLimitExceededError):
+                sm.run(max_cycles=sm.cycle)
+        sm.run()
+        assert _final_state(sm) == _final_state(whole)
 
 
 RFV_GOLDEN = Path(__file__).parent / "golden" / "rfv_checkpoint.json"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib
 from array import array
 import random
 import sys
@@ -40,12 +41,19 @@ from repro.baselines.rfv import RfvSmState
 from repro.isa.builder import KernelBuilder
 from repro.observe.hooks import SmObserver
 from repro.regmutex.issue_logic import RegMutexSmState
-from repro.sim.columnar import QS_ACQUIRE, QS_OUT, QS_READY, ColumnarCore
+from repro.regmutex.paired import PairedWarpsSmState
+from repro.sim.columnar import (
+    QS_ACQUIRE,
+    QS_OUT,
+    QS_READY,
+    U_NREADY,
+    ColumnarCore,
+)
 from repro.sim.memory import MemoryModel
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from repro.sim.technique import SmTechniqueState
+from repro.sim.technique import DelegatingTechniqueState, SmTechniqueState
 from repro.sim.warp import WarpStatus
 from tests.conftest import straightline_kernel
 
@@ -199,8 +207,8 @@ def _assert_columnar_drained(sm):
     assert core is not None
     core.check_hygiene()
     for unit in core.units:
-        assert unit.ready == []
-        assert unit.sleepers == []
+        assert unit.ready_entries() == []
+        assert unit.sleeping_slots() == []
         assert unit.barrier_count == 0
         assert unit.acquire_count == 0
     assert core.wid2slot == {}
@@ -410,15 +418,129 @@ class TestObservationIdentity:
                 "section_release"} <= kinds
 
 
+class _Recording(DelegatingTechniqueState):
+    """Logs what Python sees at each technique hook: the hook, the warp,
+    the cycle argument, ``sm.cycle`` and every scheduler's rotation
+    state (``snapshot()``)."""
+
+    def __init__(self, inner, sm):
+        super().__init__(inner)
+        self.sm = sm
+        self.log = []
+
+    def _record(self, hook, warp, cycle):
+        self.log.append((
+            hook, warp.warp_id, cycle, self.sm.cycle,
+            [sched.snapshot() for sched in self.sm.schedulers],
+        ))
+
+    def can_issue(self, warp, inst, cycle):
+        self._record("can_issue", warp, cycle)
+        return super().can_issue(warp, inst, cycle)
+
+    def on_issue(self, warp, inst, cycle):
+        self._record("on_issue", warp, cycle)
+        super().on_issue(warp, inst, cycle)
+
+    def try_acquire(self, warp, cycle):
+        self._record("try_acquire", warp, cycle)
+        return super().try_acquire(warp, cycle)
+
+    def release(self, warp, cycle):
+        self._record("release", warp, cycle)
+        super().release(warp, cycle)
+
+
+def _regmutex(retry_policy):
+    def make_state(k, c, s):
+        return RegMutexSmState(k, c, s, num_sections=1,
+                               retry_policy=retry_policy)
+    return make_state
+
+
+# (kernel, config overrides, state factory, CTAs resident, CTAs total).
+_PUBLISHED_FAMILIES = {
+    "baseline": (_random_kernel(2), {}, SmTechniqueState, 2, 5),
+    "regmutex-wakeup": (_acquire_kernel(), {}, _regmutex("wakeup"), 3, 6),
+    "regmutex-eager": (_acquire_kernel(), {}, _regmutex("eager"), 3, 6),
+    "paired": (_acquire_kernel(), {}, PairedWarpsSmState, 3, 6),
+    "rfv": (_random_kernel(2), _RFV_TIGHT, RfvSmState, 2, 5),
+}
+
+
+class _CycleWritesCounted(StreamingMultiprocessor):
+    """Counts the writes of ``sm.cycle``."""
+
+    cycle_writes = 0
+
+    def __setattr__(self, name, value):
+        if name == "cycle":
+            type(self).cycle_writes += 1
+        super().__setattr__(name, value)
+
+
+@needs_native
+class TestStatePublishedAtReentries:
+    """The C loop keeps the clock and the GTO/LRR rotation state in C
+    between re-entries into Python, and publishes both before each one:
+    a hook sees on the C loop what it sees on scan."""
+
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    @pytest.mark.parametrize("family", sorted(_PUBLISHED_FAMILIES))
+    def test_hooks_see_the_scan_clock_and_rotation(self, family, policy):
+        kernel, overrides, state_factory, resident, total = (
+            _PUBLISHED_FAMILIES[family]
+        )
+        logs = []
+        for engine in ("scan", "columnar"):
+            config = _config(scheduler_policy=policy, issue_engine=engine,
+                             **overrides)
+            sm = _make_sm(kernel, config, state_factory, resident, total)
+            recording = _Recording(sm.technique, sm)
+            sm.technique = recording
+            sm.run()
+            logs.append((recording.log, _outcome(sm)))
+        assert sm.issue_loop == "native"
+        assert {hook for hook, *_ in logs[0][0]} >= {"can_issue", "on_issue"}
+        assert logs[1] == logs[0]
+
+    def test_clock_is_written_only_at_reentries_and_exits(self):
+        kernel = _random_kernel(3)
+        counted = {}
+        for engine in ("scan", "columnar"):
+            config = _config(issue_engine=engine)
+            stats = SmStats()
+            _CycleWritesCounted.cycle_writes = 0
+            sm = _CycleWritesCounted(
+                sm_id=0, config=config, kernel=kernel,
+                technique_state=SmTechniqueState(kernel, config, stats),
+                ctas_resident_limit=2, total_ctas=5,
+                rng=DeterministicRng(7), stats=stats,
+            )
+            sm.run()
+            counted[sm.issue_loop] = (_CycleWritesCounted.cycle_writes,
+                                      _outcome(sm))
+        (scan_writes, scan), (native_writes, native) = (
+            counted["scan"], counted["native"]
+        )
+        assert native == scan
+        # Scan writes the clock once per stepped cycle (and per
+        # fast-forward); with no technique hooks the C loop re-enters
+        # Python only to commit an EXIT, stall on a saturated memory
+        # window or reach a barrier.
+        assert 0 < native_writes * 4 < scan_writes
+
+
 def _shared_arrays(sm):
     """Every array the C loop takes a buffer of, by name."""
     core = sm._columnar
     arrays = {name: getattr(core, name) for name in (
-        "pc", "wake", "status", "stall", "qstate", "dyn", "sb_max")}
+        "pc", "wake", "status", "stall", "qstate", "dyn", "sb_max", "wid")}
     arrays.update({f"row{slot}": row for slot, row in enumerate(core.sb_rows)
                    if row is not None})
-    arrays.update({f"unit{i}.counts": unit.counts
-                   for i, unit in enumerate(core.units)})
+    arrays.update({f"unit{i}.{name}": getattr(unit, name)
+                   for i, unit in enumerate(core.units)
+                   for name in ("counts", "ready", "sleepers", "far")})
     arrays["memory._counters"] = sm.memory._counters
     gate = sm.technique.native_gate() or ()
     arrays.update({f"gate{i}": buf for i, buf in enumerate(gate)})
@@ -498,6 +620,32 @@ class TestSharedBuffers:
         core = sm._columnar
         core.hot = (array(typecode, core.pc),) + core.hot[1:]
         with pytest.raises(TypeError, match="core.pc"):
+            sm.run()
+        _assert_released(sm)
+
+    def test_the_loader_checks_every_buffer_slot(self):
+        """Each slot constant of a shared buffer (``U_*``, ``M_*``,
+        ``RFV_*``) is one the loader compares with the binary's."""
+        from repro.sim.native import _CONST_NAMES
+
+        native = sm_mod.native_module()
+        for module, prefix in (("repro.sim.columnar", "U_"),
+                               ("repro.sim.memory", "M_"),
+                               ("repro.baselines.rfv", "RFV_")):
+            values = vars(importlib.import_module(module))
+            names = {name for name in values if name.startswith(prefix)}
+            assert names <= set(_CONST_NAMES[module]), module
+            for name in names:
+                assert getattr(native, name) == values[name], name
+
+    def test_a_queue_length_past_its_buffer_is_refused(self):
+        """The queue lengths in ``counts`` index the shared queue
+        buffers: the loop refuses one its buffer cannot hold."""
+        sm = _make_sm(_random_kernel(1), _config(), SmTechniqueState,
+                      ctas_resident=2, total_ctas=5)
+        unit = sm._columnar.units[0]
+        unit.counts[U_NREADY] = len(unit.ready) + 1
+        with pytest.raises(ValueError, match="queue length"):
             sm.run()
         _assert_released(sm)
 
@@ -667,7 +815,8 @@ class TestNativeRunLeak:
         sm = _make_sm(kernel, config, SmTechniqueState, ctas_resident=2,
                       total_ctas=5)
         core = sm._columnar
-        shared = (core.hot, core.sb_heap, core.kcs, core.units, sm.stats)
+        shared = (core.hot, core.wid, core.kcs, core.units, sm.stats,
+                  *(unit.ready for unit in core.units))
         before = [sys.getrefcount(obj) for obj in shared]
         sm.run()
         assert [sys.getrefcount(obj) for obj in shared] == before
@@ -822,7 +971,9 @@ class TestStalenessPaths:
                 warp.status = WarpStatus.READY
                 core.on_acquire_wake(warp.warp_id, warp.slot)
         assert core.qstate[second.slot] == QS_READY
-        assert (second.warp_id, second.slot) in unit_for(second).ready
+        assert (second.warp_id, second.slot) in (
+            unit_for(second).ready_entries()
+        )
         assert core.qstate[first.slot] == QS_OUT
         assert unit_for(second).acquire_count + \
             unit_for(first).acquire_count == 0
@@ -833,7 +984,7 @@ def _park_acquire(core, warp):
     """Move a ready warp into its unit's acquire-blocked count, the way
     the stepper's issued-warp disposition does."""
     unit = core.units[warp.warp_id % core.num_schedulers]
-    unit.ready.remove((warp.warp_id, warp.slot))
+    unit.remove_ready(warp.slot)
     core.qstate[warp.slot] = QS_ACQUIRE
     unit.acquire_count += 1
 
@@ -862,12 +1013,13 @@ class TestQueueUnit:
             warp.status = WarpStatus.WAITING_ACQUIRE
             _park_acquire(core, warp)
         unit = core.units[0]
-        assert unit.ready == [(2, 2)]
+        assert unit.ready_entries() == [(2, 2)]
         for warp in (w4, w0):
             warp.status = WarpStatus.READY
             core.on_acquire_wake(warp.warp_id, warp.slot)
-        assert unit.ready == [(0, 0), (2, 2), (4, 4)]
-        assert all(core.qstate[slot] == QS_READY for _, slot in unit.ready)
+        assert unit.ready_entries() == [(0, 0), (2, 2), (4, 4)]
+        assert all(core.qstate[slot] == QS_READY
+                   for _, slot in unit.ready_entries())
         core.check_hygiene()
 
     def test_unblock_hooks_are_idempotent(self):
@@ -877,7 +1029,7 @@ class TestQueueUnit:
         core.on_acquire_wake(warp.warp_id, warp.slot)
         core.on_barrier_release(SimpleNamespace(warps=[warp]))
         unit = core.units[0]
-        assert unit.ready == [(1, 1)]
+        assert unit.ready_entries() == [(1, 1)]
         assert unit.acquire_count == 0 and unit.barrier_count == 0
         core.check_hygiene()
 
