@@ -9,8 +9,8 @@ partner behind a hardware lock with **one-shot** semantics — the first
 warp to touch a shared register owns it *until it finishes* (the paper's
 central criticism: "one-time acquire with no in-kernel release").
 
-A native warp implicitly owns its shared set from launch, so in practice
-an extra warp progresses through low-pressure code, blocks at its first
+A native warp owns its shared set from launch, so in practice an extra
+warp progresses through low-pressure code, blocks at its first
 high-register access, and resumes only when its partner retires.
 Scheduling is Owner-Warp-First: lock owners outrank non-owners so they
 finish (and hand over) sooner.  The net effect the paper measures — a
@@ -23,6 +23,8 @@ real design checks indices at the register file on every access).
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.arch.config import GpuConfig
 from repro.arch.occupancy import OccupancyResult, theoretical_occupancy
@@ -67,15 +69,36 @@ def _extra_ctas(config: GpuConfig, md, base: OccupancyResult) -> int:
                       cap_smem, cap_pairing))
 
 
-def owf_priority(warp: Warp) -> int:
-    """Owner-Warp-First: lock owners outrank everyone else."""
-    return 0 if warp.owns_pair_lock else 1
+# The tag of ``OwfSmState.native_gate()``'s declaration (RFV's is
+# ``repro.baselines.rfv.GATE_RFV``).
+GATE_OWF = 2
 
 
 class OwfSmState(SmTechniqueState):
-    """Per-SM one-shot pair locks between native and extra warps."""
+    """Per-SM one-shot pair locks between native and extra warps.
 
-    scheduler_priority = staticmethod(owf_priority)
+    The lock state lives in ``array('l')`` buffers that the columnar
+    engine's C loop reads and writes in place (:meth:`native_gate`):
+
+    * ``touches`` — per pc, 1 when the instruction touches a register at
+      or above ``threshold`` (the shared portion);
+    * ``native`` — per warp slot, 1 when the resident warp is native
+      (``cta_id % (base + extra) < base``, evaluated at launch);
+    * ``owner`` — per slot, the pair-lock owner bit: a native owns from
+      launch, an extra warp once its lock is granted.  It is also the
+      ``scheduler_priority`` the GTO scheduler ranks first
+      (owner-warp-first);
+    * ``order`` / ``next_order`` — per slot, a native's registration
+      number (-1: unregistered), taken at its first qualification, and
+      the next number: they keep ``_natives`` in the order the natives
+      first qualified, which the round-robin partner pick indexes.
+
+    ``can_issue`` below is the specification and what the scan stepper
+    runs.  The C loop evaluates its native and owner tests over the same
+    buffers and calls it only for an extra warp's first shared access,
+    which picks the partner and parks the warp until that partner
+    finishes: at most once per extra warp.
+    """
 
     def __init__(
         self,
@@ -91,6 +114,19 @@ class OwfSmState(SmTechniqueState):
         self.base_ctas = max(1, base_ctas)
         self.extra_ctas = extra_ctas
         self._cycle_len = self.base_ctas + self.extra_ctas
+        self.touches = array("l", map(self._touches_shared, kernel.instructions))
+        slots = config.max_warps_per_sm
+        self.native = array("l", [0]) * slots
+        self.owner = array("l", [0]) * slots
+        self.order = array("l", [-1]) * slots
+        self.next_order = array("l", [0])
+        self.scheduler_priority = self.owner
+        self._gate = (
+            GATE_OWF, self.touches, self.native, self.owner, self.order,
+            self.next_order,
+        )
+        # slot -> the warp launched into it
+        self._resident: list[Warp | None] = [None] * slots
         # extra warp -> native partner currently blocking it
         self._partner: dict[int, Warp] = {}
         self._waiting_on: dict[int, list[Warp]] = {}
@@ -98,7 +134,6 @@ class OwfSmState(SmTechniqueState):
         # Double-buffered like the RegMutex states: no per-cycle list.
         self._pending_wakeups: list[Warp] = []
         self._wakeup_spare: list[Warp] = []
-        self._natives: dict[int, Warp] = {}
 
     def is_extra(self, warp: Warp) -> bool:
         return (warp.cta_id % self._cycle_len) >= self.base_ctas
@@ -106,15 +141,42 @@ class OwfSmState(SmTechniqueState):
     def _touches_shared(self, inst: Instruction) -> bool:
         return any(r >= self.threshold for r in inst.registers)
 
+    @property
+    def _natives(self) -> dict[int, Warp]:
+        """warp_id -> registered native warp, in registration order."""
+        order = self.order
+        slots = sorted(
+            (slot for slot in range(len(order)) if order[slot] >= 0),
+            key=order.__getitem__,
+        )
+        return {self._resident[s].warp_id: self._resident[s] for s in slots}
+
+    def native_gate(self) -> tuple:
+        return self._gate
+
+    def _grant(self, warp: Warp) -> None:
+        warp.owns_pair_lock = True
+        self.owner[warp.slot] = 1
+
+    def on_warp_launch(self, warp: Warp) -> None:
+        # Native warps own their shared set from launch (one-shot
+        # semantics: they are the first toucher by construction).
+        slot = warp.slot
+        native = not self.is_extra(warp)
+        self._resident[slot] = warp
+        self.native[slot] = native
+        self.owner[slot] = native
+        self.order[slot] = -1
+        warp.owns_pair_lock = native
+
     def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
-        if not self.is_extra(warp):
-            # Native warps own their shared set from launch (one-shot
-            # semantics: they are the first toucher by construction).
-            if not warp.owns_pair_lock:
-                warp.owns_pair_lock = True
-                self._natives[warp.warp_id] = warp
+        slot = warp.slot
+        if self.native[slot]:
+            if self.order[slot] < 0:
+                self.order[slot] = self.next_order[0]
+                self.next_order[0] += 1
             return True
-        if warp.owns_pair_lock or not self._touches_shared(inst):
+        if self.owner[slot] or not self._touches_shared(inst):
             return True
         # Extra warp hitting its first shared access: pick (or look up)
         # the native partner; block until that partner retires.
@@ -123,7 +185,7 @@ class OwfSmState(SmTechniqueState):
             alive = [w for w in self._natives.values() if not w.finished]
             if not alive:
                 # Partner already finished (or none resident): own freely.
-                warp.owns_pair_lock = True
+                self._grant(warp)
                 self.stats.acquire_attempts += 1
                 self.stats.acquire_successes += 1
                 return True
@@ -138,13 +200,13 @@ class OwfSmState(SmTechniqueState):
         return False
 
     def on_warp_finish(self, warp: Warp, cycle: int) -> None:
-        self._natives.pop(warp.warp_id, None)
+        self.order[warp.slot] = -1
         if warp in self._pending_wakeups:
             # The warp finished before consuming its wakeup (its lock is
             # one-shot, so nothing transfers — just drop the stale entry).
             self._pending_wakeups.remove(warp)
         for waiter in self._waiting_on.pop(warp.warp_id, []):
-            waiter.owns_pair_lock = True
+            self._grant(waiter)
             self._partner.pop(waiter.warp_id, None)
             self.stats.acquire_successes += 1
             if waiter.acquire_block_since is not None:
@@ -173,8 +235,8 @@ class OwfSmState(SmTechniqueState):
             },
             "native_round_robin": self._native_round_robin,
             "pending_wakeups": [w.warp_id for w in self._pending_wakeups],
-            # Insertion order matters: the round-robin partner pick
-            # indexes the live natives in registration order.
+            # Registration order matters: the round-robin partner pick
+            # indexes the live natives in that order.
             "natives": list(self._natives),
         }
 

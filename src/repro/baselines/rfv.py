@@ -45,6 +45,10 @@ RFV_PEAK_POOL_USE = 2
 RFV_POOL_CAPACITY = 3
 RFV_NEXT_ORDER = 4      # the next first-issue sequence number
 
+# The tag of ``RfvSmState.native_gate()``'s declaration (OWF's is
+# ``repro.baselines.owf.GATE_OWF``).
+GATE_RFV = 1
+
 
 class RfvSmState(SmTechniqueState):
     """Per-SM virtualized register pool.
@@ -81,7 +85,8 @@ class RfvSmState(SmTechniqueState):
         # or finishes.
         self.pool = array("l", [capacity, -1, 0, capacity, 0])
         self._gate = (
-            self.live_count, self.held, self.owner, self.order, self.pool,
+            GATE_RFV, self.live_count, self.held, self.owner, self.order,
+            self.pool,
         )
 
     pool_free = buffer_field("pool", RFV_POOL_FREE)

@@ -303,7 +303,8 @@ class ColumnarWarpView(Warp):
 
     Cold attributes (``rng``, ``_trips_remaining``, ``srp_section``,
     ``acquire_block_since``, ``owns_pair_lock``) stay plain slots — they
-    are technique state, not issue-loop state.
+    are technique state, not issue-loop state (OWF keeps the owner bit
+    the loop reads in its own per-slot buffer).
     """
 
     __slots__ = ("_cols", "_bound")
@@ -416,10 +417,11 @@ class ColumnarUnit:
     ``far`` a min-heap of thresholds.  Read and change them through the
     methods below.
 
-    ``kind`` encodes the scheduler pick fast path: 0 = GTO with the
-    default priority (greedy id match, else lowest id), 1 = LRR (first
-    id past the last issued), 2 = priority hook installed — fall back to
-    ``sched.pick`` over the view objects so user hooks see real warps.
+    ``kind`` names the pick the C loop runs: 0 = GTO (greedy id match,
+    else lowest id, among the warps whose priority bit is set when any
+    candidate's is: ``GtoScheduler.pick``), 1 = LRR (first id past the
+    last issued).  The loop runs no other scheduler, so any other one is
+    refused here with a ``TypeError``.
     """
 
     __slots__ = ("sched", "kind", "ready", "sleepers", "far", "counts", "_wid")
@@ -431,12 +433,15 @@ class ColumnarUnit:
 
     def __init__(self, sched, wid: array) -> None:
         self.sched = sched
-        if isinstance(sched, GtoScheduler) and sched._default_priority:
+        if type(sched) is GtoScheduler:
             self.kind = 0
-        elif isinstance(sched, LrrScheduler):
+        elif type(sched) is LrrScheduler:
             self.kind = 1
         else:
-            self.kind = 2
+            raise TypeError(
+                "the columnar engine's C loop runs GtoScheduler and "
+                f"LrrScheduler picks only, not {type(sched).__name__}"
+            )
         # Sized with the core's columns (``ColumnarCore._ensure``).
         self.ready = array("l")
         self.sleepers = array("l")

@@ -12,8 +12,8 @@
  *
  *  - the clock: sm.cycle (and the PyLong handed to hooks) is written
  *    only when it changed since the last publish;
- *  - the GTO/LRR rotation state of each unit without a priority hook
- *    (issued_count, _greedy, _last_id), cached in UnitC;
+ *  - the GTO/LRR rotation state of each unit (issued_count, _greedy,
+ *    _last_id), cached in UnitC;
  *  - the scoreboard completion heap, a C array of (done, wid, reg)
  *    built at run start from the rows: one entry per resident warp's
  *    row[reg] > cycle.  Expiry drops only entries <= cycle and the
@@ -25,11 +25,13 @@
  * wakeup drain, the sanitizer and observer tail hooks — and at every
  * exit, a hook that raises included.  After a re-entry the rotation
  * state is read back before the loop next uses it: a CTA retire calls
- * notify_removed.  Units with a priority hook (kind 2, OWF) keep their
- * Python pick/notify_issued.  Between re-entries the loop allocates no
- * Python object and writes no Python attribute on its per-cycle and
- * per-issue path, except the RNG streams, the trip dicts and the
- * memory model's in-flight dict, which stay Python objects.
+ * notify_removed.  Every pick and notify_issued runs here: a unit is
+ * GTO or LRR, and GTO's priority (OWF's owner-warp-first) is per-slot
+ * bits in an array('l'); anything else is refused with TypeError at
+ * run start, never run as plain GTO.  Between re-entries the loop
+ * allocates no Python object and writes no Python attribute on its
+ * per-cycle and per-issue path, except the RNG streams, the trip dicts
+ * and the memory model's in-flight dict, which stay Python objects.
  *
  * Buffer contract.  The state the loop touches every cycle is
  * array('l') memory that Python reads and writes too: the pc, wake,
@@ -37,12 +39,12 @@
  * scoreboard row, each unit's counts (sleeper classes, blocked counts
  * and the queue lengths) and its ready, sleeper and far queues, the
  * MemoryModel's _counters (_in_flight_total, _next_retire with -1 for
- * None, loads_issued, l1_hits) and a technique's native_gate()
- * declaration.  The queues hold slots (thresholds, for far), ordered
- * through the wid and wake columns; a warp sits in at most one queue,
- * so each is sized for every slot up front.  The loop takes one
- * writable buffer per object for the whole run (rows are cached per
- * slot by the row object's identity, so new_warp's fresh row is
+ * None, loads_issued, l1_hits), GTO's priority bits and a technique's
+ * native_gate() declaration.  The queues hold slots (thresholds, for
+ * far), ordered through the wid and wake columns; a warp sits in at
+ * most one queue, so each is sized for every slot up front.  The loop
+ * takes one writable buffer per object for the whole run (rows are
+ * cached per slot by the row object's identity, so new_warp's fresh row is
  * re-taken), reads and writes them as plain longs, and releases every
  * buffer on every exit: a finished run, each STOP_* code and a hook
  * that raises.  A buffer whose items are not C longs is refused with
@@ -58,9 +60,15 @@
  * earliest_completion.  Every re-entry sets
  * py_ran, and wakeup_pending is drained only on a cycle that follows
  * one: only Python code can queue a wakeup.  A technique whose gate is
- * data (RfvSmState.native_gate) is not re-entered for can_issue or
- * on_issue at all, unless a wrapper overrides the hook; the wrapper's
- * call then reaches the same buffers.  Everything else (qualification
+ * data is not re-entered for the hooks it declares, unless a wrapper
+ * overrides the hook; the wrapper's call then reaches the same buffers.
+ * RFV (RfvSmState.native_gate) declares can_issue and on_issue.  OWF
+ * (OwfSmState.native_gate) declares can_issue: a native warp registers
+ * at its first qualification and may issue, so may an owner or a warp
+ * off the shared registers, and only an extra warp's first shared
+ * access calls OwfSmState.can_issue, which picks the partner and parks
+ * the warp on the acquire-blocked path until the wakeup drain re-arms
+ * it: at most once per extra warp.  Everything else (qualification
  * in launch order, scoreboard pending-maxima, the stock MemoryModel's
  * issue_load/retire, sleeper fast-forward, stall attribution) runs as
  * plain C.  sm.py calls in only with a stock MemoryModel and raises
@@ -138,6 +146,10 @@
 #define RFV_PEAK_POOL_USE 2
 #define RFV_POOL_CAPACITY 3
 #define RFV_NEXT_ORDER 4
+/* The tags of a native_gate() declaration (repro.baselines.rfv,
+ * repro.baselines.owf). */
+#define GATE_RFV 1
+#define GATE_OWF 2
 
 #define TRIP_NONE LONG_MIN
 #define U64_MASK 0xFFFFFFFFFFFFFFFFULL
@@ -152,7 +164,7 @@ static PyObject *S_state, *S_warp_id, *S_slot, *S_cta_id, *S_status,
     *S_ctas_pending, *S_arrive_at_barrier,
     *S_kind, *S_lat, *S_tgt, *S_trip, *S_prob, *S_dsts,
     *S_regs, *S_insts, *S_units, *S_sched, *S_ready, *S_sleepers, *S_far,
-    *S_pick, *S_notify_issued, *S_hot, *S_columnar, *S_memory,
+    *S_priority_a, *S_can_issue, *S_hot, *S_columnar, *S_memory,
     *S_earliest_completion, *S_technique, *S_sanitizer_a,
     *S_observer_a, *S_stats, *S_resident_ctas,
     *S_ctas_by_id, *S_columnar_on_exit, *S_config,
@@ -363,14 +375,18 @@ done:
 
 typedef struct {
     PyObject *unit, *sched;
-    PyObject *sched_pick, *sched_notify; /* kind 2 only */
     long *counts;                        /* ColumnarUnit.counts */
     /* ColumnarUnit.ready (slots by warp id), .sleepers (a heap of slots
      * by (wake, warp id)) and .far (a heap of thresholds); lengths in
      * counts[U_NREADY..U_NFAR]. */
     long *ready, *sleepers, *far;
+    /* 0: GTO, 1: LRR (ColumnarUnit.kind). */
     long kind;
-    /* Rotation state of a kind 0/1 scheduler between re-entries:
+    /* GTO's priority bits per slot (GtoScheduler._priority), NULL for
+     * none: when any candidate's bit is set, the pick is made among
+     * those candidates (OWF's owner-warp-first). */
+    long *prio;
+    /* Rotation state of the scheduler between re-entries:
      * issued_count, GTO's _greedy (a strong reference, NULL for None,
      * and its warp id, -1 for None) and LRR's _last_id.  `dirty`: the
      * loop changed it since the last publish; `synced`: the epoch it
@@ -387,11 +403,19 @@ typedef struct {
     long done, wid, reg, slot;
 } SbEntry;
 
-/* RfvSmState.native_gate(): (live_count, held, owner, order, pool). */
+/* RfvSmState.native_gate(): (GATE_RFV, live_count, held, owner, order,
+ * pool). */
 typedef struct {
     long *live, *held, *owner, *order, *pool;
     Py_ssize_t npc, nslots;
 } RfvGate;
+
+/* OwfSmState.native_gate(): (GATE_OWF, touches, native, owner, order,
+ * next_order). */
+typedef struct {
+    long *touches, *native, *owner, *order, *next_order;
+    Py_ssize_t npc, nslots;
+} OwfGate;
 
 typedef struct {
     PyObject *sm;
@@ -404,7 +428,10 @@ typedef struct {
     PyObject *tech, *tech_can_issue, *tech_on_issue, *tech_wakeup,
         *tech_try_acquire, *tech_release;
     RfvGate rfv;
-    int gate_can, gate_on;      /* the RFV gate replaces can_issue/on_issue */
+    OwfGate owf;
+    /* The GATE_* tag of the declaration that replaces can_issue /
+     * on_issue, 0 for none. */
+    long gate_can, gate_on;
     PyObject *san_on_issue, *san_on_cycle;       /* NULL: no sanitizer */
     PyObject *observer;                          /* NULL: no observer */
     PyObject *obs_on_cycle, *obs_on_run_end;
@@ -516,7 +543,7 @@ enter_py(RunState *S)
 #define PYCALL(S, ...) \
     (enter_py(S) < 0 ? NULL : PyObject_CallFunctionObjArgs(__VA_ARGS__, NULL))
 
-/* Read a kind 0/1 unit's rotation state back if Python ran since the
+/* Read a unit's rotation state back if Python ran since the
  * loop last read it (it never is dirty then: enter_py published it). */
 static int
 sync_unit(RunState *S, UnitC *u)
@@ -564,7 +591,8 @@ runstate_free(RunState *S)
     Py_XDECREF(S->core); Py_XDECREF(S->hot);
     Py_XDECREF(S->memory); Py_XDECREF(S->mem_earliest);
     Py_XDECREF(S->mem_rng); Py_XDECREF(S->mem_in_flight);
-    Py_XDECREF(S->tech); Py_XDECREF(S->tech_try_acquire);
+    Py_XDECREF(S->tech); Py_XDECREF(S->tech_can_issue);
+    Py_XDECREF(S->tech_on_issue); Py_XDECREF(S->tech_try_acquire);
     Py_XDECREF(S->tech_release); Py_XDECREF(S->tech_wakeup);
     Py_XDECREF(S->san_on_issue); Py_XDECREF(S->san_on_cycle);
     Py_XDECREF(S->observer); Py_XDECREF(S->obs_on_cycle);
@@ -588,7 +616,6 @@ runstate_free(RunState *S)
         for (int i = 0; i < S->nunits; i++) {
             UnitC *u = &S->units[i];
             Py_XDECREF(u->unit); Py_XDECREF(u->sched);
-            Py_XDECREF(u->sched_pick); Py_XDECREF(u->sched_notify);
             Py_XDECREF(u->greedy);
         }
         PyMem_Free(S->units);
@@ -830,12 +857,15 @@ slot_row(RunState *S, Py_ssize_t slot)
 
 /* ---- RFV issue gate (RfvSmState.can_issue / on_issue as data) -------- */
 
+/* A gate's per-pc and per-slot buffers cover `pc` and `slot`. */
 static int
-rfv_check(RunState *S, long slot, long pc)
+gate_check(const char *gate, Py_ssize_t npc, Py_ssize_t nslots, long slot,
+           long pc)
 {
-    if (pc < 0 || pc >= S->rfv.npc || slot < 0 || slot >= S->rfv.nslots) {
+    if (pc < 0 || pc >= npc || slot < 0 || slot >= nslots) {
         PyErr_Format(PyExc_IndexError,
-                     "RFV gate: pc %ld or slot %ld out of range", pc, slot);
+                     "%s gate: pc %ld or slot %ld out of range", gate, pc,
+                     slot);
         return -1;
     }
     return 0;
@@ -846,7 +876,7 @@ static int
 rfv_can_issue(RunState *S, long slot, long wid, long pc)
 {
     RfvGate *g = &S->rfv;
-    if (rfv_check(S, slot, pc) < 0)
+    if (gate_check("RFV", g->npc, g->nslots, slot, pc) < 0)
         return -1;
     long needed = g->live[pc] - g->held[slot];
     if (needed <= 0 || g->pool[RFV_POOL_FREE] >= needed)
@@ -863,7 +893,7 @@ static int
 rfv_on_issue(RunState *S, long slot, long wid, long pc, long kind)
 {
     RfvGate *g = &S->rfv;
-    if (rfv_check(S, slot, pc) < 0)
+    if (gate_check("RFV", g->npc, g->nslots, slot, pc) < 0)
         return -1;
     long *pool = g->pool;
     long demand = g->live[pc];
@@ -882,13 +912,38 @@ rfv_on_issue(RunState *S, long slot, long wid, long pc, long kind)
     return 0;
 }
 
+/* ---- OWF issue gate (OwfSmState.can_issue as data) ------------------ */
+
+/* 1: may issue, 0: an extra warp's first shared access, which only the
+ * Python hook decides (partner pick and wait), -1: error. */
+static int
+owf_can_issue(RunState *S, long slot, long pc)
+{
+    OwfGate *g = &S->owf;
+    if (gate_check("OWF", g->npc, g->nslots, slot, pc) < 0)
+        return -1;
+    if (g->native[slot]) {
+        /* The first qualification registers the native. */
+        if (g->order[slot] < 0)
+            g->order[slot] = g->next_order[0]++;
+        return 1;
+    }
+    return g->owner[slot] || !g->touches[pc];
+}
+
 /* The technique's issue gate for the warp at `slot`: the declared gate,
  * the bound Python can_issue, or none.  1 / 0 / -1 as rfv_can_issue. */
 static int
 tech_can_issue(RunState *S, KCache *kc, long slot, long wid, long pc)
 {
-    if (S->gate_can)
+    if (S->gate_can == GATE_RFV)
         return rfv_can_issue(S, slot, wid, pc);
+    if (S->gate_can == GATE_OWF) {
+        int ok = owf_can_issue(S, slot, pc);
+        if (ok != 0)
+            return ok;
+        /* Falls through to OwfSmState.can_issue. */
+    }
     if (S->tech_can_issue == NULL)
         return 1;
     PyObject *r = PYCALL(S, S->tech_can_issue,
@@ -905,7 +960,7 @@ static int
 tech_on_issue(RunState *S, KCache *kc, PyObject *view, long slot, long wid,
               long pc)
 {
-    if (S->gate_on)
+    if (S->gate_on == GATE_RFV)
         return rfv_on_issue(S, slot, wid, pc, kc->kind[pc]);
     if (S->tech_on_issue == NULL)
         return 0;
@@ -1124,12 +1179,12 @@ runstate_setup(RunState *S, PyObject *sm,
     /* A tuple is the technique's native_gate() declaration (see
      * sm._hook_bindings); the C gate then runs in place of the hook. */
     PyObject *gate = NULL;
-    if (PyTuple_Check(can_issue)) {
+    if (PyTuple_Check(can_issue))
         gate = can_issue;
-        S->gate_can = 1;
-    }
-    else if (can_issue != Py_None)
+    else if (can_issue != Py_None) {
+        Py_INCREF(can_issue);
         S->tech_can_issue = can_issue;
+    }
     if (PyTuple_Check(on_issue)) {
         if (gate != NULL && gate != on_issue) {
             PyErr_SetString(PyExc_TypeError,
@@ -1137,10 +1192,31 @@ runstate_setup(RunState *S, PyObject *sm,
             return -1;
         }
         gate = on_issue;
-        S->gate_on = 1;
     }
-    else if (on_issue != Py_None)
+    else if (on_issue != Py_None) {
+        Py_INCREF(on_issue);
         S->tech_on_issue = on_issue;
+    }
+    long gate_kind = 0;
+    if (gate != NULL) {
+        if (!PyTuple_CheckExact(gate) || PyTuple_GET_SIZE(gate) != 6) {
+            PyErr_SetString(PyExc_TypeError,
+                            "native_gate(): expected a tag and five buffers");
+            return -1;
+        }
+        gate_kind = PyLong_AsLong(PyTuple_GET_ITEM(gate, 0));
+        if (gate_kind == -1 && PyErr_Occurred())
+            return -1;
+        if (gate_kind != GATE_RFV && gate_kind != GATE_OWF) {
+            PyErr_Format(PyExc_TypeError, "native_gate(): unknown tag %ld",
+                         gate_kind);
+            return -1;
+        }
+        if (PyTuple_Check(can_issue))
+            S->gate_can = gate_kind;
+        if (PyTuple_Check(on_issue))
+            S->gate_on = gate_kind;
+    }
     S->tech_wakeups = wakeups;
     S->py_ran = 1;
 
@@ -1209,6 +1285,14 @@ runstate_setup(RunState *S, PyObject *sm,
     S->tech_release = PyObject_GetAttr(S->tech, S_release);
     if (!S->tech_try_acquire || !S->tech_release)
         return -1;
+    /* The OWF gate calls the technique's can_issue back for what its
+     * data cannot decide (no wrapper overrides it, or it would be bound
+     * in place of the gate). */
+    if (S->gate_can == GATE_OWF) {
+        S->tech_can_issue = PyObject_GetAttr(S->tech, S_can_issue);
+        if (S->tech_can_issue == NULL)
+            return -1;
+    }
     if (S->tech_wakeups) {
         S->tech_wakeup = PyObject_GetAttr(S->tech, S_wakeup_pending);
         if (S->tech_wakeup == NULL)
@@ -1337,14 +1421,6 @@ runstate_setup(RunState *S, PyObject *sm,
             Py_DECREF(units_list);
             return -1;
         }
-        if (u->kind == 2) {
-            u->sched_pick = PyObject_GetAttr(u->sched, S_pick);
-            u->sched_notify = PyObject_GetAttr(u->sched, S_notify_issued);
-            if (!u->sched_pick || !u->sched_notify) {
-                Py_DECREF(units_list);
-                return -1;
-            }
-        }
     }
     Py_DECREF(units_list);
 
@@ -1358,9 +1434,9 @@ runstate_setup(RunState *S, PyObject *sm,
     S->keep = PyMem_Calloc(cap1, sizeof(long));
     S->issued = PyMem_Calloc(S->issue_width > 0 ? S->issue_width : 1,
                              sizeof(long));
-    /* 8 columns, four arrays per unit (counts and three queues), the
-     * memory counters and at most 5 gate arrays. */
-    S->bufcap = 8 + 4 * S->nunits + 1 + 5;
+    /* 8 columns, five arrays per unit (counts, three queues and GTO's
+     * priority bits), the memory counters and at most 5 gate arrays. */
+    S->bufcap = 8 + 5 * S->nunits + 1 + 5;
     S->bufs = PyMem_Calloc(S->bufcap, sizeof(Py_buffer));
     if (S->slot_kc_obj == NULL || S->slot_kc == NULL || S->row_obj == NULL
         || S->row_buf == NULL || S->cand == NULL || S->keep == NULL
@@ -1403,6 +1479,20 @@ runstate_setup(RunState *S, PyObject *sm,
             if (*bufs[j] == NULL)
                 return -1;
         }
+        if (u->kind == 0) {
+            /* Not array('l') bits: refused (TypeError), never run as
+             * plain GTO. */
+            PyObject *prio = getattr_or_none(u->sched, S_priority_a);
+            if (prio == NULL && PyErr_Occurred())
+                return -1;
+            if (prio != NULL) {
+                u->prio = take_longs(S, prio, S->slot_cap, NULL,
+                                     "GtoScheduler priority bits");
+                Py_DECREF(prio);
+                if (u->prio == NULL)
+                    return -1;
+            }
+        }
         long *c = u->counts;
         if (c[U_NREADY] < 0 || c[U_NREADY] > S->slot_cap
             || c[U_NSLEEPERS] < 0 || c[U_NSLEEPERS] > S->slot_cap
@@ -1422,36 +1512,35 @@ runstate_setup(RunState *S, PyObject *sm,
         if (S->memc == NULL)
             return -1;
     }
-    if (gate != NULL) {
-        if (!PyTuple_CheckExact(gate) || PyTuple_GET_SIZE(gate) != 5) {
-            PyErr_SetString(PyExc_TypeError,
-                            "native_gate(): expected (live_count, held, "
-                            "owner, order, pool)");
-            return -1;
-        }
+    if (gate_kind == GATE_RFV) {
+        /* (tag, per pc, then three per slot, then the pool) */
         RfvGate *g = &S->rfv;
-        Py_ssize_t nheld, nowner, norder;
-        g->live = take_longs(S, PyTuple_GET_ITEM(gate, 0), 0, &g->npc,
-                             "gate live_count");
-        if (g->live == NULL)
+        if ((g->live = take_longs(S, PyTuple_GET_ITEM(gate, 1), 0, &g->npc,
+                                  "RFV live_count")) == NULL
+            || (g->held = take_longs(S, PyTuple_GET_ITEM(gate, 2), 0,
+                                     &g->nslots, "RFV held")) == NULL
+            || (g->owner = take_longs(S, PyTuple_GET_ITEM(gate, 3),
+                                      g->nslots, NULL, "RFV owner")) == NULL
+            || (g->order = take_longs(S, PyTuple_GET_ITEM(gate, 4),
+                                      g->nslots, NULL, "RFV order")) == NULL
+            || (g->pool = take_longs(S, PyTuple_GET_ITEM(gate, 5), 5, NULL,
+                                     "RFV pool")) == NULL)
             return -1;
-        g->held = take_longs(S, PyTuple_GET_ITEM(gate, 1), 0, &nheld,
-                             "gate held");
-        if (g->held == NULL)
+    }
+    else if (gate_kind == GATE_OWF) {
+        /* (tag, per pc, then three per slot, then next_order) */
+        OwfGate *g = &S->owf;
+        if ((g->touches = take_longs(S, PyTuple_GET_ITEM(gate, 1), 0,
+                                     &g->npc, "OWF touches")) == NULL
+            || (g->native = take_longs(S, PyTuple_GET_ITEM(gate, 2), 0,
+                                       &g->nslots, "OWF native")) == NULL
+            || (g->owner = take_longs(S, PyTuple_GET_ITEM(gate, 3),
+                                      g->nslots, NULL, "OWF owner")) == NULL
+            || (g->order = take_longs(S, PyTuple_GET_ITEM(gate, 4),
+                                      g->nslots, NULL, "OWF order")) == NULL
+            || (g->next_order = take_longs(S, PyTuple_GET_ITEM(gate, 5), 1,
+                                           NULL, "OWF next_order")) == NULL)
             return -1;
-        g->owner = take_longs(S, PyTuple_GET_ITEM(gate, 2), nheld, &nowner,
-                              "gate owner");
-        if (g->owner == NULL)
-            return -1;
-        g->order = take_longs(S, PyTuple_GET_ITEM(gate, 3), nheld, &norder,
-                              "gate order");
-        if (g->order == NULL)
-            return -1;
-        g->pool = take_longs(S, PyTuple_GET_ITEM(gate, 4), 5, NULL,
-                             "gate pool");
-        if (g->pool == NULL)
-            return -1;
-        g->nslots = nheld;
     }
 
     S->cycle = get_long_attr(sm, S_cycle, &err);
@@ -1678,19 +1767,32 @@ do_cycle(RunState *S, long cycle, long *issued_out)
         for (long wi = 0; wi < S->issue_width && ncand > 0; wi++) {
             long slot = -1;
             PyObject *view = NULL; /* owned */
-            if (u->kind == 0) { /* GTO, default priority */
+            if (u->kind == 0) { /* GTO (GtoScheduler.pick) */
                 if (sync_unit(S, u) < 0)
                     return -1;
+                /* With priority bits, only prioritized candidates are
+                 * eligible when there is one. */
+                const long *prio = u->prio;
+                if (prio != NULL) {
+                    long i = 0;
+                    while (i < ncand && !prio[cand[i]])
+                        i++;
+                    if (i == ncand)
+                        prio = NULL;
+                }
                 if (u->greedy_wid >= 0)
                     for (long i = 0; i < ncand; i++)
                         if (S->wid[cand[i]] == u->greedy_wid) {
-                            slot = cand[i];
+                            if (prio == NULL || prio[cand[i]])
+                                slot = cand[i];
                             break;
                         }
-                if (slot < 0) /* oldest: sorted */
-                    slot = cand[0];
+                /* oldest: sorted */
+                for (long i = 0; slot < 0; i++)
+                    if (prio == NULL || prio[cand[i]])
+                        slot = cand[i];
             }
-            else if (u->kind == 1) { /* LRR */
+            else { /* LRR */
                 if (sync_unit(S, u) < 0)
                     return -1;
                 for (long i = 0; i < ncand; i++)
@@ -1700,34 +1802,6 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                     }
                 if (slot < 0)
                     slot = cand[0];
-            }
-            else { /* priority hook: real pick over views */
-                PyObject *vl = PyList_New(ncand);
-                if (vl == NULL)
-                    return -1;
-                for (long i = 0; i < ncand; i++) {
-                    PyObject *v = PyList_GET_ITEM(S->views, cand[i]);
-                    Py_INCREF(v);
-                    PyList_SET_ITEM(vl, i, v);
-                }
-                PyObject *pick = PYCALL(S, u->sched_pick, vl);
-                Py_DECREF(vl);
-                if (pick == NULL)
-                    return -1;
-                if (pick == Py_None) {
-                    Py_DECREF(pick);
-                    break;
-                }
-                int err = 0;
-                slot = get_long_attr(pick, S_slot, &err);
-                Py_DECREF(pick);
-                if (err)
-                    return -1;
-                if (slot < 0 || slot >= S->slot_cap) {
-                    PyErr_Format(PyExc_IndexError,
-                                 "pick() chose a warp in slot %ld", slot);
-                    return -1;
-                }
             }
             long wid = S->wid[slot];
             KCache *kc = slot_kcache(S, slot);
@@ -1890,27 +1964,19 @@ do_cycle(RunState *S, long cycle, long *issued_out)
                 advance_pc(S, slot, pc + 1);
                 S->last_progress = cycle;
             }
-            /* notify_issued: in C for GTO/LRR, after a read-back (a CTA
-             * retire above may have cleared _greedy). */
-            if (u->kind == 2) {
-                PyObject *r = PYCALL(S, u->sched_notify, view);
-                if (r == NULL)
-                    goto pick_fail;
-                Py_DECREF(r);
+            /* notify_issued, after a read-back (a CTA retire above may
+             * have cleared _greedy). */
+            if (sync_unit(S, u) < 0)
+                goto pick_fail;
+            u->issued_count += 1;
+            if (u->kind == 0) {
+                Py_INCREF(view);
+                Py_XSETREF(u->greedy, view);
+                u->greedy_wid = wid;
             }
-            else {
-                if (sync_unit(S, u) < 0)
-                    goto pick_fail;
-                u->issued_count += 1;
-                if (u->kind == 0) {
-                    Py_INCREF(view);
-                    Py_XSETREF(u->greedy, view);
-                    u->greedy_wid = wid;
-                }
-                else
-                    u->last_id = wid;
-                u->dirty = 1;
-            }
+            else
+                u->last_id = wid;
+            u->dirty = 1;
             issued_this += 1;
             issued_here += 1;
             issued[nissued++] = slot;
@@ -2307,8 +2373,8 @@ intern_all(void)
     IN(S_ready, "ready");
     IN(S_sleepers, "sleepers");
     IN(S_far, "far");
-    IN(S_pick, "pick");
-    IN(S_notify_issued, "notify_issued");
+    IN(S_priority_a, "_priority");
+    IN(S_can_issue, "can_issue");
     IN(S_hot, "hot");
     IN(S_columnar, "_columnar");
     IN(S_memory, "memory");
@@ -2376,8 +2442,9 @@ PyInit__native(void)
     EXPORT(M_L1_HITS)
     EXPORT(RFV_POOL_FREE) EXPORT(RFV_RESERVE_HOLDER) EXPORT(RFV_PEAK_POOL_USE)
     EXPORT(RFV_POOL_CAPACITY) EXPORT(RFV_NEXT_ORDER)
+    EXPORT(GATE_RFV) EXPORT(GATE_OWF)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 8) < 0
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 9) < 0
         || PyModule_AddStringConstant(m, "SOURCE_DIGEST",
                                       REPRO_NATIVE_SOURCE_DIGEST) < 0) {
         Py_DECREF(m);

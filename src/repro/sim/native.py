@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 SOURCE = Path(__file__).resolve().parent / "csrc" / "nativemodule.c"
-NATIVE_ABI = 8
+NATIVE_ABI = 9
 # A hung compiler must not hang the simulation forever.
 BUILD_TIMEOUT_S = 600
 
@@ -57,8 +57,9 @@ _CONST_NAMES = {
     ),
     "repro.baselines.rfv": (
         "RFV_POOL_FREE", "RFV_RESERVE_HOLDER", "RFV_PEAK_POOL_USE",
-        "RFV_POOL_CAPACITY", "RFV_NEXT_ORDER",
+        "RFV_POOL_CAPACITY", "RFV_NEXT_ORDER", "GATE_RFV",
     ),
+    "repro.baselines.owf": ("GATE_OWF",),
 }
 
 

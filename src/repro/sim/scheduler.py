@@ -12,14 +12,18 @@ sequence number).
 LRR: rotate through warps in id order starting after the last issued.
 
 The OWF baseline (Jatala et al.) adds *owner-warp-first* on top of GTO:
-warps holding the pair lock outrank everyone else, a priority hook that
-the technique state declares (``OwfSmState.scheduler_priority``) and the
-SM passes to :func:`make_scheduler`.
+warps holding the pair lock outrank everyone else.  The technique state
+declares it as per-slot priority bits (``OwfSmState.scheduler_priority``,
+its lock-owner bits), which the SM passes to :func:`make_scheduler`.
+The bits are data, so the columnar engine's C loop evaluates the same
+rule without calling back into Python; :meth:`GtoScheduler.pick` is its
+reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from array import array
+from typing import Optional, Sequence
 
 from repro.sim.warp import Warp
 
@@ -57,54 +61,40 @@ def _by_warp_id(warp: Warp) -> int:
 
 
 class GtoScheduler(WarpScheduler):
-    """Greedy-then-oldest with an optional priority hook.
+    """Greedy-then-oldest, optionally ranking prioritized warps first.
 
-    ``priority`` maps a warp to a sort key *before* the greedy/oldest
-    rule; lower sorts first.  The default gives every warp equal priority.
+    ``priority`` is None or an ``array('l')`` with one entry per warp
+    slot: when any candidate's entry is nonzero, the pick is made among
+    those candidates only.  It is data, not a callable, so the columnar
+    engine's C loop reads the same bits; this :meth:`pick` is the rule's
+    Python reference, which the scan stepper runs.
     """
 
-    def __init__(
-        self,
-        scheduler_id: int,
-        priority: Callable[[Warp], int] | None = None,
-    ) -> None:
+    def __init__(self, scheduler_id: int, priority: array | None = None) -> None:
         super().__init__(scheduler_id)
+        if priority is not None and not (
+            isinstance(priority, array) and priority.typecode == "l"
+        ):
+            raise TypeError(
+                "GTO priority must be per-slot bits in an array('l'), not "
+                f"{type(priority).__name__}"
+            )
         self._greedy: Optional[Warp] = None
-        # With no hook every warp ties at priority 0; the single-pass
-        # partition below would only rediscover ``top == candidates``,
-        # so the common case (no OWF-style hook installed) skips it —
-        # this is on the per-cycle issue path.
-        self._default_priority = priority is None
-        self._priority = priority or (lambda w: 0)
-        # Persistent top-tier scratch: no per-pick list allocation.
-        self._top: list[Warp] = []
+        self._priority = priority
 
     def pick(self, candidates: Sequence[Warp]) -> Optional[Warp]:
         if not candidates:
             return None
-        if self._default_priority:
-            greedy = self._greedy
-            if greedy is not None and greedy in candidates:
-                return greedy
-            return min(candidates, key=_by_warp_id)
-        # Single pass: the hook runs exactly once per candidate (OWF's
-        # hook is pure but hooks are user-supplied — don't assume).
-        priority = self._priority
-        top = self._top
-        top.clear()
-        best_priority: int | None = None
-        for w in candidates:
-            p = priority(w)
-            if best_priority is None or p < best_priority:
-                best_priority = p
-                top.clear()
-                top.append(w)
-            elif p == best_priority:
-                top.append(w)
-        if self._greedy is not None and self._greedy in top:
-            return self._greedy
+        bits = self._priority
+        if bits is not None:
+            top = [w for w in candidates if bits[w.slot]]
+            if top:
+                candidates = top
+        greedy = self._greedy
+        if greedy is not None and greedy in candidates:
+            return greedy
         # Oldest = smallest warp id (ids are assigned in launch order).
-        return min(top, key=_by_warp_id)
+        return min(candidates, key=_by_warp_id)
 
     def notify_issued(self, warp: Warp) -> None:
         self.issued_count += 1
@@ -158,13 +148,13 @@ class LrrScheduler(WarpScheduler):
 def make_scheduler(
     policy: str,
     scheduler_id: int,
-    priority: Callable[[Warp], int] | None = None,
+    priority: array | None = None,
 ) -> WarpScheduler:
     """Factory keyed by the config's ``scheduler_policy`` string."""
     if policy == "gto":
         return GtoScheduler(scheduler_id, priority=priority)
     if policy == "lrr":
         if priority is not None:
-            raise ValueError("priority hook is only supported for GTO")
+            raise ValueError("priority bits are only supported for GTO")
         return LrrScheduler(scheduler_id)
     raise ValueError(f"unknown scheduler policy {policy!r}")

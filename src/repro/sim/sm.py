@@ -292,6 +292,8 @@ class StreamingMultiprocessor:
                 self._allocate_slot(warp_id),
             ))
             self._next_warp_id += 1
+        for warp in warps:
+            self.technique.on_warp_launch(warp)
         if self._columnar is not None:
             for warp in warps:
                 self._columnar.add_warp(warp)
@@ -473,8 +475,8 @@ class StreamingMultiprocessor:
         None — ``wakeups`` to False — and the loop skips it without a
         call; one only the wrapped state implements binds that state's
         method, not the wrappers' forwarding ones — or, when the state
-        declares its gate as data (``native_gate``, RFV), binds that
-        declaration, which the loop evaluates without a call.
+        declares its gate as data (``native_gate``: RFV, OWF), binds
+        that declaration, which the loop evaluates in C.
         """
         tech = self.technique
         return (

@@ -29,17 +29,22 @@ class SmTechniqueState:
     tests simple).
     """
 
-    # The GTO scheduler's priority hook (``warp -> int``, lower issues
-    # first), or None for plain greedy-then-oldest.  The SM builds its
-    # schedulers from it, so a technique whose scheduling is part of its
-    # definition (OWF's owner-warp-first) carries that scheduling into
-    # every run of its state.
+    # The GTO scheduler's priority bits, or None for plain
+    # greedy-then-oldest: an ``array('l')`` with one entry per warp slot,
+    # where warps whose entry is nonzero issue first (OWF's lock owners).
+    # The SM builds its schedulers from it, so a technique whose
+    # scheduling is part of its definition (OWF's owner-warp-first)
+    # carries that scheduling into every run of its state, and both
+    # issue engines read the same bits.
     scheduler_priority = None
 
     def __init__(self, kernel: Kernel, config: GpuConfig, stats: SmStats) -> None:
         self.kernel = kernel
         self.config = config
         self.stats = stats
+
+    def on_warp_launch(self, warp: Warp) -> None:
+        """The warp became resident (CTA launch), in launch order."""
 
     def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
         """Technique-specific issue gate (beyond scoreboard/memory)."""
@@ -66,8 +71,11 @@ class SmTechniqueState:
         and ``on_issue`` over exactly these buffers (each an
         ``array('l')`` the Python hooks read and write too), so the loop
         binds the declaration instead of calling the method
-        (:func:`resolve_gate`).  The layout is the C loop's; RFV is the
-        one technique that declares one.
+        (:func:`resolve_gate`).  The layout is the C loop's: a tag
+        (``GATE_RFV``, ``GATE_OWF``) and the technique's buffers.  RFV
+        declares ``can_issue`` and ``on_issue``; OWF declares
+        ``can_issue``, whose C form calls the Python method back only
+        for an extra warp's first shared access.
         """
         return None
 
@@ -158,6 +166,9 @@ class DelegatingTechniqueState(SmTechniqueState):
     @property
     def scheduler_priority(self):
         return self.inner.scheduler_priority
+
+    def on_warp_launch(self, warp: Warp) -> None:
+        self.inner.on_warp_launch(warp)
 
     def can_issue(self, warp: Warp, inst: Instruction, cycle: int) -> bool:
         return self.inner.can_issue(warp, inst, cycle)

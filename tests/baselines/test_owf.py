@@ -3,9 +3,10 @@
 import pytest
 
 from repro.arch.config import GTX480, fermi_like
-from repro.baselines.owf import OwfSmState, OwfTechnique, owf_priority, _extra_ctas
+from repro.baselines.owf import OwfSmState, OwfTechnique, _extra_ctas
 from repro.isa.instructions import Instruction, Opcode
 from repro.sim.rand import DeterministicRng
+from repro.sim.scheduler import GtoScheduler
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import BaselineTechnique
@@ -23,8 +24,10 @@ def _state(base_ctas=2, extra_ctas=1, threshold_kernel=None):
     return OwfSmState(kernel, GTX480, stats, base_ctas, extra_ctas), stats
 
 
-def _warp(wid, cta):
+def _warp(state, wid, cta):
+    """A warp in slot ``wid``, launched on ``state``'s SM."""
     w = Warp(wid, cta, straightline_kernel(), DeterministicRng(wid))
+    state.on_warp_launch(w)
     return w
 
 
@@ -39,21 +42,24 @@ def _base_inst():
 class TestOwfState:
     def test_native_warps_own_from_launch(self):
         state, _ = _state()
-        native = _warp(0, cta=0)
+        native = _warp(state, 0, cta=0)
+        assert native.owns_pair_lock and state.owner[native.slot]
+        assert state._natives == {}
         assert state.can_issue(native, _shared_inst(), 0)
-        assert native.owns_pair_lock
+        assert state._natives == {0: native}
 
     def test_extra_warp_free_in_base_region(self):
         state, _ = _state(base_ctas=2, extra_ctas=1)
-        extra = _warp(10, cta=2)  # cta 2 >= base 2 -> extra
+        extra = _warp(state, 10, cta=2)  # cta 2 >= base 2 -> extra
         assert state.is_extra(extra)
+        assert not extra.owns_pair_lock
         assert state.can_issue(extra, _base_inst(), 0)
 
     def test_extra_warp_blocks_on_shared_access(self):
         state, stats = _state(base_ctas=2, extra_ctas=1)
-        native = _warp(0, cta=0)
+        native = _warp(state, 0, cta=0)
         state.can_issue(native, _base_inst(), 0)  # registers the native
-        extra = _warp(10, cta=2)
+        extra = _warp(state, 10, cta=2)
         assert not state.can_issue(extra, _shared_inst(), 5)
         assert extra.status is WarpStatus.WAITING_ACQUIRE
         assert stats.acquire_attempts == 1
@@ -61,26 +67,31 @@ class TestOwfState:
 
     def test_partner_finish_unblocks_extra(self):
         state, stats = _state(base_ctas=1, extra_ctas=1)
-        native = _warp(0, cta=0)
+        native = _warp(state, 0, cta=0)
         state.can_issue(native, _base_inst(), 0)
-        extra = _warp(10, cta=1)
+        extra = _warp(state, 10, cta=1)
         state.can_issue(extra, _shared_inst(), 5)
         state.on_warp_finish(native, 50)
         assert state.wakeup_pending() == [extra]
-        assert extra.owns_pair_lock
+        assert extra.owns_pair_lock and state.owner[extra.slot]
         assert stats.acquire_successes == 1
         assert stats.acquire_wait_cycles == 45
 
     def test_extra_owns_when_no_native_alive(self):
         state, _ = _state(base_ctas=1, extra_ctas=1)
-        extra = _warp(10, cta=1)
+        extra = _warp(state, 10, cta=1)
         assert state.can_issue(extra, _shared_inst(), 0)
-        assert extra.owns_pair_lock
+        assert extra.owns_pair_lock and state.owner[extra.slot]
 
     def test_priority_prefers_owners(self):
-        owner, waiter = _warp(0, 0), _warp(1, 1)
-        owner.owns_pair_lock = True
-        assert owf_priority(owner) < owf_priority(waiter)
+        """The state's owner bits are its schedulers' priority: the
+        native (an owner) outranks the older-greedy extra warp."""
+        state, _ = _state(base_ctas=1, extra_ctas=1)
+        extra, native = _warp(state, 1, cta=1), _warp(state, 2, cta=0)
+        assert state.scheduler_priority is state.owner
+        sched = GtoScheduler(0, priority=state.scheduler_priority)
+        sched.notify_issued(extra)
+        assert sched.pick([extra, native]) is native
 
 
 class TestOwfTechnique:
@@ -121,7 +132,7 @@ class TestOwfTechnique:
 
     def test_owner_warp_first_needs_gto(self):
         """The SM builds its schedulers from the state's owner-warp-first
-        hook, which only GTO takes: an OWF state on LRR fails at SM
+        bits, which only GTO takes: an OWF state on LRR fails at SM
         construction instead of running without OWF's scheduling."""
         config = fermi_like(num_sms=1, scheduler_policy="lrr")
         kernel = straightline_kernel()
@@ -133,3 +144,28 @@ class TestOwfTechnique:
                 ctas_resident_limit=1, total_ctas=1,
                 rng=DeterministicRng(1), stats=stats,
             )
+
+
+class TestOwfNativeGate:
+    """OWF's gate and owner-warp-first pick as the C loop runs them:
+    over the state's buffers, with extra warps blocking on live
+    natives, equal to the scan stepper field for field."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_c_gate_equals_scan_with_blocking_extras(self, seed):
+        from tests.sim.test_engine_identity import (
+            _OWF_CONTENDED,
+            _all_paths,
+            _config,
+            _owf_contended_kernel,
+            _owf_contended_state,
+        )
+
+        scan, native = _all_paths(
+            _owf_contended_kernel(seed), _config(scheduler_policy="gto"),
+            _owf_contended_state, **_OWF_CONTENDED,
+        )
+        assert native == scan
+        stats = scan[1]
+        assert 0 < stats["acquire_attempts"] == stats["acquire_successes"]
+

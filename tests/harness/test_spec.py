@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.arch.config import GTX480, GpuConfig
-from repro.baselines.owf import OwfSmState, OwfTechnique, owf_priority
+from repro.baselines.owf import OwfSmState, OwfTechnique
 from repro.harness import experiments as E
 from repro.harness.runner import RunRecord
 from repro.harness.spec import (
@@ -18,7 +18,9 @@ from repro.harness.spec import (
     TechniqueSpec,
 )
 from repro.regmutex.issue_logic import RegMutexTechnique
+from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState
+from tests.conftest import straightline_kernel
 
 
 def _record(name="k", config="c", technique="baseline", cycles=1000):
@@ -53,7 +55,9 @@ class TestTechniqueSpec:
         """OWF's owner-warp-first pick is declared by its per-SM state,
         which every front end builds through the technique."""
         assert isinstance(TechniqueSpec.of("owf").build(), OwfTechnique)
-        assert OwfSmState.scheduler_priority is owf_priority
+        state = OwfSmState(straightline_kernel(), GTX480, SmStats(),
+                           base_ctas=1, extra_ctas=1)
+        assert state.scheduler_priority is state.owner
         assert SmTechniqueState.scheduler_priority is None
         assert not hasattr(TechniqueSpec, "scheduler_priority")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,10 @@ from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from tests.sim.test_engine_identity import (
+    _OWF_CONTENDED,
     _acquire_kernel,
+    _owf_contended_kernel,
+    _owf_contended_state,
     _random_kernel,
     needs_native,
 )
@@ -49,39 +53,56 @@ TECHNIQUE_SCHED = (
 )
 
 # (kernel, technique, scheduler, SM overrides): the technique matrix,
-# the SRP-parking acquire kernel, and random kernels whose stops catch
+# the SRP-parking acquire kernel, random kernels whose stops catch
 # sleepers on a saturated load window (108) and barrier-blocked warps
-# (111).
+# (111), and OWF with extra warps parked on their partners.
 IDENTITY_CASES = (
     *((3, t, s, {}) for t, s in TECHNIQUE_SCHED),
     ("acquire", "regmutex", "gto", {}),
     ("acquire", "regmutex-paired", "gto", {}),
     (108, "regmutex", "lrr", {"total": 16, "max_in_flight_loads": 2}),
     (111, "baseline", "gto", {"total": 16, "max_in_flight_loads": 4}),
+    ("owf-contended", "owf", "gto",
+     {"state": _owf_contended_state,
+      "resident": _OWF_CONTENDED["ctas_resident"]}),
 )
+
+
+def _kernel(kernel_id):
+    if kernel_id == "acquire":
+        return _acquire_kernel()
+    if kernel_id == "owf-contended":
+        return _owf_contended_kernel(1)
+    return _random_kernel(kernel_id)
 
 # Stops at 1/12 ... 11/12 of each run.
 STOPS = 12
 
 
 def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6,
-             **config_overrides):
+             state=None, resident=None, **config_overrides):
     """A fresh SM exactly as ``Gpu.launch`` would build it, on the issue
-    path ``engine`` names (one of ``ENGINES``)."""
+    path ``engine`` names (one of ``ENGINES``).  ``state`` builds the
+    technique state directly instead (with ``resident`` CTAs), for
+    setups the technique's occupancy rule does not reach."""
     issue_engine = "columnar" if engine == "native" else engine
     config = fermi_like(num_sms=1, issue_engine=issue_engine,
                         scheduler_policy=sched, **config_overrides)
-    technique = _TECHNIQUES[technique_kind]()
-    try:
-        compiled = technique.prepare_kernel(kernel, config)
-    except ValueError:
-        compiled = kernel  # pre-instrumented acquire kernel
-    occ = technique.occupancy(compiled, config)
     stats = SmStats()
-    state = technique.make_sm_state(compiled, config, stats)
+    if state is not None:
+        compiled = kernel
+        state = state(kernel, config, stats)
+    else:
+        technique = _TECHNIQUES[technique_kind]()
+        try:
+            compiled = technique.prepare_kernel(kernel, config)
+        except ValueError:
+            compiled = kernel  # pre-instrumented acquire kernel
+        resident = technique.occupancy(compiled, config).ctas_per_sm
+        state = technique.make_sm_state(compiled, config, stats)
     return StreamingMultiprocessor(
         sm_id=0, config=config, kernel=compiled, technique_state=state,
-        ctas_resident_limit=occ.ctas_per_sm, total_ctas=total,
+        ctas_resident_limit=resident, total_ctas=total,
         rng=DeterministicRng(seed * 1_000_003 + total),
         stats=stats,
     )
@@ -103,10 +124,7 @@ class TestSnapshotIdentity:
     def test_engines_snapshot_identically_at_each_stop(
         self, kernel_id, technique_kind, sched, overrides
     ):
-        kernel = (
-            _acquire_kernel() if kernel_id == "acquire"
-            else _random_kernel(kernel_id)
-        )
+        kernel = _kernel(kernel_id)
 
         def make(engine):
             return _make_sm(kernel, technique_kind, engine, sched,
@@ -143,10 +161,7 @@ class TestSegmentedRuns:
     def test_segmented_run_equals_uninterrupted(
         self, engine, kernel_id, technique_kind, sched, overrides
     ):
-        kernel = (
-            _acquire_kernel() if kernel_id == "acquire"
-            else _random_kernel(kernel_id)
-        )
+        kernel = _kernel(kernel_id)
         whole = _make_sm(kernel, technique_kind, engine, sched, **overrides)
         whole.run()
         expected = _final_state(whole)
@@ -174,10 +189,7 @@ class TestSegmentedRuns:
         fast-forward): scoreboard writes are then pending at every stop,
         so each fast-forward target comes from a heap built at a run's
         start."""
-        kernel = (
-            _acquire_kernel() if kernel_id == "acquire"
-            else _random_kernel(kernel_id)
-        )
+        kernel = _kernel(kernel_id)
         whole = _make_sm(kernel, technique_kind, engine, sched, **overrides)
         whole.run()
 
@@ -187,6 +199,39 @@ class TestSegmentedRuns:
                 sm.run(max_cycles=sm.cycle)
         sm.run()
         assert _final_state(sm) == _final_state(whole)
+
+    @needs_native
+    def test_contended_owf_payloads_agree_at_every_stop(self):
+        """OWF's pair locks, stopped at every cycle boundary on both
+        engines in lockstep: equal payloads at each stop, the natives'
+        registration order and every warp's owner bit included, while
+        extra warps wait on their partners and are granted."""
+        kernel_id, technique_kind, sched, overrides = IDENTITY_CASES[-1]
+        kernel = _kernel(kernel_id)
+        scan, native = (
+            _make_sm(kernel, technique_kind, engine, sched, **overrides)
+            for engine in ENGINES
+        )
+        seen_waiting = seen_granted = False
+        while not scan.done:
+            for sm in (scan, native):
+                with pytest.raises(CycleLimitExceededError):
+                    sm.run(max_cycles=sm.cycle)
+            payload = capture_sm(scan)
+            assert capture_sm(native) == payload
+            technique = payload["technique"]
+            assert technique["natives"] == list(scan.technique._natives)
+            seen_waiting |= bool(technique["waiting_on"])
+            seen_granted |= any(
+                warp["owns_pair_lock"]
+                for cta in payload["ctas"] for warp in cta["warps"]
+                if scan.technique.is_extra(
+                    SimpleNamespace(cta_id=cta["cta_id"]))
+            )
+        scan.run()
+        native.run()
+        assert _final_state(native) == _final_state(scan)
+        assert seen_waiting and seen_granted
 
 
 RFV_GOLDEN = Path(__file__).parent / "golden" / "rfv_checkpoint.json"

@@ -298,10 +298,42 @@ def _owf_state(kernel, config, stats):
     return OwfSmState(kernel, config, stats, base_ctas=1, extra_ctas=1)
 
 
+def _owf_contended_kernel(seed: int):
+    """A random kernel whose registers from 2 up are OWF's shared
+    portion, two warps per CTA: every extra warp's first shared access
+    blocks while a native is alive."""
+    return _random_kernel(seed).with_metadata(
+        threads_per_cta=64, base_set_size=2,
+    )
+
+
+def _owf_contended_state(kernel, config, stats):
+    """One native CTA per two extra CTAs: resident three at a time, four
+    extra warps contend for the two natives."""
+    return OwfSmState(kernel, config, stats, base_ctas=1, extra_ctas=2)
+
+
+# ctas_resident / total_ctas of the contended OWF runs.
+_OWF_CONTENDED = dict(ctas_resident=3, total_ctas=6)
+
+
+class _CountingCanIssue(DelegatingTechniqueState):
+    """A wrapper that overrides ``can_issue``: the loop must call it in
+    Python, and the wrapped state's hook reaches the same buffers."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = 0
+
+    def can_issue(self, warp, inst, cycle):
+        self.calls += 1
+        return self.inner.can_issue(warp, inst, cycle)
+
+
 class TestBaselineTechniqueIdentity:
-    """RFV runs its issue gate in C (``RfvSmState.native_gate``), OWF
-    calls its Python hooks and priority pick: both must equal scan field
-    for field."""
+    """RFV and OWF run their issue gates in C (``native_gate``), and OWF's
+    owner-warp-first pick reads the owner bits in C: both must equal
+    scan field for field."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("policy", ["gto", "lrr"])
@@ -317,6 +349,86 @@ class TestBaselineTechniqueIdentity:
             _random_kernel(seed), _config(scheduler_policy="gto"),
             _owf_state, ctas_resident=2, total_ctas=5,
         ))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_owf_contended_kernels_identical(self, seed):
+        """Extra warps block on their first shared access and are granted
+        when their partner finishes: the partner wait and the wakeup
+        path run, and every attempt is granted by the end."""
+        outcomes = _all_paths(
+            _owf_contended_kernel(seed), _config(scheduler_policy="gto"),
+            _owf_contended_state, **_OWF_CONTENDED,
+        )
+        _assert_identical(outcomes)
+        stats = outcomes[0][1]
+        assert stats["acquire_attempts"] >= 4
+        assert stats["acquire_successes"] == stats["acquire_attempts"]
+        assert stats["acquire_wait_cycles"] > 0
+
+    @needs_native
+    @pytest.mark.parametrize("seed", range(3))
+    def test_owf_wrapper_overriding_can_issue_reaches_the_buffers(self, seed):
+        """With ``can_issue`` overridden by a wrapper, the loop calls it
+        in Python on every qualification; the OWF hook under it reads and
+        writes the buffers the C gate would, so the run equals the
+        bare one, on both engines."""
+        kernel = _owf_contended_kernel(seed)
+        config = _config(scheduler_policy="gto", issue_engine="columnar")
+        bare = _run_sm(kernel, config, _owf_contended_state,
+                       **_OWF_CONTENDED)
+        assert bare.stats.acquire_attempts > 0
+
+        def wrapped(k, c, s):
+            return _CountingCanIssue(_owf_contended_state(k, c, s))
+
+        for engine in ("columnar", "scan"):
+            sm = _make_sm(kernel, dataclasses.replace(config,
+                                                      issue_engine=engine),
+                          wrapped, **_OWF_CONTENDED)
+            can_issue, _, _ = sm._hook_bindings()
+            assert can_issue == sm.technique.can_issue
+            sm.run()
+            assert sm.technique.calls > 0
+            assert _outcome(sm) == _outcome(bare)
+            assert (sm.technique.state_snapshot()
+                    == bare.technique.state_snapshot())
+
+    def test_plain_owf_binds_its_gate_and_priority(self):
+        sm = _make_sm(_owf_contended_kernel(0), _config(), _owf_contended_state,
+                      **_OWF_CONTENDED)
+        state = sm.technique
+        can_issue, on_issue, wakeups = sm._hook_bindings()
+        assert can_issue is state.native_gate()
+        assert on_issue is None and wakeups is True
+        assert all(s._priority is state.owner for s in sm.schedulers)
+        # Natives own from launch; extras do not until granted.
+        for cta in sm.resident_ctas:
+            for warp in cta.warps:
+                native = not state.is_extra(warp)
+                assert warp.owns_pair_lock is native
+                assert state.owner[warp.slot] == native
+
+    @needs_native
+    def test_unreadable_priority_is_refused_at_run_start(self):
+        """A GTO priority the C loop cannot read is refused with a
+        TypeError before any cycle runs, never run as plain GTO."""
+        sm = _make_sm(_owf_contended_kernel(0),
+                      _config(issue_engine="columnar"),
+                      _owf_contended_state, **_OWF_CONTENDED)
+        sm.schedulers[1]._priority = list(sm.technique.owner)
+        with pytest.raises(TypeError, match="priority bits"):
+            sm.run()
+        assert sm.cycle == 0 and sm.stats.instructions_issued == 0
+
+    def test_unknown_scheduler_is_refused_by_the_core(self):
+        from repro.sim.scheduler import GtoScheduler
+
+        class Youngest(GtoScheduler):
+            def pick(self, candidates):
+                return max(candidates, key=lambda w: w.warp_id, default=None)
+
+        with pytest.raises(TypeError, match="Youngest"):
+            ColumnarCore([Youngest(0)], _config())
 
     def test_plain_rfv_binds_no_python_gate(self):
         sm = _make_sm(_random_kernel(0), _config(**_RFV_TIGHT), RfvSmState,
@@ -399,6 +511,16 @@ class TestObservationIdentity:
         events = _assert_same_observations(
             _random_kernel(seed), config, state_factory,
             ctas_resident=2, total_ctas=5,
+        )
+        assert any(e.kind == "cta_retire" for e in events)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_contended_owf_observes_identically(self, seed):
+        """OWF with extra warps blocking on their partners: the observer
+        sees the same events and samples on both engines."""
+        events = _assert_same_observations(
+            _owf_contended_kernel(seed), _config(scheduler_policy="gto"),
+            _owf_contended_state, **_OWF_CONTENDED,
         )
         assert any(e.kind == "cta_retire" for e in events)
 
@@ -542,8 +664,12 @@ def _shared_arrays(sm):
                    for i, unit in enumerate(core.units)
                    for name in ("counts", "ready", "sleepers", "far")})
     arrays["memory._counters"] = sm.memory._counters
-    gate = sm.technique.native_gate() or ()
-    arrays.update({f"gate{i}": buf for i, buf in enumerate(gate)})
+    arrays.update({f"sched{i}.priority": sched._priority
+                   for i, sched in enumerate(sm.schedulers)
+                   if getattr(sched, "_priority", None) is not None})
+    # A declaration is its tag, then its buffers.
+    gate = sm.technique.native_gate() or (None,)
+    arrays.update({f"gate{i}": buf for i, buf in enumerate(gate[1:], 1)})
     return arrays
 
 

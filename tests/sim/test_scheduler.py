@@ -1,5 +1,7 @@
 """Tests for GTO and LRR warp schedulers."""
 
+from array import array
+
 import pytest
 
 from repro.sim.rand import DeterministicRng
@@ -11,6 +13,14 @@ from tests.conftest import straightline_kernel
 def _warps(n):
     kernel = straightline_kernel()
     return [Warp(i, 0, kernel, DeterministicRng(i)) for i in range(n)]
+
+
+def _bits(*set_slots, n=8):
+    """Per-slot priority bits with ``set_slots`` set."""
+    bits = array("l", [0]) * n
+    for slot in set_slots:
+        bits[slot] = 1
+    return bits
 
 
 class TestGto:
@@ -43,46 +53,42 @@ class TestGto:
         assert sched.pick(warps) is warps[0]
 
     def test_priority_hook_outranks_greedy(self):
-        """OWF's owner-first: priority 0 warps outrank the greedy warp."""
+        """OWF's owner-first: warps whose priority bit is set outrank
+        the greedy warp."""
         warps = _warps(4)
-        warps[3].owns_pair_lock = True
-        sched = GtoScheduler(0, priority=lambda w: 0 if w.owns_pair_lock else 1)
+        sched = GtoScheduler(0, priority=_bits(3))
         sched.notify_issued(warps[0])
         assert sched.pick(warps) is warps[3]
 
     def test_priority_ties_use_greedy_then_oldest(self):
         warps = _warps(4)
-        sched = GtoScheduler(0, priority=lambda w: 0)
-        sched.notify_issued(warps[1])
-        assert sched.pick(warps) is warps[1]
-        assert sched.pick([warps[2], warps[3]]) is warps[2]
-
-    def test_priority_hook_called_once_per_candidate(self):
-        """The hook runs exactly once per candidate per pick — it used
-        to run inside both a min() and a list comprehension (2N calls),
-        and hooks are user-supplied so extra calls are observable."""
-        calls = []
-        warps = _warps(5)
-        warps[2].owns_pair_lock = True
-
-        def hook(w):
-            calls.append(w.warp_id)
-            return 0 if w.owns_pair_lock else 1
-
-        sched = GtoScheduler(0, priority=hook)
-        assert sched.pick(warps) is warps[2]
-        assert sorted(calls) == [0, 1, 2, 3, 4]
+        for bits in (_bits(), _bits(0, 1, 2, 3)):
+            sched = GtoScheduler(0, priority=bits)
+            sched.notify_issued(warps[1])
+            assert sched.pick(warps) is warps[1]
+            assert sched.pick([warps[2], warps[3]]) is warps[2]
 
     def test_priority_single_pass_matches_owf_semantics(self):
-        """Single-pass top-tier selection: lowest priority wins, ties
-        break greedy-then-oldest — same answers as the old two-pass."""
+        """The prioritized candidates win when there is one, ties break
+        greedy-then-oldest, and with none prioritized every candidate
+        is eligible."""
         warps = _warps(6)
-        prio = {0: 2, 1: 1, 2: 1, 3: 2, 4: 1, 5: 3}
-        sched = GtoScheduler(0, priority=lambda w: prio[w.warp_id])
-        assert sched.pick(warps) is warps[1]      # oldest of the 1-tier
+        sched = GtoScheduler(0, priority=_bits(1, 2, 4))
+        assert sched.pick(warps) is warps[1]      # oldest prioritized
         sched.notify_issued(warps[4])
-        assert sched.pick(warps) is warps[4]      # greedy within tier
+        assert sched.pick(warps) is warps[4]      # greedy among them
         assert sched.pick([warps[0], warps[3], warps[5]]) is warps[0]
+        sched.notify_issued(warps[5])
+        assert sched.pick([warps[0], warps[3], warps[5]]) is warps[5]
+
+    @pytest.mark.parametrize("priority", [
+        lambda w: 0, [0] * 8, array("i", [0] * 8), array("q", [0] * 8),
+    ], ids=["callable", "list", "int-array", "longlong-array"])
+    def test_priority_is_data_only(self, priority):
+        """No priority the C loop cannot read can be built: a callable
+        hook or any container but array('l') is refused."""
+        with pytest.raises(TypeError, match="array\\('l'\\)"):
+            GtoScheduler(0, priority=priority)
 
 
 class TestLrr:
@@ -150,4 +156,4 @@ class TestFactory:
 
     def test_lrr_rejects_priority(self):
         with pytest.raises(ValueError):
-            make_scheduler("lrr", 0, priority=lambda w: 0)
+            make_scheduler("lrr", 0, priority=_bits())

@@ -79,13 +79,13 @@ class TestDelegatingTechniqueState:
         assert hooks <= set(vars(DelegatingTechniqueState))
 
     def test_wrapper_forwards_the_scheduler_priority(self):
-        from repro.baselines.owf import OwfSmState, owf_priority
+        from repro.baselines.owf import OwfSmState
         from repro.sim.technique import DelegatingTechniqueState
 
         state = OwfSmState(straightline_kernel(), GTX480, SmStats(),
                            base_ctas=1, extra_ctas=1)
         wrapped = DelegatingTechniqueState(DelegatingTechniqueState(state))
-        assert wrapped.scheduler_priority is owf_priority
+        assert wrapped.scheduler_priority is state.owner
 
     def test_innermost_unwraps_nested_wrappers(self):
         from repro.sim.technique import DelegatingTechniqueState, innermost
